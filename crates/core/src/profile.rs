@@ -117,7 +117,9 @@ pub struct QueryProfile {
     /// Raw-scan phases attributed to this query.
     pub scan: PhaseProfile,
     /// Estimated nanoseconds inside cursor iteration (operator-tree
-    /// execution end to end), sampled like the scan phases.
+    /// execution end to end, raw-scan phases included): the first
+    /// `next()` — for a blocking operator the whole query — is timed
+    /// exactly, later calls are sampled like the scan phases.
     pub exec_ns: u64,
     /// Rows the cursor has returned so far.
     pub rows: u64,

@@ -47,6 +47,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
 use nodb_exec::{build_plan, build_plan_with_params, RowCursor};
@@ -397,9 +398,12 @@ pub struct QueryCursor {
     /// Raw-scan phase accounting for this query (shared with the scan
     /// operators inside the tree).
     scan_profile: Arc<PhaseProfileAtomic>,
-    /// Sampled cursor-iteration time (see [`QueryProfile::exec_ns`]).
+    /// Cursor-iteration time (see [`QueryProfile::exec_ns`]).
     exec_ns: u64,
     exec_clock: SampledClock,
+    /// `next()` calls so far: the first is timed exactly, later ones
+    /// are sampled by this index.
+    calls: u64,
     rows_returned: u64,
 }
 
@@ -415,6 +419,7 @@ impl QueryCursor {
             scan_profile,
             exec_ns: 0,
             exec_clock: SampledClock::default(),
+            calls: 0,
             rows_returned: 0,
         }
     }
@@ -469,9 +474,23 @@ impl Iterator for QueryCursor {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Result<Row>> {
-        self.exec_clock.start(self.rows_returned);
-        let r = self.rows.next();
-        self.exec_clock.stop(&mut self.exec_ns);
+        let call = self.calls;
+        self.calls += 1;
+        let r = if call == 0 {
+            // A blocking operator's first `next()` *is* the whole query
+            // (and a streaming one's pumps a whole block): time it
+            // exactly — scaling it by the sampling stride would
+            // over-state an aggregate ~64×. Only later calls are sampled.
+            let t = Instant::now();
+            let r = self.rows.next();
+            self.exec_ns += t.elapsed().as_nanos() as u64;
+            r
+        } else {
+            self.exec_clock.start(call);
+            let r = self.rows.next();
+            self.exec_clock.stop(&mut self.exec_ns);
+            r
+        };
         if matches!(r, Some(Ok(_))) {
             self.rows_returned += 1;
         }

@@ -454,6 +454,40 @@ fn header_skip_survives_appends_and_parallel_scans() {
     assert_eq!(r.rows[0].get(0), &Value::Int64(60));
 }
 
+/// Run `queries` cold then warm on a single-threaded reference engine
+/// and on an engine with `threads` cold-scan workers (both built by
+/// `make`), asserting identical rows, work counters and aux footprint.
+/// Returns the reference engine for further checks.
+fn assert_matches_single_threaded(
+    make: &dyn Fn(usize) -> NoDb,
+    queries: &[&str],
+    threads: usize,
+    what: &str,
+) -> NoDb {
+    let reference = make(1);
+    let parallel = make(threads);
+    for q in queries {
+        // Cold and warm runs both agree.
+        let a1 = reference.query(q).unwrap();
+        let b1 = parallel.query(q).unwrap();
+        assert_eq!(a1.rows, b1.rows, "{what}, {threads} threads, cold `{q}`");
+        let a2 = reference.query(q).unwrap();
+        let b2 = parallel.query(q).unwrap();
+        assert_eq!(a2.rows, b2.rows, "{what}, {threads} threads, warm `{q}`");
+    }
+    // Same tokenization/parsing work, block-for-block aux parity.
+    let mr = reference.metrics("t").unwrap();
+    let mp = parallel.metrics("t").unwrap();
+    assert_eq!(mr, mp, "{what}, {threads} threads: metrics diverged");
+    let ar = reference.aux_info("t").unwrap();
+    let ap = parallel.aux_info("t").unwrap();
+    assert_eq!(ar.posmap_pointers, ap.posmap_pointers, "{what}");
+    assert_eq!(ar.posmap_bytes, ap.posmap_bytes, "{what}");
+    assert_eq!(ar.cache_bytes, ap.cache_bytes, "{what}");
+    assert_eq!(ar.stats_attrs, ap.stats_attrs, "{what}");
+    reference
+}
+
 #[test]
 fn parallel_scan_matches_single_threaded() {
     let (_td, p, schema) = micro_file(2500, 12);
@@ -464,27 +498,112 @@ fn parallel_scan_matches_single_threaded() {
         "select count(*) from t",
     ];
     for threads in [2usize, 3, 8] {
-        let reference = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
-        let mut cfg = NoDbConfig::postgres_raw();
-        cfg.scan_threads = threads;
-        let parallel = engine_with(cfg, &p, &schema, AccessMode::InSitu);
-        for q in queries {
-            // Cold and warm runs both agree.
-            let a1 = reference.query(q).unwrap();
-            let b1 = parallel.query(q).unwrap();
-            assert_eq!(a1.rows, b1.rows, "{threads} threads, cold `{q}`");
-            let a2 = reference.query(q).unwrap();
-            let b2 = parallel.query(q).unwrap();
-            assert_eq!(a2.rows, b2.rows, "{threads} threads, warm `{q}`");
+        let make = |threads| {
+            let mut cfg = NoDbConfig::postgres_raw();
+            cfg.scan_threads = threads;
+            engine_with(cfg, &p, &schema, AccessMode::InSitu)
+        };
+        assert_matches_single_threaded(&make, &queries, threads, "micro");
+    }
+}
+
+/// The cold kernel is asked for one block of rows at a time: "asked for
+/// N, got N" must not be mistaken for (or hide) the end of the file.
+/// Files that end exactly on a block boundary, hold no rows at all, or
+/// lack the final newline, in both formats, over both backends, at one
+/// and four threads.
+#[test]
+fn cold_scan_block_boundaries() {
+    use nodb_common::IoBackend;
+
+    const BLOCK: usize = 64;
+    let schema = Schema::parse("a int, b int, c text").unwrap();
+    let b_of = |i: usize| (i * 7) % 13;
+    let csv_line = |i: usize| format!("{i},{},w{i}", b_of(i));
+    let json_line = |i: usize| format!("{{\"a\":{i},\"b\":{},\"c\":\"w{i}\"}}", b_of(i));
+    // (name, data rows, final newline, header line)
+    let shapes = [
+        ("exact multiple of the block", 2 * BLOCK, true, false),
+        ("empty file", 0, true, false),
+        ("header only", 0, true, true),
+        ("no trailing newline", BLOCK + 36, false, false),
+    ];
+    let queries = [
+        "select a, c from t where b < 5",
+        "select count(*), sum(a) from t",
+        "select count(*) from t",
+    ];
+    let td = TempDir::new("nodb-core-test").unwrap();
+    for (shape, n, final_newline, header) in shapes {
+        for jsonl in [false, true] {
+            if jsonl && header {
+                continue; // JSON Lines files have no header line.
+            }
+            let mut lines: Vec<String> = (0..n)
+                .map(|i| if jsonl { json_line(i) } else { csv_line(i) })
+                .collect();
+            if header {
+                lines.insert(0, "a,b,c".to_string());
+            }
+            let mut text = lines.join("\n");
+            if final_newline && !lines.is_empty() {
+                text.push('\n');
+            }
+            let p = td.file(if jsonl { "b.jsonl" } else { "b.csv" });
+            std::fs::write(&p, &text).unwrap();
+            // Expected answers straight from the generating data.
+            let kept: Vec<Vec<Value>> = (0..n)
+                .filter(|&i| b_of(i) < 5)
+                .map(|i| vec![Value::Int32(i as i32), Value::Text(format!("w{i}"))])
+                .collect();
+            let sum = match n {
+                0 => Value::Null,
+                _ => Value::Int64((0..n as i64).sum()),
+            };
+            for io in [IoBackend::Read, IoBackend::Mmap] {
+                let what = format!("{shape}, jsonl={jsonl}, {io:?}");
+                let make = |threads| {
+                    let mut cfg = NoDbConfig::postgres_raw();
+                    cfg.posmap_block_rows = BLOCK;
+                    cfg.scan_threads = threads;
+                    cfg.io_backend = io;
+                    let mut db = NoDb::new(cfg).unwrap();
+                    if jsonl {
+                        db.register_jsonl("t", &p, schema.clone(), AccessMode::InSitu)
+                            .unwrap();
+                    } else {
+                        let opts = CsvOptions {
+                            has_header: header,
+                            ..CsvOptions::default()
+                        };
+                        db.register_csv("t", &p, schema.clone(), opts, AccessMode::InSitu)
+                            .unwrap();
+                    }
+                    db
+                };
+                let db = assert_matches_single_threaded(&make, &queries, 4, &what);
+                let got = db.query(queries[0]).unwrap();
+                let got: Vec<Vec<Value>> = got.rows.iter().map(|r| r.0.clone()).collect();
+                assert_eq!(got, kept, "{what}");
+                let agg = db.query(queries[1]).unwrap();
+                assert_eq!(agg.rows[0].0, vec![Value::Int64(n as i64), sum.clone()]);
+                // The cold pass completed the EOL index: counting again
+                // reads nothing.
+                let before = db.metrics("t").unwrap().bytes_tokenized;
+                let count = db.query(queries[2]).unwrap();
+                assert_eq!(count.rows[0].get(0), &Value::Int64(n as i64), "{what}");
+                assert_eq!(db.metrics("t").unwrap().bytes_tokenized, before, "{what}");
+                // A single-threaded LIMIT stops after the first block.
+                if n > BLOCK {
+                    let db = make(1);
+                    let first = db.query("select a from t limit 1").unwrap();
+                    assert_eq!(first.rows[0].get(0), &Value::Int32(0), "{what}");
+                    let block_bytes: usize = lines.iter().take(BLOCK).map(|l| l.len() + 1).sum();
+                    let m = db.metrics("t").unwrap();
+                    assert_eq!(m.bytes_tokenized, block_bytes as u64, "{what}");
+                }
+            }
         }
-        // Same tokenization/parsing work, block-for-block aux parity.
-        let mr = reference.metrics("t").unwrap();
-        let mp = parallel.metrics("t").unwrap();
-        assert_eq!(mr, mp, "{threads} threads: metrics diverged");
-        let ar = reference.aux_info("t").unwrap();
-        let ap = parallel.aux_info("t").unwrap();
-        assert_eq!(ar.posmap_pointers, ap.posmap_pointers);
-        assert_eq!(ar.cache_bytes, ap.cache_bytes);
     }
 }
 
@@ -766,6 +885,32 @@ fn query_stream_is_lazy_and_keeps_partial_aux() {
     assert!(aux.posmap_pointers > 0, "partial scan built no positions");
     let full = db.query("select count(*) from t").unwrap();
     assert_eq!(full.rows[0].get(0), &Value::Int64(20_000));
+}
+
+#[test]
+fn profile_exec_time_reconciles_with_wall_clock() {
+    let (_td, p, schema) = micro_file(5000, 12);
+    let db = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
+
+    // A blocking aggregate does all its work inside the first `next()`;
+    // that call is timed exactly, not scaled by the sampling stride.
+    let cursor = db.query_stream("select sum(c1), count(*) from t").unwrap();
+    let t = std::time::Instant::now();
+    let (result, profile) = cursor.collect_with_profile().unwrap();
+    let wall_ns = t.elapsed().as_nanos() as u64;
+    assert_eq!(result.rows[0].get(1), &Value::Int64(5000));
+    assert!(
+        profile.exec_ns >= wall_ns / 2 && profile.exec_ns <= wall_ns * 2,
+        "exec_ns {} vs wall-clock {wall_ns} ns",
+        profile.exec_ns
+    );
+
+    // Streamed rows past the first are still sampled.
+    let mut cursor = db.query_stream("select c0 from t").unwrap();
+    cursor.next().unwrap().unwrap();
+    let first_call_ns = cursor.profile().exec_ns;
+    assert_eq!(cursor.by_ref().count(), 4999);
+    assert!(cursor.profile().exec_ns > first_call_ns);
 }
 
 #[test]

@@ -48,6 +48,27 @@ impl OffsetStore {
             OffsetStore::U32(v) => v.len() * 4,
         }
     }
+
+    /// Store `offsets`, narrowed to 16 bits when every one fits.
+    fn pack(offsets: &[u32]) -> OffsetStore {
+        // One pass narrows and ORs: no offset has a bit above the low 16
+        // exactly when the OR has none, and only then is the narrowed
+        // copy kept.
+        let mut high_bits = 0u32;
+        let narrowed: Vec<u16> = offsets
+            .iter()
+            .map(|&o| {
+                high_bits |= o;
+                // CAST: truncation is discarded below unless lossless.
+                o as u16
+            })
+            .collect();
+        if high_bits <= u32::from(u16::MAX) {
+            OffsetStore::U16(narrowed)
+        } else {
+            OffsetStore::U32(offsets.to_vec())
+        }
+    }
 }
 
 /// A materialized chunk of the positional map.
@@ -190,7 +211,6 @@ pub struct BlockCollector {
     /// Row-major u32 staging; narrowed at build time.
     staged: Vec<u32>,
     rows: u32,
-    max_offset: u32,
 }
 
 impl BlockCollector {
@@ -201,7 +221,6 @@ impl BlockCollector {
             attrs,
             staged: Vec::new(),
             rows: 0,
-            max_offset: 0,
         }
     }
 
@@ -218,27 +237,17 @@ impl BlockCollector {
     /// Push one row's offsets (must match `attrs` length and order).
     pub fn push_row(&mut self, offsets: &[u32]) {
         debug_assert_eq!(offsets.len(), self.attrs.len());
-        for &o in offsets {
-            self.max_offset = self.max_offset.max(o);
-        }
         self.staged.extend_from_slice(offsets);
         self.rows += 1;
     }
 
     /// Finish, narrowing to 16-bit storage when possible.
     pub fn build(self) -> Chunk {
-        // CAST: u16::MAX widens to u32 for the comparison; the per-offset
-        // narrowing below only runs when every offset ≤ u16::MAX.
-        let offsets = if self.max_offset <= u16::MAX as u32 {
-            OffsetStore::U16(self.staged.iter().map(|&o| o as u16).collect())
-        } else {
-            OffsetStore::U32(self.staged)
-        };
         Chunk {
             block: self.block,
             rows: self.rows,
             attrs: self.attrs,
-            offsets,
+            offsets: OffsetStore::pack(&self.staged),
         }
     }
 }
@@ -307,11 +316,13 @@ impl SegmentCollector {
             let row_id = first_row + r as u64;
             let block = row_id / br;
             let take = (((block + 1) * br - row_id) as usize).min(self.rows as usize - r);
-            let mut c = BlockCollector::new(block, self.attrs.clone());
-            for i in r..r + take {
-                c.push_row(&self.staged[i * n..(i + 1) * n]);
-            }
-            out.push(c.build());
+            out.push(Chunk {
+                block,
+                // CAST: `take` ≤ `self.rows`, itself a u32.
+                rows: take as u32,
+                attrs: self.attrs.clone(),
+                offsets: OffsetStore::pack(&self.staged[r * n..(r + take) * n]),
+            });
             r += take;
         }
         out
