@@ -828,7 +828,7 @@ fn bench_budget(c: &mut Criterion) {
 /// Predicate pushdown into the tokenizer (ISSUE 9): a wide 64-field
 /// table scanned with a ~1%-selective predicate on a late column
 /// (attribute 48, 75% of the way into the record) projecting the last
-/// one (attribute 63), with the rewrite pipeline off vs on. The
+/// one (attribute 63), with `enable_rewrite` off vs on. The
 /// engines run the paper's baseline configuration (no auxiliary
 /// structures), where the lean-scan guard permits early rejection:
 /// with pushdown, the ~99% of rows failing `c48 < 10⁷` end
@@ -839,7 +839,8 @@ fn bench_budget(c: &mut Criterion) {
 /// bit-identical — asserted cheaply here too, so a wrong early-reject
 /// cannot "win"). Under the full adaptive config the guard disables
 /// early rejection while structures are being built, so the `adaptive`
-/// pair prices the rewrite pipeline itself — those two should be noise.
+/// pair prices bind-time predicate normalization, which leaves this
+/// query's plan unchanged — those two should be noise.
 fn bench_pushdown(c: &mut Criterion) {
     const ROWS: usize = 20_000;
     let td = TempDir::new("nodb-bench-pushdown").expect("tempdir");

@@ -206,13 +206,7 @@ fn execute(
                 .into());
         }
         Command::Explain { sql } => {
-            // Typed plan: the tree text is the classic rendering; the
-            // rewrite trace is extra shell-only context below it.
-            let plan = db.explain_plan(&sql)?;
-            print!("{}", plan.render());
-            if !plan.applied_rules.is_empty() {
-                println!("Rewrites applied: {}", plan.applied_rules.join(", "));
-            }
+            print!("{}", db.explain_plan(&sql)?.render());
         }
         Command::Sql { sql } => {
             // Stream from the cursor: rows print as the scan produces

@@ -162,7 +162,7 @@ pub static CACHE_BUDGET: Knob<ByteSize> = Knob {
     parse: ByteSize::parse,
 };
 
-/// Rewrite-rule pipeline + scan predicate pushdown
+/// Predicate simplification at bind time + scan predicate pushdown
 /// (`NoDbConfig::enable_rewrite`).
 pub static REWRITE: Knob<bool> = Knob {
     info: KnobInfo {
@@ -170,7 +170,7 @@ pub static REWRITE: Knob<bool> = Knob {
         env: "NODB_REWRITE",
         flag: "--rewrite",
         value_hint: "on|off",
-        help: "rewrite-rule optimizer + predicate pushdown into tokenization (default on)",
+        help: "predicate simplification + pushdown into tokenization (default on)",
     },
     parse: parse_bool,
 };

@@ -21,10 +21,11 @@ pub struct NoDbConfig {
     pub enable_cache: bool,
     /// Collect statistics on the fly and let the planner use them (§4.4).
     pub enable_stats: bool,
-    /// Run the rewrite-rule pipeline (constant folding, boolean
-    /// simplification, projection pruning, predicate pushdown) between
-    /// binding and planning, and let in-situ scans evaluate pushed
-    /// predicates against raw field slices before full-row conversion.
+    /// Normalize predicates while binding (constant folding, boolean
+    /// simplification, tautology and contradiction elimination, which
+    /// also narrows scan projections), and let in-situ scans evaluate
+    /// pushed predicates against raw field slices before full-row
+    /// conversion.
     /// Results are bit-identical either way
     /// (`tests/pushdown_equivalence.rs`); off exists for differential
     /// testing and perf attribution. The `NODB_REWRITE` environment

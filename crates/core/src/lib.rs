@@ -66,7 +66,7 @@ use nodb_csv::{tokenize, CsvFormat, CsvOptions};
 use nodb_exec::{BoxOp, ExecCatalog, TableProvider};
 use nodb_json::JsonFormat;
 use nodb_sql::binder::{CatalogView, PlannerOptions};
-use nodb_sql::{plan_query_traced, BoundExpr, LogicalPlan};
+use nodb_sql::{plan_query, BoundExpr, LogicalPlan};
 use nodb_stats::{StatsBuilder, TableStats};
 use nodb_storage::{LoadReport, LoadedTable, StorageEngine};
 
@@ -419,35 +419,26 @@ impl NoDb {
         self.prepare(sql)?.execute(&Params::new())?.collect()
     }
 
-    /// Plan a query without executing it (rewrite rules applied when
-    /// [`NoDbConfig::enable_rewrite`] is on).
+    /// Plan a query without executing it: parse and bind, with the
+    /// estimates of bind time (no execute-time refresh).
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
-        Ok(self.plan_traced(sql)?.0)
-    }
-
-    /// [`NoDb::plan`] plus the names of the rewrite rules that fired, in
-    /// application order (empty when the rewriter is off or nothing
-    /// matched).
-    pub fn plan_traced(&self, sql: &str) -> Result<(LogicalPlan, Vec<&'static str>)> {
         let options = PlannerOptions {
             use_stats: self.config.enable_stats,
             rewrite: self.config.enable_rewrite,
         };
-        plan_query_traced(sql, self, &options)
+        plan_query(sql, self, &options)
     }
 
     /// EXPLAIN as a typed plan tree ([`ExplainPlan`]): structured nodes
     /// carrying the scan projections, pushed-down filters and estimated
-    /// cardinalities, plus the rewrite rules that fired. `render()` on
-    /// the result reproduces [`NoDb::explain`]'s text exactly.
+    /// cardinalities. `render()` on the result reproduces
+    /// [`NoDb::explain`]'s text exactly.
     pub fn explain_plan(&self, sql: &str) -> Result<ExplainPlan> {
-        let (plan, rules) = self.plan_traced(sql)?;
-        Ok(ExplainPlan::from_plan(&plan, rules))
+        Ok(ExplainPlan::from_plan(&self.plan(sql)?))
     }
 
-    /// EXPLAIN-style plan rendering (the tree only; use
-    /// [`NoDb::explain_plan`] for the structured form and applied-rule
-    /// trace).
+    /// EXPLAIN-style plan rendering (use [`NoDb::explain_plan`] for the
+    /// structured form).
     pub fn explain(&self, sql: &str) -> Result<String> {
         Ok(self.plan(sql)?.explain())
     }

@@ -1,7 +1,7 @@
 //! Compiled scan predicates: pushed-down conjuncts evaluated against raw
 //! field slices *before* full-row tokenization and conversion.
 //!
-//! The rewrite pipeline (`nodb-sql`) pushes WHERE conjuncts into
+//! The binder (`nodb-sql`) pushes WHERE conjuncts into
 //! `LogicalPlan::Scan::filters`. Historically the scan still tokenized
 //! every projected attribute and converted every WHERE column before
 //! evaluating those conjuncts; for a selective predicate on an early
@@ -227,7 +227,7 @@ fn compile_conjunct(f: &BoundExpr, dtype: &impl Fn(usize) -> DataType, out: &mut
                     out.push(item(
                         *i,
                         PredOp::Cmp {
-                            op: flip(*op),
+                            op: op.swapped(),
                             lit: v.clone(),
                         },
                     ));
@@ -299,31 +299,12 @@ fn compile_conjunct(f: &BoundExpr, dtype: &impl Fn(usize) -> DataType, out: &mut
     }
 }
 
-/// Swap sides of a comparison: `lit op col` → `col flip(op) lit`.
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
-}
-
 fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::NotEq => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::LtEq => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::GtEq => ord != Ordering::Less,
-        // `compile_conjunct` only builds `PredOp::Cmp` from comparison
-        // ops (and BETWEEN's GtEq/LtEq), so no other op can reach here.
-        // The screen is an early-reject in front of the full filter
-        // evaluation, so passing the row through is always sound.
-        _ => true,
-    }
+    // `compile_conjunct` only builds `PredOp::Cmp` from comparison ops
+    // (and BETWEEN's GtEq/LtEq), so `holds` always answers. Were it not
+    // to, passing the row through is sound: the screen is an early
+    // reject in front of the full filter evaluation.
+    op.holds(ord).unwrap_or(true)
 }
 
 /// Recognize `lit%` / `%lit` patterns whose literal part has no

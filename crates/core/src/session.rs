@@ -50,10 +50,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
-use nodb_exec::{build_plan, build_plan_with_params, RowCursor};
+use nodb_exec::{build_plan, RowCursor};
 use nodb_sql::binder::PlannerOptions;
 use nodb_sql::explain::ExplainPlan;
-use nodb_sql::rewrite::RulePipeline;
 use nodb_sql::{parser, refresh_stats, LogicalPlan};
 
 use crate::profile::{self, PhaseProfileAtomic, QueryProfile, SampledClock};
@@ -157,9 +156,6 @@ pub struct Statement<'db> {
     db: &'db NoDb,
     sql: String,
     plan: LogicalPlan,
-    /// Names of the rewrite rules that fired at prepare time, in
-    /// application order (empty when the rewriter is off).
-    applied_rules: Vec<&'static str>,
     param_count: usize,
     param_types: Vec<Option<DataType>>,
 }
@@ -182,18 +178,12 @@ impl NoDb {
             use_stats: self.config.enable_stats,
             rewrite: self.config.enable_rewrite,
         };
-        let mut plan = nodb_sql::binder::bind(&stmt, self, &options)?;
-        let applied_rules = if self.config.enable_rewrite {
-            RulePipeline::standard().run(&mut plan)
-        } else {
-            Vec::new()
-        };
+        let plan = nodb_sql::binder::bind(&stmt, self, &options)?;
         let param_types = plan.param_types(param_count);
         Ok(Statement {
             db: self,
             sql: sql.to_string(),
             plan,
-            applied_rules,
             param_count,
             param_types,
         })
@@ -250,35 +240,19 @@ impl Statement<'_> {
     /// hash once the statistics a previous execution collected make the
     /// group count known — the plan never goes stale).
     pub fn execute(&self, params: &Params) -> Result<QueryCursor> {
-        let values = self.bind_values(params)?;
+        let plan = self.current_plan(params)?;
         // Per-query resource accounting: install this execution's
         // accumulator in the thread-local for the duration of plan
-        // lowering — scan operators (constructed inside `build_plan*`)
+        // lowering — scan operators (constructed inside `build_plan`)
         // capture it and attribute their phase work to this query.
         let scan_profile = Arc::new(PhaseProfileAtomic::default());
         let _scope = profile::enter_query(Arc::clone(&scan_profile));
-        if self.db.config.enable_stats {
-            // Substitute first so the refreshed estimates see concrete
-            // constants (value-aware selectivities), then refresh.
-            let mut plan = self.plan.substitute_params(&values);
-            refresh_stats(&mut plan, self.db, true);
-            let schema = plan.schema().clone();
-            let op = build_plan(&plan, self.db)?;
-            Ok(QueryCursor::new(
-                schema,
-                RowCursor::with_batch(op, self.db.config.batch_rows),
-                scan_profile,
-            ))
-        } else {
-            // The "w/o statistics" regime has nothing to refresh:
-            // substitute while lowering, with no intermediate plan clone.
-            let op = build_plan_with_params(&self.plan, self.db, &values)?;
-            Ok(QueryCursor::new(
-                self.plan.schema().clone(),
-                RowCursor::with_batch(op, self.db.config.batch_rows),
-                scan_profile,
-            ))
-        }
+        let op = build_plan(&plan, self.db)?;
+        Ok(QueryCursor::new(
+            plan.schema().clone(),
+            RowCursor::with_batch(op, self.db.config.batch_rows),
+            scan_profile,
+        ))
     }
 
     /// Execute and materialize: `execute(params)` + [`QueryCursor::collect`].
@@ -286,23 +260,23 @@ impl Statement<'_> {
         self.execute(params)?.collect()
     }
 
-    /// Names of the rewrite rules that fired when this statement was
-    /// prepared, in application order (empty when
-    /// [`crate::NoDbConfig::enable_rewrite`] is off or nothing matched).
-    pub fn applied_rules(&self) -> &[&'static str] {
-        &self.applied_rules
-    }
-
     /// EXPLAIN this statement as it would run *now*: parameters
     /// substituted and estimates/strategies refreshed from current
     /// statistics, without executing anything. Returns the typed
-    /// [`ExplainPlan`] tree — `render()` it for the classic text form —
-    /// carrying the rewrite rules that fired at prepare time.
+    /// [`ExplainPlan`] tree — `render()` it for the classic text form.
     pub fn explain(&self, params: &Params) -> Result<ExplainPlan> {
+        Ok(ExplainPlan::from_plan(&self.current_plan(params)?))
+    }
+
+    /// The plan one execution runs: the cached plan with `params`
+    /// substituted first, so the refreshed estimates see concrete
+    /// constants (value-aware selectivities), then refreshed from the
+    /// current statistics (a no-op in the "w/o statistics" regime).
+    fn current_plan(&self, params: &Params) -> Result<LogicalPlan> {
         let values = self.bind_values(params)?;
         let mut plan = self.plan.substitute_params(&values);
         refresh_stats(&mut plan, self.db, self.db.config.enable_stats);
-        Ok(ExplainPlan::from_plan(&plan, self.applied_rules.clone()))
+        Ok(plan)
     }
 
     /// Validate count and types, returning the coerced values.

@@ -1,8 +1,7 @@
 //! Physical planning: lower a [`LogicalPlan`] onto leaf scans supplied by
 //! a [`TableProvider`].
 
-use nodb_common::{NoDbError, Result, Value};
-use nodb_sql::expr::AggExpr;
+use nodb_common::{NoDbError, Result};
 use nodb_sql::{AggStrategy, BoundExpr, LogicalPlan};
 
 use crate::ops::{
@@ -41,45 +40,19 @@ pub trait ExecCatalog {
     }
 }
 
-/// Build an executable operator tree.
+/// Build an executable operator tree. Parameters must already be
+/// substituted ([`LogicalPlan::substitute_params`]).
 pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp> {
-    build_plan_with_params(plan, catalog, &[])
-}
-
-/// Build an executable operator tree, substituting parameter
-/// placeholders with `params` while lowering — the zero-copy execute
-/// path of a prepared statement (no intermediate plan clone). With an
-/// empty `params` slice expressions are cloned verbatim, which is plain
-/// [`build_plan`].
-pub fn build_plan_with_params(
-    plan: &LogicalPlan,
-    catalog: &dyn ExecCatalog,
-    params: &[Value],
-) -> Result<BoxOp> {
-    let sub = |e: &BoundExpr| -> BoundExpr {
-        if params.is_empty() {
-            e.clone()
-        } else {
-            e.substitute_params(params)
-        }
-    };
     match plan {
         LogicalPlan::Scan {
             table,
             projection,
             filters,
             ..
-        } => {
-            if params.is_empty() {
-                catalog.provider(table)?.scan(projection, filters)
-            } else {
-                let filters: Vec<BoundExpr> = filters.iter().map(sub).collect();
-                catalog.provider(table)?.scan(projection, &filters)
-            }
-        }
+        } => catalog.provider(table)?.scan(projection, filters),
         LogicalPlan::Filter { input, predicate } => Ok(Box::new(FilterOp::new(
-            build_plan_with_params(input, catalog, params)?,
-            sub(predicate),
+            build_plan(input, catalog)?,
+            predicate.clone(),
         ))),
         LogicalPlan::Join {
             left,
@@ -89,10 +62,10 @@ pub fn build_plan_with_params(
             kind,
             ..
         } => Ok(Box::new(HashJoinOp::new(
-            build_plan_with_params(left, catalog, params)?,
-            build_plan_with_params(right, catalog, params)?,
+            build_plan(left, catalog)?,
+            build_plan(right, catalog)?,
             on.clone(),
-            residual.as_ref().map(sub),
+            residual.clone(),
             *kind,
         ))),
         LogicalPlan::Aggregate {
@@ -102,14 +75,8 @@ pub fn build_plan_with_params(
             strategy,
             ..
         } => {
-            let child = build_plan_with_params(input, catalog, params)?;
-            let aggs: Vec<AggExpr> = aggs
-                .iter()
-                .map(|a| AggExpr {
-                    func: a.func,
-                    arg: a.arg.as_ref().map(sub),
-                })
-                .collect();
+            let child = build_plan(input, catalog)?;
+            let aggs = aggs.clone();
             let batch = catalog.batch_rows();
             Ok(match strategy {
                 AggStrategy::Plain => {
@@ -127,20 +94,19 @@ pub fn build_plan_with_params(
             })
         }
         LogicalPlan::Project { input, exprs, .. } => Ok(Box::new(ProjectOp::new(
-            build_plan_with_params(input, catalog, params)?,
-            exprs.iter().map(sub).collect(),
+            build_plan(input, catalog)?,
+            exprs.clone(),
         ))),
         LogicalPlan::Sort { input, keys } => Ok(Box::new(SortOp::new(
-            build_plan_with_params(input, catalog, params)?,
+            build_plan(input, catalog)?,
             keys.clone(),
         ))),
-        LogicalPlan::Limit { input, n } => Ok(Box::new(LimitOp::new(
-            build_plan_with_params(input, catalog, params)?,
-            *n,
-        ))),
-        LogicalPlan::Distinct { input } => Ok(Box::new(DistinctOp::new(build_plan_with_params(
-            input, catalog, params,
-        )?))),
+        LogicalPlan::Limit { input, n } => {
+            Ok(Box::new(LimitOp::new(build_plan(input, catalog)?, *n)))
+        }
+        LogicalPlan::Distinct { input } => {
+            Ok(Box::new(DistinctOp::new(build_plan(input, catalog)?)))
+        }
     }
 }
 

@@ -50,18 +50,7 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
                 let l = eval(left, row)?;
                 let r = eval(right, row)?;
-                Ok(match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(match op {
-                        BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                        BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-                        BinOp::Lt => ord == std::cmp::Ordering::Less,
-                        BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                        BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                        BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                        _ => unreachable!("comparison ops only"),
-                    }),
-                })
+                Ok(compare(*op, &l, &r))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
                 let l = eval(left, row)?;
@@ -176,6 +165,15 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             Ok(Value::Bool(v.is_null() != *negated))
         }
     }
+}
+
+/// A comparison's three-valued result: NULL when the operands are
+/// incomparable (either is NULL, or the types do not compare).
+#[inline]
+fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
+    l.sql_cmp(r)
+        .and_then(|ord| op.holds(ord))
+        .map_or(Value::Null, Value::Bool)
 }
 
 /// Evaluate as a WHERE predicate: TRUE passes; FALSE and NULL reject.
@@ -310,18 +308,7 @@ fn eval_batch_masked(
                         if !active(mask, r) {
                             return Value::Null;
                         }
-                        match l[r].sql_cmp(&r_vals[r]) {
-                            None => Value::Null,
-                            Some(ord) => Value::Bool(match op {
-                                BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                                BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-                                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                                BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                                BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                                _ => unreachable!("comparison ops only"),
-                            }),
-                        }
+                        compare(*op, &l[r], &r_vals[r])
                     })
                     .collect())
             }

@@ -24,7 +24,7 @@ pub mod key;
 pub mod ops;
 
 pub use batch::{ValueBatch, DEFAULT_BATCH_ROWS};
-pub use build::{build_plan, build_plan_with_params, ExecCatalog, TableProvider};
+pub use build::{build_plan, ExecCatalog, TableProvider};
 pub use eval::{eval, eval_batch, eval_predicate, eval_predicate_batch};
 pub use key::GroupKey;
 pub use ops::{BoxOp, DistinctOp, Operator, RowsOp};

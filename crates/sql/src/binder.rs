@@ -1,10 +1,18 @@
 //! Binder: turns a parsed [`SelectStmt`] into an optimized
-//! [`LogicalPlan`].
+//! [`LogicalPlan`] — the one place a plan is decided.
 //!
 //! Planning and optimization are interleaved: predicate classification,
 //! projection pruning, join ordering and strategy choices all happen while
 //! the plan is assembled, because each decision changes the column layout
-//! the next one binds against.
+//! the next one binds against. With [`PlannerOptions::rewrite`] on, every
+//! expression is normalized (constants folded, boolean structure
+//! simplified) as it is bound, before the decisions that depend on it: a
+//! scan's filters are normalized before its projection is chosen, a
+//! constant WHERE conjunct becomes a scan filter, and a pure HAVING
+//! conjunct over bare group keys filters rows in WHERE instead of groups.
+//! Nothing rewrites the plan afterwards; only
+//! [`crate::optimizer::refresh_stats`] re-derives its statistics-driven
+//! choices at execute time.
 
 use std::collections::BTreeSet;
 
@@ -14,10 +22,10 @@ use nodb_stats::TableStats;
 use crate::ast::*;
 use crate::expr::{AggExpr, AggFunc, BinOp, BoundExpr, UnOp};
 use crate::optimizer::{
-    conjunct_selectivity, factor_or, join_cardinality, split_conjuncts, NoStats, ScanStatsLookup,
-    DEFAULT_NDV, DEFAULT_TABLE_ROWS, HASH_AGG_GROUP_LIMIT,
+    agg_strategy, factor_or, join_cardinality, scan_estimate, split_conjuncts, DEFAULT_NDV,
 };
 use crate::plan::{AggStrategy, JoinKind, LogicalPlan, SortKey};
+use crate::rewrite::{is_pure, normalize, normalize_conjuncts, normalize_predicate};
 
 /// What the planner needs to know about registered tables.
 pub trait CatalogView {
@@ -34,9 +42,12 @@ pub struct PlannerOptions {
     /// aggregation strategy. Off = the paper's "w/o statistics" regime
     /// (Figure 12): as-written join order, pessimistic sort aggregation.
     pub use_stats: bool,
-    /// Run the [`crate::rewrite::RulePipeline`] after binding. Off =
-    /// the bound plan executes exactly as written, which also disables
-    /// the scan layer's raw-slice predicate fast path downstream.
+    /// Normalize expressions while binding — fold constants, simplify
+    /// boolean structure, drop tautological conjuncts, collapse
+    /// contradictions to FALSE — and plan with the result (see the
+    /// module docs). Off = the bound plan executes exactly as written,
+    /// which also disables the scan layer's raw-slice predicate fast
+    /// path downstream.
     pub rewrite: bool,
 }
 
@@ -163,6 +174,8 @@ impl Binder<'_> {
         for c in raw_conjuncts {
             conjuncts.extend(factor_or(&c));
         }
+        // 3b. HAVING conjuncts that only test group keys join WHERE.
+        let having = self.split_having(stmt, &mut conjuncts);
 
         // 4. Extract EXISTS specs.
         let mut exists_specs: Vec<ExistsSpec> = Vec::new();
@@ -182,34 +195,12 @@ impl Binder<'_> {
             }
         }
 
-        // 5. Column usage per table (drives projection pruning).
-        let mut used: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.tables.len()];
-        for (e, _) in &projections {
-            self.collect_usage(e, &mut used)?;
-        }
-        for e in &plain_conjuncts {
-            self.collect_usage(e, &mut used)?;
-        }
-        for e in &stmt.group_by {
-            self.collect_usage(e, &mut used)?;
-        }
-        if let Some(h) = &stmt.having {
-            self.collect_usage(h, &mut used)?;
-        }
-        for ob in &stmt.order_by {
-            // Order-by may reference output aliases; only mark genuine
-            // columns.
-            let _ = self.collect_usage(&ob.expr, &mut used);
-        }
-        for spec in &exists_specs {
-            for ((t, c), _) in &spec.on {
-                used[*t].insert(*c);
-            }
-        }
-
-        // 6. Classify conjuncts: per-table filters, equi-join edges,
-        //    residuals.
+        // 5. Classify conjuncts: per-table filters, equi-join edges,
+        //    residuals. With rewriting on, a constant conjunct filters
+        //    the first table's scan (normalized there: TRUE vanishes,
+        //    FALSE empties the scan) instead of sitting above the plan.
         let mut scan_filters: Vec<Vec<AstExpr>> = vec![Vec::new(); self.tables.len()];
+        let mut constants: Vec<AstExpr> = Vec::new();
         let mut edges: Vec<((usize, usize), (usize, usize))> = Vec::new();
         let mut residuals: Vec<AstExpr> = Vec::new();
         for c in plain_conjuncts {
@@ -230,77 +221,68 @@ impl Binder<'_> {
                         residuals.push(c);
                     }
                 }
+                0 if self.options.rewrite => constants.push(c),
                 // 0 (constant) or >2 tables: residual, bound once enough
                 // tables are joined (constants bind at the very end).
                 _ => residuals.push(c),
             }
         }
+        scan_filters[0].extend(constants);
 
-        // 7. Build scans.
+        // 6. Columns each table produces for the rest of the plan; scan
+        //    filters add theirs in step 7, once normalized.
+        let mut used: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.tables.len()];
+        for e in projections.iter().map(|(e, _)| e).chain(&residuals) {
+            self.collect_usage(e, &mut used)?;
+        }
+        for e in stmt.group_by.iter().chain(&stmt.having) {
+            self.collect_usage(e, &mut used)?;
+        }
+        for ob in &stmt.order_by {
+            // Order-by may reference output aliases; only mark genuine
+            // columns.
+            let _ = self.collect_usage(&ob.expr, &mut used);
+        }
+        let join_keys = edges.iter().flat_map(|&(a, b)| [a, b]);
+        let exists_keys = exists_specs
+            .iter()
+            .flat_map(|s| s.on.iter().map(|&(o, _)| o));
+        for (t, c) in join_keys.chain(exists_keys) {
+            used[t].insert(c);
+        }
+
+        // 7. Build scans, binding each table's filters to its attributes.
         let mut rels: Vec<Rel> = Vec::new();
         for (t, bt) in self.tables.iter().enumerate() {
-            let projection: Vec<usize> = used[t].iter().copied().collect();
             let resolver = |table: Option<&str>, name: &str| -> Result<usize> {
                 let (rt, rc) = self.resolve_required(table, name)?;
                 if rt != t {
                     return Err(NoDbError::internal("cross-table filter on scan"));
                 }
-                projection
-                    .iter()
-                    .position(|&c| c == rc)
-                    .ok_or_else(|| NoDbError::internal("filter column not projected"))
+                Ok(rc)
             };
-            let filters: Vec<BoundExpr> = scan_filters[t]
+            let filters = scan_filters[t]
                 .iter()
                 .map(|f| self.bind_scalar(f, &resolver))
                 .collect::<Result<_>>()?;
-            let schema = bt.schema.project(&projection)?;
-            let est = {
-                let base = bt
-                    .stats
-                    .as_ref()
-                    .and_then(|s| s.row_count())
-                    .map_or(DEFAULT_TABLE_ROWS, |r| r as f64);
-                let sel = match bt.stats.as_ref() {
-                    Some(st) => conjunct_selectivity(
-                        &filters,
-                        &ScanStatsLookup {
-                            stats: st,
-                            projection: &projection,
-                        },
-                    ),
-                    None => conjunct_selectivity(&filters, &NoStats),
-                };
-                (base * sel).max(1.0)
-            };
+            let used = std::mem::take(&mut used[t]);
+            let (plan, projection, est) =
+                self.scan_leaf(&bt.name, &bt.schema, bt.stats.as_ref(), used, filters)?;
             rels.push(Rel {
                 layout: projection.iter().map(|&c| (t, c)).collect(),
                 tables: std::iter::once(t).collect(),
-                plan: LogicalPlan::Scan {
-                    table: bt.name.clone(),
-                    projection,
-                    filters,
-                    schema,
-                    estimated_rows: est,
-                },
+                plan,
                 est,
             });
         }
 
-        // 8. Join tree.
+        // 8. Join tree; residuals not attachable to any join (constant
+        //    predicates, with rewriting off) bind against the final
+        //    layout.
         let mut tree = self.build_join_tree(rels, &edges, &mut residuals)?;
-        if !residuals.is_empty() {
-            // Residuals not attachable (constant predicates): bind against
-            // the final layout.
-            for r in std::mem::take(&mut residuals) {
-                let layout = tree.layout.clone();
-                let resolver = self.layout_resolver(&layout);
-                let predicate = self.bind_scalar(&r, &resolver)?;
-                tree.plan = LogicalPlan::Filter {
-                    input: Box::new(tree.plan),
-                    predicate,
-                };
-            }
+        for r in std::mem::take(&mut residuals) {
+            let predicate = self.bind_scalar(&r, &self.layout_resolver(&tree.layout))?;
+            tree.plan = self.filter(tree.plan, predicate);
         }
 
         // 9. Semi/anti joins for EXISTS.
@@ -313,13 +295,13 @@ impl Binder<'_> {
             || stmt.having.is_some()
             || projections.iter().any(|(e, _)| e.contains_agg());
         let (plan_below_sort, out_names, proj_asts) = if has_agg {
-            self.plan_aggregate(tree, stmt, &projections)?
+            self.plan_aggregate(tree, stmt, having.as_ref(), &projections)?
         } else {
             let layout = tree.layout.clone();
             let resolver = self.layout_resolver(&layout);
             let mut exprs = Vec::with_capacity(projections.len());
             for (e, _) in &projections {
-                exprs.push(self.bind_scalar(e, &resolver)?);
+                exprs.push(self.norm(self.bind_scalar(e, &resolver)?));
             }
             let input_types = tree.plan.schema().types();
             let names = self.output_names(&projections);
@@ -363,6 +345,53 @@ impl Binder<'_> {
             };
         }
         Ok(plan)
+    }
+
+    /// Step 3b: move each HAVING conjunct that only tests group keys
+    /// into `conjuncts` (the WHERE list), returning what is left of
+    /// HAVING. A pure conjunct without aggregates over bare GROUP BY
+    /// columns keeps a group iff it keeps each of the group's rows, so
+    /// it may filter rows in the scan instead of groups afterwards. The
+    /// test binds it exactly as HAVING will — a conjunct HAVING rejects
+    /// stays there and still errors — and asks the normalizer whether
+    /// the normalized form is pure. A global aggregate (no GROUP BY)
+    /// emits its row unconditionally, so nothing moves past it.
+    fn split_having(&self, stmt: &SelectStmt, conjuncts: &mut Vec<AstExpr>) -> Option<AstExpr> {
+        let h = stmt.having.as_ref()?;
+        if !self.options.rewrite || stmt.group_by.is_empty() {
+            return Some(h.clone());
+        }
+        let mut parts = Vec::new();
+        split_conjuncts(h, &mut parts);
+        let where_len = conjuncts.len();
+        let mut kept = Vec::new();
+        for c in parts {
+            let on_keys = !c.contains_agg()
+                && self
+                    .rewrite_agg_expr(
+                        &c,
+                        &stmt.group_by,
+                        stmt.group_by.len(),
+                        &mut Vec::new(),
+                        &mut Vec::new(),
+                        // Never called: `c` holds no aggregate arguments.
+                        &self.layout_resolver(&[]),
+                    )
+                    .is_ok_and(|e| is_pure(&normalize(e)));
+            if on_keys {
+                conjuncts.push(c);
+            } else {
+                kept.push(c);
+            }
+        }
+        if conjuncts.len() == where_len {
+            return Some(h.clone());
+        }
+        kept.into_iter().reduce(|l, r| AstExpr::Binary {
+            op: AstBinOp::And,
+            left: Box::new(l),
+            right: Box::new(r),
+        })
     }
 
     // ----- parameter typing --------------------------------------------
@@ -671,9 +700,8 @@ impl Binder<'_> {
         residuals: &mut Vec<AstExpr>,
     ) -> Result<Rel> {
         if rels.len() == 1 {
-            let mut only = rels.pop().expect("len 1");
-            self.attach_residuals(&mut only, residuals)?;
-            return Ok(only);
+            let only = rels.pop().expect("len 1");
+            return self.attach_residuals(only, residuals);
         }
         // Pick starting relation.
         let start = if self.options.use_stats {
@@ -685,8 +713,7 @@ impl Binder<'_> {
         } else {
             0
         };
-        let mut current = rels.remove(start);
-        self.attach_residuals(&mut current, residuals)?;
+        let mut current = self.attach_residuals(rels.remove(start), residuals)?;
         while !rels.is_empty() {
             // Candidates connected to the current tree by an edge.
             let connected: Vec<usize> = rels
@@ -719,8 +746,7 @@ impl Binder<'_> {
                 0
             };
             let next = rels.remove(pick);
-            current = self.join_pair(current, next, edges)?;
-            self.attach_residuals(&mut current, residuals)?;
+            current = self.attach_residuals(self.join_pair(current, next, edges)?, residuals)?;
         }
         Ok(current)
     }
@@ -795,37 +821,82 @@ impl Binder<'_> {
     }
 
     /// Attach any residual conjunct fully covered by `rel`'s tables.
-    fn attach_residuals(&self, rel: &mut Rel, residuals: &mut Vec<AstExpr>) -> Result<()> {
+    fn attach_residuals(&self, mut rel: Rel, residuals: &mut Vec<AstExpr>) -> Result<Rel> {
         let mut keep = Vec::new();
         for r in std::mem::take(residuals) {
             let mut tset = BTreeSet::new();
             self.tables_of(&r, &mut tset)?;
             if tset.is_subset(&rel.tables) && !tset.is_empty() {
-                let resolver = self.layout_resolver(&rel.layout);
-                let predicate = self.bind_scalar(&r, &resolver)?;
-                let plan = std::mem::replace(
-                    &mut rel.plan,
-                    LogicalPlan::Limit {
-                        input: Box::new(LogicalPlan::Scan {
-                            table: String::new(),
-                            projection: vec![],
-                            filters: vec![],
-                            schema: Schema::new(vec![])?,
-                            estimated_rows: 0.0,
-                        }),
-                        n: 0,
-                    },
-                );
-                rel.plan = LogicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate,
-                };
+                let predicate = self.bind_scalar(&r, &self.layout_resolver(&rel.layout))?;
+                rel.plan = self.filter(rel.plan, predicate);
             } else {
                 keep.push(r);
             }
         }
         *residuals = keep;
-        Ok(())
+        Ok(rel)
+    }
+
+    /// `input` filtered by `predicate`, normalized when rewriting is on —
+    /// no node at all when it normalizes to TRUE.
+    fn filter(&self, input: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
+        let predicate = if self.options.rewrite {
+            normalize_predicate(predicate)
+        } else {
+            Some(predicate)
+        };
+        match predicate {
+            Some(predicate) => LogicalPlan::Filter {
+                input: Box::new(input),
+                predicate,
+            },
+            None => input,
+        }
+    }
+
+    /// A value expression, normalized when rewriting is on.
+    fn norm(&self, e: BoundExpr) -> BoundExpr {
+        if self.options.rewrite {
+            normalize(e)
+        } else {
+            e
+        }
+    }
+
+    /// A scan leaf of `table`. `filters` are bound to table attributes
+    /// and normalized here first, so that the projection — `used` plus
+    /// the columns the normalized filters still test — keeps no column
+    /// only a vanished conjunct referenced. Returns the leaf, its
+    /// projection and its row estimate.
+    fn scan_leaf(
+        &self,
+        table: &str,
+        schema: &Schema,
+        stats: Option<&TableStats>,
+        mut used: BTreeSet<usize>,
+        mut filters: Vec<BoundExpr>,
+    ) -> Result<(LogicalPlan, Vec<usize>, f64)> {
+        if self.options.rewrite {
+            normalize_conjuncts(&mut filters);
+        }
+        for f in &filters {
+            f.referenced_columns(&mut used);
+        }
+        let projection: Vec<usize> = used.into_iter().collect();
+        // The projection ascends, so an attribute's ordinal is its rank.
+        let filters: Vec<BoundExpr> = filters
+            .iter()
+            .map(|f| f.map_columns(&|c| projection.partition_point(|&p| p < c)))
+            .collect();
+        let estimated_rows = scan_estimate(stats, &projection, &filters);
+        let scan = LogicalPlan::Scan {
+            table: table.to_string(),
+            projection: projection.clone(),
+            filters,
+            schema: schema.project(&projection)?,
+            estimated_rows,
+        };
+        Ok((scan, projection, estimated_rows))
     }
 
     fn layout_schema(&self, layout: &[(usize, usize)]) -> Result<Schema> {
@@ -973,40 +1044,21 @@ impl Binder<'_> {
     }
 
     fn apply_exists(&self, outer: Rel, spec: ExistsSpec) -> Result<Rel> {
-        // Inner scan projection: correlation columns + filter columns.
-        let mut used: BTreeSet<usize> = spec.on.iter().map(|&(_, ic)| ic).collect();
-        for f in &spec.inner_filters {
-            collect_schema_usage(f, &spec.inner_schema, &mut used);
-        }
-        let projection: Vec<usize> = used.into_iter().collect();
-        let resolver = |_table: Option<&str>, name: &str| -> Result<usize> {
-            let c = spec.inner_schema.resolve(name)?;
-            projection
-                .iter()
-                .position(|&p| p == c)
-                .ok_or_else(|| NoDbError::internal("inner filter column not projected"))
-        };
-        let filters: Vec<BoundExpr> = spec
+        // Inner scan: correlation columns plus what the filters test.
+        let resolver = |_table: Option<&str>, name: &str| spec.inner_schema.resolve(name);
+        let filters = spec
             .inner_filters
             .iter()
             .map(|f| self.bind_scalar(f, &resolver))
             .collect::<Result<_>>()?;
-        let schema = spec.inner_schema.project(&projection)?;
-        let est = {
-            let base = spec
-                .inner_stats
-                .as_ref()
-                .and_then(|s| s.row_count())
-                .map_or(DEFAULT_TABLE_ROWS, |r| r as f64);
-            base * conjunct_selectivity(&filters, &NoStats)
-        };
-        let inner_plan = LogicalPlan::Scan {
-            table: spec.inner_table,
-            projection: projection.clone(),
+        let used = spec.on.iter().map(|&(_, ic)| ic).collect();
+        let (inner_plan, projection, _) = self.scan_leaf(
+            &spec.inner_table,
+            &spec.inner_schema,
+            spec.inner_stats.as_ref(),
+            used,
             filters,
-            schema,
-            estimated_rows: est,
-        };
+        )?;
         let mut on = Vec::new();
         for (oc, ic) in &spec.on {
             on.push((
@@ -1047,6 +1099,7 @@ impl Binder<'_> {
         &self,
         tree: Rel,
         stmt: &SelectStmt,
+        having: Option<&AstExpr>,
         projections: &[(AstExpr, Option<String>)],
     ) -> Result<(LogicalPlan, Vec<String>, Vec<AstExpr>)> {
         let layout = tree.layout.clone();
@@ -1066,20 +1119,22 @@ impl Binder<'_> {
                 }
             }
         }
+        let n_group = group.len();
         // Collect aggregate calls (dedup structurally) and rewrite the
         // select expressions over [group keys ++ agg results].
         let mut agg_asts: Vec<AstExpr> = Vec::new();
         let mut aggs: Vec<AggExpr> = Vec::new();
         let mut out_exprs = Vec::with_capacity(projections.len());
         for (e, _) in projections {
-            out_exprs.push(self.rewrite_agg_expr(
+            let e = self.rewrite_agg_expr(
                 e,
                 &stmt.group_by,
-                group.len(),
+                n_group,
                 &mut agg_asts,
                 &mut aggs,
                 &resolver,
-            )?);
+            )?;
+            out_exprs.push(self.norm(e));
         }
 
         let input_types = tree.plan.schema().types();
@@ -1098,22 +1153,7 @@ impl Binder<'_> {
         let strategy = if group.is_empty() {
             AggStrategy::Plain
         } else if self.options.use_stats {
-            let mut groups = 1.0f64;
-            for &g in &group {
-                let (t, c) = layout[g];
-                let ndv = self.tables[t]
-                    .stats
-                    .as_ref()
-                    .and_then(|s| s.column(c as u32).map(|cs| cs.distinct()))
-                    .unwrap_or(DEFAULT_NDV);
-                groups *= ndv.max(1.0);
-            }
-            let groups = groups.min(tree.est.max(1.0));
-            if groups <= HASH_AGG_GROUP_LIMIT {
-                AggStrategy::Hash
-            } else {
-                AggStrategy::Sort
-            }
+            agg_strategy(group.iter().map(|&g| self.key_ndv(layout[g])), tree.est).0
         } else {
             // Without statistics the group count is unknown; fall back to
             // sort aggregation (safe for any cardinality, slower for few
@@ -1131,11 +1171,7 @@ impl Binder<'_> {
         // HAVING filters groups: it binds exactly like a select
         // expression (group keys + aggregate slots) and sits between the
         // aggregation and the projection.
-        if let Some(h) = &stmt.having {
-            let n_group = match &agg_plan {
-                LogicalPlan::Aggregate { group, .. } => group.len(),
-                _ => 0,
-            };
+        if let Some(h) = having {
             let predicate = self.rewrite_agg_expr(
                 h,
                 &stmt.group_by,
@@ -1153,10 +1189,6 @@ impl Binder<'_> {
             } = &mut agg_plan
             {
                 if aggs.len() > plan_aggs.len() {
-                    let input_types: Vec<nodb_common::DataType> = layout
-                        .iter()
-                        .map(|&(t, c)| self.tables[t].schema.field(c).dtype)
-                        .collect();
                     let mut fields = schema.fields().to_vec();
                     for a in aggs.iter().skip(plan_aggs.len()) {
                         fields.push(Field::new(
@@ -1168,16 +1200,10 @@ impl Binder<'_> {
                     *plan_aggs = aggs.clone();
                 }
             }
-            agg_plan = LogicalPlan::Filter {
-                input: Box::new(agg_plan),
-                predicate,
-            };
+            agg_plan = self.filter(agg_plan, predicate);
         }
 
-        let agg_types = match &agg_plan {
-            LogicalPlan::Filter { input, .. } => input.schema().types(),
-            other => other.schema().types(),
-        };
+        let agg_types = agg_plan.schema().types();
         let names = self.output_names(projections);
         let out_schema = named_schema(&names, &out_exprs, &agg_types)?;
         let proj_asts: Vec<AstExpr> = projections.iter().map(|(e, _)| e.clone()).collect();
@@ -1214,7 +1240,7 @@ impl Binder<'_> {
                     Some(i) => i,
                     None => {
                         let bound_arg = match arg {
-                            Some(a) => Some(self.bind_scalar(a, input_resolver)?),
+                            Some(a) => Some(self.norm(self.bind_scalar(a, input_resolver)?)),
                             None => None,
                         };
                         let func = match func {
@@ -1608,60 +1634,8 @@ fn layout_pos(layout: &[(usize, usize)], key: (usize, usize)) -> Result<usize> {
         .ok_or_else(|| NoDbError::internal("join key missing from layout"))
 }
 
-/// Collect schema-local column usage for inner-scope (EXISTS) expressions.
-fn collect_schema_usage(e: &AstExpr, schema: &Schema, used: &mut BTreeSet<usize>) {
-    match e {
-        AstExpr::Column { table: None, name } => {
-            if let Some(c) = schema.index_of(name) {
-                used.insert(c);
-            }
-        }
-        AstExpr::Column { .. }
-        | AstExpr::Literal(_)
-        | AstExpr::Param(_)
-        | AstExpr::Interval { .. } => {}
-        AstExpr::Binary { left, right, .. } => {
-            collect_schema_usage(left, schema, used);
-            collect_schema_usage(right, schema, used);
-        }
-        AstExpr::Not(x) | AstExpr::Neg(x) => collect_schema_usage(x, schema, used),
-        AstExpr::Like { expr, pattern, .. } => {
-            collect_schema_usage(expr, schema, used);
-            collect_schema_usage(pattern, schema, used);
-        }
-        AstExpr::Between {
-            expr, low, high, ..
-        } => {
-            collect_schema_usage(expr, schema, used);
-            collect_schema_usage(low, schema, used);
-            collect_schema_usage(high, schema, used);
-        }
-        AstExpr::InList { expr, list, .. } => {
-            collect_schema_usage(expr, schema, used);
-            for i in list {
-                collect_schema_usage(i, schema, used);
-            }
-        }
-        AstExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, r) in branches {
-                collect_schema_usage(c, schema, used);
-                collect_schema_usage(r, schema, used);
-            }
-            if let Some(x) = else_expr {
-                collect_schema_usage(x, schema, used);
-            }
-        }
-        AstExpr::Agg { arg: Some(a), .. } => collect_schema_usage(a, schema, used),
-        AstExpr::Agg { arg: None, .. } | AstExpr::Exists { .. } => {}
-        AstExpr::IsNull { expr, .. } => collect_schema_usage(expr, schema, used),
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse;
     use nodb_stats::StatsBuilder;
@@ -1694,6 +1668,20 @@ mod tests {
         b.finalize(Some(rows as f64))
     }
 
+    /// A statistics-free table for exact-text plan assertions.
+    const T_SCHEMA: &str = "id int, grp text, score double, k int";
+
+    /// EXPLAIN text of `sql` planned with statistics and rewriting on or off.
+    pub(crate) fn explain_with(sql: &str, rewrite: bool) -> String {
+        let options = PlannerOptions {
+            use_stats: true,
+            rewrite,
+        };
+        bind(&parse(sql).unwrap(), &catalog(), &options)
+            .unwrap()
+            .explain()
+    }
+
     fn catalog() -> MockCatalog {
         let t1 = Schema::parse("a int, b int, c text, d date").unwrap();
         let t2 = Schema::parse("x int, y int, z text").unwrap();
@@ -1705,7 +1693,11 @@ mod tests {
         st2.set_row_count(100);
         st2.set_column(0, col_stats(100, 100)); // x: key-like
         MockCatalog {
-            tables: vec![("t1".into(), t1, Some(st1)), ("t2".into(), t2, Some(st2))],
+            tables: vec![
+                ("t1".into(), t1, Some(st1)),
+                ("t2".into(), t2, Some(st2)),
+                ("t".into(), Schema::parse(T_SCHEMA).unwrap(), None),
+            ],
         }
     }
 
@@ -2061,6 +2053,69 @@ mod tests {
                 );
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn normalized_filters_decide_the_scan() {
+        let cases = [
+            // Folded, and the tautology leaves no Filter node.
+            (
+                "select id from t where id > 10 + 5 and 1 = 1",
+                "Scan t proj=[0] filters=[(#0 > 15)] (~333 rows)",
+            ),
+            (
+                "select count(*) from t where 1 = 2 or score > 11.0",
+                "Scan t proj=[2] filters=[(#0 > 11.0)] (~333 rows)",
+            ),
+            (
+                "select count(*) from t where not (id < 900)",
+                "Scan t proj=[0] filters=[(#0 >= 900)] (~333 rows)",
+            ),
+            // A contradiction empties the scan and releases its column.
+            (
+                "select score from t where id < 5 and id > 9",
+                "Scan t proj=[2] filters=[false] (~1 rows)",
+            ),
+        ];
+        for (sql, scan) in cases {
+            let text = explain_with(sql, true);
+            assert!(text.ends_with(&format!("  {scan}\n")), "{sql}:\n{text}");
+            assert!(!text.contains("Filter"), "{sql}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn impure_having_on_a_key_stays_above_the_aggregate() {
+        // `10 / k` can divide by zero: filtering rows first could skip
+        // the error, so the conjunct keeps filtering groups.
+        assert_eq!(
+            explain_with("select k, count(*) from t group by k having 10 / k > 1", true),
+            "Project [#0, #1]\n  Filter ((10 / #0) > 1)\n    HashAggregate group=[0] aggs=1\n      \
+             Scan t proj=[3] (~1000 rows)\n"
+        );
+    }
+
+    #[test]
+    fn rewrite_off_plans_as_written() {
+        let cases = [
+            (
+                "select id from t where id > 10 + 5 and 1 = 1",
+                "Project [#0]\n  Filter (1 = 1)\n    Scan t proj=[0] filters=[(#0 > (10 + 5))] (~333 rows)\n",
+            ),
+            (
+                "select sum(id) from t where score > 1 or 1 = 1",
+                "Project [#0]\n  PlainAggregate group=[] aggs=1\n    \
+                 Scan t proj=[0, 2] filters=[((#1 > 1) OR (1 = 1))] (~337 rows)\n",
+            ),
+            (
+                "select grp, count(*) from t group by grp having grp = 'a'",
+                "Project [#0, #1]\n  Filter (#0 = a)\n    HashAggregate group=[0] aggs=1\n      \
+                 Scan t proj=[1] (~1000 rows)\n",
+            ),
+        ];
+        for (sql, want) in cases {
+            assert_eq!(explain_with(sql, false), want, "{sql}");
         }
     }
 }

@@ -1,27 +1,21 @@
 //! Typed EXPLAIN output.
 //!
 //! [`ExplainPlan`] is a structured mirror of a bound
-//! [`LogicalPlan`]: one node per plan
-//! operator carrying its estimates, pushed-down predicates and shape,
-//! plus the list of rewrite rules that fired. Tests assert on the tree;
-//! humans get the exact same text the pre-typed API produced, via
-//! [`ExplainPlan::render`] / `Display`.
+//! [`LogicalPlan`]: one node per plan operator carrying its estimates,
+//! pushed-down predicates and shape. Tests assert on the tree; humans
+//! get the indented text via [`ExplainPlan::render`] / `Display`, which
+//! is also what `LogicalPlan::explain` prints — there is one renderer.
 
 use std::fmt;
 use std::fmt::Write as _;
 
 use crate::plan::LogicalPlan;
 
-/// A full EXPLAIN result: the operator tree plus the rewrite rules the
-/// [`RulePipeline`](crate::rewrite::RulePipeline) applied while
-/// planning (empty when rewriting was off or nothing fired).
+/// A full EXPLAIN result: the operator tree of one bound plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainPlan {
     /// Root of the operator tree.
     pub root: ExplainNode,
-    /// Names of the rewrite rules that changed the plan, in first-
-    /// application order.
-    pub applied_rules: Vec<String>,
 }
 
 /// One operator in an [`ExplainPlan`]. Expressions are carried in their
@@ -102,16 +96,15 @@ pub enum ExplainNode {
 }
 
 impl ExplainPlan {
-    /// Build the typed tree for `plan`, recording `applied_rules`.
-    pub fn from_plan(plan: &LogicalPlan, applied_rules: Vec<&'static str>) -> ExplainPlan {
+    /// Build the typed tree for `plan`.
+    pub fn from_plan(plan: &LogicalPlan) -> ExplainPlan {
         ExplainPlan {
             root: ExplainNode::from_plan(plan),
-            applied_rules: applied_rules.into_iter().map(String::from).collect(),
         }
     }
 
-    /// The classic indented text rendering — byte-identical to what
-    /// `LogicalPlan::explain` produced before EXPLAIN became typed.
+    /// The classic indented text rendering (one line per operator,
+    /// children indented two spaces under their parent).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.root.fmt_indent(&mut out, 0);
@@ -340,17 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn render_matches_legacy_text_exactly() {
-        let plan = sample_plan();
-        let typed = ExplainPlan::from_plan(&plan, vec!["simplify_bool"]);
-        assert_eq!(typed.render(), plan.explain());
-        assert_eq!(typed.to_string(), plan.explain());
-    }
-
-    #[test]
     fn tree_is_assertable_without_string_matching() {
-        let typed = ExplainPlan::from_plan(&sample_plan(), vec!["push_down_predicates"]);
-        assert_eq!(typed.applied_rules, vec!["push_down_predicates"]);
+        let typed = ExplainPlan::from_plan(&sample_plan());
         let ExplainNode::Limit { n, child } = &typed.root else {
             panic!("expected Limit root, got {:?}", typed.root);
         };

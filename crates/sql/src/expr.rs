@@ -1,6 +1,7 @@
 //! Bound expressions: AST expressions with columns resolved to input
 //! ordinals, ready for evaluation.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -42,6 +43,34 @@ impl BinOp {
             self,
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
         )
+    }
+
+    /// Does comparison `self` hold for operands that compare as `ord`
+    /// (left against right)? `None` for non-comparison operators.
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> Option<bool> {
+        Some(match self {
+            BinOp::Eq => ord.is_eq(),
+            BinOp::NotEq => ord.is_ne(),
+            BinOp::Lt => ord.is_lt(),
+            BinOp::LtEq => ord.is_le(),
+            BinOp::Gt => ord.is_gt(),
+            BinOp::GtEq => ord.is_ge(),
+            _ => return None,
+        })
+    }
+
+    /// The operator that gives the same answer with the operands
+    /// swapped (`a < b` ⇔ `b > a`); every other operator is its own swap.
+    #[inline]
+    pub fn swapped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            other => other,
+        }
     }
 }
 
@@ -671,6 +700,27 @@ mod tests {
         let mut cols = BTreeSet::new();
         e.referenced_columns(&mut cols);
         assert_eq!(cols.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn comparison_outcomes_and_swaps() {
+        assert_eq!(BinOp::LtEq.holds(Ordering::Equal), Some(true));
+        assert_eq!(BinOp::NotEq.holds(Ordering::Equal), Some(false));
+        assert_eq!(BinOp::Add.holds(Ordering::Less), None);
+        assert_eq!(BinOp::Div.swapped(), BinOp::Div);
+        // `a op b` and `b swapped(op) a` agree on every ordering.
+        for op in [
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ] {
+            for ord in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+                assert_eq!(op.holds(ord), op.swapped().holds(ord.reverse()), "{op:?}");
+            }
+        }
     }
 
     #[test]

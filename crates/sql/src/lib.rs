@@ -5,12 +5,14 @@
 //! to a conventional DBMS" (§4.1). This crate is that stack for the
 //! reproduction: a hand-written recursive-descent parser for the SQL
 //! subset the paper's evaluation needs (all eight TPC-H queries plus the
-//! micro-benchmarks), a binder producing [`plan::LogicalPlan`]s, and an
-//! optimizer that
+//! micro-benchmarks) and a binder that decides the whole
+//! [`plan::LogicalPlan`] in one pass. While binding it
 //!
-//! * splits and pushes predicates to scans (enabling *selective
-//!   parsing/tokenizing* at the leaf),
-//! * prunes projections (enabling *selective tuple formation*),
+//! * pushes each single-table predicate into its scan (enabling
+//!   *selective parsing/tokenizing* at the leaf), after folding constants
+//!   and simplifying boolean structure,
+//! * projects each scan to the columns the query still needs (enabling
+//!   *selective tuple formation*),
 //! * factors common equi-join conjuncts out of `OR` disjunctions (TPC-H
 //!   Q19),
 //! * plans correlated `EXISTS` as semi-joins (Q4),
@@ -18,6 +20,10 @@
 //!   sides **using on-the-fly statistics when available** — the Figure 12
 //!   mechanism — and
 //! * chooses hash vs. sort aggregation from estimated group counts.
+//!
+//! [`refresh_stats`] re-derives the statistics-driven choices of a bound
+//! plan at every execution of a prepared statement; it is the only pass
+//! over a plan after binding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,43 +36,21 @@ pub mod lexer;
 pub mod optimizer;
 pub mod parser;
 pub mod plan;
-pub mod rewrite;
+mod rewrite;
 
 pub use binder::{CatalogView, PlannerOptions};
 pub use explain::{ExplainNode, ExplainPlan};
 pub use expr::{AggFunc, BinOp, BoundExpr, UnOp};
 pub use optimizer::refresh_stats;
 pub use plan::{AggStrategy, JoinKind, LogicalPlan, SortKey};
-pub use rewrite::{RewriteRule, RulePipeline};
 
 use nodb_common::Result;
 
-/// Parse and plan a SQL query against `catalog`. Optimization happens
-/// in two stages: binding (each planning decision changes the column
-/// layout the next one binds against) and, when
-/// [`PlannerOptions::rewrite`] is on, the fixed-point rewrite pipeline.
+/// Parse and bind a SQL query against `catalog`.
 pub fn plan_query(
     sql: &str,
     catalog: &dyn CatalogView,
     options: &PlannerOptions,
 ) -> Result<LogicalPlan> {
-    plan_query_traced(sql, catalog, options).map(|(plan, _)| plan)
-}
-
-/// [`plan_query`], also reporting which rewrite rules fired (empty when
-/// rewriting is disabled or nothing applied). EXPLAIN surfaces the
-/// list.
-pub fn plan_query_traced(
-    sql: &str,
-    catalog: &dyn CatalogView,
-    options: &PlannerOptions,
-) -> Result<(LogicalPlan, Vec<&'static str>)> {
-    let stmt = parser::parse(sql)?;
-    let mut plan = binder::bind(&stmt, catalog, options)?;
-    let applied = if options.rewrite {
-        RulePipeline::standard().run(&mut plan)
-    } else {
-        Vec::new()
-    };
-    Ok((plan, applied))
+    binder::bind(&parser::parse(sql)?, catalog, options)
 }

@@ -271,17 +271,7 @@ fn comparison_selectivity(
     // Normalize to Col <op> Lit.
     let (col, lit, op) = match (left, right) {
         (BoundExpr::Col(c), BoundExpr::Lit(v)) => (*c, v, op),
-        (BoundExpr::Lit(v), BoundExpr::Col(c)) => (
-            *c,
-            v,
-            match op {
-                BinOp::Lt => BinOp::Gt,
-                BinOp::LtEq => BinOp::GtEq,
-                BinOp::Gt => BinOp::Lt,
-                BinOp::GtEq => BinOp::LtEq,
-                other => other,
-            },
-        ),
+        (BoundExpr::Lit(v), BoundExpr::Col(c)) => (*c, v, op.swapped()),
         _ => {
             return match op {
                 BinOp::Eq => DEFAULT_EQ_SEL,
@@ -313,6 +303,43 @@ pub fn conjunct_selectivity(filters: &[BoundExpr], lookup: &dyn ColumnStatsLooku
         .map(|f| selectivity(f, lookup))
         .product::<f64>()
         .clamp(0.0, 1.0)
+}
+
+/// Estimated rows out of a scan of a table with `stats` (none: the
+/// default row count and selectivities) producing `projection` under
+/// the pushed-down `filters`.
+pub(crate) fn scan_estimate(
+    stats: Option<&TableStats>,
+    projection: &[usize],
+    filters: &[BoundExpr],
+) -> f64 {
+    let base = stats
+        .and_then(|s| s.row_count())
+        .map_or(DEFAULT_TABLE_ROWS, |r| r as f64);
+    let sel = match stats {
+        Some(stats) => conjunct_selectivity(filters, &ScanStatsLookup { stats, projection }),
+        None => conjunct_selectivity(filters, &NoStats),
+    };
+    (base * sel).max(1.0)
+}
+
+/// Hash vs. sort aggregation (the Figure 12 mechanism) from the group
+/// keys' distinct counts and the input estimate; also returns the
+/// estimated group count.
+pub(crate) fn agg_strategy(
+    key_ndvs: impl Iterator<Item = f64>,
+    input_rows: f64,
+) -> (AggStrategy, f64) {
+    let groups = key_ndvs
+        .map(|ndv| ndv.max(1.0))
+        .product::<f64>()
+        .min(input_rows.max(1.0));
+    let strategy = if groups <= HASH_AGG_GROUP_LIMIT {
+        AggStrategy::Hash
+    } else {
+        AggStrategy::Sort
+    };
+    (strategy, groups)
 }
 
 /// Estimated rows out of an equi-join: `|L|·|R| / max(ndv_l, ndv_r)` per
@@ -359,22 +386,7 @@ pub fn refresh_stats(plan: &mut LogicalPlan, catalog: &dyn CatalogView, use_stat
             estimated_rows,
             ..
         } => {
-            let stats = catalog.stats_of(table);
-            let base = stats
-                .as_ref()
-                .and_then(|s| s.row_count())
-                .map_or(DEFAULT_TABLE_ROWS, |r| r as f64);
-            let sel = match stats.as_ref() {
-                Some(st) => conjunct_selectivity(
-                    filters,
-                    &ScanStatsLookup {
-                        stats: st,
-                        projection,
-                    },
-                ),
-                None => conjunct_selectivity(filters, &NoStats),
-            };
-            *estimated_rows = (base * sel).max(1.0);
+            *estimated_rows = scan_estimate(catalog.stats_of(table).as_ref(), projection, filters);
             *estimated_rows
         }
         LogicalPlan::Filter { input, .. } => refresh_stats(input, catalog, use_stats),
@@ -412,23 +424,15 @@ pub fn refresh_stats(plan: &mut LogicalPlan, catalog: &dyn CatalogView, use_stat
             ..
         } => {
             let child = refresh_stats(input, catalog, use_stats);
-            if !group.is_empty() {
-                let mut groups = 1.0f64;
-                for &g in group.iter() {
-                    groups *= column_ndv(input, g, catalog)
-                        .unwrap_or(DEFAULT_NDV)
-                        .max(1.0);
-                }
-                let groups = groups.min(child.max(1.0));
-                *strategy = if groups <= HASH_AGG_GROUP_LIMIT {
-                    AggStrategy::Hash
-                } else {
-                    AggStrategy::Sort
-                };
-                groups
-            } else {
-                1.0
+            if group.is_empty() {
+                return 1.0;
             }
+            let ndvs = group
+                .iter()
+                .map(|&g| column_ndv(input, g, catalog).unwrap_or(DEFAULT_NDV));
+            let (chosen, groups) = agg_strategy(ndvs, child);
+            *strategy = chosen;
+            groups
         }
         LogicalPlan::Project { input, .. }
         | LogicalPlan::Sort { input, .. }

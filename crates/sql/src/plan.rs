@@ -280,103 +280,10 @@ impl LogicalPlan {
         }
     }
 
-    /// Multi-line indented EXPLAIN-style rendering.
+    /// Multi-line indented EXPLAIN-style rendering
+    /// ([`ExplainPlan::render`](crate::ExplainPlan::render)).
     pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.fmt_indent(&mut out, 0);
-        out
-    }
-
-    fn fmt_indent(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
-        let pad = "  ".repeat(depth);
-        match self {
-            LogicalPlan::Scan {
-                table,
-                projection,
-                filters,
-                estimated_rows,
-                ..
-            } => {
-                let _ = write!(out, "{pad}Scan {table} proj={projection:?}");
-                if !filters.is_empty() {
-                    let _ = write!(out, " filters=[");
-                    for (i, f) in filters.iter().enumerate() {
-                        if i > 0 {
-                            let _ = write!(out, ", ");
-                        }
-                        let _ = write!(out, "{f}");
-                    }
-                    let _ = write!(out, "]");
-                }
-                let _ = writeln!(out, " (~{estimated_rows:.0} rows)");
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let _ = writeln!(out, "{pad}Filter {predicate}");
-                input.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                on,
-                residual,
-                kind,
-                estimated_rows,
-                ..
-            } => {
-                let _ = write!(out, "{pad}{kind:?}Join on={on:?}");
-                if let Some(r) = residual {
-                    let _ = write!(out, " residual={r}");
-                }
-                let _ = writeln!(out, " (~{estimated_rows:.0} rows)");
-                left.fmt_indent(out, depth + 1);
-                right.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group,
-                aggs,
-                strategy,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}{strategy:?}Aggregate group={group:?} aggs={}",
-                    aggs.len()
-                );
-                input.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
-                let _ = write!(out, "{pad}Project [");
-                for (i, e) in exprs.iter().enumerate() {
-                    if i > 0 {
-                        let _ = write!(out, ", ");
-                    }
-                    let _ = write!(out, "{e}");
-                }
-                let _ = writeln!(out, "]");
-                input.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let _ = write!(out, "{pad}Sort [");
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        let _ = write!(out, ", ");
-                    }
-                    let _ = write!(out, "#{}{}", k.col, if k.desc { " desc" } else { "" });
-                }
-                let _ = writeln!(out, "]");
-                input.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Limit { input, n } => {
-                let _ = writeln!(out, "{pad}Limit {n}");
-                input.fmt_indent(out, depth + 1);
-            }
-            LogicalPlan::Distinct { input } => {
-                let _ = writeln!(out, "{pad}Distinct");
-                input.fmt_indent(out, depth + 1);
-            }
-        }
+        crate::explain::ExplainPlan::from_plan(self).render()
     }
 }
 
@@ -408,10 +315,10 @@ mod tests {
             input: Box::new(scan),
             n: 10,
         };
-        let s = plan.explain();
-        assert!(s.contains("Limit 10"));
-        assert!(s.contains("Scan t proj=[0, 2]"));
-        assert!(s.contains("(#0 < 5)"));
-        assert!(s.contains("~42 rows"));
+        assert_eq!(
+            plan.explain(),
+            "Limit 10\n  Scan t proj=[0, 2] filters=[(#0 < 5)] (~42 rows)\n"
+        );
+        assert_eq!(plan.to_string(), plan.explain());
     }
 }
