@@ -63,8 +63,12 @@ impl Config {
                 // The per-record tokenizers both formats run per line.
                 "crates/csv/src/tokenize.rs",
                 "crates/json/src/tokenize.rs",
-                // The vectorized batch path of the executor.
+                // The executor a server worker spends its warm time in:
+                // batches, expression evaluation, operators and keys.
                 "crates/exec/src/batch.rs",
+                "crates/exec/src/eval.rs",
+                "crates/exec/src/key.rs",
+                "crates/exec/src/ops.rs",
             ]
             .map(String::from)
             .to_vec(),

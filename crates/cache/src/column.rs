@@ -155,6 +155,44 @@ impl CachedColumn {
         Some(self.data.value(local_row))
     }
 
+    /// Append the values of `rows` (all present) to `out`.
+    fn push_values(&self, rows: impl Iterator<Item = usize>, out: &mut Vec<Value>) {
+        let any_null = self.nulls.count() > 0;
+        out.extend(rows.map(|i| {
+            if any_null && self.nulls.get(i) {
+                Value::Null
+            } else {
+                self.data.value(i)
+            }
+        }));
+    }
+
+    /// Whether the column is complete and spans at least the block's
+    /// first `rows` rows (a block that grew through an append has rows
+    /// its column never saw).
+    pub fn covers(&self, rows: usize) -> bool {
+        rows <= self.rows && self.is_complete()
+    }
+
+    /// Append the values of block-local rows `0..rows` to `out` in one
+    /// pass (no per-value presence lookup). The caller has checked that
+    /// the column [`covers`](CachedColumn::covers) them.
+    pub fn gather_prefix(&self, rows: usize, out: &mut Vec<Value>) {
+        debug_assert!(self.covers(rows), "gather_prefix past the cached rows");
+        self.push_values(0..rows, out);
+    }
+
+    /// Append the values of the block-local `rows` to `out`. Returns
+    /// false, appending nothing, if any of them is a hole.
+    pub fn gather(&self, rows: &[u32], out: &mut Vec<Value>) -> bool {
+        let present = |&r: &u32| (r as usize) < self.rows && self.present.get(r as usize);
+        if !rows.iter().all(present) {
+            return false;
+        }
+        self.push_values(rows.iter().map(|&r| r as usize), out);
+        true
+    }
+
     /// Approximate memory footprint.
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -271,6 +309,35 @@ mod tests {
         assert_eq!(c.get(4), Some(Value::Null)); // cached NULL
         assert_eq!(c.present_count(), 2);
         assert!(!c.is_complete());
+    }
+
+    #[test]
+    fn gathers_match_per_row_gets() {
+        let mut b = ColumnBuilder::new(0, 0, DataType::Text, 6);
+        for i in [0, 1, 3, 5] {
+            b.set(i, &Value::Text(format!("v{i}")));
+        }
+        b.set(2, &Value::Null);
+        let c = b.build();
+        let mut out = Vec::new();
+        assert!(c.gather(&[5, 2, 0], &mut out));
+        assert_eq!(out, vec![c.get(5).unwrap(), Value::Null, c.get(0).unwrap()]);
+        // A hole (row 4) or a row past the column refuses the whole gather.
+        for rows in [&[0u32, 4][..], &[6]] {
+            let mut out = Vec::new();
+            assert!(!c.gather(rows, &mut out));
+            assert!(out.is_empty());
+        }
+        assert!(!c.covers(4));
+        let mut b = ColumnBuilder::new(0, 0, DataType::Int64, 3);
+        b.set(0, &Value::Int64(1));
+        b.set(1, &Value::Null);
+        b.set(2, &Value::Int64(3));
+        let c = b.build();
+        assert!(c.covers(2) && c.covers(3) && !c.covers(4));
+        let mut out = Vec::new();
+        c.gather_prefix(3, &mut out);
+        assert_eq!(out, (0..3).map(|i| c.get(i).unwrap()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   first touch of each attribute.
 //!
 //! Internally the scan works block-at-a-time (one positional-map block,
-//! default 4096 tuples) for locality, but exposes the Volcano
-//! one-tuple-per-call interface the host executor expects.
+//! default 4096 tuples) for locality: each pump forms one block's
+//! qualifying rows into a column-major [`ValueBatch`], which the scan
+//! hands out one tuple per `next_row` call (the Volcano interface the
+//! host executor expects) or in slices per `next_batch` call.
 //!
 //! # Concurrency
 //!
@@ -44,20 +46,36 @@
 //!   index) a persistent reader is fed through the same kernel one
 //!   positional-map block per pump, so an abandoned cursor stops the
 //!   scan — and bounds its memory — at block granularity.
+//! * **Cache-served blocks** are the third dispatch mode: a map-covered
+//!   block collecting no positional-map chunk, whose WHERE columns are
+//!   completely cached and whose SELECT columns all have a cache entry,
+//!   is formed column at a time instead of row by row. Each WHERE column
+//!   is materialized once from its typed cache column, the conjuncts run
+//!   in order through the batch evaluator (each over the rows the earlier
+//!   ones passed — the row kernel's short-circuit), and the SELECT
+//!   columns are gathered for the survivors only. The block's batch is
+//!   the same under both pull styles. A survivor that hits a hole in a
+//!   SELECT column sends the block back to the row kernel, and the
+//!   abandoned attempt records no metrics. Such blocks skip the
+//!   [`ScanPredicate`] screen: the batch filter does its job. A block
+//!   whose needed columns are all completely cached (or that needs none,
+//!   as `COUNT(*)` does) is always cache-served, so it never touches the
+//!   raw file — the paper's "avoid raw file access altogether" (§4.3) —
+//!   and the row kernel always reads each line it forms.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use nodb_cache::{CachedColumn, ChunkStage, ColumnBuilder};
 use nodb_common::{
     ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Row, Schema, Value,
 };
 use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, SlidingWindow};
-use nodb_exec::{eval_predicate, Operator, ValueBatch};
+use nodb_exec::{eval_predicate, eval_predicate_batch, BatchQueue, Operator, ValueBatch};
 use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
 use nodb_sql::BoundExpr;
 use nodb_stats::StatsBuilder;
@@ -92,6 +110,9 @@ struct Ctx {
     projection: Vec<usize>,
     /// Conjuncts bound to projection-space ordinals.
     filters: Vec<BoundExpr>,
+    /// The same conjuncts over a batch of the WHERE columns alone
+    /// (ordinals into `where_locals`), for cache-served blocks.
+    where_filters: Vec<BoundExpr>,
     /// Whether the file's first line is a header to skip.
     has_header: bool,
     /// Resolved I/O substrate (`Read` or `Mmap`, never `Auto`): how every
@@ -138,7 +159,8 @@ pub struct InSituScanOp {
 
     prepared: bool,
     done: bool,
-    out: VecDeque<Row>,
+    /// Rows formed by the last pump, waiting to be pulled.
+    out: BatchQueue,
     window: Option<SlidingWindow>,
     reader: Option<LineReader>,
     next_row: u64,
@@ -191,6 +213,7 @@ impl InSituScanOp {
                 format,
                 projection,
                 filters,
+                where_filters: Vec::new(),
                 has_header,
                 io: io.resolve(),
                 where_locals: Vec::new(),
@@ -201,7 +224,7 @@ impl InSituScanOp {
             query_profile: profile::current_query(),
             prepared: false,
             done: false,
-            out: VecDeque::new(),
+            out: BatchQueue::default(),
             window: None,
             reader: None,
             next_row: 0,
@@ -246,6 +269,21 @@ impl InSituScanOp {
         self.ctx.where_locals = where_set.iter().copied().collect();
         self.ctx.select_locals = (0..self.ctx.projection.len())
             .filter(|i| !where_set.contains(i))
+            .collect();
+        let where_locals = &self.ctx.where_locals;
+        // Every referenced column is in `where_locals`; an out-of-range
+        // ordinal would surface as a typed evaluation error.
+        let to_where = |i: usize| {
+            where_locals
+                .iter()
+                .position(|&w| w == i)
+                .unwrap_or(usize::MAX)
+        };
+        self.ctx.where_filters = self
+            .ctx
+            .filters
+            .iter()
+            .map(|f| f.map_columns(&to_where))
             .collect();
 
         if self.pushdown && !self.ctx.projection.is_empty() {
@@ -404,6 +442,7 @@ impl InSituScanOp {
         let mut eol_segments = Vec::with_capacity(outputs.len());
         let mut seg_acc: Option<SegmentCollector> = None;
         let mut stage_acc: Option<ChunkStage> = None;
+        let mut emitted = Vec::with_capacity(outputs.len());
         let mut rows: u64 = 0;
         for o in outputs {
             if let Some(seg) = o.posmap {
@@ -423,13 +462,14 @@ impl InSituScanOp {
                     builder.offer(&v);
                 }
             }
-            self.out.extend(o.emitted);
+            emitted.push(o.emitted);
             metrics.merge(&o.metrics);
             prof.merge(&o.profile);
             let base_row = first_row + rows;
             rows += o.line_starts.len() as u64;
             eol_segments.push((base_row, o.line_starts, o.end));
         }
+        self.out.push(ValueBatch::concat(emitted));
         let chunks = seg_acc.map_or_else(Vec::new, |s| s.into_chunks(first_row, block_rows));
         let columns =
             stage_acc.map_or_else(Vec::new, |s| s.into_columns(first_row, rows, block_rows));
@@ -528,6 +568,26 @@ impl InSituScanOp {
         } else {
             vec![None; needed.len()]
         };
+        let covered = |local: usize| cached[local].as_ref().is_some_and(|c| c.covers(rows));
+
+        let cache_served = !collect
+            && self.ctx.where_locals.iter().all(|&l| covered(l))
+            && self.ctx.select_locals.iter().all(|&l| cached[l].is_some());
+        if cache_served {
+            let started = Instant::now();
+            let served = serve_cached(&self.ctx, &cached, rows)?;
+            // Charged to the phase the row kernel charges, whether the
+            // attempt is kept or abandoned to the row kernel below.
+            prof.parse_ns += started.elapsed().as_nanos() as u64;
+            if let Some((batch, served_metrics)) = served {
+                self.out.push(batch);
+                self.add_profile(&prof);
+                runtime.metrics.add(&served_metrics);
+                self.next_row = cov_end;
+                self.resume_byte = end_bound;
+                return Ok(());
+            }
+        }
 
         let mut collector = collect.then(|| BlockCollector::new(block, needed.clone()));
         // Cache columns are only (re)built for attributes the file must
@@ -555,42 +615,32 @@ impl InSituScanOp {
                 !self.stat_builders.is_empty(),
             )
         });
-        // When every needed column is completely cached (or the query
-        // needs no columns at all — COUNT(*) over an indexed region) and
-        // no chunk is being collected, the raw file is not touched — the
-        // paper's "avoid raw file access altogether" (§4.3).
-        let all_cached = !collect
-            && (needed.is_empty()
-                || cached
-                    .iter()
-                    .all(|c| c.as_ref().is_some_and(|c| c.is_complete())));
         let mut row_buf: Vec<Value> = vec![Value::Null; needed.len()];
+        let mut emitted = ValueBatch::with_capacity(needed.len(), 0);
         let mut positions: Vec<u32> = vec![0; needed.len()];
         let mut line_buf: Vec<u8> = Vec::new();
         let mut starts: Vec<u32> = Vec::new();
 
-        if self.window.is_none() && !all_cached {
+        if self.window.is_none() {
             self.window = Some(SlidingWindow::open_with(&self.ctx.path, self.ctx.io)?);
         }
 
         for r in 0..rows {
             let line_start = line_starts[r];
-            if !all_cached {
-                let line_end = if r + 1 < rows {
-                    line_starts[r + 1]
-                } else {
-                    end_bound
-                };
-                line_buf.clear();
-                clock.start(r as u64);
-                let w = held(self.window.as_mut(), "window opened above")?;
-                let s = w.slice(line_start, (line_end - line_start) as usize)?;
-                line_buf.extend_from_slice(s);
-                clock.stop(&mut prof.io_ns);
-                prof.io_bytes += line_end - line_start;
-                while matches!(line_buf.last(), Some(b'\n') | Some(b'\r')) {
-                    line_buf.pop();
-                }
+            let line_end = if r + 1 < rows {
+                line_starts[r + 1]
+            } else {
+                end_bound
+            };
+            line_buf.clear();
+            clock.start(r as u64);
+            let w = held(self.window.as_mut(), "window opened above")?;
+            let s = w.slice(line_start, (line_end - line_start) as usize)?;
+            line_buf.extend_from_slice(s);
+            clock.stop(&mut prof.io_ns);
+            prof.io_bytes += line_end - line_start;
+            while matches!(line_buf.last(), Some(b'\n') | Some(b'\r')) {
+                line_buf.pop();
             }
             let ctx = &self.ctx;
             let line: &[u8] = &line_buf;
@@ -669,18 +719,19 @@ impl InSituScanOp {
                     }
                 }
             }
-            let row = if keep {
+            let formed = if keep {
                 form_row(ctx, &mut row_buf, fetch)?
             } else {
                 metrics.rows_rejected_early += 1;
-                None
+                false
             };
             clock.stop(&mut prof.parse_ns);
-            if let Some(row) = row {
-                self.out.push_back(row);
+            if formed {
+                emitted.push_row_taken(&mut row_buf);
                 metrics.rows_emitted += 1;
             }
         }
+        self.out.push(emitted);
 
         if let Some(c) = collector {
             if c.rows() > 0 {
@@ -764,7 +815,7 @@ impl InSituScanOp {
 impl Operator for InSituScanOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(r) = self.out.pop_front() {
+            if let Some(r) = self.out.pop_row() {
                 return Ok(Some(r));
             }
             if self.done {
@@ -779,18 +830,15 @@ impl Operator for InSituScanOp {
 
     /// Vectorized pull: hand out whatever qualifying rows the last block
     /// pump produced, up to `max_rows`, as one column-major batch. Work
-    /// granularity is unchanged — a pump still tokenizes exactly one
-    /// positional-map block (or staged tail) like the row path, so scan
-    /// metrics and auxiliary-structure contents stay bit-identical; only
-    /// the per-row virtual-call/`Option` shuffle between operators is
-    /// amortized.
+    /// granularity is unchanged — a pump still forms exactly one
+    /// positional-map block (or staged tail) whichever way it is pulled,
+    /// so scan metrics and auxiliary-structure contents stay
+    /// bit-identical; only the per-row virtual-call/`Option` shuffle
+    /// between operators is amortized.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        let max = max_rows.max(1);
         loop {
-            if !self.out.is_empty() {
-                let take = self.out.len().min(max);
-                let rows: Vec<Row> = self.out.drain(..take).collect();
-                return Ok(Some(ValueBatch::from_rows(rows)));
+            if let Some(b) = self.out.pop_batch(max_rows) {
+                return Ok(Some(b));
             }
             if self.done {
                 return Ok(None);
@@ -813,7 +861,7 @@ struct ChunkScan {
     /// Byte one past the last line read (frontier contribution).
     end: u64,
     /// Qualifying rows, in order.
-    emitted: Vec<Row>,
+    emitted: ValueBatch,
     /// Staged positional-map rows (attrs `0..=max_attr`).
     posmap: Option<SegmentCollector>,
     /// Staged cache values (one column per projected attribute).
@@ -846,7 +894,7 @@ fn scan_chunk(
     let mut out = ChunkScan {
         line_starts: Vec::new(),
         end: reader.offset(),
-        emitted: Vec::new(),
+        emitted: ValueBatch::with_capacity(ctx.projection.len(), 0),
         posmap: (flags.posmap && !ctx.projection.is_empty())
             .then(|| SegmentCollector::new((0..=max_attr as u32).collect())),
         // Values are staged, not written into preallocated columns: the
@@ -891,7 +939,7 @@ fn scan_chunk(
         out.metrics.bytes_tokenized += line.len() as u64 + 1;
         if ctx.projection.is_empty() {
             // Pure row counting (e.g. COUNT(*)): nothing to tokenize.
-            out.emitted.push(Row::new());
+            out.emitted.push_row_taken(&mut []);
             out.metrics.rows_emitted += 1;
             continue;
         }
@@ -940,7 +988,7 @@ fn scan_chunk(
 
         clock.start(tick);
         let sampled = tick.is_multiple_of(ctx.sample_stride);
-        let row = form_row(ctx, &mut row_buf, |local| {
+        let formed = form_row(ctx, &mut row_buf, |local| {
             let start = starts[ctx.projection[local]];
             let v = parse_value(
                 ctx,
@@ -964,8 +1012,8 @@ fn scan_chunk(
             Ok(v)
         })?;
         clock.stop(&mut out.profile.parse_ns);
-        if let Some(row) = row {
-            out.emitted.push(row);
+        if formed {
+            out.emitted.push_row_taken(&mut row_buf);
             out.metrics.rows_emitted += 1;
         }
     }
@@ -989,9 +1037,10 @@ fn is_lean(collecting_map: bool, staging_cache: bool, sampling_stats: bool) -> b
 
 /// Selective parsing and tuple formation (§4.1): convert the WHERE
 /// attributes first, evaluate every conjunct, and convert the SELECT
-/// attributes only for a qualifying tuple, which is returned. `fetch`
-/// supplies one projected attribute's value (and stages it wherever the
-/// caller keeps converted values).
+/// attributes only for a qualifying tuple, which is left in `row_buf`
+/// (true) for the caller to move out. `fetch` supplies one projected
+/// attribute's value (and stages it wherever the caller keeps converted
+/// values).
 ///
 /// Forced inline: each caller's `fetch` must fold into its row loop. Left
 /// to the inliner the mapped path measured 6–11 % slower than the
@@ -1002,10 +1051,9 @@ fn form_row(
     ctx: &Ctx,
     row_buf: &mut Vec<Value>,
     mut fetch: impl FnMut(usize) -> Result<Value>,
-) -> Result<Option<Row>> {
-    for v in row_buf.iter_mut() {
-        *v = Value::Null;
-    }
+) -> Result<bool> {
+    // SELECT slots are NULL here (never set, or moved out with the last
+    // qualifying row); WHERE slots are overwritten.
     for &local in &ctx.where_locals {
         row_buf[local] = fetch(local)?;
     }
@@ -1016,14 +1064,69 @@ fn form_row(
     for f in &ctx.filters {
         if !eval_predicate(f, &probe)? {
             *row_buf = probe.0;
-            return Ok(None);
+            return Ok(false);
         }
     }
     *row_buf = probe.0;
     for &local in &ctx.select_locals {
         row_buf[local] = fetch(local)?;
     }
-    Ok(Some(Row(row_buf.clone())))
+    Ok(true)
+}
+
+/// Form a cache-served block (see the module docs) of `rows` rows, whose
+/// WHERE columns the caller found to cover the block: materialize each
+/// WHERE column once, run the conjuncts in order over the rows the
+/// earlier ones passed, then gather the SELECT columns for the
+/// survivors. Returns the block's rows and the work done, or `None` —
+/// having recorded nothing — when a survivor hits a hole in a SELECT
+/// column and the block must go through the row kernel.
+fn serve_cached(
+    ctx: &Ctx,
+    cached: &[Option<Arc<CachedColumn>>],
+    rows: usize,
+) -> Result<Option<(ValueBatch, ScanMetrics)>> {
+    let column = |local: usize| held(cached[local].as_deref(), "cache-served column cached");
+    let mut where_cols = Vec::with_capacity(ctx.where_locals.len());
+    for &local in &ctx.where_locals {
+        let mut vals = Vec::with_capacity(rows);
+        column(local)?.gather_prefix(rows, &mut vals);
+        where_cols.push(vals);
+    }
+    let mut batch = ValueBatch::from_cols(where_cols, rows);
+    // Block-local ids of the rows still in `batch`.
+    let mut sel: Vec<u32> = (0..rows as u32).collect();
+    for f in &ctx.where_filters {
+        if batch.is_empty() {
+            break;
+        }
+        let keep = eval_predicate_batch(f, &batch)?;
+        let kept = keep.iter().filter(|&&k| k).count();
+        if kept < batch.num_rows() {
+            batch = batch.retain_rows(&keep, kept);
+            let mut k = keep.iter();
+            sel.retain(|_| k.next().is_some_and(|&k| k));
+        }
+    }
+    let survivors = sel.len();
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); ctx.projection.len()];
+    for (&local, vals) in ctx.where_locals.iter().zip(batch.into_cols()) {
+        cols[local] = vals;
+    }
+    for &local in &ctx.select_locals {
+        let mut vals = Vec::with_capacity(survivors);
+        if !column(local)?.gather(&sel, &mut vals) {
+            return Ok(None);
+        }
+        cols[local] = vals;
+    }
+    let metrics = ScanMetrics {
+        fields_from_cache: (rows * ctx.where_locals.len() + survivors * ctx.select_locals.len())
+            as u64,
+        rows_emitted: survivors as u64,
+        ..ScanMetrics::default()
+    };
+    Ok(Some((ValueBatch::from_cols(cols, survivors), metrics)))
 }
 
 /// The field-count check behind every tokenization site: `found`

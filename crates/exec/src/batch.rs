@@ -22,7 +22,7 @@ pub const DEFAULT_BATCH_ROWS: usize = 1024;
 /// All columns have length [`num_rows`](ValueBatch::num_rows); a batch
 /// may have zero columns and still carry a row count (a `COUNT(*)` scan
 /// projects no columns).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ValueBatch {
     cols: Vec<Vec<Value>>,
     rows: usize,
@@ -86,19 +86,56 @@ impl ValueBatch {
         self.rows += 1;
     }
 
-    /// Append one row by cloning a value slice (scan emission reuses its
-    /// row buffer across rows).
-    pub fn push_row_cloned(&mut self, vals: &[Value]) {
+    /// Append one row by moving the values out of a reusable buffer,
+    /// leaving NULLs behind (scan emission reuses its row buffer across
+    /// rows).
+    pub fn push_row_taken(&mut self, vals: &mut [Value]) {
         debug_assert_eq!(vals.len(), self.cols.len());
         for (col, v) in self.cols.iter_mut().zip(vals) {
-            col.push(v.clone());
+            col.push(std::mem::replace(v, Value::Null));
         }
         self.rows += 1;
+    }
+
+    /// Concatenate batches of one width, in order, sizing each column
+    /// once (no growth by doubling, no re-copying of earlier rows); a
+    /// lone non-empty batch is returned as it is.
+    pub fn concat(mut batches: Vec<ValueBatch>) -> ValueBatch {
+        batches.retain(|b| b.rows > 0);
+        if batches.len() <= 1 {
+            return batches.pop().unwrap_or_default();
+        }
+        let rows: usize = batches.iter().map(|b| b.rows).sum();
+        let mut parts = batches.into_iter();
+        let Some(first) = parts.next() else {
+            return ValueBatch::default();
+        };
+        let mut cols: Vec<Vec<Value>> = first
+            .cols
+            .into_iter()
+            .map(|c| {
+                let mut col = Vec::with_capacity(rows);
+                col.extend(c);
+                col
+            })
+            .collect();
+        for b in parts {
+            debug_assert_eq!(b.cols.len(), cols.len());
+            for (col, more) in cols.iter_mut().zip(b.cols) {
+                col.extend(more);
+            }
+        }
+        ValueBatch { cols, rows }
     }
 
     /// The values of row `r`, cloned (scalar-eval fallbacks).
     pub fn row_values(&self, r: usize) -> Vec<Value> {
         self.cols.iter().map(|c| c[r].clone()).collect()
+    }
+
+    /// The columns, moved out.
+    pub fn into_cols(self) -> Vec<Vec<Value>> {
+        self.cols
     }
 
     /// Transpose back to rows, moving the values out.
@@ -141,6 +178,83 @@ impl ValueBatch {
                 col.truncate(n);
             }
             self.rows = n;
+        }
+    }
+}
+
+/// Rows formed ahead of the consumer, handed out front to back: a pull
+/// that asks for everything left takes the batch whole, a smaller pull
+/// moves its slice out — the rows behind it are never shifted or copied.
+#[derive(Debug, Default)]
+pub struct BatchQueue {
+    batch: ValueBatch,
+    /// Rows of `batch` already handed out.
+    pos: usize,
+}
+
+impl BatchQueue {
+    /// Rows still queued.
+    pub fn len(&self) -> usize {
+        self.batch.rows - self.pos
+    }
+
+    /// Nothing queued?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Queue `batch`. Producers refill only once everything queued has
+    /// been handed out, so the queue is empty here.
+    pub fn push(&mut self, batch: ValueBatch) {
+        debug_assert!(self.is_empty(), "BatchQueue::push onto a non-empty queue");
+        *self = BatchQueue { batch, pos: 0 };
+    }
+
+    /// The next row, moved out.
+    pub fn pop_row(&mut self) -> Option<Row> {
+        if self.is_empty() {
+            return None;
+        }
+        let r = self.pos;
+        let row = Row(self
+            .batch
+            .cols
+            .iter_mut()
+            .map(|c| std::mem::replace(&mut c[r], Value::Null))
+            .collect());
+        self.advance(1);
+        Some(row)
+    }
+
+    /// The next `max` rows (at least one) or all that are left if fewer.
+    pub fn pop_batch(&mut self, max: usize) -> Option<ValueBatch> {
+        let take = self.len().min(max.max(1));
+        if take == 0 {
+            return None;
+        }
+        if self.pos == 0 && take == self.batch.rows {
+            return Some(std::mem::take(&mut self.batch));
+        }
+        let range = self.pos..self.pos + take;
+        let cols = self
+            .batch
+            .cols
+            .iter_mut()
+            .map(|c| {
+                c[range.clone()]
+                    .iter_mut()
+                    .map(|v| std::mem::replace(v, Value::Null))
+                    .collect()
+            })
+            .collect();
+        self.advance(take);
+        Some(ValueBatch { cols, rows: take })
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        if self.pos == self.batch.rows {
+            *self = BatchQueue::default();
         }
     }
 }
@@ -190,9 +304,40 @@ mod tests {
     fn push_row_variants_agree() {
         let mut a = ValueBatch::with_capacity(1, 2);
         a.push_row(Row(vec![Value::Int64(7)]));
-        a.push_row_cloned(&[Value::Int64(8)]);
+        let mut buf = [Value::Int64(8)];
+        a.push_row_taken(&mut buf);
+        assert_eq!(buf, [Value::Null]);
         assert_eq!(a.num_rows(), 2);
         assert_eq!(a.col(0), &[Value::Int64(7), Value::Int64(8)]);
         assert_eq!(a.row_values(1), vec![Value::Int64(8)]);
+        let b = ValueBatch::concat(vec![a.clone(), ValueBatch::default(), a]);
+        assert_eq!(b.num_rows(), 4);
+        assert_eq!(b.col(0)[2], Value::Int64(7));
+        assert_eq!(ValueBatch::concat(Vec::new()), ValueBatch::default());
+    }
+
+    #[test]
+    fn queue_hands_out_rows_and_slices_in_order() {
+        let mut q = BatchQueue::default();
+        assert!(q.pop_row().is_none() && q.pop_batch(4).is_none());
+        q.push(batch());
+        assert_eq!(
+            q.pop_row(),
+            Some(Row(vec![Value::Int64(1), Value::Text("a".into())]))
+        );
+        let b = q.pop_batch(1).unwrap();
+        assert_eq!(b.col(0), &[Value::Int64(2)]);
+        assert_eq!(q.len(), 1);
+        let b = q.pop_batch(10).unwrap();
+        assert_eq!(b.num_rows(), 1);
+        assert_eq!(b.col(0), &[Value::Int64(3)]);
+        assert!(q.is_empty());
+        // A pull for the whole queue moves the batch itself.
+        q.push(batch());
+        assert_eq!(q.pop_batch(3), Some(batch()));
+        // Zero-column batches still count rows.
+        q.push(ValueBatch::from_rows(vec![Row::new(), Row::new()]));
+        assert_eq!(q.pop_row(), Some(Row::new()));
+        assert_eq!(q.pop_batch(5).map(|b| b.num_rows()), Some(1));
     }
 }

@@ -32,9 +32,10 @@ pub trait ExecCatalog {
     fn provider(&self, table: &str) -> Result<&dyn TableProvider>;
 
     /// Rows per batch for the vectorized execution path (0 = classic
-    /// row-at-a-time). Blocking operators that drain their own input
-    /// (the aggregations) are built with this batch size; streaming
-    /// operators follow whatever pull style their consumer uses.
+    /// row-at-a-time). Operators that pull their own inputs (the
+    /// aggregations and the hash join) are built with this batch size;
+    /// streaming operators follow whatever pull style their consumer
+    /// uses.
     fn batch_rows(&self) -> usize {
         0
     }
@@ -61,13 +62,16 @@ pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp
             residual,
             kind,
             ..
-        } => Ok(Box::new(HashJoinOp::new(
-            build_plan(left, catalog)?,
-            build_plan(right, catalog)?,
-            on.clone(),
-            residual.clone(),
-            *kind,
-        ))),
+        } => Ok(Box::new(
+            HashJoinOp::new(
+                build_plan(left, catalog)?,
+                build_plan(right, catalog)?,
+                on.clone(),
+                residual.clone(),
+                *kind,
+            )
+            .batched(catalog.batch_rows()),
+        )),
         LogicalPlan::Aggregate {
             input,
             group,

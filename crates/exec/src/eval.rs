@@ -183,6 +183,43 @@ pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
 
 // ----- vectorized evaluation --------------------------------------------
 
+/// NULL, for lanes an operand has no value for.
+static NULL: Value = Value::Null;
+
+/// One subexpression evaluated over a batch. Column and literal leaves
+/// are borrowed — a column as the batch's own slice, a literal as one
+/// scalar standing for every row — so only computed nodes allocate.
+#[derive(Debug)]
+pub(crate) enum Operand<'a> {
+    /// A batch column.
+    Col(&'a [Value]),
+    /// One value for every row (a literal).
+    Scalar(&'a Value),
+    /// Values computed for this batch.
+    Owned(Vec<Value>),
+}
+
+impl Operand<'_> {
+    /// The value of row `r`.
+    #[inline]
+    pub(crate) fn get(&self, r: usize) -> &Value {
+        match self {
+            Operand::Col(c) => &c[r],
+            Operand::Scalar(v) => v,
+            Operand::Owned(c) => &c[r],
+        }
+    }
+
+    /// The values as an owned column of `n` rows.
+    fn into_values(self, n: usize) -> Vec<Value> {
+        match self {
+            Operand::Col(c) => c.to_vec(),
+            Operand::Scalar(v) => vec![v.clone(); n],
+            Operand::Owned(c) => c,
+        }
+    }
+}
+
 /// Evaluate an expression over every row of a batch, one tight loop per
 /// operator node instead of one tree walk per row.
 ///
@@ -197,14 +234,14 @@ pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
 /// first may differ — a query errors under batch evaluation iff it errors
 /// under row evaluation.
 pub fn eval_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Vec<Value>> {
-    eval_batch_masked(expr, batch, None)
+    Ok(eval_operand(expr, batch, None)?.into_values(batch.num_rows()))
 }
 
 /// Evaluate as a WHERE predicate over a whole batch: per row, TRUE passes.
 pub fn eval_predicate_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Vec<bool>> {
-    Ok(eval_batch(expr, batch)?
-        .into_iter()
-        .map(|v| v == Value::Bool(true))
+    let v = eval_operand(expr, batch, None)?;
+    Ok((0..batch.num_rows())
+        .map(|r| matches!(v.get(r), Value::Bool(true)))
         .collect())
 }
 
@@ -214,186 +251,126 @@ fn active(mask: Option<&[bool]>, r: usize) -> bool {
     mask.is_none_or(|m| m[r])
 }
 
-/// Masked batch evaluation: rows deselected by `mask` yield `Null`
-/// *without being evaluated* — the mechanism behind per-row
-/// short-circuiting. Callers never read deselected lanes.
-fn eval_batch_masked(
-    expr: &BoundExpr,
-    batch: &ValueBatch,
+/// Masked batch evaluation: rows deselected by `mask` are *not
+/// evaluated* — the mechanism behind per-row short-circuiting. Their
+/// lanes hold NULL or, in borrowed leaves, whatever the column holds;
+/// callers never read deselected lanes. Unmasked, this is [`eval_batch`]
+/// without materializing leaves (aggregate arguments read a bare column
+/// in place).
+pub(crate) fn eval_operand<'a>(
+    expr: &'a BoundExpr,
+    batch: &'a ValueBatch,
     mask: Option<&[bool]>,
-) -> Result<Vec<Value>> {
+) -> Result<Operand<'a>> {
     let n = batch.num_rows();
+    // One output value per row: NULL on deselected rows, `f(r)` on the
+    // others.
+    let per_row = |f: &mut dyn FnMut(usize) -> Result<Value>| -> Result<Operand<'a>> {
+        let mut out = Vec::with_capacity(n);
+        for r in 0..n {
+            out.push(if active(mask, r) { f(r)? } else { Value::Null });
+        }
+        Ok(Operand::Owned(out))
+    };
     match expr {
         BoundExpr::Col(i) => {
             if *i >= batch.num_cols() {
                 return Err(NoDbError::internal(format!("column #{i} out of range")));
             }
-            let col = batch.col(*i);
-            Ok((0..n)
-                .map(|r| {
-                    if active(mask, r) {
-                        col[r].clone()
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect())
+            Ok(Operand::Col(batch.col(*i)))
         }
-        BoundExpr::Lit(v) => Ok(vec![v.clone(); n]),
+        BoundExpr::Lit(v) => Ok(Operand::Scalar(v)),
         BoundExpr::Param { idx, .. } => Err(NoDbError::internal(format!(
             "unsubstituted parameter ${} reached the executor (prepared statements must \
              substitute parameters before building the operator tree)",
             idx + 1
         ))),
         BoundExpr::Binary { op, left, right } => match op {
-            BinOp::And => {
-                let l = eval_batch_masked(left, batch, mask)?;
-                // Rows whose left side is FALSE short-circuit: the right
-                // side must not run for them (it may error).
+            BinOp::And | BinOp::Or => {
+                // FALSE decides an AND, TRUE an OR: rows whose left side
+                // already decided short-circuit, and the right side must
+                // not run for them (it may error).
+                let decided = Value::Bool(*op == BinOp::Or);
+                let l = eval_operand(left, batch, mask)?;
                 let need: Vec<bool> = (0..n)
-                    .map(|r| active(mask, r) && l[r] != Value::Bool(false))
+                    .map(|r| active(mask, r) && *l.get(r) != decided)
                     .collect();
                 let r_vals = if need.contains(&true) {
-                    eval_batch_masked(right, batch, Some(&need))?
+                    eval_operand(right, batch, Some(&need))?
                 } else {
-                    vec![Value::Null; n]
+                    Operand::Scalar(&NULL)
                 };
-                Ok((0..n)
-                    .map(|r| {
-                        if !active(mask, r) {
-                            Value::Null
-                        } else if l[r] == Value::Bool(false) {
+                per_row(&mut |r| {
+                    if !need[r] {
+                        return Ok(decided.clone());
+                    }
+                    Ok(match (bool3(l.get(r)), bool3(r_vals.get(r)), op) {
+                        (Some(false), _, BinOp::And) | (_, Some(false), BinOp::And) => {
                             Value::Bool(false)
-                        } else {
-                            match (bool3(&l[r]), bool3(&r_vals[r])) {
-                                (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                                (Some(true), Some(true)) => Value::Bool(true),
-                                _ => Value::Null,
-                            }
                         }
-                    })
-                    .collect())
-            }
-            BinOp::Or => {
-                let l = eval_batch_masked(left, batch, mask)?;
-                let need: Vec<bool> = (0..n)
-                    .map(|r| active(mask, r) && l[r] != Value::Bool(true))
-                    .collect();
-                let r_vals = if need.contains(&true) {
-                    eval_batch_masked(right, batch, Some(&need))?
-                } else {
-                    vec![Value::Null; n]
-                };
-                Ok((0..n)
-                    .map(|r| {
-                        if !active(mask, r) {
-                            Value::Null
-                        } else if l[r] == Value::Bool(true) {
+                        (Some(true), _, BinOp::Or) | (_, Some(true), BinOp::Or) => {
                             Value::Bool(true)
-                        } else {
-                            match (bool3(&l[r]), bool3(&r_vals[r])) {
-                                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                                (Some(false), Some(false)) => Value::Bool(false),
-                                _ => Value::Null,
-                            }
                         }
+                        (Some(a), Some(b), _) => Value::Bool(a && b),
+                        _ => Value::Null,
                     })
-                    .collect())
+                })
             }
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let l = eval_batch_masked(left, batch, mask)?;
-                let r_vals = eval_batch_masked(right, batch, mask)?;
-                Ok((0..n)
-                    .map(|r| {
-                        if !active(mask, r) {
-                            return Value::Null;
-                        }
-                        compare(*op, &l[r], &r_vals[r])
-                    })
-                    .collect())
+                let l = eval_operand(left, batch, mask)?;
+                let r_vals = eval_operand(right, batch, mask)?;
+                per_row(&mut |r| Ok(compare(*op, l.get(r), r_vals.get(r))))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = eval_batch_masked(left, batch, mask)?;
-                let r_vals = eval_batch_masked(right, batch, mask)?;
-                let mut out = Vec::with_capacity(n);
-                for r in 0..n {
-                    out.push(if active(mask, r) {
-                        arith(*op, &l[r], &r_vals[r])?
-                    } else {
-                        Value::Null
-                    });
-                }
-                Ok(out)
+                let l = eval_operand(left, batch, mask)?;
+                let r_vals = eval_operand(right, batch, mask)?;
+                per_row(&mut |r| arith(*op, l.get(r), r_vals.get(r)))
             }
         },
         BoundExpr::Unary { op, expr } => {
-            let vals = eval_batch_masked(expr, batch, mask)?;
-            let mut out = Vec::with_capacity(n);
-            for (r, v) in vals.into_iter().enumerate() {
-                if !active(mask, r) {
-                    out.push(Value::Null);
-                    continue;
-                }
-                out.push(match op {
-                    UnOp::Not => match bool3(&v) {
+            let vals = eval_operand(expr, batch, mask)?;
+            per_row(&mut |r| {
+                Ok(match (op, vals.get(r)) {
+                    (UnOp::Not, v) => match bool3(v) {
                         Some(b) => Value::Bool(!b),
                         None => Value::Null,
                     },
-                    UnOp::Neg => match v {
-                        Value::Null => Value::Null,
-                        Value::Int32(x) => Value::Int32(-x),
-                        Value::Int64(x) => Value::Int64(-x),
-                        Value::Float64(x) => Value::Float64(-x),
-                        other => {
-                            return Err(NoDbError::execution(format!("cannot negate {other}")))
-                        }
-                    },
-                });
-            }
-            Ok(out)
+                    (UnOp::Neg, Value::Null) => Value::Null,
+                    (UnOp::Neg, Value::Int32(x)) => Value::Int32(-x),
+                    (UnOp::Neg, Value::Int64(x)) => Value::Int64(-x),
+                    (UnOp::Neg, Value::Float64(x)) => Value::Float64(-x),
+                    (UnOp::Neg, other) => {
+                        return Err(NoDbError::execution(format!("cannot negate {other}")))
+                    }
+                })
+            })
         }
         BoundExpr::Like {
             expr,
             pattern,
             negated,
         } => {
-            let vals = eval_batch_masked(expr, batch, mask)?;
-            // Constant pattern (the common case) matches straight off the
-            // literal; otherwise the pattern column is evaluated per row
-            // exactly like the scalar path.
-            let pat_vals = match pattern.as_ref() {
-                BoundExpr::Lit(Value::Text(_)) => None,
-                _ => Some(eval_batch_masked(pattern, batch, mask)?),
-            };
-            let mut out = Vec::with_capacity(n);
-            for (r, v) in vals.into_iter().enumerate() {
-                if !active(mask, r) {
-                    out.push(Value::Null);
-                    continue;
-                }
-                let pat: &str = match (pattern.as_ref(), &pat_vals) {
-                    (BoundExpr::Lit(Value::Text(p)), _) => p.as_str(),
-                    (_, Some(pv)) => match &pv[r] {
-                        Value::Null => {
-                            out.push(Value::Null);
-                            continue;
-                        }
-                        Value::Text(s) => s.as_str(),
-                        other => {
-                            return Err(NoDbError::execution(format!(
-                                "LIKE pattern is non-text {other}"
-                            )))
-                        }
-                    },
-                    _ => unreachable!("pat_vals is Some for non-literal patterns"),
+            let vals = eval_operand(expr, batch, mask)?;
+            // A constant pattern (the common case) is borrowed, not
+            // repeated per row; a computed one is checked per row exactly
+            // like the scalar path.
+            let pats = eval_operand(pattern, batch, mask)?;
+            per_row(&mut |r| {
+                let pat = match pats.get(r) {
+                    Value::Null => return Ok(Value::Null),
+                    Value::Text(s) => s.as_str(),
+                    other => {
+                        return Err(NoDbError::execution(format!(
+                            "LIKE pattern is non-text {other}"
+                        )))
+                    }
                 };
-                out.push(match v {
-                    Value::Null => Value::Null,
-                    Value::Text(s) => Value::Bool(like_match(&s, pat) != *negated),
-                    other => return Err(NoDbError::execution(format!("LIKE on non-text {other}"))),
-                });
-            }
-            Ok(out)
+                match vals.get(r) {
+                    Value::Null => Ok(Value::Null),
+                    Value::Text(s) => Ok(Value::Bool(like_match(s, pat) != *negated)),
+                    other => Err(NoDbError::execution(format!("LIKE on non-text {other}"))),
+                }
+            })
         }
         BoundExpr::Between {
             expr,
@@ -401,55 +378,46 @@ fn eval_batch_masked(
             high,
             negated,
         } => {
-            let vals = eval_batch_masked(expr, batch, mask)?;
-            let lo = eval_batch_masked(low, batch, mask)?;
-            let hi = eval_batch_masked(high, batch, mask)?;
-            Ok((0..n)
-                .map(|r| {
-                    if !active(mask, r) {
-                        return Value::Null;
-                    }
-                    let ge = vals[r]
-                        .sql_cmp(&lo[r])
-                        .map(|o| o != std::cmp::Ordering::Less);
-                    let le = vals[r]
-                        .sql_cmp(&hi[r])
-                        .map(|o| o != std::cmp::Ordering::Greater);
-                    match (ge, le) {
-                        (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                        _ => Value::Null,
-                    }
+            let vals = eval_operand(expr, batch, mask)?;
+            let lo = eval_operand(low, batch, mask)?;
+            let hi = eval_operand(high, batch, mask)?;
+            per_row(&mut |r| {
+                let v = vals.get(r);
+                let ge = v.sql_cmp(lo.get(r)).map(|o| o != std::cmp::Ordering::Less);
+                let le = v
+                    .sql_cmp(hi.get(r))
+                    .map(|o| o != std::cmp::Ordering::Greater);
+                Ok(match (ge, le) {
+                    (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
+                    _ => Value::Null,
                 })
-                .collect())
+            })
         }
         BoundExpr::InList {
             expr,
             list,
             negated,
         } => {
-            let vals = eval_batch_masked(expr, batch, mask)?;
-            Ok(vals
-                .into_iter()
-                .enumerate()
-                .map(|(r, v)| {
-                    if !active(mask, r) || v.is_null() {
-                        return Value::Null;
+            let vals = eval_operand(expr, batch, mask)?;
+            per_row(&mut |r| {
+                let v = vals.get(r);
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                let mut saw_null = false;
+                for cand in list {
+                    match v.sql_cmp(cand) {
+                        Some(std::cmp::Ordering::Equal) => return Ok(Value::Bool(!*negated)),
+                        None if cand.is_null() => saw_null = true,
+                        _ => {}
                     }
-                    let mut saw_null = false;
-                    for cand in list {
-                        match v.sql_cmp(cand) {
-                            Some(std::cmp::Ordering::Equal) => return Value::Bool(!*negated),
-                            None if cand.is_null() => saw_null = true,
-                            _ => {}
-                        }
-                    }
-                    if saw_null {
-                        Value::Null
-                    } else {
-                        Value::Bool(*negated)
-                    }
+                }
+                Ok(if saw_null {
+                    Value::Null
+                } else {
+                    Value::Bool(*negated)
                 })
-                .collect())
+            })
         }
         BoundExpr::Case {
             branches,
@@ -463,45 +431,31 @@ fn eval_batch_masked(
                 if !remaining.contains(&true) {
                     break;
                 }
-                let c = eval_batch_masked(cond, batch, Some(&remaining))?;
+                let c = eval_operand(cond, batch, Some(&remaining))?;
                 let taken: Vec<bool> = (0..n)
-                    .map(|r| remaining[r] && c[r] == Value::Bool(true))
+                    .map(|r| remaining[r] && matches!(c.get(r), Value::Bool(true)))
                     .collect();
                 if taken.contains(&true) {
-                    let vals = eval_batch_masked(res, batch, Some(&taken))?;
-                    for (r, v) in vals.into_iter().enumerate() {
-                        if taken[r] {
-                            out[r] = v;
-                            remaining[r] = false;
-                        }
+                    let vals = eval_operand(res, batch, Some(&taken))?;
+                    for r in (0..n).filter(|&r| taken[r]) {
+                        out[r] = vals.get(r).clone();
+                        remaining[r] = false;
                     }
                 }
             }
             if let Some(e) = else_expr {
                 if remaining.contains(&true) {
-                    let vals = eval_batch_masked(e, batch, Some(&remaining))?;
-                    for (r, v) in vals.into_iter().enumerate() {
-                        if remaining[r] {
-                            out[r] = v;
-                        }
+                    let vals = eval_operand(e, batch, Some(&remaining))?;
+                    for r in (0..n).filter(|&r| remaining[r]) {
+                        out[r] = vals.get(r).clone();
                     }
                 }
             }
-            Ok(out)
+            Ok(Operand::Owned(out))
         }
         BoundExpr::IsNull { expr, negated } => {
-            let vals = eval_batch_masked(expr, batch, mask)?;
-            Ok(vals
-                .into_iter()
-                .enumerate()
-                .map(|(r, v)| {
-                    if active(mask, r) {
-                        Value::Bool(v.is_null() != *negated)
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect())
+            let vals = eval_operand(expr, batch, mask)?;
+            per_row(&mut |r| Ok(Value::Bool(vals.get(r).is_null() != *negated)))
         }
     }
 }
@@ -551,7 +505,7 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 }
                 a / b
             }
-            _ => unreachable!("arith ops only"),
+            _ => return Err(not_arith(op)),
         };
         Ok(Value::Float64(v))
     } else {
@@ -565,11 +519,15 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             BinOp::Add => a.checked_add(b),
             BinOp::Sub => a.checked_sub(b),
             BinOp::Mul => a.checked_mul(b),
-            _ => unreachable!("arith ops only"),
+            _ => return Err(not_arith(op)),
         }
         .ok_or_else(|| NoDbError::execution("integer overflow"))?;
         Ok(Value::Int64(v))
     }
+}
+
+fn not_arith(op: BinOp) -> NoDbError {
+    NoDbError::internal(format!("{op:?} reached arithmetic evaluation"))
 }
 
 #[cfg(test)]

@@ -23,10 +23,9 @@ pub mod eval;
 pub mod key;
 pub mod ops;
 
-pub use batch::{ValueBatch, DEFAULT_BATCH_ROWS};
+pub use batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
 pub use build::{build_plan, ExecCatalog, TableProvider};
 pub use eval::{eval, eval_batch, eval_predicate, eval_predicate_batch};
-pub use key::GroupKey;
 pub use ops::{BoxOp, DistinctOp, Operator, RowsOp};
 
 use nodb_common::{Result, Row};

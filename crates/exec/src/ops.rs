@@ -2,15 +2,13 @@
 //! column-major [`ValueBatch`] per `next_batch` call on the vectorized
 //! path (both paths produce bit-identical rows).
 
-use std::collections::HashMap;
-
 use nodb_common::{NoDbError, Result, Row, Value};
 use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
-use crate::batch::ValueBatch;
-use crate::eval::{eval, eval_batch, eval_predicate, eval_predicate_batch};
-use crate::key::GroupKey;
+use crate::batch::{BatchQueue, ValueBatch};
+use crate::eval::{eval, eval_batch, eval_operand, eval_predicate, eval_predicate_batch, Operand};
+use crate::key::{hash_key, same_key, KeyIndex, KeyRef};
 
 /// The operator interface: a stream of rows, pullable one tuple or one
 /// column-major batch at a time.
@@ -24,9 +22,9 @@ pub trait Operator {
     ///
     /// The default adapter pulls rows one by one and transposes — any
     /// operator works under a batching consumer, while the hot operators
-    /// (scan, filter, project, limit, the aggregations) override this
-    /// with tight per-column loops. Callers should pick one pull style
-    /// per operator tree and stick to it.
+    /// (scan, filter, project, limit, join, the aggregations) override
+    /// this with tight per-column loops. Callers should pick one pull
+    /// style per operator tree and stick to it.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         let max = max_rows.max(1);
         let mut rows = Vec::new();
@@ -202,9 +200,10 @@ impl Operator for LimitOp {
 
 /// Sort: fully materializes, then emits in key order (NULLs first).
 pub struct SortOp {
+    /// The input, until the first pull drains it.
     input: Option<BoxOp>,
     keys: Vec<SortKey>,
-    sorted: Option<std::vec::IntoIter<Row>>,
+    sorted: std::vec::IntoIter<Row>,
 }
 
 impl SortOp {
@@ -213,22 +212,21 @@ impl SortOp {
         SortOp {
             input: Some(input),
             keys,
-            sorted: None,
+            sorted: Vec::new().into_iter(),
         }
     }
 }
 
 impl Operator for SortOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.sorted.is_none() {
-            let mut input = self.input.take().expect("sort input consumed once");
+        if let Some(mut input) = self.input.take() {
             let mut rows = Vec::new();
             while let Some(r) = input.next_row()? {
                 rows.push(r);
             }
-            let keys = self.keys.clone();
+            let keys = &self.keys;
             rows.sort_by(|a, b| {
-                for k in &keys {
+                for k in keys {
                     let ord = a.get(k.col).total_cmp(b.get(k.col));
                     let ord = if k.desc { ord.reverse() } else { ord };
                     if ord != std::cmp::Ordering::Equal {
@@ -237,9 +235,9 @@ impl Operator for SortOp {
                 }
                 std::cmp::Ordering::Equal
             });
-            self.sorted = Some(rows.into_iter());
+            self.sorted = rows.into_iter();
         }
-        Ok(self.sorted.as_mut().expect("initialized above").next())
+        Ok(self.sorted.next())
     }
 }
 
@@ -247,26 +245,40 @@ impl Operator for SortOp {
 ///
 /// * `Inner`: builds a hash table on the **left** child (the planner puts
 ///   the smaller side left when it has statistics), probes with the right,
-///   emits `left ++ right`.
+///   emits `left ++ right`; each probe row's matches come out most
+///   recently built first.
 /// * `Semi`/`Anti`: builds on the **right** child (the EXISTS inner
 ///   relation), probes with left rows, emits the left row on (no) match.
+///
+/// Both sides are pulled in batches of [`HashJoinOp::batched`] rows (one
+/// row at a time at 0). A consumer that asks for fewer rows — a `LIMIT`,
+/// or a row pull — gets the probe side pulled in batches of that size,
+/// so unless a probe row has several matches the join probes, and
+/// evaluates its residual on, no row the row path would not. Build rows
+/// live in one column-major arena; keys are matched through a
+/// [`KeyIndex`] without being copied out of it.
 ///
 /// With an empty key list every row lands in one bucket, degrading to a
 /// (filtered) cross product — the planner only does this when a query has
 /// no equi-join predicate.
 pub struct HashJoinOp {
-    left: Option<BoxOp>,
-    right: Option<BoxOp>,
-    on: Vec<(usize, usize)>,
+    /// The side hashed into the table, until the first pull drains it.
+    build: Option<BoxOp>,
+    /// The side streamed against the table.
+    probe: BoxOp,
+    /// Key columns of the build and the probe side, pairwise.
+    build_keys: Vec<usize>,
+    probe_keys: Vec<usize>,
     residual: Option<BoundExpr>,
     kind: JoinKind,
-    table: Option<HashMap<GroupKey, Vec<Row>>>,
-    /// Pending inner-join outputs for the current probe row.
-    pending: Vec<Row>,
+    batch_rows: usize,
+    table: JoinTable,
+    /// Joined output formed but not yet handed out.
+    out: BatchQueue,
 }
 
 impl HashJoinOp {
-    /// Create a hash join.
+    /// Create a hash join (one-row input pulls).
     pub fn new(
         left: BoxOp,
         right: BoxOp,
@@ -274,134 +286,261 @@ impl HashJoinOp {
         residual: Option<BoundExpr>,
         kind: JoinKind,
     ) -> HashJoinOp {
+        let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = on.into_iter().unzip();
+        let (build, probe, build_keys, probe_keys) = match kind {
+            JoinKind::Inner => (left, right, left_keys, right_keys),
+            JoinKind::Semi | JoinKind::Anti => (right, left, right_keys, left_keys),
+        };
         HashJoinOp {
-            left: Some(left),
-            right: Some(right),
-            on,
+            build: Some(build),
+            probe,
+            build_keys,
+            probe_keys,
             residual,
             kind,
-            table: None,
-            pending: Vec::new(),
+            batch_rows: 0,
+            table: JoinTable::default(),
+            out: BatchQueue::default(),
         }
     }
 
-    fn build(&mut self) -> Result<()> {
-        let mut table: HashMap<GroupKey, Vec<Row>> = HashMap::new();
-        let (mut src, key_side): (BoxOp, Side) = match self.kind {
-            JoinKind::Inner => (self.left.take().expect("build once"), Side::Left),
-            JoinKind::Semi | JoinKind::Anti => {
-                (self.right.take().expect("build once"), Side::Right)
-            }
-        };
-        while let Some(r) = src.next_row()? {
-            let key = self.key_of(&r, key_side);
-            if key.has_null() {
-                continue; // NULL keys never match
-            }
-            table.entry(key).or_default().push(r);
+    /// Pull both inputs in batches of `n` rows (0 pulls one row at a
+    /// time).
+    pub fn batched(mut self, n: usize) -> HashJoinOp {
+        self.batch_rows = n;
+        self
+    }
+
+    /// Drain the build side into the arena (rows with a NULL key part
+    /// never match and are dropped) and index it.
+    fn build_table(&mut self, mut src: BoxOp) -> Result<()> {
+        let keys = &self.build_keys;
+        let mut batches = Vec::new();
+        while let Some(b) = src.next_batch(self.batch_rows.max(1))? {
+            let keep: Vec<bool> = (0..b.num_rows())
+                .map(|r| keys.iter().all(|&c| !b.col(c)[r].is_null()))
+                .collect();
+            let kept = keep.iter().filter(|&&k| k).count();
+            batches.push(if kept == b.num_rows() {
+                b
+            } else {
+                b.retain_rows(&keep, kept)
+            });
         }
-        self.table = Some(table);
+        self.table = JoinTable::index(ValueBatch::concat(batches), keys);
         Ok(())
     }
 
-    fn key_of(&self, row: &Row, side: Side) -> GroupKey {
-        GroupKey::from_values(self.on.iter().map(|&(l, r)| {
-            let i = match side {
-                Side::Left => l,
-                Side::Right => r,
-            };
-            row.get(i)
-        }))
+    /// Pull the next probe batch — at most `want` rows — and queue its
+    /// joined output; false once the probe side is exhausted.
+    fn fill(&mut self, want: usize) -> Result<bool> {
+        if let Some(src) = self.build.take() {
+            self.build_table(src)?;
+        }
+        let pull = self.batch_rows.max(1).min(want.max(1));
+        let Some(probe) = self.probe.next_batch(pull)? else {
+            return Ok(false);
+        };
+        let out = match self.kind {
+            JoinKind::Inner => self.join_inner(&probe)?,
+            JoinKind::Semi | JoinKind::Anti => self.join_semi(probe)?,
+        };
+        if !out.is_empty() {
+            self.out.push(out);
+        }
+        Ok(true)
     }
-}
 
-#[derive(Clone, Copy)]
-enum Side {
-    Left,
-    Right,
+    fn join_inner(&self, probe: &ValueBatch) -> Result<ValueBatch> {
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        for r in 0..probe.num_rows() {
+            if let Some(slot) = self
+                .table
+                .find(probe, &self.probe_keys, &self.build_keys, r)
+            {
+                for b in self.table.chain(slot) {
+                    build_rows.push(b);
+                    probe_rows.push(r);
+                }
+            }
+        }
+        let gather = |src: &ValueBatch, idx: &[usize]| -> Vec<Vec<Value>> {
+            (0..src.num_cols())
+                .map(|c| {
+                    let col = src.col(c);
+                    idx.iter().map(|&i| col[i].clone()).collect()
+                })
+                .collect()
+        };
+        let mut cols = gather(&self.table.rows, &build_rows);
+        cols.extend(gather(probe, &probe_rows));
+        let joined = ValueBatch::from_cols(cols, build_rows.len());
+        match &self.residual {
+            Some(p) if !joined.is_empty() => {
+                let keep = eval_predicate_batch(p, &joined)?;
+                let kept = keep.iter().filter(|&&k| k).count();
+                Ok(joined.retain_rows(&keep, kept))
+            }
+            _ => Ok(joined),
+        }
+    }
+
+    fn join_semi(&self, probe: ValueBatch) -> Result<ValueBatch> {
+        let anti = self.kind == JoinKind::Anti;
+        let n = probe.num_rows();
+        let mut keep = Vec::with_capacity(n);
+        let mut matches = Vec::new();
+        for r in 0..n {
+            let matched = match self
+                .table
+                .find(&probe, &self.probe_keys, &self.build_keys, r)
+            {
+                None => false,
+                Some(slot) => match &self.residual {
+                    None => true,
+                    Some(p) => {
+                        // Build rows in insertion order, up to the first
+                        // that satisfies the residual.
+                        matches.clear();
+                        matches.extend(self.table.chain(slot));
+                        let outer = Row(probe.row_values(r));
+                        let mut any = false;
+                        for &b in matches.iter().rev() {
+                            let joined = outer.clone().concat(&Row(self.table.rows.row_values(b)));
+                            if eval_predicate(p, &joined)? {
+                                any = true;
+                                break;
+                            }
+                        }
+                        any
+                    }
+                },
+            };
+            keep.push(matched != anti);
+        }
+        let kept = keep.iter().filter(|&&k| k).count();
+        Ok(if kept == n {
+            probe
+        } else {
+            probe.retain_rows(&keep, kept)
+        })
+    }
 }
 
 impl Operator for HashJoinOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.table.is_none() {
-            self.build()?;
+        loop {
+            if let Some(r) = self.out.pop_row() {
+                return Ok(Some(r));
+            }
+            if !self.fill(1)? {
+                return Ok(None);
+            }
         }
-        match self.kind {
-            JoinKind::Inner => loop {
-                if let Some(r) = self.pending.pop() {
-                    return Ok(Some(r));
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        loop {
+            if let Some(b) = self.out.pop_batch(max_rows) {
+                return Ok(Some(b));
+            }
+            if !self.fill(max_rows)? {
+                return Ok(None);
+            }
+        }
+    }
+}
+
+/// End of a [`JoinTable`] chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// A hash join's build side: the rows in one arena, an index from key
+/// hash to key slot, and per slot a chain of the rows with that key.
+#[derive(Debug, Default)]
+struct JoinTable {
+    rows: ValueBatch,
+    index: KeyIndex,
+    /// Per slot: the first row built with the key (where its values are
+    /// compared) and the last (the head of its chain).
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Per row: the row built before it with the same key, or [`NO_ROW`].
+    prev: Vec<u32>,
+}
+
+impl JoinTable {
+    /// Index every row of `rows` on its `keys` columns.
+    fn index(rows: ValueBatch, keys: &[usize]) -> JoinTable {
+        let mut t = JoinTable {
+            rows,
+            ..JoinTable::default()
+        };
+        for i in 0..t.rows.num_rows() {
+            let rows = &t.rows;
+            let hash = hash_key(keys.iter().map(|&c| KeyRef::of(&rows.col(c)[i])));
+            let first = &t.first;
+            let found = t.index.find(hash, |s| {
+                let f = first[s] as usize;
+                keys.iter().all(|&c| {
+                    let col = rows.col(c);
+                    KeyRef::of(&col[f]) == KeyRef::of(&col[i])
+                })
+            });
+            match found {
+                Some(s) => {
+                    t.prev.push(t.last[s]);
+                    t.last[s] = i as u32;
                 }
-                let probe = self
-                    .right
-                    .as_mut()
-                    .expect("probe side present for inner join")
-                    .next_row()?;
-                let Some(probe) = probe else {
-                    return Ok(None);
-                };
-                let key = self.key_of(&probe, Side::Right);
-                if key.has_null() {
-                    continue;
-                }
-                if let Some(matches) = self.table.as_ref().expect("built").get(&key) {
-                    for b in matches {
-                        let out = b.clone().concat(&probe);
-                        let ok = match &self.residual {
-                            Some(p) => eval_predicate(p, &out)?,
-                            None => true,
-                        };
-                        if ok {
-                            self.pending.push(out);
-                        }
-                    }
-                }
-            },
-            JoinKind::Semi | JoinKind::Anti => {
-                let anti = self.kind == JoinKind::Anti;
-                loop {
-                    let probe = self
-                        .left
-                        .as_mut()
-                        .expect("probe side present for semi join")
-                        .next_row()?;
-                    let Some(probe) = probe else {
-                        return Ok(None);
-                    };
-                    let key = self.key_of(&probe, Side::Left);
-                    let matched = if key.has_null() {
-                        false
-                    } else {
-                        match self.table.as_ref().expect("built").get(&key) {
-                            None => false,
-                            Some(matches) => match &self.residual {
-                                None => !matches.is_empty(),
-                                Some(p) => {
-                                    let mut any = false;
-                                    for m in matches {
-                                        let joined = probe.clone().concat(m);
-                                        if eval_predicate(p, &joined)? {
-                                            any = true;
-                                            break;
-                                        }
-                                    }
-                                    any
-                                }
-                            },
-                        }
-                    };
-                    if matched != anti {
-                        return Ok(Some(probe));
-                    }
+                None => {
+                    t.index.insert(hash);
+                    t.first.push(i as u32);
+                    t.last.push(i as u32);
+                    t.prev.push(NO_ROW);
                 }
             }
         }
+        t
+    }
+
+    /// The slot whose key equals row `r` of `probe` (key columns
+    /// `probe_keys`, compared with the build side's `build_keys`); `None`
+    /// when there is none or a key part is NULL.
+    fn find(
+        &self,
+        probe: &ValueBatch,
+        probe_keys: &[usize],
+        build_keys: &[usize],
+        r: usize,
+    ) -> Option<usize> {
+        let part = |c: usize| KeyRef::of(&probe.col(c)[r]);
+        if probe_keys.iter().any(|&c| part(c).is_null()) {
+            return None;
+        }
+        let hash = hash_key(probe_keys.iter().map(|&c| part(c)));
+        self.index.find(hash, |s| {
+            let f = self.first[s] as usize;
+            build_keys
+                .iter()
+                .zip(probe_keys)
+                .all(|(&bc, &pc)| KeyRef::of(&self.rows.col(bc)[f]) == part(pc))
+        })
+    }
+
+    /// The rows with the key of `slot`, most recently built first.
+    fn chain(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.last[slot]), |&i| {
+            Some(self.prev[i as usize]).filter(|&p| p != NO_ROW)
+        })
+        .map(|i| i as usize)
     }
 }
 
 /// Streaming duplicate elimination over whole rows (SELECT DISTINCT).
 pub struct DistinctOp {
     input: BoxOp,
-    seen: std::collections::HashSet<GroupKey>,
+    index: KeyIndex,
+    /// The values of every distinct row seen, one row-width per slot.
+    seen: Vec<Value>,
 }
 
 impl DistinctOp {
@@ -409,7 +548,8 @@ impl DistinctOp {
     pub fn new(input: BoxOp) -> DistinctOp {
         DistinctOp {
             input,
-            seen: std::collections::HashSet::new(),
+            index: KeyIndex::new(),
+            seen: Vec::new(),
         }
     }
 }
@@ -417,8 +557,17 @@ impl DistinctOp {
 impl Operator for DistinctOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
         while let Some(r) = self.input.next_row()? {
-            let key = GroupKey::from_values(r.values().iter());
-            if self.seen.insert(key) {
+            let vals = r.values();
+            let w = vals.len();
+            let hash = hash_key(vals.iter().map(KeyRef::of));
+            let seen = &self.seen;
+            let dup = self
+                .index
+                .find(hash, |s| same_key(&seen[s * w..(s + 1) * w], vals))
+                .is_some();
+            if !dup {
+                self.seen.extend_from_slice(vals);
+                self.index.insert(hash);
                 return Ok(Some(r));
             }
         }
@@ -433,7 +582,9 @@ impl Operator for DistinctOp {
 enum Acc {
     Count(i64),
     Sum {
-        i: i64,
+        /// The integer total; `None` once it overflowed, which is an
+        /// error only if no float joins the sum.
+        i: Option<i64>,
         f: f64,
         is_float: bool,
         seen: bool,
@@ -451,7 +602,7 @@ impl Acc {
         match func {
             AggFunc::Count => Acc::Count(0),
             AggFunc::Sum => Acc::Sum {
-                i: 0,
+                i: Some(0),
                 f: 0.0,
                 is_float: false,
                 seen: false,
@@ -485,12 +636,12 @@ impl Acc {
                 match v {
                     Value::Null => {}
                     Value::Int32(x) => {
-                        *i += *x as i64;
+                        *i = i.and_then(|t| t.checked_add(i64::from(*x)));
                         *f += *x as f64;
                         *seen = true;
                     }
                     Value::Int64(x) => {
-                        *i += x;
+                        *i = i.and_then(|t| t.checked_add(*x));
                         *f += *x as f64;
                         *seen = true;
                     }
@@ -544,8 +695,10 @@ impl Acc {
         }
     }
 
-    fn finalize(self) -> Value {
-        match self {
+    /// The aggregate's value. An integer SUM that overflowed is the typed
+    /// error `+` raises, never a wrapped total.
+    fn finalize(self) -> Result<Value> {
+        Ok(match self {
             Acc::Count(n) => Value::Int64(n),
             Acc::Sum {
                 i,
@@ -558,7 +711,7 @@ impl Acc {
                 } else if is_float {
                     Value::Float64(f)
                 } else {
-                    Value::Int64(i)
+                    Value::Int64(i.ok_or_else(|| NoDbError::execution("integer overflow"))?)
                 }
             }
             Acc::Avg { sum, n } => {
@@ -570,8 +723,16 @@ impl Acc {
             }
             Acc::Min(v) => v.unwrap_or(Value::Null),
             Acc::Max(v) => v.unwrap_or(Value::Null),
-        }
+        })
     }
+}
+
+/// Finalize a group's key values and accumulators into its output row.
+fn finish_row(mut vals: Vec<Value>, accs: impl IntoIterator<Item = Acc>) -> Result<Row> {
+    for acc in accs {
+        vals.push(acc.finalize()?);
+    }
+    Ok(Row(vals))
 }
 
 fn update_accs(accs: &mut [Acc], aggs: &[AggExpr], row: &Row) -> Result<()> {
@@ -587,18 +748,27 @@ fn update_accs(accs: &mut [Acc], aggs: &[AggExpr], row: &Row) -> Result<()> {
     Ok(())
 }
 
-/// Argument columns for a batch: one evaluated column per aggregate with
-/// an argument (`None` = COUNT(*)). Each accumulator then consumes its
-/// column in row order, so float accumulation order — and therefore every
-/// result bit — matches the row-at-a-time path.
-fn eval_agg_args(aggs: &[AggExpr], batch: &ValueBatch) -> Result<Vec<Option<Vec<Value>>>> {
+/// Argument columns for a batch: one evaluated operand per aggregate with
+/// an argument (`None` = COUNT(*)); a bare column argument is read in
+/// place. Each accumulator then consumes its column in row order, so
+/// float accumulation order — and therefore every result bit — matches
+/// the row-at-a-time path.
+fn eval_agg_args<'a>(
+    aggs: &'a [AggExpr],
+    batch: &'a ValueBatch,
+) -> Result<Vec<Option<Operand<'a>>>> {
     aggs.iter()
-        .map(|a| a.arg.as_ref().map(|e| eval_batch(e, batch)).transpose())
+        .map(|a| {
+            a.arg
+                .as_ref()
+                .map(|e| eval_operand(e, batch, None))
+                .transpose()
+        })
         .collect()
 }
 
 /// Fold one batch into a plain (ungrouped) accumulator set.
-fn update_accs_batch(accs: &mut [Acc], args: &[Option<Vec<Value>>], n_rows: usize) -> Result<()> {
+fn update_accs_batch(accs: &mut [Acc], args: &[Option<Operand<'_>>], n_rows: usize) -> Result<()> {
     for (acc, arg) in accs.iter_mut().zip(args) {
         match arg {
             None => {
@@ -607,8 +777,8 @@ fn update_accs_batch(accs: &mut [Acc], args: &[Option<Vec<Value>>], n_rows: usiz
                 }
             }
             Some(col) => {
-                for v in col {
-                    acc.update(Some(v))?;
+                for r in 0..n_rows {
+                    acc.update(Some(col.get(r)))?;
                 }
             }
         }
@@ -616,14 +786,74 @@ fn update_accs_batch(accs: &mut [Acc], args: &[Option<Vec<Value>>], n_rows: usiz
     Ok(())
 }
 
+/// Grouped aggregation state: one slot per distinct key, in first-seen
+/// order, holding the key's values and the group's accumulators.
+struct Groups {
+    index: KeyIndex,
+    /// Key columns per group.
+    width: usize,
+    /// Each slot's key values, `width` per slot.
+    keys: Vec<Value>,
+    /// Each slot's accumulators, `fresh.len()` per slot.
+    accs: Vec<Acc>,
+    /// The accumulators a new group starts with.
+    fresh: Vec<Acc>,
+}
+
+impl Groups {
+    fn new(width: usize, aggs: &[AggExpr]) -> Groups {
+        Groups {
+            index: KeyIndex::new(),
+            width,
+            keys: Vec::new(),
+            accs: Vec::new(),
+            fresh: aggs.iter().map(|a| Acc::new(a.func)).collect(),
+        }
+    }
+
+    /// The accumulators of the group whose key is `key(0..width)`,
+    /// starting the group when the key is new. Nothing is cloned unless
+    /// it is.
+    #[inline]
+    fn accs_for<'v>(&mut self, key: impl Fn(usize) -> &'v Value) -> &mut [Acc] {
+        let w = self.width;
+        let hash = hash_key((0..w).map(|j| KeyRef::of(key(j))));
+        let keys = &self.keys;
+        let slot = match self.index.find(hash, |s| {
+            (0..w).all(|j| KeyRef::of(&keys[s * w + j]) == KeyRef::of(key(j)))
+        }) {
+            Some(s) => s,
+            None => {
+                self.keys.extend((0..w).map(|j| key(j).clone()));
+                self.accs.extend_from_slice(&self.fresh);
+                self.index.insert(hash)
+            }
+        };
+        let a = self.fresh.len();
+        &mut self.accs[slot * a..(slot + 1) * a]
+    }
+
+    /// One row per group, in first-seen order: the key values, then the
+    /// finalized aggregates.
+    fn into_rows(self) -> Result<Vec<Row>> {
+        let (w, a) = (self.width, self.fresh.len());
+        let mut keys = self.keys.into_iter();
+        let mut accs = self.accs.into_iter();
+        (0..self.index.len())
+            .map(|_| finish_row(keys.by_ref().take(w).collect(), accs.by_ref().take(a)))
+            .collect()
+    }
+}
+
 /// Hash aggregation: one hash-table pass, groups emitted in first-seen
 /// order.
 pub struct HashAggOp {
+    /// The input, until the first pull drains it.
     input: Option<BoxOp>,
     group: Vec<usize>,
     aggs: Vec<AggExpr>,
     batch_rows: usize,
-    out: Option<std::vec::IntoIter<Row>>,
+    out: std::vec::IntoIter<Row>,
 }
 
 impl HashAggOp {
@@ -634,7 +864,7 @@ impl HashAggOp {
             group,
             aggs,
             batch_rows: 0,
-            out: None,
+            out: Vec::new().into_iter(),
         }
     }
 
@@ -648,60 +878,29 @@ impl HashAggOp {
 
 impl Operator for HashAggOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.out.is_none() {
-            let mut input = self.input.take().expect("agg input consumed once");
-            let mut index: HashMap<GroupKey, usize> = HashMap::new();
-            let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
+        if let Some(mut input) = self.input.take() {
+            let mut groups = Groups::new(self.group.len(), &self.aggs);
+            let group = &self.group;
             if self.batch_rows > 0 {
                 while let Some(b) = input.next_batch(self.batch_rows)? {
                     let args = eval_agg_args(&self.aggs, &b)?;
+                    let key_cols: Vec<&[Value]> = group.iter().map(|&i| b.col(i)).collect();
                     for r in 0..b.num_rows() {
-                        let key = GroupKey::from_values(self.group.iter().map(|&i| &b.col(i)[r]));
-                        let slot = match index.get(&key) {
-                            Some(&s) => s,
-                            None => {
-                                let key_vals: Vec<Value> =
-                                    self.group.iter().map(|&i| b.col(i)[r].clone()).collect();
-                                let accs: Vec<Acc> =
-                                    self.aggs.iter().map(|a| Acc::new(a.func)).collect();
-                                groups.push((key_vals, accs));
-                                index.insert(key, groups.len() - 1);
-                                groups.len() - 1
-                            }
-                        };
-                        for (acc, arg) in groups[slot].1.iter_mut().zip(&args) {
-                            acc.update(arg.as_ref().map(|col| &col[r]))?;
+                        let accs = groups.accs_for(|j| &key_cols[j][r]);
+                        for (acc, arg) in accs.iter_mut().zip(&args) {
+                            acc.update(arg.as_ref().map(|col| col.get(r)))?;
                         }
                     }
                 }
             } else {
                 while let Some(r) = input.next_row()? {
-                    let key = GroupKey::from_values(self.group.iter().map(|&i| r.get(i)));
-                    let slot = match index.get(&key) {
-                        Some(&s) => s,
-                        None => {
-                            let key_vals: Vec<Value> =
-                                self.group.iter().map(|&i| r.get(i).clone()).collect();
-                            let accs: Vec<Acc> =
-                                self.aggs.iter().map(|a| Acc::new(a.func)).collect();
-                            groups.push((key_vals, accs));
-                            index.insert(key, groups.len() - 1);
-                            groups.len() - 1
-                        }
-                    };
-                    update_accs(&mut groups[slot].1, &self.aggs, &r)?;
+                    let accs = groups.accs_for(|j| r.get(group[j]));
+                    update_accs(accs, &self.aggs, &r)?;
                 }
             }
-            let rows: Vec<Row> = groups
-                .into_iter()
-                .map(|(mut keys, accs)| {
-                    keys.extend(accs.into_iter().map(Acc::finalize));
-                    Row(keys)
-                })
-                .collect();
-            self.out = Some(rows.into_iter());
+            self.out = groups.into_rows()?.into_iter();
         }
-        Ok(self.out.as_mut().expect("initialized above").next())
+        Ok(self.out.next())
     }
 }
 
@@ -713,11 +912,12 @@ impl Operator for HashAggOp {
 /// sort is genuine work, which is exactly why the statistics-informed
 /// hash plan beats it.
 pub struct SortAggOp {
+    /// The input, until the first pull drains it.
     input: Option<BoxOp>,
     group: Vec<usize>,
     aggs: Vec<AggExpr>,
     batch_rows: usize,
-    out: Option<std::vec::IntoIter<Row>>,
+    out: std::vec::IntoIter<Row>,
 }
 
 impl SortAggOp {
@@ -728,7 +928,7 @@ impl SortAggOp {
             group,
             aggs,
             batch_rows: 0,
-            out: None,
+            out: Vec::new().into_iter(),
         }
     }
 
@@ -741,8 +941,7 @@ impl SortAggOp {
 
 impl Operator for SortAggOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.out.is_none() {
-            let mut input = self.input.take().expect("agg input consumed once");
+        if let Some(mut input) = self.input.take() {
             let mut rows = Vec::new();
             if self.batch_rows > 0 {
                 while let Some(b) = input.next_batch(self.batch_rows)? {
@@ -753,9 +952,9 @@ impl Operator for SortAggOp {
                     rows.push(r);
                 }
             }
-            let group = self.group.clone();
+            let group = &self.group;
             rows.sort_by(|a, b| {
-                for &g in &group {
+                for &g in group {
                     let ord = a.get(g).total_cmp(b.get(g));
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
@@ -764,41 +963,41 @@ impl Operator for SortAggOp {
                 std::cmp::Ordering::Equal
             });
             let mut out = Vec::new();
-            let mut run_key: Option<GroupKey> = None;
-            let mut key_vals: Vec<Value> = Vec::new();
-            let mut accs: Vec<Acc> = Vec::new();
+            // The current run: its key values and accumulators.
+            let mut run: Option<(Vec<Value>, Vec<Acc>)> = None;
             for r in rows {
-                let key = GroupKey::from_values(self.group.iter().map(|&i| r.get(i)));
-                if run_key.as_ref() != Some(&key) {
-                    if run_key.is_some() {
-                        let mut vals = std::mem::take(&mut key_vals);
-                        vals.extend(std::mem::take(&mut accs).into_iter().map(Acc::finalize));
-                        out.push(Row(vals));
+                let same = run
+                    .as_ref()
+                    .is_some_and(|(key, _)| same_key(key, group.iter().map(|&i| r.get(i))));
+                if !same {
+                    if let Some((vals, accs)) = run.take() {
+                        out.push(finish_row(vals, accs)?);
                     }
-                    run_key = Some(key);
-                    key_vals = self.group.iter().map(|&i| r.get(i).clone()).collect();
-                    accs = self.aggs.iter().map(|a| Acc::new(a.func)).collect();
+                    run = Some((
+                        group.iter().map(|&i| r.get(i).clone()).collect(),
+                        self.aggs.iter().map(|a| Acc::new(a.func)).collect(),
+                    ));
                 }
-                update_accs(&mut accs, &self.aggs, &r)?;
+                if let Some((_, accs)) = run.as_mut() {
+                    update_accs(accs, &self.aggs, &r)?;
+                }
             }
-            if run_key.is_some() {
-                let mut vals = key_vals;
-                vals.extend(accs.into_iter().map(Acc::finalize));
-                out.push(Row(vals));
+            if let Some((vals, accs)) = run {
+                out.push(finish_row(vals, accs)?);
             }
-            self.out = Some(out.into_iter());
+            self.out = out.into_iter();
         }
-        Ok(self.out.as_mut().expect("initialized above").next())
+        Ok(self.out.next())
     }
 }
 
 /// Aggregation without GROUP BY: always exactly one output row, even for
 /// empty input (`COUNT(*) = 0`, other aggregates NULL).
 pub struct PlainAggOp {
+    /// The input, until the first (and only) pull drains it.
     input: Option<BoxOp>,
     aggs: Vec<AggExpr>,
     batch_rows: usize,
-    done: bool,
 }
 
 impl PlainAggOp {
@@ -808,7 +1007,6 @@ impl PlainAggOp {
             input: Some(input),
             aggs,
             batch_rows: 0,
-            done: false,
         }
     }
 
@@ -822,11 +1020,9 @@ impl PlainAggOp {
 
 impl Operator for PlainAggOp {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.done {
+        let Some(mut input) = self.input.take() else {
             return Ok(None);
-        }
-        self.done = true;
-        let mut input = self.input.take().expect("agg input consumed once");
+        };
         let mut accs: Vec<Acc> = self.aggs.iter().map(|a| Acc::new(a.func)).collect();
         if self.batch_rows > 0 {
             while let Some(b) = input.next_batch(self.batch_rows)? {
@@ -838,7 +1034,7 @@ impl Operator for PlainAggOp {
                 update_accs(&mut accs, &self.aggs, &r)?;
             }
         }
-        Ok(Some(Row(accs.into_iter().map(Acc::finalize).collect())))
+        finish_row(Vec::new(), accs).map(Some)
     }
 }
 
@@ -1039,6 +1235,137 @@ mod tests {
     }
 
     #[test]
+    fn integer_sum_overflow_is_a_typed_error() {
+        let big: &[&[i64]] = &[
+            &[1, 9_000_000_000_000_000_000],
+            &[1, 9_000_000_000_000_000_000],
+        ];
+        let sum = || vec![agg(AggFunc::Sum, Some(1))];
+        for batch in [0usize, 1024] {
+            let ops: Vec<Box<dyn Operator>> = vec![
+                Box::new(PlainAggOp::new(ints(big), sum()).batched(batch)),
+                Box::new(HashAggOp::new(ints(big), vec![0], sum()).batched(batch)),
+                Box::new(SortAggOp::new(ints(big), vec![0], sum()).batched(batch)),
+            ];
+            for mut op in ops {
+                let err = op.next_row().unwrap_err();
+                assert!(err.to_string().contains("integer overflow"), "{err}");
+            }
+        }
+        // Summing up to the edge is fine.
+        let edge: &[&[i64]] = &[&[1, i64::MAX - 1], &[1, 1]];
+        let rows = drain(PlainAggOp::new(ints(edge), sum()));
+        assert_eq!(rows, vec![Row(vec![Value::Int64(i64::MAX)])]);
+    }
+
+    /// Every join shape pulls its inputs one row at a time at batch size 0
+    /// and in batches otherwise; both must emit the same rows in the same
+    /// order.
+    #[test]
+    fn joins_agree_across_batch_sizes() {
+        let left = || {
+            Box::new(RowsOp::new(vec![
+                Row(vec![Value::Int64(1), Value::Int64(10)]),
+                Row(vec![Value::Int64(2), Value::Int64(20)]),
+                Row(vec![Value::Null, Value::Int64(30)]),
+                Row(vec![Value::Int64(1), Value::Int64(40)]),
+                Row(vec![Value::Int64(3), Value::Int64(50)]),
+            ])) as BoxOp
+        };
+        let right = || {
+            Box::new(RowsOp::new(vec![
+                Row(vec![Value::Int32(1), Value::Int64(15)]),
+                Row(vec![Value::Null, Value::Int64(25)]),
+                Row(vec![Value::Float64(2.0), Value::Int64(5)]),
+                Row(vec![Value::Int32(1), Value::Int64(45)]),
+            ])) as BoxOp
+        };
+        // left.b < right.b, in the concatenated layout.
+        let residual = || BoundExpr::Binary {
+            op: BinOp::Lt,
+            left: Box::new(col(1)),
+            right: Box::new(col(3)),
+        };
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+            for res in [false, true] {
+                let run = |batch: usize| {
+                    drain(
+                        HashJoinOp::new(left(), right(), vec![(0, 0)], res.then(residual), kind)
+                            .batched(batch),
+                    )
+                };
+                let want = run(0);
+                for batch in [1, 2, 1024] {
+                    assert_eq!(run(batch), want, "{kind:?} residual={res} batch={batch}");
+                }
+            }
+        }
+        // Matches of one probe row come out most recently built first.
+        let rows = drain(HashJoinOp::new(
+            left(),
+            right(),
+            vec![(0, 0)],
+            None,
+            JoinKind::Inner,
+        ));
+        let firsts: Vec<&Value> = rows.iter().map(|r| r.get(1)).collect();
+        assert_eq!(
+            firsts,
+            [40, 10, 20, 40, 10]
+                .map(Value::Int64)
+                .iter()
+                .collect::<Vec<_>>()
+        );
+    }
+
+    /// A LIMIT asks the join for one row, so the join probes one row: a
+    /// residual that fails on the second probe row fails under no batch
+    /// size, exactly as under row pulls.
+    #[test]
+    fn limit_over_join_probes_only_the_rows_it_needs() {
+        // `10 / b > 0` on the probe row's `b`: 2 for the first, a division
+        // by zero for the second.
+        let residual = |b: usize| BoundExpr::Binary {
+            op: BinOp::Gt,
+            left: Box::new(BoundExpr::Binary {
+                op: BinOp::Div,
+                left: Box::new(BoundExpr::Lit(Value::Int64(10))),
+                right: Box::new(col(b)),
+            }),
+            right: Box::new(BoundExpr::Lit(Value::Int64(0))),
+        };
+        // (kind, probe `b` in the joined layout, the one row emitted)
+        let cases = [
+            (JoinKind::Inner, 3, vec![1, 1, 1, 5]),
+            (JoinKind::Semi, 1, vec![1, 5]),
+        ];
+        for (kind, b, want) in cases {
+            let join = || {
+                let (build, probe) = (ints(&[&[1, 1], &[0, 1]]), ints(&[&[1, 5], &[0, 0]]));
+                let (left, right) = match kind {
+                    JoinKind::Inner => (build, probe),
+                    _ => (probe, build),
+                };
+                HashJoinOp::new(left, right, vec![(0, 0)], Some(residual(b)), kind)
+            };
+            let want = vec![Row(want.into_iter().map(Value::Int64).collect())];
+            assert_eq!(drain(LimitOp::new(Box::new(join()), 1)), want, "{kind:?}");
+            for batch in [1, 2, 1024] {
+                let mut op = LimitOp::new(Box::new(join().batched(batch)), 1);
+                let mut got = Vec::new();
+                while let Some(b) = op.next_batch(batch).unwrap() {
+                    got.extend(b.into_rows());
+                }
+                assert_eq!(got, want, "{kind:?} batch={batch}");
+            }
+            // Unlimited, both pull styles reach the failing row.
+            let mut rows = join();
+            assert!(rows.next_row().is_ok() && rows.next_row().is_err());
+            assert!(join().batched(1024).next_batch(1024).is_err());
+        }
+    }
+
+    #[test]
     fn sum_switches_to_float_when_needed() {
         let input = Box::new(RowsOp::new(vec![
             Row(vec![Value::Int64(1)]),
@@ -1046,6 +1373,34 @@ mod tests {
         ]));
         let rows = drain(PlainAggOp::new(input, vec![agg(AggFunc::Sum, Some(0))]));
         assert_eq!(rows[0], Row(vec![Value::Float64(1.5)]));
+    }
+
+    /// A float that follows an integer overflow makes the sum a float, as
+    /// it would in any other row order.
+    #[test]
+    fn float_after_integer_overflow_is_a_float_sum() {
+        let big = 9_000_000_000_000_000_000i64;
+        let input = || {
+            Box::new(RowsOp::new(
+                [Value::Int64(big), Value::Int64(big), Value::Float64(0.5)]
+                    .into_iter()
+                    .map(|v| Row(vec![Value::Int64(1), v]))
+                    .collect(),
+            )) as BoxOp
+        };
+        let sum = || vec![agg(AggFunc::Sum, Some(1))];
+        let want = Value::Float64(big as f64 * 2.0 + 0.5);
+        for batch in [0usize, 1024] {
+            let ops: Vec<Box<dyn Operator>> = vec![
+                Box::new(PlainAggOp::new(input(), sum()).batched(batch)),
+                Box::new(HashAggOp::new(input(), vec![0], sum()).batched(batch)),
+                Box::new(SortAggOp::new(input(), vec![0], sum()).batched(batch)),
+            ];
+            for mut op in ops {
+                let row = op.next_row().unwrap().unwrap();
+                assert_eq!(row.values().last(), Some(&want), "batch={batch}");
+            }
+        }
     }
 }
 

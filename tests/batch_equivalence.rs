@@ -13,7 +13,10 @@
 //! * both I/O substrates (`Read` and `Mmap`),
 //! * batch sizes that divide the row count and ones that straddle
 //!   positional-map block boundaries (3, 1024),
-//! * prepared statements re-executed with bound parameters, and
+//! * prepared statements re-executed with bound parameters,
+//! * cache-served blocks (formed column at a time from the cache), the
+//!   fallback from them to the row kernel, and a LIMIT across both,
+//! * a LIMIT over a join whose filter fails on a later match, and
 //! * the query server with concurrent clients.
 //!
 //! This is the acceptance gate for the batch path: any divergence —
@@ -349,6 +352,159 @@ fn server_under_batch_mode_serves_identical_answers() {
         stats.queries_executed,
         (CLIENTS * REPS * QUERIES.len()) as u64
     );
+}
+
+/// Engines that pull the same queries row by row, in 1024-row batches and
+/// in 3-row batches, checked against an engine that keeps no auxiliary
+/// structure. Their positional map is off: its chunk re-combination rule
+/// (a block whose columns sit in different chunks collects a new one, and
+/// a collecting block is never cache-served) would otherwise decide
+/// which blocks these cases serve from the cache.
+struct Lockstep {
+    pulls: Vec<NoDb>,
+    reference: NoDb,
+}
+
+impl Lockstep {
+    fn new(f: &Fixture) -> Lockstep {
+        let cached_only = |batch_rows| NoDbConfig {
+            enable_posmap: false,
+            ..config(batch_rows, 1, IoBackend::Read)
+        };
+        Lockstep {
+            pulls: [0, 1024, 3]
+                .map(|b| engine(f, cached_only(b), false))
+                .into(),
+            reference: engine(f, NoDbConfig::baseline(), false),
+        }
+    }
+
+    /// Run `q` on every engine: rows must match the reference and every
+    /// counter must match across pull styles. Returns the rows and the
+    /// `t` counters before and after.
+    fn step(&self, q: &str) -> (Vec<Row>, ScanMetrics, ScanMetrics) {
+        let before = self.pulls[0].metrics("t").unwrap();
+        let want = self.reference.query(q).unwrap().rows;
+        for db in &self.pulls {
+            assert_eq!(db.query(q).unwrap().rows, want, "rows differ for `{q}`");
+            for table in ["t", "u"] {
+                assert_eq!(
+                    observe(&self.pulls[0], table),
+                    observe(db, table),
+                    "work/aux state differs after `{q}` on `{table}`"
+                );
+            }
+        }
+        (want, before, self.pulls[0].metrics("t").unwrap())
+    }
+}
+
+/// Queries over cached columns: NULLs in WHERE and SELECT columns, a
+/// conjunct that divides by a column its predecessor guards, text `IN`,
+/// `LIKE` and `BETWEEN`, and `COUNT(*)`.
+const CACHED_QUERIES: &[&str] = &[
+    "select grp, score, flag from t where score is null or grp is null",
+    "select id, note from t where flag",
+    "select id, big from t where id <> 0 and 1000 / id > 100 order by id",
+    "select id from t where grp in ('alpha', 'gamma') and note like 'with%' order by id",
+    "select id, grp from t where grp between 'beta' and 'delta' and note not like 'p%'",
+    "select count(*) from t",
+    "select count(*) from t where score > 5.0",
+    "select grp, count(*), sum(big) from t where score between 2.0 and 9.0 \
+     group by grp order by grp",
+];
+
+/// Once their columns are cached, map-covered blocks are formed column at
+/// a time (cache-served) under both pull styles; rows and counters must
+/// not tell.
+#[test]
+fn cache_served_blocks_are_bit_identical() {
+    let f = fixture();
+    let dbs = Lockstep::new(&f);
+    for pass in ["cold", "warm", "served"] {
+        for q in CACHED_QUERIES {
+            let (_, before, after) = dbs.step(q);
+            if pass == "served" {
+                // Nothing comes from the file, and the pushed-down screen
+                // (which rejects rows on fully cached blocks the row
+                // kernel forms) never runs.
+                assert_eq!(after.fields_parsed, before.fields_parsed, "`{q}` re-parsed");
+                assert_eq!(after.fields_tokenized, before.fields_tokenized, "`{q}`");
+                assert_eq!(
+                    after.rows_rejected_early, before.rows_rejected_early,
+                    "`{q}`"
+                );
+            }
+        }
+    }
+}
+
+/// A SELECT column cached only for the rows a narrow predicate kept has
+/// holes on the rows a wider one keeps: those blocks fall back to the row
+/// kernel, which parses the holes from the file.
+#[test]
+fn select_column_holes_fall_back_to_the_row_kernel() {
+    let f = fixture();
+    let dbs = Lockstep::new(&f);
+    dbs.step("select note from t where id < 100");
+    let (rows, before, after) = dbs.step("select id, note from t where id < 500 order by id");
+    assert_eq!(rows.len(), 500);
+    assert!(after.fields_parsed > before.fields_parsed, "{after:?}");
+    assert!(
+        after.fields_from_cache > before.fields_from_cache,
+        "{after:?}"
+    );
+    // Now every survivor is cached: served without touching the file.
+    let (_, before, after) = dbs.step("select id, note from t where id < 500 order by id");
+    assert_eq!(after.fields_parsed, before.fields_parsed);
+}
+
+/// A LIMIT that takes the tail of a row-kernel block and the head of a
+/// cache-served one emits them in file order, pumping no further block.
+#[test]
+fn limit_spans_a_row_block_then_a_cache_served_block() {
+    let f = fixture();
+    let dbs = Lockstep::new(&f);
+    // Block 1 (rows 128..255 at 128-row blocks) gets `note` cached;
+    // block 0 gets none, so it stays with the row kernel.
+    dbs.step("select id, note from t where id >= 128 and id < 256");
+    let (rows, before, after) = dbs.step("select id, note from t where id >= 100 limit 40");
+    let ids: Vec<Value> = rows.iter().map(|r| r.get(0).clone()).collect();
+    assert_eq!(ids, (100..140).map(Value::Int32).collect::<Vec<_>>());
+    // Block 0's 28 survivors parse `note` from the file; block 1 parses
+    // nothing, and the scan stops there.
+    assert_eq!(after.fields_parsed - before.fields_parsed, 28);
+    assert_eq!(after.rows_emitted - before.rows_emitted, 28 + 128);
+}
+
+/// `LIMIT 1` over a join whose cross-table filter divides by zero on a
+/// later match (`bonus = 5`, six matches in): the first match passes, so
+/// no pull style evaluates the filter, or scans, further than the row
+/// path. Without the LIMIT every style fails.
+#[test]
+fn limit_over_a_join_probes_no_further_than_the_row_path() {
+    let f = fixture();
+    let q = "select id, bonus from t join u on id = uid \
+             where 1000 / (bonus - 5 + id - uid) < 0";
+    let dbs: Vec<NoDb> = [0, 1024, 3]
+        .map(|b| engine(&f, config(b, 1, IoBackend::Read), false))
+        .into();
+    let limited = format!("{q} limit 1");
+    let rows: Vec<Vec<Row>> = dbs
+        .iter()
+        .map(|db| db.query(&limited).unwrap().rows)
+        .collect();
+    assert_eq!(rows[0].len(), 1);
+    for (db, got) in dbs.iter().zip(&rows) {
+        assert_eq!(got, &rows[0]);
+        for table in ["t", "u"] {
+            assert_eq!(observe(&dbs[0], table), observe(db, table), "`{table}`");
+        }
+    }
+    for db in &dbs {
+        let err = db.query(q).unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    }
 }
 
 /// `NODB_BATCH_ROWS` typos fail loudly at engine construction, exactly
