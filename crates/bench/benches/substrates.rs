@@ -11,7 +11,7 @@ use nodb_core::{AccessMode, NoDb, NoDbConfig, Params};
 use nodb_csv::tokenize;
 use nodb_csv::{CsvOptions, MicroGen};
 use nodb_exec::ops::{HashAggOp, HashJoinOp, Operator, RowsOp, SortAggOp};
-use nodb_exec::{eval, eval_predicate};
+use nodb_exec::{eval, eval_predicate, DEFAULT_BATCH_ROWS};
 use nodb_json::{JsonFormat, JsonlGen};
 use nodb_posmap::{BlockCollector, PosMapConfig, PositionalMap};
 use nodb_server::protocol::{read_frame, Frame};
@@ -188,7 +188,7 @@ fn bench_exec(c: &mut Criterion) {
             || Box::new(RowsOp::new(data.clone())),
             |input| {
                 let mut op = HashAggOp::new(input, vec![0], aggs.clone());
-                while op.next_row().expect("agg").is_some() {}
+                while op.next_batch(DEFAULT_BATCH_ROWS).expect("agg").is_some() {}
             },
             BatchSize::SmallInput,
         );
@@ -198,7 +198,7 @@ fn bench_exec(c: &mut Criterion) {
             || Box::new(RowsOp::new(data.clone())),
             |input| {
                 let mut op = SortAggOp::new(input, vec![0], aggs.clone());
-                while op.next_row().expect("agg").is_some() {}
+                while op.next_batch(DEFAULT_BATCH_ROWS).expect("agg").is_some() {}
             },
             BatchSize::SmallInput,
         );
@@ -218,7 +218,7 @@ fn bench_exec(c: &mut Criterion) {
             },
             |(l, r)| {
                 let mut op = HashJoinOp::new(l, r, vec![(0, 0)], None, JoinKind::Inner);
-                while op.next_row().expect("join").is_some() {}
+                while op.next_batch(DEFAULT_BATCH_ROWS).expect("join").is_some() {}
             },
             BatchSize::SmallInput,
         );
@@ -546,16 +546,8 @@ fn bench_prepared(c: &mut Criterion) {
     g.finish();
 }
 
-/// The vectorized batch path (ISSUE 7): the same cold and warm in-situ
-/// scans as the other engine-level groups, run with the row-at-a-time
-/// pull (`batch_rows = 0`) and the 1024-row batch pull side by side,
-/// over CSV and JSONL. `batch1024` should sit at or under `row` on both
-/// temperatures — the batch path amortizes the per-tuple virtual call
-/// and `Vec` allocation between operators while doing bit-identical
-/// work (proved by `tests/batch_equivalence.rs`, asserted cheaply here
-/// via row counts outside the timed bodies). The micro pair prices the
-/// columnar expression evaluator against row-at-a-time `eval` on a full
-/// 1024-row batch of a typical arithmetic-filter expression.
+/// The columnar expression evaluator priced against row-at-a-time `eval`
+/// on a full 1024-row batch of a typical arithmetic-filter expression.
 fn bench_batch(c: &mut Criterion) {
     use nodb_exec::{eval_predicate_batch, ValueBatch};
 
@@ -590,66 +582,6 @@ fn bench_batch(c: &mut Criterion) {
                 .count()
         });
     });
-
-    // Engine-level: cold and warm scans, batch off vs on, CSV and JSONL.
-    const ROWS: usize = 12_000;
-    let td = TempDir::new("nodb-bench-batch").expect("tempdir");
-    let csv_path = td.file("b.csv");
-    let csv_spec = MicroGen::default().rows(ROWS).cols(20).seed(31);
-    csv_spec.write_to(&csv_path).expect("write csv");
-    let csv_schema = csv_spec.schema();
-    let jsonl_path = td.file("b.jsonl");
-    let jsonl_spec = JsonlGen::default().rows(ROWS).cols(20).seed(31);
-    jsonl_spec.write_to(&jsonl_path).expect("write jsonl");
-    let jsonl_schema = jsonl_spec.schema();
-    let query = "select c0, c9 from t where c4 < 500000000";
-
-    g.sample_size(10);
-    let mut expected_rows: Option<usize> = None;
-    for (fmt, path, schema) in [
-        ("csv", &csv_path, &csv_schema),
-        ("jsonl", &jsonl_path, &jsonl_schema),
-    ] {
-        for (label, batch_rows) in [("row", 0usize), ("batch1024", 1024)] {
-            let mut cfg = NoDbConfig::postgres_raw();
-            cfg.batch_rows = batch_rows;
-            let mut db = NoDb::new(cfg).expect("engine");
-            if fmt == "csv" {
-                db.register_csv(
-                    "t",
-                    path,
-                    schema.clone(),
-                    CsvOptions::default(),
-                    AccessMode::InSitu,
-                )
-                .expect("register");
-            } else {
-                db.register_jsonl("t", path, schema.clone(), AccessMode::InSitu)
-                    .expect("register");
-            }
-            // Differential sanity outside the timed bodies: the batch
-            // path must not "win" by emitting different rows.
-            let n = db.query(query).expect("query").rows.len();
-            assert!(n > 0 && n < ROWS);
-            match expected_rows {
-                None => expected_rows = Some(n),
-                Some(e) => assert_eq!(n, e, "{fmt}/{label}: rows diverged"),
-            }
-            g.bench_function(format!("cold_scan/{fmt}/{label}"), |b| {
-                b.iter_batched(
-                    || db.drop_aux("t").expect("drop aux"),
-                    |()| db.query(query).expect("query").rows.len(),
-                    BatchSize::SmallInput,
-                );
-            });
-            // Warm once so the warm benchmark reads a built map + cache.
-            db.drop_aux("t").expect("drop aux");
-            db.query(query).expect("warm-up");
-            g.bench_function(format!("warm_scan/{fmt}/{label}"), |b| {
-                b.iter(|| db.query(query).expect("query").rows.len());
-            });
-        }
-    }
     g.finish();
 }
 

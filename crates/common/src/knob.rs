@@ -45,8 +45,8 @@ pub struct Knob<T: 'static> {
 
 impl<T> Knob<T> {
     /// Parse a raw value, decorating errors with the knob's identity and
-    /// expected shape so a typo'd `--batch-rows x` and a typo'd
-    /// `NODB_BATCH_ROWS=x` fail with the same, self-explaining message.
+    /// expected shape so a typo'd `--scan-threads x` and a typo'd
+    /// `NODB_SCAN_THREADS=x` fail with the same, self-explaining message.
     pub fn parse(&self, raw: &str) -> Result<T> {
         (self.parse)(raw.trim()).map_err(|e| {
             NoDbError::config(format!(
@@ -126,18 +126,6 @@ pub static SCAN_THREADS: Knob<usize> = Knob {
     parse: parse_usize,
 };
 
-/// Rows per vectorized batch (`NoDbConfig::batch_rows`).
-pub static BATCH_ROWS: Knob<usize> = Knob {
-    info: KnobInfo {
-        name: "batch-rows",
-        env: "NODB_BATCH_ROWS",
-        flag: "--batch-rows",
-        value_hint: "N",
-        help: "rows per vectorized batch (0 = row-at-a-time)",
-    },
-    parse: parse_usize,
-};
-
 /// Positional-map byte budget (`NoDbConfig::posmap_budget`).
 pub static POSMAP_BUDGET: Knob<ByteSize> = Knob {
     info: KnobInfo {
@@ -177,11 +165,10 @@ pub static REWRITE: Knob<bool> = Knob {
 
 /// Every registered knob's metadata, in display order — binaries build
 /// their flag tables and usage text from this.
-pub fn all() -> [&'static KnobInfo; 6] {
+pub fn all() -> [&'static KnobInfo; 5] {
     [
         &IO_BACKEND.info,
         &SCAN_THREADS.info,
-        &BATCH_ROWS.info,
         &POSMAP_BUDGET.info,
         &CACHE_BUDGET.info,
         &REWRITE.info,
@@ -199,7 +186,6 @@ pub fn find_flag(flag: &str) -> Option<&'static KnobInfo> {
 pub fn validate_env() -> Result<()> {
     IO_BACKEND.from_env()?;
     SCAN_THREADS.from_env()?;
-    BATCH_ROWS.from_env()?;
     POSMAP_BUDGET.from_env()?;
     CACHE_BUDGET.from_env()?;
     REWRITE.from_env()?;
@@ -256,10 +242,10 @@ mod tests {
 
     #[test]
     fn parse_decorates_errors_with_knob_identity() {
-        let err = BATCH_ROWS.parse("twelve").unwrap_err().to_string();
-        assert!(err.contains("batch-rows"), "{err}");
+        let err = SCAN_THREADS.parse("twelve").unwrap_err().to_string();
+        assert!(err.contains("scan-threads"), "{err}");
         assert!(err.contains("twelve"), "{err}");
-        assert!(BATCH_ROWS.parse(" 128 ").unwrap() == 128);
+        assert!(SCAN_THREADS.parse(" 12 ").unwrap() == 12);
     }
 
     #[test]

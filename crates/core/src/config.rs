@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 
 use nodb_common::{knob, ByteSize, IoBackend, Result};
-use nodb_exec::DEFAULT_BATCH_ROWS;
 use nodb_storage::EngineProfile;
 
 /// Which auxiliary structures an in-situ table maintains. The paper's
@@ -13,6 +12,10 @@ use nodb_storage::EngineProfile;
 /// * `PM`    — cache disabled
 /// * `C`     — positional map disabled (end-of-line index only)
 /// * `Baseline` — register the table with [`AccessMode::ExternalFiles`]
+///
+/// How operators run is not configured here: every query's operator tree
+/// is pulled in column-major batches of
+/// [`nodb_exec::DEFAULT_BATCH_ROWS`] rows (see [`nodb_exec::ops`]).
 #[derive(Debug, Clone)]
 pub struct NoDbConfig {
     /// Maintain the adaptive positional map (§4.2).
@@ -91,17 +94,6 @@ pub struct NoDbConfig {
     /// short read the `Read` backend degrades to; pick `Read` for files
     /// that may be rewritten under the engine.
     pub io_backend: IoBackend,
-    /// Rows per [`nodb_exec::ValueBatch`] on the vectorized execution
-    /// path (default 1024). Query cursors then pull column-major batches
-    /// through the operator tree — predicate evaluation, projection and
-    /// aggregation run per-column loops instead of per-row virtual
-    /// calls. `0` selects the classic row-at-a-time Volcano pull.
-    /// Results, scan metrics and auxiliary-structure contents are
-    /// bit-identical across settings (`tests/batch_equivalence.rs`).
-    /// The `NODB_BATCH_ROWS` environment variable overrides the
-    /// constructor default; a malformed value is rejected at `NoDb::new`
-    /// just like `NODB_IO_BACKEND`.
-    pub batch_rows: usize,
     /// Profile for tables registered in [`AccessMode::Loaded`].
     pub loaded_profile: EngineProfile,
     /// Buffer-pool capacity (pages) for loaded tables.
@@ -133,7 +125,6 @@ impl NoDbConfig {
             stats_sample_stride: 16,
             scan_threads: knob::SCAN_THREADS.env_default().unwrap_or(1),
             io_backend: knob::IO_BACKEND.env_default().unwrap_or(IoBackend::Auto),
-            batch_rows: knob::BATCH_ROWS.env_default().unwrap_or(DEFAULT_BATCH_ROWS),
             loaded_profile: EngineProfile::PostgresLike,
             pool_pages: 4096,
             data_dir: None,
@@ -196,7 +187,6 @@ impl NoDbConfig {
         match name {
             "io-backend" => self.io_backend = knob::IO_BACKEND.parse(raw)?,
             "scan-threads" => self.scan_threads = knob::SCAN_THREADS.parse(raw)?,
-            "batch-rows" => self.batch_rows = knob::BATCH_ROWS.parse(raw)?,
             "posmap-budget" => self.posmap_budget = Some(knob::POSMAP_BUDGET.parse(raw)?),
             "cache-budget" => self.cache_budget = Some(knob::CACHE_BUDGET.parse(raw)?),
             "rewrite" => self.enable_rewrite = knob::REWRITE.parse(raw)?,
@@ -231,23 +221,14 @@ impl NoDbConfig {
     }
 }
 
-/// The batch size requested by the `NODB_BATCH_ROWS` environment
-/// variable, or `None` when unset/empty. Delegates to
-/// [`knob::BATCH_ROWS`]; a non-numeric or non-UTF-8 value is an error so
-/// a typo in a CI matrix cannot silently re-enable batching (or disable
-/// it) — engine construction (`NoDb::new`) surfaces it through
-/// [`knob::validate_env`]. The configuration *default* swallows the
-/// error and falls back to [`DEFAULT_BATCH_ROWS`] so a malformed value
-/// cannot panic inside `Default`; the loud failure happens at
-/// construction.
-pub fn batch_rows_from_env() -> Result<Option<usize>> {
-    knob::BATCH_ROWS.from_env()
-}
-
 /// The positional-map budget requested by the `NODB_POSMAP_BUDGET`
 /// environment variable, or `None` when unset/empty. Delegates to
-/// [`knob::POSMAP_BUDGET`] (`512`, `64kb`, `14.3MB`, ...), same
-/// loud-failure contract as [`batch_rows_from_env`].
+/// [`knob::POSMAP_BUDGET`] (`512`, `64kb`, `14.3MB`, ...). A malformed
+/// or non-UTF-8 value is an error so a typo cannot silently leave the
+/// map unbudgeted — engine construction (`NoDb::new`) surfaces it
+/// through [`knob::validate_env`]. The configuration *default* swallows
+/// the error and falls back to no budget so a malformed value cannot
+/// panic inside `Default`; the loud failure happens at construction.
 pub fn posmap_budget_from_env() -> Result<Option<ByteSize>> {
     knob::POSMAP_BUDGET.from_env()
 }

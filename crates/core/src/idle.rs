@@ -14,6 +14,8 @@
 
 use std::time::{Duration, Instant};
 
+use nodb_exec::DEFAULT_BATCH_ROWS;
+
 /// What an idle-time session accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleReport {
@@ -77,12 +79,11 @@ pub(crate) fn run_idle(
     let mut scan = provider.scan_for_idle(&attrs)?;
     let mut rows = 0u64;
     let mut completed = true;
-    // The scan works block-at-a-time internally; checking the deadline on
-    // every pulled row costs one `Instant::now` per tuple, which is
-    // dwarfed by parsing. Structures built for finished blocks persist
+    // The scan works block-at-a-time internally; the deadline is checked
+    // once per pulled batch. Structures built for finished blocks persist
     // even when we stop mid-file.
-    while scan.next_row()?.is_some() {
-        rows += 1;
+    while let Some(batch) = scan.next_batch(DEFAULT_BATCH_ROWS)? {
+        rows += batch.num_rows() as u64;
         if start.elapsed() >= budget {
             completed = false;
             break;

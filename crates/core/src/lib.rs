@@ -145,12 +145,12 @@ impl NoDb {
     ///
     /// Rejects a malformed value in any registered knob's environment
     /// variable (`NODB_IO_BACKEND`, `NODB_SCAN_THREADS`,
-    /// `NODB_BATCH_ROWS`, `NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET`,
-    /// `NODB_REWRITE` — see [`nodb_common::knob`]) with
-    /// [`NoDbError::Config`]: config construction silently falls back to
-    /// its defaults (it must stay infallible), so the typo is surfaced
-    /// here, on the normal error path, before any query can run under
-    /// the wrong substrate, pull style or budget.
+    /// `NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET`, `NODB_REWRITE` — see
+    /// [`nodb_common::knob`]) with [`NoDbError::Config`]: config
+    /// construction silently falls back to its defaults (it must stay
+    /// infallible), so the typo is surfaced here, on the normal error
+    /// path, before any query can run under the wrong substrate, thread
+    /// count or budget.
     pub fn new(config: NoDbConfig) -> Result<NoDb> {
         nodb_common::knob::validate_env()?;
         let (tmp, data_dir) = match &config.data_dir {
@@ -567,10 +567,6 @@ impl CatalogView for NoDb {
 }
 
 impl ExecCatalog for NoDb {
-    fn batch_rows(&self) -> usize {
-        self.config.batch_rows
-    }
-
     fn provider(&self, table: &str) -> Result<&dyn TableProvider> {
         let entry = self.entry(table)?;
         match &entry.provider {

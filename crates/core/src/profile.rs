@@ -116,10 +116,9 @@ impl PhaseProfileAtomic {
 pub struct QueryProfile {
     /// Raw-scan phases attributed to this query.
     pub scan: PhaseProfile,
-    /// Estimated nanoseconds inside cursor iteration (operator-tree
-    /// execution end to end, raw-scan phases included): the first
-    /// `next()` — for a blocking operator the whole query — is timed
-    /// exactly, later calls are sampled like the scan phases.
+    /// Nanoseconds inside the operator tree (execution end to end,
+    /// raw-scan phases included): every batch the cursor pulls is timed
+    /// exactly; handing its rows out is not timed.
     pub exec_ns: u64,
     /// Rows the cursor has returned so far.
     pub rows: u64,

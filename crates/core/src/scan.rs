@@ -20,8 +20,7 @@
 //! Internally the scan works block-at-a-time (one positional-map block,
 //! default 4096 tuples) for locality: each pump forms one block's
 //! qualifying rows into a column-major [`ValueBatch`], which the scan
-//! hands out one tuple per `next_row` call (the Volcano interface the
-//! host executor expects) or in slices per `next_batch` call.
+//! hands out in slices of the size each `next_batch` call asks for.
 //!
 //! # Concurrency
 //!
@@ -53,10 +52,9 @@
 //!   is materialized once from its typed cache column, the conjuncts run
 //!   in order through the batch evaluator (each over the rows the earlier
 //!   ones passed — the row kernel's short-circuit), and the SELECT
-//!   columns are gathered for the survivors only. The block's batch is
-//!   the same under both pull styles. A survivor that hits a hole in a
-//!   SELECT column sends the block back to the row kernel, and the
-//!   abandoned attempt records no metrics. Such blocks skip the
+//!   columns are gathered for the survivors only. A survivor that hits a
+//!   hole in a SELECT column sends the block back to the row kernel, and
+//!   the abandoned attempt records no metrics. Such blocks skip the
 //!   [`ScanPredicate`] screen: the batch filter does its job. A block
 //!   whose needed columns are all completely cached (or that needs none,
 //!   as `COUNT(*)` does) is always cache-served, so it never touches the
@@ -813,28 +811,11 @@ impl InSituScanOp {
 }
 
 impl Operator for InSituScanOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(r) = self.out.pop_row() {
-                return Ok(Some(r));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            self.pump()?;
-            if self.out.is_empty() && self.done {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Vectorized pull: hand out whatever qualifying rows the last block
-    /// pump produced, up to `max_rows`, as one column-major batch. Work
-    /// granularity is unchanged — a pump still forms exactly one
-    /// positional-map block (or staged tail) whichever way it is pulled,
-    /// so scan metrics and auxiliary-structure contents stay
-    /// bit-identical; only the per-row virtual-call/`Option` shuffle
-    /// between operators is amortized.
+    /// Hand out whatever qualifying rows the last block pump produced, up
+    /// to `max_rows`, as one column-major batch; pump the next block only
+    /// once they are all gone. A pump forms exactly one positional-map
+    /// block (or staged tail) whatever `max_rows` is, so scan metrics
+    /// and auxiliary-structure contents do not depend on it.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         loop {
             if let Some(b) = self.out.pop_batch(max_rows) {

@@ -13,12 +13,12 @@
 //! statistics later queries collected, instead of going stale.
 //!
 //! Execution is lazy: [`Statement::execute`] returns a [`QueryCursor`],
-//! an `Iterator<Item = Result<Row>>` that pulls rows one at a time
-//! through the Volcano operator tree. A consumer that stops early — a
-//! `LIMIT`, a UI page, an abandoned cursor — stops the underlying raw
-//! scan early too, and whatever auxiliary structures the partial scan
-//! built (end-of-line index blocks, positional-map chunks, cache
-//! columns) keep serving future queries.
+//! an `Iterator<Item = Result<Row>>` that pulls one batch of rows at a
+//! time through the operator tree and hands the rows out one by one. A
+//! consumer that stops early — a `LIMIT`, a UI page, an abandoned cursor
+//! — stops the underlying raw scan early too, and whatever auxiliary
+//! structures the partial scan built (end-of-line index blocks,
+//! positional-map chunks, cache columns) keep serving future queries.
 //!
 //! ```no_run
 //! use nodb_core::{AccessMode, NoDb, NoDbConfig, Params};
@@ -50,12 +50,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
-use nodb_exec::{build_plan, RowCursor};
+use nodb_exec::{build_plan, BoxOp, DEFAULT_BATCH_ROWS};
 use nodb_sql::binder::PlannerOptions;
 use nodb_sql::explain::ExplainPlan;
 use nodb_sql::{parser, refresh_stats, LogicalPlan};
 
-use crate::profile::{self, PhaseProfileAtomic, QueryProfile, SampledClock};
+use crate::profile::{self, PhaseProfileAtomic, QueryProfile};
 use crate::{NoDb, QueryResult};
 
 /// Positional parameter values for one execution of a [`Statement`].
@@ -248,11 +248,7 @@ impl Statement<'_> {
         let scan_profile = Arc::new(PhaseProfileAtomic::default());
         let _scope = profile::enter_query(Arc::clone(&scan_profile));
         let op = build_plan(&plan, self.db)?;
-        Ok(QueryCursor::new(
-            plan.schema().clone(),
-            RowCursor::with_batch(op, self.db.config.batch_rows),
-            scan_profile,
-        ))
+        Ok(QueryCursor::new(plan.schema().clone(), op, scan_profile))
     }
 
     /// Execute and materialize: `execute(params)` + [`QueryCursor::collect`].
@@ -339,8 +335,8 @@ fn coerce_param(idx: usize, v: &Value, want: Option<DataType>) -> Result<Value> 
 /// A lazy stream of query results: `Iterator<Item = Result<Row>>` plus
 /// the output schema.
 ///
-/// Rows are pulled one at a time through the operator tree, which pulls
-/// blocks from the raw file only as needed — stop consuming and the
+/// Rows are pulled a batch at a time through the operator tree, which
+/// pulls blocks from the raw file only as needed — stop consuming and the
 /// scan stops too (verifiable through [`crate::ScanMetrics`]: a
 /// `LIMIT 10` over a million-row file tokenizes a few blocks, not the
 /// file, on the default single-threaded cold path; a chunk-parallel
@@ -368,39 +364,37 @@ fn coerce_param(idx: usize, v: &Value, want: Option<DataType>) -> Result<Value> 
 /// ```
 pub struct QueryCursor {
     schema: Schema,
-    rows: RowCursor,
+    /// The operator tree, until it reports exhaustion or an error.
+    op: Option<BoxOp>,
+    /// Rows of the last pulled batch not yet handed out.
+    buf: std::vec::IntoIter<Row>,
     /// Raw-scan phase accounting for this query (shared with the scan
     /// operators inside the tree).
     scan_profile: Arc<PhaseProfileAtomic>,
-    /// Cursor-iteration time (see [`QueryProfile::exec_ns`]).
+    /// Time inside the operator tree (see [`QueryProfile::exec_ns`]).
     exec_ns: u64,
-    exec_clock: SampledClock,
-    /// `next()` calls so far: the first is timed exactly, later ones
-    /// are sampled by this index.
-    calls: u64,
     rows_returned: u64,
 }
 
 impl QueryCursor {
     pub(crate) fn new(
         schema: Schema,
-        rows: RowCursor,
+        op: BoxOp,
         scan_profile: Arc<PhaseProfileAtomic>,
     ) -> QueryCursor {
         QueryCursor {
             schema,
-            rows,
+            op: Some(op),
+            buf: Vec::new().into_iter(),
             scan_profile,
             exec_ns: 0,
-            exec_clock: SampledClock::default(),
-            calls: 0,
             rows_returned: 0,
         }
     }
 
     /// What this query has spent so far, phase by phase: the raw-scan
-    /// work it drove (across every table it touched) plus sampled
-    /// cursor-iteration time and the rows returned. Valid at any point —
+    /// work it drove (across every table it touched) plus the time spent
+    /// in the operator tree and the rows returned. Valid at any point —
     /// mid-stream, after exhaustion, or on an abandoned cursor.
     pub fn profile(&self) -> QueryProfile {
         QueryProfile {
@@ -448,27 +442,28 @@ impl Iterator for QueryCursor {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Result<Row>> {
-        let call = self.calls;
-        self.calls += 1;
-        let r = if call == 0 {
-            // A blocking operator's first `next()` *is* the whole query
-            // (and a streaming one's pumps a whole block): time it
-            // exactly — scaling it by the sampling stride would
-            // over-state an aggregate ~64×. Only later calls are sampled.
+        if self.buf.len() == 0 {
+            // Only a batch pull reaches the operator tree, at most once
+            // per batch: time each exactly and nothing else.
+            let op = self.op.as_mut()?;
             let t = Instant::now();
-            let r = self.rows.next();
+            let pulled = op.next_batch(DEFAULT_BATCH_ROWS);
             self.exec_ns += t.elapsed().as_nanos() as u64;
-            r
-        } else {
-            self.exec_clock.start(call);
-            let r = self.rows.next();
-            self.exec_clock.stop(&mut self.exec_ns);
-            r
-        };
-        if matches!(r, Some(Ok(_))) {
-            self.rows_returned += 1;
+            match pulled {
+                Ok(Some(batch)) => self.buf = batch.into_rows().into_iter(),
+                Ok(None) => {
+                    self.op = None;
+                    return None;
+                }
+                Err(e) => {
+                    self.op = None;
+                    return Some(Err(e));
+                }
+            }
         }
-        r
+        let row = self.buf.next()?;
+        self.rows_returned += 1;
+        Some(Ok(row))
     }
 }
 
@@ -476,7 +471,7 @@ impl std::fmt::Debug for QueryCursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryCursor")
             .field("schema", &self.schema)
-            .field("done", &self.rows.is_done())
+            .field("done", &(self.op.is_none() && self.buf.len() == 0))
             .finish_non_exhaustive()
     }
 }

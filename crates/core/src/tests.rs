@@ -905,12 +905,23 @@ fn profile_exec_time_reconciles_with_wall_clock() {
         profile.exec_ns
     );
 
-    // Streamed rows past the first are still sampled.
-    let mut cursor = db.query_stream("select c0 from t").unwrap();
+    // A streamed query over five positional-map blocks pulls twenty
+    // batches; each pull is timed exactly (none is sampled and scaled),
+    // so its `exec_ns` reconciles with wall-clock as well.
+    let (_td, p, schema) = micro_file(20_000, 12);
+    let db = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
+    let mut cursor = db.query_stream("select c0, c11 from t").unwrap();
+    let t = std::time::Instant::now();
     cursor.next().unwrap().unwrap();
-    let first_call_ns = cursor.profile().exec_ns;
-    assert_eq!(cursor.by_ref().count(), 4999);
-    assert!(cursor.profile().exec_ns > first_call_ns);
+    let first_pull_ns = cursor.profile().exec_ns;
+    assert_eq!(cursor.by_ref().count(), 19_999);
+    let wall_ns = t.elapsed().as_nanos() as u64;
+    let exec_ns = cursor.profile().exec_ns;
+    assert!(exec_ns > first_pull_ns, "later pulls pump later blocks");
+    assert!(
+        exec_ns >= wall_ns / 2 && exec_ns <= wall_ns * 2,
+        "streamed exec_ns {exec_ns} vs wall-clock {wall_ns} ns"
+    );
 }
 
 #[test]

@@ -1,20 +1,16 @@
-//! Column-major row batches for vectorized execution.
+//! Column-major row batches, the unit every operator exchanges.
 //!
-//! The Volcano row-at-a-time pull ("each tuple is then passed one-by-one
+//! A Volcano row-at-a-time pull ("each tuple is then passed one-by-one
 //! through the operators", §3) pays a virtual call and a `Vec` allocation
 //! per tuple. A [`ValueBatch`] amortizes both: operators exchange up to
 //! [`DEFAULT_BATCH_ROWS`] rows at a time, stored column-major so
 //! predicate evaluation, projection, and aggregation run tight per-column
 //! loops (see `eval::eval_batch`).
-//!
-//! Batches carry exactly the same [`Value`]s the row path would produce —
-//! the batch pull path is required to be bit-identical to `next_row`, and
-//! `tests/batch_equivalence.rs` holds it to that.
 
 use nodb_common::{Row, Value};
 
-/// Default number of rows per batch (the `NoDbConfig::batch_rows`
-/// default; 0 there selects the row-at-a-time path).
+/// Rows per batch that a query cursor asks for, and that operators which
+/// drain their input (sorts, aggregations, a join's build side) pull.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// A column-major batch of rows.
@@ -128,6 +124,25 @@ impl ValueBatch {
         ValueBatch { cols, rows }
     }
 
+    /// The rows at `order`, in that order, moved out (each row number at
+    /// most once).
+    pub fn take_rows(mut self, order: &[usize]) -> ValueBatch {
+        let cols = self
+            .cols
+            .iter_mut()
+            .map(|col| {
+                order
+                    .iter()
+                    .map(|&r| std::mem::replace(&mut col[r], Value::Null))
+                    .collect()
+            })
+            .collect();
+        ValueBatch {
+            cols,
+            rows: order.len(),
+        }
+    }
+
     /// The values of row `r`, cloned (scalar-eval fallbacks).
     pub fn row_values(&self, r: usize) -> Vec<Value> {
         self.cols.iter().map(|c| c[r].clone()).collect()
@@ -208,22 +223,6 @@ impl BatchQueue {
     pub fn push(&mut self, batch: ValueBatch) {
         debug_assert!(self.is_empty(), "BatchQueue::push onto a non-empty queue");
         *self = BatchQueue { batch, pos: 0 };
-    }
-
-    /// The next row, moved out.
-    pub fn pop_row(&mut self) -> Option<Row> {
-        if self.is_empty() {
-            return None;
-        }
-        let r = self.pos;
-        let row = Row(self
-            .batch
-            .cols
-            .iter_mut()
-            .map(|c| std::mem::replace(&mut c[r], Value::Null))
-            .collect());
-        self.advance(1);
-        Some(row)
     }
 
     /// The next `max` rows (at least one) or all that are left if fewer.
@@ -313,18 +312,18 @@ mod tests {
         let b = ValueBatch::concat(vec![a.clone(), ValueBatch::default(), a]);
         assert_eq!(b.num_rows(), 4);
         assert_eq!(b.col(0)[2], Value::Int64(7));
+        let b = b.take_rows(&[3, 0]);
+        assert_eq!(b.col(0), &[Value::Int64(8), Value::Int64(7)]);
         assert_eq!(ValueBatch::concat(Vec::new()), ValueBatch::default());
     }
 
     #[test]
     fn queue_hands_out_rows_and_slices_in_order() {
         let mut q = BatchQueue::default();
-        assert!(q.pop_row().is_none() && q.pop_batch(4).is_none());
+        assert!(q.pop_batch(4).is_none());
         q.push(batch());
-        assert_eq!(
-            q.pop_row(),
-            Some(Row(vec![Value::Int64(1), Value::Text("a".into())]))
-        );
+        let b = q.pop_batch(1).unwrap();
+        assert_eq!(b.into_rows(), &batch().into_rows()[..1]);
         let b = q.pop_batch(1).unwrap();
         assert_eq!(b.col(0), &[Value::Int64(2)]);
         assert_eq!(q.len(), 1);
@@ -337,7 +336,7 @@ mod tests {
         assert_eq!(q.pop_batch(3), Some(batch()));
         // Zero-column batches still count rows.
         q.push(ValueBatch::from_rows(vec![Row::new(), Row::new()]));
-        assert_eq!(q.pop_row(), Some(Row::new()));
+        assert_eq!(q.pop_batch(1).map(|b| b.num_rows()), Some(1));
         assert_eq!(q.pop_batch(5).map(|b| b.num_rows()), Some(1));
     }
 }

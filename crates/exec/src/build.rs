@@ -30,15 +30,6 @@ pub trait TableProvider: Send + Sync {
 pub trait ExecCatalog {
     /// Provider for `table`.
     fn provider(&self, table: &str) -> Result<&dyn TableProvider>;
-
-    /// Rows per batch for the vectorized execution path (0 = classic
-    /// row-at-a-time). Operators that pull their own inputs (the
-    /// aggregations and the hash join) are built with this batch size;
-    /// streaming operators follow whatever pull style their consumer
-    /// uses.
-    fn batch_rows(&self) -> usize {
-        0
-    }
 }
 
 /// Build an executable operator tree. Parameters must already be
@@ -62,16 +53,13 @@ pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp
             residual,
             kind,
             ..
-        } => Ok(Box::new(
-            HashJoinOp::new(
-                build_plan(left, catalog)?,
-                build_plan(right, catalog)?,
-                on.clone(),
-                residual.clone(),
-                *kind,
-            )
-            .batched(catalog.batch_rows()),
-        )),
+        } => Ok(Box::new(HashJoinOp::new(
+            build_plan(left, catalog)?,
+            build_plan(right, catalog)?,
+            on.clone(),
+            residual.clone(),
+            *kind,
+        ))),
         LogicalPlan::Aggregate {
             input,
             group,
@@ -81,20 +69,15 @@ pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp
         } => {
             let child = build_plan(input, catalog)?;
             let aggs = aggs.clone();
-            let batch = catalog.batch_rows();
             Ok(match strategy {
                 AggStrategy::Plain => {
                     if !group.is_empty() {
                         return Err(NoDbError::internal("plain aggregation with group keys"));
                     }
-                    Box::new(PlainAggOp::new(child, aggs).batched(batch))
+                    Box::new(PlainAggOp::new(child, aggs))
                 }
-                AggStrategy::Hash => {
-                    Box::new(HashAggOp::new(child, group.clone(), aggs).batched(batch))
-                }
-                AggStrategy::Sort => {
-                    Box::new(SortAggOp::new(child, group.clone(), aggs).batched(batch))
-                }
+                AggStrategy::Hash => Box::new(HashAggOp::new(child, group.clone(), aggs)),
+                AggStrategy::Sort => Box::new(SortAggOp::new(child, group.clone(), aggs)),
             })
         }
         LogicalPlan::Project { input, exprs, .. } => Ok(Box::new(ProjectOp::new(

@@ -69,19 +69,6 @@ impl<'a> KeyRef<'a> {
     }
 }
 
-/// Do two value slices form the same key, part by part?
-#[inline]
-pub fn same_key(a: &[Value], b: impl IntoIterator<Item = impl std::borrow::Borrow<Value>>) -> bool {
-    let mut n = 0;
-    for (x, y) in a.iter().zip(b) {
-        if KeyRef::of(x) != KeyRef::of(y.borrow()) {
-            return false;
-        }
-        n += 1;
-    }
-    n == a.len()
-}
-
 /// The hash of a composite key: equal keys (part by part, under
 /// [`KeyRef`] equality) hash equal.
 #[inline]
@@ -248,6 +235,11 @@ impl KeyIndex {
 mod tests {
     use super::*;
     use nodb_common::Date;
+
+    /// Do two value slices form the same key, part by part?
+    fn same_key(a: &[Value], b: &[Value]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| KeyRef::of(x) == KeyRef::of(y))
+    }
 
     /// Reference normalization: an owned part per value, with dates
     /// folded into the integers by setting bit 62. `KeyRef` must agree

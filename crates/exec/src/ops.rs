@@ -1,49 +1,96 @@
-//! Physical operators: pull-based, one tuple per `next_row` call — or one
-//! column-major [`ValueBatch`] per `next_batch` call on the vectorized
-//! path (both paths produce bit-identical rows).
+//! Physical operators: pull-based, one column-major [`ValueBatch`] per
+//! `next_batch` call.
+//!
+//! PostgresRaw passes "each tuple … one-by-one through the operators of a
+//! query plan" (§3); this executor departs from that and has no row pull
+//! at all. Rows still reach the consumer in the order a tuple-at-a-time
+//! executor would produce them, and a consumer that asks for few rows —
+//! a `LIMIT` — still bounds the work below it: streaming operators
+//! (filter, project, limit, distinct, the join's probe side) ask their
+//! input for no more rows than their own consumer asked for, while
+//! operators that drain their input first (sorts, aggregations, the
+//! join's build side) pull [`DEFAULT_BATCH_ROWS`] at a time.
 
 use nodb_common::{NoDbError, Result, Row, Value};
 use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
-use crate::batch::{BatchQueue, ValueBatch};
-use crate::eval::{eval, eval_batch, eval_operand, eval_predicate, eval_predicate_batch, Operand};
-use crate::key::{hash_key, same_key, KeyIndex, KeyRef};
+use crate::batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+use crate::eval::{eval_batch, eval_operand, eval_predicate, eval_predicate_batch, Operand};
+use crate::key::{hash_key, KeyIndex, KeyRef};
 
-/// The operator interface: a stream of rows, pullable one tuple or one
-/// column-major batch at a time.
+/// The operator interface: a stream of rows, pulled one column-major
+/// batch at a time.
 pub trait Operator {
-    /// The next output tuple, or `None` when exhausted.
-    fn next_row(&mut self) -> Result<Option<Row>>;
-
     /// The next batch of up to `max_rows` rows (≥ 1), or `None` when
-    /// exhausted. Batches carry exactly the rows `next_row` would have
-    /// produced, in order; a batch is never empty.
-    ///
-    /// The default adapter pulls rows one by one and transposes — any
-    /// operator works under a batching consumer, while the hot operators
-    /// (scan, filter, project, limit, join, the aggregations) override
-    /// this with tight per-column loops. Callers should pick one pull
-    /// style per operator tree and stick to it.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        let max = max_rows.max(1);
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            match self.next_row()? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(ValueBatch::from_rows(rows)))
-        }
-    }
+    /// exhausted; a batch is never empty.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>>;
 }
 
 /// Boxed operator.
 pub type BoxOp = Box<dyn Operator>;
+
+/// Fill a batch of up to `max_rows` rows (≥ 1) from a source that yields
+/// one row at a time: how leaves that produce rows (in-memory rowsets,
+/// heap pages, FITS blocks) implement [`Operator::next_batch`]. `None`
+/// when the source yields no row.
+pub fn fill_batch(
+    max_rows: usize,
+    mut next: impl FnMut() -> Result<Option<Row>>,
+) -> Result<Option<ValueBatch>> {
+    let max = max_rows.max(1);
+    let mut rows = Vec::new();
+    while rows.len() < max {
+        match next()? {
+            Some(r) => rows.push(r),
+            None => break,
+        }
+    }
+    if rows.is_empty() {
+        Ok(None)
+    } else {
+        Ok(Some(ValueBatch::from_rows(rows)))
+    }
+}
+
+/// Pull `input` dry in [`DEFAULT_BATCH_ROWS`]-row batches and concatenate
+/// them into one batch.
+fn concat_input(mut input: BoxOp) -> Result<ValueBatch> {
+    let mut batches = Vec::new();
+    while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+        batches.push(b);
+    }
+    Ok(ValueBatch::concat(batches))
+}
+
+/// The state of an operator that drains its input before it emits: the
+/// input until the first pull, then the output that pull formed.
+struct Drained {
+    input: Option<BoxOp>,
+    out: BatchQueue,
+}
+
+impl Drained {
+    fn new(input: BoxOp) -> Drained {
+        Drained {
+            input: Some(input),
+            out: BatchQueue::default(),
+        }
+    }
+
+    /// Up to `max_rows` rows of the output `form` makes of the whole
+    /// input, which the first pull forms.
+    fn next_batch(
+        &mut self,
+        max_rows: usize,
+        form: impl FnOnce(BoxOp) -> Result<ValueBatch>,
+    ) -> Result<Option<ValueBatch>> {
+        if let Some(input) = self.input.take() {
+            self.out.push(form(input)?);
+        }
+        Ok(self.out.pop_batch(max_rows))
+    }
+}
 
 /// A fixed in-memory rowset (tests, cached results).
 pub struct RowsOp {
@@ -60,8 +107,8 @@ impl RowsOp {
 }
 
 impl Operator for RowsOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        Ok(self.iter.next())
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        fill_batch(max_rows, || Ok(self.iter.next()))
     }
 }
 
@@ -79,15 +126,6 @@ impl FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while let Some(r) = self.input.next_row()? {
-            if eval_predicate(&self.predicate, &r)? {
-                return Ok(Some(r));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         loop {
             let Some(batch) = self.input.next_batch(max_rows)? else {
@@ -120,19 +158,6 @@ impl ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        match self.input.next_row()? {
-            None => Ok(None),
-            Some(r) => {
-                let mut out = Row::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(eval(e, &r)?);
-                }
-                Ok(Some(out))
-            }
-        }
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         match self.input.next_batch(max_rows)? {
             None => Ok(None),
@@ -165,25 +190,12 @@ impl LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next_row()? {
-            None => Ok(None),
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-        }
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
         // Ask for no more than the limit still allows, so the source does
-        // no more block-granular scan work than the row path would.
+        // no scan or probe work for rows the limit would drop.
         let want = max_rows.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
         match self.input.next_batch(want)? {
             None => Ok(None),
@@ -198,46 +210,49 @@ impl Operator for LimitOp {
     }
 }
 
+/// Drain `input` into one batch and order its rows by `keys` (NULLs
+/// first; stable, so rows with equal keys keep their input order).
+/// Returns the batch and its row numbers in sorted order.
+fn sort_input(input: BoxOp, keys: &[SortKey]) -> Result<(ValueBatch, Vec<usize>)> {
+    let batch = concat_input(input)?;
+    let mut order: Vec<usize> = (0..batch.num_rows()).collect();
+    order.sort_by(|&a, &b| {
+        for k in keys {
+            let col = batch.col(k.col);
+            let ord = col[a].total_cmp(&col[b]);
+            let ord = if k.desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok((batch, order))
+}
+
 /// Sort: fully materializes, then emits in key order (NULLs first).
 pub struct SortOp {
-    /// The input, until the first pull drains it.
-    input: Option<BoxOp>,
+    state: Drained,
     keys: Vec<SortKey>,
-    sorted: std::vec::IntoIter<Row>,
 }
 
 impl SortOp {
     /// Create a sort.
     pub fn new(input: BoxOp, keys: Vec<SortKey>) -> SortOp {
         SortOp {
-            input: Some(input),
+            state: Drained::new(input),
             keys,
-            sorted: Vec::new().into_iter(),
         }
     }
 }
 
 impl Operator for SortOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if let Some(mut input) = self.input.take() {
-            let mut rows = Vec::new();
-            while let Some(r) = input.next_row()? {
-                rows.push(r);
-            }
-            let keys = &self.keys;
-            rows.sort_by(|a, b| {
-                for k in keys {
-                    let ord = a.get(k.col).total_cmp(b.get(k.col));
-                    let ord = if k.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            self.sorted = rows.into_iter();
-        }
-        Ok(self.sorted.next())
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        let keys = &self.keys;
+        self.state.next_batch(max_rows, |input| {
+            let (batch, order) = sort_input(input, keys)?;
+            Ok(batch.take_rows(&order))
+        })
     }
 }
 
@@ -250,13 +265,12 @@ impl Operator for SortOp {
 /// * `Semi`/`Anti`: builds on the **right** child (the EXISTS inner
 ///   relation), probes with left rows, emits the left row on (no) match.
 ///
-/// Both sides are pulled in batches of [`HashJoinOp::batched`] rows (one
-/// row at a time at 0). A consumer that asks for fewer rows — a `LIMIT`,
-/// or a row pull — gets the probe side pulled in batches of that size,
-/// so unless a probe row has several matches the join probes, and
-/// evaluates its residual on, no row the row path would not. Build rows
-/// live in one column-major arena; keys are matched through a
-/// [`KeyIndex`] without being copied out of it.
+/// The build side is drained on the first pull. The probe side is pulled
+/// in batches of the size the consumer asks for, so unless a probe row
+/// has several matches, a `LIMIT` above the join probes — and evaluates
+/// the residual on — no row it does not need. Build rows live in one
+/// column-major arena; keys are matched through a [`KeyIndex`] without
+/// being copied out of it.
 ///
 /// With an empty key list every row lands in one bucket, degrading to a
 /// (filtered) cross product — the planner only does this when a query has
@@ -271,14 +285,13 @@ pub struct HashJoinOp {
     probe_keys: Vec<usize>,
     residual: Option<BoundExpr>,
     kind: JoinKind,
-    batch_rows: usize,
     table: JoinTable,
     /// Joined output formed but not yet handed out.
     out: BatchQueue,
 }
 
 impl HashJoinOp {
-    /// Create a hash join (one-row input pulls).
+    /// Create a hash join.
     pub fn new(
         left: BoxOp,
         right: BoxOp,
@@ -298,36 +311,26 @@ impl HashJoinOp {
             probe_keys,
             residual,
             kind,
-            batch_rows: 0,
             table: JoinTable::default(),
             out: BatchQueue::default(),
         }
     }
 
-    /// Pull both inputs in batches of `n` rows (0 pulls one row at a
-    /// time).
-    pub fn batched(mut self, n: usize) -> HashJoinOp {
-        self.batch_rows = n;
-        self
-    }
-
     /// Drain the build side into the arena (rows with a NULL key part
     /// never match and are dropped) and index it.
-    fn build_table(&mut self, mut src: BoxOp) -> Result<()> {
+    fn build_table(&mut self, src: BoxOp) -> Result<()> {
         let keys = &self.build_keys;
-        let mut batches = Vec::new();
-        while let Some(b) = src.next_batch(self.batch_rows.max(1))? {
-            let keep: Vec<bool> = (0..b.num_rows())
-                .map(|r| keys.iter().all(|&c| !b.col(c)[r].is_null()))
-                .collect();
-            let kept = keep.iter().filter(|&&k| k).count();
-            batches.push(if kept == b.num_rows() {
-                b
-            } else {
-                b.retain_rows(&keep, kept)
-            });
-        }
-        self.table = JoinTable::index(ValueBatch::concat(batches), keys);
+        let rows = concat_input(src)?;
+        let keep: Vec<bool> = (0..rows.num_rows())
+            .map(|r| keys.iter().all(|&c| !rows.col(c)[r].is_null()))
+            .collect();
+        let kept = keep.iter().filter(|&&k| k).count();
+        let rows = if kept == rows.num_rows() {
+            rows
+        } else {
+            rows.retain_rows(&keep, kept)
+        };
+        self.table = JoinTable::index(rows, keys);
         Ok(())
     }
 
@@ -337,8 +340,7 @@ impl HashJoinOp {
         if let Some(src) = self.build.take() {
             self.build_table(src)?;
         }
-        let pull = self.batch_rows.max(1).min(want.max(1));
-        let Some(probe) = self.probe.next_batch(pull)? else {
+        let Some(probe) = self.probe.next_batch(want.max(1))? else {
             return Ok(false);
         };
         let out = match self.kind {
@@ -428,17 +430,6 @@ impl HashJoinOp {
 }
 
 impl Operator for HashJoinOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(r) = self.out.pop_row() {
-                return Ok(Some(r));
-            }
-            if !self.fill(1)? {
-                return Ok(None);
-            }
-        }
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         loop {
             if let Some(b) = self.out.pop_batch(max_rows) {
@@ -535,7 +526,8 @@ impl JoinTable {
     }
 }
 
-/// Streaming duplicate elimination over whole rows (SELECT DISTINCT).
+/// Streaming duplicate elimination over whole rows (SELECT DISTINCT):
+/// each batch keeps the rows whose values no earlier row had.
 pub struct DistinctOp {
     input: BoxOp,
     index: KeyIndex,
@@ -555,20 +547,32 @@ impl DistinctOp {
 }
 
 impl Operator for DistinctOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        while let Some(r) = self.input.next_row()? {
-            let vals = r.values();
-            let w = vals.len();
-            let hash = hash_key(vals.iter().map(KeyRef::of));
-            let seen = &self.seen;
-            let dup = self
-                .index
-                .find(hash, |s| same_key(&seen[s * w..(s + 1) * w], vals))
-                .is_some();
-            if !dup {
-                self.seen.extend_from_slice(vals);
-                self.index.insert(hash);
-                return Ok(Some(r));
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        while let Some(batch) = self.input.next_batch(max_rows)? {
+            let (n, w) = (batch.num_rows(), batch.num_cols());
+            let mut keep = Vec::with_capacity(n);
+            for r in 0..n {
+                let part = |c: usize| KeyRef::of(&batch.col(c)[r]);
+                let hash = hash_key((0..w).map(part));
+                let seen = &self.seen;
+                let new = self
+                    .index
+                    .find(hash, |s| {
+                        (0..w).all(|c| KeyRef::of(&seen[s * w + c]) == part(c))
+                    })
+                    .is_none();
+                if new {
+                    self.seen.extend((0..w).map(|c| batch.col(c)[r].clone()));
+                    self.index.insert(hash);
+                }
+                keep.push(new);
+            }
+            let kept = keep.iter().filter(|&&k| k).count();
+            if kept == n {
+                return Ok(Some(batch));
+            }
+            if kept > 0 {
+                return Ok(Some(batch.retain_rows(&keep, kept)));
             }
         }
         Ok(None)
@@ -735,24 +739,15 @@ fn finish_row(mut vals: Vec<Value>, accs: impl IntoIterator<Item = Acc>) -> Resu
     Ok(Row(vals))
 }
 
-fn update_accs(accs: &mut [Acc], aggs: &[AggExpr], row: &Row) -> Result<()> {
-    for (acc, agg) in accs.iter_mut().zip(aggs) {
-        match &agg.arg {
-            None => acc.update(None)?,
-            Some(e) => {
-                let v = eval(e, row)?;
-                acc.update(Some(&v))?;
-            }
-        }
-    }
-    Ok(())
+fn fresh_accs(aggs: &[AggExpr]) -> Vec<Acc> {
+    aggs.iter().map(|a| Acc::new(a.func)).collect()
 }
 
 /// Argument columns for a batch: one evaluated operand per aggregate with
 /// an argument (`None` = COUNT(*)); a bare column argument is read in
-/// place. Each accumulator then consumes its column in row order, so
-/// float accumulation order — and therefore every result bit — matches
-/// the row-at-a-time path.
+/// place. Accumulators consume their column in row order, so float
+/// accumulation order — and therefore every result bit — is that of a
+/// row-at-a-time fold.
 fn eval_agg_args<'a>(
     aggs: &'a [AggExpr],
     batch: &'a ValueBatch,
@@ -765,6 +760,16 @@ fn eval_agg_args<'a>(
                 .transpose()
         })
         .collect()
+}
+
+/// Fold row `r` of a batch's argument columns into one group's
+/// accumulators.
+#[inline]
+fn update_row(accs: &mut [Acc], args: &[Option<Operand<'_>>], r: usize) -> Result<()> {
+    for (acc, arg) in accs.iter_mut().zip(args) {
+        acc.update(arg.as_ref().map(|col| col.get(r)))?;
+    }
+    Ok(())
 }
 
 /// Fold one batch into a plain (ungrouped) accumulator set.
@@ -807,7 +812,7 @@ impl Groups {
             width,
             keys: Vec::new(),
             accs: Vec::new(),
-            fresh: aggs.iter().map(|a| Acc::new(a.func)).collect(),
+            fresh: fresh_accs(aggs),
         }
     }
 
@@ -848,59 +853,36 @@ impl Groups {
 /// Hash aggregation: one hash-table pass, groups emitted in first-seen
 /// order.
 pub struct HashAggOp {
-    /// The input, until the first pull drains it.
-    input: Option<BoxOp>,
+    state: Drained,
     group: Vec<usize>,
     aggs: Vec<AggExpr>,
-    batch_rows: usize,
-    out: std::vec::IntoIter<Row>,
 }
 
 impl HashAggOp {
-    /// Create a hash aggregation (row-at-a-time input drain).
+    /// Create a hash aggregation.
     pub fn new(input: BoxOp, group: Vec<usize>, aggs: Vec<AggExpr>) -> HashAggOp {
         HashAggOp {
-            input: Some(input),
+            state: Drained::new(input),
             group,
             aggs,
-            batch_rows: 0,
-            out: Vec::new().into_iter(),
         }
-    }
-
-    /// Drain the input in batches of `n` rows (0 keeps the row drain);
-    /// aggregate arguments are then evaluated one column per batch.
-    pub fn batched(mut self, n: usize) -> HashAggOp {
-        self.batch_rows = n;
-        self
     }
 }
 
 impl Operator for HashAggOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if let Some(mut input) = self.input.take() {
-            let mut groups = Groups::new(self.group.len(), &self.aggs);
-            let group = &self.group;
-            if self.batch_rows > 0 {
-                while let Some(b) = input.next_batch(self.batch_rows)? {
-                    let args = eval_agg_args(&self.aggs, &b)?;
-                    let key_cols: Vec<&[Value]> = group.iter().map(|&i| b.col(i)).collect();
-                    for r in 0..b.num_rows() {
-                        let accs = groups.accs_for(|j| &key_cols[j][r]);
-                        for (acc, arg) in accs.iter_mut().zip(&args) {
-                            acc.update(arg.as_ref().map(|col| col.get(r)))?;
-                        }
-                    }
-                }
-            } else {
-                while let Some(r) = input.next_row()? {
-                    let accs = groups.accs_for(|j| r.get(group[j]));
-                    update_accs(accs, &self.aggs, &r)?;
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        let (group, aggs) = (&self.group, &self.aggs);
+        self.state.next_batch(max_rows, |mut input| {
+            let mut groups = Groups::new(group.len(), aggs);
+            while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+                let args = eval_agg_args(aggs, &b)?;
+                let key_cols: Vec<&[Value]> = group.iter().map(|&i| b.col(i)).collect();
+                for r in 0..b.num_rows() {
+                    update_row(groups.accs_for(|j| &key_cols[j][r]), &args, r)?;
                 }
             }
-            self.out = groups.into_rows()?.into_iter();
-        }
-        Ok(self.out.next())
+            Ok(ValueBatch::from_rows(groups.into_rows()?))
+        })
     }
 }
 
@@ -912,129 +894,93 @@ impl Operator for HashAggOp {
 /// sort is genuine work, which is exactly why the statistics-informed
 /// hash plan beats it.
 pub struct SortAggOp {
-    /// The input, until the first pull drains it.
-    input: Option<BoxOp>,
+    state: Drained,
     group: Vec<usize>,
     aggs: Vec<AggExpr>,
-    batch_rows: usize,
-    out: std::vec::IntoIter<Row>,
 }
 
 impl SortAggOp {
-    /// Create a sort aggregation (row-at-a-time input drain).
+    /// Create a sort aggregation.
     pub fn new(input: BoxOp, group: Vec<usize>, aggs: Vec<AggExpr>) -> SortAggOp {
         SortAggOp {
-            input: Some(input),
+            state: Drained::new(input),
             group,
             aggs,
-            batch_rows: 0,
-            out: Vec::new().into_iter(),
         }
-    }
-
-    /// Drain the input in batches of `n` rows (0 keeps the row drain).
-    pub fn batched(mut self, n: usize) -> SortAggOp {
-        self.batch_rows = n;
-        self
     }
 }
 
 impl Operator for SortAggOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        if let Some(mut input) = self.input.take() {
-            let mut rows = Vec::new();
-            if self.batch_rows > 0 {
-                while let Some(b) = input.next_batch(self.batch_rows)? {
-                    rows.extend(b.into_rows());
-                }
-            } else {
-                while let Some(r) = input.next_row()? {
-                    rows.push(r);
-                }
-            }
-            let group = &self.group;
-            rows.sort_by(|a, b| {
-                for &g in group {
-                    let ord = a.get(g).total_cmp(b.get(g));
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        let (group, aggs) = (&self.group, &self.aggs);
+        self.state.next_batch(max_rows, |input| {
+            let keys: Vec<SortKey> = group
+                .iter()
+                .map(|&col| SortKey { col, desc: false })
+                .collect();
+            let (batch, order) = sort_input(input, &keys)?;
+            let batch = &batch;
+            let args = eval_agg_args(aggs, batch)?;
+            let key_of = |r: usize| group.iter().map(move |&g| KeyRef::of(&batch.col(g)[r]));
+            let finish = |first: usize, accs: Vec<Acc>| {
+                finish_row(
+                    group.iter().map(|&g| batch.col(g)[first].clone()).collect(),
+                    accs,
+                )
+            };
             let mut out = Vec::new();
-            // The current run: its key values and accumulators.
-            let mut run: Option<(Vec<Value>, Vec<Acc>)> = None;
-            for r in rows {
+            // The current run: its first row and its accumulators.
+            let mut run: Option<(usize, Vec<Acc>)> = None;
+            for &r in &order {
                 let same = run
                     .as_ref()
-                    .is_some_and(|(key, _)| same_key(key, group.iter().map(|&i| r.get(i))));
+                    .is_some_and(|&(first, _)| key_of(first).eq(key_of(r)));
                 if !same {
-                    if let Some((vals, accs)) = run.take() {
-                        out.push(finish_row(vals, accs)?);
+                    if let Some((first, accs)) = run.take() {
+                        out.push(finish(first, accs)?);
                     }
-                    run = Some((
-                        group.iter().map(|&i| r.get(i).clone()).collect(),
-                        self.aggs.iter().map(|a| Acc::new(a.func)).collect(),
-                    ));
+                    run = Some((r, fresh_accs(aggs)));
                 }
                 if let Some((_, accs)) = run.as_mut() {
-                    update_accs(accs, &self.aggs, &r)?;
+                    update_row(accs, &args, r)?;
                 }
             }
-            if let Some((vals, accs)) = run {
-                out.push(finish_row(vals, accs)?);
+            if let Some((first, accs)) = run {
+                out.push(finish(first, accs)?);
             }
-            self.out = out.into_iter();
-        }
-        Ok(self.out.next())
+            Ok(ValueBatch::from_rows(out))
+        })
     }
 }
 
 /// Aggregation without GROUP BY: always exactly one output row, even for
 /// empty input (`COUNT(*) = 0`, other aggregates NULL).
 pub struct PlainAggOp {
-    /// The input, until the first (and only) pull drains it.
-    input: Option<BoxOp>,
+    state: Drained,
     aggs: Vec<AggExpr>,
-    batch_rows: usize,
 }
 
 impl PlainAggOp {
-    /// Create a plain aggregation (row-at-a-time input drain).
+    /// Create a plain aggregation.
     pub fn new(input: BoxOp, aggs: Vec<AggExpr>) -> PlainAggOp {
         PlainAggOp {
-            input: Some(input),
+            state: Drained::new(input),
             aggs,
-            batch_rows: 0,
         }
-    }
-
-    /// Drain the input in batches of `n` rows (0 keeps the row drain);
-    /// aggregate arguments are then evaluated one column per batch.
-    pub fn batched(mut self, n: usize) -> PlainAggOp {
-        self.batch_rows = n;
-        self
     }
 }
 
 impl Operator for PlainAggOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(None);
-        };
-        let mut accs: Vec<Acc> = self.aggs.iter().map(|a| Acc::new(a.func)).collect();
-        if self.batch_rows > 0 {
-            while let Some(b) = input.next_batch(self.batch_rows)? {
-                let args = eval_agg_args(&self.aggs, &b)?;
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        let aggs = &self.aggs;
+        self.state.next_batch(max_rows, |mut input| {
+            let mut accs = fresh_accs(aggs);
+            while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+                let args = eval_agg_args(aggs, &b)?;
                 update_accs_batch(&mut accs, &args, b.num_rows())?;
             }
-        } else {
-            while let Some(r) = input.next_row()? {
-                update_accs(&mut accs, &self.aggs, &r)?;
-            }
-        }
-        finish_row(Vec::new(), accs).map(Some)
+            Ok(ValueBatch::from_rows(vec![finish_row(Vec::new(), accs)?]))
+        })
     }
 }
 
@@ -1051,25 +997,48 @@ mod tests {
         ))
     }
 
-    fn drain(mut op: impl Operator) -> Vec<Row> {
+    /// Every row `op` emits, pulled `max_rows` at a time.
+    fn pull(mut op: BoxOp, max_rows: usize) -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        while let Some(r) = op.next_row().unwrap() {
-            out.push(r);
+        while let Some(b) = op.next_batch(max_rows)? {
+            assert!(!b.is_empty() && b.num_rows() <= max_rows);
+            out.extend(b.into_rows());
         }
-        out
+        Ok(out)
+    }
+
+    fn drain(op: impl Operator + 'static) -> Vec<Row> {
+        pull(Box::new(op), DEFAULT_BATCH_ROWS).unwrap()
+    }
+
+    /// The operator `make` builds must emit the same rows whatever its
+    /// consumer's batch size.
+    fn assert_batch_size_invariant(label: &str, make: impl Fn() -> BoxOp) {
+        let want = pull(make(), DEFAULT_BATCH_ROWS).unwrap();
+        for max_rows in [1, 2, 3] {
+            assert_eq!(
+                pull(make(), max_rows).unwrap(),
+                want,
+                "{label} max_rows={max_rows}"
+            );
+        }
     }
 
     fn col(i: usize) -> BoundExpr {
         BoundExpr::Col(i)
     }
 
+    fn binary(op: BinOp, left: BoundExpr, right: BoundExpr) -> BoundExpr {
+        BoundExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
     #[test]
     fn filter_and_project_and_limit() {
-        let pred = BoundExpr::Binary {
-            op: BinOp::Gt,
-            left: Box::new(col(0)),
-            right: Box::new(BoundExpr::Lit(Value::Int64(1))),
-        };
+        let pred = binary(BinOp::Gt, col(0), BoundExpr::Lit(Value::Int64(1)));
         let f = FilterOp::new(ints(&[&[1, 10], &[2, 20], &[3, 30]]), pred);
         let p = ProjectOp::new(Box::new(f), vec![col(1)]);
         let l = LimitOp::new(Box::new(p), 1);
@@ -1126,11 +1095,7 @@ mod tests {
         let left = ints(&[&[1, 10]]);
         let right = ints(&[&[1, 5], &[1, 20]]);
         // residual: left.a < right.b  (ordinals 1 and 3 in concat layout)
-        let residual = BoundExpr::Binary {
-            op: BinOp::Lt,
-            left: Box::new(col(1)),
-            right: Box::new(col(3)),
-        };
+        let residual = binary(BinOp::Lt, col(1), col(3));
         let j = HashJoinOp::new(left, right, vec![(0, 0)], Some(residual), JoinKind::Inner);
         let rows = drain(j);
         assert_eq!(rows.len(), 1);
@@ -1241,16 +1206,14 @@ mod tests {
             &[1, 9_000_000_000_000_000_000],
         ];
         let sum = || vec![agg(AggFunc::Sum, Some(1))];
-        for batch in [0usize, 1024] {
-            let ops: Vec<Box<dyn Operator>> = vec![
-                Box::new(PlainAggOp::new(ints(big), sum()).batched(batch)),
-                Box::new(HashAggOp::new(ints(big), vec![0], sum()).batched(batch)),
-                Box::new(SortAggOp::new(ints(big), vec![0], sum()).batched(batch)),
-            ];
-            for mut op in ops {
-                let err = op.next_row().unwrap_err();
-                assert!(err.to_string().contains("integer overflow"), "{err}");
-            }
+        let ops: Vec<BoxOp> = vec![
+            Box::new(PlainAggOp::new(ints(big), sum())),
+            Box::new(HashAggOp::new(ints(big), vec![0], sum())),
+            Box::new(SortAggOp::new(ints(big), vec![0], sum())),
+        ];
+        for mut op in ops {
+            let err = op.next_batch(DEFAULT_BATCH_ROWS).unwrap_err();
+            assert!(err.to_string().contains("integer overflow"), "{err}");
         }
         // Summing up to the edge is fine.
         let edge: &[&[i64]] = &[&[1, i64::MAX - 1], &[1, 1]];
@@ -1258,9 +1221,64 @@ mod tests {
         assert_eq!(rows, vec![Row(vec![Value::Int64(i64::MAX)])]);
     }
 
-    /// Every join shape pulls its inputs one row at a time at batch size 0
-    /// and in batches otherwise; both must emit the same rows in the same
-    /// order.
+    /// Rows with duplicates, NULLs and mixed numeric widths: `(k, v)`.
+    fn mixed() -> BoxOp {
+        Box::new(RowsOp::new(
+            [
+                (Value::Int64(3), Value::Int64(30)),
+                (Value::Null, Value::Int64(5)),
+                (Value::Int32(1), Value::Float64(1.5)),
+                (Value::Int64(3), Value::Int64(30)),
+                (Value::Float64(1.0), Value::Null),
+                (Value::Int64(2), Value::Int64(-7)),
+                (Value::Null, Value::Int64(5)),
+                (Value::Int64(3), Value::Int64(31)),
+            ]
+            .into_iter()
+            .map(|(k, v)| Row(vec![k, v]))
+            .collect(),
+        ))
+    }
+
+    /// Every operator but the joins (see `joins_agree_across_batch_sizes`)
+    /// emits the same rows at every consumer batch size.
+    #[test]
+    fn operators_agree_across_batch_sizes() {
+        let aggs = || {
+            vec![
+                agg(AggFunc::Count, None),
+                agg(AggFunc::Sum, Some(1)),
+                agg(AggFunc::Min, Some(1)),
+            ]
+        };
+        assert_batch_size_invariant("filter", || {
+            let pred = binary(BinOp::Gt, col(1), BoundExpr::Lit(Value::Int64(4)));
+            Box::new(FilterOp::new(mixed(), pred))
+        });
+        assert_batch_size_invariant("project", || {
+            let sum = binary(BinOp::Add, col(0), col(1));
+            Box::new(ProjectOp::new(mixed(), vec![col(1), sum]))
+        });
+        assert_batch_size_invariant("limit", || Box::new(LimitOp::new(mixed(), 5)));
+        assert_batch_size_invariant("sort", || {
+            let keys = vec![SortKey { col: 0, desc: true }];
+            Box::new(SortOp::new(mixed(), keys))
+        });
+        assert_batch_size_invariant("distinct", || Box::new(DistinctOp::new(mixed())));
+        assert_batch_size_invariant("plain agg", || Box::new(PlainAggOp::new(mixed(), aggs())));
+        assert_batch_size_invariant("hash agg", || {
+            Box::new(HashAggOp::new(mixed(), vec![0], aggs()))
+        });
+        assert_batch_size_invariant("sort agg", || {
+            Box::new(SortAggOp::new(mixed(), vec![0], aggs()))
+        });
+        // Distinct keys equal values across widths: 3 == 3, 1 == 1.0.
+        assert_eq!(drain(DistinctOp::new(mixed())).len(), 6);
+    }
+
+    /// Every join shape emits the same rows in the same order at every
+    /// consumer batch size, with and without a residual, over NULL keys
+    /// on both sides.
     #[test]
     fn joins_agree_across_batch_sizes() {
         let left = || {
@@ -1281,23 +1299,18 @@ mod tests {
             ])) as BoxOp
         };
         // left.b < right.b, in the concatenated layout.
-        let residual = || BoundExpr::Binary {
-            op: BinOp::Lt,
-            left: Box::new(col(1)),
-            right: Box::new(col(3)),
-        };
+        let residual = || binary(BinOp::Lt, col(1), col(3));
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
             for res in [false, true] {
-                let run = |batch: usize| {
-                    drain(
-                        HashJoinOp::new(left(), right(), vec![(0, 0)], res.then(residual), kind)
-                            .batched(batch),
-                    )
-                };
-                let want = run(0);
-                for batch in [1, 2, 1024] {
-                    assert_eq!(run(batch), want, "{kind:?} residual={res} batch={batch}");
-                }
+                assert_batch_size_invariant(&format!("{kind:?} residual={res}"), || {
+                    Box::new(HashJoinOp::new(
+                        left(),
+                        right(),
+                        vec![(0, 0)],
+                        res.then(residual),
+                        kind,
+                    ))
+                });
             }
         }
         // Matches of one probe row come out most recently built first.
@@ -1319,20 +1332,15 @@ mod tests {
     }
 
     /// A LIMIT asks the join for one row, so the join probes one row: a
-    /// residual that fails on the second probe row fails under no batch
-    /// size, exactly as under row pulls.
+    /// residual that fails on the second probe row fails at no consumer
+    /// batch size.
     #[test]
     fn limit_over_join_probes_only_the_rows_it_needs() {
         // `10 / b > 0` on the probe row's `b`: 2 for the first, a division
         // by zero for the second.
-        let residual = |b: usize| BoundExpr::Binary {
-            op: BinOp::Gt,
-            left: Box::new(BoundExpr::Binary {
-                op: BinOp::Div,
-                left: Box::new(BoundExpr::Lit(Value::Int64(10))),
-                right: Box::new(col(b)),
-            }),
-            right: Box::new(BoundExpr::Lit(Value::Int64(0))),
+        let residual = |b: usize| {
+            let div = binary(BinOp::Div, BoundExpr::Lit(Value::Int64(10)), col(b));
+            binary(BinOp::Gt, div, BoundExpr::Lit(Value::Int64(0)))
         };
         // (kind, probe `b` in the joined layout, the one row emitted)
         let cases = [
@@ -1349,19 +1357,18 @@ mod tests {
                 HashJoinOp::new(left, right, vec![(0, 0)], Some(residual(b)), kind)
             };
             let want = vec![Row(want.into_iter().map(Value::Int64).collect())];
-            assert_eq!(drain(LimitOp::new(Box::new(join()), 1)), want, "{kind:?}");
-            for batch in [1, 2, 1024] {
-                let mut op = LimitOp::new(Box::new(join().batched(batch)), 1);
-                let mut got = Vec::new();
-                while let Some(b) = op.next_batch(batch).unwrap() {
-                    got.extend(b.into_rows());
-                }
-                assert_eq!(got, want, "{kind:?} batch={batch}");
+            for max_rows in [1, 2, 1024] {
+                let limited = LimitOp::new(Box::new(join()), 1);
+                assert_eq!(
+                    pull(Box::new(limited), max_rows).unwrap(),
+                    want,
+                    "{kind:?} max_rows={max_rows}"
+                );
             }
-            // Unlimited, both pull styles reach the failing row.
+            // Unlimited, the second probe row is reached and fails.
             let mut rows = join();
-            assert!(rows.next_row().is_ok() && rows.next_row().is_err());
-            assert!(join().batched(1024).next_batch(1024).is_err());
+            assert!(rows.next_batch(1).is_ok() && rows.next_batch(1).is_err());
+            assert!(join().next_batch(1024).is_err());
         }
     }
 
@@ -1390,16 +1397,14 @@ mod tests {
         };
         let sum = || vec![agg(AggFunc::Sum, Some(1))];
         let want = Value::Float64(big as f64 * 2.0 + 0.5);
-        for batch in [0usize, 1024] {
-            let ops: Vec<Box<dyn Operator>> = vec![
-                Box::new(PlainAggOp::new(input(), sum()).batched(batch)),
-                Box::new(HashAggOp::new(input(), vec![0], sum()).batched(batch)),
-                Box::new(SortAggOp::new(input(), vec![0], sum()).batched(batch)),
-            ];
-            for mut op in ops {
-                let row = op.next_row().unwrap().unwrap();
-                assert_eq!(row.values().last(), Some(&want), "batch={batch}");
-            }
+        let ops: Vec<BoxOp> = vec![
+            Box::new(PlainAggOp::new(input(), sum())),
+            Box::new(HashAggOp::new(input(), vec![0], sum())),
+            Box::new(SortAggOp::new(input(), vec![0], sum())),
+        ];
+        for op in ops {
+            let rows = pull(op, DEFAULT_BATCH_ROWS).unwrap();
+            assert_eq!(rows[0].values().last(), Some(&want));
         }
     }
 }
@@ -1407,6 +1412,15 @@ mod tests {
 #[cfg(test)]
 mod distinct_tests {
     use super::*;
+
+    fn distinct(rows: Vec<Row>) -> Vec<Row> {
+        let mut op = DistinctOp::new(Box::new(RowsOp::new(rows)));
+        let mut out = Vec::new();
+        while let Some(b) = op.next_batch(DEFAULT_BATCH_ROWS).unwrap() {
+            out.extend(b.into_rows());
+        }
+        out
+    }
 
     #[test]
     fn distinct_keeps_first_occurrence_order() {
@@ -1418,13 +1432,8 @@ mod distinct_tests {
             Row(vec![Value::Null]),
             Row(vec![Value::Int64(1)]),
         ];
-        let mut op = DistinctOp::new(Box::new(RowsOp::new(rows)));
-        let mut out = Vec::new();
-        while let Some(r) = op.next_row().unwrap() {
-            out.push(r);
-        }
         assert_eq!(
-            out,
+            distinct(rows),
             vec![
                 Row(vec![Value::Int64(2)]),
                 Row(vec![Value::Int64(1)]),
@@ -1440,11 +1449,6 @@ mod distinct_tests {
             Row(vec![Value::Int64(7)]),
             Row(vec![Value::Float64(7.0)]),
         ];
-        let mut op = DistinctOp::new(Box::new(RowsOp::new(rows)));
-        let mut n = 0;
-        while op.next_row().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 1, "7 == 7i64 == 7.0 group together");
+        assert_eq!(distinct(rows).len(), 1, "7 == 7i64 == 7.0 group together");
     }
 }

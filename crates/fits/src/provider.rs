@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 
 use nodb_cache::{CacheConfig, ColumnBuilder, RawCache};
 use nodb_common::{ByteSize, Result, Row, Value};
-use nodb_exec::{eval_predicate, BoxOp, Operator, TableProvider};
+use nodb_exec::{eval_predicate, fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_sql::BoundExpr;
 
 use crate::reader::FitsTable;
@@ -178,8 +178,8 @@ impl FitsScanOp {
 }
 
 impl Operator for FitsScanOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        fill_batch(max_rows, || loop {
             if let Some(r) = self.out.pop_front() {
                 return Ok(Some(r));
             }
@@ -187,7 +187,7 @@ impl Operator for FitsScanOp {
                 return Ok(None);
             }
             self.process_block()?;
-        }
+        })
     }
 }
 

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use nodb_common::{NoDbError, Row, Schema, Value};
 use nodb_core::{NoDb, NoDbConfig};
-use nodb_exec::{BoxOp, Operator, TableProvider};
+use nodb_exec::{fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_server::{NodbClient, NodbServer, ServerConfig};
 use nodb_sql::BoundExpr;
 
@@ -64,7 +64,7 @@ struct GatedOp {
 }
 
 impl Operator for GatedOp {
-    fn next_row(&mut self) -> nodb_common::Result<Option<Row>> {
+    fn next_batch(&mut self, max_rows: usize) -> nodb_common::Result<Option<ValueBatch>> {
         if !self.reported {
             self.reported = true;
             self.gate.started.fetch_add(1, Ordering::AcqRel);
@@ -73,11 +73,13 @@ impl Operator for GatedOp {
                 open = self.gate.cv.wait(open).unwrap();
             }
         }
-        if self.next >= self.rows {
-            return Ok(None);
-        }
-        self.next += 1;
-        Ok(Some(Row(vec![Value::Int32(self.next - 1)])))
+        fill_batch(max_rows, || {
+            if self.next >= self.rows {
+                return Ok(None);
+            }
+            self.next += 1;
+            Ok(Some(Row(vec![Value::Int32(self.next - 1)])))
+        })
     }
 }
 

@@ -12,7 +12,7 @@ use nodb_common::{NoDbError, Result, Row, Schema, Value};
 use nodb_csv::lines::LineReader;
 use nodb_csv::tokenize;
 use nodb_csv::CsvOptions;
-use nodb_exec::{eval_predicate, BoxOp, Operator, TableProvider};
+use nodb_exec::{eval_predicate, fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_sql::BoundExpr;
 
 use crate::bufpool::BufferPool;
@@ -339,10 +339,10 @@ impl HeapScanOp {
         }
         Ok(true)
     }
-}
 
-impl Operator for HeapScanOp {
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// The next tuple that passes the filters, or `None` past the last
+    /// page.
+    fn next_tuple(&mut self) -> Result<Option<Row>> {
         loop {
             // DBMS-X batch path: drain decoded page batch first.
             if self.batch_pos < self.batch.len() {
@@ -403,6 +403,12 @@ impl Operator for HeapScanOp {
                 return Ok(Some(row));
             }
         }
+    }
+}
+
+impl Operator for HeapScanOp {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        fill_batch(max_rows, || self.next_tuple())
     }
 }
 

@@ -180,7 +180,7 @@ fn interleaved_queries_stay_consistent() {
 /// thousands of distinct keys — far more than a key index starts with
 /// buckets, so every table grows and rehashes many times — with a key
 /// that is `bigint` on one side and `int` on the other, and NULL keys.
-/// In-situ (row and batch pull, cold and warm) and loaded engines must
+/// In-situ (cold and warm) and loaded engines must
 /// all give the answers computed here directly from the data.
 #[test]
 fn joins_and_groups_over_many_keys_match_a_direct_computation() {
@@ -277,8 +277,8 @@ fn joins_and_groups_over_many_keys_match_a_direct_computation() {
         ("d", &d_path, "dk int, label text"),
         ("f", &f_path, "fk bigint, v double"),
     ];
-    let open = |cfg: NoDbConfig, mode: AccessMode| {
-        let mut db = NoDb::new(cfg).unwrap();
+    let open = |mode: AccessMode| {
+        let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
         for (name, path, schema) in schemas {
             db.register_csv(
                 name,
@@ -296,21 +296,10 @@ fn joins_and_groups_over_many_keys_match_a_direct_computation() {
         }
         db
     };
-    let mut engines = Vec::new();
-    for batch_rows in [0, 1024] {
-        let cfg = || NoDbConfig {
-            batch_rows,
-            ..NoDbConfig::postgres_raw()
-        };
-        engines.push((
-            format!("in-situ batch={batch_rows}"),
-            open(cfg(), AccessMode::InSitu),
-        ));
-        engines.push((
-            format!("loaded batch={batch_rows}"),
-            open(cfg(), AccessMode::Loaded),
-        ));
-    }
+    let engines = [
+        ("in-situ", open(AccessMode::InSitu)),
+        ("loaded", open(AccessMode::Loaded)),
+    ];
     for pass in ["cold", "warm"] {
         for (sql, want) in &cases {
             for (label, db) in &engines {

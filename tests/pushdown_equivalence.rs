@@ -10,7 +10,6 @@
 //! * CSV and JSON Lines physical layouts,
 //! * 1 and 4 cold-scan worker threads,
 //! * both I/O substrates (`Read` and `Mmap`),
-//! * row-at-a-time (`batch_rows = 0`) and vectorized (`1024`) pulls,
 //! * cold (structure-building) and warm (structure-serving) scans.
 //!
 //! What *may* differ is the work: the final test proves the point of
@@ -124,10 +123,9 @@ fn fixture() -> Fixture {
     }
 }
 
-fn config(rewrite: bool, batch_rows: usize, threads: usize, io: IoBackend) -> NoDbConfig {
+fn config(rewrite: bool, threads: usize, io: IoBackend) -> NoDbConfig {
     let mut cfg = NoDbConfig::postgres_raw();
     cfg.enable_rewrite = rewrite;
-    cfg.batch_rows = batch_rows;
     cfg.scan_threads = threads;
     cfg.io_backend = io;
     // Small map blocks so multi-threaded runs cut real chunks out of
@@ -182,23 +180,21 @@ fn assert_lockstep(plain: &NoDb, rewritten: &NoDb, ctx: &str) {
 }
 
 /// The main differential matrix: rewrite on vs off over format ×
-/// threads × I/O backend × batch mode, each pair run cold then warm.
+/// threads × I/O backend, each pair run cold then warm.
 #[test]
 fn rewrite_pipeline_is_invisible_in_rows_and_aux() {
     let f = fixture();
     for jsonl in [false, true] {
         for threads in [1usize, 4] {
             for io in [IoBackend::Read, IoBackend::Mmap] {
-                for batch in [0usize, 1024] {
-                    let plain = engine(&f, config(false, batch, threads, io), jsonl);
-                    let rewritten = engine(&f, config(true, batch, threads, io), jsonl);
-                    let ctx = format!(
-                        "{} threads={threads} io={io:?} batch={batch}",
-                        if jsonl { "jsonl" } else { "csv" }
-                    );
-                    assert_lockstep(&plain, &rewritten, &format!("{ctx} cold"));
-                    assert_lockstep(&plain, &rewritten, &format!("{ctx} warm"));
-                }
+                let plain = engine(&f, config(false, threads, io), jsonl);
+                let rewritten = engine(&f, config(true, threads, io), jsonl);
+                let ctx = format!(
+                    "{} threads={threads} io={io:?}",
+                    if jsonl { "jsonl" } else { "csv" }
+                );
+                assert_lockstep(&plain, &rewritten, &format!("{ctx} cold"));
+                assert_lockstep(&plain, &rewritten, &format!("{ctx} warm"));
             }
         }
     }
