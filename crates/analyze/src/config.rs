@@ -55,11 +55,10 @@ impl Config {
             audit_path: PathBuf::from("analyze/unsafe_audit.toml"),
             waivers_path: PathBuf::from("analyze/waivers.toml"),
             hot_files: [
-                // The in-situ scan pump and its pushed-down predicate
-                // evaluator: a malformed record must surface as a typed,
-                // located NoDbError, never panic a server worker.
+                // The in-situ scan pump: a malformed record must surface
+                // as a typed, located NoDbError, never panic a server
+                // worker.
                 "crates/core/src/scan.rs",
-                "crates/core/src/pred.rs",
                 // The per-record tokenizers both formats run per line.
                 "crates/csv/src/tokenize.rs",
                 "crates/json/src/tokenize.rs",

@@ -26,6 +26,10 @@
 //! - **knob** — every `NODB_*` string literal is a registered knob env
 //!   var, and every knob's env var and flag is documented in the README.
 //!
+//! A waiver, hot-path, cast or designated-counter entry that matches no
+//! walked file is itself a finding, so the policy cannot silently cover
+//! a file that was moved or deleted.
+//!
 //! Run it with `cargo run -p nodb-analyze`; see the README's "Static
 //! analysis" section for the waiver workflow.
 
@@ -228,6 +232,35 @@ pub fn run(cfg: &Config, only: &[String]) -> Result<Report, String> {
     }
     if enabled("knob") {
         findings.extend(lints::knob_check::run(&files, cfg));
+    }
+
+    // A policy path that names no walked file covers nothing: like a
+    // stale waiver, it is a finding (the file moved or was deleted).
+    let walked: BTreeSet<String> = files.iter().map(SourceFile::rel_str).collect();
+    let policy_paths: [(&str, &str, Vec<&String>); 3] = [
+        ("panic-path", "hot_files", cfg.hot_files.iter().collect()),
+        ("cast", "cast_files", cfg.cast_files.iter().collect()),
+        (
+            "atomic-ordering",
+            "atomic_designated",
+            cfg.atomic_designated.iter().map(|(f, _)| f).collect(),
+        ),
+    ];
+    for (arm, list, paths) in policy_paths {
+        if !enabled(arm) {
+            continue;
+        }
+        for path in paths.into_iter().filter(|p| !walked.contains(*p)) {
+            findings.push(Finding {
+                lint: "policy",
+                message: format!(
+                    "stale `{list}` entry: no walked file is `{path}` — fix or delete it"
+                ),
+                file: PathBuf::from(path),
+                line: 0,
+                waiver_key: None,
+            });
+        }
     }
 
     // Apply waivers: content-addressed, per lint arm and file. A waiver

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Lint arm that produced this finding (`unsafe`, `lock-order`,
-    /// `atomic-ordering`, `panic-path`, `cast`, `knob`, `waiver`).
+    /// `atomic-ordering`, `panic-path`, `cast`, `knob`, `waiver`,
+    /// `policy`).
     pub lint: &'static str,
     /// File the finding is in, relative to the tree root.
     pub file: PathBuf,

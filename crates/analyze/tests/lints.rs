@@ -154,6 +154,20 @@ fn waivers_suppress_justified_findings_and_stale_waivers_fire() {
 }
 
 #[test]
+fn stale_policy_path_is_caught() {
+    let report = run("clean", |cfg| {
+        cfg.hot_files = vec!["src/missing.rs".into()];
+        cfg.knob_envs = vec!["NODB_FIX".into()];
+    });
+    assert_eq!(lints_of(&report), vec!["policy"], "{:#?}", report.findings);
+    assert!(
+        report.findings[0].message.contains("hot_files"),
+        "{:#?}",
+        report.findings
+    );
+}
+
+#[test]
 fn lint_filter_restricts_the_run() {
     let cfg = {
         let mut c = Config::for_fixture(&fixture("panic_bad"));

@@ -757,86 +757,6 @@ fn bench_budget(c: &mut Criterion) {
     g.finish();
 }
 
-/// Predicate pushdown into the tokenizer (ISSUE 9): a wide 64-field
-/// table scanned with a ~1%-selective predicate on a late column
-/// (attribute 48, 75% of the way into the record) projecting the last
-/// one (attribute 63), with `enable_rewrite` off vs on. The
-/// engines run the paper's baseline configuration (no auxiliary
-/// structures), where the lean-scan guard permits early rejection:
-/// with pushdown, the ~99% of rows failing `c48 < 10⁷` end
-/// tokenization at attribute 48 instead of 63, so
-/// `cold_scan/pushdown_on` must sit well under `cold_scan/pushdown_off`
-/// (the ≥20% acceptance win; the saved work is proved by counters in
-/// `tests/pushdown_equivalence.rs`, which also proves the rows are
-/// bit-identical — asserted cheaply here too, so a wrong early-reject
-/// cannot "win"). Under the full adaptive config the guard disables
-/// early rejection while structures are being built, so the `adaptive`
-/// pair prices bind-time predicate normalization, which leaves this
-/// query's plan unchanged — those two should be noise.
-fn bench_pushdown(c: &mut Criterion) {
-    const ROWS: usize = 20_000;
-    let td = TempDir::new("nodb-bench-pushdown").expect("tempdir");
-    let path = td.file("wide.csv");
-    let spec = MicroGen::default().rows(ROWS).cols(64).seed(97);
-    spec.write_to(&path).expect("write");
-    let schema = spec.schema();
-    let query = "select c63 from t where c48 < 10000000";
-
-    let engine = |base: NoDbConfig, rewrite: bool| {
-        let mut cfg = base;
-        cfg.enable_rewrite = rewrite;
-        let mut db = NoDb::new(cfg).expect("engine");
-        db.register_csv(
-            "t",
-            &path,
-            schema.clone(),
-            CsvOptions::default(),
-            AccessMode::InSitu,
-        )
-        .expect("register");
-        db
-    };
-
-    let mut g = c.benchmark_group("substrate_pushdown");
-    g.sample_size(10);
-    let mut expected_rows: Option<usize> = None;
-    for (label, db) in [
-        ("pushdown_off", engine(NoDbConfig::baseline(), false)),
-        ("pushdown_on", engine(NoDbConfig::baseline(), true)),
-    ] {
-        // Differential sanity outside the timed body: early rejection
-        // must not change the result.
-        let n = db.query(query).expect("query").rows.len();
-        assert!(n > 0 && n < ROWS / 10, "predicate not selective: {n}");
-        match expected_rows {
-            None => expected_rows = Some(n),
-            Some(e) => assert_eq!(n, e, "{label}: rows diverged"),
-        }
-        // The baseline config builds nothing, so every scan is cold.
-        g.bench_function(format!("cold_scan/{label}"), |b| {
-            b.iter(|| db.query(query).expect("query").rows.len());
-        });
-    }
-    for (label, db) in [
-        ("rewrite_off", engine(NoDbConfig::postgres_raw(), false)),
-        ("rewrite_on", engine(NoDbConfig::postgres_raw(), true)),
-    ] {
-        assert_eq!(
-            db.query(query).expect("query").rows.len(),
-            expected_rows.expect("set above"),
-            "{label}: rows diverged"
-        );
-        g.bench_function(format!("cold_scan/adaptive/{label}"), |b| {
-            b.iter_batched(
-                || db.drop_aux("t").expect("drop aux"),
-                |()| db.query(query).expect("query").rows.len(),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     substrates,
     bench_tokenizer,
@@ -852,7 +772,6 @@ criterion_group!(
     bench_prepared,
     bench_batch,
     bench_server,
-    bench_budget,
-    bench_pushdown
+    bench_budget
 );
 criterion_main!(substrates);

@@ -37,23 +37,6 @@ use crate::value::Value;
 /// turns it into [`Value::Null`]; position collectors store it verbatim.
 pub const NO_POSITION: u32 = u32::MAX;
 
-/// Raw textual content of one field, for predicate fast paths that want
-/// to look at bytes *without* paying [`Value::parse_field`] conversion
-/// (the LIKE prefix/suffix paths of a pushed-down scan predicate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawField<'a> {
-    /// The field is definitely SQL NULL (empty CSV field, missing JSON
-    /// key, JSON `null`).
-    Null,
-    /// The field's text content, byte-exact with what
-    /// [`Value::parse_field`] would see for a text column.
-    Text(&'a [u8]),
-    /// The format cannot expose the content as a plain slice (escaped
-    /// JSON string, non-string JSON token, ...). Callers must fall back
-    /// to [`LineFormat::parse_at`].
-    Opaque,
-}
-
 /// A line-oriented raw-file format: how to locate and convert attribute
 /// values on one record (a single line, newline already stripped).
 ///
@@ -85,27 +68,6 @@ pub trait LineFormat: std::fmt::Debug + Send + Sync {
     /// jump. Ordered formats scan just the bytes between the two fields
     /// (forwards or backwards); keyed formats may re-tokenize the record.
     fn advance(&self, line: &[u8], from_start: u32, from_idx: usize, to_idx: usize) -> Result<u32>;
-
-    /// Extend a previous [`LineFormat::positions_upto`] result for the
-    /// *same* line to cover attributes `0..=upto`, returning the total
-    /// number of starts now in `out`. `out` must hold exactly what the
-    /// earlier call appended (starting empty). Ordered formats resume
-    /// scanning from the last known start; the default re-tokenizes from
-    /// scratch. Pushed-down predicates use this to grow tokenization
-    /// only for rows that survive the predicate.
-    fn positions_extend(&self, line: &[u8], upto: usize, out: &mut Vec<u32>) -> Result<usize> {
-        out.clear();
-        self.positions_upto(line, upto, out)
-    }
-
-    /// The raw text content of the field starting at byte `start`, when
-    /// the format can expose it as a plain slice (see [`RawField`]).
-    /// The default is conservatively [`RawField::Opaque`] — always
-    /// correct, never fast.
-    fn raw_field<'a>(&self, line: &'a [u8], start: u32) -> RawField<'a> {
-        let _ = (line, start);
-        RawField::Opaque
-    }
 }
 
 #[cfg(test)]

@@ -150,15 +150,15 @@ pub static CACHE_BUDGET: Knob<ByteSize> = Knob {
     parse: ByteSize::parse,
 };
 
-/// Predicate simplification at bind time + scan predicate pushdown
-/// (`NoDbConfig::enable_rewrite`).
+/// The binder's predicate normalizer: constant folding and boolean
+/// simplification at bind time (`NoDbConfig::enable_rewrite`).
 pub static REWRITE: Knob<bool> = Knob {
     info: KnobInfo {
         name: "rewrite",
         env: "NODB_REWRITE",
         flag: "--rewrite",
         value_hint: "on|off",
-        help: "predicate simplification + pushdown into tokenization (default on)",
+        help: "predicate simplification (default on)",
     },
     parse: parse_bool,
 };

@@ -36,7 +36,7 @@ pub mod workload;
 pub use bytesize::ByteSize;
 pub use date::Date;
 pub use error::{NoDbError, Result};
-pub use format::{LineFormat, RawField, NO_POSITION};
+pub use format::{LineFormat, NO_POSITION};
 pub use io::{ByteSource, IoBackend};
 pub use row::Row;
 pub use schema::{Field, Schema};

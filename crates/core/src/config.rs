@@ -26,10 +26,8 @@ pub struct NoDbConfig {
     pub enable_stats: bool,
     /// Normalize predicates while binding (constant folding, boolean
     /// simplification, tautology and contradiction elimination, which
-    /// also narrows scan projections), and let in-situ scans evaluate
-    /// pushed predicates against raw field slices before full-row
-    /// conversion.
-    /// Results are bit-identical either way
+    /// also narrows scan projections); scans do not consult it. Results
+    /// are bit-identical either way
     /// (`tests/pushdown_equivalence.rs`); off exists for differential
     /// testing and perf attribution. The `NODB_REWRITE` environment
     /// variable (`on`/`off`) overrides the constructor default.

@@ -40,7 +40,6 @@
 
 pub mod config;
 pub mod idle;
-pub mod pred;
 pub mod profile;
 pub mod runtime;
 pub mod scan;
@@ -50,7 +49,6 @@ pub use config::{AccessMode, NoDbConfig};
 pub use idle::{IdleFocus, IdleReport};
 pub use nodb_common::IoBackend;
 pub use nodb_sql::explain::{ExplainNode, ExplainPlan};
-pub use pred::{LikeShape, PredItem, PredOp, ScanPredicate};
 pub use profile::{PhaseProfile, PhaseProfileAtomic, QueryProfile};
 pub use runtime::{RawTableRuntime, ScanMetrics, ScanMetricsAtomic};
 pub use scan::{AuxFlags, InSituScanOp};
@@ -259,7 +257,6 @@ impl NoDb {
                     stride: self.config.stats_sample_stride,
                     threads: self.config.effective_scan_threads(),
                     io: self.config.effective_io_backend(),
-                    pushdown: self.config.enable_rewrite,
                 };
                 TableEntry {
                     schema,
@@ -279,7 +276,6 @@ impl NoDb {
                     format,
                     has_header,
                     io: self.config.effective_io_backend(),
-                    pushdown: self.config.enable_rewrite,
                 })),
                 runtime: None,
                 path: Some(path.to_path_buf()),
@@ -596,29 +592,23 @@ pub(crate) struct InSituProvider {
     /// Resolved I/O substrate for every scan of this table
     /// (`NoDbConfig::effective_io_backend`).
     io: nodb_common::IoBackend,
-    /// Let scans compile pushed-down filters into raw-field predicates
-    /// (`NoDbConfig::enable_rewrite`).
-    pushdown: bool,
 }
 
 impl InSituProvider {
     fn make_scan(&self, projection: Vec<usize>, filters: Vec<BoundExpr>, threads: usize) -> BoxOp {
-        Box::new(
-            InSituScanOp::new(
-                Arc::clone(&self.runtime),
-                self.path.clone(),
-                self.schema.clone(),
-                Arc::clone(&self.format),
-                self.has_header,
-                projection,
-                filters,
-                self.flags,
-                self.stride,
-                threads,
-                self.io,
-            )
-            .with_pushdown(self.pushdown),
-        )
+        Box::new(InSituScanOp::new(
+            Arc::clone(&self.runtime),
+            self.path.clone(),
+            self.schema.clone(),
+            Arc::clone(&self.format),
+            self.has_header,
+            projection,
+            filters,
+            self.flags,
+            self.stride,
+            threads,
+            self.io,
+        ))
     }
 
     /// A projection-only scan used by idle-time exploitation: same flags
@@ -649,33 +639,29 @@ struct ExternalProvider {
     format: Arc<dyn LineFormat>,
     has_header: bool,
     io: nodb_common::IoBackend,
-    pushdown: bool,
 }
 
 impl TableProvider for ExternalProvider {
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
         let throwaway = Arc::new(RawTableRuntime::new(&NoDbConfig::baseline()));
-        Ok(Box::new(
-            InSituScanOp::new(
-                throwaway,
-                self.path.clone(),
-                self.schema.clone(),
-                Arc::clone(&self.format),
-                self.has_header,
-                projection.to_vec(),
-                filters.to_vec(),
-                AuxFlags {
-                    posmap: false,
-                    cache: false,
-                    eol: false,
-                    stats: false,
-                },
-                u64::MAX,
-                1,
-                self.io,
-            )
-            .with_pushdown(self.pushdown),
-        ))
+        Ok(Box::new(InSituScanOp::new(
+            throwaway,
+            self.path.clone(),
+            self.schema.clone(),
+            Arc::clone(&self.format),
+            self.has_header,
+            projection.to_vec(),
+            filters.to_vec(),
+            AuxFlags {
+                posmap: false,
+                cache: false,
+                eol: false,
+                stats: false,
+            },
+            u64::MAX,
+            1,
+            self.io,
+        )))
     }
 }
 

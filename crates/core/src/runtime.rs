@@ -44,11 +44,9 @@ pub struct ScanMetrics {
     pub fields_from_cache: u64,
     /// Bytes of raw file consumed by sequential tokenization.
     pub bytes_tokenized: u64,
-    /// Rows rejected by a pushed-down scan predicate before their full
-    /// attribute frontier was tokenized/converted.
+    /// Always 0; kept because `benchmark/` reads it.
     pub rows_rejected_early: u64,
-    /// Fields never tokenized because their row was rejected at the
-    /// predicate frontier (the work pushdown provably avoided).
+    /// Always 0; kept because `benchmark/` reads it.
     pub fields_skipped_early: u64,
 }
 
@@ -64,8 +62,6 @@ impl ScanMetrics {
         self.fields_parsed += other.fields_parsed;
         self.fields_from_cache += other.fields_from_cache;
         self.bytes_tokenized += other.bytes_tokenized;
-        self.rows_rejected_early += other.rows_rejected_early;
-        self.fields_skipped_early += other.fields_skipped_early;
     }
 }
 
@@ -82,8 +78,6 @@ pub struct ScanMetricsAtomic {
     fields_parsed: AtomicU64,
     fields_from_cache: AtomicU64,
     bytes_tokenized: AtomicU64,
-    rows_rejected_early: AtomicU64,
-    fields_skipped_early: AtomicU64,
 }
 
 impl ScanMetricsAtomic {
@@ -104,10 +98,6 @@ impl ScanMetricsAtomic {
             .fetch_add(m.fields_from_cache, Ordering::Relaxed);
         self.bytes_tokenized
             .fetch_add(m.bytes_tokenized, Ordering::Relaxed);
-        self.rows_rejected_early
-            .fetch_add(m.rows_rejected_early, Ordering::Relaxed);
-        self.fields_skipped_early
-            .fetch_add(m.fields_skipped_early, Ordering::Relaxed);
     }
 
     /// Read the current totals.
@@ -121,8 +111,7 @@ impl ScanMetricsAtomic {
             fields_parsed: self.fields_parsed.load(Ordering::Relaxed),
             fields_from_cache: self.fields_from_cache.load(Ordering::Relaxed),
             bytes_tokenized: self.bytes_tokenized.load(Ordering::Relaxed),
-            rows_rejected_early: self.rows_rejected_early.load(Ordering::Relaxed),
-            fields_skipped_early: self.fields_skipped_early.load(Ordering::Relaxed),
+            ..ScanMetrics::default()
         }
     }
 }

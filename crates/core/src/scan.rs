@@ -54,12 +54,11 @@
 //!   ones passed — the row kernel's short-circuit), and the SELECT
 //!   columns are gathered for the survivors only. A survivor that hits a
 //!   hole in a SELECT column sends the block back to the row kernel, and
-//!   the abandoned attempt records no metrics. Such blocks skip the
-//!   [`ScanPredicate`] screen: the batch filter does its job. A block
-//!   whose needed columns are all completely cached (or that needs none,
-//!   as `COUNT(*)` does) is always cache-served, so it never touches the
-//!   raw file — the paper's "avoid raw file access altogether" (§4.3) —
-//!   and the row kernel always reads each line it forms.
+//!   the abandoned attempt records no metrics. A block whose needed
+//!   columns are all completely cached (or that needs none, as
+//!   `COUNT(*)` does) is always cache-served, so it never touches the raw
+//!   file — the paper's "avoid raw file access altogether" (§4.3) — and
+//!   the row kernel always reads each line it forms.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
@@ -78,7 +77,6 @@ use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
 use nodb_sql::BoundExpr;
 use nodb_stats::StatsBuilder;
 
-use crate::pred::ScanPredicate;
 use crate::profile::{self, PhaseProfile, PhaseProfileAtomic, SampledClock};
 use crate::runtime::{RawTableRuntime, ScanMetrics};
 /// Which auxiliary structures this scan may read and write.
@@ -121,10 +119,6 @@ struct Ctx {
     where_locals: Vec<usize>,
     select_locals: Vec<usize>,
     sample_stride: u64,
-    /// Compiled early-reject screen (pushdown enabled and at least one
-    /// conjunct compiled). Cold passes consult it only when no auxiliary
-    /// structure is being populated — see [`InSituScanOp::with_pushdown`].
-    pred: Option<ScanPredicate>,
 }
 
 impl Ctx {
@@ -171,10 +165,6 @@ pub struct InSituScanOp {
     /// rebuilt underneath it (re-records are ignored as out-of-order).
     resume_byte: u64,
     stat_builders: Vec<(usize, StatsBuilder)>,
-    /// Whether filters may be compiled into a [`ScanPredicate`]
-    /// early-reject screen (off by default; see
-    /// [`InSituScanOp::with_pushdown`]).
-    pushdown: bool,
 }
 
 impl InSituScanOp {
@@ -217,7 +207,6 @@ impl InSituScanOp {
                 where_locals: Vec::new(),
                 select_locals: Vec::new(),
                 sample_stride: sample_stride.max(1),
-                pred: None,
             },
             query_profile: profile::current_query(),
             prepared: false,
@@ -229,23 +218,7 @@ impl InSituScanOp {
             block_rows: 0,
             resume_byte: 0,
             stat_builders: Vec::new(),
-            pushdown: false,
         }
-    }
-
-    /// Enable predicate pushdown into tokenization: compile eligible
-    /// filter conjuncts into a [`ScanPredicate`] and, on passes that
-    /// populate no auxiliary structure (no positional-map collection, no
-    /// cache staging, no statistics building), tokenize each record only
-    /// up to the predicate frontier, test, and skip the rest of the
-    /// record on a miss. Rows, auxiliary structures, and emitted values
-    /// are identical either way; the only observable differences are the
-    /// `rows_rejected_early`/`fields_skipped_early` metrics and that
-    /// malformed content in fields past the frontier of a rejected row
-    /// no longer raises a parse error (the work that never happened).
-    pub fn with_pushdown(mut self, on: bool) -> InSituScanOp {
-        self.pushdown = on;
-        self
     }
 
     fn prepare(&mut self) -> Result<()> {
@@ -283,11 +256,6 @@ impl InSituScanOp {
             .iter()
             .map(|f| f.map_columns(&to_where))
             .collect();
-
-        if self.pushdown && !self.ctx.projection.is_empty() {
-            let ctx = &self.ctx;
-            self.ctx.pred = ScanPredicate::compile(&ctx.filters, &ctx.projection, |l| ctx.dtype(l));
-        }
 
         // Workload log: one touch per projected attribute per scan (file
         // ordinals, not projection-local ones). Pure observation — with
@@ -606,13 +574,6 @@ impl InSituScanOp {
                 }
             })
             .collect();
-        let pred = self.ctx.pred.as_ref().filter(|_| {
-            is_lean(
-                collect,
-                cache_builders.iter().any(|b| b.is_some()),
-                !self.stat_builders.is_empty(),
-            )
-        });
         let mut row_buf: Vec<Value> = vec![Value::Null; needed.len()];
         let mut emitted = ValueBatch::with_capacity(needed.len(), 0);
         let mut positions: Vec<u32> = vec![0; needed.len()];
@@ -670,7 +631,7 @@ impl InSituScanOp {
             // One attribute's value: cache first, then the raw file via
             // the best positional information. Only values that touched
             // the file are written back to the cache and sampled.
-            let mut fetch = |local: usize| -> Result<Value> {
+            let fetch = |local: usize| -> Result<Value> {
                 if let Some(v) = cached[local].as_ref().and_then(|col| col.get(r)) {
                     metrics.fields_from_cache += 1;
                     return Ok(v);
@@ -705,24 +666,7 @@ impl InSituScanOp {
                 offer_stat(ctx, &mut self.stat_builders, local, row_id, &v);
                 Ok(v)
             };
-            // Compiled-predicate screen: convert only the tested columns
-            // and skip the row's remaining WHERE/SELECT conversions on a
-            // miss.
-            let mut keep = true;
-            if let Some(pred) = pred {
-                for item in pred.items() {
-                    if !item.op.test_value(&fetch(item.local)?)? {
-                        keep = false;
-                        break;
-                    }
-                }
-            }
-            let formed = if keep {
-                form_row(ctx, &mut row_buf, fetch)?
-            } else {
-                metrics.rows_rejected_early += 1;
-                false
-            };
+            let formed = form_row(ctx, &mut row_buf, fetch)?;
             clock.stop(&mut prof.parse_ns);
             if formed {
                 emitted.push_row_taken(&mut row_buf);
@@ -863,6 +807,14 @@ struct ChunkScan {
 /// `row_base` is the global id of the first row when the caller knows it
 /// (error locations and statistics sampling then use global row ids);
 /// chunk workers pass `None` and count from the chunk start.
+///
+/// Each row is tokenized exactly once, by one
+/// [`LineFormat::positions_upto`] call up to the highest projected
+/// attribute, before any value is converted: a record too short for that
+/// attribute is a located error whatever the WHERE clause would decide.
+/// Conjuncts are evaluated only in [`form_row`], so a row is tokenized,
+/// converted and failed the same way under every access mode and
+/// auxiliary configuration.
 fn scan_chunk(
     ctx: &Ctx,
     reader: &mut LineReader,
@@ -894,13 +846,6 @@ fn scan_chunk(
         metrics: ScanMetrics::default(),
         profile: PhaseProfile::default(),
     };
-    let pred = ctx.pred.as_ref().filter(|_| {
-        is_lean(
-            out.posmap.is_some(),
-            out.cache.is_some(),
-            !stat_locals.is_empty(),
-        )
-    });
     let mut clock = SampledClock::default();
     let mut line = Vec::new();
     let mut starts: Vec<u32> = Vec::with_capacity(max_attr + 1);
@@ -927,42 +872,14 @@ fn scan_chunk(
         let row_id = row_base.map(|_| tick);
         let locate = |e: NoDbError| e.at_raw_location(&ctx.path, row_id, Some(line_start));
         starts.clear();
-        // Pushdown fast path: tokenize only up to the predicate
-        // frontier, test, and skip the rest of the record on a miss.
-        let mut prefix = None;
-        if let Some(pred) = pred {
-            clock.start(tick);
-            let pfound = ctx
-                .format
-                .positions_upto(&line, pred.max_attr(), &mut starts)
-                .and_then(|n| require_fields(n, pred.max_attr() + 1))
-                .map_err(locate)?;
-            clock.stop(&mut out.profile.tokenize_ns);
-            out.metrics.fields_tokenized += pfound as u64;
-            clock.start(tick);
-            let metrics = &mut out.metrics;
-            let keep = pred.matches(&*ctx.format, &line, &starts, &mut |local, start| {
-                parse_value(ctx, &line, start, local, row_id, line_start, metrics)
-            })?;
-            clock.stop(&mut out.profile.parse_ns);
-            if !keep {
-                out.metrics.rows_rejected_early += 1;
-                out.metrics.fields_skipped_early += (max_attr - pred.max_attr()) as u64;
-                continue;
-            }
-            prefix = Some(pfound);
-        }
         clock.start(tick);
-        let found = match prefix {
-            // The row survived the screen: grow tokenization from the
-            // predicate frontier to the projection frontier.
-            Some(_) => ctx.format.positions_extend(&line, max_attr, &mut starts),
-            None => ctx.format.positions_upto(&line, max_attr, &mut starts),
-        }
-        .and_then(|n| require_fields(n, max_attr + 1))
-        .map_err(locate)?;
+        let found = ctx
+            .format
+            .positions_upto(&line, max_attr, &mut starts)
+            .and_then(|n| require_fields(n, max_attr + 1))
+            .map_err(locate)?;
         clock.stop(&mut out.profile.tokenize_ns);
-        out.metrics.fields_tokenized += found.saturating_sub(prefix.unwrap_or(0)) as u64;
+        out.metrics.fields_tokenized += found as u64;
         if let Some(c) = out.posmap.as_mut() {
             c.push_row(&starts);
         }
@@ -1007,14 +924,6 @@ fn scan_chunk(
 }
 
 // ----- free helpers (disjoint borrows of scan state) ---------------------
-
-/// Whether a pass may reject rows at the predicate frontier. Early
-/// rejection is only sound when the pass populates no auxiliary
-/// structure: map collection and cache staging need every row's full
-/// attribute frontier, statistics need every row's WHERE values.
-fn is_lean(collecting_map: bool, staging_cache: bool, sampling_stats: bool) -> bool {
-    !(collecting_map || staging_cache || sampling_stats)
-}
 
 /// Selective parsing and tuple formation (§4.1): convert the WHERE
 /// attributes first, evaluate every conjunct, and convert the SELECT

@@ -8,7 +8,7 @@
 //! navigation counts delimiters forwards or backwards (§4.2, incremental
 //! parsing in both directions).
 
-use nodb_common::{DataType, LineFormat, NoDbError, RawField, Result, Value, NO_POSITION};
+use nodb_common::{DataType, LineFormat, NoDbError, Result, Value, NO_POSITION};
 
 use crate::tokenize;
 use crate::CsvOptions;
@@ -57,23 +57,6 @@ impl LineFormat for CsvFormat {
             NoDbError::parse(format!("record has too few fields for attribute {to_idx}"))
         })
     }
-
-    fn positions_extend(&self, line: &[u8], upto: usize, out: &mut Vec<u32>) -> Result<usize> {
-        Ok(tokenize::tokenize_resume(line, self.delim, upto, out))
-    }
-
-    fn raw_field<'a>(&self, line: &'a [u8], start: u32) -> RawField<'a> {
-        if start == NO_POSITION {
-            return RawField::Null;
-        }
-        let bytes = tokenize::field_at(line, self.delim, start);
-        if bytes.is_empty() {
-            // Empty field is NULL (Value::parse_field's rule).
-            RawField::Null
-        } else {
-            RawField::Text(bytes)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,25 +91,6 @@ mod tests {
             Value::Null
         );
         assert!(f.parse_at(LINE, 0, DataType::Int32).is_err());
-    }
-
-    #[test]
-    fn raw_field_mirrors_parse_semantics() {
-        let f = CsvFormat::new(CsvOptions::default());
-        assert_eq!(f.raw_field(LINE, 0), RawField::Text(b"aa"));
-        assert_eq!(f.raw_field(LINE, 3), RawField::Text(b"7"));
-        // Empty field is NULL, as in parse_at.
-        assert_eq!(f.raw_field(LINE, 5), RawField::Null);
-        assert_eq!(f.raw_field(LINE, NO_POSITION), RawField::Null);
-    }
-
-    #[test]
-    fn positions_extend_resumes_tokenization() {
-        let f = CsvFormat::new(CsvOptions::default());
-        let mut out = Vec::new();
-        f.positions_upto(LINE, 1, &mut out).unwrap();
-        assert_eq!(f.positions_extend(LINE, 3, &mut out).unwrap(), 4);
-        assert_eq!(out, vec![0, 3, 5, 6]);
     }
 
     #[test]

@@ -41,31 +41,6 @@ pub fn tokenize_all(line: &[u8], delim: u8, out: &mut Vec<u32>) -> usize {
     tokenize_upto(line, delim, usize::MAX - 1, out)
 }
 
-/// Resume a previous [`tokenize_upto`] of the same line: `out` holds the
-/// starts of fields `0..out.len()` and scanning continues from the last
-/// known start until the start of field `upto` is found (or the line
-/// ends). Returns the total number of starts now in `out`. This is how
-/// a pushed-down predicate grows tokenization only for rows it keeps —
-/// the already-scanned prefix is never re-scanned.
-pub fn tokenize_resume(line: &[u8], delim: u8, upto: usize, out: &mut Vec<u32>) -> usize {
-    let Some(&last) = out.last() else {
-        return tokenize_upto(line, delim, upto, out);
-    };
-    let mut found = out.len();
-    if found > upto {
-        return found;
-    }
-    let base = last as usize;
-    for i in swar::ByteFinder::new(&line[base.min(line.len())..], delim) {
-        out.push((base + i) as u32 + 1);
-        found += 1;
-        if found > upto {
-            break;
-        }
-    }
-    found
-}
-
 /// Number of fields on the line (1 + number of delimiters).
 pub fn count_fields(line: &[u8], delim: u8) -> usize {
     1 + swar::count_byte(line, delim)
@@ -173,20 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_continues_where_selective_stopped() {
-        let mut out = Vec::new();
-        tokenize_upto(LINE, b',', 1, &mut out);
-        assert_eq!(out, vec![0, 3]);
-        assert_eq!(tokenize_resume(LINE, b',', 4, &mut out), 5);
-        let mut full = Vec::new();
-        tokenize_all(LINE, b',', &mut full);
-        assert_eq!(out, full);
-        // Already past the target: a no-op.
-        assert_eq!(tokenize_resume(LINE, b',', 2, &mut out), 5);
-        assert_eq!(out, full);
-    }
-
-    #[test]
     fn field_extraction() {
         assert_eq!(field_at(LINE, b',', 0), b"aa");
         assert_eq!(field_at(LINE, b',', 3), b"b");
@@ -256,25 +217,6 @@ mod tests {
             tokenize_upto(&line, b',', upto, &mut sel);
             let expect = full.len().min(upto + 1);
             prop_assert_eq!(&sel[..], &full[..expect]);
-        }
-
-        /// Resuming tokenization from any stopping point agrees with
-        /// tokenizing from scratch.
-        #[test]
-        fn resume_matches_from_scratch(
-            fields in proptest::collection::vec("[a-z]{0,4}", 1..10),
-            stop in 0usize..10,
-            upto in 0usize..10,
-        ) {
-            prop_assume!(stop <= upto);
-            let line = fields.join(",").into_bytes();
-            let mut resumed = Vec::new();
-            tokenize_upto(&line, b',', stop, &mut resumed);
-            let n = tokenize_resume(&line, b',', upto, &mut resumed);
-            let mut scratch = Vec::new();
-            let m = tokenize_upto(&line, b',', upto, &mut scratch);
-            prop_assert_eq!(n, m);
-            prop_assert_eq!(resumed, scratch);
         }
 
         /// Extracted fields match a straightforward split.

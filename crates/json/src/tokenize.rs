@@ -27,9 +27,7 @@
 
 use std::collections::HashMap;
 
-use nodb_common::{
-    swar, DataType, LineFormat, NoDbError, RawField, Result, Schema, Value, NO_POSITION,
-};
+use nodb_common::{swar, DataType, LineFormat, NoDbError, Result, Schema, Value, NO_POSITION};
 
 /// JSON Lines records whose top-level keys name the attributes of a
 /// declared schema.
@@ -207,31 +205,6 @@ impl LineFormat for JsonFormat {
             }
         })?;
         Ok(pos)
-    }
-
-    fn raw_field<'a>(&self, line: &'a [u8], start: u32) -> RawField<'a> {
-        if start == NO_POSITION {
-            return RawField::Null;
-        }
-        let i = start as usize;
-        match line.get(i) {
-            // An unescaped string is byte-exact with its decoded text;
-            // escaped strings need `unescape` (allocation) — opaque.
-            Some(b'"') => match scan_string(line, i) {
-                Ok((end, false)) => {
-                    let inner = &line[i + 1..end - 1];
-                    if inner.is_empty() {
-                        // Empty string is NULL, like the empty CSV field.
-                        RawField::Null
-                    } else {
-                        RawField::Text(inner)
-                    }
-                }
-                _ => RawField::Opaque,
-            },
-            Some(b'n') if line.len() >= i + 4 && &line[i..i + 4] == b"null" => RawField::Null,
-            _ => RawField::Opaque,
-        }
     }
 }
 
@@ -607,26 +580,6 @@ mod tests {
         let line = br#"{"a": [1, 2]}"#;
         let pos = positions(&f, line, 0);
         assert!(f.parse_at(line, pos[0], DataType::Int32).is_err());
-    }
-
-    #[test]
-    fn raw_field_exposes_plain_strings_only() {
-        let f = fmt3();
-        let line = br#"{"a": "plain", "b": "es\"c", "c": null, "d": 7}"#;
-        let pos = positions(&f, line, 2);
-        assert_eq!(f.raw_field(line, pos[0]), RawField::Text(b"plain"));
-        // Escaped strings need unescaping — opaque.
-        assert_eq!(f.raw_field(line, pos[1]), RawField::Opaque);
-        assert_eq!(f.raw_field(line, pos[2]), RawField::Null);
-        assert_eq!(f.raw_field(line, NO_POSITION), RawField::Null);
-        // Empty string is NULL, matching parse_at's coercion.
-        let line = br#"{"a": ""}"#;
-        let pos = positions(&f, line, 0);
-        assert_eq!(f.raw_field(line, pos[0]), RawField::Null);
-        // Non-string tokens stay opaque (callers parse).
-        let line = br#"{"a": 42}"#;
-        let pos = positions(&f, line, 0);
-        assert_eq!(f.raw_field(line, pos[0]), RawField::Opaque);
     }
 
     #[test]

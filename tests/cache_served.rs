@@ -257,15 +257,9 @@ fn cache_served_blocks_are_bit_identical() {
         for q in CACHED_QUERIES {
             let (_, before, after) = pair.step(q);
             if pass == "served" {
-                // Nothing comes from the file, and the pushed-down screen
-                // (which rejects rows on fully cached blocks the row
-                // kernel forms) never runs.
+                // Nothing comes from the file.
                 assert_eq!(after.fields_parsed, before.fields_parsed, "`{q}` re-parsed");
                 assert_eq!(after.fields_tokenized, before.fields_tokenized, "`{q}`");
-                assert_eq!(
-                    after.rows_rejected_early, before.rows_rejected_early,
-                    "`{q}`"
-                );
             }
         }
     }

@@ -1,22 +1,22 @@
-//! Differential proof that the rewrite pipeline — constant folding,
-//! boolean simplification, projection pruning, and predicate pushdown
-//! into the tokenizer — is an *identity* transformation on everything
-//! the user can observe: for a shared query corpus, an engine with
-//! `enable_rewrite = true` must produce rows **bit-identical** to one
-//! with the pipeline disabled, and must leave behind bit-identical
-//! auxiliary structures (positional-map pointers/bytes, cache bytes,
-//! analyzed attributes), across
+//! Differential proof that the binder's predicate normalizer —
+//! constant folding, boolean simplification, tautology and
+//! contradiction elimination, and the projection pruning they allow —
+//! is an *identity* transformation on everything the user can observe:
+//! for a shared query corpus, an engine with `enable_rewrite = true`
+//! (normalizer on) must produce rows **bit-identical** to one with it
+//! off, and must leave behind bit-identical auxiliary structures
+//! (positional-map pointers/bytes, cache bytes, analyzed attributes),
+//! across
 //!
 //! * CSV and JSON Lines physical layouts,
 //! * 1 and 4 cold-scan worker threads,
 //! * both I/O substrates (`Read` and `Mmap`),
 //! * cold (structure-building) and warm (structure-serving) scans.
 //!
-//! What *may* differ is the work: the final test proves the point of
-//! the whole feature with counters, not wall clock — under a no-aux
-//! config a selective predicate on an early column makes the scan
-//! tokenize **strictly fewer** fields, because rows rejected at the
-//! predicate frontier never have their remaining fields located.
+//! The scan itself does not consult the switch: it tokenizes every row
+//! up to the highest attribute it needs and evaluates conjuncts only
+//! after that, so a malformed record fails the same way under every
+//! access mode and configuration (the final test).
 
 use std::path::PathBuf;
 
@@ -28,20 +28,20 @@ use nodb::json::{JsonlOptions, JsonlWriter};
 const SCHEMA: &str = "id int, grp text, score double, flag bool, note text, big bigint";
 const ROWS: usize = 997; // prime: chunk and batch boundaries never align
 
-/// Every rewrite the pipeline performs has queries here that trigger
-/// it; every pushdown fast path (int/float/text comparison, LIKE
-/// prefix/suffix, IS NULL) has a conjunct that reaches the tokenizer.
+/// Every rewrite the normalizer performs has queries here that trigger
+/// it, next to plain scan filters of every shape (int/float/text
+/// comparison, LIKE, IS NULL) that it must leave as they are.
 const QUERIES: &[&str] = &[
-    // Comparison pushdown on every affinity, early and late columns.
+    // Comparisons on every affinity, early and late columns.
     "select id, note from t where grp = 'alpha'",
     "select id from t where score > 9.0 order by id",
     "select count(*) from t where big > 1000000010000",
     "select id, big from t where id >= 900 and score < 6.0",
-    // LIKE prefix / suffix fast paths and the general fallback.
+    // LIKE prefix, suffix and general patterns.
     "select id from t where note like 'with%' order by id",
     "select count(*) from t where note like '%slash'",
     "select count(*) from t where note like '%qu%'",
-    // IS NULL / IS NOT NULL against the raw field slice.
+    // IS NULL / IS NOT NULL.
     "select count(*) from t where grp is null",
     "select id from t where score is not null and score < 0.5 order by id",
     // Constant folding and boolean simplification.
@@ -51,7 +51,7 @@ const QUERIES: &[&str] = &[
     // Projection pruning: wide intermediate, narrow output.
     "select grp, count(*), sum(score) from t group by grp order by grp",
     "select distinct flag from t order by flag",
-    // Shapes pushdown must leave alone: disjunctions across columns,
+    // Shapes the normalizer must leave alone: disjunctions across columns,
     // expressions over the column, row-crossing operators.
     "select count(*) from t where grp = 'beta' or big < 1000000000500",
     "select count(*) from t where id <> 0 and big / id > 0",
@@ -200,54 +200,58 @@ fn rewrite_pipeline_is_invisible_in_rows_and_aux() {
     }
 }
 
-/// The work proof. Under a no-aux config (nothing to populate, so the
-/// lean-scan guard permits early rejection) a selective predicate on
-/// an early column with a late output column must make the scan
-/// tokenize strictly fewer fields than the same query without the
-/// rewrite pipeline: rows rejected at the predicate frontier never
-/// have their trailing fields located. This is the NoDB selective-
-/// tokenization idea extended below the row boundary — the counters
-/// prove the saved work exists rather than inferring it from time.
+/// One answer per query whatever the configuration. The third line of a
+/// 4-column file is short (`9,9`) and fails `c0 < 5`; every access mode,
+/// every auxiliary configuration and both normalizer settings must
+/// tokenize that row through `c3` and report the same located error,
+/// rather than some of them skipping the row because the WHERE clause
+/// rejects it.
 #[test]
-fn pushdown_tokenizes_strictly_fewer_fields_on_a_no_aux_scan() {
-    let f = fixture();
-    // `grp` is attribute 1; `note`/`big` are attributes 4 and 5. A row
-    // failing `grp = 'alpha'` ends tokenization at attribute 1 under
-    // pushdown; without it the scan must locate through attribute 5.
-    let q = "select note, big from t where grp = 'alpha'";
+fn short_record_fails_alike_under_every_config() {
+    let td = TempDir::new("nodb-short-record").unwrap();
+    let path = td.file("t.csv");
+    std::fs::write(&path, "1,10,100,1000\n2,20,200,2000\n9,9\n3,30,300,3000\n").unwrap();
+    let schema = Schema::parse("c0 int, c1 int, c2 int, c3 int").unwrap();
+    let q = "select c3 from t where c0 < 5";
 
-    let run = |rewrite: bool| {
-        let mut cfg = NoDbConfig::baseline();
-        cfg.enable_rewrite = rewrite;
-        let db = engine(&f, cfg, false);
-        let rows = db.query(q).unwrap().rows;
-        (rows, db.metrics("t").unwrap())
-    };
-    let (want, off) = run(false);
-    let (got, on) = run(true);
-
-    assert_eq!(want, got, "pushdown changed the result");
-    assert_eq!(off.rows_rejected_early, 0, "{off:?}");
-    assert_eq!(off.fields_skipped_early, 0, "{off:?}");
-    assert!(
-        on.rows_rejected_early > 0,
-        "no rows rejected at the predicate frontier: {on:?}"
-    );
-    assert!(
-        on.fields_skipped_early > 0,
-        "no fields skipped by early rejection: {on:?}"
-    );
-    assert!(
-        on.fields_tokenized < off.fields_tokenized,
-        "pushdown did not reduce tokenization: on={} off={}",
-        on.fields_tokenized,
-        off.fields_tokenized
-    );
-    // The skipped fields account exactly for the difference: nothing
-    // else about the scan's field location work may change.
-    assert_eq!(
-        on.fields_tokenized + on.fields_skipped_early,
-        off.fields_tokenized,
-        "on={on:?} off={off:?}"
-    );
+    let configs = [
+        (
+            "postgres_raw",
+            NoDbConfig::postgres_raw(),
+            AccessMode::InSitu,
+        ),
+        ("pm_only", NoDbConfig::pm_only(), AccessMode::InSitu),
+        ("cache_only", NoDbConfig::cache_only(), AccessMode::InSitu),
+        ("baseline", NoDbConfig::baseline(), AccessMode::InSitu),
+        (
+            "external",
+            NoDbConfig::baseline(),
+            AccessMode::ExternalFiles,
+        ),
+    ];
+    let mut errors = Vec::new();
+    for (name, cfg, mode) in configs {
+        for rewrite in [true, false] {
+            let mut cfg = cfg.clone();
+            cfg.enable_rewrite = rewrite;
+            // One worker, so the error names its global row.
+            cfg.scan_threads = 1;
+            let mut db = NoDb::new(cfg).unwrap();
+            db.register_csv("t", &path, schema.clone(), CsvOptions::default(), mode)
+                .unwrap();
+            let ctx = format!("{name} rewrite={rewrite}");
+            let err = match db.query(q) {
+                Ok(r) => panic!("{ctx}: answered {} rows", r.rows.len()),
+                Err(e) => e.to_string(),
+            };
+            assert!(
+                err.contains("row 2") && err.contains("record has 2 fields, need at least 4"),
+                "{ctx}: {err}"
+            );
+            errors.push((ctx, err));
+        }
+    }
+    for (ctx, err) in &errors[1..] {
+        assert_eq!(err, &errors[0].1, "{ctx} vs {}", errors[0].0);
+    }
 }
