@@ -68,6 +68,9 @@ impl Config {
                 "crates/exec/src/eval.rs",
                 "crates/exec/src/key.rs",
                 "crates/exec/src/ops.rs",
+                // The typed column every cache-served block and batch
+                // carries.
+                "crates/common/src/column.rs",
             ]
             .map(String::from)
             .to_vec(),
@@ -108,6 +111,8 @@ impl Config {
                 "crates/posmap/src/chunk.rs",
                 "crates/posmap/src/eol.rs",
                 "crates/posmap/src/map.rs",
+                // The text arena's u32 offsets.
+                "crates/common/src/column.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -557,7 +557,7 @@ fn bench_batch(c: &mut Criterion) {
     let rows: Vec<Row> = (0..1024)
         .map(|i| Row(vec![Value::Int64(i % 97), Value::Float64(i as f64 / 8.0)]))
         .collect();
-    let batch = ValueBatch::from_rows(rows.clone());
+    let batch = ValueBatch::from_rows(rows.clone()).expect("typed batch");
     let pred = BoundExpr::Binary {
         op: BinOp::And,
         left: Box::new(BoundExpr::Binary {

@@ -1,113 +1,14 @@
 //! Partial columnar cache entries.
+//!
+//! A cached (block × attribute) column is a typed [`Column`] — one
+//! vector per type, text as one offsets + bytes arena — plus a *present*
+//! bitmap: selective parsing converts SELECT attributes only for
+//! qualifying rows, so a column may have holes, and a hole is not a NULL.
+//! Cache-served scans hand the typed values to the executor as they are
+//! (`CachedColumn::column`); no value is re-boxed on the way.
 
-use nodb_common::{DataType, Date, Value};
-
-/// Typed dense storage for one block of one attribute. Rows that are not
-/// present hold a default slot; the presence bitmap is authoritative.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnData {
-    /// 32-bit integers.
-    I32(Vec<i32>),
-    /// 64-bit integers.
-    I64(Vec<i64>),
-    /// 64-bit floats.
-    F64(Vec<f64>),
-    /// Dates as day numbers.
-    Date(Vec<i32>),
-    /// Booleans.
-    Bool(Vec<bool>),
-    /// Strings.
-    Text(Vec<String>),
-}
-
-impl ColumnData {
-    fn with_len(dtype: DataType, n: usize) -> ColumnData {
-        match dtype {
-            DataType::Int32 => ColumnData::I32(vec![0; n]),
-            DataType::Int64 => ColumnData::I64(vec![0; n]),
-            DataType::Float64 => ColumnData::F64(vec![0.0; n]),
-            DataType::Date => ColumnData::Date(vec![0; n]),
-            DataType::Bool => ColumnData::Bool(vec![false; n]),
-            DataType::Text => ColumnData::Text(vec![String::new(); n]),
-        }
-    }
-
-    fn value(&self, i: usize) -> Value {
-        match self {
-            ColumnData::I32(v) => Value::Int32(v[i]),
-            ColumnData::I64(v) => Value::Int64(v[i]),
-            ColumnData::F64(v) => Value::Float64(v[i]),
-            ColumnData::Date(v) => Value::Date(Date(v[i])),
-            ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Text(v) => Value::Text(v[i].clone()),
-        }
-    }
-
-    /// Store `value` at `i`; returns false on a type mismatch.
-    fn set(&mut self, i: usize, value: &Value) -> bool {
-        match (self, value) {
-            (ColumnData::I32(v), Value::Int32(x)) => v[i] = *x,
-            (ColumnData::I64(v), Value::Int64(x)) => v[i] = *x,
-            (ColumnData::F64(v), Value::Float64(x)) => v[i] = *x,
-            (ColumnData::Date(v), Value::Date(d)) => v[i] = d.0,
-            (ColumnData::Bool(v), Value::Bool(b)) => v[i] = *b,
-            (ColumnData::Text(v), Value::Text(s)) => v[i] = s.clone(),
-            _ => return false,
-        }
-        true
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            ColumnData::I32(v) => v.len() * 4,
-            ColumnData::I64(v) => v.len() * 8,
-            ColumnData::F64(v) => v.len() * 8,
-            ColumnData::Date(v) => v.len() * 4,
-            ColumnData::Bool(v) => v.len(),
-            ColumnData::Text(v) => v
-                .iter()
-                .map(|s| std::mem::size_of::<String>() + s.capacity())
-                .sum(),
-        }
-    }
-}
-
-/// Simple fixed-size bitmap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Bitmap {
-    words: Vec<u64>,
-    ones: usize,
-}
-
-impl Bitmap {
-    pub(crate) fn new(bits: usize) -> Bitmap {
-        Bitmap {
-            words: vec![0; bits.div_ceil(64)],
-            ones: 0,
-        }
-    }
-
-    pub(crate) fn set(&mut self, i: usize) {
-        let w = &mut self.words[i / 64];
-        let m = 1u64 << (i % 64);
-        if *w & m == 0 {
-            *w |= m;
-            self.ones += 1;
-        }
-    }
-
-    pub(crate) fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    pub(crate) fn count(&self) -> usize {
-        self.ones
-    }
-
-    pub(crate) fn bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
+use nodb_common::column::Bitmap;
+use nodb_common::{Column, DataType, Value};
 
 /// One cached (block × attribute) column, possibly partial.
 #[derive(Debug, Clone)]
@@ -120,8 +21,8 @@ pub struct CachedColumn {
     pub dtype: DataType,
     rows: usize,
     present: Bitmap,
-    nulls: Bitmap,
-    data: ColumnData,
+    /// One lane per row; a hole is a NULL lane whose present bit is off.
+    col: Column,
     bytes: usize,
 }
 
@@ -146,25 +47,9 @@ impl CachedColumn {
     /// rows this column covered when built (e.g. after an append);
     /// `Some(Value::Null)` for a cached NULL.
     pub fn get(&self, local_row: usize) -> Option<Value> {
-        if local_row >= self.rows || !self.present.get(local_row) {
-            return None;
-        }
-        if self.nulls.get(local_row) {
-            return Some(Value::Null);
-        }
-        Some(self.data.value(local_row))
-    }
-
-    /// Append the values of `rows` (all present) to `out`.
-    fn push_values(&self, rows: impl Iterator<Item = usize>, out: &mut Vec<Value>) {
-        let any_null = self.nulls.count() > 0;
-        out.extend(rows.map(|i| {
-            if any_null && self.nulls.get(i) {
-                Value::Null
-            } else {
-                self.data.value(i)
-            }
-        }));
+        self.present
+            .get(local_row)
+            .then(|| self.col.value(local_row))
     }
 
     /// Whether the column is complete and spans at least the block's
@@ -174,28 +59,28 @@ impl CachedColumn {
         rows <= self.rows && self.is_complete()
     }
 
-    /// Append the values of block-local rows `0..rows` to `out` in one
-    /// pass (no per-value presence lookup). The caller has checked that
-    /// the column [`covers`](CachedColumn::covers) them.
-    pub fn gather_prefix(&self, rows: usize, out: &mut Vec<Value>) {
-        debug_assert!(self.covers(rows), "gather_prefix past the cached rows");
-        self.push_values(0..rows, out);
+    /// Whether every one of the block-local `rows` is cached.
+    pub fn has_all(&self, rows: &[usize]) -> bool {
+        rows.iter().all(|&r| self.present.get(r))
     }
 
-    /// Append the values of the block-local `rows` to `out`. Returns
-    /// false, appending nothing, if any of them is a hole.
-    pub fn gather(&self, rows: &[u32], out: &mut Vec<Value>) -> bool {
-        let present = |&r: &u32| (r as usize) < self.rows && self.present.get(r as usize);
-        if !rows.iter().all(present) {
-            return false;
-        }
-        self.push_values(rows.iter().map(|&r| r as usize), out);
-        true
+    /// The typed values, one lane per block row (holes read as NULL:
+    /// check [`covers`](CachedColumn::covers) or
+    /// [`has_all`](CachedColumn::has_all) first).
+    pub fn column(&self) -> &Column {
+        &self.col
     }
 
-    /// Approximate memory footprint.
+    /// Approximate memory footprint: values (text as arena bytes plus
+    /// `u32` offsets), the validity and presence bitmaps, and 64 bytes
+    /// of entry overhead.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    fn account(&mut self) {
+        self.col.shrink_to_fit();
+        self.bytes = self.col.bytes() + self.present.bytes() + 64;
     }
 
     /// Merge another (newer) partial column for the same block/attr,
@@ -206,36 +91,55 @@ impl CachedColumn {
     pub fn absorb(&mut self, other: &CachedColumn) {
         debug_assert_eq!(self.block, other.block);
         debug_assert_eq!(self.attr, other.attr);
-        if self.dtype != other.dtype {
+        if self.dtype != other.dtype || (self.covers(other.rows) && self.rows >= other.rows) {
             return;
         }
-        if other.rows > self.rows {
-            // Grow: start from the wider column, pull in our old values.
-            let mut grown = other.clone();
-            for i in 0..self.rows {
-                if !grown.present.get(i) && self.present.get(i) {
-                    if self.nulls.get(i) {
-                        grown.nulls.set(i);
-                    } else {
-                        grown.data.set(i, &self.data.value(i));
-                    }
-                    grown.present.set(i);
-                }
-            }
-            *self = grown;
+        if self.dtype == DataType::Text {
+            self.absorb_text(other);
+        } else if other.rows > self.rows {
+            // Grow: start from the wider column, fill its holes from ours.
+            let old = std::mem::replace(self, other.clone());
+            self.fill_holes(&old);
         } else {
-            for i in 0..other.rows.min(self.rows) {
-                if !self.present.get(i) && other.present.get(i) {
-                    if other.nulls.get(i) {
-                        self.nulls.set(i);
-                    } else {
-                        self.data.set(i, &other.data.value(i));
-                    }
-                    self.present.set(i);
-                }
+            self.fill_holes(other);
+        }
+        self.account();
+    }
+
+    /// Copy `src`'s values into this fixed-width column's holes, in place.
+    fn fill_holes(&mut self, src: &CachedColumn) {
+        for i in 0..src.rows.min(self.rows) {
+            if !self.present.get(i) && src.present.get(i) && self.col.copy_lane(i, &src.col) {
+                self.present.set(i);
             }
         }
-        self.bytes = self.data.bytes() + self.present.bytes() + self.nulls.bytes() + 64;
+    }
+
+    /// [`CachedColumn::absorb`] for text, which the arena cannot take in
+    /// place: rebuild the column, copying each run of rows that one
+    /// source supplies (ours first) at once.
+    fn absorb_text(&mut self, other: &CachedColumn) {
+        let rows = self.rows.max(other.rows);
+        let sources = [&*self, other];
+        let source: Vec<Option<usize>> = (0..rows)
+            .map(|i| sources.iter().position(|c| c.present.get(i)))
+            .collect();
+        let mut col = Column::with_capacity(self.dtype, rows);
+        let mut present = Bitmap::new(rows);
+        let mut i = 0;
+        while i < rows {
+            let run = source[i..].iter().take_while(|&&s| s == source[i]).count();
+            match source[i].and_then(|k| sources.get(k)) {
+                Some(c) if col.extend_from(&c.col, i, run).is_ok() => {
+                    (i..i + run).for_each(|j| present.set(j));
+                }
+                _ => col.push_nulls(run),
+            }
+            i += run;
+        }
+        self.rows = rows;
+        self.present = present;
+        self.col = col;
     }
 }
 
@@ -255,29 +159,52 @@ impl ColumnBuilder {
                 dtype,
                 rows,
                 present: Bitmap::new(rows),
-                nulls: Bitmap::new(rows),
-                data: ColumnData::with_len(dtype, rows),
+                // Fixed-width values are set in place; text is appended.
+                col: match dtype {
+                    DataType::Text => Column::with_capacity(dtype, rows),
+                    _ => Column::nulls(dtype, rows),
+                },
                 bytes: 0,
             },
         }
     }
 
-    /// Record the converted value for a block-local row. Type mismatches
-    /// are ignored (the scan validated types already; defensive no-op).
+    /// Record the converted value for a block-local row (a fixed-width
+    /// value in place; text appended, as scans record rows in ascending
+    /// order, with an earlier hole refilled).
+    /// Type mismatches are ignored (the scan validated types already;
+    /// defensive no-op) and leave a hole.
     pub fn set(&mut self, local_row: usize, value: &Value) {
-        if local_row >= self.col.rows {
+        let c = &mut self.col;
+        if local_row >= c.rows
+            || c.present.get(local_row)
+            || value.data_type().is_some_and(|t| t != c.dtype)
+        {
             return;
         }
-        match value {
-            Value::Null => {
-                self.col.nulls.set(local_row);
-                self.col.present.set(local_row);
-            }
-            v => {
-                if self.col.data.set(local_row, v) {
-                    self.col.present.set(local_row);
-                }
-            }
+        if c.col.set(local_row, value) {
+            c.present.set(local_row);
+            return;
+        }
+        let len = c.col.len();
+        // Rows before this one that were never recorded are holes; a hole
+        // already passed is refilled by cutting the lanes after it off
+        // and putting them back.
+        let mut tail = None;
+        if local_row > len {
+            c.col.push_nulls(local_row - len);
+        } else if local_row < len {
+            tail = Some(c.col.slice(local_row + 1, len - local_row - 1));
+            c.col.truncate(local_row);
+        }
+        if c.col.push_value(value).is_ok() {
+            c.present.set(local_row);
+        } else {
+            c.col.push_null();
+        }
+        if let Some(rest) = tail {
+            // Same type, and no larger than before: cannot fail.
+            let _ = c.col.append(&rest);
         }
     }
 
@@ -288,8 +215,9 @@ impl ColumnBuilder {
 
     /// Finish, computing byte accounting.
     pub fn build(mut self) -> CachedColumn {
-        self.col.bytes =
-            self.col.data.bytes() + self.col.present.bytes() + self.col.nulls.bytes() + 64;
+        let c = &mut self.col;
+        c.col.push_nulls(c.rows.saturating_sub(c.col.len()));
+        self.col.account();
         self.col
     }
 }
@@ -319,15 +247,13 @@ mod tests {
         }
         b.set(2, &Value::Null);
         let c = b.build();
-        let mut out = Vec::new();
-        assert!(c.gather(&[5, 2, 0], &mut out));
-        assert_eq!(out, vec![c.get(5).unwrap(), Value::Null, c.get(0).unwrap()]);
-        // A hole (row 4) or a row past the column refuses the whole gather.
-        for rows in [&[0u32, 4][..], &[6]] {
-            let mut out = Vec::new();
-            assert!(!c.gather(rows, &mut out));
-            assert!(out.is_empty());
-        }
+        let rows = [5, 2, 0];
+        assert!(c.has_all(&rows));
+        let g = c.column().gather(&rows).unwrap();
+        let got: Vec<Value> = (0..rows.len()).map(|i| g.value(i)).collect();
+        assert_eq!(got, vec![c.get(5).unwrap(), Value::Null, c.get(0).unwrap()]);
+        // A hole (row 4) or a row past the column is not cached.
+        assert!(!c.has_all(&[0, 4]) && !c.has_all(&[6]));
         assert!(!c.covers(4));
         let mut b = ColumnBuilder::new(0, 0, DataType::Int64, 3);
         b.set(0, &Value::Int64(1));
@@ -335,9 +261,9 @@ mod tests {
         b.set(2, &Value::Int64(3));
         let c = b.build();
         assert!(c.covers(2) && c.covers(3) && !c.covers(4));
-        let mut out = Vec::new();
-        c.gather_prefix(3, &mut out);
-        assert_eq!(out, (0..3).map(|i| c.get(i).unwrap()).collect::<Vec<_>>());
+        let prefix = c.column().slice(0, 3);
+        let got: Vec<Value> = (0..3).map(|i| prefix.value(i)).collect();
+        assert_eq!(got, (0..3).map(|i| c.get(i).unwrap()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -378,6 +304,38 @@ mod tests {
         assert_eq!(a.get(1), None);
         assert_eq!(a.get(2), Some(Value::Int32(3)));
         assert_eq!(a.get(3), Some(Value::Null));
+
+        // A partial text column absorbed into a grown one (the block
+        // gained rows through an append): old values fill the new
+        // column's holes, and the accounting follows the new extent.
+        let mut old = {
+            let mut b = ColumnBuilder::new(0, 1, DataType::Text, 3);
+            b.set(0, &Value::Text("ab".into()));
+            b.set(2, &Value::Text("cde".into()));
+            b.build()
+        };
+        let grown = {
+            let mut b = ColumnBuilder::new(0, 1, DataType::Text, 5);
+            b.set(1, &Value::Null);
+            b.set(2, &Value::Text("zzz".into())); // ignored: already present
+            b.set(4, &Value::Text("f".into()));
+            b.build()
+        };
+        old.absorb(&grown);
+        assert_eq!(old.rows(), 5);
+        let got: Vec<Option<Value>> = (0..5).map(|i| old.get(i)).collect();
+        assert_eq!(
+            got,
+            vec![
+                Some(Value::Text("ab".into())),
+                Some(Value::Null),
+                Some(Value::Text("cde".into())),
+                None,
+                Some(Value::Text("f".into())),
+            ]
+        );
+        // 6 arena bytes + 6 offsets + validity + presence + 64.
+        assert_eq!(old.bytes(), 6 + 6 * 4 + 8 + 8 + 64);
     }
 
     #[test]
@@ -385,7 +343,9 @@ mod tests {
         let mut b = ColumnBuilder::new(0, 0, DataType::Text, 2);
         b.set(0, &Value::Text("hello world".into()));
         let c = b.build();
-        assert!(c.bytes() > 11);
+        // 11 arena bytes + 3 u32 offsets + validity and presence words +
+        // 64: no per-value `String` header.
+        assert_eq!(c.bytes(), 11 + 3 * 4 + 8 + 8 + 64);
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod column;
 pub mod staging;
 pub mod store;
 
-pub use column::{CachedColumn, ColumnBuilder, ColumnData};
+pub use column::{CachedColumn, ColumnBuilder};
 pub use staging::ChunkStage;
 pub use store::{CacheConfig, CacheStats, RawCache};

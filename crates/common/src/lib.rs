@@ -1,7 +1,7 @@
 //! Shared kernel for the NoDB / PostgresRaw reproduction.
 //!
 //! This crate holds the vocabulary types every other crate speaks:
-//! [`DataType`], [`Value`], [`Schema`], [`Date`], [`Row`], and the common
+//! [`DataType`], [`Value`], [`Column`], [`Schema`], [`Date`], [`Row`], and the common
 //! [`NoDbError`] / [`Result`] pair. It also provides small utilities that
 //! would otherwise pull in external dependencies: a self-cleaning temporary
 //! directory ([`TempDir`]) and human-readable byte sizes ([`ByteSize`]).
@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod bytesize;
+pub mod column;
 pub mod date;
 pub mod error;
 pub mod format;
@@ -34,6 +35,7 @@ pub mod value;
 pub mod workload;
 
 pub use bytesize::ByteSize;
+pub use column::Column;
 pub use date::Date;
 pub use error::{NoDbError, Result};
 pub use format::{LineFormat, NO_POSITION};

@@ -47,6 +47,23 @@ impl DataType {
         matches!(self, DataType::Int32 | DataType::Int64 | DataType::Float64)
     }
 
+    /// The wider of two numeric types (`Int32` < `Int64` < `Float64`),
+    /// which a value of either converts to; `self` when either is not
+    /// numeric.
+    pub fn widest(self, other: DataType) -> DataType {
+        let rank = |t: DataType| match t {
+            DataType::Int32 => 1,
+            DataType::Int64 => 2,
+            DataType::Float64 => 3,
+            _ => 0,
+        };
+        if rank(self) > 0 && rank(other) > rank(self) {
+            other
+        } else {
+            self
+        }
+    }
+
     /// Estimated in-memory width of one binary value, used by the cache for
     /// byte accounting. Text uses an average estimate; exact sizes are
     /// accounted when the value is stored.
@@ -131,6 +148,10 @@ mod tests {
 
     #[test]
     fn numeric_classification() {
+        assert_eq!(DataType::Int32.widest(DataType::Float64), DataType::Float64);
+        assert_eq!(DataType::Int64.widest(DataType::Int32), DataType::Int64);
+        assert_eq!(DataType::Text.widest(DataType::Int64), DataType::Text);
+        assert_eq!(DataType::Int64.widest(DataType::Date), DataType::Int64);
         assert!(DataType::Int32.is_numeric());
         assert!(DataType::Float64.is_numeric());
         assert!(!DataType::Text.is_numeric());

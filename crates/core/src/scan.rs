@@ -49,12 +49,12 @@
 //!   block collecting no positional-map chunk, whose WHERE columns are
 //!   completely cached and whose SELECT columns all have a cache entry,
 //!   is formed column at a time instead of row by row. Each WHERE column
-//!   is materialized once from its typed cache column, the conjuncts run
-//!   in order through the batch evaluator (each over the rows the earlier
+//!   is copied once from its typed cache column, the conjuncts run in
+//!   order through the batch evaluator (each over the rows the earlier
 //!   ones passed — the row kernel's short-circuit), and the SELECT
-//!   columns are gathered for the survivors only. A survivor that hits a
-//!   hole in a SELECT column sends the block back to the row kernel, and
-//!   the abandoned attempt records no metrics. A block whose needed
+//!   columns' typed values are gathered for the survivors only. A
+//!   survivor that hits a hole in a SELECT column sends the block back to
+//!   the row kernel, and the abandoned attempt records no metrics. A block whose needed
 //!   columns are all completely cached (or that needs none, as
 //!   `COUNT(*)` does) is always cache-served, so it never touches the raw
 //!   file — the paper's "avoid raw file access altogether" (§4.3) — and
@@ -69,7 +69,7 @@ use std::time::Instant;
 
 use nodb_cache::{CachedColumn, ChunkStage, ColumnBuilder};
 use nodb_common::{
-    ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Row, Schema, Value,
+    ByteSource, Column, DataType, IoBackend, LineFormat, NoDbError, Result, Row, Schema, Value,
 };
 use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, SlidingWindow};
 use nodb_exec::{eval_predicate, eval_predicate_batch, BatchQueue, Operator, ValueBatch};
@@ -104,6 +104,8 @@ struct Ctx {
     format: Arc<dyn LineFormat>,
     /// Projected table attributes, ascending.
     projection: Vec<usize>,
+    /// Their types: the scan's batch columns.
+    types: Vec<DataType>,
     /// Conjuncts bound to projection-space ordinals.
     filters: Vec<BoundExpr>,
     /// The same conjuncts over a batch of the WHERE columns alone
@@ -123,7 +125,7 @@ struct Ctx {
 
 impl Ctx {
     fn dtype(&self, local: usize) -> DataType {
-        self.schema.field(self.projection[local]).dtype
+        self.types[local]
     }
 }
 
@@ -191,6 +193,7 @@ impl InSituScanOp {
         io: IoBackend,
     ) -> InSituScanOp {
         let threads = threads.max(1);
+        let types = projection.iter().map(|&a| schema.field(a).dtype).collect();
         InSituScanOp {
             runtime,
             flags,
@@ -200,6 +203,7 @@ impl InSituScanOp {
                 path,
                 format,
                 projection,
+                types,
                 filters,
                 where_filters: Vec::new(),
                 has_header,
@@ -435,7 +439,7 @@ impl InSituScanOp {
             rows += o.line_starts.len() as u64;
             eol_segments.push((base_row, o.line_starts, o.end));
         }
-        self.out.push(ValueBatch::concat(emitted));
+        self.out.push(ValueBatch::concat(emitted)?);
         let chunks = seg_acc.map_or_else(Vec::new, |s| s.into_chunks(first_row, block_rows));
         let columns =
             stage_acc.map_or_else(Vec::new, |s| s.into_columns(first_row, rows, block_rows));
@@ -575,7 +579,7 @@ impl InSituScanOp {
             })
             .collect();
         let mut row_buf: Vec<Value> = vec![Value::Null; needed.len()];
-        let mut emitted = ValueBatch::with_capacity(needed.len(), 0);
+        let mut emitted = ValueBatch::with_capacity(&self.ctx.types, 0);
         let mut positions: Vec<u32> = vec![0; needed.len()];
         let mut line_buf: Vec<u8> = Vec::new();
         let mut starts: Vec<u32> = Vec::new();
@@ -669,7 +673,7 @@ impl InSituScanOp {
             let formed = form_row(ctx, &mut row_buf, fetch)?;
             clock.stop(&mut prof.parse_ns);
             if formed {
-                emitted.push_row_taken(&mut row_buf);
+                emitted.push_row_taken(&mut row_buf)?;
                 metrics.rows_emitted += 1;
             }
         }
@@ -827,7 +831,7 @@ fn scan_chunk(
     let mut out = ChunkScan {
         line_starts: Vec::new(),
         end: reader.offset(),
-        emitted: ValueBatch::with_capacity(ctx.projection.len(), 0),
+        emitted: ValueBatch::with_capacity(&ctx.types, 0),
         posmap: (flags.posmap && !ctx.projection.is_empty())
             .then(|| SegmentCollector::new((0..=max_attr as u32).collect())),
         // Values are staged, not written into preallocated columns: the
@@ -865,7 +869,7 @@ fn scan_chunk(
         out.metrics.bytes_tokenized += line.len() as u64 + 1;
         if ctx.projection.is_empty() {
             // Pure row counting (e.g. COUNT(*)): nothing to tokenize.
-            out.emitted.push_row_taken(&mut []);
+            out.emitted.push_row_taken(&mut [])?;
             out.metrics.rows_emitted += 1;
             continue;
         }
@@ -911,7 +915,7 @@ fn scan_chunk(
         })?;
         clock.stop(&mut out.profile.parse_ns);
         if formed {
-            out.emitted.push_row_taken(&mut row_buf);
+            out.emitted.push_row_taken(&mut row_buf)?;
             out.metrics.rows_emitted += 1;
         }
     }
@@ -965,12 +969,12 @@ fn form_row(
 }
 
 /// Form a cache-served block (see the module docs) of `rows` rows, whose
-/// WHERE columns the caller found to cover the block: materialize each
-/// WHERE column once, run the conjuncts in order over the rows the
-/// earlier ones passed, then gather the SELECT columns for the
-/// survivors. Returns the block's rows and the work done, or `None` —
-/// having recorded nothing — when a survivor hits a hole in a SELECT
-/// column and the block must go through the row kernel.
+/// WHERE columns the caller found to cover the block: copy each WHERE
+/// column's typed values once, run the conjuncts in order over the rows
+/// the earlier ones passed, then gather the SELECT columns' typed values
+/// for the survivors. Returns the block's rows and the work done, or
+/// `None` — having recorded nothing — when a survivor hits a hole in a
+/// SELECT column and the block must go through the row kernel.
 fn serve_cached(
     ctx: &Ctx,
     cached: &[Option<Arc<CachedColumn>>],
@@ -979,13 +983,11 @@ fn serve_cached(
     let column = |local: usize| held(cached[local].as_deref(), "cache-served column cached");
     let mut where_cols = Vec::with_capacity(ctx.where_locals.len());
     for &local in &ctx.where_locals {
-        let mut vals = Vec::with_capacity(rows);
-        column(local)?.gather_prefix(rows, &mut vals);
-        where_cols.push(vals);
+        where_cols.push(column(local)?.column().slice(0, rows));
     }
     let mut batch = ValueBatch::from_cols(where_cols, rows);
     // Block-local ids of the rows still in `batch`.
-    let mut sel: Vec<u32> = (0..rows as u32).collect();
+    let mut sel: Vec<usize> = (0..rows).collect();
     for f in &ctx.where_filters {
         if batch.is_empty() {
             break;
@@ -999,17 +1001,25 @@ fn serve_cached(
         }
     }
     let survivors = sel.len();
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); ctx.projection.len()];
-    for (&local, vals) in ctx.where_locals.iter().zip(batch.into_cols()) {
-        cols[local] = vals;
+    let mut cols: Vec<Option<Column>> = vec![None; ctx.projection.len()];
+    for (&local, c) in ctx.where_locals.iter().zip(batch.into_cols()) {
+        cols[local] = Some(c);
+    }
+    let mut keep = vec![false; rows];
+    for &r in &sel {
+        keep[r] = true;
     }
     for &local in &ctx.select_locals {
-        let mut vals = Vec::with_capacity(survivors);
-        if !column(local)?.gather(&sel, &mut vals) {
+        let c = column(local)?;
+        if !c.has_all(&sel) {
             return Ok(None);
         }
-        cols[local] = vals;
+        cols[local] = Some(c.column().filter(&keep, survivors));
     }
+    let cols = cols
+        .into_iter()
+        .map(|c| held(c, "every projected column formed"))
+        .collect::<Result<Vec<_>>>()?;
     let metrics = ScanMetrics {
         fields_from_cache: (rows * ctx.where_locals.len() + survivors * ctx.select_locals.len())
             as u64,

@@ -3,11 +3,15 @@
 //! A Volcano row-at-a-time pull ("each tuple is then passed one-by-one
 //! through the operators", §3) pays a virtual call and a `Vec` allocation
 //! per tuple. A [`ValueBatch`] amortizes both: operators exchange up to
-//! [`DEFAULT_BATCH_ROWS`] rows at a time, stored column-major so
-//! predicate evaluation, projection, and aggregation run tight per-column
-//! loops (see `eval::eval_batch`).
+//! [`DEFAULT_BATCH_ROWS`] rows at a time. Each column is one typed
+//! [`Column`] — a vector per type, text in one arena, and a validity
+//! bitmap — so a cache-served block arrives as the cache's own typed
+//! values, and predicates, projections, keys and aggregates run typed
+//! per-column loops (see `eval::eval_batch`). Rows become [`Value`]s only
+//! where they enter the engine (leaves that produce rows push them into
+//! typed columns) or leave it ([`ValueBatch::into_rows`] at the cursor).
 
-use nodb_common::{Row, Value};
+use nodb_common::{Column, DataType, Result, Row, Value};
 
 /// Rows per batch that a query cursor asks for, and that operators which
 /// drain their input (sorts, aggregations, a join's build side) pull.
@@ -20,37 +24,38 @@ pub const DEFAULT_BATCH_ROWS: usize = 1024;
 /// projects no columns).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ValueBatch {
-    cols: Vec<Vec<Value>>,
+    cols: Vec<Column>,
     rows: usize,
 }
 
 impl ValueBatch {
-    /// An empty batch of `n_cols` columns with room for `cap` rows each.
-    pub fn with_capacity(n_cols: usize, cap: usize) -> ValueBatch {
+    /// An empty batch with one column per type in `types`, each with room
+    /// for `cap` rows.
+    pub fn with_capacity(types: &[DataType], cap: usize) -> ValueBatch {
         ValueBatch {
-            cols: (0..n_cols).map(|_| Vec::with_capacity(cap)).collect(),
+            cols: types
+                .iter()
+                .map(|&t| Column::with_capacity(t, cap))
+                .collect(),
             rows: 0,
         }
     }
 
     /// Build from pre-filled columns (all of length `rows`).
-    pub fn from_cols(cols: Vec<Vec<Value>>, rows: usize) -> ValueBatch {
+    pub fn from_cols(cols: Vec<Column>, rows: usize) -> ValueBatch {
         debug_assert!(cols.iter().all(|c| c.len() == rows));
         ValueBatch { cols, rows }
     }
 
-    /// Transpose a row-major vector (all rows the same width).
-    pub fn from_rows(rows: Vec<Row>) -> ValueBatch {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, Row::len);
-        let mut cols: Vec<Vec<Value>> = (0..n_cols).map(|_| Vec::with_capacity(n_rows)).collect();
+    /// Transpose rows (all the same width) into columns typed by their
+    /// values (see [`infer_types`]).
+    pub fn from_rows(rows: Vec<Row>) -> Result<ValueBatch> {
+        let types = infer_types(&rows);
+        let mut b = ValueBatch::with_capacity(&types, rows.len());
         for row in rows {
-            debug_assert_eq!(row.len(), n_cols);
-            for (col, v) in cols.iter_mut().zip(row.0) {
-                col.push(v);
-            }
+            b.push_row(row)?;
         }
-        ValueBatch { cols, rows: n_rows }
+        Ok(b)
     }
 
     /// Number of rows in the batch.
@@ -68,100 +73,96 @@ impl ValueBatch {
         self.rows == 0
     }
 
-    /// The values of column `i` (panics if out of range, like `Row::get`).
-    pub fn col(&self, i: usize) -> &[Value] {
-        &self.cols[i]
+    /// Column `i`, if there is one.
+    pub fn col(&self, i: usize) -> Option<&Column> {
+        self.cols.get(i)
     }
 
-    /// Append one row by moving its values in.
-    pub fn push_row(&mut self, row: Row) {
-        debug_assert_eq!(row.len(), self.cols.len());
-        for (col, v) in self.cols.iter_mut().zip(row.0) {
-            col.push(v);
-        }
-        self.rows += 1;
+    /// The columns.
+    pub fn cols(&self) -> &[Column] {
+        &self.cols
     }
 
-    /// Append one row by moving the values out of a reusable buffer,
-    /// leaving NULLs behind (scan emission reuses its row buffer across
-    /// rows).
-    pub fn push_row_taken(&mut self, vals: &mut [Value]) {
+    /// Each column's type.
+    pub fn types(&self) -> Vec<DataType> {
+        self.cols.iter().map(Column::dtype).collect()
+    }
+
+    /// Append one row, converting each value into its column.
+    pub fn push_row(&mut self, row: Row) -> Result<()> {
+        self.push_values(&row.0)
+    }
+
+    /// Append one row from a reusable buffer, resetting its values to
+    /// NULL (scan emission reuses its row buffer across rows).
+    pub fn push_row_taken(&mut self, vals: &mut [Value]) -> Result<()> {
+        self.push_values(vals)?;
+        vals.fill(Value::Null);
+        Ok(())
+    }
+
+    fn push_values(&mut self, vals: &[Value]) -> Result<()> {
         debug_assert_eq!(vals.len(), self.cols.len());
         for (col, v) in self.cols.iter_mut().zip(vals) {
-            col.push(std::mem::replace(v, Value::Null));
+            col.push_value(v)?;
         }
         self.rows += 1;
+        Ok(())
     }
 
     /// Concatenate batches of one width, in order, sizing each column
-    /// once (no growth by doubling, no re-copying of earlier rows); a
-    /// lone non-empty batch is returned as it is.
-    pub fn concat(mut batches: Vec<ValueBatch>) -> ValueBatch {
+    /// once; a lone non-empty batch is returned as it is.
+    pub fn concat(mut batches: Vec<ValueBatch>) -> Result<ValueBatch> {
         batches.retain(|b| b.rows > 0);
         if batches.len() <= 1 {
-            return batches.pop().unwrap_or_default();
+            return Ok(batches.pop().unwrap_or_default());
         }
         let rows: usize = batches.iter().map(|b| b.rows).sum();
         let mut parts = batches.into_iter();
         let Some(first) = parts.next() else {
-            return ValueBatch::default();
+            return Ok(ValueBatch::default());
         };
-        let mut cols: Vec<Vec<Value>> = first
-            .cols
-            .into_iter()
-            .map(|c| {
-                let mut col = Vec::with_capacity(rows);
-                col.extend(c);
-                col
-            })
-            .collect();
-        for b in parts {
-            debug_assert_eq!(b.cols.len(), cols.len());
-            for (col, more) in cols.iter_mut().zip(b.cols) {
-                col.extend(more);
+        let mut out = ValueBatch::with_capacity(&first.types(), rows);
+        for b in std::iter::once(first).chain(parts) {
+            debug_assert_eq!(b.cols.len(), out.cols.len());
+            for (col, more) in out.cols.iter_mut().zip(&b.cols) {
+                col.append(more)?;
             }
         }
-        ValueBatch { cols, rows }
+        out.rows = rows;
+        Ok(out)
     }
 
-    /// The rows at `order`, in that order, moved out (each row number at
-    /// most once).
-    pub fn take_rows(mut self, order: &[usize]) -> ValueBatch {
+    /// The rows at `order`, in that order (a row may repeat).
+    pub fn take_rows(&self, order: &[usize]) -> Result<ValueBatch> {
         let cols = self
             .cols
-            .iter_mut()
-            .map(|col| {
-                order
-                    .iter()
-                    .map(|&r| std::mem::replace(&mut col[r], Value::Null))
-                    .collect()
-            })
-            .collect();
-        ValueBatch {
+            .iter()
+            .map(|c| c.gather(order))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ValueBatch {
             cols,
             rows: order.len(),
-        }
+        })
     }
 
-    /// The values of row `r`, cloned (scalar-eval fallbacks).
+    /// The values of row `r` (scalar-eval fallbacks).
     pub fn row_values(&self, r: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c[r].clone()).collect()
+        self.cols.iter().map(|c| c.value(r)).collect()
     }
 
     /// The columns, moved out.
-    pub fn into_cols(self) -> Vec<Vec<Value>> {
+    pub fn into_cols(self) -> Vec<Column> {
         self.cols
     }
 
-    /// Transpose back to rows, moving the values out.
+    /// Transpose back to rows of values (where rows leave the engine).
     pub fn into_rows(self) -> Vec<Row> {
         let mut rows: Vec<Row> = (0..self.rows)
             .map(|_| Row::with_capacity(self.cols.len()))
             .collect();
-        for col in self.cols {
-            for (row, v) in rows.iter_mut().zip(col) {
-                row.push(v);
-            }
+        for c in &self.cols {
+            c.push_into_rows(&mut rows);
         }
         rows
     }
@@ -170,20 +171,17 @@ impl ValueBatch {
     /// trues, precounted by the caller to size the output exactly).
     pub fn retain_rows(self, keep: &[bool], kept: usize) -> ValueBatch {
         debug_assert_eq!(keep.len(), self.rows);
-        let cols = self
-            .cols
-            .into_iter()
-            .map(|col| {
-                let mut out = Vec::with_capacity(kept);
-                for (v, &k) in col.into_iter().zip(keep) {
-                    if k {
-                        out.push(v);
-                    }
-                }
-                out
-            })
-            .collect();
+        let cols = self.cols.iter().map(|c| c.filter(keep, kept)).collect();
         ValueBatch { cols, rows: kept }
+    }
+
+    /// Rows `start..start + n`, copied.
+    pub fn slice(&self, start: usize, n: usize) -> ValueBatch {
+        let n = n.min(self.rows.saturating_sub(start));
+        ValueBatch {
+            cols: self.cols.iter().map(|c| c.slice(start, n)).collect(),
+            rows: n,
+        }
     }
 
     /// Drop all rows past the first `n` (no-op when `n >= num_rows`).
@@ -197,9 +195,25 @@ impl ValueBatch {
     }
 }
 
+/// The column types of rows that carry no schema: per column, the type
+/// of its first non-NULL value, widened to the widest number the column
+/// holds (`Int64` for a column of NULLs).
+pub fn infer_types(rows: &[Row]) -> Vec<DataType> {
+    let width = rows.first().map_or(0, Row::len);
+    (0..width)
+        .map(|c| {
+            let mut types = rows
+                .iter()
+                .filter_map(|r| r.values().get(c).and_then(Value::data_type));
+            let first = types.next().unwrap_or(DataType::Int64);
+            types.fold(first, DataType::widest)
+        })
+        .collect()
+}
+
 /// Rows formed ahead of the consumer, handed out front to back: a pull
 /// that asks for everything left takes the batch whole, a smaller pull
-/// moves its slice out — the rows behind it are never shifted or copied.
+/// copies its typed slice out — the rows behind it are never shifted.
 #[derive(Debug, Default)]
 pub struct BatchQueue {
     batch: ValueBatch,
@@ -234,27 +248,12 @@ impl BatchQueue {
         if self.pos == 0 && take == self.batch.rows {
             return Some(std::mem::take(&mut self.batch));
         }
-        let range = self.pos..self.pos + take;
-        let cols = self
-            .batch
-            .cols
-            .iter_mut()
-            .map(|c| {
-                c[range.clone()]
-                    .iter_mut()
-                    .map(|v| std::mem::replace(v, Value::Null))
-                    .collect()
-            })
-            .collect();
-        self.advance(take);
-        Some(ValueBatch { cols, rows: take })
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.pos += n;
+        let out = self.batch.slice(self.pos, take);
+        self.pos += take;
         if self.pos == self.batch.rows {
             *self = BatchQueue::default();
         }
+        Some(out)
     }
 }
 
@@ -268,6 +267,15 @@ mod tests {
             Row(vec![Value::Int64(2), Value::Text("b".into())]),
             Row(vec![Value::Int64(3), Value::Text("c".into())]),
         ])
+        .unwrap()
+    }
+
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value(i)).collect()
+    }
+
+    fn col0(b: &ValueBatch) -> Vec<Value> {
+        values(b.col(0).unwrap())
     }
 
     #[test]
@@ -275,14 +283,15 @@ mod tests {
         let b = batch();
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.num_cols(), 2);
-        assert_eq!(b.col(0)[1], Value::Int64(2));
+        assert_eq!(b.types(), [DataType::Int64, DataType::Text]);
+        assert_eq!(col0(&b)[1], Value::Int64(2));
         let rows = b.into_rows();
         assert_eq!(rows[2], Row(vec![Value::Int64(3), Value::Text("c".into())]));
     }
 
     #[test]
     fn zero_column_batches_carry_row_counts() {
-        let b = ValueBatch::from_rows(vec![Row::new(), Row::new()]);
+        let b = ValueBatch::from_rows(vec![Row::new(), Row::new()]).unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(b.num_cols(), 0);
         assert_eq!(b.into_rows(), vec![Row::new(), Row::new()]);
@@ -292,29 +301,38 @@ mod tests {
     fn retain_and_truncate() {
         let b = batch().retain_rows(&[true, false, true], 2);
         assert_eq!(b.num_rows(), 2);
-        assert_eq!(b.col(0), &[Value::Int64(1), Value::Int64(3)]);
+        assert_eq!(col0(&b), [Value::Int64(1), Value::Int64(3)]);
         let mut b = batch();
         b.truncate(1);
         assert_eq!(b.num_rows(), 1);
-        assert_eq!(b.col(1), &[Value::Text("a".into())]);
+        assert_eq!(values(b.col(1).unwrap()), [Value::Text("a".into())]);
     }
 
     #[test]
     fn push_row_variants_agree() {
-        let mut a = ValueBatch::with_capacity(1, 2);
-        a.push_row(Row(vec![Value::Int64(7)]));
+        let mut a = ValueBatch::with_capacity(&[DataType::Int64], 2);
+        a.push_row(Row(vec![Value::Int64(7)])).unwrap();
         let mut buf = [Value::Int64(8)];
-        a.push_row_taken(&mut buf);
+        a.push_row_taken(&mut buf).unwrap();
         assert_eq!(buf, [Value::Null]);
         assert_eq!(a.num_rows(), 2);
-        assert_eq!(a.col(0), &[Value::Int64(7), Value::Int64(8)]);
+        assert_eq!(col0(&a), [Value::Int64(7), Value::Int64(8)]);
         assert_eq!(a.row_values(1), vec![Value::Int64(8)]);
-        let b = ValueBatch::concat(vec![a.clone(), ValueBatch::default(), a]);
+        let b = ValueBatch::concat(vec![a.clone(), ValueBatch::default(), a]).unwrap();
         assert_eq!(b.num_rows(), 4);
-        assert_eq!(b.col(0)[2], Value::Int64(7));
-        let b = b.take_rows(&[3, 0]);
-        assert_eq!(b.col(0), &[Value::Int64(8), Value::Int64(7)]);
-        assert_eq!(ValueBatch::concat(Vec::new()), ValueBatch::default());
+        assert_eq!(col0(&b)[2], Value::Int64(7));
+        let b = b.take_rows(&[3, 0]).unwrap();
+        assert_eq!(col0(&b), [Value::Int64(8), Value::Int64(7)]);
+        assert_eq!(
+            ValueBatch::concat(Vec::new()).unwrap(),
+            ValueBatch::default()
+        );
+        // A column that is all NULL in one batch takes the other's type.
+        let nulls = ValueBatch::from_rows(vec![Row(vec![Value::Null])]).unwrap();
+        let texts = ValueBatch::from_rows(vec![Row(vec![Value::Text("t".into())])]).unwrap();
+        let b = ValueBatch::concat(vec![nulls, texts]).unwrap();
+        assert_eq!(b.types(), [DataType::Text]);
+        assert_eq!(col0(&b), [Value::Null, Value::Text("t".into())]);
     }
 
     #[test]
@@ -325,17 +343,17 @@ mod tests {
         let b = q.pop_batch(1).unwrap();
         assert_eq!(b.into_rows(), &batch().into_rows()[..1]);
         let b = q.pop_batch(1).unwrap();
-        assert_eq!(b.col(0), &[Value::Int64(2)]);
+        assert_eq!(col0(&b), [Value::Int64(2)]);
         assert_eq!(q.len(), 1);
         let b = q.pop_batch(10).unwrap();
         assert_eq!(b.num_rows(), 1);
-        assert_eq!(b.col(0), &[Value::Int64(3)]);
+        assert_eq!(col0(&b), [Value::Int64(3)]);
         assert!(q.is_empty());
         // A pull for the whole queue moves the batch itself.
         q.push(batch());
         assert_eq!(q.pop_batch(3), Some(batch()));
         // Zero-column batches still count rows.
-        q.push(ValueBatch::from_rows(vec![Row::new(), Row::new()]));
+        q.push(ValueBatch::from_rows(vec![Row::new(), Row::new()]).unwrap());
         assert_eq!(q.pop_batch(1).map(|b| b.num_rows()), Some(1));
         assert_eq!(q.pop_batch(5).map(|b| b.num_rows()), Some(1));
     }

@@ -5,8 +5,9 @@
 //! normalized view safe for hash tables: floats by bits (with integral
 //! floats canonicalized to integers so `1.0` groups with `1`), dates in
 //! their own variant, NULL as a distinct marker. Nothing is cloned to
-//! build one — a text part borrows the value's string — so operators hash
-//! and compare keys straight off their input rows or batch columns.
+//! build one: [`KeyRef::at`] reads a typed column slot, a text part
+//! borrowing the column's arena, so operators hash and compare keys
+//! straight off their batch columns.
 //!
 //! A composite key hashes with [`hash_key`] (an in-tree Fx-style
 //! rotate-xor-multiply hash; there is no crates.io access) and is looked
@@ -22,7 +23,8 @@ use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
-use nodb_common::Value;
+use nodb_common::column::Data;
+use nodb_common::{Column, Value};
 
 /// One normalized, borrowed key part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,8 +39,8 @@ pub enum KeyRef<'a> {
     Bool(bool),
     /// Date, by day number (never equal to a number).
     Date(i32),
-    /// Text.
-    Text(&'a str),
+    /// Text, by its UTF-8 bytes.
+    Text(&'a [u8]),
 }
 
 impl<'a> KeyRef<'a> {
@@ -51,14 +53,36 @@ impl<'a> KeyRef<'a> {
             Value::Int64(x) => KeyRef::Int(*x),
             Value::Date(d) => KeyRef::Date(d.days()),
             Value::Bool(b) => KeyRef::Bool(*b),
-            Value::Float64(f) => {
-                if f.fract() == 0.0 && f.abs() < 9e15 {
-                    KeyRef::Int(*f as i64)
-                } else {
-                    KeyRef::FloatBits(f.to_bits())
-                }
-            }
-            Value::Text(s) => KeyRef::Text(s),
+            Value::Float64(f) => KeyRef::float(*f),
+            Value::Text(s) => KeyRef::Text(s.as_bytes()),
+        }
+    }
+
+    /// Normalize lane `i` of a typed column, equal to [`KeyRef::of`] on
+    /// the value the lane holds.
+    #[inline]
+    pub fn at(col: &'a Column, i: usize) -> KeyRef<'a> {
+        if !col.is_valid(i) {
+            return KeyRef::Null;
+        }
+        let k = match col.data() {
+            Data::Int32(v) => v.get(i).map(|&x| KeyRef::Int(i64::from(x))),
+            Data::Int64(v) => v.get(i).map(|&x| KeyRef::Int(x)),
+            Data::Float64(v) => v.get(i).map(|&x| KeyRef::float(x)),
+            Data::Date(v) => v.get(i).map(|&x| KeyRef::Date(x)),
+            Data::Bool(v) => v.get(i).map(|&x| KeyRef::Bool(x)),
+            Data::Text(t) => Some(KeyRef::Text(t.get_bytes(i))),
+        };
+        k.unwrap_or(KeyRef::Null)
+    }
+
+    /// A float, with integral values folded into the integers.
+    #[inline]
+    fn float(f: f64) -> KeyRef<'a> {
+        if f.fract() == 0.0 && f.abs() < 9e15 {
+            KeyRef::Int(f as i64)
+        } else {
+            KeyRef::FloatBits(f.to_bits())
         }
     }
 
@@ -341,6 +365,20 @@ mod tests {
                 if ka == kb {
                     assert_eq!(hash_key([ka]), hash_key([kb]), "{a:?} vs {b:?}");
                 }
+            }
+        }
+        // A key read from a typed column slot equals the key of the value
+        // read back from that slot, over the same corpus.
+        for v in &vals {
+            let dtype = v.data_type().unwrap_or(nodb_common::DataType::Int64);
+            let col = Column::from_values(dtype, &[Value::Null, v.clone()]).unwrap();
+            for i in 0..2 {
+                let back = col.value(i);
+                assert_eq!(KeyRef::at(&col, i), KeyRef::of(&back), "{v:?} lane {i}");
+                assert_eq!(
+                    hash_key([KeyRef::at(&col, i)]),
+                    hash_key([KeyRef::of(&back)])
+                );
             }
         }
     }

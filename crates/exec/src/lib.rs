@@ -26,7 +26,7 @@ pub mod eval;
 pub mod key;
 pub mod ops;
 
-pub use batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+pub use batch::{infer_types, BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
 pub use build::{build_plan, ExecCatalog, TableProvider};
 pub use eval::{eval, eval_batch, eval_predicate, eval_predicate_batch};
 pub use ops::{fill_batch, BoxOp, DistinctOp, Operator, RowsOp};

@@ -10,12 +10,20 @@
 //! input for no more rows than their own consumer asked for, while
 //! operators that drain their input first (sorts, aggregations, the
 //! join's build side) pull [`DEFAULT_BATCH_ROWS`] at a time.
+//!
+//! Operators move typed column lanes by index — joins, sorts and
+//! DISTINCT gather them, keys are read from column slots
+//! ([`KeyRef::at`]), and COUNT/SUM/AVG fold typed slices — so no
+//! operator builds a [`Value`] per cell on the way.
 
-use nodb_common::{NoDbError, Result, Row, Value};
+use std::cmp::Ordering;
+
+use nodb_common::column::Data;
+use nodb_common::{Column, DataType, NoDbError, Result, Row, Value};
 use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
-use crate::batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+use crate::batch::{infer_types, BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
 use crate::eval::{eval_batch, eval_operand, eval_predicate, eval_predicate_batch, Operand};
 use crate::key::{hash_key, KeyIndex, KeyRef};
 
@@ -31,26 +39,24 @@ pub trait Operator {
 pub type BoxOp = Box<dyn Operator>;
 
 /// Fill a batch of up to `max_rows` rows (≥ 1) from a source that yields
-/// one row at a time: how leaves that produce rows (in-memory rowsets,
-/// heap pages, FITS blocks) implement [`Operator::next_batch`]. `None`
-/// when the source yields no row.
+/// one row at a time, into columns typed `types` (the source's schema):
+/// how leaves that produce rows (in-memory rowsets, heap pages, FITS
+/// blocks) implement [`Operator::next_batch`]. `None` when the source
+/// yields no row.
 pub fn fill_batch(
+    types: &[DataType],
     max_rows: usize,
     mut next: impl FnMut() -> Result<Option<Row>>,
 ) -> Result<Option<ValueBatch>> {
     let max = max_rows.max(1);
-    let mut rows = Vec::new();
-    while rows.len() < max {
+    let mut batch = ValueBatch::with_capacity(types, max.min(DEFAULT_BATCH_ROWS));
+    while batch.num_rows() < max {
         match next()? {
-            Some(r) => rows.push(r),
+            Some(r) => batch.push_row(r)?,
             None => break,
         }
     }
-    if rows.is_empty() {
-        Ok(None)
-    } else {
-        Ok(Some(ValueBatch::from_rows(rows)))
-    }
+    Ok((!batch.is_empty()).then_some(batch))
 }
 
 /// Pull `input` dry in [`DEFAULT_BATCH_ROWS`]-row batches and concatenate
@@ -60,7 +66,19 @@ fn concat_input(mut input: BoxOp) -> Result<ValueBatch> {
     while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
         batches.push(b);
     }
-    Ok(ValueBatch::concat(batches))
+    ValueBatch::concat(batches)
+}
+
+/// Column `i` of `batch`, or a typed internal error.
+fn column(batch: &ValueBatch, i: usize) -> Result<&Column> {
+    batch
+        .col(i)
+        .ok_or_else(|| NoDbError::internal(format!("column #{i} out of range")))
+}
+
+/// Columns `idx` of `batch`.
+fn columns<'a>(batch: &'a ValueBatch, idx: &[usize]) -> Result<Vec<&'a Column>> {
+    idx.iter().map(|&i| column(batch, i)).collect()
 }
 
 /// The state of an operator that drains its input before it emits: the
@@ -92,8 +110,10 @@ impl Drained {
     }
 }
 
-/// A fixed in-memory rowset (tests, cached results).
+/// A fixed in-memory rowset (tests, cached results), typed by its own
+/// values (see [`ValueBatch::from_rows`]).
 pub struct RowsOp {
+    types: Vec<DataType>,
     iter: std::vec::IntoIter<Row>,
 }
 
@@ -101,6 +121,7 @@ impl RowsOp {
     /// Wrap a vector of rows.
     pub fn new(rows: Vec<Row>) -> RowsOp {
         RowsOp {
+            types: infer_types(&rows),
             iter: rows.into_iter(),
         }
     }
@@ -108,7 +129,7 @@ impl RowsOp {
 
 impl Operator for RowsOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        fill_batch(max_rows, || Ok(self.iter.next()))
+        fill_batch(&self.types, max_rows, || Ok(self.iter.next()))
     }
 }
 
@@ -216,17 +237,22 @@ impl Operator for LimitOp {
 fn sort_input(input: BoxOp, keys: &[SortKey]) -> Result<(ValueBatch, Vec<usize>)> {
     let batch = concat_input(input)?;
     let mut order: Vec<usize> = (0..batch.num_rows()).collect();
-    order.sort_by(|&a, &b| {
-        for k in keys {
-            let col = batch.col(k.col);
-            let ord = col[a].total_cmp(&col[b]);
-            let ord = if k.desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+    if !batch.is_empty() {
+        let cols = keys
+            .iter()
+            .map(|k| Ok((column(&batch, k.col)?, k.desc)))
+            .collect::<Result<Vec<_>>>()?;
+        order.sort_by(|&a, &b| {
+            for (col, desc) in &cols {
+                let ord = col.cmp_lanes(a, b);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
             }
-        }
-        std::cmp::Ordering::Equal
-    });
+            Ordering::Equal
+        });
+    }
     Ok((batch, order))
 }
 
@@ -251,7 +277,7 @@ impl Operator for SortOp {
         let keys = &self.keys;
         self.state.next_batch(max_rows, |input| {
             let (batch, order) = sort_input(input, keys)?;
-            Ok(batch.take_rows(&order))
+            batch.take_rows(&order)
         })
     }
 }
@@ -269,8 +295,8 @@ impl Operator for SortOp {
 /// in batches of the size the consumer asks for, so unless a probe row
 /// has several matches, a `LIMIT` above the join probes — and evaluates
 /// the residual on — no row it does not need. Build rows live in one
-/// column-major arena; keys are matched through a [`KeyIndex`] without
-/// being copied out of it.
+/// typed batch; keys are matched through a [`KeyIndex`] without being
+/// copied out of it, and joined rows are gathered lane by lane.
 ///
 /// With an empty key list every row lands in one bucket, degrading to a
 /// (filtered) cross product — the planner only does this when a query has
@@ -316,21 +342,23 @@ impl HashJoinOp {
         }
     }
 
-    /// Drain the build side into the arena (rows with a NULL key part
+    /// Drain the build side into the table (rows with a NULL key part
     /// never match and are dropped) and index it.
     fn build_table(&mut self, src: BoxOp) -> Result<()> {
-        let keys = &self.build_keys;
         let rows = concat_input(src)?;
-        let keep: Vec<bool> = (0..rows.num_rows())
-            .map(|r| keys.iter().all(|&c| !rows.col(c)[r].is_null()))
-            .collect();
+        let keep: Vec<bool> = {
+            let keys = columns(&rows, &self.build_keys)?;
+            (0..rows.num_rows())
+                .map(|r| keys.iter().all(|c| c.is_valid(r)))
+                .collect()
+        };
         let kept = keep.iter().filter(|&&k| k).count();
         let rows = if kept == rows.num_rows() {
             rows
         } else {
             rows.retain_rows(&keep, kept)
         };
-        self.table = JoinTable::index(rows, keys);
+        self.table = JoinTable::index(rows, &self.build_keys)?;
         Ok(())
     }
 
@@ -355,27 +383,17 @@ impl HashJoinOp {
 
     fn join_inner(&self, probe: &ValueBatch) -> Result<ValueBatch> {
         let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        let probe_keys = columns(probe, &self.probe_keys)?;
         for r in 0..probe.num_rows() {
-            if let Some(slot) = self
-                .table
-                .find(probe, &self.probe_keys, &self.build_keys, r)
-            {
+            if let Some(slot) = self.table.find(&probe_keys, r) {
                 for b in self.table.chain(slot) {
                     build_rows.push(b);
                     probe_rows.push(r);
                 }
             }
         }
-        let gather = |src: &ValueBatch, idx: &[usize]| -> Vec<Vec<Value>> {
-            (0..src.num_cols())
-                .map(|c| {
-                    let col = src.col(c);
-                    idx.iter().map(|&i| col[i].clone()).collect()
-                })
-                .collect()
-        };
-        let mut cols = gather(&self.table.rows, &build_rows);
-        cols.extend(gather(probe, &probe_rows));
+        let mut cols = self.table.rows.take_rows(&build_rows)?.into_cols();
+        cols.extend(probe.take_rows(&probe_rows)?.into_cols());
         let joined = ValueBatch::from_cols(cols, build_rows.len());
         match &self.residual {
             Some(p) if !joined.is_empty() => {
@@ -392,11 +410,9 @@ impl HashJoinOp {
         let n = probe.num_rows();
         let mut keep = Vec::with_capacity(n);
         let mut matches = Vec::new();
+        let probe_keys = columns(&probe, &self.probe_keys)?;
         for r in 0..n {
-            let matched = match self
-                .table
-                .find(&probe, &self.probe_keys, &self.build_keys, r)
-            {
+            let matched = match self.table.find(&probe_keys, r) {
                 None => false,
                 Some(slot) => match &self.residual {
                     None => true,
@@ -445,11 +461,13 @@ impl Operator for HashJoinOp {
 /// End of a [`JoinTable`] chain.
 const NO_ROW: u32 = u32::MAX;
 
-/// A hash join's build side: the rows in one arena, an index from key
-/// hash to key slot, and per slot a chain of the rows with that key.
+/// A hash join's build side: the rows in one typed batch, an index from
+/// key hash to key slot, and per slot a chain of the rows with that key.
 #[derive(Debug, Default)]
 struct JoinTable {
     rows: ValueBatch,
+    /// The build side's key columns, by position in `rows`.
+    keys: Vec<usize>,
     index: KeyIndex,
     /// Per slot: the first row built with the key (where its values are
     /// compared) and the last (the head of its chain).
@@ -461,68 +479,104 @@ struct JoinTable {
 
 impl JoinTable {
     /// Index every row of `rows` on its `keys` columns.
-    fn index(rows: ValueBatch, keys: &[usize]) -> JoinTable {
+    fn index(rows: ValueBatch, keys: &[usize]) -> Result<JoinTable> {
+        let n = u32::try_from(rows.num_rows())
+            .map_err(|_| NoDbError::execution("join build side exceeds 2^32 rows"))?;
         let mut t = JoinTable {
-            rows,
+            keys: keys.to_vec(),
             ..JoinTable::default()
         };
-        for i in 0..t.rows.num_rows() {
-            let rows = &t.rows;
-            let hash = hash_key(keys.iter().map(|&c| KeyRef::of(&rows.col(c)[i])));
-            let first = &t.first;
-            let found = t.index.find(hash, |s| {
-                let f = first[s] as usize;
-                keys.iter().all(|&c| {
-                    let col = rows.col(c);
-                    KeyRef::of(&col[f]) == KeyRef::of(&col[i])
-                })
-            });
-            match found {
-                Some(s) => {
-                    t.prev.push(t.last[s]);
-                    t.last[s] = i as u32;
-                }
-                None => {
-                    t.index.insert(hash);
-                    t.first.push(i as u32);
-                    t.last.push(i as u32);
-                    t.prev.push(NO_ROW);
+        {
+            let cols = columns(&rows, keys)?;
+            for i in 0..n {
+                let r = i as usize;
+                let hash = hash_key(cols.iter().map(|c| KeyRef::at(c, r)));
+                let first = &t.first;
+                let found = t.index.find(hash, |s| {
+                    let f = first[s] as usize;
+                    cols.iter().all(|c| KeyRef::at(c, f) == KeyRef::at(c, r))
+                });
+                match found {
+                    Some(s) => {
+                        t.prev.push(t.last[s]);
+                        t.last[s] = i;
+                    }
+                    None => {
+                        t.index.insert(hash);
+                        t.first.push(i);
+                        t.last.push(i);
+                        t.prev.push(NO_ROW);
+                    }
                 }
             }
         }
-        t
+        t.rows = rows;
+        Ok(t)
     }
 
-    /// The slot whose key equals row `r` of `probe` (key columns
-    /// `probe_keys`, compared with the build side's `build_keys`); `None`
-    /// when there is none or a key part is NULL.
-    fn find(
-        &self,
-        probe: &ValueBatch,
-        probe_keys: &[usize],
-        build_keys: &[usize],
-        r: usize,
-    ) -> Option<usize> {
-        let part = |c: usize| KeyRef::of(&probe.col(c)[r]);
-        if probe_keys.iter().any(|&c| part(c).is_null()) {
+    /// The slot whose key equals row `r` of the probe key columns
+    /// `probe` (pairwise with the build side's keys); `None` when there
+    /// is none or a key part is NULL.
+    fn find(&self, probe: &[&Column], r: usize) -> Option<usize> {
+        if probe.iter().any(|c| !c.is_valid(r)) {
             return None;
         }
-        let hash = hash_key(probe_keys.iter().map(|&c| part(c)));
+        let hash = hash_key(probe.iter().map(|c| KeyRef::at(c, r)));
         self.index.find(hash, |s| {
             let f = self.first[s] as usize;
-            build_keys
-                .iter()
-                .zip(probe_keys)
-                .all(|(&bc, &pc)| KeyRef::of(&self.rows.col(bc)[f]) == part(pc))
+            self.keys.iter().zip(probe).all(|(&bc, pc)| {
+                self.rows
+                    .col(bc)
+                    .is_some_and(|b| KeyRef::at(b, f) == KeyRef::at(pc, r))
+            })
         })
     }
 
     /// The rows with the key of `slot`, most recently built first.
     fn chain(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(self.last[slot]), |&i| {
-            Some(self.prev[i as usize]).filter(|&p| p != NO_ROW)
+        std::iter::successors(self.last.get(slot).copied(), |&i| {
+            self.prev.get(i as usize).copied().filter(|&p| p != NO_ROW)
         })
         .map(|i| i as usize)
+    }
+}
+
+/// Distinct key values in first-seen order: one typed column per key
+/// part, lane `s` holding slot `s`'s key, looked up through a
+/// [`KeyIndex`].
+#[derive(Default)]
+struct KeySet {
+    index: KeyIndex,
+    keys: Vec<Column>,
+}
+
+impl KeySet {
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The slot of the key `cols` hold at lane `r`, and whether it is new
+    /// (copied in).
+    #[inline]
+    fn slot(&mut self, cols: &[&Column], r: usize) -> Result<(usize, bool)> {
+        if self.keys.len() != cols.len() {
+            self.keys = cols.iter().map(|c| Column::new(c.dtype())).collect();
+        }
+        let hash = hash_key(cols.iter().map(|c| KeyRef::at(c, r)));
+        let keys = &self.keys;
+        let found = self.index.find(hash, |s| {
+            keys.iter()
+                .zip(cols)
+                .all(|(k, c)| KeyRef::at(k, s) == KeyRef::at(c, r))
+        });
+        if let Some(s) = found {
+            return Ok((s, false));
+        }
+        for (k, c) in self.keys.iter_mut().zip(cols) {
+            k.push_from(c, r)?;
+        }
+        Ok((self.index.insert(hash), true))
     }
 }
 
@@ -530,9 +584,7 @@ impl JoinTable {
 /// each batch keeps the rows whose values no earlier row had.
 pub struct DistinctOp {
     input: BoxOp,
-    index: KeyIndex,
-    /// The values of every distinct row seen, one row-width per slot.
-    seen: Vec<Value>,
+    seen: KeySet,
 }
 
 impl DistinctOp {
@@ -540,8 +592,7 @@ impl DistinctOp {
     pub fn new(input: BoxOp) -> DistinctOp {
         DistinctOp {
             input,
-            index: KeyIndex::new(),
-            seen: Vec::new(),
+            seen: KeySet::default(),
         }
     }
 }
@@ -549,24 +600,11 @@ impl DistinctOp {
 impl Operator for DistinctOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         while let Some(batch) = self.input.next_batch(max_rows)? {
-            let (n, w) = (batch.num_rows(), batch.num_cols());
-            let mut keep = Vec::with_capacity(n);
-            for r in 0..n {
-                let part = |c: usize| KeyRef::of(&batch.col(c)[r]);
-                let hash = hash_key((0..w).map(part));
-                let seen = &self.seen;
-                let new = self
-                    .index
-                    .find(hash, |s| {
-                        (0..w).all(|c| KeyRef::of(&seen[s * w + c]) == part(c))
-                    })
-                    .is_none();
-                if new {
-                    self.seen.extend((0..w).map(|c| batch.col(c)[r].clone()));
-                    self.index.insert(hash);
-                }
-                keep.push(new);
-            }
+            let n = batch.num_rows();
+            let cols: Vec<&Column> = batch.cols().iter().collect();
+            let keep = (0..n)
+                .map(|r| Ok(self.seen.slot(&cols, r)?.1))
+                .collect::<Result<Vec<bool>>>()?;
             let kept = keep.iter().filter(|&&k| k).count();
             if kept == n {
                 return Ok(Some(batch));
@@ -617,93 +655,134 @@ impl Acc {
         }
     }
 
-    /// `arg = None` means COUNT(*) (count the row unconditionally).
-    fn update(&mut self, arg: Option<&Value>) -> Result<()> {
+    /// Fold one integer.
+    #[inline]
+    fn add_int(&mut self, x: i64) {
         match self {
-            Acc::Count(n) => {
-                match arg {
-                    None => *n += 1,
-                    Some(v) if !v.is_null() => *n += 1,
-                    _ => {}
-                }
-                Ok(())
-            }
-            Acc::Sum {
-                i,
-                f,
-                is_float,
-                seen,
-            } => {
-                let Some(v) = arg else {
-                    return Err(NoDbError::execution("SUM requires an argument"));
-                };
-                match v {
-                    Value::Null => {}
-                    Value::Int32(x) => {
-                        *i = i.and_then(|t| t.checked_add(i64::from(*x)));
-                        *f += *x as f64;
-                        *seen = true;
-                    }
-                    Value::Int64(x) => {
-                        *i = i.and_then(|t| t.checked_add(*x));
-                        *f += *x as f64;
-                        *seen = true;
-                    }
-                    Value::Float64(x) => {
-                        *f += x;
-                        *is_float = true;
-                        *seen = true;
-                    }
-                    other => {
-                        return Err(NoDbError::execution(format!("SUM of non-number {other}")))
-                    }
-                }
-                Ok(())
+            Acc::Count(n) => *n += 1,
+            Acc::Sum { i, f, seen, .. } => {
+                *i = i.and_then(|t| t.checked_add(x));
+                *f += x as f64;
+                *seen = true;
             }
             Acc::Avg { sum, n } => {
-                let Some(v) = arg else {
-                    return Err(NoDbError::execution("AVG requires an argument"));
-                };
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
-                    *n += 1;
-                } else if !v.is_null() {
-                    return Err(NoDbError::execution(format!("AVG of non-number {v}")));
-                }
-                Ok(())
+                *sum += x as f64;
+                *n += 1;
             }
+            Acc::Min(_) | Acc::Max(_) => {}
+        }
+    }
+
+    /// Fold one float.
+    #[inline]
+    fn add_float(&mut self, x: f64) {
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum {
+                f, is_float, seen, ..
+            } => {
+                *f += x;
+                *is_float = true;
+                *seen = true;
+            }
+            Acc::Avg { sum, n } => {
+                *sum += x;
+                *n += 1;
+            }
+            Acc::Min(_) | Acc::Max(_) => {}
+        }
+    }
+
+    /// Fold lane `r` of a typed column: MIN/MAX compare in place and
+    /// build a value only for a new extreme.
+    #[inline]
+    fn add_lane(&mut self, c: &Column, r: usize) -> Result<()> {
+        if !c.is_valid(r) {
+            return Ok(());
+        }
+        match self {
+            Acc::Count(n) => *n += 1,
             Acc::Min(cur) => {
-                if let Some(v) = arg {
-                    if !v.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| v.sql_cmp(c) == Some(std::cmp::Ordering::Less))
-                    {
-                        *cur = Some(v.clone());
-                    }
+                if cur
+                    .as_ref()
+                    .is_none_or(|v| c.sql_cmp_value(r, v) == Some(Ordering::Less))
+                {
+                    *cur = Some(c.value(r));
                 }
-                Ok(())
             }
             Acc::Max(cur) => {
-                if let Some(v) = arg {
-                    if !v.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| v.sql_cmp(c) == Some(std::cmp::Ordering::Greater))
-                    {
-                        *cur = Some(v.clone());
-                    }
+                if cur
+                    .as_ref()
+                    .is_none_or(|v| c.sql_cmp_value(r, v) == Some(Ordering::Greater))
+                {
+                    *cur = Some(c.value(r));
                 }
-                Ok(())
             }
+            Acc::Sum { .. } | Acc::Avg { .. } => return self.update(Some(&c.value(r))),
         }
+        Ok(())
+    }
+
+    /// Fold one value; `arg = None` means COUNT(*) (count the row
+    /// unconditionally).
+    fn update(&mut self, arg: Option<&Value>) -> Result<()> {
+        let v = match arg {
+            Some(Value::Null) => return Ok(()),
+            Some(v) => v,
+            None => {
+                return match self {
+                    Acc::Count(n) => {
+                        *n += 1;
+                        Ok(())
+                    }
+                    Acc::Sum { .. } => Err(NoDbError::execution("SUM requires an argument")),
+                    Acc::Avg { .. } => Err(NoDbError::execution("AVG requires an argument")),
+                    Acc::Min(_) | Acc::Max(_) => Ok(()),
+                }
+            }
+        };
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Min(cur) => {
+                if cur
+                    .as_ref()
+                    .is_none_or(|c| v.sql_cmp(c) == Some(Ordering::Less))
+                {
+                    *cur = Some(v.clone());
+                }
+            }
+            Acc::Max(cur) => {
+                if cur
+                    .as_ref()
+                    .is_none_or(|c| v.sql_cmp(c) == Some(Ordering::Greater))
+                {
+                    *cur = Some(v.clone());
+                }
+            }
+            Acc::Sum { .. } | Acc::Avg { .. } => match v {
+                Value::Int32(x) => self.add_int(i64::from(*x)),
+                Value::Int64(x) => self.add_int(*x),
+                Value::Float64(x) => self.add_float(*x),
+                other => {
+                    let name = if matches!(self, Acc::Sum { .. }) {
+                        "SUM"
+                    } else {
+                        "AVG"
+                    };
+                    return Err(NoDbError::execution(format!(
+                        "{name} of non-number {other}"
+                    )));
+                }
+            },
+        }
+        Ok(())
     }
 
     /// The aggregate's value. An integer SUM that overflowed is the typed
     /// error `+` raises, never a wrapped total.
-    fn finalize(self) -> Result<Value> {
+    fn finalize(&self) -> Result<Value> {
         Ok(match self {
-            Acc::Count(n) => Value::Int64(n),
+            Acc::Count(n) => Value::Int64(*n),
             Acc::Sum {
                 i,
                 f,
@@ -712,142 +791,160 @@ impl Acc {
             } => {
                 if !seen {
                     Value::Null
-                } else if is_float {
-                    Value::Float64(f)
+                } else if *is_float {
+                    Value::Float64(*f)
                 } else {
                     Value::Int64(i.ok_or_else(|| NoDbError::execution("integer overflow"))?)
                 }
             }
             Acc::Avg { sum, n } => {
-                if n == 0 {
+                if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Float64(sum / n as f64)
+                    Value::Float64(sum / *n as f64)
                 }
             }
-            Acc::Min(v) => v.unwrap_or(Value::Null),
-            Acc::Max(v) => v.unwrap_or(Value::Null),
+            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
         })
     }
 }
 
-/// Finalize a group's key values and accumulators into its output row.
-fn finish_row(mut vals: Vec<Value>, accs: impl IntoIterator<Item = Acc>) -> Result<Row> {
-    for acc in accs {
-        vals.push(acc.finalize()?);
-    }
-    Ok(Row(vals))
-}
-
-fn fresh_accs(aggs: &[AggExpr]) -> Vec<Acc> {
-    aggs.iter().map(|a| Acc::new(a.func)).collect()
-}
-
-/// Argument columns for a batch: one evaluated operand per aggregate with
-/// an argument (`None` = COUNT(*)); a bare column argument is read in
-/// place. Accumulators consume their column in row order, so float
-/// accumulation order — and therefore every result bit — is that of a
-/// row-at-a-time fold.
-fn eval_agg_args<'a>(
-    aggs: &'a [AggExpr],
-    batch: &'a ValueBatch,
-) -> Result<Vec<Option<Operand<'a>>>> {
-    aggs.iter()
-        .map(|a| {
-            a.arg
-                .as_ref()
-                .map(|e| eval_operand(e, batch, None))
-                .transpose()
-        })
-        .collect()
-}
-
-/// Fold row `r` of a batch's argument columns into one group's
-/// accumulators.
-#[inline]
-fn update_row(accs: &mut [Acc], args: &[Option<Operand<'_>>], r: usize) -> Result<()> {
-    for (acc, arg) in accs.iter_mut().zip(args) {
-        acc.update(arg.as_ref().map(|col| col.get(r)))?;
-    }
-    Ok(())
-}
-
-/// Fold one batch into a plain (ungrouped) accumulator set.
-fn update_accs_batch(accs: &mut [Acc], args: &[Option<Operand<'_>>], n_rows: usize) -> Result<()> {
-    for (acc, arg) in accs.iter_mut().zip(args) {
-        match arg {
-            None => {
-                for _ in 0..n_rows {
-                    acc.update(None)?;
-                }
-            }
-            Some(col) => {
-                for r in 0..n_rows {
-                    acc.update(Some(col.get(r)))?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Grouped aggregation state: one slot per distinct key, in first-seen
-/// order, holding the key's values and the group's accumulators.
-struct Groups {
-    index: KeyIndex,
-    /// Key columns per group.
-    width: usize,
-    /// Each slot's key values, `width` per slot.
-    keys: Vec<Value>,
-    /// Each slot's accumulators, `fresh.len()` per slot.
+/// Aggregate states per group: group `g`'s accumulator for aggregate `k`
+/// is `accs[g * width + k]`.
+struct AccTable {
     accs: Vec<Acc>,
-    /// The accumulators a new group starts with.
     fresh: Vec<Acc>,
 }
 
-impl Groups {
-    fn new(width: usize, aggs: &[AggExpr]) -> Groups {
-        Groups {
-            index: KeyIndex::new(),
-            width,
-            keys: Vec::new(),
+impl AccTable {
+    fn new(aggs: &[AggExpr]) -> AccTable {
+        AccTable {
             accs: Vec::new(),
-            fresh: fresh_accs(aggs),
+            fresh: aggs.iter().map(|a| Acc::new(a.func)).collect(),
         }
     }
 
-    /// The accumulators of the group whose key is `key(0..width)`,
-    /// starting the group when the key is new. Nothing is cloned unless
-    /// it is.
-    #[inline]
-    fn accs_for<'v>(&mut self, key: impl Fn(usize) -> &'v Value) -> &mut [Acc] {
-        let w = self.width;
-        let hash = hash_key((0..w).map(|j| KeyRef::of(key(j))));
-        let keys = &self.keys;
-        let slot = match self.index.find(hash, |s| {
-            (0..w).all(|j| KeyRef::of(&keys[s * w + j]) == KeyRef::of(key(j)))
-        }) {
-            Some(s) => s,
-            None => {
-                self.keys.extend((0..w).map(|j| key(j).clone()));
-                self.accs.extend_from_slice(&self.fresh);
-                self.index.insert(hash)
-            }
-        };
-        let a = self.fresh.len();
-        &mut self.accs[slot * a..(slot + 1) * a]
+    /// Start one more group.
+    fn push_group(&mut self) {
+        self.accs.extend_from_slice(&self.fresh);
     }
 
-    /// One row per group, in first-seen order: the key values, then the
-    /// finalized aggregates.
-    fn into_rows(self) -> Result<Vec<Row>> {
-        let (w, a) = (self.width, self.fresh.len());
-        let mut keys = self.keys.into_iter();
-        let mut accs = self.accs.into_iter();
-        (0..self.index.len())
-            .map(|_| finish_row(keys.by_ref().take(w).collect(), accs.by_ref().take(a)))
-            .collect()
+    /// Fold aggregate `k`'s argument over a batch of `n` rows, row `r`
+    /// into group `slots[r]` (group 0 without `slots`). Integer and float columns feed COUNT, SUM
+    /// and AVG from their typed slices; rows are folded in order, so
+    /// float accumulation — every result bit — is that of a
+    /// row-at-a-time fold.
+    fn fold(
+        &mut self,
+        k: usize,
+        arg: Option<&Operand<'_>>,
+        n: usize,
+        slots: Option<&[usize]>,
+    ) -> Result<()> {
+        let w = self.fresh.len();
+        let typed = matches!(
+            self.fresh.get(k),
+            Some(Acc::Count(_) | Acc::Sum { .. } | Acc::Avg { .. })
+        );
+        let accs = &mut self.accs;
+        let idx = |r: usize| slots.map_or(0, |s| s.get(r).copied().unwrap_or(0)) * w + k;
+        let col = match arg {
+            None => {
+                if let (None, Acc::Count(c)) = (slots, acc_at(accs, k)?) {
+                    // COUNT(*) of one group: the batch's row count.
+                    *c += n as i64;
+                    return Ok(());
+                }
+                for r in 0..n {
+                    acc_at(accs, idx(r))?.update(None)?;
+                }
+                return Ok(());
+            }
+            Some(Operand::Scalar(v)) => {
+                for r in 0..n {
+                    acc_at(accs, idx(r))?.update(Some(v))?;
+                }
+                return Ok(());
+            }
+            Some(op) => op
+                .column()
+                .ok_or_else(|| NoDbError::internal("aggregate argument has no column"))?,
+        };
+        let all_valid = col.null_count() == 0;
+        match col.data() {
+            Data::Int32(v) if typed => {
+                for (r, &x) in v.iter().enumerate().take(n) {
+                    if all_valid || col.is_valid(r) {
+                        acc_at(accs, idx(r))?.add_int(i64::from(x));
+                    }
+                }
+            }
+            Data::Int64(v) if typed => {
+                for (r, &x) in v.iter().enumerate().take(n) {
+                    if all_valid || col.is_valid(r) {
+                        acc_at(accs, idx(r))?.add_int(x);
+                    }
+                }
+            }
+            Data::Float64(v) if typed => {
+                for (r, &x) in v.iter().enumerate().take(n) {
+                    if all_valid || col.is_valid(r) {
+                        acc_at(accs, idx(r))?.add_float(x);
+                    }
+                }
+            }
+            _ => {
+                for r in 0..n {
+                    acc_at(accs, idx(r))?.add_lane(col, r)?;
+                }
+            }
+        }
+        Ok(())
     }
+
+    /// One column per aggregate, one lane per group, typed by the
+    /// aggregate's output type over `input` (the aggregated columns).
+    fn finish(&self, aggs: &[AggExpr], input: &[DataType]) -> Result<Vec<Column>> {
+        let w = self.fresh.len();
+        let groups = self.accs.len().checked_div(w).unwrap_or(0);
+        let mut cols: Vec<Column> = aggs
+            .iter()
+            .map(|a| Column::with_capacity(a.output_type(input), groups))
+            .collect();
+        for (i, acc) in self.accs.iter().enumerate() {
+            if let Some(c) = cols.get_mut(i % w.max(1)) {
+                c.push_value(&acc.finalize()?)?;
+            }
+        }
+        Ok(cols)
+    }
+}
+
+/// Accumulator `i`, or a typed internal error.
+#[inline]
+fn acc_at(accs: &mut [Acc], i: usize) -> Result<&mut Acc> {
+    accs.get_mut(i)
+        .ok_or_else(|| NoDbError::internal("aggregate group out of range"))
+}
+
+/// Evaluate every aggregate's argument over `batch` (`None` for
+/// COUNT(*)) and fold it into `table`, row `r` into group `slots[r]`
+/// (group 0 without `slots`).
+fn fold_batch(
+    table: &mut AccTable,
+    aggs: &[AggExpr],
+    batch: &ValueBatch,
+    slots: Option<&[usize]>,
+) -> Result<()> {
+    for (k, a) in aggs.iter().enumerate() {
+        let arg = a
+            .arg
+            .as_ref()
+            .map(|e| eval_operand(e, batch, None))
+            .transpose()?;
+        table.fold(k, arg.as_ref(), batch.num_rows(), slots)?;
+    }
+    Ok(())
 }
 
 /// Hash aggregation: one hash-table pass, groups emitted in first-seen
@@ -873,15 +970,30 @@ impl Operator for HashAggOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         let (group, aggs) = (&self.group, &self.aggs);
         self.state.next_batch(max_rows, |mut input| {
-            let mut groups = Groups::new(group.len(), aggs);
+            let mut keys = KeySet::default();
+            let mut table = AccTable::new(aggs);
+            let mut input_types = Vec::new();
             while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
-                let args = eval_agg_args(aggs, &b)?;
-                let key_cols: Vec<&[Value]> = group.iter().map(|&i| b.col(i)).collect();
+                input_types = b.types();
+                let key_cols = columns(&b, group)?;
+                let mut slots = Vec::with_capacity(b.num_rows());
                 for r in 0..b.num_rows() {
-                    update_row(groups.accs_for(|j| &key_cols[j][r]), &args, r)?;
+                    let (s, new) = keys.slot(&key_cols, r)?;
+                    if new {
+                        table.push_group();
+                    }
+                    slots.push(s);
                 }
+                fold_batch(&mut table, aggs, &b, Some(&slots))?;
             }
-            Ok(ValueBatch::from_rows(groups.into_rows()?))
+            let n = keys.len();
+            let mut cols = keys.keys;
+            if cols.len() != group.len() {
+                // No input: no groups, and no key types seen.
+                cols = group.iter().map(|_| Column::new(DataType::Int64)).collect();
+            }
+            cols.extend(table.finish(aggs, &input_types)?);
+            Ok(ValueBatch::from_cols(cols, n))
         })
     }
 }
@@ -919,36 +1031,39 @@ impl Operator for SortAggOp {
                 .map(|&col| SortKey { col, desc: false })
                 .collect();
             let (batch, order) = sort_input(input, &keys)?;
-            let batch = &batch;
-            let args = eval_agg_args(aggs, batch)?;
-            let key_of = |r: usize| group.iter().map(move |&g| KeyRef::of(&batch.col(g)[r]));
-            let finish = |first: usize, accs: Vec<Acc>| {
-                finish_row(
-                    group.iter().map(|&g| batch.col(g)[first].clone()).collect(),
-                    accs,
-                )
+            if batch.is_empty() {
+                return Ok(batch);
+            }
+            let key_cols = columns(&batch, group)?;
+            // Walk the sorted rows: a run is the rows whose key equals
+            // its first row's. Each row's group is its run.
+            let same = |a: usize, b: usize| {
+                key_cols
+                    .iter()
+                    .all(|c| KeyRef::at(c, a) == KeyRef::at(c, b))
             };
-            let mut out = Vec::new();
-            // The current run: its first row and its accumulators.
-            let mut run: Option<(usize, Vec<Acc>)> = None;
+            let mut firsts: Vec<usize> = Vec::new();
+            let mut slots = vec![0; batch.num_rows()];
+            let mut table = AccTable::new(aggs);
             for &r in &order {
-                let same = run
-                    .as_ref()
-                    .is_some_and(|&(first, _)| key_of(first).eq(key_of(r)));
-                if !same {
-                    if let Some((first, accs)) = run.take() {
-                        out.push(finish(first, accs)?);
-                    }
-                    run = Some((r, fresh_accs(aggs)));
+                if !firsts.last().is_some_and(|&f| same(f, r)) {
+                    firsts.push(r);
+                    table.push_group();
                 }
-                if let Some((_, accs)) = run.as_mut() {
-                    update_row(accs, &args, r)?;
+                if let Some(s) = slots.get_mut(r) {
+                    *s = firsts.len() - 1;
                 }
             }
-            if let Some((first, accs)) = run {
-                out.push(finish(first, accs)?);
-            }
-            Ok(ValueBatch::from_rows(out))
+            // Within a run, rows keep their input order (the sort is
+            // stable), so folding in input order folds each group in run
+            // order.
+            fold_batch(&mut table, aggs, &batch, Some(&slots))?;
+            let mut cols = key_cols
+                .iter()
+                .map(|c| c.gather(&firsts))
+                .collect::<Result<Vec<_>>>()?;
+            cols.extend(table.finish(aggs, &batch.types())?);
+            Ok(ValueBatch::from_cols(cols, firsts.len()))
         })
     }
 }
@@ -974,12 +1089,14 @@ impl Operator for PlainAggOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         let aggs = &self.aggs;
         self.state.next_batch(max_rows, |mut input| {
-            let mut accs = fresh_accs(aggs);
+            let mut table = AccTable::new(aggs);
+            table.push_group();
+            let mut input_types = Vec::new();
             while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
-                let args = eval_agg_args(aggs, &b)?;
-                update_accs_batch(&mut accs, &args, b.num_rows())?;
+                input_types = b.types();
+                fold_batch(&mut table, aggs, &b, None)?;
             }
-            Ok(ValueBatch::from_rows(vec![finish_row(Vec::new(), accs)?]))
+            Ok(ValueBatch::from_cols(table.finish(aggs, &input_types)?, 1))
         })
     }
 }
@@ -1221,7 +1338,8 @@ mod tests {
         assert_eq!(rows, vec![Row(vec![Value::Int64(i64::MAX)])]);
     }
 
-    /// Rows with duplicates, NULLs and mixed numeric widths: `(k, v)`.
+    /// Rows with duplicates, NULLs and mixed numeric widths: `(k, v)`
+    /// (`RowsOp` types both columns `Float64`, the widest number each holds).
     fn mixed() -> BoxOp {
         Box::new(RowsOp::new(
             [
@@ -1272,7 +1390,7 @@ mod tests {
         assert_batch_size_invariant("sort agg", || {
             Box::new(SortAggOp::new(mixed(), vec![0], aggs()))
         });
-        // Distinct keys equal values across widths: 3 == 3, 1 == 1.0.
+        // Distinct rows: 3 == 3, and 1 widened to 1.0 equals 1.0.
         assert_eq!(drain(DistinctOp::new(mixed())).len(), 6);
     }
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nodb_cache::{CacheConfig, ColumnBuilder, RawCache};
-use nodb_common::{ByteSize, Result, Row, Value};
+use nodb_common::{ByteSize, DataType, Result, Row, Value};
 use nodb_exec::{eval_predicate, fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_sql::BoundExpr;
 
@@ -179,7 +179,12 @@ impl FitsScanOp {
 
 impl Operator for FitsScanOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        fill_batch(max_rows, || loop {
+        let types: Vec<DataType> = self
+            .projection
+            .iter()
+            .map(|&a| self.table.columns[a].ftype.data_type())
+            .collect();
+        fill_batch(&types, max_rows, || loop {
             if let Some(r) = self.out.pop_front() {
                 return Ok(Some(r));
             }

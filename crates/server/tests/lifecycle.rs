@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nodb_common::{NoDbError, Row, Schema, Value};
+use nodb_common::{DataType, NoDbError, Row, Schema, Value};
 use nodb_core::{NoDb, NoDbConfig};
 use nodb_exec::{fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_server::{NodbClient, NodbServer, ServerConfig};
@@ -73,7 +73,7 @@ impl Operator for GatedOp {
                 open = self.gate.cv.wait(open).unwrap();
             }
         }
-        fill_batch(max_rows, || {
+        fill_batch(&[DataType::Int32], max_rows, || {
             if self.next >= self.rows {
                 return Ok(None);
             }

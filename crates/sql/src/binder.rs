@@ -1145,6 +1145,9 @@ impl Binder<'_> {
             fields.push(Field::new(format!("g{i}.{}", f.name), f.dtype));
         }
         for (i, a) in aggs.iter().enumerate() {
+            if let Some(e) = &a.arg {
+                check_case_types(e, &input_types, &format!("aggregate argument {e}"))?;
+            }
             fields.push(Field::new(format!("agg{i}"), a.output_type(&input_types)));
         }
         let agg_schema = Schema::new(fields)?;
@@ -1619,12 +1622,23 @@ fn derive_name(e: &AstExpr) -> String {
 }
 
 fn named_schema(names: &[String], exprs: &[BoundExpr], input: &[DataType]) -> Result<Schema> {
-    let fields = names
-        .iter()
-        .zip(exprs)
-        .map(|(n, e)| Field::new(n.clone(), e.infer_type(input)))
-        .collect();
+    let mut fields = Vec::with_capacity(exprs.len());
+    for (n, e) in names.iter().zip(exprs) {
+        check_case_types(e, input, &format!("output column `{n}`"))?;
+        fields.push(Field::new(n.clone(), e.infer_type(input)));
+    }
     Schema::new(fields)
+}
+
+/// Reject a CASE in `e` whose result branches have no common type: a
+/// column has one type, and text does not widen into a number.
+fn check_case_types(e: &BoundExpr, input: &[DataType], place: &str) -> Result<()> {
+    match e.case_type_clash(input) {
+        Some((a, b)) => Err(NoDbError::plan(format!(
+            "CASE in {place} mixes {a} and {b} results; its branches need one type"
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn layout_pos(layout: &[(usize, usize)], key: (usize, usize)) -> Result<usize> {

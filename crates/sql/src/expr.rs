@@ -205,42 +205,11 @@ impl BoundExpr {
 
     /// Collect the input ordinals referenced by this expression.
     pub fn referenced_columns(&self, out: &mut BTreeSet<usize>) {
-        match self {
-            BoundExpr::Col(i) => {
+        self.visit(&mut |e| {
+            if let BoundExpr::Col(i) = e {
                 out.insert(*i);
             }
-            BoundExpr::Lit(_) | BoundExpr::Param { .. } => {}
-            BoundExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            BoundExpr::Unary { expr, .. } => expr.referenced_columns(out),
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.referenced_columns(out);
-                pattern.referenced_columns(out);
-            }
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            BoundExpr::InList { expr, .. } => expr.referenced_columns(out),
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, r) in branches {
-                    c.referenced_columns(out);
-                    r.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            BoundExpr::IsNull { expr, .. } => expr.referenced_columns(out),
-        }
+        });
     }
 
     /// Rewrite column ordinals through `f`.
@@ -383,51 +352,20 @@ impl BoundExpr {
     /// into `out[idx]` (first non-`None` wins; `out` must already be
     /// sized to the statement's parameter count).
     pub fn collect_param_types(&self, out: &mut [Option<DataType>]) {
-        match self {
-            BoundExpr::Param { idx, dtype } => {
-                if let Some(slot) = out.get_mut(*idx) {
-                    if slot.is_none() {
-                        *slot = *dtype;
-                    }
+        self.visit(&mut |e| {
+            if let BoundExpr::Param { idx, dtype } = e {
+                if let Some(slot) = out.get_mut(*idx).filter(|s| s.is_none()) {
+                    *slot = *dtype;
                 }
             }
-            BoundExpr::Col(_) | BoundExpr::Lit(_) => {}
-            BoundExpr::Binary { left, right, .. } => {
-                left.collect_param_types(out);
-                right.collect_param_types(out);
-            }
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::InList { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.collect_param_types(out),
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.collect_param_types(out);
-                pattern.collect_param_types(out);
-            }
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.collect_param_types(out);
-                low.collect_param_types(out);
-                high.collect_param_types(out);
-            }
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, r) in branches {
-                    c.collect_param_types(out);
-                    r.collect_param_types(out);
-                }
-                if let Some(e) = else_expr {
-                    e.collect_param_types(out);
-                }
-            }
-        }
+        });
     }
 
-    /// Infer the result type given input column types. Comparisons and
-    /// boolean combinators yield `Bool`; arithmetic widens to `Float64`
-    /// when any side is a float or on division; `Date ± Int` stays `Date`.
+    /// Infer the result type given input column types: the one typing
+    /// rule the binder's output schema and the evaluator share.
+    /// Comparisons and boolean combinators yield `Bool`; arithmetic
+    /// follows [`BinOp::arith_type`]; a CASE yields the widest numeric
+    /// type among its non-NULL branches (or their common type).
     pub fn infer_type(&self, input: &[DataType]) -> DataType {
         match self {
             BoundExpr::Col(i) => input.get(*i).copied().unwrap_or(DataType::Text),
@@ -437,16 +375,7 @@ impl BoundExpr {
                 if op.is_comparison() || matches!(op, BinOp::And | BinOp::Or) {
                     DataType::Bool
                 } else {
-                    let lt = left.infer_type(input);
-                    let rt = right.infer_type(input);
-                    match (op, lt, rt) {
-                        (BinOp::Div, _, _) => DataType::Float64,
-                        (_, DataType::Float64, _) | (_, _, DataType::Float64) => DataType::Float64,
-                        (_, DataType::Date, _) => DataType::Date,
-                        (_, _, DataType::Date) => DataType::Date,
-                        (_, DataType::Int64, _) | (_, _, DataType::Int64) => DataType::Int64,
-                        _ => lt,
-                    }
+                    op.arith_type(left.infer_type(input), right.infer_type(input))
                 }
             }
             BoundExpr::Unary { op: UnOp::Not, .. } => DataType::Bool,
@@ -458,14 +387,101 @@ impl BoundExpr {
             | BoundExpr::Between { .. }
             | BoundExpr::InList { .. }
             | BoundExpr::IsNull { .. } => DataType::Bool,
+            BoundExpr::Case { .. } => self
+                .case_branch_types(input)
+                .into_iter()
+                .reduce(DataType::widest)
+                .unwrap_or(DataType::Text),
+        }
+    }
+
+    /// The types of a CASE's non-NULL result branches, in order (empty
+    /// for any other expression).
+    fn case_branch_types(&self, input: &[DataType]) -> Vec<DataType> {
+        let BoundExpr::Case {
+            branches,
+            else_expr,
+        } = self
+        else {
+            return Vec::new();
+        };
+        branches
+            .iter()
+            .map(|(_, r)| r)
+            .chain(else_expr.as_deref())
+            .filter(|e| !matches!(e, BoundExpr::Lit(Value::Null)))
+            .map(|e| e.infer_type(input))
+            .collect()
+    }
+
+    /// The first CASE in this expression whose result branches have no
+    /// common type (text and a number, say), as the two clashing types.
+    /// Numbers of different widths widen and do not clash.
+    pub fn case_type_clash(&self, input: &[DataType]) -> Option<(DataType, DataType)> {
+        let mut clash = None;
+        self.visit(&mut |e| {
+            let types = e.case_branch_types(input);
+            for pair in types.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                if clash.is_none() && a != b && !(a.is_numeric() && b.is_numeric()) {
+                    clash = Some((a, b));
+                }
+            }
+        });
+        clash
+    }
+
+    /// Call `f` on this expression and every subexpression.
+    fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+        f(self);
+        match self {
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param { .. } => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.visit(f);
+                right.visit(f);
+            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::InList { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => expr.visit(f),
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit(f);
+                pattern.visit(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.visit(f);
+                low.visit(f);
+                high.visit(f);
+            }
             BoundExpr::Case {
                 branches,
                 else_expr,
-            } => branches
-                .first()
-                .map(|(_, r)| r.infer_type(input))
-                .or_else(|| else_expr.as_ref().map(|e| e.infer_type(input)))
-                .unwrap_or(DataType::Text),
+            } => {
+                for (c, r) in branches {
+                    c.visit(f);
+                    r.visit(f);
+                }
+                if let Some(e) = else_expr {
+                    e.visit(f);
+                }
+            }
+        }
+    }
+}
+
+impl BinOp {
+    /// The result type of arithmetic `l op r`: `/` or any `Float64`
+    /// operand gives `Float64`; `Date − Date` gives `Int64`; `Date ±`
+    /// an integer (or a date) gives `Date`; integers of either width
+    /// give `Int64`. Operand types with no arithmetic fail at run time.
+    pub fn arith_type(self, l: DataType, r: DataType) -> DataType {
+        use DataType::{Date, Float64, Int32, Int64};
+        match (self, l, r) {
+            (BinOp::Div, _, _) | (_, Float64, _) | (_, _, Float64) => Float64,
+            (BinOp::Sub, Date, Date) => Int64,
+            (BinOp::Add | BinOp::Sub, Date, Int32 | Int64 | Date) => Date,
+            _ => Int64,
         }
     }
 }
@@ -638,6 +654,44 @@ mod tests {
             right: Box::new(BoundExpr::Lit(Value::Date(nodb_common::Date(0)))),
         };
         assert_eq!(cmp.infer_type(&input), DataType::Bool);
+
+        // Integers add to Int64, dates shift, and a CASE widens to its
+        // widest numeric branch or reports its type clash.
+        let input = [DataType::Int32, DataType::Date, DataType::Text];
+        let bin = |op, l, r| BoundExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        };
+        let (c, lit) = (BoundExpr::Col, BoundExpr::Lit);
+        assert_eq!(
+            bin(BinOp::Add, c(0), c(0)).infer_type(&input),
+            DataType::Int64
+        );
+        let day = || lit(Value::Date(nodb_common::Date(0)));
+        assert_eq!(
+            bin(BinOp::Sub, c(1), day()).infer_type(&input),
+            DataType::Int64
+        );
+        let one = || lit(Value::Int64(1));
+        assert_eq!(
+            bin(BinOp::Add, c(1), one()).infer_type(&input),
+            DataType::Date
+        );
+        let case = |then: BoundExpr, otherwise: BoundExpr| BoundExpr::Case {
+            branches: vec![(lit(Value::Bool(true)), then)],
+            else_expr: Some(Box::new(otherwise)),
+        };
+        let widened = case(one(), lit(Value::Float64(0.5)));
+        assert_eq!(widened.infer_type(&input), DataType::Float64);
+        assert_eq!(widened.case_type_clash(&input), None);
+        let nulls = case(lit(Value::Null), c(0));
+        assert_eq!(nulls.infer_type(&input), DataType::Int32);
+        let mixed = bin(BinOp::Eq, case(c(2), one()), one());
+        assert_eq!(
+            mixed.case_type_clash(&input),
+            Some((DataType::Text, DataType::Int64))
+        );
     }
 
     #[test]

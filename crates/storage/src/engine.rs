@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use nodb_common::{NoDbError, Result, Row, Schema, Value};
+use nodb_common::{DataType, NoDbError, Result, Row, Schema, Value};
 use nodb_csv::lines::LineReader;
 use nodb_csv::tokenize;
 use nodb_csv::CsvOptions;
@@ -257,6 +257,10 @@ impl TableProvider for LoadedTable {
             heap: self.heap.clone(),
             profile: self.profile,
             pool: Arc::clone(&self.pool),
+            types: projection
+                .iter()
+                .map(|&i| self.schema.field(i).dtype)
+                .collect(),
             projection: projection.to_vec(),
             filters: filters.to_vec(),
             n_pages: self.heap.n_pages(),
@@ -280,6 +284,8 @@ struct HeapScanOp {
     profile: EngineProfile,
     pool: Arc<Mutex<BufferPool>>,
     projection: Vec<usize>,
+    /// The projected columns' types, which output batches take.
+    types: Vec<DataType>,
     filters: Vec<BoundExpr>,
     n_pages: u32,
     page_no: u32,
@@ -408,7 +414,7 @@ impl HeapScanOp {
 
 impl Operator for HeapScanOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        fill_batch(max_rows, || self.next_tuple())
+        fill_batch(&self.types.clone(), max_rows, || self.next_tuple())
     }
 }
 

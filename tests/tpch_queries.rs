@@ -4,8 +4,8 @@
 
 use std::path::Path;
 
-use nodb_common::{TempDir, Value};
-use nodb_core::{AccessMode, NoDb, NoDbConfig, QueryResult};
+use nodb_common::{DataType, TempDir, Value};
+use nodb_core::{AccessMode, NoDb, NoDbConfig, Params, QueryResult};
 use nodb_csv::CsvOptions;
 use nodb_tpch::{queries, TpchGen};
 
@@ -191,4 +191,52 @@ fn q19_uses_a_real_join_not_a_cross_product() {
         plan.contains("Join on=[("),
         "OR factoring must expose the equi-join:\n{plan}"
     );
+}
+
+/// The schema a statement reports is the type of every value it yields:
+/// `Int32 + Int32` is `Int64`, `Date − Date` is `Int64`, and a CASE
+/// widens its integer branch to its float branch — whether the rows come
+/// off the raw file, the warm cache or heap pages.
+#[test]
+fn statement_schema_types_match_returned_values() {
+    let td = TempDir::new("tpch-it").unwrap();
+    generate(td.path());
+    let sql = "select l_linenumber + l_linenumber, o_orderdate - date '1995-01-01', \
+               case when o_orderkey > 3 then 1 else 0.5 end \
+               from lineitem, orders where l_orderkey = o_orderkey and o_orderkey < 6";
+    for (config, mode) in [
+        (NoDbConfig::postgres_raw(), AccessMode::InSitu),
+        (NoDbConfig::baseline(), AccessMode::ExternalFiles),
+        (NoDbConfig::postgres_raw(), AccessMode::Loaded),
+    ] {
+        let db = engine(td.path(), config, mode);
+        let stmt = db.prepare(sql).unwrap();
+        let declared: Vec<_> = stmt.schema().fields().iter().map(|f| f.dtype).collect();
+        assert_eq!(
+            declared,
+            [DataType::Int64, DataType::Int64, DataType::Float64],
+            "{mode:?}"
+        );
+        // Cold, then warm (served from the cache where there is one).
+        for _ in 0..2 {
+            let rows = stmt.query(&Params::new()).unwrap().rows;
+            assert!(!rows.is_empty(), "{mode:?}");
+            for row in &rows {
+                let got: Vec<_> = row.values().iter().map(Value::data_type).collect();
+                assert_eq!(
+                    got,
+                    declared.iter().map(|&t| Some(t)).collect::<Vec<_>>(),
+                    "{mode:?}: {row}"
+                );
+            }
+        }
+    }
+    // A CASE that mixes text and a number has no one type: a bind error
+    // that names where it is.
+    let db = engine(td.path(), NoDbConfig::postgres_raw(), AccessMode::InSitu);
+    let err = db
+        .prepare("select case when o_orderkey > 3 then 'big' else 0 end as size from orders")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("`size`") && err.contains("CASE"), "{err}");
 }
