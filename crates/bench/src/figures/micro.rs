@@ -4,7 +4,6 @@ use std::path::Path;
 
 use nodb_common::{ByteSize, Result};
 use nodb_core::{AccessMode, NoDbConfig};
-use nodb_csv::MicroGen;
 
 use crate::data::micro_file;
 use crate::figures::{micro_engine, random_projections, region_projections};
@@ -209,28 +208,5 @@ pub fn fig6(scale: Scale, out: &Path) -> Result<()> {
         }
     }
     report.finish()?;
-    Ok(())
-}
-
-/// Append-update smoke used by the harness self-test (not a paper figure,
-/// but §4.5's scenario; kept here so `figures all` exercises appends).
-#[allow(dead_code)]
-pub fn append_smoke(scale: Scale) -> Result<()> {
-    let rows = scale.micro_rows().min(10_000);
-    let (src, schema) = micro_file(rows, 20, None)?;
-    let path = crate::data::scratch_copy(&src, "append")?;
-    let db = micro_engine(
-        NoDbConfig::postgres_raw(),
-        &path,
-        &schema,
-        AccessMode::InSitu,
-    );
-    db.query("select c0 from t").expect("warm");
-    MicroGen::default()
-        .rows(rows)
-        .cols(20)
-        .seed(0xbead)
-        .append_to(&path, rows / 10)?;
-    db.query("select count(*) from t").expect("post-append");
     Ok(())
 }

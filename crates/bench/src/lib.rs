@@ -5,7 +5,9 @@
 //! and writes one CSV per figure under `results/`, printing the same
 //! series the paper plots. Absolute numbers differ from the paper's 2012
 //! Sun server — the *shapes* (who wins, by what factor, where the curves
-//! bend) are the reproduction target; see EXPERIMENTS.md.
+//! bend) are the reproduction target. A recorded run of every figure
+//! against the paper's plots is still to be written (`EXPERIMENTS.md`,
+//! ROADMAP item 7).
 //!
 //! ```text
 //! cargo run --release -p nodb-bench --bin figures -- all
@@ -24,7 +26,8 @@ use std::time::Instant;
 /// keep laptop runtimes sane while preserving every effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-per-figure; used by `cargo bench` smoke benches and CI.
+    /// Seconds per figure; CI runs `figures all --scale small` as a smoke
+    /// test of every runner.
     Small,
     /// Default for the `figures` binary (a few minutes for the full set).
     Medium,

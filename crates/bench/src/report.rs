@@ -31,12 +31,6 @@ impl Report {
         self.rows.push(values.to_vec());
     }
 
-    /// Convenience: format mixed values.
-    pub fn rowf(&mut self, values: &[&dyn std::fmt::Display]) {
-        let vals: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-        self.row(&vals);
-    }
-
     /// Print the table and write `<out_dir>/<figure>.csv`.
     pub fn finish(self) -> std::io::Result<PathBuf> {
         // Column widths.

@@ -3,9 +3,8 @@
 //! The JSON Lines twin of `nodb_csv::MicroGen`: identical RNG stream,
 //! identical logical values, different physical layout (`{"c0": ..}`
 //! objects instead of comma-separated fields). Generating both formats
-//! from the same seed gives the differential tests and the
-//! `substrate_jsonl` benchmarks files with byte-different encodings of
-//! the *same* table.
+//! from the same seed gives the differential tests two files with
+//! byte-different encodings of the *same* table.
 
 use std::path::Path;
 

@@ -168,16 +168,23 @@ fn engine(f: &Fixture, cfg: NoDbConfig, jsonl: bool) -> NoDb {
 }
 
 /// The corpus over format × threads × I/O backend, each engine run cold
-/// then warm, row for row against the aux-free baseline.
+/// then warm, row for row against the aux-free baseline. Both files hold
+/// the same rows, so the CSV and JSONL baselines must agree first.
 #[test]
 fn corpus_matches_the_aux_free_baseline() {
     let f = fixture();
-    for jsonl in [false, true] {
+    let baseline = |jsonl| -> Vec<Vec<Row>> {
         let reference = engine(&f, NoDbConfig::baseline(), jsonl);
-        let want: Vec<Vec<Row>> = QUERIES
+        QUERIES
             .iter()
             .map(|q| reference.query(q).unwrap().rows)
-            .collect();
+            .collect()
+    };
+    let want = baseline(false);
+    for (q, (csv, jsonl)) in QUERIES.iter().zip(want.iter().zip(&baseline(true))) {
+        assert_eq!(csv, jsonl, "csv and jsonl baselines differ for `{q}`");
+    }
+    for jsonl in [false, true] {
         for threads in [1usize, 4] {
             for io in [IoBackend::Read, IoBackend::Mmap] {
                 let db = engine(&f, config(threads, io), jsonl);
