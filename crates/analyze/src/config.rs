@@ -38,8 +38,9 @@ pub struct Config {
     pub knob_envs: Vec<String>,
     /// `(env, flag)` pairs the README must mention.
     pub knob_docs: Vec<(String, String)>,
-    /// README path relative to `root` (checked by the knob arm when the
-    /// file exists).
+    /// README path relative to `root`, checked by the knob arm when the
+    /// file exists (a missing one is a finding only when `knob_docs` is
+    /// non-empty).
     pub readme: PathBuf,
 }
 
@@ -49,7 +50,7 @@ impl Config {
         let knobs = nodb_common::knob::all();
         Config {
             root: root.to_path_buf(),
-            subdirs: ["crates", "src", "tools", "shims", "tests", "examples"]
+            subdirs: ["crates", "src", "shims", "tests", "examples"]
                 .map(String::from)
                 .to_vec(),
             audit_path: PathBuf::from("analyze/unsafe_audit.toml"),
@@ -130,8 +131,8 @@ impl Config {
     }
 
     /// A bare-bones policy for a fixture tree: no designated files, no
-    /// README check, a caller-supplied knob registry, and every lint arm
-    /// pointed at the fixture's own files.
+    /// required README mentions, a caller-supplied knob registry, and
+    /// every lint arm pointed at the fixture's own files.
     pub fn for_fixture(root: &Path) -> Config {
         Config {
             root: root.to_path_buf(),

@@ -2,8 +2,10 @@
 //! registered knob environment variable (`nodb_common::knob::all()`), so
 //! an env var cannot be read (or documented, or set in CI) that the
 //! registry — and therefore `validate_env` and `--help` — doesn't know
-//! about. Conversely, every registered knob's env var and CLI flag must
-//! be mentioned in the README.
+//! about. The README is held to both directions: every registered
+//! knob's env var and CLI flag must be mentioned in it, and every
+//! `NODB_…` token it mentions must be a registered knob env var, so it
+//! cannot document a knob that no longer exists.
 
 use std::collections::BTreeSet;
 
@@ -67,36 +69,52 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
             }
         }
     }
-    let readme_path = cfg.root.join(&cfg.readme);
-    if !cfg.knob_docs.is_empty() {
-        match std::fs::read_to_string(&readme_path) {
-            Ok(readme) => {
-                for (env, flag) in &cfg.knob_docs {
-                    for (what, needle) in [("env var", env), ("flag", flag)] {
-                        if !readme.contains(needle.as_str()) {
-                            findings.push(Finding {
-                                lint: "knob",
-                                file: cfg.readme.clone(),
-                                line: 0,
-                                message: format!(
-                                    "knob {what} `{needle}` is not mentioned in the README"
-                                ),
-                                waiver_key: Some(needle.clone()),
-                            });
-                        }
-                    }
-                }
-            }
-            Err(e) => findings.push(Finding {
-                lint: "knob",
-                file: cfg.readme.clone(),
-                line: 0,
-                message: format!("README unreadable for the knob doc check: {e}"),
-                waiver_key: None,
-            }),
-        }
+    match std::fs::read_to_string(cfg.root.join(&cfg.readme)) {
+        Ok(readme) => check_readme(&readme, &valid, cfg, &mut findings),
+        Err(e) if !cfg.knob_docs.is_empty() => findings.push(Finding {
+            lint: "knob",
+            file: cfg.readme.clone(),
+            line: 0,
+            message: format!("README unreadable for the knob doc check: {e}"),
+            waiver_key: None,
+        }),
+        Err(_) => {}
     }
     findings
+}
+
+/// The README against the registry, in both directions.
+fn check_readme(readme: &str, valid: &BTreeSet<&str>, cfg: &Config, out: &mut Vec<Finding>) {
+    for (env, flag) in &cfg.knob_docs {
+        for (what, needle) in [("env var", env), ("flag", flag)] {
+            if !readme.contains(needle.as_str()) {
+                out.push(Finding {
+                    lint: "knob",
+                    file: cfg.readme.clone(),
+                    line: 0,
+                    message: format!("knob {what} `{needle}` is not mentioned in the README"),
+                    waiver_key: Some(needle.clone()),
+                });
+            }
+        }
+    }
+    for (i, line) in readme.lines().enumerate() {
+        for var in nodb_vars(line) {
+            if !valid.contains(var.as_str()) {
+                out.push(Finding {
+                    lint: "knob",
+                    file: cfg.readme.clone(),
+                    line: i + 1,
+                    message: format!(
+                        "the README documents `{var}`, which is not a registered knob \
+                         env var (nodb_common::knob::all()) — drop it or waive it with \
+                         a justification"
+                    ),
+                    waiver_key: Some(var),
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]

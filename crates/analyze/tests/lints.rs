@@ -134,6 +134,19 @@ fn unregistered_knob_env_var_is_caught() {
 }
 
 #[test]
+fn readme_documenting_an_unregistered_env_var_is_caught() {
+    let report = run("knob_readme_bad", |cfg| {
+        cfg.knob_envs = vec!["NODB_FIX".into()];
+        cfg.knob_docs = vec![("NODB_FIX".into(), "--fix".into())];
+    });
+    assert_eq!(lints_of(&report), vec!["knob"], "{:#?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!(f.file, Path::new("README.md"), "{f:#?}");
+    assert_eq!(f.line, 8, "{f:#?}");
+    assert!(f.message.contains("NODB_RETIRED"), "{f:#?}");
+}
+
+#[test]
 fn waivers_suppress_justified_findings_and_stale_waivers_fire() {
     let report = run("waivers", |cfg| {
         cfg.cast_files = vec!["src/lib.rs".into()];

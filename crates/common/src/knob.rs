@@ -89,14 +89,6 @@ impl<T> Knob<T> {
     }
 }
 
-fn parse_bool(s: &str) -> Result<bool> {
-    match s.to_ascii_lowercase().as_str() {
-        "on" | "true" | "1" | "yes" => Ok(true),
-        "off" | "false" | "0" | "no" => Ok(false),
-        other => Err(NoDbError::config(format!("`{other}` is not a boolean"))),
-    }
-}
-
 fn parse_usize(s: &str) -> Result<usize> {
     s.parse::<usize>()
         .map_err(|_| NoDbError::config(format!("`{s}` is not a count")))
@@ -150,28 +142,14 @@ pub static CACHE_BUDGET: Knob<ByteSize> = Knob {
     parse: ByteSize::parse,
 };
 
-/// The binder's predicate normalizer: constant folding and boolean
-/// simplification at bind time (`NoDbConfig::enable_rewrite`).
-pub static REWRITE: Knob<bool> = Knob {
-    info: KnobInfo {
-        name: "rewrite",
-        env: "NODB_REWRITE",
-        flag: "--rewrite",
-        value_hint: "on|off",
-        help: "predicate simplification (default on)",
-    },
-    parse: parse_bool,
-};
-
 /// Every registered knob's metadata, in display order — binaries build
 /// their flag tables and usage text from this.
-pub fn all() -> [&'static KnobInfo; 5] {
+pub fn all() -> [&'static KnobInfo; 4] {
     [
         &IO_BACKEND.info,
         &SCAN_THREADS.info,
         &POSMAP_BUDGET.info,
         &CACHE_BUDGET.info,
-        &REWRITE.info,
     ]
 }
 
@@ -188,7 +166,6 @@ pub fn validate_env() -> Result<()> {
     SCAN_THREADS.from_env()?;
     POSMAP_BUDGET.from_env()?;
     CACHE_BUDGET.from_env()?;
-    REWRITE.from_env()?;
     Ok(())
 }
 
@@ -246,17 +223,6 @@ mod tests {
         assert!(err.contains("scan-threads"), "{err}");
         assert!(err.contains("twelve"), "{err}");
         assert!(SCAN_THREADS.parse(" 12 ").unwrap() == 12);
-    }
-
-    #[test]
-    fn bool_knob_accepts_the_usual_spellings() {
-        for on in ["on", "true", "1", "YES"] {
-            assert!(REWRITE.parse(on).unwrap());
-        }
-        for off in ["off", "false", "0", "No"] {
-            assert!(!REWRITE.parse(off).unwrap());
-        }
-        assert!(REWRITE.parse("maybe").is_err());
     }
 
     #[test]

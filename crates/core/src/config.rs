@@ -24,14 +24,6 @@ pub struct NoDbConfig {
     pub enable_cache: bool,
     /// Collect statistics on the fly and let the planner use them (§4.4).
     pub enable_stats: bool,
-    /// Normalize predicates while binding (constant folding, boolean
-    /// simplification, tautology and contradiction elimination, which
-    /// also narrows scan projections); scans do not consult it. Results
-    /// are bit-identical either way
-    /// (`tests/pushdown_equivalence.rs`); off exists for differential
-    /// testing and perf attribution. The `NODB_REWRITE` environment
-    /// variable (`on`/`off`) overrides the constructor default.
-    pub enable_rewrite: bool,
     /// Storage threshold for the positional map (attribute chunks).
     /// `None` (the default) never evicts. The `NODB_POSMAP_BUDGET`
     /// environment variable (a [`ByteSize`], e.g. `64MB`) overrides the
@@ -114,7 +106,6 @@ impl NoDbConfig {
             enable_posmap: true,
             enable_cache: true,
             enable_stats: true,
-            enable_rewrite: knob::REWRITE.env_default().unwrap_or(true),
             posmap_budget: knob::POSMAP_BUDGET.env_default(),
             cache_budget: knob::CACHE_BUDGET.env_default(),
             cache_cost_weight: 16,
@@ -187,7 +178,6 @@ impl NoDbConfig {
             "scan-threads" => self.scan_threads = knob::SCAN_THREADS.parse(raw)?,
             "posmap-budget" => self.posmap_budget = Some(knob::POSMAP_BUDGET.parse(raw)?),
             "cache-budget" => self.cache_budget = Some(knob::CACHE_BUDGET.parse(raw)?),
-            "rewrite" => self.enable_rewrite = knob::REWRITE.parse(raw)?,
             other => {
                 return Err(nodb_common::NoDbError::config(format!(
                     "unknown knob `{other}`"

@@ -143,7 +143,7 @@ impl NoDb {
     ///
     /// Rejects a malformed value in any registered knob's environment
     /// variable (`NODB_IO_BACKEND`, `NODB_SCAN_THREADS`,
-    /// `NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET`, `NODB_REWRITE` — see
+    /// `NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET` — see
     /// [`nodb_common::knob`]) with [`NoDbError::Config`]: config
     /// construction silently falls back to its defaults (it must stay
     /// infallible), so the typo is surfaced here, on the normal error
@@ -420,7 +420,6 @@ impl NoDb {
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
         let options = PlannerOptions {
             use_stats: self.config.enable_stats,
-            rewrite: self.config.enable_rewrite,
         };
         plan_query(sql, self, &options)
     }

@@ -176,7 +176,6 @@ impl NoDb {
         let param_count = stmt.param_count()?;
         let options = PlannerOptions {
             use_stats: self.config.enable_stats,
-            rewrite: self.config.enable_rewrite,
         };
         let plan = nodb_sql::binder::bind(&stmt, self, &options)?;
         let param_types = plan.param_types(param_count);

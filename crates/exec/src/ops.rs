@@ -343,9 +343,13 @@ impl HashJoinOp {
     }
 
     /// Drain the build side into the table (rows with a NULL key part
-    /// never match and are dropped) and index it.
+    /// never match and are dropped) and index it. An empty build side
+    /// leaves the table empty: its batch has no columns to key on.
     fn build_table(&mut self, src: BoxOp) -> Result<()> {
         let rows = concat_input(src)?;
+        if rows.is_empty() {
+            return Ok(());
+        }
         let keep: Vec<bool> = {
             let keys = columns(&rows, &self.build_keys)?;
             (0..rows.num_rows())
@@ -1243,6 +1247,22 @@ mod tests {
             rows,
             vec![Row(vec![Value::Int64(1)]), Row(vec![Value::Int64(3)])]
         );
+    }
+
+    #[test]
+    fn empty_build_side_matches_nothing() {
+        let inner = HashJoinOp::new(
+            ints(&[]),
+            ints(&[&[1, 2]]),
+            vec![(0, 0)],
+            None,
+            JoinKind::Inner,
+        );
+        assert!(drain(inner).is_empty());
+        let semi = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], None, JoinKind::Semi);
+        assert!(drain(semi).is_empty());
+        let anti = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], None, JoinKind::Anti);
+        assert_eq!(drain(anti), vec![Row(vec![Value::Int64(1)])]);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! Planning and optimization are interleaved: predicate classification,
 //! projection pruning, join ordering and strategy choices all happen while
 //! the plan is assembled, because each decision changes the column layout
-//! the next one binds against. With [`PlannerOptions::rewrite`] on, every
-//! expression is normalized (constants folded, boolean structure
-//! simplified) as it is bound, before the decisions that depend on it: a
-//! scan's filters are normalized before its projection is chosen, a
-//! constant WHERE conjunct becomes a scan filter, and a pure HAVING
-//! conjunct over bare group keys filters rows in WHERE instead of groups.
-//! Nothing rewrites the plan afterwards; only
+//! the next one binds against. Every predicate is bound once, as
+//! written: a WHERE conjunct over one table filters that table's scan
+//! (a constant one filters the first FROM table's scan), an equi-join
+//! conjunct becomes a join key, any other multi-table conjunct filters
+//! the smallest join that covers its tables, and HAVING filters groups
+//! above the aggregate. A scan's projection is the columns the rest of
+//! the plan uses plus those its filters test. Nothing rewrites the plan
+//! afterwards; only
 //! [`crate::optimizer::refresh_stats`] re-derives its statistics-driven
 //! choices at execute time.
 
@@ -25,7 +26,6 @@ use crate::optimizer::{
     agg_strategy, factor_or, join_cardinality, scan_estimate, split_conjuncts, DEFAULT_NDV,
 };
 use crate::plan::{AggStrategy, JoinKind, LogicalPlan, SortKey};
-use crate::rewrite::{is_pure, normalize, normalize_conjuncts, normalize_predicate};
 
 /// What the planner needs to know about registered tables.
 pub trait CatalogView {
@@ -42,21 +42,11 @@ pub struct PlannerOptions {
     /// aggregation strategy. Off = the paper's "w/o statistics" regime
     /// (Figure 12): as-written join order, pessimistic sort aggregation.
     pub use_stats: bool,
-    /// Normalize expressions while binding — fold constants, simplify
-    /// boolean structure, drop tautological conjuncts, collapse
-    /// contradictions to FALSE — and plan with the result (see the
-    /// module docs). Off = the bound plan executes exactly as written,
-    /// which also disables the scan layer's raw-slice predicate fast
-    /// path downstream.
-    pub rewrite: bool,
 }
 
 impl Default for PlannerOptions {
     fn default() -> Self {
-        PlannerOptions {
-            use_stats: true,
-            rewrite: true,
-        }
+        PlannerOptions { use_stats: true }
     }
 }
 
@@ -174,9 +164,6 @@ impl Binder<'_> {
         for c in raw_conjuncts {
             conjuncts.extend(factor_or(&c));
         }
-        // 3b. HAVING conjuncts that only test group keys join WHERE.
-        let having = self.split_having(stmt, &mut conjuncts);
-
         // 4. Extract EXISTS specs.
         let mut exists_specs: Vec<ExistsSpec> = Vec::new();
         let mut plain_conjuncts: Vec<AstExpr> = Vec::new();
@@ -196,9 +183,8 @@ impl Binder<'_> {
         }
 
         // 5. Classify conjuncts: per-table filters, equi-join edges,
-        //    residuals. With rewriting on, a constant conjunct filters
-        //    the first table's scan (normalized there: TRUE vanishes,
-        //    FALSE empties the scan) instead of sitting above the plan.
+        //    residuals. A constant conjunct filters the first table's
+        //    scan, after that table's own filters.
         let mut scan_filters: Vec<Vec<AstExpr>> = vec![Vec::new(); self.tables.len()];
         let mut constants: Vec<AstExpr> = Vec::new();
         let mut edges: Vec<((usize, usize), (usize, usize))> = Vec::new();
@@ -221,16 +207,15 @@ impl Binder<'_> {
                         residuals.push(c);
                     }
                 }
-                0 if self.options.rewrite => constants.push(c),
-                // 0 (constant) or >2 tables: residual, bound once enough
-                // tables are joined (constants bind at the very end).
+                0 => constants.push(c),
+                // >2 tables: residual, bound once enough tables are joined.
                 _ => residuals.push(c),
             }
         }
         scan_filters[0].extend(constants);
 
         // 6. Columns each table produces for the rest of the plan; scan
-        //    filters add theirs in step 7, once normalized.
+        //    filters add theirs in step 7.
         let mut used: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.tables.len()];
         for e in projections.iter().map(|(e, _)| e).chain(&residuals) {
             self.collect_usage(e, &mut used)?;
@@ -276,13 +261,11 @@ impl Binder<'_> {
             });
         }
 
-        // 8. Join tree; residuals not attachable to any join (constant
-        //    predicates, with rewriting off) bind against the final
-        //    layout.
+        // 8. Join tree; each residual filters the first join covering
+        //    its tables, and the last join covers them all.
         let mut tree = self.build_join_tree(rels, &edges, &mut residuals)?;
-        for r in std::mem::take(&mut residuals) {
-            let predicate = self.bind_scalar(&r, &self.layout_resolver(&tree.layout))?;
-            tree.plan = self.filter(tree.plan, predicate);
+        if !residuals.is_empty() {
+            return Err(NoDbError::internal("a WHERE conjunct was left unplaced"));
         }
 
         // 9. Semi/anti joins for EXISTS.
@@ -295,13 +278,13 @@ impl Binder<'_> {
             || stmt.having.is_some()
             || projections.iter().any(|(e, _)| e.contains_agg());
         let (plan_below_sort, out_names, proj_asts) = if has_agg {
-            self.plan_aggregate(tree, stmt, having.as_ref(), &projections)?
+            self.plan_aggregate(tree, stmt, &projections)?
         } else {
             let layout = tree.layout.clone();
             let resolver = self.layout_resolver(&layout);
             let mut exprs = Vec::with_capacity(projections.len());
             for (e, _) in &projections {
-                exprs.push(self.norm(self.bind_scalar(e, &resolver)?));
+                exprs.push(self.bind_scalar(e, &resolver)?);
             }
             let input_types = tree.plan.schema().types();
             let names = self.output_names(&projections);
@@ -345,53 +328,6 @@ impl Binder<'_> {
             };
         }
         Ok(plan)
-    }
-
-    /// Step 3b: move each HAVING conjunct that only tests group keys
-    /// into `conjuncts` (the WHERE list), returning what is left of
-    /// HAVING. A pure conjunct without aggregates over bare GROUP BY
-    /// columns keeps a group iff it keeps each of the group's rows, so
-    /// it may filter rows in the scan instead of groups afterwards. The
-    /// test binds it exactly as HAVING will — a conjunct HAVING rejects
-    /// stays there and still errors — and asks the normalizer whether
-    /// the normalized form is pure. A global aggregate (no GROUP BY)
-    /// emits its row unconditionally, so nothing moves past it.
-    fn split_having(&self, stmt: &SelectStmt, conjuncts: &mut Vec<AstExpr>) -> Option<AstExpr> {
-        let h = stmt.having.as_ref()?;
-        if !self.options.rewrite || stmt.group_by.is_empty() {
-            return Some(h.clone());
-        }
-        let mut parts = Vec::new();
-        split_conjuncts(h, &mut parts);
-        let where_len = conjuncts.len();
-        let mut kept = Vec::new();
-        for c in parts {
-            let on_keys = !c.contains_agg()
-                && self
-                    .rewrite_agg_expr(
-                        &c,
-                        &stmt.group_by,
-                        stmt.group_by.len(),
-                        &mut Vec::new(),
-                        &mut Vec::new(),
-                        // Never called: `c` holds no aggregate arguments.
-                        &self.layout_resolver(&[]),
-                    )
-                    .is_ok_and(|e| is_pure(&normalize(e)));
-            if on_keys {
-                conjuncts.push(c);
-            } else {
-                kept.push(c);
-            }
-        }
-        if conjuncts.len() == where_len {
-            return Some(h.clone());
-        }
-        kept.into_iter().reduce(|l, r| AstExpr::Binary {
-            op: AstBinOp::And,
-            left: Box::new(l),
-            right: Box::new(r),
-        })
     }
 
     // ----- parameter typing --------------------------------------------
@@ -826,9 +762,12 @@ impl Binder<'_> {
         for r in std::mem::take(residuals) {
             let mut tset = BTreeSet::new();
             self.tables_of(&r, &mut tset)?;
-            if tset.is_subset(&rel.tables) && !tset.is_empty() {
+            if tset.is_subset(&rel.tables) {
                 let predicate = self.bind_scalar(&r, &self.layout_resolver(&rel.layout))?;
-                rel.plan = self.filter(rel.plan, predicate);
+                rel.plan = LogicalPlan::Filter {
+                    input: Box::new(rel.plan),
+                    predicate,
+                };
             } else {
                 keep.push(r);
             }
@@ -837,48 +776,17 @@ impl Binder<'_> {
         Ok(rel)
     }
 
-    /// `input` filtered by `predicate`, normalized when rewriting is on —
-    /// no node at all when it normalizes to TRUE.
-    fn filter(&self, input: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
-        let predicate = if self.options.rewrite {
-            normalize_predicate(predicate)
-        } else {
-            Some(predicate)
-        };
-        match predicate {
-            Some(predicate) => LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
-            },
-            None => input,
-        }
-    }
-
-    /// A value expression, normalized when rewriting is on.
-    fn norm(&self, e: BoundExpr) -> BoundExpr {
-        if self.options.rewrite {
-            normalize(e)
-        } else {
-            e
-        }
-    }
-
-    /// A scan leaf of `table`. `filters` are bound to table attributes
-    /// and normalized here first, so that the projection — `used` plus
-    /// the columns the normalized filters still test — keeps no column
-    /// only a vanished conjunct referenced. Returns the leaf, its
-    /// projection and its row estimate.
+    /// A scan leaf of `table`. `filters` are bound to table attributes;
+    /// the projection is `used` plus the columns they test. Returns the
+    /// leaf, its projection and its row estimate.
     fn scan_leaf(
         &self,
         table: &str,
         schema: &Schema,
         stats: Option<&TableStats>,
         mut used: BTreeSet<usize>,
-        mut filters: Vec<BoundExpr>,
+        filters: Vec<BoundExpr>,
     ) -> Result<(LogicalPlan, Vec<usize>, f64)> {
-        if self.options.rewrite {
-            normalize_conjuncts(&mut filters);
-        }
         for f in &filters {
             f.referenced_columns(&mut used);
         }
@@ -1099,7 +1007,6 @@ impl Binder<'_> {
         &self,
         tree: Rel,
         stmt: &SelectStmt,
-        having: Option<&AstExpr>,
         projections: &[(AstExpr, Option<String>)],
     ) -> Result<(LogicalPlan, Vec<String>, Vec<AstExpr>)> {
         let layout = tree.layout.clone();
@@ -1134,7 +1041,7 @@ impl Binder<'_> {
                 &mut aggs,
                 &resolver,
             )?;
-            out_exprs.push(self.norm(e));
+            out_exprs.push(e);
         }
 
         let input_types = tree.plan.schema().types();
@@ -1174,7 +1081,7 @@ impl Binder<'_> {
         // HAVING filters groups: it binds exactly like a select
         // expression (group keys + aggregate slots) and sits between the
         // aggregation and the projection.
-        if let Some(h) = having {
+        if let Some(h) = &stmt.having {
             let predicate = self.rewrite_agg_expr(
                 h,
                 &stmt.group_by,
@@ -1203,7 +1110,10 @@ impl Binder<'_> {
                     *plan_aggs = aggs.clone();
                 }
             }
-            agg_plan = self.filter(agg_plan, predicate);
+            agg_plan = LogicalPlan::Filter {
+                input: Box::new(agg_plan),
+                predicate,
+            };
         }
 
         let agg_types = agg_plan.schema().types();
@@ -1243,7 +1153,7 @@ impl Binder<'_> {
                     Some(i) => i,
                     None => {
                         let bound_arg = match arg {
-                            Some(a) => Some(self.norm(self.bind_scalar(a, input_resolver)?)),
+                            Some(a) => Some(self.bind_scalar(a, input_resolver)?),
                             None => None,
                         };
                         let func = match func {
@@ -1685,17 +1595,6 @@ pub(crate) mod tests {
     /// A statistics-free table for exact-text plan assertions.
     const T_SCHEMA: &str = "id int, grp text, score double, k int";
 
-    /// EXPLAIN text of `sql` planned with statistics and rewriting on or off.
-    pub(crate) fn explain_with(sql: &str, rewrite: bool) -> String {
-        let options = PlannerOptions {
-            use_stats: true,
-            rewrite,
-        };
-        bind(&parse(sql).unwrap(), &catalog(), &options)
-            .unwrap()
-            .explain()
-    }
-
     fn catalog() -> MockCatalog {
         let t1 = Schema::parse("a int, b int, c text, d date").unwrap();
         let t2 = Schema::parse("x int, y int, z text").unwrap();
@@ -1723,10 +1622,7 @@ pub(crate) mod tests {
         bind(
             &parse(sql).unwrap(),
             &catalog(),
-            &PlannerOptions {
-                use_stats: false,
-                ..Default::default()
-            },
+            &PlannerOptions { use_stats: false },
         )
         .unwrap()
     }
@@ -2044,10 +1940,7 @@ pub(crate) mod tests {
         let mut frozen = bind(
             &stmt,
             &catalog_without_stats(),
-            &PlannerOptions {
-                use_stats: false,
-                ..Default::default()
-            },
+            &PlannerOptions { use_stats: false },
         )
         .unwrap();
         let before = frozen.explain();
@@ -2071,65 +1964,39 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn normalized_filters_decide_the_scan() {
-        let cases = [
-            // Folded, and the tautology leaves no Filter node.
-            (
-                "select id from t where id > 10 + 5 and 1 = 1",
-                "Scan t proj=[0] filters=[(#0 > 15)] (~333 rows)",
-            ),
-            (
-                "select count(*) from t where 1 = 2 or score > 11.0",
-                "Scan t proj=[2] filters=[(#0 > 11.0)] (~333 rows)",
-            ),
-            (
-                "select count(*) from t where not (id < 900)",
-                "Scan t proj=[0] filters=[(#0 >= 900)] (~333 rows)",
-            ),
-            // A contradiction empties the scan and releases its column.
-            (
-                "select score from t where id < 5 and id > 9",
-                "Scan t proj=[2] filters=[false] (~1 rows)",
-            ),
-        ];
-        for (sql, scan) in cases {
-            let text = explain_with(sql, true);
-            assert!(text.ends_with(&format!("  {scan}\n")), "{sql}:\n{text}");
-            assert!(!text.contains("Filter"), "{sql}:\n{text}");
-        }
-    }
-
-    #[test]
     fn impure_having_on_a_key_stays_above_the_aggregate() {
-        // `10 / k` can divide by zero: filtering rows first could skip
-        // the error, so the conjunct keeps filtering groups.
+        // `10 / k` can divide by zero; HAVING filters groups, so it is
+        // evaluated once per group, never on rows.
         assert_eq!(
-            explain_with("select k, count(*) from t group by k having 10 / k > 1", true),
+            plan("select k, count(*) from t group by k having 10 / k > 1").explain(),
             "Project [#0, #1]\n  Filter ((10 / #0) > 1)\n    HashAggregate group=[0] aggs=1\n      \
              Scan t proj=[3] (~1000 rows)\n"
         );
     }
 
     #[test]
-    fn rewrite_off_plans_as_written() {
+    fn predicates_are_planned_as_written() {
         let cases = [
-            (
-                "select id from t where id > 10 + 5 and 1 = 1",
-                "Project [#0]\n  Filter (1 = 1)\n    Scan t proj=[0] filters=[(#0 > (10 + 5))] (~333 rows)\n",
-            ),
-            (
-                "select sum(id) from t where score > 1 or 1 = 1",
-                "Project [#0]\n  PlainAggregate group=[] aggs=1\n    \
-                 Scan t proj=[0, 2] filters=[((#1 > 1) OR (1 = 1))] (~337 rows)\n",
-            ),
+            // A pure HAVING over a group key still filters groups.
             (
                 "select grp, count(*) from t group by grp having grp = 'a'",
                 "Project [#0, #1]\n  Filter (#0 = a)\n    HashAggregate group=[0] aggs=1\n      \
                  Scan t proj=[1] (~1000 rows)\n",
             ),
+            // A constant conjunct filters the first FROM table's scan,
+            // after that table's own filters, unfolded.
+            (
+                "select id from t where id > 10 + 5 and 1 = 1",
+                "Project [#0]\n  Scan t proj=[0] filters=[(#0 > (10 + 5)), (1 = 1)] (~2 rows)\n",
+            ),
+            (
+                "select x from t2, t1 where 1 = 2 and x = a",
+                "Project [#0]\n  InnerJoin on=[(0, 0)] (~2 rows)\n    \
+                 Scan t2 proj=[0] filters=[(1 = 2)] (~1 rows)\n    Scan t1 proj=[0] (~10000 rows)\n",
+            ),
         ];
         for (sql, want) in cases {
-            assert_eq!(explain_with(sql, false), want, "{sql}");
+            assert_eq!(plan(sql).explain(), want, "{sql}");
         }
     }
 }

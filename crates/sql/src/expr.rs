@@ -190,19 +190,6 @@ impl BoundExpr {
         }
     }
 
-    /// AND-combine a list (empty ⇒ TRUE literal).
-    pub fn conjunction(mut exprs: Vec<BoundExpr>) -> BoundExpr {
-        match exprs.len() {
-            0 => BoundExpr::Lit(Value::Bool(true)),
-            1 => exprs.pop().expect("len checked"),
-            _ => {
-                let mut it = exprs.into_iter();
-                let first = it.next().expect("len checked");
-                it.fold(first, BoundExpr::and)
-            }
-        }
-    }
-
     /// Collect the input ordinals referenced by this expression.
     pub fn referenced_columns(&self, out: &mut BTreeSet<usize>) {
         self.visit(&mut |e| {
@@ -712,14 +699,6 @@ mod tests {
             arg: None,
         };
         assert_eq!(count.output_type(&input), DataType::Int64);
-    }
-
-    #[test]
-    fn conjunction_of_none_is_true() {
-        assert_eq!(
-            BoundExpr::conjunction(vec![]),
-            BoundExpr::Lit(Value::Bool(true))
-        );
     }
 
     #[test]

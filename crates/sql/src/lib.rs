@@ -8,9 +8,8 @@
 //! micro-benchmarks) and a binder that decides the whole
 //! [`plan::LogicalPlan`] in one pass. While binding it
 //!
-//! * pushes each single-table predicate into its scan (enabling
-//!   *selective parsing/tokenizing* at the leaf), after folding constants
-//!   and simplifying boolean structure,
+//! * pushes each single-table predicate, as written, into its scan
+//!   (enabling *selective parsing/tokenizing* at the leaf),
 //! * projects each scan to the columns the query still needs (enabling
 //!   *selective tuple formation*),
 //! * factors common equi-join conjuncts out of `OR` disjunctions (TPC-H
@@ -36,7 +35,6 @@ pub mod lexer;
 pub mod optimizer;
 pub mod parser;
 pub mod plan;
-mod rewrite;
 
 pub use binder::{CatalogView, PlannerOptions};
 pub use explain::{ExplainNode, ExplainPlan};

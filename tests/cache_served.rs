@@ -10,9 +10,13 @@
 //!   Lines × 1 and 4 cold-scan worker threads × both I/O substrates
 //!   (`Read` and `Mmap`), cold (structure-building) and warm
 //!   (structure-serving),
+//! * constant conjuncts, which the binder plans as written and which
+//!   must answer like their constant-free twins,
 //! * cache-served blocks, the fallback from them to the row kernel when
-//!   a SELECT column has a hole, and a LIMIT across both, and
-//! * a LIMIT over a join whose filter fails on a later match.
+//!   a SELECT column has a hole, and a LIMIT across both,
+//! * a LIMIT over a join whose filter fails on a later match, and
+//! * a short record, which fails with the same located error under
+//!   every access mode and auxiliary configuration.
 
 use std::path::PathBuf;
 
@@ -28,7 +32,9 @@ const ROWS: usize = 997; // prime: no block or batch size divides it evenly
 /// Every operator the engine lowers: selective scans, plain and grouped
 /// aggregation (both strategies reachable), projection expressions,
 /// short-circuiting predicates over nullable columns, sort, LIMIT
-/// (early-exit), DISTINCT, join, EXISTS.
+/// (early-exit), DISTINCT, join, EXISTS; then scan filters of every shape
+/// (int/float/text comparison on early and late columns, LIKE prefix,
+/// suffix and infix, IS NULL, cross-column OR) and constant conjuncts.
 const QUERIES: &[&str] = &[
     "select id, note from t where score > 6.0",
     "select count(*) from t",
@@ -43,7 +49,47 @@ const QUERIES: &[&str] = &[
     "select id from t where note like 'with%' order by id",
     "select id, case when score > 9.0 then 'hi' when score > 4.0 then 'mid' else 'lo' end \
      from t where id < 40 order by id",
+    "select id, note from t where grp = 'alpha'",
+    "select id from t where score > 9.0 order by id",
+    "select count(*) from t where big > 1000000010000",
+    "select id, big from t where id >= 900 and score < 6.0",
+    "select count(*) from t where note like '%slash'",
+    "select count(*) from t where note like '%qu%'",
+    "select count(*) from t where grp is null",
+    "select id from t where score is not null and score < 0.5 order by id",
+    "select grp, count(*), sum(score) from t group by grp order by grp",
+    "select distinct flag from t order by flag",
+    "select count(*) from t where grp = 'beta' or big < 1000000000500",
+    CONSTANT_TWINS[0].0,
+    CONSTANT_TWINS[1].0,
+    CONSTANT_TWINS[2].0,
+    CONSTANT_TWINS[3].0,
+    CONSTANT_FALSE_JOIN,
 ];
+
+/// Queries with constant conjuncts, each next to the constant-free query
+/// it must answer exactly like.
+const CONSTANT_TWINS: &[(&str, &str)] = &[
+    (
+        "select id from t where id > 10 + 5 and 1 = 1 order by id limit 7",
+        "select id from t where id > 15 order by id limit 7",
+    ),
+    (
+        "select count(*) from t where 1 = 2 or score > 11.0",
+        "select count(*) from t where score > 11.0",
+    ),
+    (
+        "select count(*) from t where not (id < 900)",
+        "select count(*) from t where id >= 900",
+    ),
+    (
+        "select id, bonus from t join u on id = uid where 1 = 1 order by id, bonus",
+        "select id, bonus from t join u on id = uid order by id, bonus",
+    ),
+];
+
+/// A constant FALSE conjunct over a join: no rows.
+const CONSTANT_FALSE_JOIN: &str = "select id, bonus from t join u on id = uid where 1 = 2";
 
 fn t_rows(n: usize) -> Vec<Row> {
     let groups = ["alpha", "beta", "gamma", "delta"];
@@ -203,6 +249,33 @@ fn corpus_matches_the_aux_free_baseline() {
     }
 }
 
+/// Constant conjuncts are planned as written (a scan filter of the first
+/// FROM table) and change no answer: each query answers like its
+/// constant-free twin, on the aux-free baseline and on a full engine cold
+/// and warm, and a FALSE conjunct empties a join.
+#[test]
+fn constant_conjuncts_answer_like_their_constant_free_twins() {
+    let f = fixture();
+    let engines = [
+        ("baseline", engine(&f, NoDbConfig::baseline(), false)),
+        (
+            "postgres_raw",
+            engine(&f, config(4, IoBackend::Mmap), false),
+        ),
+    ];
+    for (name, db) in &engines {
+        for pass in ["cold", "warm"] {
+            for (q, twin) in CONSTANT_TWINS {
+                let want = db.query(twin).unwrap().rows;
+                assert!(!want.is_empty(), "{name} {pass}: `{twin}` is empty");
+                assert_eq!(db.query(q).unwrap().rows, want, "{name} {pass}: `{q}`");
+            }
+            let rows = db.query(CONSTANT_FALSE_JOIN).unwrap().rows;
+            assert!(rows.is_empty(), "{name} {pass}: {rows:?}");
+        }
+    }
+}
+
 /// An engine whose positional map is off, checked against one that keeps
 /// no auxiliary structure. With the map on, its chunk re-combination rule
 /// (a block whose columns sit in different chunks collects a new one, and
@@ -324,4 +397,54 @@ fn limit_over_a_join_stops_before_a_failing_match() {
     assert_eq!(rows.len(), 1);
     let err = db.query(q).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
+/// One answer per query whatever the configuration. The third line of a
+/// 4-column file is short (`9,9`) and fails `c0 < 5`; every access mode
+/// and every auxiliary configuration must tokenize that row through `c3`
+/// and report the same located error, rather than some of them skipping
+/// the row because the WHERE clause rejects it.
+#[test]
+fn short_record_fails_alike_under_every_config() {
+    let td = TempDir::new("nodb-short-record").unwrap();
+    let path = td.file("t.csv");
+    std::fs::write(&path, "1,10,100,1000\n2,20,200,2000\n9,9\n3,30,300,3000\n").unwrap();
+    let schema = Schema::parse("c0 int, c1 int, c2 int, c3 int").unwrap();
+    let q = "select c3 from t where c0 < 5";
+
+    let configs = [
+        (
+            "postgres_raw",
+            NoDbConfig::postgres_raw(),
+            AccessMode::InSitu,
+        ),
+        ("pm_only", NoDbConfig::pm_only(), AccessMode::InSitu),
+        ("cache_only", NoDbConfig::cache_only(), AccessMode::InSitu),
+        ("baseline", NoDbConfig::baseline(), AccessMode::InSitu),
+        (
+            "external",
+            NoDbConfig::baseline(),
+            AccessMode::ExternalFiles,
+        ),
+    ];
+    let mut errors = Vec::new();
+    for (ctx, mut cfg, mode) in configs {
+        // One worker, so the error names its global row.
+        cfg.scan_threads = 1;
+        let mut db = NoDb::new(cfg).unwrap();
+        db.register_csv("t", &path, schema.clone(), CsvOptions::default(), mode)
+            .unwrap();
+        let err = match db.query(q) {
+            Ok(r) => panic!("{ctx}: answered {} rows", r.rows.len()),
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            err.contains("row 2") && err.contains("record has 2 fields, need at least 4"),
+            "{ctx}: {err}"
+        );
+        errors.push((ctx, err));
+    }
+    for (ctx, err) in &errors[1..] {
+        assert_eq!(err, &errors[0].1, "{ctx} vs {}", errors[0].0);
+    }
 }
