@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn extracts_vars_from_literals() {
         assert_eq!(
-            nodb_vars("set NODB_IO_BACKEND=mmap"),
-            vec!["NODB_IO_BACKEND"]
+            nodb_vars("set NODB_SCAN_THREADS=4"),
+            vec!["NODB_SCAN_THREADS"]
         );
         assert_eq!(nodb_vars("NODB_A and NODB_B_2"), vec!["NODB_A", "NODB_B_2"]);
         assert!(nodb_vars("bare NODB_ prefix").is_empty());

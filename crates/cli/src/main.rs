@@ -55,7 +55,6 @@ fn main() {
         }
         i += 1;
     }
-    let io = config.effective_io_backend();
     let mut db = match NoDb::new(config) {
         Ok(db) => db,
         Err(e) => {
@@ -64,7 +63,7 @@ fn main() {
         }
     };
 
-    println!("nodb — in-situ SQL over raw files (\\help for commands; io backend: {io})");
+    println!("nodb — in-situ SQL over raw files (\\help for commands)");
     let stdin = std::io::stdin();
     let mut buffer = String::new();
     let mut timing = false;

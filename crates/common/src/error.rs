@@ -26,8 +26,8 @@ pub enum NoDbError {
     Execution(String),
     /// Schema registration or catalog misuse.
     Catalog(String),
-    /// Invalid engine configuration (bad knob value, unusable backend
-    /// selection, malformed `NODB_*` environment override).
+    /// Invalid engine configuration (bad knob value, malformed `NODB_*`
+    /// environment override).
     Config(String),
     /// Admission control rejected the request: the serving layer is at
     /// its configured in-flight capacity (or connection limit) and the

@@ -1,135 +1,52 @@
-//! The pluggable I/O substrate under the in-situ scan.
+//! How the engine reads a raw file.
 //!
-//! NoDB's results assume the raw file is read at near-hardware speed; how
-//! those bytes reach the tokenizer is a substrate decision, not a scan
-//! decision. [`ByteSource`] abstracts it: one handle to an immutable raw
-//! file that serves positioned reads ([`ByteSource::read_at`]) and — when
-//! the platform allows — a zero-copy whole-file view
-//! ([`ByteSource::mapped`]).
+//! NoDB keeps the raw file as the only source of truth, so every byte a
+//! scan tokenizes comes from it. [`ByteSource`] is one open raw file
+//! serving positioned reads ([`ByteSource::read_at`]: `pread` on unix)
+//! that take `&self`, so chunk workers share one handle. Callers keep
+//! their own buffers: the line reader lends lines out of one, and the
+//! map-assisted scan reads each block's bytes into one.
 //!
-//! Two backends exist, selected by [`IoBackend`]:
+//! The length is snapshotted at open. Bytes appended later are invisible
+//! to the source (the semantics the end-of-line frontier relies on); a
+//! file that shrinks below the snapshot while it is read fails the read
+//! with a typed [`NoDbError::Io`] (`UnexpectedEof`) instead of serving a
+//! cut-off record.
 //!
-//! * **`Read`** — positioned reads on a plain file descriptor (`pread` on
-//!   unix). The portable baseline; callers layer their own buffering.
-//! * **`Mmap`** — the whole file mapped read-only via direct `mmap` /
-//!   `munmap` / `madvise` syscalls (unix only; bound here with
-//!   `extern "C"` because the build environment has no crates.io access).
-//!   Tokenizers slice the mapping directly: no read syscalls, no buffer
-//!   copies, and the page cache is shared across every concurrent scan of
-//!   the table.
-//!
-//! `Mmap` degrades to `Read` — never errors — when the platform is not
-//! unix, the file is empty (zero-length mappings are invalid), or the
-//! `mmap` call itself fails; [`ByteSource::backend`] reports what actually
-//! happened. Scan results and metrics are bit-identical across backends:
-//! the backends change *how* bytes arrive, never *which* bytes.
-//!
-//! The raw file is assumed immutable while mapped (append-only growth is
-//! fine: the mapping covers the length observed at open time, exactly like
-//! a `read` snapshot of the same instant).
+//! [`IoBackend::Mmap`] opens a read-only mapping of the whole file instead
+//! ([`ByteSource::mapped`]). No engine path uses it; it stays for the
+//! benchmark's page-touch probe and goes with it.
 
 use std::fs::File;
 use std::path::Path;
 
 use crate::error::{NoDbError, Result};
 
-/// How raw-file bytes reach the tokenizer. The knob carried by engine
-/// configuration (`NoDbConfig::io_backend` in `nodb-core`) and the
-/// `NODB_IO_BACKEND` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How [`ByteSource::open`] serves a file's bytes. The engine always
+/// reads with `Read`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBackend {
-    /// Pick the fastest backend the platform supports: `Mmap` on unix,
-    /// `Read` elsewhere.
-    #[default]
-    Auto,
-    /// Buffered positioned reads on a file descriptor.
+    /// Positioned reads on a file descriptor.
     Read,
-    /// Zero-copy memory mapping (unix; falls back to `Read` elsewhere or
-    /// when mapping is impossible).
+    /// A read-only memory mapping of the whole file (unix; falls back to
+    /// `Read` elsewhere, for empty files and when mapping fails).
     Mmap,
-}
-
-impl IoBackend {
-    /// Parse a backend name (`auto` / `read` / `mmap`, case-insensitive).
-    pub fn parse(s: &str) -> Result<IoBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(IoBackend::Auto),
-            "read" => Ok(IoBackend::Read),
-            "mmap" => Ok(IoBackend::Mmap),
-            other => Err(NoDbError::config(format!(
-                "unknown I/O backend `{other}` (expected auto, read or mmap)"
-            ))),
-        }
-    }
-
-    /// The backend requested by the `NODB_IO_BACKEND` environment
-    /// variable, or `None` when unset/empty. An unparsable or non-UTF-8
-    /// value is an error so a typo in a CI matrix cannot silently
-    /// un-gate a backend — engine construction (`NoDb::new`) surfaces it
-    /// through the normal error path.
-    pub fn from_env() -> Result<Option<IoBackend>> {
-        match std::env::var("NODB_IO_BACKEND") {
-            Ok(s) if s.trim().is_empty() => Ok(None),
-            Ok(s) => Self::parse(s.trim()).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => Err(NoDbError::config(
-                "NODB_IO_BACKEND is set but not valid UTF-8",
-            )),
-        }
-    }
-
-    /// `NODB_IO_BACKEND` if set and valid, else `Auto`. Infallible (used
-    /// by configuration defaults): a malformed value falls back to
-    /// `Auto` *here*, and is rejected with [`crate::NoDbError::Config`]
-    /// when an engine is actually constructed, so the typo still fails
-    /// loudly on the error path instead of panicking inside a `Default`.
-    pub fn from_env_or_auto() -> IoBackend {
-        Self::from_env().ok().flatten().unwrap_or(IoBackend::Auto)
-    }
-
-    /// Resolve to the concrete backend this platform will actually use:
-    /// `Auto` becomes the platform preference, and an explicit `Mmap`
-    /// request resolves to `Read` where no mapping backend exists
-    /// (non-unix), so reported backends always match served reads.
-    /// Never returns `Auto`.
-    pub fn resolve(self) -> IoBackend {
-        if cfg!(unix) {
-            match self {
-                IoBackend::Auto => IoBackend::Mmap,
-                other => other,
-            }
-        } else {
-            IoBackend::Read
-        }
-    }
 }
 
 impl std::fmt::Display for IoBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            IoBackend::Auto => "auto",
             IoBackend::Read => "read",
             IoBackend::Mmap => "mmap",
         })
     }
 }
 
-impl std::str::FromStr for IoBackend {
-    type Err = NoDbError;
-
-    fn from_str(s: &str) -> Result<IoBackend> {
-        Self::parse(s)
-    }
-}
-
-/// One open raw file, served by the configured [`IoBackend`].
+/// One open raw file.
 ///
 /// Cheap to share across scan workers (`Send + Sync`; positioned reads
 /// take `&self`): a chunk-parallel scan opens the file **once** and every
-/// worker slices its own byte range out of the same handle. The length is
-/// snapshotted at open time; bytes appended later
-/// are invisible to this source (exactly the semantics the end-of-line
-/// frontier relies on).
+/// worker reads its own byte range through the same handle.
 #[derive(Debug)]
 pub struct ByteSource {
     repr: Repr,
@@ -143,12 +60,11 @@ enum Repr {
     Mmap(sys::MmapRegion),
 }
 
-/// Positioned-read handle for the `Read` backend. Unix has `pread`
-/// (`FileExt::read_at`): no cursor mutation, so a bare `File` is safe to
-/// share across threads. Other platforms fall back to seek-then-read,
-/// which *does* move the shared cursor — those serialize behind a mutex
-/// so concurrent `read_at` calls on one shared source cannot read each
-/// other's bytes.
+/// Positioned-read handle. Unix has `pread` (`FileExt::read_at`): no
+/// cursor mutation, so a bare `File` is safe to share across threads.
+/// Other platforms fall back to seek-then-read, which *does* move the
+/// shared cursor — those serialize behind a mutex so concurrent
+/// `read_at` calls on one shared source cannot read each other's bytes.
 #[cfg(unix)]
 type ReadHandle = File;
 #[cfg(not(unix))]
@@ -165,14 +81,14 @@ fn read_handle(file: File) -> ReadHandle {
 }
 
 impl ByteSource {
-    /// Open `path` with the requested backend (`Auto` resolves per
-    /// platform). `Mmap` falls back to `Read` for empty files and on any
-    /// mapping failure; it never errors for reasons `Read` would not.
+    /// Open `path`, snapshotting its length. `Mmap` falls back to `Read`
+    /// for empty files and on any mapping failure; it never errors for
+    /// reasons `Read` would not.
     pub fn open(path: &Path, backend: IoBackend) -> Result<ByteSource> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         #[cfg(unix)]
-        if backend.resolve() == IoBackend::Mmap && len > 0 {
+        if backend == IoBackend::Mmap && len > 0 {
             if let Ok(region) = sys::MmapRegion::map(&file, len as usize) {
                 region.advise_willneed();
                 return Ok(ByteSource {
@@ -181,7 +97,7 @@ impl ByteSource {
                 });
             }
         }
-        let _ = backend; // non-unix: every backend resolves to Read
+        let _ = backend; // non-unix: every backend reads
         Ok(ByteSource {
             repr: Repr::Read(read_handle(file)),
             len,
@@ -198,18 +114,7 @@ impl ByteSource {
         self.len == 0
     }
 
-    /// The backend actually serving reads: `Read` or `Mmap`, never
-    /// `Auto`. May differ from the requested backend (platform fallback,
-    /// zero-length file, mapping failure).
-    pub fn backend(&self) -> IoBackend {
-        match &self.repr {
-            Repr::Read(_) => IoBackend::Read,
-            #[cfg(unix)]
-            Repr::Mmap(_) => IoBackend::Mmap,
-        }
-    }
-
-    /// The whole file as one zero-copy slice (`Mmap` backend only).
+    /// The whole file as one slice (`Mmap` backend only).
     pub fn mapped(&self) -> Option<&[u8]> {
         match &self.repr {
             Repr::Read(_) => None,
@@ -218,9 +123,11 @@ impl ByteSource {
         }
     }
 
-    /// Read bytes at `offset` into `buf`, returning how many were read
-    /// (`0` at or past EOF; possibly short near EOF, never short
-    /// otherwise). Takes `&self`: safe to call from many threads at once.
+    /// Read bytes at `offset` into `buf`, returning how many were read:
+    /// `buf.len()`, fewer only where the snapshotted length ends, `0` at
+    /// or past it. A file that ends before the snapshotted length — it
+    /// shrank since open — is an [`std::io::ErrorKind::UnexpectedEof`]
+    /// error. Takes `&self`: safe to call from many threads at once.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
         if offset >= self.len || buf.is_empty() {
             return Ok(0);
@@ -230,9 +137,10 @@ impl ByteSource {
             Repr::Read(file) => {
                 let mut done = 0;
                 while done < want {
-                    let n = read_at_fd(file, offset + done as u64, &mut buf[done..want])?;
+                    let at = offset + done as u64;
+                    let n = read_at_fd(file, at, &mut buf[done..want])?;
                     if n == 0 {
-                        break; // file shrank underneath us; serve what exists
+                        return Err(shrank(at, self.len));
                     }
                     done += n;
                 }
@@ -247,15 +155,24 @@ impl ByteSource {
         }
     }
 
-    /// Hint that the file will be read front-to-back (`madvise` on the
-    /// mmap backend; a no-op on `Read`, where the OS read-ahead already
-    /// sees the sequential pattern).
-    pub fn advise_sequential(&self) {
-        #[cfg(unix)]
-        if let Repr::Mmap(m) = &self.repr {
-            m.advise_sequential();
+    /// Fill `buf` from `offset`, or fail with the same typed error as a
+    /// shrunk file when the source ends before `buf` is full.
+    pub fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let n = self.read_at(offset, buf)?;
+        if n < buf.len() {
+            return Err(shrank(offset + n as u64, offset + buf.len() as u64));
         }
+        Ok(())
     }
+}
+
+/// The typed error for a file found to end at byte `at`, short of byte
+/// `want`.
+fn shrank(at: u64, want: u64) -> NoDbError {
+    NoDbError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        format!("raw file shrank while being read: it ends at byte {at}, short of byte {want}"),
+    ))
 }
 
 /// Positioned read on a shared file handle (`pread`: thread-safe, no
@@ -349,6 +266,9 @@ mod sys {
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
 
+        /// Unused since no engine path maps a file; it keeps its audited
+        /// `unsafe` block until the mapped representation is deleted.
+        #[allow(dead_code)]
         pub(super) fn advise_sequential(&self) {
             // SAFETY: advice on a live mapping; errors are advisory.
             unsafe {
@@ -388,30 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_display_round_trip() {
-        for b in [IoBackend::Auto, IoBackend::Read, IoBackend::Mmap] {
-            assert_eq!(IoBackend::parse(&b.to_string()).unwrap(), b);
-        }
-        assert_eq!(IoBackend::parse("MMAP").unwrap(), IoBackend::Mmap);
-        assert!(IoBackend::parse("io_uring").is_err());
-    }
-
-    #[test]
-    fn resolve_never_returns_auto() {
-        assert_ne!(IoBackend::Auto.resolve(), IoBackend::Auto);
-        assert_eq!(IoBackend::Read.resolve(), IoBackend::Read);
-        #[cfg(unix)]
-        {
-            assert_eq!(IoBackend::Auto.resolve(), IoBackend::Mmap);
-            assert_eq!(IoBackend::Mmap.resolve(), IoBackend::Mmap);
-        }
+    fn display_names() {
+        assert_eq!(IoBackend::Read.to_string(), "read");
+        assert_eq!(IoBackend::Mmap.to_string(), "mmap");
     }
 
     #[test]
     fn read_backend_serves_positioned_reads() {
         let (_td, p) = file_with(b"0123456789");
         let src = ByteSource::open(&p, IoBackend::Read).unwrap();
-        assert_eq!(src.backend(), IoBackend::Read);
         assert_eq!(src.len(), 10);
         assert!(src.mapped().is_none());
         let mut buf = [0u8; 4];
@@ -424,15 +329,39 @@ mod tests {
         assert_eq!(src.read_at(99, &mut buf).unwrap(), 0);
     }
 
+    /// A file cut below the length snapshotted at open fails the read
+    /// with a typed error rather than serving the bytes that are left;
+    /// a grown file serves exactly the snapshot.
+    #[test]
+    fn read_at_fails_typed_when_the_file_shrinks() {
+        let (_td, p) = file_with(b"0123456789");
+        let src = ByteSource::open(&p, IoBackend::Read).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_len(4)
+            .unwrap();
+        let mut buf = [0u8; 8];
+        match src.read_at(2, &mut buf) {
+            Err(NoDbError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
+            }
+            other => panic!("expected a typed EOF error, got {other:?}"),
+        }
+        assert!(src.read_at(6, &mut buf).is_err());
+        std::fs::write(&p, b"0123456789abcdef").unwrap();
+        assert_eq!(src.read_at(6, &mut buf).unwrap(), 4);
+        assert_eq!(&buf[..4], b"6789");
+    }
+
     #[cfg(unix)]
     #[test]
     fn mmap_backend_maps_and_reads_identically() {
         let (_td, p) = file_with(b"hello,raw,world\nsecond line\n");
         let read = ByteSource::open(&p, IoBackend::Read).unwrap();
         let mmap = ByteSource::open(&p, IoBackend::Mmap).unwrap();
-        assert_eq!(mmap.backend(), IoBackend::Mmap);
         assert_eq!(mmap.mapped().unwrap(), std::fs::read(&p).unwrap());
-        mmap.advise_sequential();
         for off in [0u64, 5, 15, 27, 28] {
             let mut a = [0u8; 7];
             let mut b = [0u8; 7];
@@ -443,27 +372,15 @@ mod tests {
         }
     }
 
-    /// The acceptance-criteria unit test: mapping a zero-length file is
-    /// invalid (EINVAL), so `Mmap` must degrade gracefully to `Read`
-    /// instead of erroring.
+    /// Mapping a zero-length file is invalid (EINVAL), so `Mmap` must
+    /// degrade gracefully to `Read` instead of erroring.
     #[test]
     fn mmap_on_empty_file_degrades_to_read() {
         let (_td, p) = file_with(b"");
         let src = ByteSource::open(&p, IoBackend::Mmap).unwrap();
-        assert_eq!(src.backend(), IoBackend::Read);
         assert!(src.is_empty());
         assert!(src.mapped().is_none());
         let mut buf = [0u8; 8];
         assert_eq!(src.read_at(0, &mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn auto_backend_opens_on_every_platform() {
-        let (_td, p) = file_with(b"abc");
-        let src = ByteSource::open(&p, IoBackend::Auto).unwrap();
-        assert_ne!(src.backend(), IoBackend::Auto);
-        let mut buf = [0u8; 3];
-        assert_eq!(src.read_at(0, &mut buf).unwrap(), 3);
-        assert_eq!(&buf, b"abc");
     }
 }

@@ -1,8 +1,8 @@
 //! Unified engine-knob registry.
 //!
 //! Every tunable that used to exist as an ad-hoc env-var / CLI-flag /
-//! config-field triplet (`NODB_IO_BACKEND` + `--io-backend` +
-//! `NoDbConfig::io_backend`, ...) is declared **once** here as a
+//! config-field triplet (`NODB_SCAN_THREADS` + `--scan-threads` +
+//! `NoDbConfig::scan_threads`, ...) is declared **once** here as a
 //! [`Knob`]: its canonical name, environment variable, CLI flag, value
 //! hint, help text and parser live in a single static. Binaries generate
 //! their flag tables and `--help` sections from [`all`], engine
@@ -16,20 +16,19 @@
 
 use crate::bytesize::ByteSize;
 use crate::error::{NoDbError, Result};
-use crate::io::IoBackend;
 
 /// Flag/env/help metadata for one knob — the erased view binaries use to
 /// generate argument tables and usage text.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobInfo {
-    /// Canonical kebab-case name (`io-backend`); also the CLI flag minus
+    /// Canonical kebab-case name (`scan-threads`); also the CLI flag minus
     /// the leading dashes and the `NODB_…` env var with `-` → `_`.
     pub name: &'static str,
-    /// Environment variable (`NODB_IO_BACKEND`).
+    /// Environment variable (`NODB_SCAN_THREADS`).
     pub env: &'static str,
-    /// CLI flag (`--io-backend`).
+    /// CLI flag (`--scan-threads`).
     pub flag: &'static str,
-    /// Value placeholder for usage text (`auto|read|mmap`, `N`, `SIZE`).
+    /// Value placeholder for usage text (`N`, `SIZE`).
     pub value_hint: &'static str,
     /// One-line help text.
     pub help: &'static str,
@@ -94,18 +93,6 @@ fn parse_usize(s: &str) -> Result<usize> {
         .map_err(|_| NoDbError::config(format!("`{s}` is not a count")))
 }
 
-/// Raw-file I/O substrate (`NoDbConfig::io_backend`).
-pub static IO_BACKEND: Knob<IoBackend> = Knob {
-    info: KnobInfo {
-        name: "io-backend",
-        env: "NODB_IO_BACKEND",
-        flag: "--io-backend",
-        value_hint: "auto|read|mmap",
-        help: "raw-file I/O substrate (auto = mmap where supported)",
-    },
-    parse: IoBackend::parse,
-};
-
 /// Cold-scan worker threads (`NoDbConfig::scan_threads`).
 pub static SCAN_THREADS: Knob<usize> = Knob {
     info: KnobInfo {
@@ -144,13 +131,8 @@ pub static CACHE_BUDGET: Knob<ByteSize> = Knob {
 
 /// Every registered knob's metadata, in display order — binaries build
 /// their flag tables and usage text from this.
-pub fn all() -> [&'static KnobInfo; 4] {
-    [
-        &IO_BACKEND.info,
-        &SCAN_THREADS.info,
-        &POSMAP_BUDGET.info,
-        &CACHE_BUDGET.info,
-    ]
+pub fn all() -> [&'static KnobInfo; 3] {
+    [&SCAN_THREADS.info, &POSMAP_BUDGET.info, &CACHE_BUDGET.info]
 }
 
 /// Look a CLI flag up in the registry.
@@ -162,7 +144,6 @@ pub fn find_flag(flag: &str) -> Option<&'static KnobInfo> {
 /// malformed one. Engine construction calls this so a typo'd override is
 /// rejected before any query can run under the wrong setting.
 pub fn validate_env() -> Result<()> {
-    IO_BACKEND.from_env()?;
     SCAN_THREADS.from_env()?;
     POSMAP_BUDGET.from_env()?;
     CACHE_BUDGET.from_env()?;
@@ -227,10 +208,10 @@ mod tests {
 
     #[test]
     fn find_flag_and_suggestions() {
-        assert_eq!(find_flag("--io-backend").unwrap().name, "io-backend");
-        assert!(find_flag("--io-backed").is_none());
-        let err = unknown_flag_error("--io-backed").to_string();
-        assert!(err.contains("did you mean --io-backend?"), "{err}");
+        assert_eq!(find_flag("--scan-threads").unwrap().name, "scan-threads");
+        assert!(find_flag("--scan-thread").is_none());
+        let err = unknown_flag_error("--scan-thread").to_string();
+        assert!(err.contains("did you mean --scan-threads?"), "{err}");
         let err = unknown_flag_error("--frobnicate").to_string();
         assert!(!err.contains("did you mean"), "{err}");
     }

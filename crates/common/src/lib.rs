@@ -13,7 +13,8 @@
 //! `unsafe` is denied crate-wide with one audited exception: the raw
 //! `mmap`/`munmap`/`madvise` bindings inside [`io`] (the build
 //! environment has no crates.io access, so `libc`/`memmap2` cannot be
-//! used).
+//! used). No engine path maps a file; the mapping serves only
+//! [`ByteSource::mapped`] callers outside the engine.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

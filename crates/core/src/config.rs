@@ -28,7 +28,7 @@ pub struct NoDbConfig {
     /// `None` (the default) never evicts. The `NODB_POSMAP_BUDGET`
     /// environment variable (a [`ByteSize`], e.g. `64MB`) overrides the
     /// constructor default; a malformed value is rejected at
-    /// [`NoDb::new`](crate::NoDb::new) like `NODB_IO_BACKEND`.
+    /// [`NoDb::new`](crate::NoDb::new) like `NODB_SCAN_THREADS`.
     pub posmap_budget: Option<ByteSize>,
     /// Byte budget for the cache. `None` (the default) never evicts.
     /// The `NODB_CACHE_BUDGET` environment variable overrides the
@@ -66,24 +66,6 @@ pub struct NoDbConfig {
     /// estimates (never results) can differ slightly from a
     /// single-threaded run.
     pub scan_threads: usize,
-    /// I/O substrate for raw-file scans ([`IoBackend`]): `Auto` (the
-    /// default) picks `Mmap` where the platform supports it and `Read`
-    /// elsewhere; `Read` forces buffered positioned reads; `Mmap` maps
-    /// the file read-only and tokenizes straight out of the mapping
-    /// (zero copies, page cache shared across concurrent scans).
-    /// `Mmap` silently degrades to `Read` for empty files or when
-    /// mapping fails — results and scan metrics are bit-identical across
-    /// backends either way. The `NODB_IO_BACKEND` environment variable
-    /// (`auto` / `read` / `mmap`) overrides the constructor default,
-    /// which is how CI runs the whole suite under each backend.
-    ///
-    /// Caveat: `Mmap` assumes registered files are not truncated in
-    /// place while a query runs (appends are fine — a scan sees the
-    /// length snapshot from open time). Reading a mapped page past a
-    /// concurrent truncation is a hard fault (SIGBUS) rather than the
-    /// short read the `Read` backend degrades to; pick `Read` for files
-    /// that may be rewritten under the engine.
-    pub io_backend: IoBackend,
     /// Profile for tables registered in [`AccessMode::Loaded`].
     pub loaded_profile: EngineProfile,
     /// Buffer-pool capacity (pages) for loaded tables.
@@ -113,7 +95,6 @@ impl NoDbConfig {
             posmap_spill_dir: None,
             stats_sample_stride: 16,
             scan_threads: knob::SCAN_THREADS.env_default().unwrap_or(1),
-            io_backend: knob::IO_BACKEND.env_default().unwrap_or(IoBackend::Auto),
             loaded_profile: EngineProfile::PostgresLike,
             pool_pages: 4096,
             data_dir: None,
@@ -137,10 +118,11 @@ impl NoDbConfig {
         }
     }
 
-    /// Resolve [`NoDbConfig::io_backend`]: `Auto` becomes the concrete
-    /// backend the platform prefers (`Mmap` on unix, `Read` elsewhere).
+    /// How scans read the raw file: always positioned reads
+    /// ([`IoBackend::Read`]); no configuration changes it. Kept for the
+    /// benchmark's run fingerprint, which records it.
     pub fn effective_io_backend(&self) -> IoBackend {
-        self.io_backend.resolve()
+        IoBackend::Read
     }
 
     /// Resolve [`NoDbConfig::scan_threads`]: `0` means one worker per
@@ -174,7 +156,6 @@ impl NoDbConfig {
     /// surface.
     pub fn set_knob(&mut self, name: &str, raw: &str) -> Result<()> {
         match name {
-            "io-backend" => self.io_backend = knob::IO_BACKEND.parse(raw)?,
             "scan-threads" => self.scan_threads = knob::SCAN_THREADS.parse(raw)?,
             "posmap-budget" => self.posmap_budget = Some(knob::POSMAP_BUDGET.parse(raw)?),
             "cache-budget" => self.cache_budget = Some(knob::CACHE_BUDGET.parse(raw)?),

@@ -47,7 +47,6 @@ pub mod session;
 
 pub use config::{AccessMode, NoDbConfig};
 pub use idle::{IdleFocus, IdleReport};
-pub use nodb_common::IoBackend;
 pub use nodb_sql::explain::{ExplainNode, ExplainPlan};
 pub use profile::{PhaseProfile, PhaseProfileAtomic, QueryProfile};
 pub use runtime::{RawTableRuntime, ScanMetrics, ScanMetricsAtomic};
@@ -142,13 +141,12 @@ impl NoDb {
     /// Create an engine.
     ///
     /// Rejects a malformed value in any registered knob's environment
-    /// variable (`NODB_IO_BACKEND`, `NODB_SCAN_THREADS`,
-    /// `NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET` — see
-    /// [`nodb_common::knob`]) with [`NoDbError::Config`]: config
-    /// construction silently falls back to its defaults (it must stay
-    /// infallible), so the typo is surfaced here, on the normal error
-    /// path, before any query can run under the wrong substrate, thread
-    /// count or budget.
+    /// variable (`NODB_SCAN_THREADS`, `NODB_POSMAP_BUDGET`,
+    /// `NODB_CACHE_BUDGET` — see [`nodb_common::knob`]) with
+    /// [`NoDbError::Config`]: config construction silently falls back to
+    /// its defaults (it must stay infallible), so the typo is surfaced
+    /// here, on the normal error path, before any query can run under the
+    /// wrong thread count or budget.
     pub fn new(config: NoDbConfig) -> Result<NoDb> {
         nodb_common::knob::validate_env()?;
         let (tmp, data_dir) = match &config.data_dir {
@@ -256,7 +254,6 @@ impl NoDb {
                     },
                     stride: self.config.stats_sample_stride,
                     threads: self.config.effective_scan_threads(),
-                    io: self.config.effective_io_backend(),
                 };
                 TableEntry {
                     schema,
@@ -275,7 +272,6 @@ impl NoDb {
                     schema,
                     format,
                     has_header,
-                    io: self.config.effective_io_backend(),
                 })),
                 runtime: None,
                 path: Some(path.to_path_buf()),
@@ -588,9 +584,6 @@ pub(crate) struct InSituProvider {
     /// Cold-scan worker threads, already resolved from the config
     /// (`0`-means-auto handled by `NoDbConfig::effective_scan_threads`).
     threads: usize,
-    /// Resolved I/O substrate for every scan of this table
-    /// (`NoDbConfig::effective_io_backend`).
-    io: nodb_common::IoBackend,
 }
 
 impl InSituProvider {
@@ -606,7 +599,6 @@ impl InSituProvider {
             self.flags,
             self.stride,
             threads,
-            self.io,
         ))
     }
 
@@ -637,7 +629,6 @@ struct ExternalProvider {
     schema: Schema,
     format: Arc<dyn LineFormat>,
     has_header: bool,
-    io: nodb_common::IoBackend,
 }
 
 impl TableProvider for ExternalProvider {
@@ -659,7 +650,6 @@ impl TableProvider for ExternalProvider {
             },
             u64::MAX,
             1,
-            self.io,
         )))
     }
 }

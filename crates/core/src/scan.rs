@@ -71,7 +71,7 @@ use nodb_cache::{CachedColumn, ChunkStage, ColumnBuilder};
 use nodb_common::{
     ByteSource, Column, DataType, IoBackend, LineFormat, NoDbError, Result, Row, Schema, Value,
 };
-use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, SlidingWindow};
+use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader};
 use nodb_exec::{eval_predicate, eval_predicate_batch, BatchQueue, Operator, ValueBatch};
 use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
 use nodb_sql::BoundExpr;
@@ -113,11 +113,6 @@ struct Ctx {
     where_filters: Vec<BoundExpr>,
     /// Whether the file's first line is a header to skip.
     has_header: bool,
-    /// Resolved I/O substrate (`Read` or `Mmap`, never `Auto`): how every
-    /// reader/window this scan opens reaches the raw bytes. Purely a
-    /// transport choice — results and metrics are identical across
-    /// backends.
-    io: IoBackend,
     where_locals: Vec<usize>,
     select_locals: Vec<usize>,
     sample_stride: u64,
@@ -129,8 +124,14 @@ impl Ctx {
     }
 }
 
+/// Most raw bytes a map-covered block reads at once, so that the rows
+/// they hold are still in the core's cache when they are formed. On
+/// `adaptive_sequence`, reading a whole block at once or 1 MiB at a time
+/// cost more CPU per operation; 64 KiB was no better.
+const RANGE_READ: u64 = 256 << 10;
+
 /// Unwrap an `Option` held by a control-flow invariant (a reader or
-/// window opened earlier in the pass) with a located internal error
+/// source opened earlier in the pass) with a located internal error
 /// instead of a panic — hot-path modules are panic-free (enforced by
 /// `nodb-analyze`'s panic-path arm).
 fn held<T>(opt: Option<T>, what: &'static str) -> Result<T> {
@@ -155,7 +156,12 @@ pub struct InSituScanOp {
     done: bool,
     /// Rows formed by the last pump, waiting to be pulled.
     out: BatchQueue,
-    window: Option<SlidingWindow>,
+    /// The raw file as map-covered blocks read it, opened at the first
+    /// one (reopened once the index reaches past its length).
+    src: Option<ByteSource>,
+    /// Raw bytes of the map-covered block being formed, reused across
+    /// blocks.
+    block_buf: Vec<u8>,
     reader: Option<LineReader>,
     next_row: u64,
     /// Positional-map block granularity, read once in [`prepare`] (the
@@ -175,9 +181,7 @@ impl InSituScanOp {
     /// `projection` must be ascending table ordinals; `filters` are bound
     /// against the projection layout. `threads` is the cold-scan fan-out,
     /// clamped to ≥ 1 — resolve a 0-means-auto config with
-    /// [`crate::NoDbConfig::effective_scan_threads`] first. `io` is the
-    /// I/O substrate; `Auto` is resolved here
-    /// ([`IoBackend::resolve`]).
+    /// [`crate::NoDbConfig::effective_scan_threads`] first.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         runtime: Arc<RawTableRuntime>,
@@ -190,7 +194,6 @@ impl InSituScanOp {
         flags: AuxFlags,
         sample_stride: u64,
         threads: usize,
-        io: IoBackend,
     ) -> InSituScanOp {
         let threads = threads.max(1);
         let types = projection.iter().map(|&a| schema.field(a).dtype).collect();
@@ -207,7 +210,6 @@ impl InSituScanOp {
                 filters,
                 where_filters: Vec::new(),
                 has_header,
-                io: io.resolve(),
                 where_locals: Vec::new(),
                 select_locals: Vec::new(),
                 sample_stride: sample_stride.max(1),
@@ -216,7 +218,8 @@ impl InSituScanOp {
             prepared: false,
             done: false,
             out: BatchQueue::default(),
-            window: None,
+            src: None,
+            block_buf: Vec::new(),
             reader: None,
             next_row: 0,
             block_rows: 0,
@@ -329,12 +332,11 @@ impl InSituScanOp {
         let fan_out =
             self.threads > 1 && self.reader.is_none() && (!flags.eol || indexed == first_row);
         let (outputs, eof) = if fan_out {
-            // One source for the whole pass: opened (and, on the mmap
-            // backend, mapped) once; the header probe, the boundary
-            // probe and every worker slice the same handle, and the
-            // length snapshot keeps split and workers consistent under
-            // concurrent appends.
-            let src = Arc::new(ByteSource::open(&ctx.path, ctx.io)?);
+            // One source for the whole pass, opened once: the header
+            // probe, the boundary probe and every worker read through the
+            // same handle, and the length snapshot keeps split and
+            // workers consistent under concurrent appends.
+            let src = Arc::new(ByteSource::open(&ctx.path, IoBackend::Read)?);
             let file_len = src.len();
             let mut head = LineReader::from_source(
                 Arc::clone(&src),
@@ -378,7 +380,7 @@ impl InSituScanOp {
                 } else {
                     frontier
                 };
-                let mut reader = LineReader::open_at_with(&ctx.path, start, ctx.io)?;
+                let mut reader = LineReader::open_at(&ctx.path, start)?;
                 self.skip_header(&mut reader)?;
                 self.reader = Some(reader);
             }
@@ -581,12 +583,15 @@ impl InSituScanOp {
         let mut row_buf: Vec<Value> = vec![Value::Null; needed.len()];
         let mut emitted = ValueBatch::with_capacity(&self.ctx.types, 0);
         let mut positions: Vec<u32> = vec![0; needed.len()];
-        let mut line_buf: Vec<u8> = Vec::new();
         let mut starts: Vec<u32> = Vec::new();
 
-        if self.window.is_none() {
-            self.window = Some(SlidingWindow::open_with(&self.ctx.path, self.ctx.io)?);
-        }
+        // The block's lines arrive through positioned reads of up to
+        // `RANGE_READ` bytes into a buffer the scan reuses; each row is a
+        // slice of it.
+        let mut buf = std::mem::take(&mut self.block_buf);
+        // The file range `buf` holds.
+        let (mut buf_start, mut buf_end) = (0, 0);
+        prof.io_bytes += line_starts.first().map_or(0, |&s| end_bound - s);
 
         for r in 0..rows {
             let line_start = line_starts[r];
@@ -595,18 +600,18 @@ impl InSituScanOp {
             } else {
                 end_bound
             };
-            line_buf.clear();
-            clock.start(r as u64);
-            let w = held(self.window.as_mut(), "window opened above")?;
-            let s = w.slice(line_start, (line_end - line_start) as usize)?;
-            line_buf.extend_from_slice(s);
-            clock.stop(&mut prof.io_ns);
-            prof.io_bytes += line_end - line_start;
-            while matches!(line_buf.last(), Some(b'\n') | Some(b'\r')) {
-                line_buf.pop();
+            if line_end > buf_end {
+                let started = Instant::now();
+                buf_start = line_start;
+                buf_end = (line_start + RANGE_READ).min(end_bound).max(line_end);
+                self.read_range(buf_start, buf_end, &mut buf)?;
+                prof.io_ns += started.elapsed().as_nanos() as u64;
+            }
+            let mut line = &buf[(line_start - buf_start) as usize..(line_end - buf_start) as usize];
+            while let [rest @ .., b'\n' | b'\r'] = line {
+                line = rest;
             }
             let ctx = &self.ctx;
-            let line: &[u8] = &line_buf;
             let row_id = block_start + r as u64;
             let locate =
                 |e: NoDbError| e.at_raw_location(&ctx.path, Some(row_id), Some(line_start));
@@ -677,6 +682,7 @@ impl InSituScanOp {
                 metrics.rows_emitted += 1;
             }
         }
+        self.block_buf = buf;
         self.out.push(emitted);
 
         if let Some(c) = collector {
@@ -701,6 +707,19 @@ impl InSituScanOp {
         self.next_row = cov_end;
         self.resume_byte = end_bound;
         Ok(())
+    }
+
+    /// Read the raw bytes `[start, end)` into `buf` through the scan's
+    /// source, reopening it when `end` lies past the length it was opened
+    /// with (the file grew since). A file now shorter than `end` is a
+    /// typed error.
+    fn read_range(&mut self, start: u64, end: u64, buf: &mut Vec<u8>) -> Result<()> {
+        if self.src.as_ref().is_none_or(|s| s.len() < end) {
+            self.src = Some(ByteSource::open(&self.ctx.path, IoBackend::Read)?);
+        }
+        let src = held(self.src.as_ref(), "source opened above")?;
+        buf.resize((end - start) as usize, 0);
+        src.read_exact_at(start, buf)
     }
 
     fn finish_stats(&mut self) {
@@ -851,7 +870,6 @@ fn scan_chunk(
         profile: PhaseProfile::default(),
     };
     let mut clock = SampledClock::default();
-    let mut line = Vec::new();
     let mut starts: Vec<u32> = Vec::with_capacity(max_attr + 1);
     let mut row_buf: Vec<Value> = vec![Value::Null; ctx.projection.len()];
     let mut rows: u32 = 0;
@@ -860,9 +878,11 @@ fn scan_chunk(
         // drives clock and statistics sampling.
         let tick = row_base.unwrap_or(0) + rows as u64;
         clock.start(tick);
-        let fetched = reader.next_line(&mut line)?;
+        let fetched = reader.next_line_ref()?;
         clock.stop(&mut out.profile.io_ns);
-        let Some(line_start) = fetched else { break };
+        let Some((line_start, line)) = fetched else {
+            break;
+        };
         let local_row = rows;
         rows += 1;
         out.line_starts.push(line_start);
@@ -879,7 +899,7 @@ fn scan_chunk(
         clock.start(tick);
         let found = ctx
             .format
-            .positions_upto(&line, max_attr, &mut starts)
+            .positions_upto(line, max_attr, &mut starts)
             .and_then(|n| require_fields(n, max_attr + 1))
             .map_err(locate)?;
         clock.stop(&mut out.profile.tokenize_ns);
@@ -894,7 +914,7 @@ fn scan_chunk(
             let start = starts[ctx.projection[local]];
             let v = parse_value(
                 ctx,
-                &line,
+                line,
                 start,
                 local,
                 row_id,
@@ -1112,9 +1132,14 @@ fn resolve_position(
         } => {
             if let Some(&anchor) = positions.get(r) {
                 metrics.fields_via_anchor += 1;
-                return ctx
+                // A record too short to reach `attr` fails below, with
+                // the message every other access path gives it.
+                if let Ok(p) = ctx
                     .format
-                    .advance(line, anchor, *anchor_attr as usize, attr);
+                    .advance(line, anchor, *anchor_attr as usize, attr)
+                {
+                    return Ok(p);
+                }
             }
         }
         AttrPositions::None => {}
@@ -1126,7 +1151,9 @@ fn resolve_position(
 
 /// Tokenize from the line start up to `attr` into `scratch` (kept out of
 /// [`resolve_position`] so the map-assisted cases stay small enough to
-/// inline into the row loop).
+/// inline into the row loop). A record too short for `attr` fails as the
+/// cold kernel fails it: `found` is then all the fields the line has, and
+/// the requirement is the highest projected attribute.
 fn tokenize_to(
     ctx: &Ctx,
     line: &[u8],
@@ -1137,6 +1164,9 @@ fn tokenize_to(
     scratch.clear();
     let found = ctx.format.positions_upto(line, attr, scratch)?;
     metrics.fields_tokenized += found as u64;
-    require_fields(found, attr + 1)?;
+    if found <= attr {
+        let max_attr = ctx.projection.last().map_or(attr, |&a| a.max(attr));
+        require_fields(found, max_attr + 1)?;
+    }
     Ok(scratch[attr])
 }

@@ -516,12 +516,9 @@ fn parallel_scan_matches_single_threaded() {
 /// The cold kernel is asked for one block of rows at a time: "asked for
 /// N, got N" must not be mistaken for (or hide) the end of the file.
 /// Files that end exactly on a block boundary, hold no rows at all, or
-/// lack the final newline, in both formats, over both backends, at one
-/// and four threads.
+/// lack the final newline, in both formats, at one and four threads.
 #[test]
 fn cold_scan_block_boundaries() {
-    use nodb_common::IoBackend;
-
     const BLOCK: usize = 64;
     let schema = Schema::parse("a int, b int, c text").unwrap();
     let b_of = |i: usize| (i * 7) % 13;
@@ -566,112 +563,65 @@ fn cold_scan_block_boundaries() {
                 0 => Value::Null,
                 _ => Value::Int64((0..n as i64).sum()),
             };
-            for io in [IoBackend::Read, IoBackend::Mmap] {
-                let what = format!("{shape}, jsonl={jsonl}, {io:?}");
-                let make = |threads| {
-                    let mut cfg = NoDbConfig::postgres_raw();
-                    cfg.posmap_block_rows = BLOCK;
-                    cfg.scan_threads = threads;
-                    cfg.io_backend = io;
-                    let mut db = NoDb::new(cfg).unwrap();
-                    if jsonl {
-                        db.register_jsonl("t", &p, schema.clone(), AccessMode::InSitu)
-                            .unwrap();
-                    } else {
-                        let opts = CsvOptions {
-                            has_header: header,
-                            ..CsvOptions::default()
-                        };
-                        db.register_csv("t", &p, schema.clone(), opts, AccessMode::InSitu)
-                            .unwrap();
-                    }
-                    db
-                };
-                let db = assert_matches_single_threaded(&make, &queries, 4, &what);
-                let got = db.query(queries[0]).unwrap();
-                let got: Vec<Vec<Value>> = got.rows.iter().map(|r| r.0.clone()).collect();
-                assert_eq!(got, kept, "{what}");
-                let agg = db.query(queries[1]).unwrap();
-                assert_eq!(agg.rows[0].0, vec![Value::Int64(n as i64), sum.clone()]);
-                // The cold pass completed the EOL index: counting again
-                // reads nothing.
-                let before = db.metrics("t").unwrap().bytes_tokenized;
-                let count = db.query(queries[2]).unwrap();
-                assert_eq!(count.rows[0].get(0), &Value::Int64(n as i64), "{what}");
-                assert_eq!(db.metrics("t").unwrap().bytes_tokenized, before, "{what}");
-                // A single-threaded LIMIT stops after the first block.
-                if n > BLOCK {
-                    let db = make(1);
-                    let first = db.query("select a from t limit 1").unwrap();
-                    assert_eq!(first.rows[0].get(0), &Value::Int32(0), "{what}");
-                    let block_bytes: usize = lines.iter().take(BLOCK).map(|l| l.len() + 1).sum();
-                    let m = db.metrics("t").unwrap();
-                    assert_eq!(m.bytes_tokenized, block_bytes as u64, "{what}");
+            let what = format!("{shape}, jsonl={jsonl}");
+            let make = |threads| {
+                let mut cfg = NoDbConfig::postgres_raw();
+                cfg.posmap_block_rows = BLOCK;
+                cfg.scan_threads = threads;
+                let mut db = NoDb::new(cfg).unwrap();
+                if jsonl {
+                    db.register_jsonl("t", &p, schema.clone(), AccessMode::InSitu)
+                        .unwrap();
+                } else {
+                    let opts = CsvOptions {
+                        has_header: header,
+                        ..CsvOptions::default()
+                    };
+                    db.register_csv("t", &p, schema.clone(), opts, AccessMode::InSitu)
+                        .unwrap();
                 }
+                db
+            };
+            let db = assert_matches_single_threaded(&make, &queries, 4, &what);
+            let got = db.query(queries[0]).unwrap();
+            let got: Vec<Vec<Value>> = got.rows.iter().map(|r| r.0.clone()).collect();
+            assert_eq!(got, kept, "{what}");
+            let agg = db.query(queries[1]).unwrap();
+            assert_eq!(agg.rows[0].0, vec![Value::Int64(n as i64), sum.clone()]);
+            // The cold pass completed the EOL index: counting again
+            // reads nothing.
+            let before = db.metrics("t").unwrap().bytes_tokenized;
+            let count = db.query(queries[2]).unwrap();
+            assert_eq!(count.rows[0].get(0), &Value::Int64(n as i64), "{what}");
+            assert_eq!(db.metrics("t").unwrap().bytes_tokenized, before, "{what}");
+            // A single-threaded LIMIT stops after the first block.
+            if n > BLOCK {
+                let db = make(1);
+                let first = db.query("select a from t limit 1").unwrap();
+                assert_eq!(first.rows[0].get(0), &Value::Int32(0), "{what}");
+                let block_bytes: usize = lines.iter().take(BLOCK).map(|l| l.len() + 1).sum();
+                let m = db.metrics("t").unwrap();
+                assert_eq!(m.bytes_tokenized, block_bytes as u64, "{what}");
             }
         }
     }
 }
 
 #[test]
-fn io_backends_are_bit_identical() {
-    use nodb_common::IoBackend;
-
-    let (_td, p, schema) = micro_file(2500, 12);
-    let queries = [
-        "select c0 from t",
-        "select c1, c7 from t where c3 < 300000000",
-        "select sum(c2), count(*), min(c4), max(c4) from t",
-        "select count(*) from t",
-    ];
-    for threads in [1usize, 4] {
-        let mut rcfg = NoDbConfig::postgres_raw();
-        rcfg.scan_threads = threads;
-        rcfg.io_backend = IoBackend::Read;
-        let read = engine_with(rcfg, &p, &schema, AccessMode::InSitu);
-        let mut mcfg = NoDbConfig::postgres_raw();
-        mcfg.scan_threads = threads;
-        mcfg.io_backend = IoBackend::Mmap;
-        let mmap = engine_with(mcfg, &p, &schema, AccessMode::InSitu);
-        for q in queries {
-            // Cold and warm runs both agree.
-            let a1 = read.query(q).unwrap();
-            let b1 = mmap.query(q).unwrap();
-            assert_eq!(a1.rows, b1.rows, "{threads} threads, cold `{q}`");
-            let a2 = read.query(q).unwrap();
-            let b2 = mmap.query(q).unwrap();
-            assert_eq!(a2.rows, b2.rows, "{threads} threads, warm `{q}`");
-        }
-        // Identical tokenization/parsing/map work and aux footprint: the
-        // backend changes how bytes arrive, never what the scan does.
-        let mr = read.metrics("t").unwrap();
-        let mm = mmap.metrics("t").unwrap();
-        assert_eq!(mr, mm, "{threads} threads: metrics diverged");
-        let ar = read.aux_info("t").unwrap();
-        let am = mmap.aux_info("t").unwrap();
-        assert_eq!(ar.posmap_pointers, am.posmap_pointers);
-        assert_eq!(ar.cache_bytes, am.cache_bytes);
-    }
-}
-
-#[test]
-fn mmap_backend_handles_empty_and_growing_files() {
-    use nodb_common::IoBackend;
-
+fn empty_and_growing_files() {
     let td = TempDir::new("nodb-core-test").unwrap();
     let p = td.file("grow.csv");
     std::fs::write(&p, "").unwrap();
     let schema = Schema::parse("a int, b int").unwrap();
     let mut cfg = NoDbConfig::postgres_raw();
-    cfg.io_backend = IoBackend::Mmap;
     cfg.scan_threads = 4;
     let mut db = NoDb::new(cfg).unwrap();
     db.register_csv("t", &p, schema, CsvOptions::default(), AccessMode::InSitu)
         .unwrap();
-    // Zero-length file: mmap degrades to read, the scan sees no rows.
+    // Zero-length file: the scan sees no rows.
     let r = db.query("select count(*) from t").unwrap();
     assert_eq!(r.rows[0].get(0), &Value::Int64(0));
-    // Appended rows are picked up by a fresh mapping of the longer file.
+    // Appended rows are picked up by the next query.
     let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
     std::io::Write::write_all(&mut f, b"1,10\n2,20\n").unwrap();
     drop(f);

@@ -9,8 +9,8 @@
 //!   paper's *selective tokenizing* (stop at the last attribute a query
 //!   needs) and *incremental parsing* in both directions from a known
 //!   position (§4.2, "Exploiting the Positional Map").
-//! * [`lines`] — sequential line reading and a monotonic sliding-window
-//!   reader for position-driven access.
+//! * [`lines`] — sequential line reading, lending each line out of one
+//!   buffer, and line-aligned splitting for parallel scans.
 //! * [`writer`] — a buffered CSV writer (used by loaders, tests and
 //!   generators).
 //! * [`generate`] — the micro-benchmark file generator (150 random-integer
@@ -32,7 +32,7 @@ pub mod writer;
 
 pub use format::CsvFormat;
 pub use generate::MicroGen;
-pub use lines::{split_line_aligned, split_line_aligned_src, ByteRange, LineReader, SlidingWindow};
+pub use lines::{split_line_aligned, split_line_aligned_src, ByteRange, LineReader};
 pub use writer::CsvWriter;
 
 /// Options describing the physical layout of a character-delimited file.

@@ -1,30 +1,22 @@
 //! File access paths for the in-situ scan.
 //!
-//! Three access patterns exist in this PostgresRaw reproduction:
+//! Every path reads the raw file through positioned reads on one
+//! [`ByteSource`]:
 //!
 //! * **Sequential tokenization** of every line — the first query on a file,
-//!   or any region the positional map does not cover. [`LineReader`] serves
-//!   this with a reused line buffer (one allocation amortized over the
-//!   whole file).
+//!   or any region the positional map does not cover. [`LineReader`] keeps
+//!   one buffer and lends each line out of it
+//!   ([`LineReader::next_line_ref`]); no line is copied.
 //! * **Chunked parallel tokenization** — a cold scan splits the file into
 //!   line-aligned byte ranges ([`split_line_aligned`]) and hands each to a
 //!   worker thread, which reads it with a bounded [`LineReader`]
 //!   ([`LineReader::open_range`] or, when sharing one open file,
 //!   [`LineReader::from_source`]). Every byte of the region belongs to
 //!   exactly one chunk, and no line straddles a chunk boundary.
-//! * **Position-driven access** — the map knows where tuples/attributes
-//!   live, and the scan touches only those byte ranges, in increasing file
-//!   order. [`SlidingWindow`] serves monotonically-ordered range reads from
-//!   a single buffered window so that the underlying I/O stays sequential.
-//!
-//! All three are built on the pluggable I/O substrate
-//! ([`nodb_common::ByteSource`]): with the `Read` backend they buffer
-//! positioned reads exactly as before; with the `Mmap` backend line
-//! scanning and window slicing operate directly on the mapping — no read
-//! syscalls, no intermediate copies. Offsets, line contents and chunk
-//! boundaries are bit-identical across backends; the plain-`Path`
-//! constructors keep the buffered-`read` behaviour, and `*_with` variants
-//! accept an [`IoBackend`].
+//! * **Position-driven access** — once the end-of-line index covers a
+//!   block, the scan (in `nodb-core`) reads the block's byte range into
+//!   one reused buffer with positioned reads and slices its rows out of
+//!   it.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -59,8 +51,7 @@ impl ByteRange {
 }
 
 /// Split the file region `[start, end)` into at most `chunks` line-aligned
-/// byte ranges of roughly equal size, reading boundaries through the
-/// buffered-`read` backend. See [`split_line_aligned_src`].
+/// byte ranges of roughly equal size. See [`split_line_aligned_src`].
 pub fn split_line_aligned(
     path: &Path,
     start: u64,
@@ -84,9 +75,6 @@ pub fn split_line_aligned(
 /// once (a trailing line without a final newline goes to the last chunk).
 /// Fewer than `chunks` ranges are returned when lines are too long or the
 /// region is too small to split further; an empty region yields no ranges.
-///
-/// The boundaries depend only on the bytes, so they are identical for
-/// every backend of `src`.
 pub fn split_line_aligned_src(
     src: &ByteSource,
     start: u64,
@@ -121,14 +109,6 @@ pub fn split_line_aligned_src(
 /// `from` for a `\n` and returning the position after it (clamped to
 /// `end`).
 fn next_line_start(src: &ByteSource, from: u64, end: u64) -> Result<u64> {
-    if let Some(m) = src.mapped() {
-        let lo = (from as usize).min(m.len());
-        let hi = (end as usize).min(m.len());
-        return Ok(match swar::find_byte(&m[lo..hi], b'\n') {
-            Some(i) => (from + i as u64 + 1).min(end),
-            None => end,
-        });
-    }
     let mut buf = [0u8; 8192];
     let mut pos = from;
     while pos < end {
@@ -145,85 +125,67 @@ fn next_line_start(src: &ByteSource, from: u64, end: u64) -> Result<u64> {
     Ok(end)
 }
 
-/// Sequential line reader with explicit byte offsets, over either I/O
-/// backend: the `Read` backend refills a private 1 MiB buffer with
-/// positioned reads; the `Mmap` backend scans the mapping in place and
-/// only copies the one line being returned.
+/// Sequential line reader with explicit byte offsets. It fills one buffer
+/// with positioned reads and lends each line as a slice of it. A line
+/// that runs past the buffered bytes is moved to the front of the buffer
+/// before the next read; a line longer than the whole buffer makes the
+/// buffer grow.
 pub struct LineReader {
     src: Arc<ByteSource>,
-    /// Byte offset of the *next* line to be returned.
+    /// Byte offset of the *next* line to be returned: the file offset of
+    /// `buf[pos]`.
     offset: u64,
     /// Reading stops once `offset` reaches this bound (`u64::MAX` for
     /// whole-file readers).
     end: u64,
-    /// Buffered window (`Read` backend only; unused when mapped).
+    /// Buffered file bytes; `buf[pos..filled]` is not yet returned.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`.
-    buf_pos: usize,
-    /// File offset the next refill reads from.
-    next_fill: u64,
+    pos: usize,
+    filled: usize,
+    /// Smallest buffer a read allocates ([`DEFAULT_BUF`]; tests shrink it
+    /// to make lines cross reads).
+    min_buf: usize,
 }
 
 impl LineReader {
-    /// Open a file for sequential line reading (buffered `read` backend).
+    /// Open a file for sequential line reading.
     pub fn open(path: &Path) -> Result<LineReader> {
-        Self::open_with(path, IoBackend::Read)
-    }
-
-    /// Open a file for sequential line reading with an explicit backend.
-    pub fn open_with(path: &Path, backend: IoBackend) -> Result<LineReader> {
-        Self::open_at_with(path, 0, backend)
+        Self::open_at(path, 0)
     }
 
     /// Open and skip to `offset` (e.g. resume after a header or an append
     /// high-water mark). `offset` must be a line start.
     pub fn open_at(path: &Path, offset: u64) -> Result<LineReader> {
-        Self::open_at_with(path, offset, IoBackend::Read)
-    }
-
-    /// [`LineReader::open_at`] with an explicit backend.
-    pub fn open_at_with(path: &Path, offset: u64, backend: IoBackend) -> Result<LineReader> {
-        let src = Arc::new(ByteSource::open(path, backend)?);
-        src.advise_sequential();
-        Ok(Self::from_source(
-            src,
+        Self::open_range(
+            path,
             ByteRange {
                 start: offset,
                 end: u64::MAX,
             },
-        ))
+        )
     }
 
     /// Open a reader bounded to the line-aligned `range` (one chunk of a
     /// parallel scan): lines are returned until `range.end` is reached.
     pub fn open_range(path: &Path, range: ByteRange) -> Result<LineReader> {
-        Self::open_range_with(path, range, IoBackend::Read)
-    }
-
-    /// [`LineReader::open_range`] with an explicit backend.
-    pub fn open_range_with(
-        path: &Path,
-        range: ByteRange,
-        backend: IoBackend,
-    ) -> Result<LineReader> {
         Ok(Self::from_source(
-            Arc::new(ByteSource::open(path, backend)?),
+            Arc::new(ByteSource::open(path, IoBackend::Read)?),
             range,
         ))
     }
 
     /// Read lines of `range` from an already-open shared source. This is
-    /// the chunk-parallel fast path: the file is opened (and, on the mmap
-    /// backend, mapped) **once**, and every worker slices its own range
-    /// out of the same [`ByteSource`].
+    /// the chunk-parallel fast path: the file is opened **once**, and every
+    /// worker reads its own range through the same [`ByteSource`].
     pub fn from_source(src: Arc<ByteSource>, range: ByteRange) -> LineReader {
         LineReader {
             src,
             offset: range.start,
             end: range.end,
             buf: Vec::new(),
-            buf_pos: 0,
-            next_fill: range.start,
+            pos: 0,
+            filled: 0,
+            min_buf: DEFAULT_BUF,
         }
     }
 
@@ -233,215 +195,69 @@ impl LineReader {
         self.offset
     }
 
-    /// The I/O source serving this reader.
-    pub fn source(&self) -> &Arc<ByteSource> {
-        &self.src
-    }
-
-    /// Read the next line into `buf` (cleared first; newline stripped).
-    ///
-    /// Returns the byte offset of the line start, or `None` at EOF.
-    /// A final line without a trailing newline is returned normally.
-    pub fn next_line(&mut self, buf: &mut Vec<u8>) -> Result<Option<u64>> {
-        buf.clear();
+    /// The next line — its start offset and its bytes, lent out of the
+    /// reader's buffer until the next call — or `None` at the end of the
+    /// range or file. The newline and one `\r` before it are stripped; a
+    /// final line without a newline is returned whole.
+    pub fn next_line_ref(&mut self) -> Result<Option<(u64, &[u8])>> {
         let start = self.offset;
         if start >= self.end {
             return Ok(None);
         }
-        if let Some(m) = self.src.mapped() {
-            // Zero-copy scan of the mapping; only the returned line is
-            // copied out (callers reuse `buf` across the whole file).
-            if start >= m.len() as u64 {
-                return Ok(None);
+        // Bytes of the pending line already searched for a newline.
+        let mut searched = 0;
+        let (len, consumed) = loop {
+            if let Some(i) = swar::find_byte(&self.buf[self.pos + searched..self.filled], b'\n') {
+                break (searched + i, searched + i + 1);
             }
-            let rest = &m[start as usize..];
-            let consumed = match swar::find_byte(rest, b'\n') {
-                Some(i) => i + 1,
-                None => rest.len(),
-            };
-            self.offset += consumed as u64;
-            let mut line = &rest[..consumed];
-            if line.last() == Some(&b'\n') {
-                line = &line[..line.len() - 1];
-                if line.last() == Some(&b'\r') {
-                    line = &line[..line.len() - 1];
+            searched = self.filled - self.pos;
+            if !self.fill()? {
+                if searched == 0 {
+                    return Ok(None);
                 }
+                break (searched, searched);
             }
-            buf.extend_from_slice(line);
-            return Ok(Some(start));
+        };
+        let line_start = self.pos;
+        self.pos += consumed;
+        self.offset += consumed as u64;
+        let mut line = &self.buf[line_start..line_start + len];
+        if consumed > len && line.last() == Some(&b'\r') {
+            line = &line[..len - 1];
         }
-        // Buffered `read` backend: accumulate until a newline or EOF.
-        let mut consumed = 0u64;
-        loop {
-            if self.buf_pos >= self.buf.len() && !self.refill()? {
-                break; // EOF
-            }
-            let chunk = &self.buf[self.buf_pos..];
-            match swar::find_byte(chunk, b'\n') {
-                Some(i) => {
-                    buf.extend_from_slice(&chunk[..=i]);
-                    self.buf_pos += i + 1;
-                    consumed += i as u64 + 1;
-                    break;
-                }
-                None => {
-                    buf.extend_from_slice(chunk);
-                    consumed += chunk.len() as u64;
-                    self.buf_pos = self.buf.len();
-                }
-            }
-        }
-        if consumed == 0 {
+        Ok(Some((start, line)))
+    }
+
+    /// [`LineReader::next_line_ref`], copying the line into `buf`
+    /// (cleared first). Returns the line's start offset.
+    pub fn next_line(&mut self, buf: &mut Vec<u8>) -> Result<Option<u64>> {
+        buf.clear();
+        let Some((start, line)) = self.next_line_ref()? else {
             return Ok(None);
-        }
-        self.offset += consumed;
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
+        };
+        buf.extend_from_slice(line);
         Ok(Some(start))
     }
 
-    /// Refill the buffered window from the source; false at EOF.
-    fn refill(&mut self) -> Result<bool> {
-        self.buf.resize(DEFAULT_BUF, 0);
-        let n = self.src.read_at(self.next_fill, &mut self.buf)?;
-        self.buf.truncate(n);
-        self.buf_pos = 0;
-        self.next_fill += n as u64;
+    /// Move the bytes not yet returned to the front of the buffer, grow
+    /// the buffer if they fill it, and read the file bytes that follow
+    /// them into the rest; false when the source has none left.
+    fn fill(&mut self) -> Result<bool> {
+        let pending = self.filled - self.pos;
+        self.buf.copy_within(self.pos..self.filled, 0);
+        self.pos = 0;
+        self.filled = pending;
+        let next = self.offset + pending as u64;
+        if self.buf.len() == pending {
+            // No bigger than what is left of the file: a small file never
+            // allocates the full default buffer.
+            let left = usize::try_from(self.src.len().saturating_sub(next)).unwrap_or(usize::MAX);
+            let size = (2 * pending).max(self.min_buf);
+            self.buf.resize(size.min(pending.saturating_add(left)), 0);
+        }
+        let n = self.src.read_at(next, &mut self.buf[pending..])?;
+        self.filled += n;
         Ok(n > 0)
-    }
-}
-
-/// Buffered random access for byte ranges requested in non-decreasing
-/// start order.
-///
-/// The positional map turns a scan into "jump to these positions"; ranges
-/// arrive sorted because tuples are processed in file order, so a single
-/// forward-moving window suffices and the disk never seeks backwards.
-/// With the `Mmap` backend slices come straight from the mapping — no
-/// window, no refills, no copies.
-pub struct SlidingWindow {
-    src: ByteSource,
-    file_len: u64,
-    buf: Vec<u8>,
-    /// File offset of `buf[0]`.
-    buf_start: u64,
-    /// Valid bytes in `buf`.
-    buf_len: usize,
-    min_read: usize,
-}
-
-impl SlidingWindow {
-    /// Open a file for windowed access (buffered `read` backend).
-    pub fn open(path: &Path) -> Result<SlidingWindow> {
-        Self::with_capacity(path, DEFAULT_BUF)
-    }
-
-    /// Open a file for windowed access with an explicit backend.
-    pub fn open_with(path: &Path, backend: IoBackend) -> Result<SlidingWindow> {
-        Ok(Self::from_source(ByteSource::open(path, backend)?))
-    }
-
-    /// Open with a specific minimum read size.
-    pub fn with_capacity(path: &Path, min_read: usize) -> Result<SlidingWindow> {
-        let mut w = Self::from_source(ByteSource::open(path, IoBackend::Read)?);
-        w.min_read = min_read.max(4096);
-        Ok(w)
-    }
-
-    /// Windowed access over an already-open source.
-    pub fn from_source(src: ByteSource) -> SlidingWindow {
-        let file_len = src.len();
-        SlidingWindow {
-            src,
-            file_len,
-            buf: Vec::new(),
-            buf_start: 0,
-            buf_len: 0,
-            min_read: DEFAULT_BUF,
-        }
-    }
-
-    /// Total file length in bytes.
-    pub fn len(&self) -> u64 {
-        self.file_len
-    }
-
-    /// True when the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.file_len == 0
-    }
-
-    /// Bytes `[start, start + len)`, clamped to the file end.
-    ///
-    /// `start` must be ≥ the `start` of the previous call (monotonic
-    /// access); on the `Read` backend violating this is a logic error
-    /// that returns an internal error rather than corrupting the window
-    /// (the mapping-backed window has no such hazard and simply serves
-    /// the slice).
-    pub fn slice(&mut self, start: u64, len: usize) -> Result<&[u8]> {
-        let len = len.min((self.file_len.saturating_sub(start)) as usize);
-        if self.src.mapped().is_none() {
-            if start < self.buf_start {
-                return Err(nodb_common::NoDbError::internal(format!(
-                    "SlidingWindow accessed backwards: {start} < {}",
-                    self.buf_start
-                )));
-            }
-            let end = start + len as u64;
-            if end > self.buf_start + self.buf_len as u64 {
-                self.refill(start, len)?;
-            }
-            let rel = (start - self.buf_start) as usize;
-            return Ok(&self.buf[rel..rel + len]);
-        }
-        let m = self.src.mapped().expect("checked above");
-        let s = (start as usize).min(m.len());
-        Ok(&m[s..s + len])
-    }
-
-    /// The rest of the line starting at `start`: bytes up to (not
-    /// including) the next `\n`, or end of file.
-    pub fn line_at(&mut self, start: u64) -> Result<&[u8]> {
-        // Probe in growing windows until a newline is found.
-        let mut probe = 256usize;
-        loop {
-            let max = (self.file_len - start) as usize;
-            let want = probe.min(max);
-            // Find newline inside the probed slice without holding the
-            // borrow across the loop iteration.
-            let pos = {
-                let s = self.slice(start, want)?;
-                swar::find_byte(s, b'\n')
-            };
-            match pos {
-                Some(p) => {
-                    let mut end = p;
-                    let s = self.slice(start, want)?;
-                    if end > 0 && s[end - 1] == b'\r' {
-                        end -= 1;
-                    }
-                    return self.slice(start, end);
-                }
-                None if want == max => return self.slice(start, max),
-                None => probe *= 4,
-            }
-        }
-    }
-
-    fn refill(&mut self, start: u64, len: usize) -> Result<()> {
-        let read_len = len.max(self.min_read);
-        let read_len = read_len.min((self.file_len - start) as usize);
-        // Keep any overlapping tail? Simpler: re-read from `start`.
-        self.buf.resize(read_len, 0);
-        let done = self.src.read_at(start, &mut self.buf)?;
-        self.buf.truncate(done);
-        self.buf_start = start;
-        self.buf_len = done;
-        Ok(())
     }
 }
 
@@ -457,128 +273,163 @@ mod tests {
         (td, p)
     }
 
-    /// Every backend worth testing on this platform.
-    fn backends() -> Vec<IoBackend> {
-        if cfg!(unix) {
-            vec![IoBackend::Read, IoBackend::Mmap]
-        } else {
-            vec![IoBackend::Read]
-        }
+    fn write_bytes(bytes: &[u8]) -> (TempDir, std::path::PathBuf) {
+        let td = TempDir::new("nodb-csv").unwrap();
+        let p = td.file("data.csv");
+        std::fs::write(&p, bytes).unwrap();
+        (td, p)
     }
 
+    /// The lines of `bytes` that start in `[start, end)`, split by hand:
+    /// (offset, bytes) with the newline and one `\r` before it stripped.
+    /// A final line without a newline keeps any trailing `\r`.
+    fn split_by_hand(bytes: &[u8], start: usize, end: usize) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut line_start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'\n' {
+                let mut line = &bytes[line_start..i];
+                if line.last() == Some(&b'\r') {
+                    line = &line[..line.len() - 1];
+                }
+                out.push((line_start as u64, line.to_vec()));
+                line_start = i + 1;
+            }
+        }
+        if line_start < bytes.len() {
+            out.push((line_start as u64, bytes[line_start..].to_vec()));
+        }
+        out.retain(|&(off, _)| (start as u64..end as u64).contains(&off));
+        out
+    }
+
+    /// Every line `r` lends, with its offset.
+    fn read_all(r: &mut LineReader) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        while let Some((off, line)) = r.next_line_ref().unwrap() {
+            out.push((off, line.to_vec()));
+        }
+        out
+    }
+
+    /// Offsets and lines over inputs that cross the buffer's edges: a
+    /// final line without a newline, a line longer than the default
+    /// buffer, a `\r\n` whose `\r` ends one read and whose `\n` starts the
+    /// next, and a range reader whose range ends inside its buffer.
     #[test]
     fn line_reader_tracks_offsets() {
-        let (_td, p) = write_file(&["abc", "de", "", "fgh"]);
-        for backend in backends() {
-            let mut r = LineReader::open_with(&p, backend).unwrap();
-            let mut buf = Vec::new();
-            let mut got = Vec::new();
-            while let Some(off) = r.next_line(&mut buf).unwrap() {
-                got.push((off, String::from_utf8(buf.clone()).unwrap()));
-            }
-            assert_eq!(
-                got,
-                vec![
-                    (0, "abc".to_string()),
-                    (4, "de".to_string()),
-                    (7, "".to_string()),
-                    (8, "fgh".to_string()),
-                ],
-                "{backend}"
-            );
+        let long = vec![b'x'; DEFAULT_BUF + 10];
+        let mut crlf_split = vec![b'y'; DEFAULT_BUF - 1];
+        crlf_split.extend_from_slice(b"\r\nafter\n");
+        let inputs: [Vec<u8>; 4] = [
+            b"abc\nde\n\nfgh".to_vec(),
+            [&long[..], b"\nshort\n"].concat(),
+            [b"head\n", &long[..], b"\r\ntail"].concat(),
+            crlf_split,
+        ];
+        for bytes in &inputs {
+            let (_td, p) = write_bytes(bytes);
+            let got = read_all(&mut LineReader::open(&p).unwrap());
+            assert_eq!(got, split_by_hand(bytes, 0, bytes.len()));
         }
+        let (_td, p) = write_bytes(&inputs[0]);
+        let got = read_all(&mut LineReader::open(&p).unwrap());
+        assert_eq!(got[3], (8, b"fgh".to_vec()));
+
+        // 200 short lines; the range covers lines 20..60, and the reader's
+        // first read buffers the rest of the file past the range end.
+        let body: String = (0..200).map(|i| format!("{i},{}\n", i * 3)).collect();
+        let (_td, p) = write_bytes(body.as_bytes());
+        let starts: Vec<usize> = split_by_hand(body.as_bytes(), 0, body.len())
+            .iter()
+            .map(|&(off, _)| off as usize)
+            .collect();
+        let range = ByteRange {
+            start: starts[20] as u64,
+            end: starts[60] as u64,
+        };
+        let got = read_all(&mut LineReader::open_range(&p, range).unwrap());
+        assert_eq!(got, split_by_hand(body.as_bytes(), starts[20], starts[60]));
+        assert_eq!(got.len(), 40);
     }
 
     #[test]
     fn line_reader_handles_trailing_newline_and_crlf() {
-        let td = TempDir::new("nodb-csv").unwrap();
-        let p = td.file("d.csv");
-        std::fs::write(&p, "a\r\nb\n").unwrap();
-        for backend in backends() {
-            let mut r = LineReader::open_with(&p, backend).unwrap();
-            let mut buf = Vec::new();
-            assert_eq!(r.next_line(&mut buf).unwrap(), Some(0));
-            assert_eq!(buf, b"a");
-            assert_eq!(r.next_line(&mut buf).unwrap(), Some(3));
-            assert_eq!(buf, b"b");
-            assert_eq!(r.next_line(&mut buf).unwrap(), None);
-        }
+        let (_td, p) = write_bytes(b"a\r\nb\n");
+        let mut r = LineReader::open(&p).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(0));
+        assert_eq!(buf, b"a");
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(3));
+        assert_eq!(buf, b"b");
+        assert_eq!(r.next_line(&mut buf).unwrap(), None);
+
+        // A long line ending in `\r\n`, then a tail without a newline.
+        let long = "x".repeat(5000);
+        let (_td, p) = write_bytes(format!("{long}\r\ntail").as_bytes());
+        let mut r = LineReader::open(&p).unwrap();
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(0));
+        assert_eq!(buf, long.as_bytes());
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(5002));
+        assert_eq!(buf, b"tail");
+        assert_eq!(r.next_line(&mut buf).unwrap(), None);
     }
 
     #[test]
     fn open_at_resumes_mid_file() {
         let (_td, p) = write_file(&["abc", "de"]);
-        for backend in backends() {
-            let mut r = LineReader::open_at_with(&p, 4, backend).unwrap();
-            let mut buf = Vec::new();
-            assert_eq!(r.next_line(&mut buf).unwrap(), Some(4));
-            assert_eq!(buf, b"de");
-        }
+        let mut r = LineReader::open_at(&p, 4).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(4));
+        assert_eq!(buf, b"de");
     }
 
     #[test]
     fn line_reader_over_empty_file_is_done_immediately() {
-        let td = TempDir::new("nodb-csv").unwrap();
-        let p = td.file("empty.csv");
-        std::fs::write(&p, "").unwrap();
-        for backend in backends() {
-            let mut r = LineReader::open_with(&p, backend).unwrap();
-            let mut buf = Vec::new();
-            assert_eq!(r.next_line(&mut buf).unwrap(), None, "{backend}");
+        let (_td, p) = write_bytes(b"");
+        let mut r = LineReader::open(&p).unwrap();
+        assert_eq!(r.next_line_ref().unwrap(), None);
+    }
+
+    /// A file that grows after the reader opened it serves exactly the
+    /// bytes it had at open; a new reader sees the appended lines.
+    #[test]
+    fn line_reader_serves_the_length_seen_at_open() {
+        let (_td, p) = write_bytes(b"1,10\n");
+        let mut r = LineReader::open(&p).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
+        std::io::Write::write_all(&mut f, b"2,20\n").unwrap();
+        drop(f);
+        assert_eq!(read_all(&mut r), vec![(0, b"1,10".to_vec())]);
+        let r = read_all(&mut LineReader::open(&p).unwrap());
+        assert_eq!(r, vec![(0, b"1,10".to_vec()), (5, b"2,20".to_vec())]);
+    }
+
+    /// A file cut below the length the reader opened with fails the next
+    /// read with a typed error instead of lending a cut-off line.
+    #[test]
+    fn line_reader_fails_typed_when_the_file_shrinks() {
+        let (_td, p) = write_file(&["abc", "de", "fgh"]);
+        let mut r = LineReader::open(&p).unwrap();
+        r.min_buf = 2;
+        assert_eq!(r.next_line_ref().unwrap(), Some((0, &b"abc"[..])));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_len(4)
+            .unwrap();
+        match r.next_line_ref() {
+            Err(nodb_common::NoDbError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
+            }
+            other => panic!("expected a typed EOF error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sliding_window_serves_monotonic_ranges() {
-        let (_td, p) = write_file(&["0123456789abcdefghij"]);
-        let mut w = SlidingWindow::with_capacity(&p, 4096).unwrap();
-        assert_eq!(w.slice(0, 3).unwrap(), b"012");
-        assert_eq!(w.slice(2, 4).unwrap(), b"2345");
-        assert_eq!(w.slice(10, 5).unwrap(), b"abcde");
-        // Clamped at EOF.
-        assert_eq!(w.slice(18, 10).unwrap(), b"ij");
-        // Backwards access is rejected.
-        assert!(w.slice(0, 1).is_err() || w.buf_start == 0);
-    }
-
-    #[test]
-    fn sliding_window_backends_serve_identical_slices() {
-        let (_td, p) = write_file(&["first,line", "second", "third"]);
-        for backend in backends() {
-            let mut w = SlidingWindow::open_with(&p, backend).unwrap();
-            assert_eq!(w.slice(0, 5).unwrap(), b"first");
-            assert_eq!(w.slice(11, 6).unwrap(), b"second");
-            assert_eq!(w.line_at(0).unwrap(), b"first,line");
-            assert_eq!(w.line_at(18).unwrap(), b"third");
-            // Clamped at EOF.
-            assert_eq!(w.slice(20, 100).unwrap(), b"ird");
-        }
-    }
-
-    #[test]
-    fn sliding_window_small_buffer_refills() {
-        let (_td, p) = write_file(&["0123456789abcdefghij"]);
-        let mut w = SlidingWindow::with_capacity(&p, 1).unwrap();
-        // min_read clamps to 4096 internally, so force tiny by direct len.
-        assert_eq!(w.slice(0, 2).unwrap(), b"01");
-        assert_eq!(w.slice(15, 5).unwrap(), b"fghij");
-    }
-
-    #[test]
-    fn line_at_stops_at_newline() {
-        let (_td, p) = write_file(&["first,line", "second"]);
-        let mut w = SlidingWindow::open(&p).unwrap();
-        assert_eq!(w.line_at(0).unwrap(), b"first,line");
-        assert_eq!(w.line_at(11).unwrap(), b"second");
     }
 
     /// Read all lines of `range` through a bounded reader.
     fn range_lines(p: &std::path::Path, range: ByteRange) -> Vec<Vec<u8>> {
-        range_lines_with(p, range, IoBackend::Read)
-    }
-
-    fn range_lines_with(p: &std::path::Path, range: ByteRange, backend: IoBackend) -> Vec<Vec<u8>> {
-        let mut r = LineReader::open_range_with(p, range, backend).unwrap();
+        let mut r = LineReader::open_range(p, range).unwrap();
         let mut buf = Vec::new();
         let mut out = Vec::new();
         while r.next_line(&mut buf).unwrap().is_some() {
@@ -620,20 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn split_is_identical_across_backends() {
-        let (_td, p) = write_file(&["aaaa", "bb", "cccccc", "d", "ee", "ffff"]);
-        let len = std::fs::metadata(&p).unwrap().len();
-        for chunks in 1..=8 {
-            let base = split_line_aligned(&p, 0, len, chunks).unwrap();
-            for backend in backends() {
-                let src = ByteSource::open(&p, backend).unwrap();
-                let got = split_line_aligned_src(&src, 0, len, chunks).unwrap();
-                assert_eq!(got, base, "chunks={chunks} backend={backend}");
-            }
-        }
-    }
-
-    #[test]
     fn split_of_empty_region_is_empty() {
         let (_td, p) = write_file(&["abc"]);
         assert!(split_line_aligned(&p, 3, 3, 4).unwrap().is_empty());
@@ -658,38 +495,24 @@ mod tests {
     #[test]
     fn open_range_stops_at_chunk_end() {
         let (_td, p) = write_file(&["abc", "de", "fgh"]);
-        for backend in backends() {
-            // "abc\nde\nfgh" — chunk covering only the first two lines.
-            let lines = range_lines_with(&p, ByteRange { start: 0, end: 7 }, backend);
-            assert_eq!(lines, vec![b"abc".to_vec(), b"de".to_vec()]);
-            let rest = range_lines_with(&p, ByteRange { start: 7, end: 10 }, backend);
-            assert_eq!(rest, vec![b"fgh".to_vec()]);
-        }
+        // "abc\nde\nfgh" — chunk covering only the first two lines.
+        let lines = range_lines(&p, ByteRange { start: 0, end: 7 });
+        assert_eq!(lines, vec![b"abc".to_vec(), b"de".to_vec()]);
+        let rest = range_lines(&p, ByteRange { start: 7, end: 10 });
+        assert_eq!(rest, vec![b"fgh".to_vec()]);
     }
 
     #[test]
     fn shared_source_slices_ranges_like_private_readers() {
         let (_td, p) = write_file(&["abc", "de", "fgh", "ij"]);
         let len = std::fs::metadata(&p).unwrap().len();
-        for backend in backends() {
-            let src = Arc::new(ByteSource::open(&p, backend).unwrap());
-            let ranges = split_line_aligned_src(&src, 0, len, 3).unwrap();
-            let mut all = Vec::new();
-            for r in &ranges {
-                let mut reader = LineReader::from_source(Arc::clone(&src), *r);
-                let mut buf = Vec::new();
-                while let Some(off) = reader.next_line(&mut buf).unwrap() {
-                    all.push((off, buf.clone()));
-                }
-            }
-            let mut whole = Vec::new();
-            let mut r = LineReader::open(&p).unwrap();
-            let mut buf = Vec::new();
-            while let Some(off) = r.next_line(&mut buf).unwrap() {
-                whole.push((off, buf.clone()));
-            }
-            assert_eq!(all, whole, "{backend}");
+        let src = Arc::new(ByteSource::open(&p, IoBackend::Read).unwrap());
+        let ranges = split_line_aligned_src(&src, 0, len, 3).unwrap();
+        let mut all = Vec::new();
+        for r in &ranges {
+            all.extend(read_all(&mut LineReader::from_source(Arc::clone(&src), *r)));
         }
+        assert_eq!(all, read_all(&mut LineReader::open(&p).unwrap()));
     }
 
     mod chunking_props {
@@ -697,56 +520,36 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The SWAR newline scanner against a scalar reference split,
-            /// over arbitrary *binary* bodies (all byte values, embedded
-            /// `\r`, runs of newlines, short tails straddling the 8-byte
-            /// word) on both I/O backends.
+            /// The SWAR newline scanner and the buffer refills against a
+            /// scalar reference split, over arbitrary *binary* bodies
+            /// (all byte values, embedded `\r`, runs of newlines, short
+            /// tails straddling the 8-byte word) read through buffers from
+            /// one byte up, so lines cross reads and outgrow the buffer.
             #[test]
             fn lines_match_scalar_split(
                 body in proptest::collection::vec(
                     prop_oneof![Just(b'\n'), Just(b'\r'), any::<u8>()],
                     0..200,
                 ),
+                min_buf in 1usize..40,
             ) {
                 let td = TempDir::new("nodb-swar-prop").unwrap();
                 let p = td.file("d.bin");
                 std::fs::write(&p, &body).unwrap();
-                // Scalar reference: split on `\n`, strip one trailing
-                // `\r`, drop a final empty segment after a trailing
-                // newline (matches next_line's contract).
-                let mut want: Vec<Vec<u8>> = Vec::new();
-                let mut cur: Vec<u8> = Vec::new();
-                for &b in &body {
-                    if b == b'\n' {
-                        if cur.last() == Some(&b'\r') {
-                            cur.pop();
-                        }
-                        want.push(std::mem::take(&mut cur));
-                    } else {
-                        cur.push(b);
-                    }
-                }
-                // A final unterminated line keeps any trailing `\r`: the
-                // CR is only an artifact when a newline follows it.
-                if !cur.is_empty() {
-                    want.push(cur);
-                }
-                for backend in [IoBackend::Read, IoBackend::Mmap] {
-                    let mut r = LineReader::open_with(&p, backend).unwrap();
-                    let mut buf = Vec::new();
-                    let mut got = Vec::new();
-                    while r.next_line(&mut buf).unwrap().is_some() {
-                        got.push(buf.clone());
-                    }
-                    prop_assert_eq!(&got, &want);
-                }
+                let want = split_by_hand(&body, 0, body.len());
+                let mut r = LineReader::open(&p).unwrap();
+                prop_assert_eq!(&read_all(&mut r), &want);
+                let mut r = LineReader::open(&p).unwrap();
+                r.min_buf = min_buf;
+                prop_assert_eq!(&read_all(&mut r), &want);
             }
 
             /// Line-aligned chunking over arbitrary CSV-ish bodies covers
             /// every byte exactly once and never splits a line: reading
-            /// the chunks in order yields exactly the lines of the whole
-            /// file, including trailing-newline / no-trailing-newline,
-            /// empty-line and CRLF edge cases.
+            /// the chunks in order — each chunk re-opening the file or
+            /// all of them sharing one source — yields exactly the lines
+            /// of the whole file, including trailing-newline /
+            /// no-trailing-newline, empty-line and CRLF edge cases.
             #[test]
             fn chunking_partitions_lines_exactly(
                 lines in proptest::collection::vec("[a-z,]{0,12}", 0..40),
@@ -780,92 +583,21 @@ mod tests {
                     prop_assert_eq!(bytes[r.start as usize - 1], b'\n');
                 }
                 // Reading the chunks in order reproduces the file's lines.
-                let whole = {
-                    let mut r = LineReader::open(&p).unwrap();
-                    let mut buf = Vec::new();
-                    let mut out = Vec::new();
-                    while r.next_line(&mut buf).unwrap().is_some() {
-                        out.push(buf.clone());
-                    }
-                    out
-                };
+                let whole = read_all(&mut LineReader::open(&p).unwrap());
+                let whole_lines: Vec<Vec<u8>> = whole.iter().map(|(_, l)| l.clone()).collect();
                 let mut chunked = Vec::new();
                 for r in &ranges {
                     chunked.extend(range_lines(&p, *r));
                 }
-                prop_assert_eq!(chunked, whole);
+                prop_assert_eq!(&chunked, &whole_lines);
+                let src = Arc::new(ByteSource::open(&p, IoBackend::Read).unwrap());
+                prop_assert_eq!(&split_line_aligned_src(&src, 0, len, chunks).unwrap(), &ranges);
+                let mut shared = Vec::new();
+                for r in &ranges {
+                    shared.extend(read_all(&mut LineReader::from_source(Arc::clone(&src), *r)));
+                }
+                prop_assert_eq!(&shared, &whole);
             }
-
-            /// The mmap and buffered-read backends are interchangeable:
-            /// over arbitrary bodies (CRLF, trailing newline, empty
-            /// files, regions split into more chunks than lines) both
-            /// backends produce identical line offsets, line bytes,
-            /// chunk boundaries and per-chunk line sets — whether each
-            /// chunk re-opens the file or slices one shared source.
-            #[test]
-            fn backends_are_bit_identical(
-                lines in proptest::collection::vec("[a-z,]{0,12}", 0..40),
-                trailing_newline in any::<bool>(),
-                crlf in any::<bool>(),
-                chunks in 1usize..9,
-            ) {
-                let sep = if crlf { "\r\n" } else { "\n" };
-                let mut body = lines.join(sep);
-                if trailing_newline && !body.is_empty() {
-                    body.push_str(sep);
-                }
-                let td = TempDir::new("nodb-csv-prop").unwrap();
-                let p = td.file("d.csv");
-                std::fs::write(&p, &body).unwrap();
-                let len = body.len() as u64;
-
-                // Whole-file sequences: (offset, line) pairs per backend.
-                let mut per_backend = Vec::new();
-                for backend in backends() {
-                    let mut r = LineReader::open_with(&p, backend).unwrap();
-                    let mut buf = Vec::new();
-                    let mut out = Vec::new();
-                    while let Some(off) = r.next_line(&mut buf).unwrap() {
-                        out.push((off, buf.clone()));
-                    }
-                    per_backend.push(out);
-                }
-                for w in per_backend.windows(2) {
-                    prop_assert_eq!(&w[0], &w[1]);
-                }
-
-                // Chunk boundaries and per-chunk contents.
-                let base_ranges = split_line_aligned(&p, 0, len, chunks).unwrap();
-                for backend in backends() {
-                    let src = Arc::new(ByteSource::open(&p, backend).unwrap());
-                    let ranges = split_line_aligned_src(&src, 0, len, chunks).unwrap();
-                    prop_assert_eq!(&ranges, &base_ranges);
-                    for range in &ranges {
-                        let private = range_lines_with(&p, *range, backend);
-                        let mut shared = Vec::new();
-                        let mut r = LineReader::from_source(Arc::clone(&src), *range);
-                        let mut buf = Vec::new();
-                        while r.next_line(&mut buf).unwrap().is_some() {
-                            shared.push(buf.clone());
-                        }
-                        let reference = range_lines(&p, *range);
-                        prop_assert_eq!(&private, &reference);
-                        prop_assert_eq!(&shared, &reference);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn line_at_handles_crlf_and_long_lines() {
-        let td = TempDir::new("nodb-csv").unwrap();
-        let p = td.file("d.csv");
-        let long = "x".repeat(5000);
-        std::fs::write(&p, format!("{long}\r\ntail")).unwrap();
-        for backend in backends() {
-            let mut w = SlidingWindow::open_with(&p, backend).unwrap();
-            assert_eq!(w.line_at(0).unwrap().len(), 5000, "{backend}");
         }
     }
 }

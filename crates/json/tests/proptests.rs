@@ -7,9 +7,9 @@
 //!    line splitter behind parallel cold scans — partitions JSONL bodies
 //!    into exactly-covering, record-aligned chunks (the JSONL mirror of
 //!    the CSV chunking proptest).
-//! 3. **I/O-backend parity**: the `mmap` and buffered-`read` substrates
-//!    feed the tokenizer identical record bytes, key positions and chunk
-//!    coverage (the JSONL half of the ISSUE 4 differential proptests).
+//! 3. **Shared-source chunks**: chunks read through one shared
+//!    `ByteSource` feed the tokenizer the whole file's record offsets, key
+//!    positions and values.
 
 use proptest::prelude::*;
 
@@ -187,15 +187,14 @@ proptest! {
         prop_assert_eq!(chunked, whole);
     }
 
-    /// The mmap and buffered-read I/O backends are interchangeable under
-    /// the JSONL tokenizer: over arbitrary generated files (escapes,
-    /// unicode, omitted keys, CRLF, missing trailing newline, empty
-    /// files, more chunks than records) both backends yield identical
-    /// line offsets, tokenizer key positions, parsed values and chunk
-    /// coverage — whether chunks re-open the file or slice one shared
-    /// mapping.
+    /// Chunks read through one shared source tokenize like the whole
+    /// file: over arbitrary generated files (escapes, unicode, omitted
+    /// keys, CRLF, missing trailing newline, empty files, more chunks than
+    /// records) the per-chunk line offsets, tokenizer key positions and
+    /// parsed values concatenate to the whole file's, whether each chunk
+    /// re-opens the file or all of them share one source.
     #[test]
-    fn jsonl_io_backends_tokenize_identically(
+    fn jsonl_shared_source_chunks_tokenize_like_the_whole_file(
         rows in proptest::collection::vec(row_strategy(), 0..30),
         omit_nulls in any::<bool>(),
         crlf in any::<bool>(),
@@ -209,50 +208,39 @@ proptest! {
         let len = body.len() as u64;
         let format = JsonFormat::from_schema(&schema());
 
-        // (line offset, key positions, values) per record, per backend.
+        // (line offset, key positions, values) per record.
         let tokenize_reader = |r: &mut LineReader| {
-            let mut line = Vec::new();
             let mut out = Vec::new();
-            while let Some(off) = r.next_line(&mut line).unwrap() {
+            while let Some((off, line)) = r.next_line_ref().unwrap() {
                 let mut starts = Vec::new();
-                format.positions_upto(&line, DTYPES.len() - 1, &mut starts).unwrap();
+                format.positions_upto(line, DTYPES.len() - 1, &mut starts).unwrap();
                 let vals: Vec<Value> = starts
                     .iter()
                     .zip(DTYPES)
-                    .map(|(&s, dt)| format.parse_at(&line, s, dt).unwrap())
+                    .map(|(&s, dt)| format.parse_at(line, s, dt).unwrap())
                     .collect();
                 out.push((off, starts, vals));
             }
             out
         };
-        let whole_read =
-            tokenize_reader(&mut LineReader::open_with(&p, IoBackend::Read).unwrap());
-        let whole_mmap =
-            tokenize_reader(&mut LineReader::open_with(&p, IoBackend::Mmap).unwrap());
-        prop_assert_eq!(&whole_read, &whole_mmap);
-        prop_assert_eq!(whole_read.len(), rows.len());
+        let whole = tokenize_reader(&mut LineReader::open(&p).unwrap());
+        prop_assert_eq!(whole.len(), rows.len());
 
-        // Chunk coverage: identical boundaries, and per-chunk records
-        // concatenate to the whole file under both backends (shared
-        // source slicing included).
-        let base_ranges = split_line_aligned(&p, 0, len, chunks).unwrap();
-        for backend in [IoBackend::Read, IoBackend::Mmap] {
-            let src = std::sync::Arc::new(ByteSource::open(&p, backend).unwrap());
-            let ranges = split_line_aligned_src(&src, 0, len, chunks).unwrap();
-            prop_assert_eq!(&ranges, &base_ranges);
-            let mut private = Vec::new();
-            let mut shared = Vec::new();
-            for range in &ranges {
-                private.extend(tokenize_reader(
-                    &mut LineReader::open_range_with(&p, *range, backend).unwrap(),
-                ));
-                shared.extend(tokenize_reader(&mut LineReader::from_source(
-                    std::sync::Arc::clone(&src),
-                    *range,
-                )));
-            }
-            prop_assert_eq!(&private, &whole_read);
-            prop_assert_eq!(&shared, &whole_read);
+        let src = std::sync::Arc::new(ByteSource::open(&p, IoBackend::Read).unwrap());
+        let ranges = split_line_aligned_src(&src, 0, len, chunks).unwrap();
+        prop_assert_eq!(&ranges, &split_line_aligned(&p, 0, len, chunks).unwrap());
+        let mut private = Vec::new();
+        let mut shared = Vec::new();
+        for range in &ranges {
+            private.extend(tokenize_reader(
+                &mut LineReader::open_range(&p, *range).unwrap(),
+            ));
+            shared.extend(tokenize_reader(&mut LineReader::from_source(
+                std::sync::Arc::clone(&src),
+                *range,
+            )));
         }
+        prop_assert_eq!(&private, &whole);
+        prop_assert_eq!(&shared, &whole);
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! $ nodb-server --listen 127.0.0.1:5433 \
 //!       --register events ./events.csv "day date, user text, ms int"
-//! nodb-server listening on 127.0.0.1:5433 (io backend: read)
+//! nodb-server listening on 127.0.0.1:5433
 //! ```
 //!
 //! One shared engine serves every connection, so the positional maps,
@@ -88,7 +88,6 @@ fn main() {
         die("exactly one of --listen host:port or --unix PATH is required");
     }
 
-    let io = config.effective_io_backend();
     let mut db = match NoDb::new(config) {
         Ok(db) => db,
         Err(e) => {
@@ -129,7 +128,7 @@ fn main() {
         (None, Some(p)) => format!("unix:{p}"),
         _ => unreachable!(),
     };
-    println!("nodb-server listening on {where_} (io backend: {io})");
+    println!("nodb-server listening on {where_}");
 
     let handle = server.handle();
     let serving = std::thread::spawn(move || server.serve());

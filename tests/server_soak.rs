@@ -10,9 +10,8 @@
 //! served the others (the server-side amortization the paper's model
 //! implies).
 //!
-//! CI runs this under both `NODB_IO_BACKEND=read` and `mmap` with a
-//! hard timeout: a deadlocked worker pool fails the job rather than
-//! hanging it.
+//! CI runs this with a hard timeout: a deadlocked worker pool fails the
+//! job rather than hanging it.
 
 use std::path::PathBuf;
 use std::sync::Arc;
