@@ -363,16 +363,26 @@ mod tests {
         assert_eq!(r.next_line(&mut buf).unwrap(), Some(3));
         assert_eq!(buf, b"b");
         assert_eq!(r.next_line(&mut buf).unwrap(), None);
+    }
 
+    /// A long line comes back whole and without its `\r\n`, and a reader
+    /// opened at a known line offset serves the line that starts there.
+    #[test]
+    fn line_at_handles_crlf_and_long_lines() {
         // A long line ending in `\r\n`, then a tail without a newline.
         let long = "x".repeat(5000);
         let (_td, p) = write_bytes(format!("{long}\r\ntail").as_bytes());
+        let mut buf = Vec::new();
         let mut r = LineReader::open(&p).unwrap();
         assert_eq!(r.next_line(&mut buf).unwrap(), Some(0));
         assert_eq!(buf, long.as_bytes());
         assert_eq!(r.next_line(&mut buf).unwrap(), Some(5002));
         assert_eq!(buf, b"tail");
         assert_eq!(r.next_line(&mut buf).unwrap(), None);
+
+        let mut r = LineReader::open_at(&p, 5002).unwrap();
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(5002));
+        assert_eq!(buf, b"tail");
     }
 
     #[test]
