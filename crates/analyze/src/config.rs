@@ -60,6 +60,7 @@ impl Config {
                 // as a typed, located NoDbError, never panic a server
                 // worker.
                 "crates/core/src/scan.rs",
+                "crates/core/src/scan/kernel.rs",
                 // The per-record tokenizers both formats run per line.
                 "crates/csv/src/tokenize.rs",
                 "crates/json/src/tokenize.rs",
@@ -72,6 +73,10 @@ impl Config {
                 // The typed column every cache-served block and batch
                 // carries.
                 "crates/common/src/column.rs",
+                // The cache's column builder and stage: the scan kernel
+                // writes every value it converts through them.
+                "crates/cache/src/column.rs",
+                "crates/cache/src/staging.rs",
             ]
             .map(String::from)
             .to_vec(),

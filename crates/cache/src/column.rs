@@ -59,14 +59,14 @@ impl CachedColumn {
         rows <= self.rows && self.is_complete()
     }
 
-    /// Whether every one of the block-local `rows` is cached.
-    pub fn has_all(&self, rows: &[usize]) -> bool {
-        rows.iter().all(|&r| self.present.get(r))
+    /// Whether the block-local row is cached.
+    pub fn has(&self, local_row: usize) -> bool {
+        self.present.get(local_row)
     }
 
     /// The typed values, one lane per block row (holes read as NULL:
     /// check [`covers`](CachedColumn::covers) or
-    /// [`has_all`](CachedColumn::has_all) first).
+    /// [`has`](CachedColumn::has) first).
     pub fn column(&self) -> &Column {
         &self.col
     }
@@ -208,11 +208,6 @@ impl ColumnBuilder {
         }
     }
 
-    /// Number of values recorded.
-    pub fn filled(&self) -> usize {
-        self.col.present.count()
-    }
-
     /// Finish, computing byte accounting.
     pub fn build(mut self) -> CachedColumn {
         let c = &mut self.col;
@@ -248,12 +243,12 @@ mod tests {
         b.set(2, &Value::Null);
         let c = b.build();
         let rows = [5, 2, 0];
-        assert!(c.has_all(&rows));
+        assert!(rows.iter().all(|&r| c.has(r)));
         let g = c.column().gather(&rows).unwrap();
         let got: Vec<Value> = (0..rows.len()).map(|i| g.value(i)).collect();
         assert_eq!(got, vec![c.get(5).unwrap(), Value::Null, c.get(0).unwrap()]);
         // A hole (row 4) or a row past the column is not cached.
-        assert!(!c.has_all(&[0, 4]) && !c.has_all(&[6]));
+        assert!(!c.has(4) && !c.has(6));
         assert!(!c.covers(4));
         let mut b = ColumnBuilder::new(0, 0, DataType::Int64, 3);
         b.set(0, &Value::Int64(1));

@@ -206,7 +206,6 @@ mod sys {
 
     const PROT_READ: i32 = 0x1;
     const MAP_SHARED: i32 = 0x1;
-    const MADV_SEQUENTIAL: i32 = 2;
     const MADV_WILLNEED: i32 = 3;
 
     extern "C" {
@@ -264,16 +263,6 @@ mod sys {
             // bytes, valid until `drop` unmaps it; the file is treated as
             // immutable for the mapping's lifetime.
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-
-        /// Unused since no engine path maps a file; it keeps its audited
-        /// `unsafe` block until the mapped representation is deleted.
-        #[allow(dead_code)]
-        pub(super) fn advise_sequential(&self) {
-            // SAFETY: advice on a live mapping; errors are advisory.
-            unsafe {
-                madvise(self.ptr, self.len, MADV_SEQUENTIAL);
-            }
         }
 
         pub(super) fn advise_willneed(&self) {

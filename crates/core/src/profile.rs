@@ -9,11 +9,9 @@
 //! table runtime plus one per executing query), and [`QueryProfile`]
 //! (what [`QueryCursor::profile`](crate::QueryCursor::profile) returns).
 //!
-//! Timing every field conversion would tax the cold-scan hot path
-//! measurably (two clock reads per row-phase), so scans *sample*: one
-//! row in [`SAMPLE_EVERY`] takes the clock (row 0 always does), and the
-//! sampled nanoseconds are scaled by the stride. Byte and value counts
-//! are exact — only the `_ns` fields are estimates.
+//! Scans time each phase once per run of rows (up to a few hundred lines
+//! formed together), so the clock costs nothing per row. Byte and value
+//! counts are exact; the `_ns` fields are wall-clock.
 //!
 //! Per-query attribution works without threading a context through
 //! every `TableProvider`: `Statement::execute` installs the query's
@@ -25,28 +23,21 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Scans time one row in this many; sampled nanoseconds are scaled by
-/// the same stride.
-pub const SAMPLE_EVERY: u64 = 64;
-
-/// Per-phase wall-clock and volume for raw-table work. The `_ns` fields
-/// are sampled estimates (see module docs); the byte/count fields are
-/// exact.
+/// Per-phase wall-clock and volume for raw-table work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Estimated nanoseconds fetching raw bytes (line reads / mapped
-    /// window slices).
+    /// Nanoseconds fetching raw bytes (cold line reads, map-covered
+    /// range reads).
     pub io_ns: u64,
     /// Raw-file bytes fetched for rows the scan visited.
     pub io_bytes: u64,
-    /// Estimated nanoseconds locating fields by scanning characters.
+    /// Nanoseconds locating fields by scanning characters.
     pub tokenize_ns: u64,
     /// Bytes consumed by tokenization (mirrors
     /// `ScanMetrics::bytes_tokenized` per query).
     pub tokenize_bytes: u64,
-    /// Estimated nanoseconds converting/serving field values (includes
+    /// Nanoseconds converting/serving field values (includes
     /// anchored re-tokenization on the warm path).
     pub parse_ns: u64,
     /// Field values converted from ASCII to binary.
@@ -155,32 +146,6 @@ impl Drop for QueryScope {
     }
 }
 
-/// Sampled phase stopwatch for one scan phase: every
-/// [`SAMPLE_EVERY`]-th row reads the clock and scales the measurement
-/// by the stride, so per-row overhead stays amortized to a branch.
-#[derive(Debug, Default)]
-pub(crate) struct SampledClock {
-    started: Option<Instant>,
-}
-
-impl SampledClock {
-    /// Start timing if `row_idx` is a sampled row.
-    #[inline]
-    pub(crate) fn start(&mut self, row_idx: u64) {
-        if row_idx.is_multiple_of(SAMPLE_EVERY) {
-            self.started = Some(Instant::now());
-        }
-    }
-
-    /// Stop a running sample and add the scaled nanoseconds to `sink`.
-    #[inline]
-    pub(crate) fn stop(&mut self, sink: &mut u64) {
-        if let Some(t) = self.started.take() {
-            *sink += t.elapsed().as_nanos() as u64 * SAMPLE_EVERY;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,18 +189,5 @@ mod tests {
             assert!(Arc::ptr_eq(&current_query().unwrap(), &outer));
         }
         assert!(current_query().is_none());
-    }
-
-    #[test]
-    fn sampled_clock_times_sampled_rows_only() {
-        let mut c = SampledClock::default();
-        let mut ns = 0u64;
-        c.start(1); // not a sampled row
-        c.stop(&mut ns);
-        assert_eq!(ns, 0);
-        c.start(0);
-        c.stop(&mut ns);
-        // Scaled by the stride; any nonzero elapsed counts.
-        assert_eq!(ns % SAMPLE_EVERY, 0);
     }
 }

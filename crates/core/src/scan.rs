@@ -17,48 +17,51 @@
 //! * **Statistics** — a sample of parsed values feeds the optimizer on
 //!   first touch of each attribute.
 //!
-//! Internally the scan works block-at-a-time (one positional-map block,
-//! default 4096 tuples) for locality: each pump forms one block's
-//! qualifying rows into a column-major [`ValueBatch`], which the scan
-//! hands out in slices of the size each `next_batch` call asks for.
+//! # One block kernel
+//!
+//! Every row is formed by one kernel (`scan/kernel.rs`) over a *run*:
+//! consecutive rows of one positional-map block (default 4096 tuples)
+//! whose raw lines sit in one buffer. A value comes from one of four
+//! sources, best first: the cache, the exact positional map, an indexed
+//! anchor, or tokenizing the line. The kernel fills a typed column per
+//! WHERE attribute over the run, runs each conjunct through the batch
+//! evaluator over the rows the earlier ones passed (selective parsing as
+//! a selection vector), and only then fills the SELECT attributes of the
+//! survivors. Values converted from the file also go to the cache stage,
+//! the statistics sampler and, on a collecting block, the map chunk. A
+//! run the cache answers in full reads no raw byte (§4.3).
+//!
+//! * **Errors keep file order.** When several rows of a run fail, the
+//!   error names the earliest, as forming the rows one at a time would:
+//!   each phase visits only the rows before the earliest failure found so
+//!   far, so an earlier row's SELECT conversion error wins over a later
+//!   row's short record. Cold runs tokenize every row up to the highest
+//!   projected attribute before converting anything, so a record too
+//!   short for it fails whatever the WHERE clause would decide.
+//!
+//! Each pump forms one block into a column-major [`ValueBatch`], handed
+//! out in slices of the size each `next_batch` call asks for.
 //!
 //! # Concurrency
 //!
 //! The table runtime is lock-split ([`RawTableRuntime`]); any number of
 //! scans may run against one table at once:
 //!
-//! * **Warm (map-covered) regions** are read under *shared* locks: the
-//!   per-block temporary map and the cache columns are snapshotted, the
-//!   locks released, and rows produced without holding anything. Freshly
-//!   collected chunks/columns are merged back in short write sections.
-//! * **Cold regions** have one kernel, `scan_chunk`: it tokenizes and
-//!   parses a run of lines into private staging (EOL segment,
-//!   positional-map segment, cache stage, sampled statistics, qualifying
-//!   rows) while holding no lock, and one merge folds the staging into
-//!   the shared structures in a short write section, in file order. Two
-//!   dispatch modes feed it. With `scan_threads > 1` the whole
-//!   un-indexed byte range is split into line-aligned chunks
-//!   ([`nodb_csv::lines::split_line_aligned_src`]) and a scoped worker
-//!   runs the kernel over each; the merge walks the chunks in file order
-//!   so rows are emitted exactly as a single-threaded scan would emit
-//!   them. With one thread (or when continuing privately past a dropped
-//!   index) a persistent reader is fed through the same kernel one
-//!   positional-map block per pump, so an abandoned cursor stops the
-//!   scan — and bounds its memory — at block granularity.
-//! * **Cache-served blocks** are the third dispatch mode: a map-covered
-//!   block collecting no positional-map chunk, whose WHERE columns are
-//!   completely cached and whose SELECT columns all have a cache entry,
-//!   is formed column at a time instead of row by row. Each WHERE column
-//!   is copied once from its typed cache column, the conjuncts run in
-//!   order through the batch evaluator (each over the rows the earlier
-//!   ones passed — the row kernel's short-circuit), and the SELECT
-//!   columns' typed values are gathered for the survivors only. A
-//!   survivor that hits a hole in a SELECT column sends the block back to
-//!   the row kernel, and the abandoned attempt records no metrics. A block whose needed
-//!   columns are all completely cached (or that needs none, as
-//!   `COUNT(*)` does) is always cache-served, so it never touches the raw
-//!   file — the paper's "avoid raw file access altogether" (§4.3) — and
-//!   the row kernel always reads each line it forms.
+//! * **Warm (map-covered) blocks** snapshot their temporary map and cache
+//!   columns under *shared* locks, release them, and form their runs —
+//!   the lines of at most `RANGE_READ` raw bytes each — holding nothing.
+//!   Freshly collected chunks/columns are merged back in short write
+//!   sections.
+//! * **Cold regions** go through `scan_chunk`, which stages what it learns
+//!   (EOL segment, positional-map segment, cache stage, sampled
+//!   statistics, qualifying rows) while holding no lock; one merge folds
+//!   the staging into the shared structures, in file order. With
+//!   `scan_threads > 1` the whole un-indexed range is split into
+//!   line-aligned chunks ([`nodb_csv::lines::split_line_aligned_src`]),
+//!   one scoped worker per chunk. With one thread (or when continuing
+//!   privately past a dropped index) a persistent reader feeds it one
+//!   positional-map block per pump, so an abandoned cursor stops the scan
+//!   — and bounds its memory — at block granularity.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
@@ -67,18 +70,20 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use nodb_cache::{CachedColumn, ChunkStage, ColumnBuilder};
-use nodb_common::{
-    ByteSource, Column, DataType, IoBackend, LineFormat, NoDbError, Result, Row, Schema, Value,
-};
-use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader};
-use nodb_exec::{eval_predicate, eval_predicate_batch, BatchQueue, Operator, ValueBatch};
+use nodb_cache::{CachedColumn, ChunkStage};
+use nodb_common::{ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Schema, Value};
+use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, LineRun};
+use nodb_exec::{BatchQueue, Operator, ValueBatch};
 use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
 use nodb_sql::BoundExpr;
 use nodb_stats::StatsBuilder;
 
-use crate::profile::{self, PhaseProfile, PhaseProfileAtomic, SampledClock};
+use crate::profile::{self, PhaseProfile, PhaseProfileAtomic};
 use crate::runtime::{RawTableRuntime, ScanMetrics};
+
+mod kernel;
+use kernel::{require_fields, Kernel, Positions, Run};
+
 /// Which auxiliary structures this scan may read and write.
 #[derive(Debug, Clone, Copy)]
 pub struct AuxFlags {
@@ -106,37 +111,28 @@ struct Ctx {
     projection: Vec<usize>,
     /// Their types: the scan's batch columns.
     types: Vec<DataType>,
-    /// Conjuncts bound to projection-space ordinals.
-    filters: Vec<BoundExpr>,
-    /// The same conjuncts over a batch of the WHERE columns alone
-    /// (ordinals into `where_locals`), for cache-served blocks.
+    /// The conjuncts over a batch of the WHERE columns alone (ordinals
+    /// into `where_locals`).
     where_filters: Vec<BoundExpr>,
     /// Whether the file's first line is a header to skip.
     has_header: bool,
+    /// Projected columns the conjuncts read, ascending.
     where_locals: Vec<usize>,
+    /// The other projected columns.
     select_locals: Vec<usize>,
     sample_stride: u64,
 }
 
-impl Ctx {
-    fn dtype(&self, local: usize) -> DataType {
-        self.types[local]
-    }
-}
-
-/// Most raw bytes a map-covered block reads at once, so that the rows
-/// they hold are still in the core's cache when they are formed. On
+/// Most raw bytes a map-covered run reads at once, so that the rows they
+/// hold are still in the core's cache when they are formed. On
 /// `adaptive_sequence`, reading a whole block at once or 1 MiB at a time
 /// cost more CPU per operation; 64 KiB was no better.
 const RANGE_READ: u64 = 256 << 10;
 
-/// Unwrap an `Option` held by a control-flow invariant (a reader or
-/// source opened earlier in the pass) with a located internal error
-/// instead of a panic — hot-path modules are panic-free (enforced by
-/// `nodb-analyze`'s panic-path arm).
-fn held<T>(opt: Option<T>, what: &'static str) -> Result<T> {
-    opt.ok_or_else(|| NoDbError::internal(format!("scan invariant violated: {what}")))
-}
+/// Most lines a cold run tokenizes before it converts any, so that the
+/// lines and their positions are still in the core's cache when the
+/// run's values are converted.
+const RUN_LINES: usize = 128;
 
 /// The in-situ scan operator.
 pub struct InSituScanOp {
@@ -156,12 +152,11 @@ pub struct InSituScanOp {
     done: bool,
     /// Rows formed by the last pump, waiting to be pulled.
     out: BatchQueue,
-    /// The raw file as map-covered blocks read it, opened at the first
+    /// The raw file as map-covered runs read it, opened at the first
     /// one (reopened once the index reaches past its length).
     src: Option<ByteSource>,
-    /// Raw bytes of the map-covered block being formed, reused across
-    /// blocks.
-    block_buf: Vec<u8>,
+    /// Raw bytes of the map-covered run being formed, reused across runs.
+    run_buf: Vec<u8>,
     reader: Option<LineReader>,
     next_row: u64,
     /// Positional-map block granularity, read once in [`prepare`] (the
@@ -197,6 +192,23 @@ impl InSituScanOp {
     ) -> InSituScanOp {
         let threads = threads.max(1);
         let types = projection.iter().map(|&a| schema.field(a).dtype).collect();
+        let mut where_set = std::collections::BTreeSet::new();
+        for f in &filters {
+            f.referenced_columns(&mut where_set);
+        }
+        let where_locals: Vec<usize> = where_set.iter().copied().collect();
+        let select_locals = (0..projection.len())
+            .filter(|i| !where_set.contains(i))
+            .collect();
+        // Every referenced column is in `where_locals`; an out-of-range
+        // ordinal would surface as a typed evaluation error.
+        let to_where = |i: usize| {
+            where_locals
+                .iter()
+                .position(|&w| w == i)
+                .unwrap_or(usize::MAX)
+        };
+        let where_filters = filters.iter().map(|f| f.map_columns(&to_where)).collect();
         InSituScanOp {
             runtime,
             flags,
@@ -207,11 +219,10 @@ impl InSituScanOp {
                 format,
                 projection,
                 types,
-                filters,
-                where_filters: Vec::new(),
+                where_filters,
                 has_header,
-                where_locals: Vec::new(),
-                select_locals: Vec::new(),
+                where_locals,
+                select_locals,
                 sample_stride: sample_stride.max(1),
             },
             query_profile: profile::current_query(),
@@ -219,7 +230,7 @@ impl InSituScanOp {
             done: false,
             out: BatchQueue::default(),
             src: None,
-            block_buf: Vec::new(),
+            run_buf: Vec::new(),
             reader: None,
             next_row: 0,
             block_rows: 0,
@@ -240,30 +251,6 @@ impl InSituScanOp {
         // re-acquiring the map lock per cold pass.
         self.block_rows = self.runtime.posmap.read().block_rows() as u64;
 
-        let mut where_set = std::collections::BTreeSet::new();
-        for f in &self.ctx.filters {
-            f.referenced_columns(&mut where_set);
-        }
-        self.ctx.where_locals = where_set.iter().copied().collect();
-        self.ctx.select_locals = (0..self.ctx.projection.len())
-            .filter(|i| !where_set.contains(i))
-            .collect();
-        let where_locals = &self.ctx.where_locals;
-        // Every referenced column is in `where_locals`; an out-of-range
-        // ordinal would surface as a typed evaluation error.
-        let to_where = |i: usize| {
-            where_locals
-                .iter()
-                .position(|&w| w == i)
-                .unwrap_or(usize::MAX)
-        };
-        self.ctx.where_filters = self
-            .ctx
-            .filters
-            .iter()
-            .map(|f| f.map_columns(&to_where))
-            .collect();
-
         // Workload log: one touch per projected attribute per scan (file
         // ordinals, not projection-local ones). Pure observation — with
         // no budget set nothing ever consults it.
@@ -274,7 +261,7 @@ impl InSituScanOp {
         // for *every* tuple (WHERE attributes always; SELECT attributes
         // only when there is no predicate), and without stats yet.
         if self.flags.stats {
-            let candidates: Vec<usize> = if self.ctx.filters.is_empty() {
+            let candidates: Vec<usize> = if self.ctx.where_filters.is_empty() {
                 (0..self.ctx.projection.len()).collect()
             } else {
                 self.ctx.where_locals.clone()
@@ -284,7 +271,7 @@ impl InSituScanOp {
                 let attr = self.ctx.projection[local] as u32;
                 if !stats.has_column(attr) {
                     self.stat_builders
-                        .push((local, StatsBuilder::new(self.ctx.dtype(local))));
+                        .push((local, StatsBuilder::new(self.ctx.types[local])));
                 }
             }
         }
@@ -302,6 +289,16 @@ impl InSituScanOp {
         self.runtime.profile.add(p);
         if let Some(q) = &self.query_profile {
             q.add(p);
+        }
+    }
+
+    /// Feed sampled values (one list per statistics builder, in order)
+    /// to the builders.
+    fn offer_samples(&mut self, samples: Vec<(usize, Vec<Value>)>) {
+        for ((_, builder), (_, samples)) in self.stat_builders.iter_mut().zip(samples) {
+            for v in samples {
+                builder.offer(&v);
+            }
         }
     }
 
@@ -391,7 +388,10 @@ impl InSituScanOp {
             // path re-collects the grown block from its start later.
             flags.posmap &= first_row.is_multiple_of(self.block_rows);
             let limit = self.block_rows - first_row % self.block_rows;
-            let reader = held(self.reader.as_mut(), "reader opened above")?;
+            // Opened above; hot-path modules are panic-free (enforced by
+            // `nodb-analyze`'s panic-path arm).
+            let reader = (self.reader.as_mut())
+                .ok_or_else(|| NoDbError::internal("scan reader not opened"))?;
             let chunk = scan_chunk(ctx, reader, limit, Some(first_row), flags, &stat_locals)?;
             let eof = (chunk.line_starts.len() as u64) < limit;
             (vec![chunk], eof)
@@ -429,12 +429,8 @@ impl InSituScanOp {
                     None => stage_acc = Some(stage),
                 }
             }
-            for ((_, builder), samples) in self.stat_builders.iter_mut().zip(o.stat_samples) {
-                for v in samples {
-                    builder.offer(&v);
-                }
-            }
-            emitted.push(o.emitted);
+            self.offer_samples(o.stat_samples);
+            emitted.extend(o.emitted);
             metrics.merge(&o.metrics);
             prof.merge(&o.profile);
             let base_row = first_row + rows;
@@ -483,13 +479,12 @@ impl InSituScanOp {
     }
 
     /// Map-assisted region: the EOL index covers these rows. Everything
-    /// the block needs is snapshotted under shared locks; rows are then
-    /// produced without holding any lock.
+    /// the block needs is snapshotted under shared locks; its runs are
+    /// then formed without holding any lock.
     fn process_mapped_block(&mut self) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
         let mut metrics = ScanMetrics::default();
         let mut prof = PhaseProfile::default();
-        let mut clock = SampledClock::default();
         let needed: Vec<u32> = self.ctx.projection.iter().map(|&a| a as u32).collect();
 
         let pm = runtime.posmap.read();
@@ -503,7 +498,8 @@ impl InSituScanOp {
         }
         let cov_end = covered.min(block_start + block_rows);
         let rows = (cov_end - block_start) as usize;
-        let line_starts: Vec<u64> = pm
+        // Each row's line start, then the end of the block's last line.
+        let mut bounds: Vec<u64> = pm
             .eol()
             .starts(block_start, cov_end)
             .ok_or_else(|| NoDbError::internal("EOL coverage changed mid-scan"))?
@@ -512,6 +508,7 @@ impl InSituScanOp {
             .eol()
             .start_of(cov_end)
             .unwrap_or_else(|| pm.eol().frontier());
+        bounds.push(end_bound);
         // `entries` is `None` when a needed chunk is spilled (reloaded
         // under the write lock below).
         let (entries, collect) = if self.flags.posmap && !needed.is_empty() {
@@ -540,165 +537,98 @@ impl InSituScanOp {
         } else {
             vec![None; needed.len()]
         };
-        let covered = |local: usize| cached[local].as_ref().is_some_and(|c| c.covers(rows));
 
-        let cache_served = !collect
-            && self.ctx.where_locals.iter().all(|&l| covered(l))
-            && self.ctx.select_locals.iter().all(|&l| cached[l].is_some());
-        if cache_served {
-            let started = Instant::now();
-            let served = serve_cached(&self.ctx, &cached, rows)?;
-            // Charged to the phase the row kernel charges, whether the
-            // attempt is kept or abandoned to the row kernel below.
-            prof.parse_ns += started.elapsed().as_nanos() as u64;
-            if let Some((batch, served_metrics)) = served {
-                self.out.push(batch);
-                self.add_profile(&prof);
-                runtime.metrics.add(&served_metrics);
-                self.next_row = cov_end;
-                self.resume_byte = end_bound;
-                return Ok(());
-            }
-        }
-
+        let ctx = &self.ctx;
         let mut collector = collect.then(|| BlockCollector::new(block, needed.clone()));
-        // Cache columns are only (re)built for attributes the file must
-        // supply; fully cached columns add no write-back work — warm
-        // queries must not pay for the cache they benefit from.
-        let mut cache_builders: Vec<Option<ColumnBuilder>> = (0..needed.len())
-            .map(|i| {
-                let complete = cached[i].as_ref().is_some_and(|c| c.is_complete());
-                if self.flags.cache && !complete {
-                    Some(ColumnBuilder::new(
-                        block,
-                        needed[i],
-                        self.ctx.dtype(i),
-                        rows,
-                    ))
-                } else {
-                    None
-                }
-            })
+        let mut stage = self.flags.cache.then(|| cache_stage(ctx));
+        let mut samples: Vec<_> = self
+            .stat_builders
+            .iter()
+            .map(|(l, _)| (*l, Vec::new()))
             .collect();
-        let mut row_buf: Vec<Value> = vec![Value::Null; needed.len()];
-        let mut emitted = ValueBatch::with_capacity(&self.ctx.types, 0);
-        let mut positions: Vec<u32> = vec![0; needed.len()];
-        let mut starts: Vec<u32> = Vec::new();
-
-        // The block's lines arrive through positioned reads of up to
-        // `RANGE_READ` bytes into a buffer the scan reuses; each row is a
-        // slice of it.
-        let mut buf = std::mem::take(&mut self.block_buf);
-        // The file range `buf` holds.
-        let (mut buf_start, mut buf_end) = (0, 0);
-        prof.io_bytes += line_starts.first().map_or(0, |&s| end_bound - s);
-
-        for r in 0..rows {
-            let line_start = line_starts[r];
-            let line_end = if r + 1 < rows {
-                line_starts[r + 1]
-            } else {
-                end_bound
-            };
-            if line_end > buf_end {
-                let started = Instant::now();
-                buf_start = line_start;
-                buf_end = (line_start + RANGE_READ).min(end_bound).max(line_end);
-                self.read_range(buf_start, buf_end, &mut buf)?;
-                prof.io_ns += started.elapsed().as_nanos() as u64;
+        let mut kernel = Kernel {
+            ctx,
+            cached: &cached,
+            stage: stage.as_mut(),
+            samples: &mut samples,
+            metrics: &mut metrics,
+            scratch: Vec::new(),
+        };
+        let mut positions: Vec<u32> = Vec::new();
+        let mut batches = Vec::new();
+        let started = Instant::now();
+        // The source must reach the block's end: open it, or reopen it
+        // once the file grew past the length it was opened with.
+        let src = match &mut self.src {
+            Some(src) if src.len() >= end_bound => src,
+            slot => slot.insert(ByteSource::open(&ctx.path, IoBackend::Read)?),
+        };
+        prof.io_ns += started.elapsed().as_nanos() as u64;
+        // A block whose WHERE columns the cache holds complete, and whose
+        // SELECT columns it holds at least in part, is one run: it will
+        // most likely read nothing. Other blocks are cut into runs of
+        // the lines that fit one read of `RANGE_READ` bytes (and at
+        // least one line).
+        let cached_whole = |l: usize| cached[l].as_ref().is_some_and(|c| c.covers(rows));
+        let one_run = !collect
+            && ctx.where_locals.iter().all(|&l| cached_whole(l))
+            && ctx.select_locals.iter().all(|&l| cached[l].is_some());
+        let mut r0 = 0;
+        while r0 < rows {
+            let mut r1 = if one_run { rows } else { r0 + 1 };
+            while r1 < rows && bounds[r1 + 1] - bounds[r0] <= RANGE_READ {
+                r1 += 1;
             }
-            let mut line = &buf[(line_start - buf_start) as usize..(line_end - buf_start) as usize];
-            while let [rest @ .., b'\n' | b'\r'] = line {
-                line = rest;
-            }
-            let ctx = &self.ctx;
-            let row_id = block_start + r as u64;
-            let locate =
-                |e: NoDbError| e.at_raw_location(&ctx.path, Some(row_id), Some(line_start));
-            clock.start(r as u64);
-
-            // When collecting a new combination chunk, positions for all
-            // needed attributes are resolved up front (the paper's
-            // pre-computed temporary map); otherwise lazily.
+            let id = Some(block_start + r0 as u64);
+            let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf);
+            let mut run = Run::new(lines, r0, id);
+            run.positions = Positions::Map(&entries);
             if let Some(c) = collector.as_mut() {
-                for (i, p) in positions.iter_mut().enumerate() {
-                    let attr = needed[i] as usize;
-                    *p = resolve_position(
-                        ctx,
-                        line,
-                        attr,
-                        &entries[i],
-                        r,
-                        &mut starts,
-                        &mut metrics,
-                    )
-                    .map_err(locate)?;
-                }
-                c.push_row(&positions);
-            }
-
-            // One attribute's value: cache first, then the raw file via
-            // the best positional information. Only values that touched
-            // the file are written back to the cache and sampled.
-            let fetch = |local: usize| -> Result<Value> {
-                if let Some(v) = cached[local].as_ref().and_then(|col| col.get(r)) {
-                    metrics.fields_from_cache += 1;
-                    return Ok(v);
-                }
-                let start = if collect {
-                    positions[local]
-                } else {
-                    let attr = needed[local] as usize;
-                    resolve_position(
-                        ctx,
-                        line,
-                        attr,
-                        &entries[local],
-                        r,
-                        &mut starts,
-                        &mut metrics,
-                    )
-                    .map_err(locate)?
+                positions.clear();
+                let resolve = |k: &mut Kernel, line: &[u8], r| {
+                    let row = positions.len();
+                    for (entry, &attr) in entries.iter().zip(&ctx.projection) {
+                        positions.push(k.position(line, attr, entry, r)?);
+                    }
+                    c.push_row(&positions[row..]);
+                    Ok(())
                 };
-                let v = parse_value(
-                    ctx,
-                    line,
-                    start,
-                    local,
-                    Some(row_id),
-                    line_start,
-                    &mut metrics,
-                )?;
-                if let Some(b) = cache_builders[local].as_mut() {
-                    b.set(r, &v);
-                }
-                offer_stat(ctx, &mut self.stat_builders, local, row_id, &v);
-                Ok(v)
-            };
-            let formed = form_row(ctx, &mut row_buf, fetch)?;
-            clock.stop(&mut prof.parse_ns);
-            if formed {
-                emitted.push_row_taken(&mut row_buf)?;
-                metrics.rows_emitted += 1;
+                kernel.ahead(&mut run, resolve)?;
+                run.positions = Positions::Table(&positions);
             }
+            batches.push(kernel.form(&mut run)?);
+            prof.io_ns += run.lines.read_ns;
+            prof.io_bytes += run.lines.read_bytes;
+            r0 = r1;
         }
-        self.block_buf = buf;
-        self.out.push(emitted);
+        prof.parse_ns += (started.elapsed().as_nanos() as u64).saturating_sub(prof.io_ns);
+        self.out.push(ValueBatch::concat(batches)?);
+        self.offer_samples(samples);
 
         if let Some(c) = collector {
             if c.rows() > 0 {
                 runtime.posmap.write().insert(c.build());
             }
         }
-        let columns: Vec<ColumnBuilder> = cache_builders
+        // Columns the cache holds complete get no write-back: warm
+        // queries must not pay for the cache they benefit from.
+        let complete = |attr: u32| {
+            let local = needed.iter().position(|&a| a == attr);
+            local
+                .and_then(|l| cached[l].as_ref())
+                .is_some_and(|c| c.is_complete())
+        };
+        let columns: Vec<CachedColumn> = stage
+            .map_or_else(Vec::new, |s| {
+                s.into_columns(block_start, rows as u64, block_rows as usize)
+            })
             .into_iter()
-            .flatten()
-            .filter(|b| b.filled() > 0)
+            .filter(|c| !complete(c.attr))
             .collect();
         if !columns.is_empty() {
             let mut cache = runtime.cache.write();
-            for b in columns {
-                cache.insert(b.build());
+            for c in columns {
+                cache.insert(c);
             }
         }
         prof.parse_values = metrics.fields_parsed;
@@ -707,19 +637,6 @@ impl InSituScanOp {
         self.next_row = cov_end;
         self.resume_byte = end_bound;
         Ok(())
-    }
-
-    /// Read the raw bytes `[start, end)` into `buf` through the scan's
-    /// source, reopening it when `end` lies past the length it was opened
-    /// with (the file grew since). A file now shorter than `end` is a
-    /// typed error.
-    fn read_range(&mut self, start: u64, end: u64, buf: &mut Vec<u8>) -> Result<()> {
-        if self.src.as_ref().is_none_or(|s| s.len() < end) {
-            self.src = Some(ByteSource::open(&self.ctx.path, IoBackend::Read)?);
-        }
-        let src = held(self.src.as_ref(), "source opened above")?;
-        buf.resize((end - start) as usize, 0);
-        src.read_exact_at(start, buf)
     }
 
     fn finish_stats(&mut self) {
@@ -799,45 +716,51 @@ impl Operator for InSituScanOp {
     }
 }
 
-// ----- the cold kernel ---------------------------------------------------
+// ----- the cold path -----------------------------------------------------
 
-/// Everything one run of the cold kernel produced from its lines, staged
+/// Everything one [`scan_chunk`] produced from its lines, staged
 /// privately; [`InSituScanOp::merge`] folds it into the shared state.
 struct ChunkScan {
     /// Absolute line-start offsets, in order.
     line_starts: Vec<u64>,
     /// Byte one past the last line read (frontier contribution).
     end: u64,
-    /// Qualifying rows, in order.
-    emitted: ValueBatch,
+    /// Qualifying rows, one batch per run, in order.
+    emitted: Vec<ValueBatch>,
     /// Staged positional-map rows (attrs `0..=max_attr`).
     posmap: Option<SegmentCollector>,
     /// Staged cache values (one column per projected attribute).
     cache: Option<ChunkStage>,
-    /// Sampled values per stat builder (parallel to the op's
-    /// `stat_builders`).
-    stat_samples: Vec<Vec<Value>>,
-    /// Work done by this run.
+    /// Per stat builder (parallel to the op's `stat_builders`), its
+    /// projected column and sampled values.
+    stat_samples: Vec<(usize, Vec<Value>)>,
+    /// Work done by this chunk.
     metrics: ScanMetrics,
-    /// Phase timings/volumes accumulated by this run.
+    /// Phase timings/volumes accumulated by this chunk.
     profile: PhaseProfile,
 }
 
-/// The cold row loop (§4.1): read up to `max_rows` lines from `reader`,
-/// tokenize each selectively, form its tuple, and stage positions,
-/// values and statistics samples privately. Touches no shared state, so
-/// it runs on worker threads as well as on the querying thread.
-/// `row_base` is the global id of the first row when the caller knows it
-/// (error locations and statistics sampling then use global row ids);
-/// chunk workers pass `None` and count from the chunk start.
+/// A cache stage for every projected attribute.
+fn cache_stage(ctx: &Ctx) -> ChunkStage {
+    let attrs = ctx.projection.iter().zip(&ctx.types);
+    ChunkStage::new(attrs.map(|(&a, &t)| (a as u32, t)).collect())
+}
+
+/// The cold path (§4.1): read up to `max_rows` lines from `reader` a run
+/// at a time, tokenize each run's rows, form them through the block
+/// kernel, and stage positions, values and statistics samples privately.
+/// Touches no shared state, so it runs on worker threads as well as on
+/// the querying thread. `row_base` is the global id of the first row when
+/// the caller knows it (error locations and statistics sampling then use
+/// global row ids); chunk workers pass `None` and count from the chunk
+/// start.
 ///
 /// Each row is tokenized exactly once, by one
 /// [`LineFormat::positions_upto`] call up to the highest projected
-/// attribute, before any value is converted: a record too short for that
-/// attribute is a located error whatever the WHERE clause would decide.
-/// Conjuncts are evaluated only in [`form_row`], so a row is tokenized,
-/// converted and failed the same way under every access mode and
-/// auxiliary configuration.
+/// attribute, before any value of its run is converted: a record too
+/// short for that attribute is a located error whatever the WHERE clause
+/// would decide, so a row is tokenized, converted and failed the same way
+/// under every access mode and auxiliary configuration.
 fn scan_chunk(
     ctx: &Ctx,
     reader: &mut LineReader,
@@ -846,98 +769,72 @@ fn scan_chunk(
     flags: AuxFlags,
     stat_locals: &[usize],
 ) -> Result<ChunkScan> {
-    let max_attr = ctx.projection.last().copied().unwrap_or(0);
+    // Positions kept per row: attributes `0..=max_attr`.
+    let stride = ctx.projection.last().map_or(0, |&a| a + 1);
     let mut out = ChunkScan {
         line_starts: Vec::new(),
         end: reader.offset(),
-        emitted: ValueBatch::with_capacity(&ctx.types, 0),
-        posmap: (flags.posmap && !ctx.projection.is_empty())
-            .then(|| SegmentCollector::new((0..=max_attr as u32).collect())),
+        emitted: Vec::new(),
+        posmap: (flags.posmap && stride > 0)
+            .then(|| SegmentCollector::new((0..stride as u32).collect())),
         // Values are staged, not written into preallocated columns: the
         // merge sizes columns to the rows actually seen (the last block
         // of a file is short; full columns would inflate cache
         // accounting).
-        cache: flags.cache.then(|| {
-            ChunkStage::new(
-                ctx.projection
-                    .iter()
-                    .map(|&a| (a as u32, ctx.schema.field(a).dtype))
-                    .collect(),
-            )
-        }),
-        stat_samples: vec![Vec::new(); stat_locals.len()],
+        cache: flags.cache.then(|| cache_stage(ctx)),
+        stat_samples: stat_locals.iter().map(|&l| (l, Vec::new())).collect(),
         metrics: ScanMetrics::default(),
         profile: PhaseProfile::default(),
     };
-    let mut clock = SampledClock::default();
-    let mut starts: Vec<u32> = Vec::with_capacity(max_attr + 1);
-    let mut row_buf: Vec<Value> = vec![Value::Null; ctx.projection.len()];
-    let mut rows: u32 = 0;
-    while (rows as u64) < max_rows {
-        // The row's global id where known, else its chunk-local one:
-        // drives clock and statistics sampling.
-        let tick = row_base.unwrap_or(0) + rows as u64;
-        clock.start(tick);
-        let fetched = reader.next_line_ref()?;
-        clock.stop(&mut out.profile.io_ns);
-        let Some((line_start, line)) = fetched else {
+    let mut kernel = Kernel {
+        ctx,
+        cached: &[],
+        stage: out.cache.as_mut(),
+        samples: &mut out.stat_samples,
+        metrics: &mut out.metrics,
+        scratch: Vec::new(),
+    };
+    let mut bounds: Vec<u64> = Vec::new();
+    // Per run, each row's projected attributes' positions.
+    let mut starts: Vec<u32> = Vec::with_capacity(ctx.projection.len() * RUN_LINES);
+    let mut rows: u64 = 0;
+    while rows < max_rows {
+        let started = Instant::now();
+        let want = (max_rows - rows).min(RUN_LINES as u64) as usize;
+        let lines = reader.next_lines(want, &mut bounds)?;
+        out.profile.io_ns += started.elapsed().as_nanos() as u64;
+        let n = lines.len();
+        if n == 0 {
             break;
-        };
-        let local_row = rows;
-        rows += 1;
-        out.line_starts.push(line_start);
-        out.metrics.bytes_tokenized += line.len() as u64 + 1;
-        if ctx.projection.is_empty() {
-            // Pure row counting (e.g. COUNT(*)): nothing to tokenize.
-            out.emitted.push_row_taken(&mut [])?;
-            out.metrics.rows_emitted += 1;
-            continue;
         }
-        let row_id = row_base.map(|_| tick);
-        let locate = |e: NoDbError| e.at_raw_location(&ctx.path, row_id, Some(line_start));
+        out.line_starts.extend_from_slice(lines.starts());
+        let started = Instant::now();
+        let mut run = Run::new(lines, rows as usize, row_base.map(|b| b + rows));
         starts.clear();
-        clock.start(tick);
-        let found = ctx
-            .format
-            .positions_upto(line, max_attr, &mut starts)
-            .and_then(|n| require_fields(n, max_attr + 1))
-            .map_err(locate)?;
-        clock.stop(&mut out.profile.tokenize_ns);
-        out.metrics.fields_tokenized += found as u64;
-        if let Some(c) = out.posmap.as_mut() {
-            c.push_row(&starts);
-        }
-
-        clock.start(tick);
-        let sampled = tick.is_multiple_of(ctx.sample_stride);
-        let formed = form_row(ctx, &mut row_buf, |local| {
-            let start = starts[ctx.projection[local]];
-            let v = parse_value(
-                ctx,
-                line,
-                start,
-                local,
-                row_id,
-                line_start,
-                &mut out.metrics,
-            )?;
-            if let Some(stage) = out.cache.as_mut() {
-                stage.push(local, local_row, v.clone());
-            }
-            if sampled {
-                for (samples, l) in out.stat_samples.iter_mut().zip(stat_locals) {
-                    if *l == local {
-                        samples.push(v.clone());
-                    }
+        let posmap = &mut out.posmap;
+        let tokenize = |k: &mut Kernel, line: &[u8], _| {
+            k.metrics.bytes_tokenized += line.len() as u64 + 1;
+            // Pure row counting (e.g. COUNT(*)) tokenizes nothing.
+            if stride > 0 {
+                k.scratch.clear();
+                let found = ctx
+                    .format
+                    .positions_upto(line, stride - 1, &mut k.scratch)?;
+                k.metrics.fields_tokenized += require_fields(found, stride)? as u64;
+                if let Some(c) = posmap.as_mut() {
+                    c.push_row(&k.scratch[..stride]);
                 }
+                starts.extend(ctx.projection.iter().map(|&a| k.scratch[a]));
             }
-            Ok(v)
-        })?;
-        clock.stop(&mut out.profile.parse_ns);
-        if formed {
-            out.emitted.push_row_taken(&mut row_buf)?;
-            out.metrics.rows_emitted += 1;
-        }
+            Ok(())
+        };
+        kernel.ahead(&mut run, tokenize)?;
+        out.profile.tokenize_ns += started.elapsed().as_nanos() as u64;
+        let started = Instant::now();
+        run.positions = Positions::Table(&starts);
+        out.emitted.push(kernel.form(&mut run)?);
+        out.profile.parse_ns += started.elapsed().as_nanos() as u64;
+        rows += n as u64;
     }
     out.end = reader.offset();
     // Sequential tokenization reads exactly the bytes it tokenizes.
@@ -945,228 +842,4 @@ fn scan_chunk(
     out.profile.tokenize_bytes = out.metrics.bytes_tokenized;
     out.profile.parse_values = out.metrics.fields_parsed;
     Ok(out)
-}
-
-// ----- free helpers (disjoint borrows of scan state) ---------------------
-
-/// Selective parsing and tuple formation (§4.1): convert the WHERE
-/// attributes first, evaluate every conjunct, and convert the SELECT
-/// attributes only for a qualifying tuple, which is left in `row_buf`
-/// (true) for the caller to move out. `fetch` supplies one projected
-/// attribute's value (and stages it wherever the caller keeps converted
-/// values).
-///
-/// Forced inline: each caller's `fetch` must fold into its row loop. Left
-/// to the inliner the mapped path measured 6–11 % slower than the
-/// hand-inlined loops this routine replaced (`select c2, c14 from t where
-/// c12 < k` over a map-covered 16-column file).
-#[inline(always)]
-fn form_row(
-    ctx: &Ctx,
-    row_buf: &mut Vec<Value>,
-    mut fetch: impl FnMut(usize) -> Result<Value>,
-) -> Result<bool> {
-    // SELECT slots are NULL here (never set, or moved out with the last
-    // qualifying row); WHERE slots are overwritten.
-    for &local in &ctx.where_locals {
-        row_buf[local] = fetch(local)?;
-    }
-    // Evaluate every conjunct against the buffer itself (moved into a
-    // `Row` shell and back) — no per-conjunct clone. An error leaves the
-    // buffer empty; both callers abandon it along with the pass.
-    let probe = Row(std::mem::take(row_buf));
-    for f in &ctx.filters {
-        if !eval_predicate(f, &probe)? {
-            *row_buf = probe.0;
-            return Ok(false);
-        }
-    }
-    *row_buf = probe.0;
-    for &local in &ctx.select_locals {
-        row_buf[local] = fetch(local)?;
-    }
-    Ok(true)
-}
-
-/// Form a cache-served block (see the module docs) of `rows` rows, whose
-/// WHERE columns the caller found to cover the block: copy each WHERE
-/// column's typed values once, run the conjuncts in order over the rows
-/// the earlier ones passed, then gather the SELECT columns' typed values
-/// for the survivors. Returns the block's rows and the work done, or
-/// `None` — having recorded nothing — when a survivor hits a hole in a
-/// SELECT column and the block must go through the row kernel.
-fn serve_cached(
-    ctx: &Ctx,
-    cached: &[Option<Arc<CachedColumn>>],
-    rows: usize,
-) -> Result<Option<(ValueBatch, ScanMetrics)>> {
-    let column = |local: usize| held(cached[local].as_deref(), "cache-served column cached");
-    let mut where_cols = Vec::with_capacity(ctx.where_locals.len());
-    for &local in &ctx.where_locals {
-        where_cols.push(column(local)?.column().slice(0, rows));
-    }
-    let mut batch = ValueBatch::from_cols(where_cols, rows);
-    // Block-local ids of the rows still in `batch`.
-    let mut sel: Vec<usize> = (0..rows).collect();
-    for f in &ctx.where_filters {
-        if batch.is_empty() {
-            break;
-        }
-        let keep = eval_predicate_batch(f, &batch)?;
-        let kept = keep.iter().filter(|&&k| k).count();
-        if kept < batch.num_rows() {
-            batch = batch.retain_rows(&keep, kept);
-            let mut k = keep.iter();
-            sel.retain(|_| k.next().is_some_and(|&k| k));
-        }
-    }
-    let survivors = sel.len();
-    let mut cols: Vec<Option<Column>> = vec![None; ctx.projection.len()];
-    for (&local, c) in ctx.where_locals.iter().zip(batch.into_cols()) {
-        cols[local] = Some(c);
-    }
-    let mut keep = vec![false; rows];
-    for &r in &sel {
-        keep[r] = true;
-    }
-    for &local in &ctx.select_locals {
-        let c = column(local)?;
-        if !c.has_all(&sel) {
-            return Ok(None);
-        }
-        cols[local] = Some(c.column().filter(&keep, survivors));
-    }
-    let cols = cols
-        .into_iter()
-        .map(|c| held(c, "every projected column formed"))
-        .collect::<Result<Vec<_>>>()?;
-    let metrics = ScanMetrics {
-        fields_from_cache: (rows * ctx.where_locals.len() + survivors * ctx.select_locals.len())
-            as u64,
-        rows_emitted: survivors as u64,
-        ..ScanMetrics::default()
-    };
-    Ok(Some((ValueBatch::from_cols(cols, survivors), metrics)))
-}
-
-/// The field-count check behind every tokenization site: `found`
-/// attribute starts were located, `need` are required.
-fn require_fields(found: usize, need: usize) -> Result<usize> {
-    if found < need {
-        return Err(NoDbError::parse(format!(
-            "record has {found} fields, need at least {need}"
-        )));
-    }
-    Ok(found)
-}
-
-/// Convert one attribute value via the record format, decorating parse
-/// failures with the column name and the raw-file location (`row_id` is
-/// `None` inside chunk workers, which do not know global row ids).
-fn parse_value(
-    ctx: &Ctx,
-    line: &[u8],
-    start: u32,
-    local: usize,
-    row_id: Option<u64>,
-    line_start: u64,
-    metrics: &mut ScanMetrics,
-) -> Result<Value> {
-    metrics.fields_parsed += 1;
-    ctx.format
-        .parse_at(line, start, ctx.dtype(local))
-        .map_err(|e| {
-            let e = match e {
-                NoDbError::Parse(m) => NoDbError::parse(format!(
-                    "column `{}`: {m}",
-                    ctx.schema.field(ctx.projection[local]).name
-                )),
-                other => other,
-            };
-            e.at_raw_location(&ctx.path, row_id, Some(line_start))
-        })
-}
-
-fn offer_stat(
-    ctx: &Ctx,
-    builders: &mut [(usize, StatsBuilder)],
-    local: usize,
-    row_id: u64,
-    v: &Value,
-) {
-    if builders.is_empty() || !row_id.is_multiple_of(ctx.sample_stride) {
-        return;
-    }
-    for (l, b) in builders.iter_mut() {
-        if *l == local {
-            b.offer(v);
-        }
-    }
-}
-
-/// Locate the start of attribute `attr` on row `r` of a mapped block
-/// using the best positional information, counting the work class in
-/// `metrics`. `scratch` is the caller's reusable tokenization buffer.
-/// Errors carry no location; callers decorate with file/row/byte
-/// context.
-#[inline]
-fn resolve_position(
-    ctx: &Ctx,
-    line: &[u8],
-    attr: usize,
-    entry: &AttrPositions,
-    r: usize,
-    scratch: &mut Vec<u32>,
-    metrics: &mut ScanMetrics,
-) -> Result<u32> {
-    match entry {
-        AttrPositions::Exact(col) => {
-            if let Some(&p) = col.get(r) {
-                metrics.fields_via_map += 1;
-                return Ok(p);
-            }
-        }
-        AttrPositions::Anchor {
-            anchor_attr,
-            positions,
-        } => {
-            if let Some(&anchor) = positions.get(r) {
-                metrics.fields_via_anchor += 1;
-                // A record too short to reach `attr` fails below, with
-                // the message every other access path gives it.
-                if let Ok(p) = ctx
-                    .format
-                    .advance(line, anchor, *anchor_attr as usize, attr)
-                {
-                    return Ok(p);
-                }
-            }
-        }
-        AttrPositions::None => {}
-    }
-    // No positional help — none kept, or position arrays cover fewer
-    // rows than the block after an append (§4.5).
-    tokenize_to(ctx, line, attr, scratch, metrics)
-}
-
-/// Tokenize from the line start up to `attr` into `scratch` (kept out of
-/// [`resolve_position`] so the map-assisted cases stay small enough to
-/// inline into the row loop). A record too short for `attr` fails as the
-/// cold kernel fails it: `found` is then all the fields the line has, and
-/// the requirement is the highest projected attribute.
-fn tokenize_to(
-    ctx: &Ctx,
-    line: &[u8],
-    attr: usize,
-    scratch: &mut Vec<u32>,
-    metrics: &mut ScanMetrics,
-) -> Result<u32> {
-    scratch.clear();
-    let found = ctx.format.positions_upto(line, attr, scratch)?;
-    metrics.fields_tokenized += found as u64;
-    if found <= attr {
-        let max_attr = ctx.projection.last().map_or(attr, |&a| a.max(attr));
-        require_fields(found, max_attr + 1)?;
-    }
-    Ok(scratch[attr])
 }

@@ -5,8 +5,8 @@
 //!
 //! * **Sequential tokenization** of every line — the first query on a file,
 //!   or any region the positional map does not cover. [`LineReader`] keeps
-//!   one buffer and lends each line out of it
-//!   ([`LineReader::next_line_ref`]); no line is copied.
+//!   one buffer and lends runs of whole lines out of it
+//!   ([`LineReader::next_lines`]); no line is copied.
 //! * **Chunked parallel tokenization** — a cold scan splits the file into
 //!   line-aligned byte ranges ([`split_line_aligned`]) and hands each to a
 //!   worker thread, which reads it with a bounded [`LineReader`]
@@ -14,14 +14,18 @@
 //!   [`LineReader::from_source`]). Every byte of the region belongs to
 //!   exactly one chunk, and no line straddles a chunk boundary.
 //! * **Position-driven access** — once the end-of-line index covers a
-//!   block, the scan (in `nodb-core`) reads the block's byte range into
-//!   one reused buffer with positioned reads and slices its rows out of
-//!   it.
+//!   block, the scan (in `nodb-core`) knows where its lines start and
+//!   reads a run of them with one positioned read into a reused buffer
+//!   ([`LineRun::unread`]), only when a value must come from the file.
+//!
+//! Both sequential and position-driven access hand the scan a [`LineRun`]:
+//! whole lines in one buffer, and where each starts.
 
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
-use nodb_common::{swar, ByteSource, IoBackend, Result};
+use nodb_common::{swar, ByteSource, IoBackend, NoDbError, Result};
 
 /// Default I/O buffer: large enough to make syscall overhead irrelevant,
 /// small enough to stay cache-friendly.
@@ -145,6 +149,8 @@ pub struct LineReader {
     /// Smallest buffer a read allocates ([`DEFAULT_BUF`]; tests shrink it
     /// to make lines cross reads).
     min_buf: usize,
+    /// Bounds of the line [`LineReader::next_line`] reads, reused.
+    spare: Vec<u64>,
 }
 
 impl LineReader {
@@ -186,6 +192,7 @@ impl LineReader {
             pos: 0,
             filled: 0,
             min_buf: DEFAULT_BUF,
+            spare: Vec::new(),
         }
     }
 
@@ -195,48 +202,65 @@ impl LineReader {
         self.offset
     }
 
-    /// The next line — its start offset and its bytes, lent out of the
-    /// reader's buffer until the next call — or `None` at the end of the
-    /// range or file. The newline and one `\r` before it are stripped; a
-    /// final line without a newline is returned whole.
-    pub fn next_line_ref(&mut self) -> Result<Option<(u64, &[u8])>> {
-        let start = self.offset;
-        if start >= self.end {
-            return Ok(None);
-        }
-        // Bytes of the pending line already searched for a newline.
+    /// Up to `max` whole lines at once, lent out of the reader's buffer
+    /// until the next call, with `bounds` (cleared first) as the run's
+    /// bounds. Only lines already buffered are lent, and the file is read
+    /// only when none is; the run is empty at the end of the range or
+    /// file, and a final line without a newline is lent whole.
+    pub fn next_lines<'a>(
+        &'a mut self,
+        max: usize,
+        bounds: &'a mut Vec<u64>,
+    ) -> Result<LineRun<'a>> {
+        bounds.clear();
+        // Buffer index of the next line, and bytes of it already searched
+        // for a newline.
+        let mut at = self.pos;
         let mut searched = 0;
-        let (len, consumed) = loop {
-            if let Some(i) = swar::find_byte(&self.buf[self.pos + searched..self.filled], b'\n') {
-                break (searched + i, searched + i + 1);
-            }
-            searched = self.filled - self.pos;
-            if !self.fill()? {
-                if searched == 0 {
-                    return Ok(None);
+        while bounds.len() < max && self.offset < self.end {
+            let pending = self.buf.get(at + searched..self.filled).unwrap_or_default();
+            let len = match swar::find_byte(pending, b'\n') {
+                Some(i) => searched + i + 1,
+                None if !bounds.is_empty() => break,
+                None => {
+                    // No whole line is buffered: `fill` moves the pending
+                    // bytes (`at` is `pos`) to the front.
+                    searched = self.filled - at;
+                    let more = self.fill()?;
+                    at = self.pos;
+                    match (more, searched) {
+                        (true, _) => continue,
+                        (false, 0) => break,
+                        // A final line without a newline.
+                        (false, _) => searched,
+                    }
                 }
-                break (searched, searched);
-            }
-        };
-        let line_start = self.pos;
-        self.pos += consumed;
-        self.offset += consumed as u64;
-        let mut line = &self.buf[line_start..line_start + len];
-        if consumed > len && line.last() == Some(&b'\r') {
-            line = &line[..len - 1];
+            };
+            bounds.push(self.offset);
+            at += len;
+            self.offset += len as u64;
+            searched = 0;
         }
-        Ok(Some((start, line)))
+        let first = std::mem::replace(&mut self.pos, at);
+        if !bounds.is_empty() {
+            bounds.push(self.offset);
+        }
+        Ok(LineRun::lent(bounds, self.buf.get(first..at)))
     }
 
-    /// [`LineReader::next_line_ref`], copying the line into `buf`
-    /// (cleared first). Returns the line's start offset.
+    /// The next line, copied into `buf` (cleared first) without its
+    /// newline (see [`LineRun::line`]). Returns the line's start offset,
+    /// or `None` at the end of the range or file.
     pub fn next_line(&mut self, buf: &mut Vec<u8>) -> Result<Option<u64>> {
         buf.clear();
-        let Some((start, line)) = self.next_line_ref()? else {
-            return Ok(None);
-        };
-        buf.extend_from_slice(line);
-        Ok(Some(start))
+        let mut bounds = std::mem::take(&mut self.spare);
+        let mut run = self.next_lines(1, &mut bounds)?;
+        let start = run.start(0);
+        if start.is_some() {
+            buf.extend_from_slice(run.line(0)?);
+        }
+        self.spare = bounds;
+        Ok(start)
     }
 
     /// Move the bytes not yet returned to the front of the buffer, grow
@@ -258,6 +282,86 @@ impl LineReader {
         let n = self.src.read_at(next, &mut self.buf[pending..])?;
         self.filled += n;
         Ok(n > 0)
+    }
+}
+
+/// A run of whole lines in one buffer, as a scan forms them: each line's
+/// start offset and then the end of the last line (`bounds`), and the
+/// bytes in between — lent by a [`LineReader`], or read with one
+/// positioned read when a line is first asked for, so that a run whose
+/// values all come from elsewhere reads nothing.
+pub struct LineRun<'a> {
+    bounds: &'a [u64],
+    bytes: Option<&'a [u8]>,
+    /// The source and buffer to read the bytes with while they are unread.
+    unread: Option<(&'a ByteSource, &'a mut Vec<u8>)>,
+    /// Nanoseconds spent reading the run, and bytes read (both zero for a
+    /// lent run or one never read).
+    pub read_ns: u64,
+    /// Bytes read.
+    pub read_bytes: u64,
+}
+
+impl<'a> LineRun<'a> {
+    /// The lines bounded by `bounds`, to be read from `src` into `buf` on
+    /// first use. A file now shorter than the run fails that read.
+    pub fn unread(bounds: &'a [u64], src: &'a ByteSource, buf: &'a mut Vec<u8>) -> LineRun<'a> {
+        LineRun {
+            unread: Some((src, buf)),
+            ..LineRun::lent(bounds, None)
+        }
+    }
+
+    fn lent(bounds: &'a [u64], bytes: Option<&'a [u8]>) -> LineRun<'a> {
+        LineRun {
+            bounds,
+            bytes,
+            unread: None,
+            read_ns: 0,
+            read_bytes: 0,
+        }
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
+
+    /// No lines?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each line's start offset, in order.
+    pub fn starts(&self) -> &'a [u64] {
+        self.bounds.get(..self.len()).unwrap_or_default()
+    }
+
+    /// File offset where line `r` starts.
+    pub fn start(&self, r: usize) -> Option<u64> {
+        self.starts().get(r).copied()
+    }
+
+    /// Line `r` without its newline and one `\r` before it (a last line
+    /// without a newline is whole), reading the run first if it is unread.
+    #[inline]
+    pub fn line(&mut self, r: usize) -> Result<&'a [u8]> {
+        let missing = || NoDbError::internal(format!("line {r} is not in its run"));
+        let bound = |i: usize| self.bounds.get(i).copied().ok_or_else(missing);
+        let (base, end, start, next) = (bound(0)?, bound(self.len())?, bound(r)?, bound(r + 1)?);
+        if let (None, Some((src, buf))) = (self.bytes, self.unread.take()) {
+            let started = Instant::now();
+            buf.resize((end - base) as usize, 0);
+            src.read_exact_at(base, buf)?;
+            self.read_ns = started.elapsed().as_nanos() as u64;
+            self.read_bytes = end - base;
+            self.bytes = Some(&buf[..]);
+        }
+        let span = (start - base) as usize..(next - base) as usize;
+        match self.bytes.and_then(|b| b.get(span)) {
+            Some([line @ .., b'\r', b'\n'] | [line @ .., b'\n']) | Some(line) => Ok(line),
+            None => Err(missing()),
+        }
     }
 }
 
@@ -303,13 +407,26 @@ mod tests {
         out
     }
 
-    /// Every line `r` lends, with its offset.
-    fn read_all(r: &mut LineReader) -> Vec<(u64, Vec<u8>)> {
+    /// Every line `r` lends, with its offset, taking up to `max` lines a
+    /// call.
+    fn read_lines(r: &mut LineReader, max: usize) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
-        while let Some((off, line)) = r.next_line_ref().unwrap() {
-            out.push((off, line.to_vec()));
+        let mut bounds = Vec::new();
+        loop {
+            let mut run = r.next_lines(max, &mut bounds).unwrap();
+            if run.is_empty() {
+                return out;
+            }
+            assert!(run.len() <= max);
+            for i in 0..run.len() {
+                out.push((run.start(i).unwrap(), run.line(i).unwrap().to_vec()));
+            }
         }
-        out
+    }
+
+    /// Every line `r` lends, a few at a time.
+    fn read_all(r: &mut LineReader) -> Vec<(u64, Vec<u8>)> {
+        read_lines(r, 3)
     }
 
     /// Offsets and lines over inputs that cross the buffer's edges: a
@@ -398,7 +515,7 @@ mod tests {
     fn line_reader_over_empty_file_is_done_immediately() {
         let (_td, p) = write_bytes(b"");
         let mut r = LineReader::open(&p).unwrap();
-        assert_eq!(r.next_line_ref().unwrap(), None);
+        assert_eq!(r.next_line(&mut Vec::new()).unwrap(), None);
     }
 
     /// A file that grows after the reader opened it serves exactly the
@@ -422,19 +539,39 @@ mod tests {
         let (_td, p) = write_file(&["abc", "de", "fgh"]);
         let mut r = LineReader::open(&p).unwrap();
         r.min_buf = 2;
-        assert_eq!(r.next_line_ref().unwrap(), Some((0, &b"abc"[..])));
+        let mut buf = Vec::new();
+        assert_eq!(r.next_line(&mut buf).unwrap(), Some(0));
+        assert_eq!(buf, b"abc");
         std::fs::OpenOptions::new()
             .write(true)
             .open(&p)
             .unwrap()
             .set_len(4)
             .unwrap();
-        match r.next_line_ref() {
+        match r.next_line(&mut buf) {
             Err(nodb_common::NoDbError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
             }
             other => panic!("expected a typed EOF error, got {other:?}"),
         }
+    }
+
+    /// A run over known bounds reads nothing until a line is asked for,
+    /// then reads its range once; a file now shorter than a run fails it.
+    #[test]
+    fn unread_run_reads_on_first_use() {
+        let (_td, p) = write_bytes(b"ab\r\ncd\nef");
+        let src = ByteSource::open(&p, IoBackend::Read).unwrap();
+        let mut buf = Vec::new();
+        let bounds = [0, 4, 7, 9];
+        let mut run = LineRun::unread(&bounds, &src, &mut buf);
+        assert_eq!((run.len(), run.start(1), run.read_bytes), (3, Some(4), 0));
+        assert_eq!(run.line(1).unwrap(), b"cd");
+        assert_eq!(run.line(0).unwrap(), b"ab");
+        assert_eq!(run.line(2).unwrap(), b"ef");
+        assert_eq!(run.read_bytes, 9);
+        assert!(run.line(3).is_err());
+        assert!(LineRun::unread(&[0, 99], &src, &mut buf).line(0).is_err());
     }
 
     /// Read all lines of `range` through a bounded reader.
@@ -542,6 +679,7 @@ mod tests {
                     0..200,
                 ),
                 min_buf in 1usize..40,
+                max in 1usize..6,
             ) {
                 let td = TempDir::new("nodb-swar-prop").unwrap();
                 let p = td.file("d.bin");
@@ -551,7 +689,7 @@ mod tests {
                 prop_assert_eq!(&read_all(&mut r), &want);
                 let mut r = LineReader::open(&p).unwrap();
                 r.min_buf = min_buf;
-                prop_assert_eq!(&read_all(&mut r), &want);
+                prop_assert_eq!(&read_lines(&mut r, max), &want);
             }
 
             /// Line-aligned chunking over arbitrary CSV-ish bodies covers

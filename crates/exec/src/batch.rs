@@ -90,20 +90,8 @@ impl ValueBatch {
 
     /// Append one row, converting each value into its column.
     pub fn push_row(&mut self, row: Row) -> Result<()> {
-        self.push_values(&row.0)
-    }
-
-    /// Append one row from a reusable buffer, resetting its values to
-    /// NULL (scan emission reuses its row buffer across rows).
-    pub fn push_row_taken(&mut self, vals: &mut [Value]) -> Result<()> {
-        self.push_values(vals)?;
-        vals.fill(Value::Null);
-        Ok(())
-    }
-
-    fn push_values(&mut self, vals: &[Value]) -> Result<()> {
-        debug_assert_eq!(vals.len(), self.cols.len());
-        for (col, v) in self.cols.iter_mut().zip(vals) {
+        debug_assert_eq!(row.len(), self.cols.len());
+        for (col, v) in self.cols.iter_mut().zip(row.values()) {
             col.push_value(v)?;
         }
         self.rows += 1;
@@ -312,9 +300,7 @@ mod tests {
     fn push_row_variants_agree() {
         let mut a = ValueBatch::with_capacity(&[DataType::Int64], 2);
         a.push_row(Row(vec![Value::Int64(7)])).unwrap();
-        let mut buf = [Value::Int64(8)];
-        a.push_row_taken(&mut buf).unwrap();
-        assert_eq!(buf, [Value::Null]);
+        a.push_row(Row(vec![Value::Int64(8)])).unwrap();
         assert_eq!(a.num_rows(), 2);
         assert_eq!(col0(&a), [Value::Int64(7), Value::Int64(8)]);
         assert_eq!(a.row_values(1), vec![Value::Int64(8)]);

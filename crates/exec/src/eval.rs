@@ -1,6 +1,12 @@
-//! Expression evaluation with SQL three-valued logic: row at a time
-//! ([`eval`], where rows enter the engine) and over a batch's typed
-//! columns ([`eval_batch`]).
+//! Expression evaluation with SQL three-valued logic: over a batch's
+//! typed columns ([`eval_batch`], [`eval_predicate_batch`]) and row at a
+//! time ([`eval`], [`eval_predicate`]).
+//!
+//! The in-situ scan filters its runs with the batch evaluator. Three
+//! non-test callers still filter one row at a time — the heap scan
+//! (`nodb-storage`), the FITS leaf (`nodb-fits`) and the semi/anti-join
+//! residual (`ops.rs`) — the list ROADMAP item 2b retires before
+//! the row evaluator goes.
 //!
 //! The batch evaluator dispatches on column type once per expression node
 //! per batch. Typed kernels cover comparisons, arithmetic, AND/OR/NOT,

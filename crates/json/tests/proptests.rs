@@ -211,7 +211,9 @@ proptest! {
         // (line offset, key positions, values) per record.
         let tokenize_reader = |r: &mut LineReader| {
             let mut out = Vec::new();
-            while let Some((off, line)) = r.next_line_ref().unwrap() {
+            let mut line = Vec::new();
+            while let Some(off) = r.next_line(&mut line).unwrap() {
+                let line = line.as_slice();
                 let mut starts = Vec::new();
                 format.positions_upto(line, DTYPES.len() - 1, &mut starts).unwrap();
                 let vals: Vec<Value> = starts

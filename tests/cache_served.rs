@@ -1,20 +1,22 @@
 //! Answers of the batch executor — and of cache-served blocks in
 //! particular — against an engine that keeps no auxiliary structure at
 //! all (`NoDbConfig::baseline()`, which re-reads and re-parses the raw
-//! file for every query). A map-covered block whose WHERE columns are
-//! completely cached and whose SELECT columns all have a cache entry is
-//! formed column at a time from the cache rather than row by row from
-//! the file; every row it emits must still be the baseline's, across
+//! file for every query). Every block is formed column at a time by one
+//! kernel, which takes each value from the cache when the cache holds it
+//! and from the file otherwise; a block whose values are all cached never
+//! touches the file. Every row it emits must still be the baseline's,
+//! across
 //!
 //! * a corpus of every operator the engine lowers, over CSV and JSON
 //!   Lines × 1 and 4 cold-scan worker threads, cold (structure-building)
 //!   and warm (structure-serving),
 //! * constant conjuncts, which the binder plans as written and which
 //!   must answer like their constant-free twins,
-//! * cache-served blocks, the fallback from them to the row kernel when
-//!   a SELECT column has a hole, and a LIMIT across both,
+//! * cache-served blocks, holes in a cached SELECT column (parsed from
+//!   the file), and a LIMIT across a block that parses and one the cache
+//!   serves,
 //! * a LIMIT over a join whose filter fails on a later match, and
-//! * a short record, which fails with the same located error under
+//! * malformed records, which fail with the same located error under
 //!   every access mode and auxiliary configuration.
 
 use std::path::PathBuf;
@@ -84,6 +86,12 @@ const CONSTANT_TWINS: &[(&str, &str)] = &[
     (
         "select id, bonus from t join u on id = uid where 1 = 1 order by id, bonus",
         "select id, bonus from t join u on id = uid order by id, bonus",
+    ),
+    // A constant conjunct is the only filter of a scan that projects no
+    // column; a cold scan must apply it too.
+    (
+        "select count(*) from t where 1 = 2",
+        "select count(*) from t where id < 0",
     ),
 ];
 
@@ -336,33 +344,33 @@ fn cache_served_blocks_are_bit_identical() {
 }
 
 /// A SELECT column cached only for the rows a narrow predicate kept has
-/// holes on the rows a wider one keeps: those blocks fall back to the row
-/// kernel, which parses the holes from the file.
+/// holes on the rows a wider one keeps: the kernel parses exactly those
+/// holes from the file and takes every other value from the cache.
 #[test]
-fn select_column_holes_fall_back_to_the_row_kernel() {
+fn select_column_holes_are_parsed_from_the_file() {
     let f = fixture();
     let pair = Pair::new(&f);
     pair.step("select note from t where id < 100");
     let (rows, before, after) = pair.step("select id, note from t where id < 500 order by id");
     assert_eq!(rows.len(), 500);
-    assert!(after.fields_parsed > before.fields_parsed, "{after:?}");
-    assert!(
-        after.fields_from_cache > before.fields_from_cache,
-        "{after:?}"
-    );
+    // `note` on rows 100..499; `id` on all 997 rows and `note` on rows
+    // 0..99 from the cache.
+    assert_eq!(after.fields_parsed - before.fields_parsed, 400);
+    assert_eq!(after.fields_from_cache - before.fields_from_cache, 1097);
     // Now every survivor is cached: served without touching the file.
     let (_, before, after) = pair.step("select id, note from t where id < 500 order by id");
     assert_eq!(after.fields_parsed, before.fields_parsed);
 }
 
-/// A LIMIT that takes the tail of a row-kernel block and the head of a
-/// cache-served one emits them in file order, pumping no further block.
+/// A LIMIT that takes the tail of a block that parses from the file and
+/// the head of a cache-served one emits them in file order, pumping no
+/// further block.
 #[test]
-fn limit_spans_a_row_block_then_a_cache_served_block() {
+fn limit_spans_a_parsing_block_then_a_cache_served_block() {
     let f = fixture();
     let pair = Pair::new(&f);
     // Block 1 (rows 128..255 at 128-row blocks) gets `note` cached;
-    // block 0 gets none, so it stays with the row kernel.
+    // block 0 gets none, so its survivors parse `note` from the file.
     pair.step("select id, note from t where id >= 128 and id < 256");
     let (rows, before, after) = pair.step("select id, note from t where id >= 100 limit 40");
     let ids: Vec<Value> = rows.iter().map(|r| r.get(0).clone()).collect();
@@ -389,22 +397,38 @@ fn limit_over_a_join_stops_before_a_failing_match() {
     assert!(err.to_string().contains("division by zero"), "{err}");
 }
 
-/// One answer per query whatever the configuration. The third line of a
-/// 4-column file is short (`9,9`) and fails `c0 < 5`; every access mode
-/// and every auxiliary configuration must tokenize that row through `c3`
-/// and report the same located error, rather than some of them skipping
-/// the row because the WHERE clause rejects it. It must do so cold, and
-/// warm after a narrower query (`select c0 from t`) left the map or the
-/// cache holding `c0` only: the map-assisted kernel then reaches `c3`
-/// through an anchor or by tokenizing, and must fail the way the cold
-/// kernel does.
+/// One answer per query whatever the configuration, for two malformed
+/// 4-column files and `select c3 from t where c0 < 5`:
+///
+/// * The third line is short (`9,9`) and fails `c0 < 5`. Every access
+///   mode and every auxiliary configuration must tokenize that row
+///   through `c3` and report the same located error, rather than some of
+///   them skipping the row because the WHERE clause rejects it.
+/// * The second line's `c3` is not a number, and the third line is short
+///   again. The second line qualifies, so converting its `c3` fails
+///   before the short third line is reached: rows fail in file order
+///   however the kernel orders its phases.
+///
+/// Each must hold cold, and warm after a narrower query (`select c0 from
+/// t`) left the map or the cache holding `c0` only: the map-assisted scan
+/// then reaches `c3` through an anchor or by tokenizing, and must fail
+/// the way the cold scan does.
 #[test]
 fn short_record_fails_alike_under_every_config() {
     let td = TempDir::new("nodb-short-record").unwrap();
-    let path = td.file("t.csv");
-    std::fs::write(&path, "1,10,100,1000\n2,20,200,2000\n9,9\n3,30,300,3000\n").unwrap();
     let schema = Schema::parse("c0 int, c1 int, c2 int, c3 int").unwrap();
     let q = "select c3 from t where c0 < 5";
+    // (file, what every error says)
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            "1,10,100,1000\n2,20,200,2000\n9,9\n3,30,300,3000\n",
+            &["row 2", "record has 2 fields, need at least 4"],
+        ),
+        (
+            "1,10,100,1000\n2,20,200,abc\n9,9\n3,30,300,3000\n",
+            &["row 1, byte 14: column `c3`: bad int `abc`"],
+        ),
+    ];
 
     let configs = [
         (
@@ -426,37 +450,41 @@ fn short_record_fails_alike_under_every_config() {
         ("cold", None),
         ("warm after a narrower query", Some("select c0 from t")),
     ];
-    let mut errors = Vec::new();
-    for (history, first) in histories {
-        for (name, cfg, mode) in &configs {
-            if first.is_some() && *name == "cache_only" {
-                // Without a map, the warm scan reads `c0` from the cache
-                // and drops the short row unread: it answers three rows
-                // (ROADMAP item 4).
-                continue;
+    for (case, (body, expected)) in cases.iter().enumerate() {
+        let path = td.file(&format!("t{case}.csv"));
+        std::fs::write(&path, body).unwrap();
+        let mut errors = Vec::new();
+        for (history, first) in histories {
+            for (name, cfg, mode) in &configs {
+                if case == 0 && first.is_some() && *name == "cache_only" {
+                    // Without a map, the warm scan reads `c0` from the
+                    // cache and drops the short row unread: it answers
+                    // three rows (ROADMAP item 4).
+                    continue;
+                }
+                let ctx = format!("case {case}: {name}, {history}");
+                let mut cfg = cfg.clone();
+                // One worker, so the error names its global row.
+                cfg.scan_threads = 1;
+                let mut db = NoDb::new(cfg).unwrap();
+                db.register_csv("t", &path, schema.clone(), CsvOptions::default(), *mode)
+                    .unwrap();
+                if let Some(first) = first {
+                    db.query(first).unwrap();
+                }
+                let err = match db.query(q) {
+                    Ok(r) => panic!("{ctx}: answered {} rows", r.rows.len()),
+                    Err(e) => e.to_string(),
+                };
+                assert!(
+                    expected.iter().all(|want| err.contains(want)),
+                    "{ctx}: {err}"
+                );
+                errors.push((ctx, err));
             }
-            let ctx = format!("{name}, {history}");
-            let mut cfg = cfg.clone();
-            // One worker, so the error names its global row.
-            cfg.scan_threads = 1;
-            let mut db = NoDb::new(cfg).unwrap();
-            db.register_csv("t", &path, schema.clone(), CsvOptions::default(), *mode)
-                .unwrap();
-            if let Some(first) = first {
-                db.query(first).unwrap();
-            }
-            let err = match db.query(q) {
-                Ok(r) => panic!("{ctx}: answered {} rows", r.rows.len()),
-                Err(e) => e.to_string(),
-            };
-            assert!(
-                err.contains("row 2") && err.contains("record has 2 fields, need at least 4"),
-                "{ctx}: {err}"
-            );
-            errors.push((ctx, err));
         }
-    }
-    for (ctx, err) in &errors[1..] {
-        assert_eq!(err, &errors[0].1, "{ctx} vs {}", errors[0].0);
+        for (ctx, err) in &errors[1..] {
+            assert_eq!(err, &errors[0].1, "{ctx} vs {}", errors[0].0);
+        }
     }
 }
