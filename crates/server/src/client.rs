@@ -4,8 +4,15 @@
 //! [`NodbClient`] is one connection; it is *not* `Sync` — concurrency
 //! comes from opening more connections, which is exactly what the
 //! server's admission control is there to meter.
+//!
+//! Every reply frame is read through one buffered reader over a second
+//! handle on the socket, so a `Row` frame costs a copy out of that
+//! buffer rather than its own `read` calls. That reader is the only read
+//! path: bytes it has read ahead belong to the next frame, and a read
+//! that went around it would lose them. Requests are written, and an
+//! abandoned stream severs the socket, through the original handle.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
@@ -19,7 +26,10 @@ use crate::protocol::{
 
 /// Blocking connection to a running `nodb-server`.
 pub struct NodbClient {
+    /// Write half: requests and `shutdown`.
     conn: Conn,
+    /// Read half: every reply frame comes through this buffer.
+    reader: BufReader<Conn>,
     server: String,
     /// Set when a [`RowStream`] was dropped mid-stream: the socket was
     /// severed to propagate the cancellation, so the connection cannot
@@ -44,6 +54,7 @@ impl NodbClient {
             }
         };
         let mut client = NodbClient {
+            reader: BufReader::new(conn.try_clone()?),
             conn,
             server: String::new(),
             poisoned: false,
@@ -144,7 +155,7 @@ impl NodbClient {
             // Wait for the server's Goodbye (or EOF) so the server-side
             // handler has observed the close before we return.
             loop {
-                match read_frame(&mut self.conn) {
+                match read_frame(&mut self.reader) {
                     Ok(Some(Frame::Goodbye)) | Ok(None) | Err(_) => break,
                     Ok(Some(_)) => {}
                 }
@@ -160,7 +171,8 @@ impl NodbClient {
     }
 
     fn read(&mut self) -> Result<Frame> {
-        read_frame(&mut self.conn)?.ok_or_else(|| NoDbError::parse("server closed the connection"))
+        read_frame(&mut self.reader)?
+            .ok_or_else(|| NoDbError::parse("server closed the connection"))
     }
 }
 

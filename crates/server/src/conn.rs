@@ -22,6 +22,25 @@ impl Conn {
         }
     }
 
+    /// Switch the socket between blocking and non-blocking reads. The
+    /// server flips it for one read to check for an inbound `Cancel`
+    /// without waiting.
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_nonblocking(nonblocking),
+            Conn::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// A second handle on the same socket. The client reads through one
+    /// handle and writes (and shuts down) through the other.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
+        Ok(match self {
+            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
+            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
+        })
+    }
+
     /// Half/full-close the connection. Used by the client to abandon a
     /// stream mid-flight: the server's next write fails, dropping its
     /// cursor and stopping the raw scan early.

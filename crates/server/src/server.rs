@@ -26,7 +26,7 @@
 //! not sever.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -533,30 +533,47 @@ fn handle_connection(
 /// Flush threshold for the row-stream write buffer. Batching keeps
 /// syscall counts sane for small rows while still surfacing a client
 /// disconnect (failed write → cursor dropped → scan early-stop) within
-/// one buffer's worth of rows.
+/// one buffer's worth of rows. Each flush is followed by one wait-free
+/// [`poll_cancel`].
 const FLUSH_BYTES: usize = 32 * 1024;
 
-/// Poll for an inbound frame mid-stream without stalling the row flow:
-/// a ~1 ms read window at each flush boundary. Returns `true` when the
-/// client sent [`Frame::Cancel`]; anything else inbound mid-stream is a
-/// protocol violation (requests are not pipelined) and surfaces as an
-/// error, which closes the connection.
+/// How long [`poll_cancel`] waits for each further byte of a frame whose
+/// first byte has arrived; `read_frame_timeout` bounds how many such
+/// waits one frame may take.
+const MIDFRAME_WAIT: Duration = Duration::from_millis(1);
+
+/// Check for an inbound frame mid-stream without stalling the row flow.
+/// One non-blocking one-byte read: when nothing has arrived it returns
+/// `false` at once. When a byte is there, the rest of the frame is read
+/// with a short per-read timeout and bounded mid-frame patience. Returns
+/// `true` when the client sent [`Frame::Cancel`]; anything else inbound
+/// mid-stream is a protocol violation (requests are not pipelined) and
+/// surfaces as an error, which closes the connection.
 fn poll_cancel(conn: &mut Conn, config: &ServerConfig) -> Result<bool> {
-    conn.set_read_timeout(Some(Duration::from_millis(1)))?;
-    let polled = match read_frame_timeout(conn) {
-        Ok(Some(Frame::Cancel)) => Ok(true),
-        Ok(Some(other)) => Err(NoDbError::parse(format!(
-            "unexpected frame mid-stream: {other:?}"
-        ))),
-        Ok(None) => Err(NoDbError::parse("connection closed mid-stream".to_string())),
-        Err(NoDbError::Io(e))
+    let mut first = [0u8; 1];
+    conn.set_nonblocking(true)?;
+    let peeked = conn.read(&mut first);
+    conn.set_nonblocking(false)?;
+    match peeked {
+        Ok(0) => return Err(NoDbError::parse("connection closed mid-stream".to_string())),
+        Ok(_) => {}
+        Err(e)
             if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
+                || e.kind() == std::io::ErrorKind::Interrupted =>
         {
-            Ok(false)
+            return Ok(false);
         }
-        Err(e) => Err(e),
-    };
+        Err(e) => return Err(NoDbError::Io(e)),
+    }
+    conn.set_read_timeout(Some(MIDFRAME_WAIT))?;
+    let polled =
+        read_frame_timeout(&mut (&first[..]).chain(&mut *conn)).and_then(|frame| match frame {
+            Some(Frame::Cancel) => Ok(true),
+            Some(other) => Err(NoDbError::parse(format!(
+                "unexpected frame mid-stream: {other:?}"
+            ))),
+            None => Err(NoDbError::parse("connection closed mid-stream".to_string())),
+        });
     conn.set_read_timeout(Some(config.poll_interval))?;
     polled
 }
@@ -645,4 +662,115 @@ fn run_statement<'db>(
     Frame::Done { rows }.encode(&mut buf)?;
     conn.write_all(&buf)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use nodb_common::{Schema, TempDir};
+    use nodb_core::{AccessMode, NoDbConfig};
+    use nodb_csv::CsvOptions;
+
+    use super::*;
+    use crate::protocol::read_frame;
+
+    fn pair() -> (Conn, UnixStream) {
+        let (server, client) = UnixStream::pair().unwrap();
+        (Conn::Unix(server), client)
+    }
+
+    #[test]
+    fn poll_cancel_returns_at_once_when_nothing_is_inbound() {
+        let (mut conn, _client) = pair();
+        let config = ServerConfig::default();
+        let started = Instant::now();
+        for _ in 0..100 {
+            assert!(!poll_cancel(&mut conn, &config).unwrap());
+        }
+        let spent = started.elapsed();
+        assert!(
+            spent < Duration::from_millis(50),
+            "100 polls with nothing inbound took {spent:?}"
+        );
+    }
+
+    #[test]
+    fn poll_cancel_reads_a_cancel_split_by_a_pause() {
+        let (mut conn, mut client) = pair();
+        let bytes = Frame::Cancel.to_bytes().unwrap();
+        client.write_all(&bytes[..1]).unwrap();
+        let rest = bytes[1..].to_vec();
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            client.write_all(&rest).unwrap();
+            client
+        });
+        let config = ServerConfig::default();
+        assert!(poll_cancel(&mut conn, &config).unwrap());
+        let _client = writer.join().unwrap();
+        // The whole frame was consumed: the next poll sees nothing.
+        assert!(!poll_cancel(&mut conn, &config).unwrap());
+    }
+
+    /// End to end through the connection handler: a non-`Cancel` frame
+    /// sent while rows stream is a typed error, and the server closes the
+    /// connection instead of finishing the stream.
+    #[test]
+    fn a_non_cancel_frame_mid_stream_closes_the_connection() {
+        let td = TempDir::new("nodb-poll-cancel").unwrap();
+        let csv = td.file("t.csv");
+        let text: String = (0..20_000).map(|i| format!("{i},row-{i}\n")).collect();
+        std::fs::write(&csv, text).unwrap();
+        let mut db = NoDb::new(NoDbConfig::default()).unwrap();
+        db.register_csv(
+            "t",
+            &csv,
+            Schema::parse("a int, b text").unwrap(),
+            CsvOptions::default(),
+            AccessMode::InSitu,
+        )
+        .unwrap();
+        let state = State::new(8);
+        let config = ServerConfig::default();
+        let (mut conn, mut client) = pair();
+
+        let (served, frames) = std::thread::scope(|s| {
+            let (db, state, config) = (&db, &state, &config);
+            // The handler owns `conn`, so the socket closes when it returns.
+            let server = s.spawn(move || handle_connection(db, state, config, &mut conn));
+            assert!(matches!(
+                read_frame(&mut client).unwrap(),
+                Some(Frame::Hello { .. })
+            ));
+            write_frame(
+                &mut client,
+                &Frame::Execute {
+                    sql: "select a, b from t".to_string(),
+                    params: Vec::new(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_frame(&mut client).unwrap(),
+                Some(Frame::RowSchema { .. })
+            ));
+            write_frame(&mut client, &Frame::Goodbye).unwrap();
+            let mut frames = Vec::new();
+            while let Some(frame) = read_frame(&mut client).unwrap() {
+                frames.push(frame);
+            }
+            (server.join().unwrap(), frames)
+        });
+
+        assert!(
+            matches!(served, Err(NoDbError::Parse(ref m)) if m.contains("mid-stream")),
+            "{served:?}"
+        );
+        assert!(
+            frames.iter().all(|f| matches!(f, Frame::Row(_))),
+            "the stream must end without a terminator"
+        );
+        assert!(frames.len() < 20_000, "the stream ran to completion");
+    }
 }

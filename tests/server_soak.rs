@@ -13,14 +13,17 @@
 //! CI runs this with a hard timeout: a deadlocked worker pool fails the
 //! job rather than hanging it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use nodb::common::{Row, Schema, TempDir, Value};
 use nodb::core::{AccessMode, NoDb, NoDbConfig, Params};
 use nodb::csv::{CsvOptions, CsvWriter};
 use nodb::json::{JsonlOptions, JsonlWriter};
-use nodb::server::{NodbClient, NodbServer, ServerConfig};
+use nodb::server::{
+    collect_stats, NodbClient, NodbServer, ServerConfig, ServerHandle, ServerStats,
+};
 
 const SCHEMA: &str = "id int, grp text, score double, big bigint";
 const ROWS: usize = 4000;
@@ -153,10 +156,37 @@ fn assert_bit_identical(got: &nodb::core::QueryResult, want: &nodb::core::QueryR
     }
 }
 
+/// Start a server over `db` on loopback TCP, or on a unix socket at
+/// `unix` when given. Returns the client's dial target, the shutdown
+/// handle and the serving thread.
+fn serve(
+    db: Arc<NoDb>,
+    unix: Option<&Path>,
+) -> (
+    String,
+    ServerHandle,
+    JoinHandle<nodb::common::Result<ServerStats>>,
+) {
+    let (server, target) = match unix {
+        Some(path) => (
+            NodbServer::bind_unix(db, path, ServerConfig::default()).unwrap(),
+            format!("unix:{}", path.display()),
+        ),
+        None => {
+            let server = NodbServer::bind_tcp(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            (server, addr)
+        }
+    };
+    let handle = server.handle();
+    (target, handle, std::thread::spawn(move || server.serve()))
+}
+
 /// A `Cancel` frame mid-stream must stop the server's raw scan early
 /// (the cursor-drop path), keep the connection usable for further
 /// statements, and be visible in the server's counters — unlike the
-/// sever-the-socket fallback, which poisons the client.
+/// sever-the-socket fallback, which poisons the client. The server polls
+/// for the `Cancel` without waiting, which must work on both transports.
 #[test]
 fn cancel_aborts_stream_without_severing_the_connection() {
     const BIG_ROWS: usize = 150_000;
@@ -175,67 +205,132 @@ fn cancel_aborts_stream_without_severing_the_connection() {
     }
     w.finish().unwrap();
 
-    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
-    db.register_csv(
-        "wide",
-        &csv,
-        schema,
-        CsvOptions::default(),
-        AccessMode::InSitu,
-    )
-    .unwrap();
-    let shared = Arc::new(db);
-    let server =
-        NodbServer::bind_tcp(Arc::clone(&shared), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = server.handle();
-    let serving = std::thread::spawn(move || server.serve());
-
-    let mut client = NodbClient::connect(&addr).unwrap();
-    // No ORDER BY: sorting would drain the whole scan before the first
-    // row leaves the server, and there would be nothing left to cancel.
-    let mut stream = client
-        .stream("select id, grp, score, big from wide", &[])
+    let socket = td.file("cancel.sock");
+    for unix in [None, Some(socket.as_path())] {
+        let transport = if unix.is_some() { "unix" } else { "tcp" };
+        // A fresh engine per transport, so the early-stop check below
+        // reads this run's counters alone.
+        let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
+        db.register_csv(
+            "wide",
+            &csv,
+            schema.clone(),
+            CsvOptions::default(),
+            AccessMode::InSitu,
+        )
         .unwrap();
-    for row in stream.by_ref().take(100) {
-        row.unwrap();
+        let shared = Arc::new(db);
+        let (target, handle, serving) = serve(Arc::clone(&shared), unix);
+
+        let mut client = NodbClient::connect(&target).unwrap();
+        // No ORDER BY: sorting would drain the whole scan before the first
+        // row leaves the server, and there would be nothing left to cancel.
+        let mut stream = client
+            .stream("select id, grp, score, big from wide", &[])
+            .unwrap();
+        for row in stream.by_ref().take(100) {
+            row.unwrap();
+        }
+        let streamed = stream.cancel().unwrap();
+        assert!(
+            streamed >= 100,
+            "{transport}: server must have streamed at least what the client read, got {streamed}"
+        );
+
+        // The scan stopped early: the table emitted far fewer tuples than
+        // it holds. (Read before the follow-up query, which scans
+        // everything.)
+        let emitted = shared.metrics("wide").unwrap().rows_emitted;
+        assert!(
+            emitted < BIG_ROWS as u64,
+            "{transport}: cancel did not stop the scan: {emitted} of {BIG_ROWS} rows emitted"
+        );
+
+        // The connection survives and carries further statements.
+        let r = client.query("select count(*) from wide").unwrap();
+        assert_eq!(r.rows[0].get(0), &Value::Int64(BIG_ROWS as i64));
+
+        // A cancel that loses the race (stream already done) still works:
+        // exactly one Cancelled comes back and the connection stays in
+        // sync.
+        let mut s = client
+            .stream("select id from wide where id < 3", &[])
+            .unwrap();
+        for row in s.by_ref() {
+            row.unwrap();
+        }
+        assert_eq!(s.cancel().unwrap(), 3);
+        let r = client
+            .query("select count(*) from wide where id < 10")
+            .unwrap();
+        assert_eq!(r.rows[0].get(0), &Value::Int64(10));
+
+        client.close().unwrap();
+        handle.shutdown();
+        let stats = serving.join().unwrap().unwrap();
+        assert_eq!(stats.queries_cancelled, 1, "{transport}: {stats:?}");
+        assert_eq!(stats.queries_failed, 0, "{transport}: {stats:?}");
+    }
+}
+
+/// The client reads every reply through one buffer that reads ahead of
+/// the frame it returns. Each request kind in turn on one connection must
+/// get the embedded engine's answer: a read path that went around the
+/// buffer would lose the bytes read ahead and answer later requests with
+/// stale or torn frames.
+#[test]
+fn buffered_client_stays_in_sync_on_one_connection() {
+    let f = fixture();
+    let reference = engine(&f);
+    let shared = Arc::new(engine(&f));
+    let (target, handle, serving) = serve(Arc::clone(&shared), None);
+    let mut client = NodbClient::connect(&target).unwrap();
+
+    // A fully drained stream, many read buffers long.
+    let all = "select id, grp, score, big from t_csv order by id";
+    assert_bit_identical(
+        &client.query(all).unwrap(),
+        &reference.query(all).unwrap(),
+        "drained stream",
+    );
+
+    // A stream cancelled with read-ahead rows still in the buffer.
+    let jsonl = "select id, grp, score, big from t_jsonl order by id";
+    let want = reference.query(jsonl).unwrap();
+    let mut stream = client.stream(jsonl, &[]).unwrap();
+    for (i, row) in stream.by_ref().take(100).enumerate() {
+        assert_eq!(row.unwrap(), want.rows[i], "cancelled stream row {i}");
     }
     let streamed = stream.cancel().unwrap();
     assert!(
-        streamed >= 100,
-        "server must have streamed at least what the client read, got {streamed}"
+        streamed == 0 || streamed >= 100,
+        "Cancelled reported {streamed} rows"
     );
 
-    // The scan stopped early: the table emitted far fewer tuples than it
-    // holds. (Read before the follow-up query, which scans everything.)
-    let emitted = shared.metrics("wide").unwrap().rows_emitted;
-    assert!(
-        emitted < BIG_ROWS as u64,
-        "cancel did not stop the scan: {emitted} of {BIG_ROWS} rows emitted"
+    // The observability request: both sides read the same counters.
+    let stats = client.table_stats("t_csv").unwrap();
+    assert_eq!(stats, collect_stats(&shared, "t_csv").unwrap());
+
+    // A parameterized statement.
+    let sql = "select id, big from t_csv where grp = ? order by id limit 40";
+    let params = [Value::Text("beta".into())];
+    let want = reference
+        .prepare(sql)
+        .unwrap()
+        .execute(&Params::from(params.to_vec()))
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert_bit_identical(
+        &client.query_params(sql, &params).unwrap(),
+        &want,
+        "query_params",
     );
-
-    // The connection survives and carries further statements.
-    let r = client.query("select count(*) from wide").unwrap();
-    assert_eq!(r.rows[0].get(0), &Value::Int64(BIG_ROWS as i64));
-
-    // A cancel that loses the race (stream already done) still works:
-    // exactly one Cancelled comes back and the connection stays in sync.
-    let mut s = client
-        .stream("select id from wide where id < 3", &[])
-        .unwrap();
-    for row in s.by_ref() {
-        row.unwrap();
-    }
-    assert_eq!(s.cancel().unwrap(), 3);
-    let r = client
-        .query("select count(*) from wide where id < 10")
-        .unwrap();
-    assert_eq!(r.rows[0].get(0), &Value::Int64(10));
 
     client.close().unwrap();
     handle.shutdown();
     let stats = serving.join().unwrap().unwrap();
-    assert_eq!(stats.queries_cancelled, 1, "{stats:?}");
+    assert_eq!(stats.queries_executed, 3, "{stats:?}");
     assert_eq!(stats.queries_failed, 0, "{stats:?}");
 }
 
