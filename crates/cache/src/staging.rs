@@ -1,18 +1,16 @@
-//! Per-chunk cache staging for parallel scans.
+//! Cache staging for a scan's rows.
 //!
-//! Workers of a chunked scan convert field values without knowing the
-//! chunk's *global* row ids (those depend on how many rows earlier chunks
-//! turn out to hold) and without touching the shared [`crate::RawCache`].
-//! Each worker fills a [`ChunkStage`]; the merge phase — which processes
-//! chunks in file order and therefore knows each chunk's first global row
-//! — cuts the staged values into block-aligned [`CachedColumn`]s and
-//! inserts them into the store in one short critical section.
+//! A scan converts field values without touching the shared
+//! [`crate::RawCache`]: it fills a [`ChunkStage`], keyed by rows counted
+//! from where the scanned rows start, and its merge cuts the staged values
+//! into block-aligned [`CachedColumn`]s and inserts them into the store
+//! in one short critical section.
 
 use nodb_common::{DataType, Value};
 
 use crate::column::{CachedColumn, ColumnBuilder};
 
-/// Values converted by one chunk worker, keyed by chunk-local row.
+/// Values converted by one scan pass, keyed by chunk-local row.
 #[derive(Debug)]
 pub struct ChunkStage {
     /// (attribute file ordinal, value type) per staged column.
@@ -38,15 +36,6 @@ impl ChunkStage {
     /// True when no values were staged.
     pub fn is_empty(&self) -> bool {
         self.staged.iter().all(|v| v.is_empty())
-    }
-
-    /// Append another worker's stage whose chunk starts `row_offset` rows
-    /// after this one's. Both must cover the same attribute set.
-    pub fn append(&mut self, other: ChunkStage, row_offset: u32) {
-        debug_assert_eq!(self.attrs, other.attrs);
-        for (dst, src) in self.staged.iter_mut().zip(other.staged) {
-            dst.extend(src.into_iter().map(|(r, v)| (r + row_offset, v)));
-        }
     }
 
     /// Cut the stage into per-`(block, attr)` columns. `first_row` is the
@@ -139,19 +128,6 @@ mod tests {
         assert_eq!(merged.get(0), Some(Value::Int32(0)));
         assert_eq!(merged.get(3), Some(Value::Int32(3)));
         assert!(merged.is_complete());
-    }
-
-    #[test]
-    fn append_offsets_local_rows() {
-        let mut a = ChunkStage::new(vec![(1, DataType::Int32)]);
-        a.push(0, 0, Value::Int32(10));
-        let mut b = ChunkStage::new(vec![(1, DataType::Int32)]);
-        b.push(0, 0, Value::Int32(11));
-        a.append(b, 1);
-        let cols = a.into_columns(0, 2, 8);
-        assert_eq!(cols.len(), 1);
-        assert_eq!(cols[0].get(0), Some(Value::Int32(10)));
-        assert_eq!(cols[0].get(1), Some(Value::Int32(11)));
     }
 
     #[test]

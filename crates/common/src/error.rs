@@ -81,23 +81,15 @@ impl NoDbError {
     }
 
     /// Prefix a [`NoDbError::Parse`] with raw-file location context —
-    /// the file, the (0-based) row when known, and the absolute byte
-    /// offset of the record — so every malformed-data diagnostic names
+    /// the file, the (0-based) row, and the absolute byte offset of the
+    /// record when known — so every malformed-data diagnostic names
     /// where in which file it happened, regardless of format or scan
     /// path. Other variants pass through unchanged.
-    pub fn at_raw_location(
-        self,
-        path: &std::path::Path,
-        row: Option<u64>,
-        byte: Option<u64>,
-    ) -> NoDbError {
+    pub fn at_raw_location(self, path: &std::path::Path, row: u64, byte: Option<u64>) -> NoDbError {
         let NoDbError::Parse(m) = self else {
             return self;
         };
-        let mut loc = path.display().to_string();
-        if let Some(r) = row {
-            loc.push_str(&format!(", row {r}"));
-        }
+        let mut loc = format!("{}, row {row}", path.display());
         if let Some(b) = byte {
             loc.push_str(&format!(", byte {b}"));
         }
@@ -159,16 +151,16 @@ mod tests {
     #[test]
     fn at_raw_location_decorates_parse_errors_only() {
         let p = std::path::Path::new("data/t.jsonl");
-        let e = NoDbError::parse("bad int `x`").at_raw_location(p, Some(3), Some(128));
+        let e = NoDbError::parse("bad int `x`").at_raw_location(p, 3, Some(128));
         assert_eq!(
             e.to_string(),
             "parse error: data/t.jsonl, row 3, byte 128: bad int `x`"
         );
-        // Byte-only (chunk workers don't know global row ids).
-        let e = NoDbError::parse("oops").at_raw_location(p, None, Some(9));
-        assert_eq!(e.to_string(), "parse error: data/t.jsonl, byte 9: oops");
+        // Row-only (no byte offset known).
+        let e = NoDbError::parse("oops").at_raw_location(p, 9, None);
+        assert_eq!(e.to_string(), "parse error: data/t.jsonl, row 9: oops");
         // Non-parse variants pass through untouched.
-        let e = NoDbError::internal("bug").at_raw_location(p, Some(1), Some(2));
+        let e = NoDbError::internal("bug").at_raw_location(p, 1, Some(2));
         assert_eq!(e.to_string(), "internal error: bug");
     }
 

@@ -41,8 +41,8 @@ pub const NO_POSITION: u32 = u32::MAX;
 /// values on one record (a single line, newline already stripped).
 ///
 /// Implementations must be cheap to share (`Send + Sync`): one format
-/// value is consulted concurrently by every chunk worker of a parallel
-/// scan and by every concurrent query on the table.
+/// value is consulted concurrently by every concurrent query on the
+/// table.
 pub trait LineFormat: std::fmt::Debug + Send + Sync {
     /// Append the start offsets of the values of attributes `0..=upto` to
     /// `out`, returning how many were appended.

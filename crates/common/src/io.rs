@@ -3,7 +3,7 @@
 //! NoDB keeps the raw file as the only source of truth, so every byte a
 //! scan tokenizes comes from it. [`ByteSource`] is one open raw file
 //! serving positioned reads ([`ByteSource::read_at`]: `pread` on unix)
-//! that take `&self`, so chunk workers share one handle. Callers keep
+//! that take `&self`, so concurrent scans may share one handle. Callers keep
 //! their own buffers: the line reader lends lines out of one, and the
 //! map-assisted scan reads each block's bytes into one.
 //!
@@ -44,9 +44,8 @@ impl std::fmt::Display for IoBackend {
 
 /// One open raw file.
 ///
-/// Cheap to share across scan workers (`Send + Sync`; positioned reads
-/// take `&self`): a chunk-parallel scan opens the file **once** and every
-/// worker reads its own byte range through the same handle.
+/// Cheap to share across threads (`Send + Sync`; positioned reads take
+/// `&self`): no read moves a shared cursor.
 #[derive(Debug)]
 pub struct ByteSource {
     repr: Repr,

@@ -1,8 +1,8 @@
 //! Unified engine-knob registry.
 //!
 //! Every tunable that used to exist as an ad-hoc env-var / CLI-flag /
-//! config-field triplet (`NODB_SCAN_THREADS` + `--scan-threads` +
-//! `NoDbConfig::scan_threads`, ...) is declared **once** here as a
+//! config-field triplet (`NODB_POSMAP_BUDGET` + `--posmap-budget` +
+//! `NoDbConfig::posmap_budget`, ...) is declared **once** here as a
 //! [`Knob`]: its canonical name, environment variable, CLI flag, value
 //! hint, help text and parser live in a single static. Binaries generate
 //! their flag tables and `--help` sections from [`all`], engine
@@ -21,14 +21,14 @@ use crate::error::{NoDbError, Result};
 /// generate argument tables and usage text.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobInfo {
-    /// Canonical kebab-case name (`scan-threads`); also the CLI flag minus
+    /// Canonical kebab-case name (`posmap-budget`); also the CLI flag minus
     /// the leading dashes and the `NODB_…` env var with `-` → `_`.
     pub name: &'static str,
-    /// Environment variable (`NODB_SCAN_THREADS`).
+    /// Environment variable (`NODB_POSMAP_BUDGET`).
     pub env: &'static str,
-    /// CLI flag (`--scan-threads`).
+    /// CLI flag (`--posmap-budget`).
     pub flag: &'static str,
-    /// Value placeholder for usage text (`N`, `SIZE`).
+    /// Value placeholder for usage text (`SIZE`).
     pub value_hint: &'static str,
     /// One-line help text.
     pub help: &'static str,
@@ -44,8 +44,8 @@ pub struct Knob<T: 'static> {
 
 impl<T> Knob<T> {
     /// Parse a raw value, decorating errors with the knob's identity and
-    /// expected shape so a typo'd `--scan-threads x` and a typo'd
-    /// `NODB_SCAN_THREADS=x` fail with the same, self-explaining message.
+    /// expected shape so a typo'd `--posmap-budget x` and a typo'd
+    /// `NODB_POSMAP_BUDGET=x` fail with the same, self-explaining message.
     pub fn parse(&self, raw: &str) -> Result<T> {
         (self.parse)(raw.trim()).map_err(|e| {
             NoDbError::config(format!(
@@ -88,23 +88,6 @@ impl<T> Knob<T> {
     }
 }
 
-fn parse_usize(s: &str) -> Result<usize> {
-    s.parse::<usize>()
-        .map_err(|_| NoDbError::config(format!("`{s}` is not a count")))
-}
-
-/// Cold-scan worker threads (`NoDbConfig::scan_threads`).
-pub static SCAN_THREADS: Knob<usize> = Knob {
-    info: KnobInfo {
-        name: "scan-threads",
-        env: "NODB_SCAN_THREADS",
-        flag: "--scan-threads",
-        value_hint: "N",
-        help: "cold-scan worker threads (0 = one per core)",
-    },
-    parse: parse_usize,
-};
-
 /// Positional-map byte budget (`NoDbConfig::posmap_budget`).
 pub static POSMAP_BUDGET: Knob<ByteSize> = Knob {
     info: KnobInfo {
@@ -131,8 +114,8 @@ pub static CACHE_BUDGET: Knob<ByteSize> = Knob {
 
 /// Every registered knob's metadata, in display order — binaries build
 /// their flag tables and usage text from this.
-pub fn all() -> [&'static KnobInfo; 3] {
-    [&SCAN_THREADS.info, &POSMAP_BUDGET.info, &CACHE_BUDGET.info]
+pub fn all() -> [&'static KnobInfo; 2] {
+    [&POSMAP_BUDGET.info, &CACHE_BUDGET.info]
 }
 
 /// Look a CLI flag up in the registry.
@@ -144,7 +127,6 @@ pub fn find_flag(flag: &str) -> Option<&'static KnobInfo> {
 /// malformed one. Engine construction calls this so a typo'd override is
 /// rejected before any query can run under the wrong setting.
 pub fn validate_env() -> Result<()> {
-    SCAN_THREADS.from_env()?;
     POSMAP_BUDGET.from_env()?;
     CACHE_BUDGET.from_env()?;
     Ok(())
@@ -200,18 +182,18 @@ mod tests {
 
     #[test]
     fn parse_decorates_errors_with_knob_identity() {
-        let err = SCAN_THREADS.parse("twelve").unwrap_err().to_string();
-        assert!(err.contains("scan-threads"), "{err}");
+        let err = POSMAP_BUDGET.parse("twelve").unwrap_err().to_string();
+        assert!(err.contains("posmap-budget"), "{err}");
         assert!(err.contains("twelve"), "{err}");
-        assert!(SCAN_THREADS.parse(" 12 ").unwrap() == 12);
+        assert_eq!(POSMAP_BUDGET.parse(" 12 ").unwrap(), ByteSize(12));
     }
 
     #[test]
     fn find_flag_and_suggestions() {
-        assert_eq!(find_flag("--scan-threads").unwrap().name, "scan-threads");
-        assert!(find_flag("--scan-thread").is_none());
-        let err = unknown_flag_error("--scan-thread").to_string();
-        assert!(err.contains("did you mean --scan-threads?"), "{err}");
+        assert_eq!(find_flag("--posmap-budget").unwrap().name, "posmap-budget");
+        assert!(find_flag("--posmap-budge").is_none());
+        let err = unknown_flag_error("--posmap-budge").to_string();
+        assert!(err.contains("did you mean --posmap-budget?"), "{err}");
         let err = unknown_flag_error("--frobnicate").to_string();
         assert!(!err.contains("did you mean"), "{err}");
     }
@@ -219,12 +201,12 @@ mod tests {
     #[test]
     fn env_round_trip_is_loud_on_typos() {
         // Use a knob whose env var the test suite never sets globally.
-        std::env::set_var("NODB_SCAN_THREADS", "3");
-        assert_eq!(SCAN_THREADS.from_env().unwrap(), Some(3));
-        std::env::set_var("NODB_SCAN_THREADS", "three");
-        assert!(SCAN_THREADS.from_env().is_err());
-        assert_eq!(SCAN_THREADS.env_default(), None);
-        std::env::remove_var("NODB_SCAN_THREADS");
-        assert_eq!(SCAN_THREADS.from_env().unwrap(), None);
+        std::env::set_var("NODB_POSMAP_BUDGET", "3kb");
+        assert_eq!(POSMAP_BUDGET.from_env().unwrap(), Some(ByteSize::kb(3)));
+        std::env::set_var("NODB_POSMAP_BUDGET", "three");
+        assert!(POSMAP_BUDGET.from_env().is_err());
+        assert_eq!(POSMAP_BUDGET.env_default(), None);
+        std::env::remove_var("NODB_POSMAP_BUDGET");
+        assert_eq!(POSMAP_BUDGET.from_env().unwrap(), None);
     }
 }

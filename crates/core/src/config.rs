@@ -28,7 +28,7 @@ pub struct NoDbConfig {
     /// `None` (the default) never evicts. The `NODB_POSMAP_BUDGET`
     /// environment variable (a [`ByteSize`], e.g. `64MB`) overrides the
     /// constructor default; a malformed value is rejected at
-    /// [`NoDb::new`](crate::NoDb::new) like `NODB_SCAN_THREADS`.
+    /// [`NoDb::new`](crate::NoDb::new) like any other knob's.
     pub posmap_budget: Option<ByteSize>,
     /// Byte budget for the cache. `None` (the default) never evicts.
     /// The `NODB_CACHE_BUDGET` environment variable overrides the
@@ -47,25 +47,6 @@ pub struct NoDbConfig {
     /// Offer every `stats_sample_stride`-th row to the statistics
     /// builders (1 = every row).
     pub stats_sample_stride: u64,
-    /// Worker threads for cold in-situ scans. `1` (the default) keeps
-    /// the classic single-threaded block-at-a-time scan; `n > 1` splits
-    /// the un-indexed region of the file into `n` line-aligned byte
-    /// chunks and tokenizes them concurrently, merging positional-map
-    /// blocks, cache columns and the end-of-line index in row order;
-    /// `0` uses one worker per available core. Results and scan metrics
-    /// are identical across settings. Warm (map/cache-resident) reads
-    /// are unaffected — they already run concurrently across queries
-    /// under shared locks.
-    ///
-    /// Trade-offs of `n > 1`: the parallel pass stages the whole
-    /// un-indexed tail (qualifying rows + auxiliary staging) in memory
-    /// before emitting, instead of streaming block-at-a-time — on par
-    /// with what result collection holds anyway, but LIMIT queries lose
-    /// their early-exit; and the on-the-fly statistics *sample* is drawn
-    /// per chunk rather than at global row stride, so cardinality
-    /// estimates (never results) can differ slightly from a
-    /// single-threaded run.
-    pub scan_threads: usize,
     /// Profile for tables registered in [`AccessMode::Loaded`].
     pub loaded_profile: EngineProfile,
     /// Buffer-pool capacity (pages) for loaded tables.
@@ -94,7 +75,6 @@ impl NoDbConfig {
             posmap_block_rows: 4096,
             posmap_spill_dir: None,
             stats_sample_stride: 16,
-            scan_threads: knob::SCAN_THREADS.env_default().unwrap_or(1),
             loaded_profile: EngineProfile::PostgresLike,
             pool_pages: 4096,
             data_dir: None,
@@ -125,17 +105,6 @@ impl NoDbConfig {
         IoBackend::Read
     }
 
-    /// Resolve [`NoDbConfig::scan_threads`]: `0` means one worker per
-    /// available core.
-    pub fn effective_scan_threads(&self) -> usize {
-        match self.scan_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
     /// Straw-man in-situ processing: no auxiliary structures at all.
     pub fn baseline() -> NoDbConfig {
         NoDbConfig {
@@ -156,7 +125,6 @@ impl NoDbConfig {
     /// surface.
     pub fn set_knob(&mut self, name: &str, raw: &str) -> Result<()> {
         match name {
-            "scan-threads" => self.scan_threads = knob::SCAN_THREADS.parse(raw)?,
             "posmap-budget" => self.posmap_budget = Some(knob::POSMAP_BUDGET.parse(raw)?),
             "cache-budget" => self.cache_budget = Some(knob::CACHE_BUDGET.parse(raw)?),
             other => {

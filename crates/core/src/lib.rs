@@ -141,12 +141,11 @@ impl NoDb {
     /// Create an engine.
     ///
     /// Rejects a malformed value in any registered knob's environment
-    /// variable (`NODB_SCAN_THREADS`, `NODB_POSMAP_BUDGET`,
-    /// `NODB_CACHE_BUDGET` — see [`nodb_common::knob`]) with
-    /// [`NoDbError::Config`]: config construction silently falls back to
-    /// its defaults (it must stay infallible), so the typo is surfaced
-    /// here, on the normal error path, before any query can run under the
-    /// wrong thread count or budget.
+    /// variable (`NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET` — see
+    /// [`nodb_common::knob`]) with [`NoDbError::Config`]: config
+    /// construction silently falls back to its defaults (it must stay
+    /// infallible), so the typo is surfaced here, on the normal error
+    /// path, before any query can run under the wrong budget.
     pub fn new(config: NoDbConfig) -> Result<NoDb> {
         nodb_common::knob::validate_env()?;
         let (tmp, data_dir) = match &config.data_dir {
@@ -201,8 +200,8 @@ impl NoDb {
     /// each object; missing keys and JSON `null`s read as SQL NULL, and
     /// values coerce to the declared types exactly like CSV fields (see
     /// [`nodb_common::format`]). The same adaptive machinery CSV tables
-    /// get — end-of-line index, positional map, cache, statistics,
-    /// parallel chunked cold scans — applies unchanged.
+    /// get — end-of-line index, positional map, cache, statistics —
+    /// applies unchanged.
     ///
     /// [`AccessMode::Loaded`] is not supported for JSONL (the bulk loader
     /// is CSV-specific); use `InSitu` — skipping the load is the point.
@@ -253,7 +252,6 @@ impl NoDb {
                         stats: self.config.enable_stats,
                     },
                     stride: self.config.stats_sample_stride,
-                    threads: self.config.effective_scan_threads(),
                 };
                 TableEntry {
                     schema,
@@ -581,13 +579,10 @@ pub(crate) struct InSituProvider {
     has_header: bool,
     flags: AuxFlags,
     stride: u64,
-    /// Cold-scan worker threads, already resolved from the config
-    /// (`0`-means-auto handled by `NoDbConfig::effective_scan_threads`).
-    threads: usize,
 }
 
 impl InSituProvider {
-    fn make_scan(&self, projection: Vec<usize>, filters: Vec<BoundExpr>, threads: usize) -> BoxOp {
+    fn make_scan(&self, projection: Vec<usize>, filters: Vec<BoundExpr>) -> BoxOp {
         Box::new(InSituScanOp::new(
             Arc::clone(&self.runtime),
             self.path.clone(),
@@ -598,26 +593,22 @@ impl InSituProvider {
             filters,
             self.flags,
             self.stride,
-            threads,
         ))
     }
 
     /// A projection-only scan used by idle-time exploitation: same flags
     /// as query scans (so it builds the same structures), no filters.
-    /// Always single-threaded so idle budgets keep their block-at-a-time
-    /// granularity (a parallel pass would overshoot the budget by a whole
-    /// file).
     pub(crate) fn scan_for_idle(&self, attrs: &[usize]) -> Result<BoxOp> {
         let mut attrs = attrs.to_vec();
         attrs.sort_unstable();
         attrs.dedup();
-        Ok(self.make_scan(attrs, Vec::new(), 1))
+        Ok(self.make_scan(attrs, Vec::new()))
     }
 }
 
 impl TableProvider for InSituProvider {
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
-        Ok(self.make_scan(projection.to_vec(), filters.to_vec(), self.threads))
+        Ok(self.make_scan(projection.to_vec(), filters.to_vec()))
     }
 }
 
@@ -649,7 +640,6 @@ impl TableProvider for ExternalProvider {
                 stats: false,
             },
             u64::MAX,
-            1,
         )))
     }
 }

@@ -51,8 +51,7 @@ pub struct ScanMetrics {
 }
 
 impl ScanMetrics {
-    /// Fold another counter set into this one (chunk workers accumulate
-    /// locally; the merge adds them up).
+    /// Fold another counter set into this one.
     pub fn merge(&mut self, other: &ScanMetrics) {
         self.scans += other.scans;
         self.rows_emitted += other.rows_emitted;
@@ -66,7 +65,7 @@ impl ScanMetrics {
 }
 
 /// Lock-free accumulator behind [`ScanMetrics`]: scans add their local
-/// counters in one shot when a block or chunk completes, so the hot path
+/// counters in one shot when a block completes, so the hot path
 /// never takes a lock for bookkeeping.
 #[derive(Debug, Default)]
 pub struct ScanMetricsAtomic {

@@ -52,16 +52,15 @@
 //!   the lines of at most `RANGE_READ` raw bytes each — holding nothing.
 //!   Freshly collected chunks/columns are merged back in short write
 //!   sections.
-//! * **Cold regions** go through `scan_chunk`, which stages what it learns
-//!   (EOL segment, positional-map segment, cache stage, sampled
-//!   statistics, qualifying rows) while holding no lock; one merge folds
-//!   the staging into the shared structures, in file order. With
-//!   `scan_threads > 1` the whole un-indexed range is split into
-//!   line-aligned chunks ([`nodb_csv::lines::split_line_aligned_src`]),
-//!   one scoped worker per chunk. With one thread (or when continuing
-//!   privately past a dropped index) a persistent reader feeds it one
-//!   positional-map block per pump, so an abandoned cursor stops the scan
-//!   — and bounds its memory — at block granularity.
+//! * **Cold regions** are one sequential pass (§4.1), on the querying
+//!   thread: a persistent [`LineReader`] feeds `scan_chunk` one
+//!   positional-map block per pump. It stages what it learns (EOL
+//!   segment, positional-map segment, cache stage, sampled statistics,
+//!   qualifying rows) while holding no lock; one merge then folds the
+//!   staging into the shared structures, so the EOL index, the map and
+//!   the cache fill in file order. An abandoned cursor stops the scan —
+//!   and bounds its memory — at block granularity, and every row has its
+//!   global id, so every located error names it.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
@@ -72,7 +71,7 @@ use std::time::Instant;
 
 use nodb_cache::{CachedColumn, ChunkStage};
 use nodb_common::{ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Schema, Value};
-use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, LineRun};
+use nodb_csv::lines::{LineReader, LineRun};
 use nodb_exec::{BatchQueue, Operator, ValueBatch};
 use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
 use nodb_sql::BoundExpr;
@@ -99,7 +98,7 @@ pub struct AuxFlags {
 }
 
 /// Immutable per-scan context (kept apart from the mutable scan state so
-/// helpers and chunk workers can borrow it freely).
+/// helpers can borrow it freely).
 struct Ctx {
     schema: Schema,
     /// The raw file being scanned (also names error locations).
@@ -138,8 +137,6 @@ const RUN_LINES: usize = 128;
 pub struct InSituScanOp {
     runtime: Arc<RawTableRuntime>,
     flags: AuxFlags,
-    /// Cold-scan worker threads (resolved; ≥ 1).
-    threads: usize,
     ctx: Ctx,
 
     /// The accumulator of the query this scan belongs to, captured from
@@ -174,9 +171,7 @@ impl InSituScanOp {
     /// Create a scan. `format` is the record tokenizer for the file's
     /// physical layout; `has_header` skips the file's first line.
     /// `projection` must be ascending table ordinals; `filters` are bound
-    /// against the projection layout. `threads` is the cold-scan fan-out,
-    /// clamped to ≥ 1 — resolve a 0-means-auto config with
-    /// [`crate::NoDbConfig::effective_scan_threads`] first.
+    /// against the projection layout.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         runtime: Arc<RawTableRuntime>,
@@ -188,9 +183,7 @@ impl InSituScanOp {
         filters: Vec<BoundExpr>,
         flags: AuxFlags,
         sample_stride: u64,
-        threads: usize,
     ) -> InSituScanOp {
-        let threads = threads.max(1);
         let types = projection.iter().map(|&a| schema.field(a).dtype).collect();
         let mut where_set = std::collections::BTreeSet::new();
         for f in &filters {
@@ -212,7 +205,6 @@ impl InSituScanOp {
         InSituScanOp {
             runtime,
             flags,
-            threads,
             ctx: Ctx {
                 schema,
                 path,
@@ -318,129 +310,60 @@ impl InSituScanOp {
 
     /// Cold region: rows past the end-of-line frontier (`indexed` rows
     /// ending at byte `frontier`, one snapshot of the shared index).
-    /// Runs [`scan_chunk`] lock-free — fanned out over the whole
-    /// un-indexed tail, or over one positional-map block of the
-    /// persistent reader — and merges what it staged.
+    /// Runs [`scan_chunk`] lock-free over one positional-map block of the
+    /// persistent reader and merges what it staged.
     fn process_cold(&mut self, indexed: u64, frontier: u64) -> Result<()> {
         let first_row = self.next_row;
         let stat_locals: Vec<usize> = self.stat_builders.iter().map(|(l, _)| *l).collect();
-        let ctx = &self.ctx;
         let mut flags = self.flags;
-        let fan_out =
-            self.threads > 1 && self.reader.is_none() && (!flags.eol || indexed == first_row);
-        let (outputs, eof) = if fan_out {
-            // One source for the whole pass, opened once: the header
-            // probe, the boundary probe and every worker read through the
-            // same handle, and the length snapshot keeps split and
-            // workers consistent under concurrent appends.
-            let src = Arc::new(ByteSource::open(&ctx.path, IoBackend::Read)?);
-            let file_len = src.len();
-            let mut head = LineReader::from_source(
-                Arc::clone(&src),
-                ByteRange {
-                    start: frontier,
-                    end: u64::MAX,
-                },
-            );
-            self.skip_header(&mut head)?;
-            let ranges = split_line_aligned_src(&src, head.offset(), file_len, self.threads)?;
-            let results: Vec<Result<ChunkScan>> = std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&range| {
-                        let stat_locals = &stat_locals;
-                        let mut reader = LineReader::from_source(Arc::clone(&src), range);
-                        // Workers cannot know global row ids: the merge
-                        // supplies them chunk by chunk.
-                        s.spawn(move || {
-                            scan_chunk(ctx, &mut reader, u64::MAX, None, flags, stat_locals)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err(NoDbError::internal("scan worker panicked")))
-                    })
-                    .collect()
-            });
-            (results.into_iter().collect::<Result<Vec<_>>>()?, true)
-        } else {
-            if self.reader.is_none() {
-                // The shared EOL index was dropped/rebuilt underneath us
-                // (e.g. `drop_aux` mid-query): continue privately from
-                // our own offset; records from here are out-of-order for
-                // the fresh index and ignored.
-                let start = if flags.eol && indexed < first_row {
-                    self.resume_byte
-                } else {
-                    frontier
-                };
-                let mut reader = LineReader::open_at(&ctx.path, start)?;
-                self.skip_header(&mut reader)?;
-                self.reader = Some(reader);
-            }
-            // Keep every position tokenized along the way (§4.2, "all
-            // positions from 1 to 15 may be kept"). Chunk storage is
-            // anchored at block starts, so a pass resuming mid-block (the
-            // tail of an appended file) must not collect — the mapped
-            // path re-collects the grown block from its start later.
-            flags.posmap &= first_row.is_multiple_of(self.block_rows);
-            let limit = self.block_rows - first_row % self.block_rows;
-            // Opened above; hot-path modules are panic-free (enforced by
-            // `nodb-analyze`'s panic-path arm).
-            let reader = (self.reader.as_mut())
-                .ok_or_else(|| NoDbError::internal("scan reader not opened"))?;
-            let chunk = scan_chunk(ctx, reader, limit, Some(first_row), flags, &stat_locals)?;
-            let eof = (chunk.line_starts.len() as u64) < limit;
-            (vec![chunk], eof)
-        };
-        self.merge(first_row, outputs, eof)
+        if self.reader.is_none() {
+            // Start at the frontier, unless the shared EOL index was
+            // dropped/rebuilt underneath us (e.g. `drop_aux` mid-query):
+            // then continue privately from our own offset; records from
+            // here are out-of-order for the fresh index and ignored.
+            let start = if flags.eol && indexed < first_row {
+                self.resume_byte
+            } else {
+                frontier
+            };
+            let mut reader = LineReader::open_at(&self.ctx.path, start)?;
+            self.skip_header(&mut reader)?;
+            self.reader = Some(reader);
+        }
+        // Keep every position tokenized along the way (§4.2, "all
+        // positions from 1 to 15 may be kept"). Chunk storage is anchored
+        // at block starts, so a pass resuming mid-block (the tail of an
+        // appended file) must not collect — the mapped path re-collects
+        // the grown block from its start later.
+        flags.posmap &= first_row.is_multiple_of(self.block_rows);
+        let limit = self.block_rows - first_row % self.block_rows;
+        // Opened above; hot-path modules are panic-free (enforced by
+        // `nodb-analyze`'s panic-path arm).
+        let reader =
+            (self.reader.as_mut()).ok_or_else(|| NoDbError::internal("scan reader not opened"))?;
+        let staged = scan_chunk(&self.ctx, reader, limit, first_row, flags, &stat_locals)?;
+        let eof = (staged.line_starts.len() as u64) < limit;
+        self.merge(first_row, staged, eof)
     }
 
-    /// Fold a cold pass's staging (chunks in file order, the first
-    /// starting at global row `first_row`) into the shared structures:
-    /// cut it into block-aligned map chunks and cache columns without
-    /// holding anything, then EOL segments and map chunks in one
-    /// positional-map write section and the columns in one cache write
-    /// section (lock DAG: posmap before cache). `eof` says the pass
-    /// consumed the file's last line.
-    fn merge(&mut self, first_row: u64, outputs: Vec<ChunkScan>, eof: bool) -> Result<()> {
+    /// Fold a cold pass's staging (its first row is global row
+    /// `first_row`) into the shared structures: cut it into block-aligned
+    /// map chunks and cache columns without holding anything, then the
+    /// EOL segment and map chunks in one positional-map write section and
+    /// the columns in one cache write section (lock DAG: posmap before
+    /// cache). `eof` says the pass consumed the file's last line.
+    fn merge(&mut self, first_row: u64, staged: ChunkScan, eof: bool) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
         let block_rows = self.block_rows as usize;
-        let mut metrics = ScanMetrics::default();
-        let mut prof = PhaseProfile::default();
-        let mut eol_segments = Vec::with_capacity(outputs.len());
-        let mut seg_acc: Option<SegmentCollector> = None;
-        let mut stage_acc: Option<ChunkStage> = None;
-        let mut emitted = Vec::with_capacity(outputs.len());
-        let mut rows: u64 = 0;
-        for o in outputs {
-            if let Some(seg) = o.posmap {
-                match seg_acc.as_mut() {
-                    Some(acc) => acc.append(seg),
-                    None => seg_acc = Some(seg),
-                }
-            }
-            if let Some(stage) = o.cache {
-                match stage_acc.as_mut() {
-                    Some(acc) => acc.append(stage, rows as u32),
-                    None => stage_acc = Some(stage),
-                }
-            }
-            self.offer_samples(o.stat_samples);
-            emitted.extend(o.emitted);
-            metrics.merge(&o.metrics);
-            prof.merge(&o.profile);
-            let base_row = first_row + rows;
-            rows += o.line_starts.len() as u64;
-            eol_segments.push((base_row, o.line_starts, o.end));
-        }
-        self.out.push(ValueBatch::concat(emitted)?);
-        let chunks = seg_acc.map_or_else(Vec::new, |s| s.into_chunks(first_row, block_rows));
-        let columns =
-            stage_acc.map_or_else(Vec::new, |s| s.into_columns(first_row, rows, block_rows));
+        let rows = staged.line_starts.len() as u64;
+        self.offer_samples(staged.stat_samples);
+        self.out.push(ValueBatch::concat(staged.emitted)?);
+        let chunks = staged
+            .posmap
+            .map_or_else(Vec::new, |s| s.into_chunks(first_row, block_rows));
+        let columns = staged
+            .cache
+            .map_or_else(Vec::new, |s| s.into_columns(first_row, rows, block_rows));
         // Scans that maintain no positional state (the external-files /
         // baseline profile) have nothing to write into the map: skip the
         // write lock so concurrent baseline queries never serialize on
@@ -448,15 +371,14 @@ impl InSituScanOp {
         if self.flags.eol || self.flags.posmap {
             let mut pm = runtime.posmap.write();
             if self.flags.eol {
-                for (base_row, line_starts, end) in &eol_segments {
-                    pm.eol_mut().absorb_segment(*base_row, line_starts, *end);
-                }
+                pm.eol_mut()
+                    .absorb_segment(first_row, &staged.line_starts, staged.end);
                 // Completing fixes the row count, so only do it when our
-                // segments actually reached the index — after a drop_aux
+                // segment actually reached the index — after a drop_aux
                 // between tokenization and merge (or while continuing
-                // privately past a dropped index) they are gap-ignored,
-                // and completing an emptied index would freeze row_count
-                // at 0 for every other query.
+                // privately past a dropped index) it is gap-ignored, and
+                // completing an emptied index would freeze row_count at 0
+                // for every other query.
                 if eof && pm.eol().indexed_rows() == first_row + rows {
                     pm.eol_mut().set_complete();
                 }
@@ -471,8 +393,8 @@ impl InSituScanOp {
                 cache.insert(c);
             }
         }
-        self.add_profile(&prof);
-        runtime.metrics.add(&metrics);
+        self.add_profile(&staged.profile);
+        runtime.metrics.add(&staged.metrics);
         self.next_row = first_row + rows;
         self.done = eof;
         Ok(())
@@ -579,9 +501,8 @@ impl InSituScanOp {
             while r1 < rows && bounds[r1 + 1] - bounds[r0] <= RANGE_READ {
                 r1 += 1;
             }
-            let id = Some(block_start + r0 as u64);
             let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf);
-            let mut run = Run::new(lines, r0, id);
+            let mut run = Run::new(lines, r0, block_start + r0 as u64);
             run.positions = Positions::Map(&entries);
             if let Some(c) = collector.as_mut() {
                 positions.clear();
@@ -748,12 +669,9 @@ fn cache_stage(ctx: &Ctx) -> ChunkStage {
 
 /// The cold path (§4.1): read up to `max_rows` lines from `reader` a run
 /// at a time, tokenize each run's rows, form them through the block
-/// kernel, and stage positions, values and statistics samples privately.
-/// Touches no shared state, so it runs on worker threads as well as on
-/// the querying thread. `row_base` is the global id of the first row when
-/// the caller knows it (error locations and statistics sampling then use
-/// global row ids); chunk workers pass `None` and count from the chunk
-/// start.
+/// kernel, and stage positions, values and statistics samples privately,
+/// touching no shared state. `row_base` is the global id of the first
+/// row: error locations and statistics sampling use global row ids.
 ///
 /// Each row is tokenized exactly once, by one
 /// [`LineFormat::positions_upto`] call up to the highest projected
@@ -765,7 +683,7 @@ fn scan_chunk(
     ctx: &Ctx,
     reader: &mut LineReader,
     max_rows: u64,
-    row_base: Option<u64>,
+    row_base: u64,
     flags: AuxFlags,
     stat_locals: &[usize],
 ) -> Result<ChunkScan> {
@@ -809,7 +727,7 @@ fn scan_chunk(
         }
         out.line_starts.extend_from_slice(lines.starts());
         let started = Instant::now();
-        let mut run = Run::new(lines, rows as usize, row_base.map(|b| b + rows));
+        let mut run = Run::new(lines, rows as usize, row_base + rows);
         starts.clear();
         let posmap = &mut out.posmap;
         let tokenize = |k: &mut Kernel, line: &[u8], _| {

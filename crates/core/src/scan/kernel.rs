@@ -30,8 +30,8 @@ pub(super) struct Run<'a> {
     /// Index of the first row in the per-row structures: its block row on
     /// a map-covered block, its chunk row in a cold chunk.
     first: usize,
-    /// Global id of the first row, when known: error locations name it.
-    id: Option<u64>,
+    /// Global id of the first row: error locations name it.
+    id: u64,
     pub(super) positions: Positions<'a>,
     /// The earliest failing row (the run's length while none has) and its
     /// error: each phase visits only the rows before it.
@@ -40,7 +40,7 @@ pub(super) struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    pub(super) fn new(lines: LineRun<'a>, first: usize, id: Option<u64>) -> Run<'a> {
+    pub(super) fn new(lines: LineRun<'a>, first: usize, id: u64) -> Run<'a> {
         Run {
             fail_row: lines.len(),
             lines,
@@ -61,8 +61,7 @@ impl<'a> Run<'a> {
 
     /// Locate `e`, raised on row `r`, at the row's line.
     pub(super) fn locate(&self, ctx: &Ctx, r: usize, e: NoDbError) -> NoDbError {
-        let row_id = self.id.map(|id| id + r as u64);
-        e.at_raw_location(&ctx.path, row_id, self.lines.start(r))
+        e.at_raw_location(&ctx.path, self.id + r as u64, self.lines.start(r))
     }
 }
 
@@ -185,7 +184,7 @@ impl Kernel<'_> {
                 }
             };
             col.push_value(&v)?;
-            let tick = run.id.unwrap_or(first as u64) + r as u64;
+            let tick = run.id + r as u64;
             if let Some(i) = sampled.filter(|_| tick.is_multiple_of(ctx.sample_stride)) {
                 self.samples[i].1.push(v.clone());
             }

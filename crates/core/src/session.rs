@@ -194,14 +194,8 @@ impl NoDb {
     /// the raw file as the cursor is consumed, so dropping the cursor
     /// early (or putting a `LIMIT` on the query) stops the scan early —
     /// the engine never holds more than the pipeline's working set in
-    /// memory, regardless of result size.
-    ///
-    /// Caveat: a *cold* scan with
-    /// [`scan_threads`](crate::NoDbConfig::scan_threads)` > 1` stages
-    /// the whole un-indexed tail before emitting its first row (the
-    /// documented trade-off of the chunk-parallel pass), so early
-    /// termination is block-granular on the default single-threaded
-    /// cold path and on warm, map-covered reads under any setting.
+    /// memory, regardless of result size. Early termination is
+    /// block-granular, on cold and warm reads alike.
     pub fn query_stream(&self, sql: &str) -> Result<QueryCursor> {
         self.prepare(sql)?.execute(&Params::new())
     }
@@ -338,9 +332,7 @@ fn coerce_param(idx: usize, v: &Value, want: Option<DataType>) -> Result<Value> 
 /// pulls blocks from the raw file only as needed — stop consuming and the
 /// scan stops too (verifiable through [`crate::ScanMetrics`]: a
 /// `LIMIT 10` over a million-row file tokenizes a few blocks, not the
-/// file, on the default single-threaded cold path; a chunk-parallel
-/// cold scan stages its whole tail first, see
-/// [`crate::NoDbConfig::scan_threads`]). Auxiliary structures built by
+/// file). Auxiliary structures built by
 /// the consumed prefix of the scan are kept and serve future queries.
 ///
 /// The cursor owns its operator tree and keeps the table runtime alive

@@ -462,7 +462,7 @@ fn header_rows_are_skipped_in_situ() {
 }
 
 #[test]
-fn header_skip_survives_appends_and_parallel_scans() {
+fn header_skip_survives_appends() {
     let td = TempDir::new("nodb-core-test").unwrap();
     let p = td.file("h.csv");
     std::fs::write(&p, "a,b\n1,10\n2,20\n").unwrap();
@@ -471,9 +471,7 @@ fn header_skip_survives_appends_and_parallel_scans() {
         has_header: true,
         ..CsvOptions::default()
     };
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = 4;
-    let mut db = NoDb::new(cfg).unwrap();
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
     db.register_csv("t", &p, schema, opts, AccessMode::InSitu)
         .unwrap();
     let r = db.query("select count(*) from t").unwrap();
@@ -486,63 +484,10 @@ fn header_skip_survives_appends_and_parallel_scans() {
     assert_eq!(r.rows[0].get(0), &Value::Int64(60));
 }
 
-/// Run `queries` cold then warm on a single-threaded reference engine
-/// and on an engine with `threads` cold-scan workers (both built by
-/// `make`), asserting identical rows, work counters and aux footprint.
-/// Returns the reference engine for further checks.
-fn assert_matches_single_threaded(
-    make: &dyn Fn(usize) -> NoDb,
-    queries: &[&str],
-    threads: usize,
-    what: &str,
-) -> NoDb {
-    let reference = make(1);
-    let parallel = make(threads);
-    for q in queries {
-        // Cold and warm runs both agree.
-        let a1 = reference.query(q).unwrap();
-        let b1 = parallel.query(q).unwrap();
-        assert_eq!(a1.rows, b1.rows, "{what}, {threads} threads, cold `{q}`");
-        let a2 = reference.query(q).unwrap();
-        let b2 = parallel.query(q).unwrap();
-        assert_eq!(a2.rows, b2.rows, "{what}, {threads} threads, warm `{q}`");
-    }
-    // Same tokenization/parsing work, block-for-block aux parity.
-    let mr = reference.metrics("t").unwrap();
-    let mp = parallel.metrics("t").unwrap();
-    assert_eq!(mr, mp, "{what}, {threads} threads: metrics diverged");
-    let ar = reference.aux_info("t").unwrap();
-    let ap = parallel.aux_info("t").unwrap();
-    assert_eq!(ar.posmap_pointers, ap.posmap_pointers, "{what}");
-    assert_eq!(ar.posmap_bytes, ap.posmap_bytes, "{what}");
-    assert_eq!(ar.cache_bytes, ap.cache_bytes, "{what}");
-    assert_eq!(ar.stats_attrs, ap.stats_attrs, "{what}");
-    reference
-}
-
-#[test]
-fn parallel_scan_matches_single_threaded() {
-    let (_td, p, schema) = micro_file(2500, 12);
-    let queries = [
-        "select c0 from t",
-        "select c1, c7 from t where c3 < 300000000",
-        "select sum(c2), count(*), min(c4), max(c4) from t",
-        "select count(*) from t",
-    ];
-    for threads in [2usize, 3, 8] {
-        let make = |threads| {
-            let mut cfg = NoDbConfig::postgres_raw();
-            cfg.scan_threads = threads;
-            engine_with(cfg, &p, &schema, AccessMode::InSitu)
-        };
-        assert_matches_single_threaded(&make, &queries, threads, "micro");
-    }
-}
-
 /// The cold kernel is asked for one block of rows at a time: "asked for
 /// N, got N" must not be mistaken for (or hide) the end of the file.
 /// Files that end exactly on a block boundary, hold no rows at all, or
-/// lack the final newline, in both formats, at one and four threads.
+/// lack the final newline, in both formats.
 #[test]
 fn cold_scan_block_boundaries() {
     const BLOCK: usize = 64;
@@ -590,10 +535,9 @@ fn cold_scan_block_boundaries() {
                 _ => Value::Int64((0..n as i64).sum()),
             };
             let what = format!("{shape}, jsonl={jsonl}");
-            let make = |threads| {
+            let make = || {
                 let mut cfg = NoDbConfig::postgres_raw();
                 cfg.posmap_block_rows = BLOCK;
-                cfg.scan_threads = threads;
                 let mut db = NoDb::new(cfg).unwrap();
                 if jsonl {
                     db.register_jsonl("t", &p, schema.clone(), AccessMode::InSitu)
@@ -608,21 +552,29 @@ fn cold_scan_block_boundaries() {
                 }
                 db
             };
-            let db = assert_matches_single_threaded(&make, &queries, 4, &what);
-            let got = db.query(queries[0]).unwrap();
-            let got: Vec<Vec<Value>> = got.rows.iter().map(|r| r.0.clone()).collect();
-            assert_eq!(got, kept, "{what}");
-            let agg = db.query(queries[1]).unwrap();
-            assert_eq!(agg.rows[0].0, vec![Value::Int64(n as i64), sum.clone()]);
+            let expected = [
+                kept,
+                vec![vec![Value::Int64(n as i64), sum]],
+                vec![vec![Value::Int64(n as i64)]],
+            ];
+            let db = make();
+            // Cold, then warm: the same answers.
+            for pass in ["cold", "warm"] {
+                for (q, want) in queries.iter().zip(&expected) {
+                    let got = db.query(q).unwrap();
+                    let got: Vec<Vec<Value>> = got.rows.iter().map(|r| r.0.clone()).collect();
+                    assert_eq!(&got, want, "{what}, {pass} `{q}`");
+                }
+            }
             // The cold pass completed the EOL index: counting again
             // reads nothing.
             let before = db.metrics("t").unwrap().bytes_tokenized;
             let count = db.query(queries[2]).unwrap();
             assert_eq!(count.rows[0].get(0), &Value::Int64(n as i64), "{what}");
             assert_eq!(db.metrics("t").unwrap().bytes_tokenized, before, "{what}");
-            // A single-threaded LIMIT stops after the first block.
+            // A cold LIMIT stops after the first block.
             if n > BLOCK {
-                let db = make(1);
+                let db = make();
                 let first = db.query("select a from t limit 1").unwrap();
                 assert_eq!(first.rows[0].get(0), &Value::Int32(0), "{what}");
                 let block_bytes: usize = lines.iter().take(BLOCK).map(|l| l.len() + 1).sum();
@@ -639,9 +591,7 @@ fn empty_and_growing_files() {
     let p = td.file("grow.csv");
     std::fs::write(&p, "").unwrap();
     let schema = Schema::parse("a int, b int").unwrap();
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = 4;
-    let mut db = NoDb::new(cfg).unwrap();
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
     db.register_csv("t", &p, schema, CsvOptions::default(), AccessMode::InSitu)
         .unwrap();
     // Zero-length file: the scan sees no rows.

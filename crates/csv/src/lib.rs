@@ -10,7 +10,7 @@
 //!   needs) and *incremental parsing* in both directions from a known
 //!   position (§4.2, "Exploiting the Positional Map").
 //! * [`lines`] — sequential line reading, lending each line out of one
-//!   buffer, and line-aligned splitting for parallel scans.
+//!   buffer, and runs of lines read by known position.
 //! * [`writer`] — a buffered CSV writer (used by loaders, tests and
 //!   generators).
 //! * [`generate`] — the micro-benchmark file generator (150 random-integer
@@ -32,7 +32,7 @@ pub mod writer;
 
 pub use format::CsvFormat;
 pub use generate::MicroGen;
-pub use lines::{split_line_aligned, split_line_aligned_src, ByteRange, LineReader};
+pub use lines::LineReader;
 pub use writer::CsvWriter;
 
 /// Options describing the physical layout of a character-delimited file.

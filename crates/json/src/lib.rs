@@ -15,9 +15,9 @@
 //!   same logical rows from the same seed in JSONL layout.
 //!
 //! Because records are still lines, everything the engine learned for CSV
-//! applies unchanged: the end-of-line index, line-aligned chunk splitting
-//! for parallel cold scans, positional-map chunks of value offsets, the
-//! binary cache and on-the-fly statistics. See `NoDb::register_jsonl` in
+//! applies unchanged: the sequential line reader and end-of-line index,
+//! positional-map chunks of value offsets, the binary cache and on-the-fly
+//! statistics. See `NoDb::register_jsonl` in
 //! `nodb-core` for the engine-level entry point.
 
 #![forbid(unsafe_code)]

@@ -252,11 +252,10 @@ impl BlockCollector {
     }
 }
 
-/// Accumulates row-major positions for a run of consecutive rows whose
-/// *global* row ids are unknown while chunk workers scan byte ranges of
-/// the file in parallel. The merge phase, which knows where the run
-/// starts, cuts the staged rows into block-aligned [`Chunk`]s with
-/// [`SegmentCollector::into_chunks`].
+/// Accumulates row-major positions for a run of consecutive rows while a
+/// cold scan tokenizes them, holding no lock. The scan's merge, given
+/// where the run starts, cuts the staged rows into block-aligned
+/// [`Chunk`]s with [`SegmentCollector::into_chunks`].
 #[derive(Debug)]
 pub struct SegmentCollector {
     attrs: Vec<u32>,
@@ -285,14 +284,6 @@ impl SegmentCollector {
         debug_assert_eq!(offsets.len(), self.attrs.len());
         self.staged.extend_from_slice(offsets);
         self.rows += 1;
-    }
-
-    /// Append another worker's segment whose rows immediately follow this
-    /// one's. Both must cover the same attribute set.
-    pub fn append(&mut self, other: SegmentCollector) {
-        debug_assert_eq!(self.attrs, other.attrs);
-        self.staged.extend_from_slice(&other.staged);
-        self.rows += other.rows;
     }
 
     /// Cut the segment into block-aligned chunks, given the global row id
@@ -419,20 +410,6 @@ mod tests {
         assert_eq!(chunks.len(), 1);
         assert_eq!((chunks[0].block, chunks[0].rows), (1, 4));
         assert_eq!(chunks[0].attr_column(0), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn segment_collector_append_concatenates_workers() {
-        let mut a = SegmentCollector::new(vec![0]);
-        a.push_row(&[10]);
-        a.push_row(&[11]);
-        let mut b = SegmentCollector::new(vec![0]);
-        b.push_row(&[12]);
-        a.append(b);
-        assert_eq!(a.rows(), 3);
-        let chunks = a.into_chunks(0, 8);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].attr_column(0), vec![10, 11, 12]);
     }
 
     proptest! {

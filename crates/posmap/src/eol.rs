@@ -54,10 +54,9 @@ impl EolIndex {
         }
     }
 
-    /// Record a contiguous segment of line starts built by a chunk
-    /// worker: rows `[base_row, base_row + line_starts.len())`, with the
-    /// segment's last line ending at byte `end` (the next line start /
-    /// chunk end). Rows already recorded are skipped and a gap (a
+    /// Record a contiguous segment of line starts built by a cold scan
+    /// pass: rows `[base_row, base_row + line_starts.len())`, with the
+    /// segment's last line ending at byte `end` (the next line start). Rows already recorded are skipped and a gap (a
     /// `base_row` beyond the indexed extent) is ignored, matching
     /// [`EolIndex::record`]'s in-order, exactly-once contract.
     pub fn absorb_segment(&mut self, base_row: u64, line_starts: &[u64], end: u64) {

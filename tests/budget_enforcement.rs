@@ -12,8 +12,7 @@
 //!    budgets sized at half the measured working set, every query still
 //!    returns the exact rows of the unbudgeted engine — in-situ scans
 //!    fall back to the raw file for evicted state — while the posmap
-//!    and cache stay at or under their caps, across CSV/JSONL × 1/4
-//!    scan threads.
+//!    and cache stay at or under their caps, over CSV and JSONL.
 //! 3. **Eviction is workload-driven, not blind.** With a cache budget
 //!    that can hold roughly half the touched columns, the columns a
 //!    workload hammers must keep serving from cache while the
@@ -108,15 +107,10 @@ fn fixture() -> Fixture {
     f
 }
 
-fn config(
-    scan_threads: usize,
-    posmap_budget: Option<ByteSize>,
-    cache_budget: Option<ByteSize>,
-) -> NoDbConfig {
+fn config(posmap_budget: Option<ByteSize>, cache_budget: Option<ByteSize>) -> NoDbConfig {
     let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = scan_threads;
     // Small map blocks so a sub-working-set budget has many chunks to
-    // choose victims from (and the 4-thread runs cut real chunks).
+    // choose victims from.
     cfg.posmap_block_rows = 128;
     cfg.posmap_budget = posmap_budget;
     cfg.cache_budget = cache_budget;
@@ -162,21 +156,19 @@ fn slack_budgets_are_bit_identical_to_no_budgets() {
     let f = fixture();
     let slack = Some(ByteSize::gb(1));
     for jsonl in [false, true] {
-        for threads in [1usize, 4] {
-            let free = engine(&f, config(threads, None, None), jsonl);
-            let capped = engine(&f, config(threads, slack, slack), jsonl);
-            let ctx = format!("{} threads={threads}", if jsonl { "jsonl" } else { "csv" });
-            for pass in ["cold", "warm"] {
-                for q in QUERIES {
-                    let want = free.query(q).unwrap();
-                    let got = capped.query(q).unwrap();
-                    assert_eq!(want.rows, got.rows, "{ctx} {pass}: rows for `{q}`");
-                    assert_eq!(
-                        observe(&free, "t"),
-                        observe(&capped, "t"),
-                        "{ctx} {pass}: state after `{q}`"
-                    );
-                }
+        let free = engine(&f, config(None, None), jsonl);
+        let capped = engine(&f, config(slack, slack), jsonl);
+        let ctx = if jsonl { "jsonl" } else { "csv" };
+        for pass in ["cold", "warm"] {
+            for q in QUERIES {
+                let want = free.query(q).unwrap();
+                let got = capped.query(q).unwrap();
+                assert_eq!(want.rows, got.rows, "{ctx} {pass}: rows for `{q}`");
+                assert_eq!(
+                    observe(&free, "t"),
+                    observe(&capped, "t"),
+                    "{ctx} {pass}: state after `{q}`"
+                );
             }
         }
     }
@@ -189,38 +181,32 @@ fn slack_budgets_are_bit_identical_to_no_budgets() {
 fn tight_budgets_bound_aux_without_changing_answers() {
     let f = fixture();
     for jsonl in [false, true] {
-        for threads in [1usize, 4] {
-            let ctx = format!("{} threads={threads}", if jsonl { "jsonl" } else { "csv" });
-            // Reference run measures the unbudgeted working set.
-            let free = engine(&f, config(threads, None, None), jsonl);
-            for q in QUERIES {
-                free.query(q).unwrap();
-            }
-            let (_, full_pm, _, full_cache, _) = observe(&free, "t");
-            assert!(full_pm > 0 && full_cache > 0, "{ctx}: fixture too small");
-            let pm_budget = ByteSize((full_pm / 2) as u64);
-            let cache_budget = ByteSize((full_cache / 2) as u64);
+        let ctx = if jsonl { "jsonl" } else { "csv" };
+        // Reference run measures the unbudgeted working set.
+        let free = engine(&f, config(None, None), jsonl);
+        for q in QUERIES {
+            free.query(q).unwrap();
+        }
+        let (_, full_pm, _, full_cache, _) = observe(&free, "t");
+        assert!(full_pm > 0 && full_cache > 0, "{ctx}: fixture too small");
+        let pm_budget = ByteSize((full_pm / 2) as u64);
+        let cache_budget = ByteSize((full_cache / 2) as u64);
 
-            let capped = engine(
-                &f,
-                config(threads, Some(pm_budget), Some(cache_budget)),
-                jsonl,
-            );
-            for pass in ["cold", "warm"] {
-                for q in QUERIES {
-                    let want = free.query(q).unwrap();
-                    let got = capped.query(q).unwrap();
-                    assert_eq!(want.rows, got.rows, "{ctx} {pass}: rows for `{q}`");
-                    let (_, pm, _, cache, _) = observe(&capped, "t");
-                    assert!(
-                        pm <= pm_budget.bytes() as usize,
-                        "{ctx} {pass}: posmap {pm} B over budget {pm_budget} after `{q}`"
-                    );
-                    assert!(
-                        cache <= cache_budget.bytes() as usize,
-                        "{ctx} {pass}: cache {cache} B over budget {cache_budget} after `{q}`"
-                    );
-                }
+        let capped = engine(&f, config(Some(pm_budget), Some(cache_budget)), jsonl);
+        for pass in ["cold", "warm"] {
+            for q in QUERIES {
+                let want = free.query(q).unwrap();
+                let got = capped.query(q).unwrap();
+                assert_eq!(want.rows, got.rows, "{ctx} {pass}: rows for `{q}`");
+                let (_, pm, _, cache, _) = observe(&capped, "t");
+                assert!(
+                    pm <= pm_budget.bytes() as usize,
+                    "{ctx} {pass}: posmap {pm} B over budget {pm_budget} after `{q}`"
+                );
+                assert!(
+                    cache <= cache_budget.bytes() as usize,
+                    "{ctx} {pass}: cache {cache} B over budget {cache_budget} after `{q}`"
+                );
             }
         }
     }
@@ -237,7 +223,7 @@ fn hot_columns_outlive_cold_ones_under_cache_pressure() {
     let cold_q = "select min(big) from t";
 
     // Measure the two-column working set on an unbudgeted engine.
-    let probe = engine(&f, config(1, None, None), false);
+    let probe = engine(&f, config(None, None), false);
     probe.query(hot_q).unwrap();
     probe.query(cold_q).unwrap();
     let (_, _, _, working_set, _) = observe(&probe, "t");
@@ -245,7 +231,7 @@ fn hot_columns_outlive_cold_ones_under_cache_pressure() {
 
     // Budget for roughly one of the two columns.
     let budget = ByteSize((working_set / 2) as u64);
-    let db = engine(&f, config(1, None, Some(budget)), false);
+    let db = engine(&f, config(None, Some(budget)), false);
 
     // The workload: hammer `score`, touch `big` once. Heat for `score`
     // ends up far above `big`'s, so enforcement keeps `score` resident.

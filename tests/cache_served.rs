@@ -8,8 +8,7 @@
 //! across
 //!
 //! * a corpus of every operator the engine lowers, over CSV and JSON
-//!   Lines × 1 and 4 cold-scan worker threads, cold (structure-building)
-//!   and warm (structure-serving),
+//!   Lines, cold (structure-building) and warm (structure-serving),
 //! * constant conjuncts, which the binder plans as written and which
 //!   must answer like their constant-free twins,
 //! * cache-served blocks, holes in a cached SELECT column (parsed from
@@ -184,11 +183,9 @@ fn fixture() -> Fixture {
     f
 }
 
-fn config(scan_threads: usize) -> NoDbConfig {
+fn config() -> NoDbConfig {
     let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = scan_threads;
-    // Small map blocks so batches straddle block boundaries and the
-    // 4-thread runs cut real chunks out of this corpus.
+    // Small map blocks so batches straddle block boundaries.
     cfg.posmap_block_rows = 128;
     cfg
 }
@@ -219,7 +216,7 @@ fn engine(f: &Fixture, cfg: NoDbConfig, jsonl: bool) -> NoDb {
     db
 }
 
-/// The corpus over format × threads, each engine run cold
+/// The corpus over both formats, each engine run cold
 /// then warm, row for row against the aux-free baseline. Both files hold
 /// the same rows, so the CSV and JSONL baselines must agree first.
 #[test]
@@ -237,14 +234,12 @@ fn corpus_matches_the_aux_free_baseline() {
         assert_eq!(csv, jsonl, "csv and jsonl baselines differ for `{q}`");
     }
     for jsonl in [false, true] {
-        for threads in [1usize, 4] {
-            let db = engine(&f, config(threads), jsonl);
-            let ctx = format!("{} threads={threads}", if jsonl { "jsonl" } else { "csv" });
-            for pass in ["cold", "warm"] {
-                for (q, want) in QUERIES.iter().zip(&want) {
-                    let got = db.query(q).unwrap().rows;
-                    assert_eq!(&got, want, "{ctx} {pass}: rows differ for `{q}`");
-                }
+        let db = engine(&f, config(), jsonl);
+        let ctx = if jsonl { "jsonl" } else { "csv" };
+        for pass in ["cold", "warm"] {
+            for (q, want) in QUERIES.iter().zip(&want) {
+                let got = db.query(q).unwrap().rows;
+                assert_eq!(&got, want, "{ctx} {pass}: rows differ for `{q}`");
             }
         }
     }
@@ -259,7 +254,7 @@ fn constant_conjuncts_answer_like_their_constant_free_twins() {
     let f = fixture();
     let engines = [
         ("baseline", engine(&f, NoDbConfig::baseline(), false)),
-        ("postgres_raw", engine(&f, config(4), false)),
+        ("postgres_raw", engine(&f, config(), false)),
     ];
     for (name, db) in &engines {
         for pass in ["cold", "warm"] {
@@ -288,7 +283,7 @@ impl Pair {
     fn new(f: &Fixture) -> Pair {
         let cached_only = NoDbConfig {
             enable_posmap: false,
-            ..config(1)
+            ..config()
         };
         Pair {
             db: engine(f, cached_only, false),
@@ -390,7 +385,7 @@ fn limit_over_a_join_stops_before_a_failing_match() {
     let f = fixture();
     let q = "select id, bonus from t join u on id = uid \
              where 1000 / (bonus - 5 + id - uid) < 0";
-    let db = engine(&f, config(1), false);
+    let db = engine(&f, config(), false);
     let rows = db.query(&format!("{q} limit 1")).unwrap().rows;
     assert_eq!(rows.len(), 1);
     let err = db.query(q).unwrap_err();
@@ -459,14 +454,11 @@ fn short_record_fails_alike_under_every_config() {
                 if case == 0 && first.is_some() && *name == "cache_only" {
                     // Without a map, the warm scan reads `c0` from the
                     // cache and drops the short row unread: it answers
-                    // three rows (ROADMAP item 4).
+                    // three rows (ROADMAP item 3).
                     continue;
                 }
                 let ctx = format!("case {case}: {name}, {history}");
-                let mut cfg = cfg.clone();
-                // One worker, so the error names its global row.
-                cfg.scan_threads = 1;
-                let mut db = NoDb::new(cfg).unwrap();
+                let mut db = NoDb::new(cfg.clone()).unwrap();
                 db.register_csv("t", &path, schema.clone(), CsvOptions::default(), *mode)
                     .unwrap();
                 if let Some(first) = first {

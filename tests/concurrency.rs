@@ -159,8 +159,8 @@ fn concurrent_warm_queries_match_single_threaded_bit_for_bit() {
     );
 }
 
-/// Parallel cold scans (scan_threads > 1) *combined with* concurrent
-/// queries: chunked workers inside each scan, many scans at once.
+/// Many cold scans at once, then a warm pass: once the racing scans have
+/// built the structures, the totals stabilize.
 #[test]
 fn concurrent_queries_with_parallel_scans() {
     let (_td, p, schema) = micro(4000, 10);
@@ -170,9 +170,7 @@ fn concurrent_queries_with_parallel_scans() {
         .map(|q| reference.query(q).unwrap().rows)
         .collect();
 
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = 4;
-    let shared = Arc::new(engine(cfg, &p, &schema));
+    let shared = Arc::new(engine(NoDbConfig::postgres_raw(), &p, &schema));
     std::thread::scope(|s| {
         for t in 0..4 {
             let shared = Arc::clone(&shared);
@@ -200,57 +198,21 @@ fn concurrent_queries_with_parallel_scans() {
     assert_eq!(m2.bytes_tokenized, m1.bytes_tokenized);
 }
 
-/// The format-generic scan keeps PR 2's parallel-scan guarantees for
-/// JSONL. Two engines over the same JSONL file — `scan_threads` 1 and 4
-/// — run the whole workload from cold; rows must equal the CSV twin's
-/// reference and the cumulative work counters of the two JSONL engines
-/// must match bit-for-bit (chunked cold scans do exactly the
-/// single-threaded work, merged in file order).
-#[test]
-fn jsonl_parallel_scan_parity_with_single_threaded() {
-    let (_tdc, pc, schema_csv) = micro(3000, 10);
-    let (_tdj, pj, schema) = micro_jsonl(3000, 10);
-    let reference = engine(NoDbConfig::postgres_raw(), &pc, &schema_csv);
-
-    let mut engines = Vec::new();
-    for scan_threads in [1usize, 4] {
-        let mut cfg = NoDbConfig::postgres_raw();
-        cfg.scan_threads = scan_threads;
-        engines.push(engine_jsonl(cfg, &pj, &schema));
-    }
-    // Cold + warm pass on each engine, checked against the CSV reference.
-    for round in 0..2 {
-        for (qi, q) in WORKLOAD.iter().enumerate() {
-            let want = reference.query(q).unwrap().rows;
-            for (ei, db) in engines.iter().enumerate() {
-                let got = db.query(q).unwrap();
-                assert_eq!(got.rows, want, "round {round}, engine {ei}, query {qi}");
-            }
-        }
-    }
-    let m1 = engines[0].metrics("t").unwrap();
-    let m4 = engines[1].metrics("t").unwrap();
-    assert_eq!(
-        m1, m4,
-        "1-thread and 4-thread JSONL scans must do identical work"
-    );
-}
-
 /// Cold race on a JSONL table: 8 threads hammer one shared engine with
-/// chunk-parallel scans racing to build the EOL index, positional map
-/// and cache; every result must equal the single-threaded reference.
+/// scans racing to build the EOL index, positional map and cache. Every
+/// result, cold and warm, must equal the single-threaded reference over
+/// the CSV twin of the file (same generator seed, same logical table).
 #[test]
 fn jsonl_concurrent_cold_queries_match_reference() {
+    let (_tdc, pc, schema_csv) = micro(3000, 10);
     let (_td, p, schema) = micro_jsonl(3000, 10);
-    let reference = engine_jsonl(NoDbConfig::postgres_raw(), &p, &schema);
+    let reference = engine(NoDbConfig::postgres_raw(), &pc, &schema_csv);
     let expected: Vec<Vec<Row>> = WORKLOAD
         .iter()
         .map(|q| reference.query(q).unwrap().rows)
         .collect();
 
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = 4;
-    let shared = Arc::new(engine_jsonl(cfg, &p, &schema));
+    let shared = Arc::new(engine_jsonl(NoDbConfig::postgres_raw(), &p, &schema));
     std::thread::scope(|s| {
         for t in 0..8 {
             let shared = Arc::clone(&shared);
@@ -266,8 +228,8 @@ fn jsonl_concurrent_cold_queries_match_reference() {
     });
     // Once warm, another pass is pure map/cache reads: no re-parsing.
     let m1 = shared.metrics("t").unwrap();
-    for q in WORKLOAD {
-        shared.query(q).unwrap();
+    for (q, want) in WORKLOAD.iter().zip(&expected) {
+        assert_eq!(&shared.query(q).unwrap().rows, want, "warm `{q}`");
     }
     let m2 = shared.metrics("t").unwrap();
     assert_eq!(
@@ -277,42 +239,37 @@ fn jsonl_concurrent_cold_queries_match_reference() {
 }
 
 /// Dropping auxiliary structures while other threads query must never
-/// produce wrong rows — worst case a scan rebuilds from scratch. Run
-/// both single-threaded and chunk-parallel scans: a drop landing
-/// between a parallel scan's fan-out and its merge must not mark the
-/// freshly-emptied EOL index complete (which would freeze the row count
-/// at 0 for every later query).
+/// produce wrong rows — worst case a scan rebuilds from scratch. A drop
+/// landing between a cold pass's tokenizing and its merge must not mark
+/// the freshly-emptied EOL index complete (which would freeze the row
+/// count at 0 for every later query).
 #[test]
 fn drop_aux_under_concurrent_queries_is_safe() {
     let (_td, p, schema) = micro(1500, 6);
     let reference = engine(NoDbConfig::postgres_raw(), &p, &schema);
     let expected = reference.query("select count(*) from t").unwrap().rows;
 
-    for scan_threads in [1usize, 4] {
-        let mut cfg = NoDbConfig::postgres_raw();
-        cfg.scan_threads = scan_threads;
-        let shared = Arc::new(engine(cfg, &p, &schema));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let shared = Arc::clone(&shared);
-                let expected = &expected;
-                s.spawn(move || {
-                    for _ in 0..6 {
-                        let got = shared.query("select count(*) from t").unwrap();
-                        assert_eq!(&got.rows, expected, "{scan_threads} scan threads");
-                    }
-                });
-            }
-            let dropper = Arc::clone(&shared);
+    let shared = Arc::new(engine(NoDbConfig::postgres_raw(), &p, &schema));
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            let shared = Arc::clone(&shared);
+            let expected = &expected;
             s.spawn(move || {
                 for _ in 0..6 {
-                    dropper.drop_aux("t").unwrap();
-                    std::thread::yield_now();
+                    let got = shared.query("select count(*) from t").unwrap();
+                    assert_eq!(&got.rows, expected);
                 }
             });
+        }
+        let dropper = Arc::clone(&shared);
+        s.spawn(move || {
+            for _ in 0..6 {
+                dropper.drop_aux("t").unwrap();
+                std::thread::yield_now();
+            }
         });
-        // The index left behind answers correctly afterwards too.
-        let got = shared.query("select count(*) from t").unwrap();
-        assert_eq!(&got.rows, &expected, "{scan_threads} scan threads, after");
-    }
+    });
+    // The index left behind answers correctly afterwards too.
+    let got = shared.query("select count(*) from t").unwrap();
+    assert_eq!(&got.rows, &expected, "after");
 }

@@ -5,15 +5,13 @@
 //! `select a, b from t`; after its first row the file is cut to a line
 //! boundary, and the cursor is drained. The process survives, every row
 //! the cursor returns is a row of the original file, in order, and the
-//! cursor ends either cleanly or with a typed I/O error. A fresh query
-//! then answers exactly the truncated file.
+//! cursor ends with a typed `UnexpectedEof` I/O error. A fresh query then
+//! answers exactly the truncated file.
 //!
 //! The file is larger than the line reader's buffer, so a cold scan must
 //! read again after the cut; a warm scan reads each map-covered block's
-//! bytes only when it reaches the block. Both therefore meet the cut,
-//! except the chunk-parallel cold scan, which reads the whole file before
-//! it hands out its first row. CSV and JSON Lines, at one and four
-//! cold-scan threads.
+//! bytes only when it reaches the block. Both therefore meet the cut.
+//! CSV and JSON Lines.
 
 use nodb::common::{NoDbError, Row, Schema, TempDir, Value};
 use nodb::core::{AccessMode, NoDb, NoDbConfig};
@@ -38,9 +36,9 @@ fn row(i: usize) -> Row {
 /// Cut the file under a cursor that has returned one row, drain it, and
 /// query afresh. `warm` first indexes every line start with `COUNT(*)`,
 /// so the cursor runs through the map-assisted path.
-fn truncate_under_cursor(jsonl: bool, threads: usize, warm: bool) {
+fn truncate_under_cursor(jsonl: bool, warm: bool) {
     let ctx = format!(
-        "{} threads={threads} {}",
+        "{} {}",
         if jsonl { "jsonl" } else { "csv" },
         if warm { "warm" } else { "cold" }
     );
@@ -51,9 +49,7 @@ fn truncate_under_cursor(jsonl: bool, threads: usize, warm: bool) {
     let cut: usize = (0..KEPT).map(|i| line(i, jsonl).len()).sum();
 
     let schema = Schema::parse("a int, b int").unwrap();
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = threads;
-    let mut db = NoDb::new(cfg).unwrap();
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
     if jsonl {
         db.register_jsonl("t", &path, schema, AccessMode::InSitu)
     } else {
@@ -95,10 +91,7 @@ fn truncate_under_cursor(jsonl: bool, threads: usize, warm: bool) {
         }
     }
     match end {
-        None => assert!(
-            !warm && threads > 1,
-            "{ctx}: ended cleanly after {returned} rows without reading past the cut"
-        ),
+        None => panic!("{ctx}: ended cleanly after {returned} rows without meeting the cut"),
         Some(NoDbError::Io(e)) => {
             assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{ctx}: {e}")
         }
@@ -117,17 +110,13 @@ fn truncate_under_cursor(jsonl: bool, threads: usize, warm: bool) {
 #[test]
 fn truncation_under_a_cold_cursor() {
     for jsonl in [false, true] {
-        for threads in [1, 4] {
-            truncate_under_cursor(jsonl, threads, false);
-        }
+        truncate_under_cursor(jsonl, false);
     }
 }
 
 #[test]
 fn truncation_under_a_warm_cursor() {
     for jsonl in [false, true] {
-        for threads in [1, 4] {
-            truncate_under_cursor(jsonl, threads, true);
-        }
+        truncate_under_cursor(jsonl, true);
     }
 }

@@ -2,8 +2,8 @@
 //! JSON Lines as *the same table*: the identical logical rows are written
 //! in both physical layouts, every query of a shared corpus (filters,
 //! aggregates, joins, LIMIT, EXISTS) runs against both, and results must
-//! match row for row — cold, warm, after `drop_aux`, re-warmed, single-
-//! and multi-threaded. Beyond results, the adaptive machinery must
+//! match row for row — cold, warm, after `drop_aux` and re-warmed.
+//! Beyond results, the adaptive machinery must
 //! *behave* identically: positional-map/cache hit counters and pointer
 //! counts are format-independent, because the map stores positions and
 //! the cache stores converted values, neither of which depends on how
@@ -11,7 +11,7 @@
 //!
 //! Also covered here (error-path normalization): malformed records in
 //! either format must surface `nodb-common` parse errors that name the
-//! file, the row (when known) and the byte offset of the record.
+//! file, the row and the byte offset of the record.
 
 use std::path::{Path, PathBuf};
 
@@ -159,17 +159,15 @@ fn fixture(rows: usize) -> Fixture {
     f
 }
 
-fn config(scan_threads: usize) -> NoDbConfig {
+fn config() -> NoDbConfig {
     let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = scan_threads;
-    // Small blocks so the corpus spans many positional-map blocks and the
-    // parallel merge cuts real block-aligned chunks.
+    // Small blocks so the corpus spans many positional-map blocks.
     cfg.posmap_block_rows = 256;
     cfg
 }
 
-fn csv_engine(f: &Fixture, scan_threads: usize) -> NoDb {
-    let mut db = NoDb::new(config(scan_threads)).unwrap();
+fn csv_engine(f: &Fixture) -> NoDb {
+    let mut db = NoDb::new(config()).unwrap();
     db.register_csv(
         "t",
         &f.t_csv,
@@ -189,8 +187,8 @@ fn csv_engine(f: &Fixture, scan_threads: usize) -> NoDb {
     db
 }
 
-fn jsonl_engine(f: &Fixture, scan_threads: usize, sparse: bool) -> NoDb {
-    let mut db = NoDb::new(config(scan_threads)).unwrap();
+fn jsonl_engine(f: &Fixture, sparse: bool) -> NoDb {
+    let mut db = NoDb::new(config()).unwrap();
     let t_path = if sparse {
         &f.t_jsonl_sparse
     } else {
@@ -250,28 +248,25 @@ fn assert_same_behavior(label: &str, csv: &NoDb, jsonl: &NoDb) {
 
 /// The tentpole acceptance test: CSV and JSONL produce identical results
 /// and identical adaptive behavior across the whole lifecycle — cold →
-/// warm → drop_aux → re-warm — with single-threaded and chunk-parallel
-/// cold scans.
+/// warm → drop_aux → re-warm.
 #[test]
 fn csv_and_jsonl_agree_across_the_adaptivity_lifecycle() {
     let f = fixture(1000);
-    for threads in [1usize, 4] {
-        let csv = csv_engine(&f, threads);
-        let jsonl = jsonl_engine(&f, threads, false);
+    let csv = csv_engine(&f);
+    let jsonl = jsonl_engine(&f, false);
 
-        run_corpus("cold", &csv, &jsonl);
-        run_corpus("warm", &csv, &jsonl);
-        assert_same_behavior(&format!("warm/{threads}t"), &csv, &jsonl);
+    run_corpus("cold", &csv, &jsonl);
+    run_corpus("warm", &csv, &jsonl);
+    assert_same_behavior("warm", &csv, &jsonl);
 
-        csv.drop_aux("t").unwrap();
-        csv.drop_aux("u").unwrap();
-        jsonl.drop_aux("t").unwrap();
-        jsonl.drop_aux("u").unwrap();
+    csv.drop_aux("t").unwrap();
+    csv.drop_aux("u").unwrap();
+    jsonl.drop_aux("t").unwrap();
+    jsonl.drop_aux("u").unwrap();
 
-        run_corpus("re-cold", &csv, &jsonl);
-        run_corpus("re-warm", &csv, &jsonl);
-        assert_same_behavior(&format!("re-warm/{threads}t"), &csv, &jsonl);
-    }
+    run_corpus("re-cold", &csv, &jsonl);
+    run_corpus("re-warm", &csv, &jsonl);
+    assert_same_behavior("re-warm", &csv, &jsonl);
 }
 
 /// Omitting null keys from the objects must read back exactly like
@@ -279,8 +274,8 @@ fn csv_and_jsonl_agree_across_the_adaptivity_lifecycle() {
 #[test]
 fn omitted_null_keys_match_explicit_nulls() {
     let f = fixture(400);
-    let explicit = jsonl_engine(&f, 1, false);
-    let sparse = jsonl_engine(&f, 2, true);
+    let explicit = jsonl_engine(&f, false);
+    let sparse = jsonl_engine(&f, true);
     for q in QUERIES {
         let a = explicit.query(q).unwrap();
         let b = sparse.query(q).unwrap();
@@ -407,24 +402,25 @@ fn unconvertible_values_name_the_column_in_both_formats() {
     }
 }
 
-/// Parallel chunk workers do not know global row ids; their diagnostics
-/// still name the file and the record's byte offset.
+/// A record far past the first block fails with a diagnostic naming the
+/// file, its global row and its byte offset.
 #[test]
-fn chunked_scan_errors_carry_file_and_byte() {
+fn cold_scan_errors_carry_file_row_and_byte() {
     let td = TempDir::new("nodb-fmt-err").unwrap();
     let p = td.file("bad.jsonl");
     let mut body = String::new();
     for i in 0..500 {
         body.push_str(&format!("{{\"a\":{i}}}\n"));
     }
+    let byte = body.len();
     body.push_str("{\"a\": oops}\n");
     std::fs::write(&p, body).unwrap();
     let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = 4;
+    cfg.posmap_block_rows = 64;
     let mut db = NoDb::new(cfg).unwrap();
     db.register_jsonl("t", &p, Schema::parse("a int").unwrap(), AccessMode::InSitu)
         .unwrap();
     let err = db.query("select a from t").unwrap_err().to_string();
     assert!(err.contains("bad.jsonl"), "{err}");
-    assert!(err.contains("byte"), "{err}");
+    assert!(err.contains(&format!("row 500, byte {byte}:")), "{err}");
 }

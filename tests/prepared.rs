@@ -5,8 +5,8 @@
 //!
 //! * **Differential** — a statement prepared once and executed with
 //!   bound parameters returns rows identical to the equivalent SQL with
-//!   the values inlined as literals, across cold→warm transitions,
-//!   1 and 4 scan threads, CSV and JSONL physical layouts. Preparation
+//!   the values inlined as literals, across cold→warm transitions and
+//!   CSV and JSONL physical layouts. Preparation
 //!   happens once per statement; nothing about re-execution may leak
 //!   into results.
 //! * **Laziness** — `query_stream` pulls rows through the Volcano tree
@@ -83,10 +83,8 @@ fn fixture(rows: usize) -> Fixture {
     }
 }
 
-fn engine(f: &Fixture, format: &str, threads: usize) -> NoDb {
-    let mut cfg = NoDbConfig::postgres_raw();
-    cfg.scan_threads = threads;
-    let mut db = NoDb::new(cfg).unwrap();
+fn engine(f: &Fixture, format: &str) -> NoDb {
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
     match format {
         "csv" => db
             .register_csv(
@@ -197,7 +195,7 @@ fn params_of(binding: &[&str]) -> Params {
     p
 }
 
-/// The core differential matrix: CSV & JSONL × 1 & 4 scan threads, each
+/// The core differential matrix: CSV & JSONL, each
 /// statement prepared once and swept over its bindings twice — first
 /// against a cold table (no aux structures), then warm (map + cache +
 /// stats populated by the first sweep, so the refreshed plans run
@@ -207,22 +205,20 @@ fn params_of(binding: &[&str]) -> Params {
 fn prepared_equals_literal_cold_and_warm() {
     let f = fixture(6_000);
     for format in ["csv", "jsonl"] {
-        for threads in [1usize, 4] {
-            let prepared_db = engine(&f, format, threads);
-            let literal_db = engine(&f, format, threads);
-            for case in CASES {
-                let stmt = prepared_db.prepare(case.prepared).unwrap();
-                for pass in ["cold", "warm"] {
-                    for binding in case.bindings {
-                        let got = stmt.query(&params_of(binding)).unwrap();
-                        let want = literal_db.query(&inline(case.literal, binding)).unwrap();
-                        assert_eq!(
-                            got.rows, want.rows,
-                            "{format}/{threads}t/{pass}: `{}` bound {binding:?}",
-                            case.prepared
-                        );
-                        assert_eq!(got.schema.types(), want.schema.types());
-                    }
+        let prepared_db = engine(&f, format);
+        let literal_db = engine(&f, format);
+        for case in CASES {
+            let stmt = prepared_db.prepare(case.prepared).unwrap();
+            for pass in ["cold", "warm"] {
+                for binding in case.bindings {
+                    let got = stmt.query(&params_of(binding)).unwrap();
+                    let want = literal_db.query(&inline(case.literal, binding)).unwrap();
+                    assert_eq!(
+                        got.rows, want.rows,
+                        "{format}/{pass}: `{}` bound {binding:?}",
+                        case.prepared
+                    );
+                    assert_eq!(got.schema.types(), want.schema.types());
                 }
             }
         }
@@ -230,8 +226,8 @@ fn prepared_equals_literal_cold_and_warm() {
 }
 
 /// Re-executing a prepared statement must also agree with itself across
-/// thread counts and formats (same logical table): one statement per
-/// engine, three executions each, all row-identical.
+/// formats (same logical table): one statement per engine, three
+/// executions each, all row-identical.
 #[test]
 fn prepared_reexecution_is_stable_across_engines() {
     let f = fixture(4_000);
@@ -239,17 +235,13 @@ fn prepared_reexecution_is_stable_across_engines() {
     let p = Params::new().bind(60.0);
     let mut reference: Option<Vec<Row>> = None;
     for format in ["csv", "jsonl"] {
-        for threads in [1usize, 4] {
-            let db = engine(&f, format, threads);
-            let stmt = db.prepare(sql).unwrap();
-            for round in 0..3 {
-                let rows = stmt.query(&p).unwrap().rows;
-                match &reference {
-                    None => reference = Some(rows),
-                    Some(want) => {
-                        assert_eq!(&rows, want, "{format}/{threads}t round {round}")
-                    }
-                }
+        let db = engine(&f, format);
+        let stmt = db.prepare(sql).unwrap();
+        for round in 0..3 {
+            let rows = stmt.query(&p).unwrap().rows;
+            match &reference {
+                None => reference = Some(rows),
+                Some(want) => assert_eq!(&rows, want, "{format} round {round}"),
             }
         }
     }
@@ -268,7 +260,7 @@ fn limit_stops_the_scan_early_and_partial_aux_survives() {
         // Single-threaded: the sequential cold path streams
         // block-at-a-time (the parallel pass stages the whole tail and
         // deliberately trades LIMIT early-exit for throughput).
-        let db = engine(&f, format, 1);
+        let db = engine(&f, format);
 
         let cursor = db.query_stream("select id, grp from t limit 25").unwrap();
         let rows: Vec<Row> = cursor.map(|r| r.unwrap()).collect();
@@ -319,7 +311,7 @@ fn limit_stops_the_scan_early_and_partial_aux_survives() {
 #[test]
 fn abandoned_cursor_stops_the_scan() {
     let f = fixture(40_000);
-    let db = engine(&f, "csv", 1);
+    let db = engine(&f, "csv");
     let file_len = std::fs::metadata(&f.csv).unwrap().len();
 
     let mut cursor = db.query_stream("select id from t").unwrap();
@@ -346,7 +338,7 @@ fn abandoned_cursor_stops_the_scan() {
 #[test]
 fn statement_outlives_cold_to_warm_transition() {
     let f = fixture(8_000);
-    let db = engine(&f, "csv", 1);
+    let db = engine(&f, "csv");
     let stmt = db
         .prepare("select grp, sum(score) from t where id < ? group by grp order by grp")
         .unwrap();
