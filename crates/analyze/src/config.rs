@@ -73,10 +73,9 @@ impl Config {
                 // The typed column every cache-served block and batch
                 // carries.
                 "crates/common/src/column.rs",
-                // The cache's column builder and stage: the scan kernel
-                // writes every value it converts through them.
+                // The cache's column builder: the scan kernel writes
+                // every value it converts through it.
                 "crates/cache/src/column.rs",
-                "crates/cache/src/staging.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -7,7 +7,7 @@
 //! Sun server — the *shapes* (who wins, by what factor, where the curves
 //! bend) are the reproduction target. A recorded run of every figure
 //! against the paper's plots is still to be written (`EXPERIMENTS.md`,
-//! ROADMAP item 7).
+//! ROADMAP item 10).
 //!
 //! ```text
 //! cargo run --release -p nodb-bench --bin figures -- all

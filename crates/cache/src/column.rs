@@ -215,6 +215,20 @@ impl ColumnBuilder {
         self.col.account();
         self.col
     }
+
+    /// Finish as a column of the block's first `rows` rows (a scan sizes
+    /// its builders to the block's end before it knows where it stops),
+    /// or `None` when no row was set.
+    pub fn finish(mut self, rows: usize) -> Option<CachedColumn> {
+        let c = &mut self.col;
+        if c.present.count() == 0 {
+            return None;
+        }
+        c.rows = c.rows.min(rows);
+        c.present.truncate(c.rows);
+        c.col.truncate(c.rows);
+        Some(self.build())
+    }
 }
 
 #[cfg(test)]
@@ -341,6 +355,35 @@ mod tests {
         // 11 arena bytes + 3 u32 offsets + validity and presence words +
         // 64: no per-value `String` header.
         assert_eq!(c.bytes(), 11 + 3 * 4 + 8 + 8 + 64);
+    }
+
+    #[test]
+    fn finish_cuts_to_the_rows_seen() {
+        // Sized to the block's end (8), stopped after 5 rows: the cut
+        // column is the column a builder of 5 rows gives, byte for byte.
+        for dtype in [DataType::Int64, DataType::Text] {
+            let v = |i: usize| match dtype {
+                DataType::Text => Value::Text(format!("v{i}")),
+                _ => Value::Int64(i as i64),
+            };
+            let (mut long, mut exact) = (
+                ColumnBuilder::new(2, 0, dtype, 8),
+                ColumnBuilder::new(2, 0, dtype, 5),
+            );
+            for i in [1, 2, 4] {
+                long.set(i, &v(i));
+                exact.set(i, &v(i));
+            }
+            let (cut, exact) = (long.finish(5).unwrap(), exact.build());
+            assert_eq!((cut.rows(), cut.bytes()), (exact.rows(), exact.bytes()));
+            let got: Vec<Option<Value>> = (0..6).map(|i| cut.get(i)).collect();
+            assert_eq!(got, (0..6).map(|i| exact.get(i)).collect::<Vec<_>>());
+            assert_eq!(cut.get(0), None, "rows before the first set are holes");
+        }
+        // A builder that received no value yields no column.
+        assert!(ColumnBuilder::new(0, 0, DataType::Text, 16)
+            .finish(16)
+            .is_none());
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!   query converted anyway are inserted. Because *selective parsing*
 //!   converts SELECT-list attributes only for qualifying tuples, cached
 //!   columns can be *partial*; a presence bitmap records exactly which
-//!   rows are valid ([`CachedColumn`]).
+//!   rows are valid ([`CachedColumn`]). A scan writes each value it
+//!   converts once, into the typed [`ColumnBuilder`] of its (block ×
+//!   attribute), and inserts the built columns when it publishes the
+//!   block; a block formed from mid-way (an appended tail) leaves the
+//!   rows before it as holes, which [`CachedColumn::absorb`] fills.
 //! * **Same chunked shape as the positional map** — cache entries cover
 //!   one block of tuples × one attribute, "following the format of the
 //!   positional map such that it is easy to integrate it in the …
@@ -24,9 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod column;
-pub mod staging;
 pub mod store;
 
 pub use column::{CachedColumn, ColumnBuilder};
-pub use staging::ChunkStage;
 pub use store::{CacheConfig, CacheStats, RawCache};

@@ -157,7 +157,8 @@ impl Bitmap {
         self.words.len() * 8
     }
 
-    fn truncate(&mut self, n: usize) {
+    /// Keep the first `n` bits.
+    pub fn truncate(&mut self, n: usize) {
         if n >= self.len {
             return;
         }

@@ -27,8 +27,9 @@
 //! WHERE attribute over the run, runs each conjunct through the batch
 //! evaluator over the rows the earlier ones passed (selective parsing as
 //! a selection vector), and only then fills the SELECT attributes of the
-//! survivors. Values converted from the file also go to the cache stage,
-//! the statistics sampler and, on a collecting block, the map chunk. A
+//! survivors. Each value converted from the file is written once into
+//! its column's typed cache builder, and also goes to the statistics
+//! sampler; on a collecting block its position goes to the map chunk. A
 //! run the cache answers in full reads no raw byte (§4.3).
 //!
 //! * **Errors keep file order.** When several rows of a run fail, the
@@ -39,8 +40,12 @@
 //!   projected attribute before converting anything, so a record too
 //!   short for it fails whatever the WHERE clause would decide.
 //!
-//! Each pump forms one block into a column-major [`ValueBatch`], handed
-//! out in slices of the size each `next_batch` call asks for.
+//! Each pump forms one block, or the rest of one, into a column-major
+//! [`ValueBatch`], handed out in slices of the size each `next_batch`
+//! call asks for. Cold and map-covered blocks stage into the same
+//! per-block `ChunkScan` — one [`BlockCollector`] for the map chunk, one
+//! [`ColumnBuilder`] per cache column, both by block row — and are
+//! published by one function, `publish`.
 //!
 //! # Concurrency
 //!
@@ -50,17 +55,18 @@
 //! * **Warm (map-covered) blocks** snapshot their temporary map and cache
 //!   columns under *shared* locks, release them, and form their runs —
 //!   the lines of at most `RANGE_READ` raw bytes each — holding nothing.
-//!   Freshly collected chunks/columns are merged back in short write
-//!   sections.
 //! * **Cold regions** are one sequential pass (§4.1), on the querying
-//!   thread: a persistent [`LineReader`] feeds `scan_chunk` one
-//!   positional-map block per pump. It stages what it learns (EOL
-//!   segment, positional-map segment, cache stage, sampled statistics,
-//!   qualifying rows) while holding no lock; one merge then folds the
-//!   staging into the shared structures, so the EOL index, the map and
-//!   the cache fill in file order. An abandoned cursor stops the scan —
-//!   and bounds its memory — at block granularity, and every row has its
-//!   global id, so every located error names it.
+//!   thread: a persistent [`LineReader`] feeds `process_cold` the rest of
+//!   one positional-map block per pump. Besides the block's stage it
+//!   records the EOL segment it read, while holding no lock. A pass that
+//!   resumes mid-block (an appended tail) collects no map chunk, and its
+//!   cache columns hold the rows before it as holes.
+//! * **Publishing** a block's stage takes one positional-map write
+//!   section (the EOL segment, the completion mark and the map chunk)
+//!   and then one cache write section (the columns), so the EOL index,
+//!   the map and the cache fill in file order. An abandoned cursor stops
+//!   the scan — and bounds its memory — at block granularity, and every
+//!   row has its global id, so every located error names it.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
@@ -69,11 +75,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use nodb_cache::{CachedColumn, ChunkStage};
+use nodb_cache::{CachedColumn, ColumnBuilder};
 use nodb_common::{ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Schema, Value};
 use nodb_csv::lines::{LineReader, LineRun};
 use nodb_exec::{BatchQueue, Operator, ValueBatch};
-use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
+use nodb_posmap::{AttrPositions, BlockCollector};
 use nodb_sql::BoundExpr;
 use nodb_stats::StatsBuilder;
 
@@ -284,16 +290,6 @@ impl InSituScanOp {
         }
     }
 
-    /// Feed sampled values (one list per statistics builder, in order)
-    /// to the builders.
-    fn offer_samples(&mut self, samples: Vec<(usize, Vec<Value>)>) {
-        for ((_, builder), (_, samples)) in self.stat_builders.iter_mut().zip(samples) {
-            for v in samples {
-                builder.offer(&v);
-            }
-        }
-    }
-
     /// Skip the header line when `reader` stands at the start of a file
     /// that has one, anchoring the EOL base past it so that data row 0
     /// starts after the header.
@@ -308,20 +304,27 @@ impl InSituScanOp {
         Ok(())
     }
 
-    /// Cold region: rows past the end-of-line frontier (`indexed` rows
-    /// ending at byte `frontier`, one snapshot of the shared index).
-    /// Runs [`scan_chunk`] lock-free over one positional-map block of the
-    /// persistent reader and merges what it staged.
+    /// Cold region (§4.1): rows past the end-of-line frontier (`indexed`
+    /// rows ending at byte `frontier`, one snapshot of the shared index).
+    /// Reads the rest of the block from the persistent reader a run of
+    /// lines at a time, tokenizes each run's rows and forms them through
+    /// the block kernel, staging the EOL segment, positions, values and
+    /// statistics samples while holding no lock; then publishes.
+    ///
+    /// Each row is tokenized exactly once, by one
+    /// [`LineFormat::positions_upto`] call up to the highest projected
+    /// attribute, before any value of its run is converted: a record too
+    /// short for that attribute is a located error whatever the WHERE
+    /// clause would decide, so a row is tokenized, converted and failed
+    /// the same way under every access mode and auxiliary configuration.
     fn process_cold(&mut self, indexed: u64, frontier: u64) -> Result<()> {
         let first_row = self.next_row;
-        let stat_locals: Vec<usize> = self.stat_builders.iter().map(|(l, _)| *l).collect();
-        let mut flags = self.flags;
         if self.reader.is_none() {
             // Start at the frontier, unless the shared EOL index was
             // dropped/rebuilt underneath us (e.g. `drop_aux` mid-query):
             // then continue privately from our own offset; records from
             // here are out-of-order for the fresh index and ignored.
-            let start = if flags.eol && indexed < first_row {
+            let start = if self.flags.eol && indexed < first_row {
                 self.resume_byte
             } else {
                 frontier
@@ -330,60 +333,162 @@ impl InSituScanOp {
             self.skip_header(&mut reader)?;
             self.reader = Some(reader);
         }
+        let block = first_row / self.block_rows;
+        let first = (first_row % self.block_rows) as usize;
         // Keep every position tokenized along the way (§4.2, "all
         // positions from 1 to 15 may be kept"). Chunk storage is anchored
         // at block starts, so a pass resuming mid-block (the tail of an
         // appended file) must not collect — the mapped path re-collects
         // the grown block from its start later.
-        flags.posmap &= first_row.is_multiple_of(self.block_rows);
-        let limit = self.block_rows - first_row % self.block_rows;
+        let stride = self.ctx.projection.last().map_or(0, |&a| a + 1);
+        let collect = self.flags.posmap && first == 0 && stride > 0;
+        let block_rows = self.block_rows as usize;
+        let mut out = ChunkScan {
+            collector: collect.then(|| BlockCollector::new(block, (0..stride as u32).collect())),
+            ..self.stage(block, first, block_rows, &[])
+        };
+        let ctx = &self.ctx;
         // Opened above; hot-path modules are panic-free (enforced by
         // `nodb-analyze`'s panic-path arm).
         let reader =
             (self.reader.as_mut()).ok_or_else(|| NoDbError::internal("scan reader not opened"))?;
-        let staged = scan_chunk(&self.ctx, reader, limit, first_row, flags, &stat_locals)?;
-        let eof = (staged.line_starts.len() as u64) < limit;
-        self.merge(first_row, staged, eof)
+        let mut kernel = Kernel {
+            ctx,
+            cached: &[],
+            builders: &mut out.builders,
+            samples: &mut out.samples,
+            metrics: &mut out.metrics,
+            scratch: Vec::new(),
+        };
+        let mut line_starts = Vec::new();
+        let mut bounds: Vec<u64> = Vec::new();
+        // Per run, each row's projected attributes' positions.
+        let mut starts: Vec<u32> = Vec::with_capacity(ctx.projection.len() * RUN_LINES);
+        let mut r = first;
+        while r < block_rows {
+            let started = Instant::now();
+            let lines = reader.next_lines((block_rows - r).min(RUN_LINES), &mut bounds)?;
+            out.profile.io_ns += started.elapsed().as_nanos() as u64;
+            if lines.is_empty() {
+                break;
+            }
+            line_starts.extend_from_slice(lines.starts());
+            let started = Instant::now();
+            let n = lines.len();
+            let mut run = Run::new(lines, r, block * self.block_rows + r as u64);
+            starts.clear();
+            let collector = &mut out.collector;
+            let tokenize = |k: &mut Kernel, line: &[u8], _| {
+                k.metrics.bytes_tokenized += line.len() as u64 + 1;
+                // Pure row counting (e.g. COUNT(*)) tokenizes nothing.
+                if stride > 0 {
+                    k.scratch.clear();
+                    let found = ctx
+                        .format
+                        .positions_upto(line, stride - 1, &mut k.scratch)?;
+                    k.metrics.fields_tokenized += require_fields(found, stride)? as u64;
+                    if let Some(c) = collector.as_mut() {
+                        c.push_row(&k.scratch[..stride]);
+                    }
+                    starts.extend(ctx.projection.iter().map(|&a| k.scratch[a]));
+                }
+                Ok(())
+            };
+            kernel.ahead(&mut run, tokenize)?;
+            out.profile.tokenize_ns += started.elapsed().as_nanos() as u64;
+            let started = Instant::now();
+            run.positions = Positions::Table(&starts);
+            out.emitted.push(kernel.form(&mut run)?);
+            out.profile.parse_ns += started.elapsed().as_nanos() as u64;
+            r += n;
+        }
+        out.rows = r - first;
+        out.eof = r < block_rows;
+        out.eol = Some((line_starts, reader.offset()));
+        // Sequential tokenization reads exactly the bytes it tokenizes.
+        out.profile.io_bytes = out.metrics.bytes_tokenized;
+        out.profile.tokenize_bytes = out.metrics.bytes_tokenized;
+        self.publish(out)
     }
 
-    /// Fold a cold pass's staging (its first row is global row
-    /// `first_row`) into the shared structures: cut it into block-aligned
-    /// map chunks and cache columns without holding anything, then the
-    /// EOL segment and map chunks in one positional-map write section and
-    /// the columns in one cache write section (lock DAG: posmap before
-    /// cache). `eof` says the pass consumed the file's last line.
-    fn merge(&mut self, first_row: u64, staged: ChunkScan, eof: bool) -> Result<()> {
+    /// An empty stage for the rows of `block` from block row `first`: a
+    /// cache column builder for `rows` block rows per projected column
+    /// the cache does not hold complete (`cached`, by projected column;
+    /// none with the cache off), and a sample list per statistics builder.
+    fn stage(
+        &self,
+        block: u64,
+        first: usize,
+        rows: usize,
+        cached: &[Option<Arc<CachedColumn>>],
+    ) -> ChunkScan {
+        let ctx = &self.ctx;
+        let builder = |local: usize| {
+            let complete = cached.get(local).and_then(Option::as_ref);
+            (self.flags.cache && !complete.is_some_and(|c| c.is_complete())).then(|| {
+                let attr = ctx.projection[local] as u32;
+                ColumnBuilder::new(block, attr, ctx.types[local], rows)
+            })
+        };
+        ChunkScan {
+            block,
+            first,
+            rows: 0,
+            eol: None,
+            eof: false,
+            emitted: Vec::new(),
+            collector: None,
+            builders: (0..ctx.projection.len()).map(builder).collect(),
+            samples: self
+                .stat_builders
+                .iter()
+                .map(|(l, _)| (*l, Vec::new()))
+                .collect(),
+            metrics: ScanMetrics::default(),
+            profile: PhaseProfile::default(),
+        }
+    }
+
+    /// Publish one pump's block: its rows to the output and its samples
+    /// to the statistics builders; build its map chunk and cache columns
+    /// holding nothing, then fold the EOL segment and the chunk in one
+    /// positional-map write section and the columns in one cache write
+    /// section (lock DAG: posmap before cache).
+    fn publish(&mut self, mut staged: ChunkScan) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
-        let block_rows = self.block_rows as usize;
-        let rows = staged.line_starts.len() as u64;
-        self.offer_samples(staged.stat_samples);
+        let first_row = staged.block * self.block_rows + staged.first as u64;
+        let end_row = first_row + staged.rows as u64;
+        for ((_, builder), (_, samples)) in self.stat_builders.iter_mut().zip(staged.samples) {
+            samples.iter().for_each(|v| builder.offer(v));
+        }
         self.out.push(ValueBatch::concat(staged.emitted)?);
-        let chunks = staged
-            .posmap
-            .map_or_else(Vec::new, |s| s.into_chunks(first_row, block_rows));
-        let columns = staged
-            .cache
-            .map_or_else(Vec::new, |s| s.into_columns(first_row, rows, block_rows));
+        let chunk = (staged.collector)
+            .filter(|c| c.rows() > 0)
+            .map(BlockCollector::build);
+        let extent = staged.first + staged.rows;
+        let columns: Vec<CachedColumn> = (staged.builders.into_iter().flatten())
+            .filter_map(|b| b.finish(extent))
+            .collect();
+        let eol = staged.eol.filter(|_| self.flags.eol);
         // Scans that maintain no positional state (the external-files /
         // baseline profile) have nothing to write into the map: skip the
         // write lock so concurrent baseline queries never serialize on
         // state they do not touch.
-        if self.flags.eol || self.flags.posmap {
+        if eol.is_some() || chunk.is_some() {
             let mut pm = runtime.posmap.write();
-            if self.flags.eol {
-                pm.eol_mut()
-                    .absorb_segment(first_row, &staged.line_starts, staged.end);
+            if let Some((starts, end)) = eol {
+                pm.eol_mut().absorb_segment(first_row, &starts, end);
                 // Completing fixes the row count, so only do it when our
                 // segment actually reached the index — after a drop_aux
-                // between tokenization and merge (or while continuing
+                // between tokenization and publish (or while continuing
                 // privately past a dropped index) it is gap-ignored, and
                 // completing an emptied index would freeze row_count at 0
                 // for every other query.
-                if eof && pm.eol().indexed_rows() == first_row + rows {
+                if staged.eof && pm.eol().indexed_rows() == end_row {
                     pm.eol_mut().set_complete();
                 }
             }
-            for chunk in chunks {
+            if let Some(chunk) = chunk {
                 pm.insert(chunk);
             }
         }
@@ -393,10 +498,11 @@ impl InSituScanOp {
                 cache.insert(c);
             }
         }
+        staged.profile.parse_values = staged.metrics.fields_parsed;
         self.add_profile(&staged.profile);
         runtime.metrics.add(&staged.metrics);
-        self.next_row = first_row + rows;
-        self.done = eof;
+        self.next_row = end_row;
+        self.done = staged.eof;
         Ok(())
     }
 
@@ -405,20 +511,17 @@ impl InSituScanOp {
     /// then formed without holding any lock.
     fn process_mapped_block(&mut self) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
-        let mut metrics = ScanMetrics::default();
-        let mut prof = PhaseProfile::default();
         let needed: Vec<u32> = self.ctx.projection.iter().map(|&a| a as u32).collect();
 
         let pm = runtime.posmap.read();
-        let block_rows = pm.block_rows() as u64;
         let block = pm.block_of(self.next_row);
-        let block_start = block * block_rows;
+        let block_start = block * self.block_rows;
         let covered = pm.eol().indexed_rows();
         if self.next_row >= covered {
             // Raced with an invalidation; pump re-dispatches.
             return Ok(());
         }
-        let cov_end = covered.min(block_start + block_rows);
+        let cov_end = covered.min(block_start + self.block_rows);
         let rows = (cov_end - block_start) as usize;
         // Each row's line start, then the end of the block's last line.
         let mut bounds: Vec<u64> = pm
@@ -460,24 +563,24 @@ impl InSituScanOp {
             vec![None; needed.len()]
         };
 
+        // Columns the cache holds complete get no builder: warm queries
+        // must not pay for the cache they benefit from.
+        let mut out = ChunkScan {
+            rows,
+            collector: collect.then(|| BlockCollector::new(block, needed)),
+            ..self.stage(block, 0, rows, &cached)
+        };
         let ctx = &self.ctx;
-        let mut collector = collect.then(|| BlockCollector::new(block, needed.clone()));
-        let mut stage = self.flags.cache.then(|| cache_stage(ctx));
-        let mut samples: Vec<_> = self
-            .stat_builders
-            .iter()
-            .map(|(l, _)| (*l, Vec::new()))
-            .collect();
         let mut kernel = Kernel {
             ctx,
             cached: &cached,
-            stage: stage.as_mut(),
-            samples: &mut samples,
-            metrics: &mut metrics,
+            builders: &mut out.builders,
+            samples: &mut out.samples,
+            metrics: &mut out.metrics,
             scratch: Vec::new(),
         };
         let mut positions: Vec<u32> = Vec::new();
-        let mut batches = Vec::new();
+        let prof = &mut out.profile;
         let started = Instant::now();
         // The source must reach the block's end: open it, or reopen it
         // once the file grew past the length it was opened with.
@@ -504,7 +607,7 @@ impl InSituScanOp {
             let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf);
             let mut run = Run::new(lines, r0, block_start + r0 as u64);
             run.positions = Positions::Map(&entries);
-            if let Some(c) = collector.as_mut() {
+            if let Some(c) = out.collector.as_mut() {
                 positions.clear();
                 let resolve = |k: &mut Kernel, line: &[u8], r| {
                     let row = positions.len();
@@ -517,47 +620,14 @@ impl InSituScanOp {
                 kernel.ahead(&mut run, resolve)?;
                 run.positions = Positions::Table(&positions);
             }
-            batches.push(kernel.form(&mut run)?);
+            out.emitted.push(kernel.form(&mut run)?);
             prof.io_ns += run.lines.read_ns;
             prof.io_bytes += run.lines.read_bytes;
             r0 = r1;
         }
         prof.parse_ns += (started.elapsed().as_nanos() as u64).saturating_sub(prof.io_ns);
-        self.out.push(ValueBatch::concat(batches)?);
-        self.offer_samples(samples);
-
-        if let Some(c) = collector {
-            if c.rows() > 0 {
-                runtime.posmap.write().insert(c.build());
-            }
-        }
-        // Columns the cache holds complete get no write-back: warm
-        // queries must not pay for the cache they benefit from.
-        let complete = |attr: u32| {
-            let local = needed.iter().position(|&a| a == attr);
-            local
-                .and_then(|l| cached[l].as_ref())
-                .is_some_and(|c| c.is_complete())
-        };
-        let columns: Vec<CachedColumn> = stage
-            .map_or_else(Vec::new, |s| {
-                s.into_columns(block_start, rows as u64, block_rows as usize)
-            })
-            .into_iter()
-            .filter(|c| !complete(c.attr))
-            .collect();
-        if !columns.is_empty() {
-            let mut cache = runtime.cache.write();
-            for c in columns {
-                cache.insert(c);
-            }
-        }
-        prof.parse_values = metrics.fields_parsed;
-        self.add_profile(&prof);
-        runtime.metrics.add(&metrics);
-        self.next_row = cov_end;
         self.resume_byte = end_bound;
-        Ok(())
+        self.publish(out)
     }
 
     fn finish_stats(&mut self) {
@@ -619,7 +689,7 @@ impl Operator for InSituScanOp {
     /// Hand out whatever qualifying rows the last block pump produced, up
     /// to `max_rows`, as one column-major batch; pump the next block only
     /// once they are all gone. A pump forms exactly one positional-map
-    /// block (or staged tail) whatever `max_rows` is, so scan metrics
+    /// block (or the rest of one) whatever `max_rows` is, so scan metrics
     /// and auxiliary-structure contents do not depend on it.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
         loop {
@@ -637,127 +707,32 @@ impl Operator for InSituScanOp {
     }
 }
 
-// ----- the cold path -----------------------------------------------------
-
-/// Everything one [`scan_chunk`] produced from its lines, staged
-/// privately; [`InSituScanOp::merge`] folds it into the shared state.
+/// Everything one pump formed from one block, or the rest of one,
+/// staged privately; [`InSituScanOp::publish`] folds it into the shared
+/// state.
 struct ChunkScan {
-    /// Absolute line-start offsets, in order.
-    line_starts: Vec<u64>,
-    /// Byte one past the last line read (frontier contribution).
-    end: u64,
+    /// The block, and the block row of the first row formed (0 on a
+    /// map-covered block, where a pump forms the block from its start).
+    block: u64,
+    first: usize,
+    /// Rows formed.
+    rows: usize,
+    /// A cold pass's EOL segment: each row's line start, then the byte
+    /// one past the last line read (none on a map-covered block).
+    eol: Option<(Vec<u64>, u64)>,
+    /// Whether a cold pass consumed the file's last line.
+    eof: bool,
     /// Qualifying rows, one batch per run, in order.
     emitted: Vec<ValueBatch>,
-    /// Staged positional-map rows (attrs `0..=max_attr`).
-    posmap: Option<SegmentCollector>,
-    /// Staged cache values (one column per projected attribute).
-    cache: Option<ChunkStage>,
+    /// The block's map chunk, on a collecting block.
+    collector: Option<BlockCollector>,
+    /// Per projected column, its cache column builder, by block row.
+    builders: Vec<Option<ColumnBuilder>>,
     /// Per stat builder (parallel to the op's `stat_builders`), its
     /// projected column and sampled values.
-    stat_samples: Vec<(usize, Vec<Value>)>,
-    /// Work done by this chunk.
+    samples: Vec<(usize, Vec<Value>)>,
+    /// Work done by this pump.
     metrics: ScanMetrics,
-    /// Phase timings/volumes accumulated by this chunk.
+    /// Phase timings/volumes accumulated by this pump.
     profile: PhaseProfile,
-}
-
-/// A cache stage for every projected attribute.
-fn cache_stage(ctx: &Ctx) -> ChunkStage {
-    let attrs = ctx.projection.iter().zip(&ctx.types);
-    ChunkStage::new(attrs.map(|(&a, &t)| (a as u32, t)).collect())
-}
-
-/// The cold path (§4.1): read up to `max_rows` lines from `reader` a run
-/// at a time, tokenize each run's rows, form them through the block
-/// kernel, and stage positions, values and statistics samples privately,
-/// touching no shared state. `row_base` is the global id of the first
-/// row: error locations and statistics sampling use global row ids.
-///
-/// Each row is tokenized exactly once, by one
-/// [`LineFormat::positions_upto`] call up to the highest projected
-/// attribute, before any value of its run is converted: a record too
-/// short for that attribute is a located error whatever the WHERE clause
-/// would decide, so a row is tokenized, converted and failed the same way
-/// under every access mode and auxiliary configuration.
-fn scan_chunk(
-    ctx: &Ctx,
-    reader: &mut LineReader,
-    max_rows: u64,
-    row_base: u64,
-    flags: AuxFlags,
-    stat_locals: &[usize],
-) -> Result<ChunkScan> {
-    // Positions kept per row: attributes `0..=max_attr`.
-    let stride = ctx.projection.last().map_or(0, |&a| a + 1);
-    let mut out = ChunkScan {
-        line_starts: Vec::new(),
-        end: reader.offset(),
-        emitted: Vec::new(),
-        posmap: (flags.posmap && stride > 0)
-            .then(|| SegmentCollector::new((0..stride as u32).collect())),
-        // Values are staged, not written into preallocated columns: the
-        // merge sizes columns to the rows actually seen (the last block
-        // of a file is short; full columns would inflate cache
-        // accounting).
-        cache: flags.cache.then(|| cache_stage(ctx)),
-        stat_samples: stat_locals.iter().map(|&l| (l, Vec::new())).collect(),
-        metrics: ScanMetrics::default(),
-        profile: PhaseProfile::default(),
-    };
-    let mut kernel = Kernel {
-        ctx,
-        cached: &[],
-        stage: out.cache.as_mut(),
-        samples: &mut out.stat_samples,
-        metrics: &mut out.metrics,
-        scratch: Vec::new(),
-    };
-    let mut bounds: Vec<u64> = Vec::new();
-    // Per run, each row's projected attributes' positions.
-    let mut starts: Vec<u32> = Vec::with_capacity(ctx.projection.len() * RUN_LINES);
-    let mut rows: u64 = 0;
-    while rows < max_rows {
-        let started = Instant::now();
-        let want = (max_rows - rows).min(RUN_LINES as u64) as usize;
-        let lines = reader.next_lines(want, &mut bounds)?;
-        out.profile.io_ns += started.elapsed().as_nanos() as u64;
-        let n = lines.len();
-        if n == 0 {
-            break;
-        }
-        out.line_starts.extend_from_slice(lines.starts());
-        let started = Instant::now();
-        let mut run = Run::new(lines, rows as usize, row_base + rows);
-        starts.clear();
-        let posmap = &mut out.posmap;
-        let tokenize = |k: &mut Kernel, line: &[u8], _| {
-            k.metrics.bytes_tokenized += line.len() as u64 + 1;
-            // Pure row counting (e.g. COUNT(*)) tokenizes nothing.
-            if stride > 0 {
-                k.scratch.clear();
-                let found = ctx
-                    .format
-                    .positions_upto(line, stride - 1, &mut k.scratch)?;
-                k.metrics.fields_tokenized += require_fields(found, stride)? as u64;
-                if let Some(c) = posmap.as_mut() {
-                    c.push_row(&k.scratch[..stride]);
-                }
-                starts.extend(ctx.projection.iter().map(|&a| k.scratch[a]));
-            }
-            Ok(())
-        };
-        kernel.ahead(&mut run, tokenize)?;
-        out.profile.tokenize_ns += started.elapsed().as_nanos() as u64;
-        let started = Instant::now();
-        run.positions = Positions::Table(&starts);
-        out.emitted.push(kernel.form(&mut run)?);
-        out.profile.parse_ns += started.elapsed().as_nanos() as u64;
-        rows += n as u64;
-    }
-    out.end = reader.offset();
-    // Sequential tokenization reads exactly the bytes it tokenizes.
-    out.profile.io_bytes = out.metrics.bytes_tokenized;
-    out.profile.tokenize_bytes = out.metrics.bytes_tokenized;
-    out.profile.parse_values = out.metrics.fields_parsed;
-    Ok(out)
 }

@@ -1,11 +1,11 @@
 //! The block kernel: every row the in-situ scan emits is formed here, a
-//! run at a time (see the `scan` module docs). Runs come from cold chunks
-//! and from map-covered blocks alike; what differs is only where their
-//! lines and positions come from.
+//! run at a time (see the `scan` module docs). Runs come from a cold
+//! pass over a block and from map-covered blocks alike; what differs is
+//! only where their lines and positions come from.
 
 use std::sync::Arc;
 
-use nodb_cache::{CachedColumn, ChunkStage};
+use nodb_cache::{CachedColumn, ColumnBuilder};
 use nodb_common::{Column, NoDbError, Result, Value};
 use nodb_csv::lines::LineRun;
 use nodb_exec::{eval_predicate_batch, ValueBatch};
@@ -24,11 +24,10 @@ pub(super) enum Positions<'a> {
     Map(&'a [AttrPositions]),
 }
 
-/// One run of consecutive rows of a cold chunk or a map-covered block.
+/// One run of consecutive rows of one positional-map block.
 pub(super) struct Run<'a> {
     pub(super) lines: LineRun<'a>,
-    /// Index of the first row in the per-row structures: its block row on
-    /// a map-covered block, its chunk row in a cold chunk.
+    /// Block row of the first row: it indexes the per-row structures.
     first: usize,
     /// Global id of the first row: error locations name it.
     id: u64,
@@ -65,16 +64,18 @@ impl<'a> Run<'a> {
     }
 }
 
-/// The block kernel, with what the runs of one cold chunk or one
-/// map-covered block share: the cache columns values may come from, and
-/// where values converted from the file go.
+/// The block kernel, with what the runs of one block share: the cache
+/// columns values may come from, and where values converted from the
+/// file go.
 pub(super) struct Kernel<'a> {
     pub(super) ctx: &'a Ctx,
     /// Per projected column, its cache column for the block (none on the
     /// cold path).
     pub(super) cached: &'a [Option<Arc<CachedColumn>>],
-    /// The cache's stage, by block or chunk row (none with the cache off).
-    pub(super) stage: Option<&'a mut ChunkStage>,
+    /// Per projected column, its cache column builder, by block row
+    /// (none with the cache off or for a column the cache holds
+    /// complete).
+    pub(super) builders: &'a mut [Option<ColumnBuilder>],
     /// Per statistics builder, the projected column it samples and its
     /// samples.
     pub(super) samples: &'a mut [(usize, Vec<Value>)],
@@ -145,9 +146,9 @@ impl Kernel<'_> {
 
     /// Column `local` on those of the run's `rows` (ascending) before its
     /// earliest failure: each value from the cache when it holds it, else
-    /// converted from the file, kept for the cache stage and, on a sampled
-    /// row, for the statistics. A row that fails to convert becomes the
-    /// earliest failure and ends the column.
+    /// converted from the file, set in the column's cache builder and, on
+    /// a sampled row, kept for the statistics. A row that fails to
+    /// convert becomes the earliest failure and ends the column.
     fn fill(&mut self, run: &mut Run, local: usize, rows: &[usize]) -> Result<Column> {
         let ctx = self.ctx;
         let rows = &rows[..rows.partition_point(|&r| r < run.fail_row)];
@@ -184,12 +185,12 @@ impl Kernel<'_> {
                 }
             };
             col.push_value(&v)?;
+            if let Some(b) = self.builders.get_mut(local).and_then(Option::as_mut) {
+                b.set(first + r, &v);
+            }
             let tick = run.id + r as u64;
             if let Some(i) = sampled.filter(|_| tick.is_multiple_of(ctx.sample_stride)) {
-                self.samples[i].1.push(v.clone());
-            }
-            if let Some(stage) = self.stage.as_mut() {
-                stage.push(local, (first + r) as u32, v);
+                self.samples[i].1.push(v);
             }
         }
         Ok(col)
@@ -223,7 +224,7 @@ impl Kernel<'_> {
     }
 
     /// Resolve the positions of each row of `run` ahead of forming it:
-    /// `row` takes each line (and its block or chunk row) in turn. The
+    /// `row` takes each line (and its block row) in turn. The
     /// first row that fails is the run's earliest failure.
     pub(super) fn ahead(
         &mut self,

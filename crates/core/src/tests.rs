@@ -246,23 +246,52 @@ fn append_is_visible_without_reregistration() {
 fn append_mid_block_keeps_positions_correct() {
     // Regression: a sequential pass resuming mid-block (the appended
     // tail) must not insert a block-anchored chunk for rows it did not
-    // start at, or later map jumps land on the wrong bytes.
-    let td = TempDir::new("nodb-core-test").unwrap();
-    let p = td.file("m.csv");
-    let spec = MicroGen::default().rows(100).cols(6).seed(9);
-    spec.write_to(&p).unwrap();
-    let schema = spec.schema();
-    let db = engine_with(NoDbConfig::pm_only(), &p, &schema, AccessMode::InSitu);
-    let q = "select c2, c4 from t";
-    let before = db.query(q).unwrap(); // builds map for rows 0..100
-    spec.append_to(&p, 30).unwrap();
-    let grown = db.query(q).unwrap(); // mapped 0..100, sequential 100..130
-    assert_eq!(grown.rows.len(), 130);
-    assert_eq!(&grown.rows[..100], &before.rows[..]);
-    // Third run reads rows 0..100 via map positions; values must be
-    // unchanged (a mis-anchored chunk would corrupt them).
-    let again = db.query(q).unwrap();
-    assert_eq!(again.rows, grown.rows);
+    // start at, or later map jumps land on the wrong bytes. Its cache
+    // columns hold the rows before it as holes, which the columns the
+    // first query cached fill (`CachedColumn::absorb`). At 64 rows a
+    // block, the 30 appended rows resume block 1 at its row 36 and then
+    // start block 2.
+    let configs = [
+        NoDbConfig::pm_only(),
+        NoDbConfig::cache_only(),
+        NoDbConfig::postgres_raw(),
+    ];
+    for (config, block_rows) in configs.iter().flat_map(|c| [(c, None), (c, Some(64))]) {
+        let td = TempDir::new("nodb-core-test").unwrap();
+        let p = td.file("m.csv");
+        let spec = MicroGen::default().rows(100).cols(6).seed(9);
+        spec.write_to(&p).unwrap();
+        let schema = spec.schema();
+        let mut config = config.clone();
+        if let Some(b) = block_rows {
+            config.posmap_block_rows = b;
+        }
+        let case = format!(
+            "posmap {} cache {} block {block_rows:?}",
+            config.enable_posmap, config.enable_cache
+        );
+        let db = engine_with(config.clone(), &p, &schema, AccessMode::InSitu);
+        let q = "select c2, c4 from t";
+        let before = db.query(q).unwrap(); // builds map and cache for rows 0..100
+        spec.append_to(&p, 30).unwrap();
+        let grown = db.query(q).unwrap(); // mapped 0..100, sequential 100..130
+        assert_eq!(grown.rows.len(), 130, "{case}");
+        assert_eq!(&grown.rows[..100], &before.rows[..], "{case}");
+        // The third run reads rows 0..100 via map positions or the
+        // cache; values must be unchanged (a mis-anchored chunk or a
+        // misplaced cache row would corrupt them).
+        let again = db.query(q).unwrap();
+        assert_eq!(again.rows, grown.rows, "{case}");
+        if config.enable_cache {
+            // Every value now comes from the cache: the tail's holes
+            // were filled.
+            let parsed = db.metrics("t").unwrap().fields_parsed;
+            let fourth = db.query(q).unwrap();
+            assert_eq!(fourth.rows, grown.rows, "{case}");
+            let m = db.metrics("t").unwrap();
+            assert_eq!(m.fields_parsed, parsed, "{case}: a value was re-parsed");
+        }
+    }
 }
 
 #[test]
@@ -581,6 +610,15 @@ fn cold_scan_block_boundaries() {
                 let m = db.metrics("t").unwrap();
                 assert_eq!(m.bytes_tokenized, block_bytes as u64, "{what}");
             }
+            // A cold pass sizes its cache columns to the block's end and
+            // cuts them to the rows it saw: they are the columns a
+            // map-covered pass builds, byte for byte.
+            let (cold, mapped) = (make(), make());
+            mapped.query(queries[2]).unwrap(); // indexes lines, caches nothing
+            cold.query(queries[0]).unwrap();
+            mapped.query(queries[0]).unwrap();
+            let cache_bytes = |db: &NoDb| db.aux_info("t").unwrap().cache_bytes;
+            assert_eq!(cache_bytes(&cold), cache_bytes(&mapped), "{what}");
         }
     }
 }

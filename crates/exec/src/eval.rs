@@ -5,7 +5,7 @@
 //! The in-situ scan filters its runs with the batch evaluator. Three
 //! non-test callers still filter one row at a time — the heap scan
 //! (`nodb-storage`), the FITS leaf (`nodb-fits`) and the semi/anti-join
-//! residual (`ops.rs`) — the list ROADMAP item 2b retires before
+//! residual (`ops.rs`) — the list ROADMAP item 6 retires before
 //! the row evaluator goes.
 //!
 //! The batch evaluator dispatches on column type once per expression node

@@ -252,74 +252,6 @@ impl BlockCollector {
     }
 }
 
-/// Accumulates row-major positions for a run of consecutive rows while a
-/// cold scan tokenizes them, holding no lock. The scan's merge, given
-/// where the run starts, cuts the staged rows into block-aligned
-/// [`Chunk`]s with [`SegmentCollector::into_chunks`].
-#[derive(Debug)]
-pub struct SegmentCollector {
-    attrs: Vec<u32>,
-    /// Row-major u32 staging, `rows × attrs.len()`.
-    staged: Vec<u32>,
-    rows: u32,
-}
-
-impl SegmentCollector {
-    /// Start collecting positions for `attrs` (file ordinals).
-    pub fn new(attrs: Vec<u32>) -> SegmentCollector {
-        SegmentCollector {
-            attrs,
-            staged: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Rows staged so far.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
-    /// Push one row's offsets (must match the attr set's length/order).
-    pub fn push_row(&mut self, offsets: &[u32]) {
-        debug_assert_eq!(offsets.len(), self.attrs.len());
-        self.staged.extend_from_slice(offsets);
-        self.rows += 1;
-    }
-
-    /// Cut the segment into block-aligned chunks, given the global row id
-    /// of its first row. A leading partial block (when `first_row` is not
-    /// on a block boundary) is skipped — chunk storage is anchored at
-    /// block starts — while the trailing chunk may be short.
-    pub fn into_chunks(self, first_row: u64, block_rows: usize) -> Vec<Chunk> {
-        let n = self.attrs.len();
-        let br = block_rows.max(1) as u64;
-        if n == 0 || self.rows == 0 {
-            return Vec::new();
-        }
-        let misalign = (first_row % br) as usize;
-        let mut r = if misalign == 0 {
-            0
-        } else {
-            block_rows - misalign
-        };
-        let mut out = Vec::new();
-        while r < self.rows as usize {
-            let row_id = first_row + r as u64;
-            let block = row_id / br;
-            let take = (((block + 1) * br - row_id) as usize).min(self.rows as usize - r);
-            out.push(Chunk {
-                block,
-                // CAST: `take` ≤ `self.rows`, itself a u32.
-                rows: take as u32,
-                attrs: self.attrs.clone(),
-                offsets: OffsetStore::pack(&self.staged[r * n..(r + take) * n]),
-            });
-            r += take;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,38 +310,6 @@ mod tests {
         c.serialize(&mut buf);
         buf.truncate(buf.len() - 1);
         assert!(Chunk::deserialize(&buf).is_err());
-    }
-
-    #[test]
-    fn segment_collector_cuts_block_aligned_chunks() {
-        let mut s = SegmentCollector::new(vec![0, 3]);
-        for r in 0..10u32 {
-            s.push_row(&[r, 100 + r]);
-        }
-        // Block size 4, starting at global row 0: blocks 0 (4 rows),
-        // 1 (4 rows), 2 (2 rows, short tail).
-        let chunks = s.into_chunks(0, 4);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(
-            chunks.iter().map(|c| (c.block, c.rows)).collect::<Vec<_>>(),
-            vec![(0, 4), (1, 4), (2, 2)]
-        );
-        assert_eq!(chunks[1].offset(0, 0), 4, "row 4's attr-0 offset");
-        assert_eq!(chunks[2].offset(1, 1), 109, "row 9's attr-3 offset");
-    }
-
-    #[test]
-    fn segment_collector_skips_leading_partial_block() {
-        let mut s = SegmentCollector::new(vec![1]);
-        for r in 0..6u32 {
-            s.push_row(&[r]);
-        }
-        // Global rows 2..8 with block size 4: rows 2..4 are a partial
-        // prefix of block 0 (skipped); rows 4..8 fill block 1.
-        let chunks = s.into_chunks(2, 4);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!((chunks[0].block, chunks[0].rows), (1, 4));
-        assert_eq!(chunks[0].attr_column(0), vec![2, 3, 4, 5]);
     }
 
     proptest! {

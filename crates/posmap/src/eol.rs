@@ -44,21 +44,12 @@ impl EolIndex {
         self.frontier
     }
 
-    /// Record the start of row `row` and the offset one past its line end
-    /// (start of the next line). Rows must be recorded in order, exactly
-    /// once; out-of-order records are ignored (idempotent re-scans).
-    pub fn record(&mut self, row: u64, start: u64, next_start: u64) {
-        if row == self.starts.len() as u64 {
-            self.starts.push(start);
-            self.frontier = next_start;
-        }
-    }
-
     /// Record a contiguous segment of line starts built by a cold scan
     /// pass: rows `[base_row, base_row + line_starts.len())`, with the
-    /// segment's last line ending at byte `end` (the next line start). Rows already recorded are skipped and a gap (a
-    /// `base_row` beyond the indexed extent) is ignored, matching
-    /// [`EolIndex::record`]'s in-order, exactly-once contract.
+    /// segment's last line ending at byte `end` (the next line start).
+    /// Rows are recorded in order, exactly once: rows already recorded
+    /// are skipped and a gap (a `base_row` beyond the indexed extent) is
+    /// ignored, so re-scans of the same rows are idempotent.
     pub fn absorb_segment(&mut self, base_row: u64, line_starts: &[u64], end: u64) {
         let have = self.starts.len() as u64;
         if base_row > have {
@@ -131,8 +122,8 @@ mod tests {
     #[test]
     fn records_in_order_and_exposes_frontier() {
         let mut e = EolIndex::new();
-        e.record(0, 0, 10);
-        e.record(1, 10, 25);
+        e.absorb_segment(0, &[0], 10);
+        e.absorb_segment(1, &[10], 25);
         assert_eq!(e.indexed_rows(), 2);
         assert_eq!(e.frontier(), 25);
         assert_eq!(e.start_of(0), Some(0));
@@ -143,9 +134,9 @@ mod tests {
     #[test]
     fn out_of_order_records_are_ignored() {
         let mut e = EolIndex::new();
-        e.record(0, 0, 10);
-        e.record(0, 0, 10); // duplicate
-        e.record(5, 99, 120); // gap
+        e.absorb_segment(0, &[0], 10);
+        e.absorb_segment(0, &[0], 10); // duplicate
+        e.absorb_segment(5, &[99], 120); // gap
         assert_eq!(e.indexed_rows(), 1);
         assert_eq!(e.frontier(), 10);
     }
@@ -153,7 +144,7 @@ mod tests {
     #[test]
     fn completion_fixes_row_count() {
         let mut e = EolIndex::new();
-        e.record(0, 0, 4);
+        e.absorb_segment(0, &[0], 4);
         assert_eq!(e.row_count(), None);
         e.set_complete();
         assert_eq!(e.row_count(), Some(1));
@@ -165,7 +156,7 @@ mod tests {
     fn range_slice() {
         let mut e = EolIndex::new();
         for i in 0..5u64 {
-            e.record(i, i * 10, (i + 1) * 10);
+            e.absorb_segment(i, &[i * 10], (i + 1) * 10);
         }
         assert_eq!(e.starts(1, 3), Some(&[10u64, 20][..]));
         assert_eq!(e.starts(4, 6), None);
@@ -174,8 +165,7 @@ mod tests {
     #[test]
     fn absorb_segment_appends_and_skips_known_rows() {
         let mut e = EolIndex::new();
-        e.record(0, 0, 10);
-        e.record(1, 10, 25);
+        e.absorb_segment(0, &[0, 10], 25);
         // Overlapping segment: rows 0..4, only 2..4 are new.
         e.absorb_segment(0, &[0, 10, 25, 40], 55);
         assert_eq!(e.indexed_rows(), 4);
@@ -196,7 +186,7 @@ mod tests {
         let mut e = EolIndex::new();
         e.set_base(12);
         assert_eq!(e.frontier(), 12);
-        e.record(0, 12, 30);
+        e.absorb_segment(0, &[12], 30);
         e.set_base(0);
         assert_eq!(e.frontier(), 30, "base is fixed once rows exist");
     }
@@ -204,7 +194,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut e = EolIndex::new();
-        e.record(0, 0, 4);
+        e.absorb_segment(0, &[0], 4);
         e.set_complete();
         e.clear();
         assert_eq!(e.indexed_rows(), 0);

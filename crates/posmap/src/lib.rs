@@ -8,7 +8,10 @@
 //! Faithful properties implemented here:
 //!
 //! * **Populated as a side effect** of tokenization — the scan feeds
-//!   positions it had to compute anyway ([`BlockCollector`]).
+//!   positions it had to compute anyway into one [`BlockCollector`] per
+//!   block it forms from the block's start, cold or map-covered, and the
+//!   end-of-line index grows by the segment each cold pass read
+//!   ([`EolIndex::absorb_segment`]).
 //! * **Chunked storage, partitioned vertically and horizontally** — a
 //!   [`chunk::Chunk`] covers one *block* of consecutive tuples × one set of
 //!   attributes; attributes queried together live in the same chunk
@@ -35,6 +38,6 @@ pub mod chunk;
 pub mod eol;
 pub mod map;
 
-pub use chunk::{BlockCollector, Chunk, OffsetStore, SegmentCollector};
+pub use chunk::{BlockCollector, Chunk, OffsetStore};
 pub use eol::EolIndex;
 pub use map::{AttrPositions, BlockView, MapStats, PosMapConfig, PositionalMap};

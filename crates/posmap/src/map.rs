@@ -706,7 +706,7 @@ mod tests {
         m.insert(chunk(0, &[1], 16, 0));
         m.insert(chunk(1, &[1], 16, 0));
         assert!(m.stats().spills >= 1, "setup must actually spill");
-        m.eol_mut().record(0, 0, 10);
+        m.eol_mut().absorb_segment(0, &[0], 10);
         m.clear();
         assert_eq!(m.bytes_in_memory(), 0);
         assert_eq!(m.pointer_count(), 0);
@@ -719,8 +719,7 @@ mod tests {
     fn pointer_count_tracks_chunks_and_eol() {
         let mut m = PositionalMap::new(PosMapConfig::default());
         m.insert(chunk(0, &[1, 2], 4, 0)); // 8 pointers
-        m.eol_mut().record(0, 0, 10);
-        m.eol_mut().record(1, 10, 20);
+        m.eol_mut().absorb_segment(0, &[0, 10], 20);
         assert_eq!(m.pointer_count(), 10);
     }
 }
