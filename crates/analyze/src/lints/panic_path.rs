@@ -1,7 +1,7 @@
 //! Panic-path lint: the hot-path modules (the scan pump, both per-record
-//! tokenizers, the batch executor, the typed column and the cache's
-//! column builder and stage) must never panic on malformed input — a panic there takes down a
-//! server worker thread mid-query. Outside `#[cfg(test)]`, these files
+//! tokenizers, the batch executor, the typed column, the cache's column
+//! builder, and the heap and FITS leaves) must never panic on malformed
+//! input — a panic there takes down a server worker thread mid-query. Outside `#[cfg(test)]`, these files
 //! may not use `.unwrap()`, `.expect(…)`, the panicking macros, or
 //! fixed-offset slice indexing (`buf[0]` — a lexically provable
 //! bounds-check-free pattern; computed indices derived from the

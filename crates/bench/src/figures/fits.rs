@@ -63,7 +63,7 @@ pub fn fig11(scale: Scale, out: &Path) -> Result<()> {
 
     // PostgresRaw over FITS (cache carries the adaptation; no positional
     // map is needed for fixed-width rows).
-    let provider = FitsProvider::open(&path, None, true)?;
+    let provider = FitsProvider::open(&path)?;
     let schema = provider.table().schema()?;
     let mut db = NoDb::new(NoDbConfig::postgres_raw())?;
     db.register_provider("sky", schema, Box::new(provider))?;

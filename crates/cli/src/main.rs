@@ -171,7 +171,7 @@ fn execute(
         } => {
             let p = Path::new(&path);
             if path.ends_with(".fits") {
-                let provider = FitsProvider::open(p, None, true)?;
+                let provider = FitsProvider::open(p)?;
                 let schema = provider.table().schema()?;
                 db.register_provider(&name, schema, Box::new(provider))?;
             } else if path.ends_with(".jsonl") || path.ends_with(".ndjson") {

@@ -48,12 +48,6 @@ impl Row {
         self.0.push(v);
     }
 
-    /// Concatenate two rows (used by joins).
-    pub fn concat(mut self, other: &Row) -> Row {
-        self.0.extend_from_slice(&other.0);
-        self
-    }
-
     /// Approximate heap footprint, for memory accounting.
     pub fn heap_size(&self) -> usize {
         self.0.iter().map(Value::heap_size).sum()
@@ -81,15 +75,6 @@ impl fmt::Display for Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn concat_joins_attribute_lists() {
-        let a = Row(vec![Value::Int32(1)]);
-        let b = Row(vec![Value::Text("x".into()), Value::Null]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(1), &Value::Text("x".into()));
-    }
 
     #[test]
     fn display_is_pipe_separated() {

@@ -48,6 +48,7 @@ pub mod session;
 pub use config::{AccessMode, NoDbConfig};
 pub use idle::{IdleFocus, IdleReport};
 pub use nodb_sql::explain::{ExplainNode, ExplainPlan};
+pub use nodb_storage::EngineProfile;
 pub use profile::{PhaseProfile, PhaseProfileAtomic, QueryProfile};
 pub use runtime::{RawTableRuntime, ScanMetrics, ScanMetricsAtomic};
 pub use scan::{AuxFlags, InSituScanOp};

@@ -7,11 +7,12 @@
 //! [`Column`] — a vector per type, text in one arena, and a validity
 //! bitmap — so a cache-served block arrives as the cache's own typed
 //! values, and predicates, projections, keys and aggregates run typed
-//! per-column loops (see `eval::eval_batch`). Rows become [`Value`]s only
-//! where they enter the engine (leaves that produce rows push them into
-//! typed columns) or leave it ([`ValueBatch::into_rows`] at the cursor).
+//! per-column loops (see `eval::eval_batch`). A
+//! [`Value`](nodb_common::Value) is built only where a field enters the
+//! engine (a leaf converts it into its typed column) or a row leaves it
+//! ([`ValueBatch::into_rows`] at the cursor).
 
-use nodb_common::{Column, DataType, Result, Row, Value};
+use nodb_common::{Column, DataType, Result, Row};
 
 /// Rows per batch that a query cursor asks for, and that operators which
 /// drain their input (sorts, aggregations, a join's build side) pull.
@@ -48,7 +49,8 @@ impl ValueBatch {
     }
 
     /// Transpose rows (all the same width) into columns typed by their
-    /// values (see [`infer_types`]).
+    /// values (see `infer_types`).
+    #[cfg(test)]
     pub fn from_rows(rows: Vec<Row>) -> Result<ValueBatch> {
         let types = infer_types(&rows);
         let mut b = ValueBatch::with_capacity(&types, rows.len());
@@ -89,6 +91,7 @@ impl ValueBatch {
     }
 
     /// Append one row, converting each value into its column.
+    #[cfg(test)]
     pub fn push_row(&mut self, row: Row) -> Result<()> {
         debug_assert_eq!(row.len(), self.cols.len());
         for (col, v) in self.cols.iter_mut().zip(row.values()) {
@@ -134,8 +137,9 @@ impl ValueBatch {
         })
     }
 
-    /// The values of row `r` (scalar-eval fallbacks).
-    pub fn row_values(&self, r: usize) -> Vec<Value> {
+    /// The values of row `r` (the row-evaluator oracle's input).
+    #[cfg(test)]
+    pub fn row_values(&self, r: usize) -> Vec<nodb_common::Value> {
         self.cols.iter().map(|c| c.value(r)).collect()
     }
 
@@ -181,22 +185,6 @@ impl ValueBatch {
             self.rows = n;
         }
     }
-}
-
-/// The column types of rows that carry no schema: per column, the type
-/// of its first non-NULL value, widened to the widest number the column
-/// holds (`Int64` for a column of NULLs).
-pub fn infer_types(rows: &[Row]) -> Vec<DataType> {
-    let width = rows.first().map_or(0, Row::len);
-    (0..width)
-        .map(|c| {
-            let mut types = rows
-                .iter()
-                .filter_map(|r| r.values().get(c).and_then(Value::data_type));
-            let first = types.next().unwrap_or(DataType::Int64);
-            types.fold(first, DataType::widest)
-        })
-        .collect()
 }
 
 /// Rows formed ahead of the consumer, handed out front to back: a pull
@@ -246,8 +234,26 @@ impl BatchQueue {
 }
 
 #[cfg(test)]
+/// The column types of rows that carry no schema: per column, the type
+/// of its first non-NULL value, widened to the widest number the column
+/// holds (`Int64` for a column of NULLs).
+fn infer_types(rows: &[Row]) -> Vec<DataType> {
+    let width = rows.first().map_or(0, Row::len);
+    (0..width)
+        .map(|c| {
+            let mut types = rows
+                .iter()
+                .filter_map(|r| r.values().get(c).and_then(nodb_common::Value::data_type));
+            let first = types.next().unwrap_or(DataType::Int64);
+            types.fold(first, DataType::widest)
+        })
+        .collect()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use nodb_common::Value;
 
     fn batch() -> ValueBatch {
         ValueBatch::from_rows(vec![

@@ -21,8 +21,10 @@ pub trait TableProvider: Send + Sync {
     /// the given order) with `filters` (bound against the projection
     /// layout) applied.
     ///
-    /// Providers *must* apply the filters (the in-situ scan exploits them
-    /// for selective parsing); they may also use them for pruning.
+    /// Providers *must* apply the filters in order, each to the rows the
+    /// earlier ones passed (the in-situ scan exploits them for selective
+    /// parsing; other leaves wrap their scan in
+    /// [`FilterOp::conjuncts`](crate::FilterOp::conjuncts)).
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp>;
 }
 
@@ -50,14 +52,12 @@ pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp
             left,
             right,
             on,
-            residual,
             kind,
             ..
         } => Ok(Box::new(HashJoinOp::new(
             build_plan(left, catalog)?,
             build_plan(right, catalog)?,
             on.clone(),
-            residual.clone(),
             *kind,
         ))),
         LogicalPlan::Aggregate {
@@ -116,17 +116,12 @@ mod tests {
 
     impl TableProvider for MemTable {
         fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
-            let mut out = Vec::new();
-            'rows: for r in &self.rows {
-                let projected = Row(projection.iter().map(|&i| r.get(i).clone()).collect());
-                for f in filters {
-                    if !crate::eval_predicate(f, &projected)? {
-                        continue 'rows;
-                    }
-                }
-                out.push(projected);
-            }
-            Ok(Box::new(RowsOp::new(out)))
+            let rows = self
+                .rows
+                .iter()
+                .map(|r| Row(projection.iter().map(|&i| r.get(i).clone()).collect()))
+                .collect();
+            Ok(FilterOp::conjuncts(Box::new(RowsOp::new(rows)), filters))
         }
     }
 

@@ -1,19 +1,13 @@
-//! Expression evaluation with SQL three-valued logic: over a batch's
-//! typed columns ([`eval_batch`], [`eval_predicate_batch`]) and row at a
-//! time ([`eval`], [`eval_predicate`]).
+//! Expression evaluation with SQL three-valued logic over a batch's typed
+//! columns ([`eval_batch`], [`eval_predicate_batch`]): the one evaluator
+//! every leaf's filters, every `WHERE`, projection and aggregate argument
+//! runs through.
 //!
-//! The in-situ scan filters its runs with the batch evaluator. Three
-//! non-test callers still filter one row at a time — the heap scan
-//! (`nodb-storage`), the FITS leaf (`nodb-fits`) and the semi/anti-join
-//! residual (`ops.rs`) — the list ROADMAP item 6 retires before
-//! the row evaluator goes.
-//!
-//! The batch evaluator dispatches on column type once per expression node
+//! The evaluator dispatches on column type once per expression node
 //! per batch. Typed kernels cover comparisons, arithmetic, AND/OR/NOT,
 //! BETWEEN, IN, LIKE, IS NULL and CASE over the typed vectors and the text
 //! arena; every other combination of operator and operand types runs one
-//! generic per-row kernel through [`Value`], so it answers exactly as
-//! [`eval`] does. Both follow one typing rule ([`BoundExpr::infer_type`],
+//! generic per-row kernel through [`Value`]. Both follow one typing rule ([`BoundExpr::infer_type`],
 //! [`BinOp::arith_type`]): integers of either width add to `Int64`, any
 //! float or `/` gives `Float64`, `Date ± integer` gives `Date`, and a CASE
 //! widens its branches to their widest numeric type.
@@ -22,170 +16,10 @@ use std::borrow::Cow;
 
 use nodb_common::column::Data;
 use nodb_common::like::like_match;
-use nodb_common::{Column, DataType, Date, NoDbError, Result, Row, Value};
+use nodb_common::{Column, DataType, Date, NoDbError, Result, Value};
 use nodb_sql::{BinOp, BoundExpr, UnOp};
 
 use crate::batch::ValueBatch;
-
-/// Evaluate an expression against a row. NULL propagates through
-/// arithmetic and comparisons; AND/OR follow Kleene logic.
-pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
-    match expr {
-        BoundExpr::Col(i) => row
-            .values()
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| NoDbError::internal(format!("column #{i} out of range"))),
-        BoundExpr::Lit(v) => Ok(v.clone()),
-        BoundExpr::Param { idx, .. } => Err(NoDbError::internal(format!(
-            "unsubstituted parameter ${} reached the executor (prepared statements must \
-             substitute parameters before building the operator tree)",
-            idx + 1
-        ))),
-        BoundExpr::Binary { op, left, right } => match op {
-            BinOp::And => {
-                let l = eval(left, row)?;
-                // Short-circuit FALSE.
-                if l == Value::Bool(false) {
-                    return Ok(Value::Bool(false));
-                }
-                let r = eval(right, row)?;
-                Ok(match (bool3(&l), bool3(&r)) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                })
-            }
-            BinOp::Or => {
-                let l = eval(left, row)?;
-                if l == Value::Bool(true) {
-                    return Ok(Value::Bool(true));
-                }
-                let r = eval(right, row)?;
-                Ok(match (bool3(&l), bool3(&r)) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                })
-            }
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let l = eval(left, row)?;
-                let r = eval(right, row)?;
-                Ok(compare(*op, &l, &r))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = eval(left, row)?;
-                let r = eval(right, row)?;
-                arith(*op, &l, &r)
-            }
-        },
-        BoundExpr::Unary { op, expr } => {
-            let v = eval(expr, row)?;
-            match op {
-                UnOp::Not => Ok(match bool3(&v) {
-                    Some(b) => Value::Bool(!b),
-                    None => Value::Null,
-                }),
-                UnOp::Neg => negate(&v),
-            }
-        }
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, row)?;
-            // Fast path: a constant pattern (the common case, and what
-            // every parameterized pattern becomes after substitution)
-            // is matched without re-evaluating or cloning it per row.
-            let computed;
-            let pat = match pattern.as_ref() {
-                BoundExpr::Lit(Value::Text(p)) => p.as_str(),
-                _ => match eval(pattern, row)? {
-                    Value::Null => return Ok(Value::Null),
-                    Value::Text(s) => {
-                        computed = s;
-                        computed.as_str()
-                    }
-                    other => {
-                        return Err(NoDbError::execution(format!(
-                            "LIKE pattern is non-text {other}"
-                        )))
-                    }
-                },
-            };
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Text(s) => Ok(Value::Bool(like_match(&s, pat) != *negated)),
-                other => Err(NoDbError::execution(format!("LIKE on non-text {other}"))),
-            }
-        }
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(expr, row)?;
-            let lo = eval(low, row)?;
-            let hi = eval(high, row)?;
-            let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-            let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-            Ok(match (ge, le) {
-                (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
-                _ => Value::Null,
-            })
-        }
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for cand in list {
-                match v.sql_cmp(cand) {
-                    Some(std::cmp::Ordering::Equal) => {
-                        return Ok(Value::Bool(!*negated));
-                    }
-                    None if cand.is_null() => saw_null = true,
-                    _ => {}
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
-        }
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            // The CASE's one type: a branch's number widens to it.
-            let types: Vec<DataType> = row.values().iter().map(value_type).collect();
-            let target = expr.infer_type(&types);
-            let chosen = match branches
-                .iter()
-                .find_map(|(c, r)| eval_predicate(c, row).map(|t| t.then_some(r)).transpose())
-            {
-                Some(r) => eval(r?, row)?,
-                None => match else_expr {
-                    Some(e) => eval(e, row)?,
-                    None => Value::Null,
-                },
-            };
-            Ok(widen(chosen, target))
-        }
-        BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, row)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-    }
-}
 
 /// A comparison's three-valued result: NULL when the operands are
 /// incomparable (either is NULL, or the types do not compare).
@@ -194,28 +28,6 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
     l.sql_cmp(r)
         .and_then(|ord| op.holds(ord))
         .map_or(Value::Null, Value::Bool)
-}
-
-/// Evaluate as a WHERE predicate: TRUE passes; FALSE and NULL reject.
-pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
-    Ok(eval(expr, row)? == Value::Bool(true))
-}
-
-/// A row value's type for [`BoundExpr::infer_type`] (a NULL types as
-/// nothing in particular).
-fn value_type(v: &Value) -> DataType {
-    v.data_type().unwrap_or(DataType::Text)
-}
-
-/// `v` as a value of the numeric type `target`, when it is a narrower
-/// number; anything else unchanged.
-fn widen(v: Value, target: DataType) -> Value {
-    match (target, &v) {
-        (DataType::Int64, Value::Int32(x)) => Value::Int64(i64::from(*x)),
-        (DataType::Float64, Value::Int32(x)) => Value::Float64(f64::from(*x)),
-        (DataType::Float64, Value::Int64(x)) => Value::Float64(*x as f64),
-        _ => v,
-    }
 }
 
 fn negate(v: &Value) -> Result<Value> {
@@ -289,14 +101,14 @@ impl Operand<'_> {
 /// Evaluate an expression over every row of a batch, one typed loop per
 /// operator node instead of one tree walk per row.
 ///
-/// Produces exactly the values `eval` would produce row by row. The
-/// short-circuit rules are preserved *per row* via selection masks: the
+/// Produces exactly the values a row-at-a-time evaluator would (the
+/// tests hold it to one). The short-circuit rules are preserved *per row* via selection masks: the
 /// right side of an `AND` is only evaluated for rows whose left side is
 /// not FALSE (so `x <> 0 AND 10 / x > 1` never divides by zero), and
 /// `CASE` branch results are only evaluated for rows their condition
 /// selected. A kernel may compute a deselected lane but never fails on
-/// one, so a query errors under batch evaluation iff it errors under row
-/// evaluation; when several rows would error, which error surfaces first
+/// one, so a query errors under batch evaluation iff it errors row at a
+/// time; when several rows would error, which error surfaces first
 /// may differ.
 pub fn eval_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Column> {
     let n = batch.num_rows();
@@ -958,13 +770,6 @@ fn typed_in_list(c: &Column, list: &[Value], negated: bool) -> Option<Column> {
     Some(Column::from_parts(Data::Bool(lanes), &valid))
 }
 
-fn bool3(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
 /// Row-at-a-time arithmetic under [`BinOp::arith_type`].
 fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     let (Some(lt), Some(rt)) = (l.data_type(), r.data_type()) else {
@@ -1018,19 +823,205 @@ fn not_arith(op: BinOp) -> NoDbError {
     NoDbError::internal(format!("{op:?} reached arithmetic evaluation"))
 }
 
+/// The row-at-a-time evaluator: one tree walk per row over a [`Row`] of
+/// [`Value`]s. No production code runs it; it is the independent oracle
+/// the batch evaluator is held to.
+#[cfg(test)]
+mod row_eval {
+    use super::*;
+    use nodb_common::Row;
+
+    /// Evaluate an expression against a row. NULL propagates through
+    /// arithmetic and comparisons; AND/OR follow Kleene logic.
+    pub(super) fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
+        match expr {
+            BoundExpr::Col(i) => row
+                .values()
+                .get(*i)
+                .cloned()
+                .ok_or_else(|| NoDbError::internal(format!("column #{i} out of range"))),
+            BoundExpr::Lit(v) => Ok(v.clone()),
+            BoundExpr::Param { idx, .. } => Err(NoDbError::internal(format!(
+                "unsubstituted parameter ${} reached the executor (prepared statements must \
+                 substitute parameters before building the operator tree)",
+                idx + 1
+            ))),
+            BoundExpr::Binary { op, left, right } => match op {
+                BinOp::And => {
+                    let l = eval(left, row)?;
+                    // Short-circuit FALSE.
+                    if l == Value::Bool(false) {
+                        return Ok(Value::Bool(false));
+                    }
+                    let r = eval(right, row)?;
+                    Ok(match (bool3(&l), bool3(&r)) {
+                        (Some(false), _) | (_, Some(false)) => Value::Bool(false),
+                        (Some(true), Some(true)) => Value::Bool(true),
+                        _ => Value::Null,
+                    })
+                }
+                BinOp::Or => {
+                    let l = eval(left, row)?;
+                    if l == Value::Bool(true) {
+                        return Ok(Value::Bool(true));
+                    }
+                    let r = eval(right, row)?;
+                    Ok(match (bool3(&l), bool3(&r)) {
+                        (Some(true), _) | (_, Some(true)) => Value::Bool(true),
+                        (Some(false), Some(false)) => Value::Bool(false),
+                        _ => Value::Null,
+                    })
+                }
+                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+                    let l = eval(left, row)?;
+                    let r = eval(right, row)?;
+                    Ok(compare(*op, &l, &r))
+                }
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                    let l = eval(left, row)?;
+                    let r = eval(right, row)?;
+                    arith(*op, &l, &r)
+                }
+            },
+            BoundExpr::Unary { op, expr } => {
+                let v = eval(expr, row)?;
+                match op {
+                    UnOp::Not => Ok(match bool3(&v) {
+                        Some(b) => Value::Bool(!b),
+                        None => Value::Null,
+                    }),
+                    UnOp::Neg => negate(&v),
+                }
+            }
+            BoundExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let v = eval(expr, row)?;
+                // Fast path: a constant pattern (the common case, and what
+                // every parameterized pattern becomes after substitution)
+                // is matched without re-evaluating or cloning it per row.
+                let computed;
+                let pat = match pattern.as_ref() {
+                    BoundExpr::Lit(Value::Text(p)) => p.as_str(),
+                    _ => match eval(pattern, row)? {
+                        Value::Null => return Ok(Value::Null),
+                        Value::Text(s) => {
+                            computed = s;
+                            computed.as_str()
+                        }
+                        other => {
+                            return Err(NoDbError::execution(format!(
+                                "LIKE pattern is non-text {other}"
+                            )))
+                        }
+                    },
+                };
+                match v {
+                    Value::Null => Ok(Value::Null),
+                    Value::Text(s) => Ok(Value::Bool(like_match(&s, pat) != *negated)),
+                    other => Err(NoDbError::execution(format!("LIKE on non-text {other}"))),
+                }
+            }
+            BoundExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => {
+                let v = eval(expr, row)?;
+                let lo = eval(low, row)?;
+                let hi = eval(high, row)?;
+                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
+                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
+                Ok(match (ge, le) {
+                    (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
+                    _ => Value::Null,
+                })
+            }
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => Ok(in_list(&eval(expr, row)?, list, *negated)),
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                // The CASE's one type: a branch's number widens to it.
+                let types: Vec<DataType> = row.values().iter().map(value_type).collect();
+                let target = expr.infer_type(&types);
+                let chosen = match branches
+                    .iter()
+                    .find_map(|(c, r)| eval_predicate(c, row).map(|t| t.then_some(r)).transpose())
+                {
+                    Some(r) => eval(r?, row)?,
+                    None => match else_expr {
+                        Some(e) => eval(e, row)?,
+                        None => Value::Null,
+                    },
+                };
+                Ok(widen(chosen, target))
+            }
+            BoundExpr::IsNull { expr, negated } => {
+                let v = eval(expr, row)?;
+                Ok(Value::Bool(v.is_null() != *negated))
+            }
+        }
+    }
+
+    /// Evaluate as a WHERE predicate: TRUE passes; FALSE and NULL reject.
+    pub(super) fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
+        Ok(eval(expr, row)? == Value::Bool(true))
+    }
+
+    /// A row value's type for [`BoundExpr::infer_type`] (a NULL types as
+    /// nothing in particular).
+    fn value_type(v: &Value) -> DataType {
+        v.data_type().unwrap_or(DataType::Text)
+    }
+
+    /// `v` as a value of the numeric type `target`, when it is a narrower
+    /// number; anything else unchanged.
+    fn widen(v: Value, target: DataType) -> Value {
+        match (target, &v) {
+            (DataType::Int64, Value::Int32(x)) => Value::Int64(i64::from(*x)),
+            (DataType::Float64, Value::Int32(x)) => Value::Float64(f64::from(*x)),
+            (DataType::Float64, Value::Int64(x)) => Value::Float64(*x as f64),
+            _ => v,
+        }
+    }
+
+    fn bool3(v: &Value) -> Option<bool> {
+        match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nodb_common::Date;
+    use nodb_common::{Date, Row};
 
-    fn row() -> Row {
-        Row(vec![
+    /// The sample row as a one-row batch: `Int32`, `Float64`, `Text`, a
+    /// NULL and a `Date`.
+    fn batch() -> ValueBatch {
+        ValueBatch::from_rows(vec![Row(vec![
             Value::Int32(10),
             Value::Float64(2.5),
             Value::Text("PROMO ANODIZED".into()),
             Value::Null,
             Value::Date(Date::parse("1994-06-15").unwrap()),
-        ])
+        ])])
+        .unwrap()
+    }
+
+    /// `e` over the sample row, through the batch evaluator.
+    fn eval(e: &BoundExpr) -> Result<Value> {
+        Ok(eval_batch(e, &batch())?.value(0))
     }
 
     fn col(i: usize) -> BoundExpr {
@@ -1051,119 +1042,100 @@ mod tests {
 
     #[test]
     fn arithmetic_coerces_and_divides_as_float() {
-        let r = row();
         assert_eq!(
-            eval(&bin(BinOp::Mul, col(0), col(1)), &r).unwrap(),
+            eval(&bin(BinOp::Mul, col(0), col(1))).unwrap(),
             Value::Float64(25.0)
         );
         assert_eq!(
-            eval(&bin(BinOp::Add, col(0), lit(Value::Int64(5))), &r).unwrap(),
+            eval(&bin(BinOp::Add, col(0), lit(Value::Int64(5)))).unwrap(),
             Value::Int64(15)
         );
         assert_eq!(
-            eval(
-                &bin(BinOp::Div, lit(Value::Int64(7)), lit(Value::Int64(2))),
-                &r
-            )
-            .unwrap(),
+            eval(&bin(BinOp::Div, lit(Value::Int64(7)), lit(Value::Int64(2)))).unwrap(),
             Value::Float64(3.5)
         );
     }
 
     #[test]
     fn division_by_zero_errors() {
-        let r = row();
-        assert!(eval(
-            &bin(BinOp::Div, lit(Value::Int64(1)), lit(Value::Int64(0))),
-            &r
-        )
-        .is_err());
+        assert!(eval(&bin(BinOp::Div, lit(Value::Int64(1)), lit(Value::Int64(0)))).is_err());
     }
 
     #[test]
     fn null_propagates_through_arith_and_cmp() {
-        let r = row();
-        assert_eq!(
-            eval(&bin(BinOp::Add, col(3), col(0)), &r).unwrap(),
-            Value::Null
-        );
-        assert_eq!(
-            eval(&bin(BinOp::Eq, col(3), col(0)), &r).unwrap(),
-            Value::Null
-        );
-        assert!(!eval_predicate(&bin(BinOp::Eq, col(3), col(0)), &r).unwrap());
+        assert_eq!(eval(&bin(BinOp::Add, col(3), col(0))).unwrap(), Value::Null);
+        assert_eq!(eval(&bin(BinOp::Eq, col(3), col(0))).unwrap(), Value::Null);
+        let pass = eval_predicate_batch(&bin(BinOp::Eq, col(3), col(0)), &batch()).unwrap();
+        assert_eq!(pass, vec![false]);
     }
 
     #[test]
     fn three_valued_and_or() {
-        let r = row();
         let null = col(3);
         let t = lit(Value::Bool(true));
         let f = lit(Value::Bool(false));
         assert_eq!(
-            eval(&bin(BinOp::And, f.clone(), null.clone()), &r).unwrap(),
+            eval(&bin(BinOp::And, f.clone(), null.clone())).unwrap(),
             Value::Bool(false)
         );
         assert_eq!(
-            eval(&bin(BinOp::And, t.clone(), null.clone()), &r).unwrap(),
+            eval(&bin(BinOp::And, t.clone(), null.clone())).unwrap(),
             Value::Null
         );
         assert_eq!(
-            eval(&bin(BinOp::Or, t.clone(), null.clone()), &r).unwrap(),
+            eval(&bin(BinOp::Or, t.clone(), null.clone())).unwrap(),
             Value::Bool(true)
         );
         assert_eq!(
-            eval(&bin(BinOp::Or, f.clone(), null.clone()), &r).unwrap(),
+            eval(&bin(BinOp::Or, f.clone(), null.clone())).unwrap(),
             Value::Null
         );
     }
 
     #[test]
     fn like_between_inlist() {
-        let r = row();
         let like = BoundExpr::Like {
             expr: Box::new(col(2)),
             pattern: Box::new(lit(Value::Text("PROMO%".into()))),
             negated: false,
         };
-        assert_eq!(eval(&like, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&like).unwrap(), Value::Bool(true));
         // Non-literal pattern: evaluated per row; NULL pattern -> NULL.
         let like_col = BoundExpr::Like {
             expr: Box::new(col(2)),
             pattern: Box::new(col(2)),
             negated: false,
         };
-        assert_eq!(eval(&like_col, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&like_col).unwrap(), Value::Bool(true));
         let like_null = BoundExpr::Like {
             expr: Box::new(col(2)),
             pattern: Box::new(lit(Value::Null)),
             negated: false,
         };
-        assert_eq!(eval(&like_null, &r).unwrap(), Value::Null);
+        assert_eq!(eval(&like_null).unwrap(), Value::Null);
         let between = BoundExpr::Between {
             expr: Box::new(col(0)),
             low: Box::new(lit(Value::Int64(5))),
             high: Box::new(lit(Value::Int64(10))),
             negated: false,
         };
-        assert_eq!(eval(&between, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&between).unwrap(), Value::Bool(true));
         let inlist = BoundExpr::InList {
             expr: Box::new(col(0)),
             list: vec![Value::Int64(1), Value::Int64(10)],
             negated: false,
         };
-        assert_eq!(eval(&inlist, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&inlist).unwrap(), Value::Bool(true));
         let notin = BoundExpr::InList {
             expr: Box::new(col(0)),
             list: vec![Value::Int64(1)],
             negated: true,
         };
-        assert_eq!(eval(&notin, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&notin).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn case_falls_through_to_else() {
-        let r = row();
         let case = BoundExpr::Case {
             branches: vec![(
                 bin(BinOp::Gt, col(0), lit(Value::Int64(100))),
@@ -1171,7 +1143,7 @@ mod tests {
             )],
             else_expr: Some(Box::new(lit(Value::Int64(0)))),
         };
-        assert_eq!(eval(&case, &r).unwrap(), Value::Int64(0));
+        assert_eq!(eval(&case).unwrap(), Value::Int64(0));
         let no_else = BoundExpr::Case {
             branches: vec![(
                 bin(BinOp::Gt, col(0), lit(Value::Int64(100))),
@@ -1179,22 +1151,22 @@ mod tests {
             )],
             else_expr: None,
         };
-        assert_eq!(eval(&no_else, &r).unwrap(), Value::Null);
+        assert_eq!(eval(&no_else).unwrap(), Value::Null);
     }
 
     #[test]
     fn date_minus_date_and_date_plus_days() {
-        let r = row();
         let base = Date::parse("1994-06-15").unwrap();
         assert_eq!(
-            eval(&bin(BinOp::Add, col(4), lit(Value::Int64(10))), &r).unwrap(),
+            eval(&bin(BinOp::Add, col(4), lit(Value::Int64(10)))).unwrap(),
             Value::Date(base.add_days(10))
         );
         assert_eq!(
-            eval(
-                &bin(BinOp::Sub, col(4), lit(Value::Date(base.add_days(-5)))),
-                &r
-            )
+            eval(&bin(
+                BinOp::Sub,
+                col(4),
+                lit(Value::Date(base.add_days(-5)))
+            ))
             .unwrap(),
             Value::Int64(5)
         );
@@ -1202,23 +1174,24 @@ mod tests {
 
     #[test]
     fn is_null_checks() {
-        let r = row();
         let isnull = BoundExpr::IsNull {
             expr: Box::new(col(3)),
             negated: false,
         };
-        assert_eq!(eval(&isnull, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&isnull).unwrap(), Value::Bool(true));
         let isnotnull = BoundExpr::IsNull {
             expr: Box::new(col(0)),
             negated: true,
         };
-        assert_eq!(eval(&isnotnull, &r).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&isnotnull).unwrap(), Value::Bool(true));
     }
 }
 
 #[cfg(test)]
 mod batch_tests {
+    use super::row_eval::{eval, eval_predicate};
     use super::*;
+    use nodb_common::Row;
 
     fn col(i: usize) -> BoundExpr {
         BoundExpr::Col(i)

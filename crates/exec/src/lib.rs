@@ -26,10 +26,10 @@ pub mod eval;
 pub mod key;
 pub mod ops;
 
-pub use batch::{infer_types, BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+pub use batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
 pub use build::{build_plan, ExecCatalog, TableProvider};
-pub use eval::{eval, eval_batch, eval_predicate, eval_predicate_batch};
-pub use ops::{fill_batch, BoxOp, DistinctOp, Operator, RowsOp};
+pub use eval::{eval_batch, eval_predicate_batch};
+pub use ops::{BoxOp, DistinctOp, FilterOp, Operator};
 
 use nodb_common::{Result, Row};
 

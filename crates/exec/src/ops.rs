@@ -19,12 +19,12 @@
 use std::cmp::Ordering;
 
 use nodb_common::column::Data;
-use nodb_common::{Column, DataType, NoDbError, Result, Row, Value};
+use nodb_common::{Column, DataType, NoDbError, Result, Value};
 use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
-use crate::batch::{infer_types, BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
-use crate::eval::{eval_batch, eval_operand, eval_predicate, eval_predicate_batch, Operand};
+use crate::batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+use crate::eval::{eval_batch, eval_operand, eval_predicate_batch, Operand};
 use crate::key::{hash_key, KeyIndex, KeyRef};
 
 /// The operator interface: a stream of rows, pulled one column-major
@@ -37,27 +37,6 @@ pub trait Operator {
 
 /// Boxed operator.
 pub type BoxOp = Box<dyn Operator>;
-
-/// Fill a batch of up to `max_rows` rows (≥ 1) from a source that yields
-/// one row at a time, into columns typed `types` (the source's schema):
-/// how leaves that produce rows (in-memory rowsets, heap pages, FITS
-/// blocks) implement [`Operator::next_batch`]. `None` when the source
-/// yields no row.
-pub fn fill_batch(
-    types: &[DataType],
-    max_rows: usize,
-    mut next: impl FnMut() -> Result<Option<Row>>,
-) -> Result<Option<ValueBatch>> {
-    let max = max_rows.max(1);
-    let mut batch = ValueBatch::with_capacity(types, max.min(DEFAULT_BATCH_ROWS));
-    while batch.num_rows() < max {
-        match next()? {
-            Some(r) => batch.push_row(r)?,
-            None => break,
-        }
-    }
-    Ok((!batch.is_empty()).then_some(batch))
-}
 
 /// Pull `input` dry in [`DEFAULT_BATCH_ROWS`]-row batches and concatenate
 /// them into one batch.
@@ -110,29 +89,6 @@ impl Drained {
     }
 }
 
-/// A fixed in-memory rowset (tests, cached results), typed by its own
-/// values (see [`ValueBatch::from_rows`]).
-pub struct RowsOp {
-    types: Vec<DataType>,
-    iter: std::vec::IntoIter<Row>,
-}
-
-impl RowsOp {
-    /// Wrap a vector of rows.
-    pub fn new(rows: Vec<Row>) -> RowsOp {
-        RowsOp {
-            types: infer_types(&rows),
-            iter: rows.into_iter(),
-        }
-    }
-}
-
-impl Operator for RowsOp {
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        fill_batch(&self.types, max_rows, || Ok(self.iter.next()))
-    }
-}
-
 /// Filter: passes rows whose predicate evaluates to TRUE.
 pub struct FilterOp {
     input: BoxOp,
@@ -143,6 +99,16 @@ impl FilterOp {
     /// Create a filter.
     pub fn new(input: BoxOp, predicate: BoundExpr) -> FilterOp {
         FilterOp { input, predicate }
+    }
+
+    /// `input` under one filter per conjunct of `filters`, the first
+    /// innermost: each conjunct sees only the rows every earlier one
+    /// passed, so a row short-circuits at the first conjunct that rejects
+    /// it. How a leaf applies its pushed-down filters.
+    pub fn conjuncts(input: BoxOp, filters: &[BoundExpr]) -> BoxOp {
+        filters.iter().fold(input, |op, f| {
+            Box::new(FilterOp::new(op, f.clone())) as BoxOp
+        })
     }
 }
 
@@ -293,14 +259,14 @@ impl Operator for SortOp {
 ///
 /// The build side is drained on the first pull. The probe side is pulled
 /// in batches of the size the consumer asks for, so unless a probe row
-/// has several matches, a `LIMIT` above the join probes — and evaluates
-/// the residual on — no row it does not need. Build rows live in one
-/// typed batch; keys are matched through a [`KeyIndex`] without being
-/// copied out of it, and joined rows are gathered lane by lane.
+/// has several matches, a `LIMIT` above the join probes no row it does
+/// not need. Build rows live in one typed batch; keys are matched through
+/// a [`KeyIndex`] without being copied out of it, and joined rows are
+/// gathered lane by lane.
 ///
 /// With an empty key list every row lands in one bucket, degrading to a
-/// (filtered) cross product — the planner only does this when a query has
-/// no equi-join predicate.
+/// cross product — the planner only does this when a query has no
+/// equi-join predicate, and filters it above the join.
 pub struct HashJoinOp {
     /// The side hashed into the table, until the first pull drains it.
     build: Option<BoxOp>,
@@ -309,7 +275,6 @@ pub struct HashJoinOp {
     /// Key columns of the build and the probe side, pairwise.
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
-    residual: Option<BoundExpr>,
     kind: JoinKind,
     table: JoinTable,
     /// Joined output formed but not yet handed out.
@@ -318,13 +283,7 @@ pub struct HashJoinOp {
 
 impl HashJoinOp {
     /// Create a hash join.
-    pub fn new(
-        left: BoxOp,
-        right: BoxOp,
-        on: Vec<(usize, usize)>,
-        residual: Option<BoundExpr>,
-        kind: JoinKind,
-    ) -> HashJoinOp {
+    pub fn new(left: BoxOp, right: BoxOp, on: Vec<(usize, usize)>, kind: JoinKind) -> HashJoinOp {
         let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = on.into_iter().unzip();
         let (build, probe, build_keys, probe_keys) = match kind {
             JoinKind::Inner => (left, right, left_keys, right_keys),
@@ -335,7 +294,6 @@ impl HashJoinOp {
             probe,
             build_keys,
             probe_keys,
-            residual,
             kind,
             table: JoinTable::default(),
             out: BatchQueue::default(),
@@ -398,48 +356,16 @@ impl HashJoinOp {
         }
         let mut cols = self.table.rows.take_rows(&build_rows)?.into_cols();
         cols.extend(probe.take_rows(&probe_rows)?.into_cols());
-        let joined = ValueBatch::from_cols(cols, build_rows.len());
-        match &self.residual {
-            Some(p) if !joined.is_empty() => {
-                let keep = eval_predicate_batch(p, &joined)?;
-                let kept = keep.iter().filter(|&&k| k).count();
-                Ok(joined.retain_rows(&keep, kept))
-            }
-            _ => Ok(joined),
-        }
+        Ok(ValueBatch::from_cols(cols, build_rows.len()))
     }
 
     fn join_semi(&self, probe: ValueBatch) -> Result<ValueBatch> {
         let anti = self.kind == JoinKind::Anti;
         let n = probe.num_rows();
-        let mut keep = Vec::with_capacity(n);
-        let mut matches = Vec::new();
         let probe_keys = columns(&probe, &self.probe_keys)?;
-        for r in 0..n {
-            let matched = match self.table.find(&probe_keys, r) {
-                None => false,
-                Some(slot) => match &self.residual {
-                    None => true,
-                    Some(p) => {
-                        // Build rows in insertion order, up to the first
-                        // that satisfies the residual.
-                        matches.clear();
-                        matches.extend(self.table.chain(slot));
-                        let outer = Row(probe.row_values(r));
-                        let mut any = false;
-                        for &b in matches.iter().rev() {
-                            let joined = outer.clone().concat(&Row(self.table.rows.row_values(b)));
-                            if eval_predicate(p, &joined)? {
-                                any = true;
-                                break;
-                            }
-                        }
-                        any
-                    }
-                },
-            };
-            keep.push(matched != anti);
-        }
+        let keep: Vec<bool> = (0..n)
+            .map(|r| self.table.find(&probe_keys, r).is_some() != anti)
+            .collect();
         let kept = keep.iter().filter(|&&k| k).count();
         Ok(if kept == n {
             probe
@@ -1105,9 +1031,34 @@ impl Operator for PlainAggOp {
     }
 }
 
+/// A fixed in-memory rowset for tests, typed by its own values (see
+/// [`ValueBatch::from_rows`]).
+#[cfg(test)]
+pub struct RowsOp {
+    out: BatchQueue,
+}
+
+#[cfg(test)]
+impl RowsOp {
+    /// Wrap a vector of rows.
+    pub fn new(rows: Vec<nodb_common::Row>) -> RowsOp {
+        let mut out = BatchQueue::default();
+        out.push(ValueBatch::from_rows(rows).expect("rows of one width"));
+        RowsOp { out }
+    }
+}
+
+#[cfg(test)]
+impl Operator for RowsOp {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+        Ok(self.out.pop_batch(max_rows))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nodb_common::Row;
     use nodb_sql::BinOp;
 
     fn ints(rows: &[&[i64]]) -> BoxOp {
@@ -1196,7 +1147,7 @@ mod tests {
         // left: (k, a), right: (k, b); join on k.
         let left = ints(&[&[1, 100], &[2, 200], &[3, 300]]);
         let right = ints(&[&[2, 21], &[2, 22], &[4, 41]]);
-        let j = HashJoinOp::new(left, right, vec![(0, 0)], None, JoinKind::Inner);
+        let j = HashJoinOp::new(left, right, vec![(0, 0)], JoinKind::Inner);
         let mut rows = drain(j);
         rows.sort_by(|a, b| a.get(3).total_cmp(b.get(3)));
         assert_eq!(rows.len(), 2);
@@ -1212,22 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn inner_join_respects_residual() {
-        let left = ints(&[&[1, 10]]);
-        let right = ints(&[&[1, 5], &[1, 20]]);
-        // residual: left.a < right.b  (ordinals 1 and 3 in concat layout)
-        let residual = binary(BinOp::Lt, col(1), col(3));
-        let j = HashJoinOp::new(left, right, vec![(0, 0)], Some(residual), JoinKind::Inner);
-        let rows = drain(j);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(3), &Value::Int64(20));
-    }
-
-    #[test]
     fn null_join_keys_never_match() {
         let left = Box::new(RowsOp::new(vec![Row(vec![Value::Null, Value::Int64(1)])]));
         let right = ints(&[&[1, 2]]);
-        let j = HashJoinOp::new(left, right, vec![(0, 0)], None, JoinKind::Inner);
+        let j = HashJoinOp::new(left, right, vec![(0, 0)], JoinKind::Inner);
         assert!(drain(j).is_empty());
     }
 
@@ -1235,13 +1174,13 @@ mod tests {
     fn semi_and_anti_join() {
         let outer = ints(&[&[1], &[2], &[3]]);
         let inner = ints(&[&[2], &[2], &[9]]);
-        let semi = HashJoinOp::new(outer, inner, vec![(0, 0)], None, JoinKind::Semi);
+        let semi = HashJoinOp::new(outer, inner, vec![(0, 0)], JoinKind::Semi);
         let rows = drain(semi);
         assert_eq!(rows, vec![Row(vec![Value::Int64(2)])]);
 
         let outer = ints(&[&[1], &[2], &[3]]);
         let inner = ints(&[&[2]]);
-        let anti = HashJoinOp::new(outer, inner, vec![(0, 0)], None, JoinKind::Anti);
+        let anti = HashJoinOp::new(outer, inner, vec![(0, 0)], JoinKind::Anti);
         let rows = drain(anti);
         assert_eq!(
             rows,
@@ -1251,17 +1190,11 @@ mod tests {
 
     #[test]
     fn empty_build_side_matches_nothing() {
-        let inner = HashJoinOp::new(
-            ints(&[]),
-            ints(&[&[1, 2]]),
-            vec![(0, 0)],
-            None,
-            JoinKind::Inner,
-        );
+        let inner = HashJoinOp::new(ints(&[]), ints(&[&[1, 2]]), vec![(0, 0)], JoinKind::Inner);
         assert!(drain(inner).is_empty());
-        let semi = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], None, JoinKind::Semi);
+        let semi = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], JoinKind::Semi);
         assert!(drain(semi).is_empty());
-        let anti = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], None, JoinKind::Anti);
+        let anti = HashJoinOp::new(ints(&[&[1]]), ints(&[]), vec![(0, 0)], JoinKind::Anti);
         assert_eq!(drain(anti), vec![Row(vec![Value::Int64(1)])]);
     }
 
@@ -1269,7 +1202,7 @@ mod tests {
     fn cross_join_with_empty_keys() {
         let left = ints(&[&[1], &[2]]);
         let right = ints(&[&[10], &[20]]);
-        let j = HashJoinOp::new(left, right, vec![], None, JoinKind::Inner);
+        let j = HashJoinOp::new(left, right, vec![], JoinKind::Inner);
         assert_eq!(drain(j).len(), 4);
     }
 
@@ -1415,8 +1348,7 @@ mod tests {
     }
 
     /// Every join shape emits the same rows in the same order at every
-    /// consumer batch size, with and without a residual, over NULL keys
-    /// on both sides.
+    /// consumer batch size, over NULL keys on both sides.
     #[test]
     fn joins_agree_across_batch_sizes() {
         let left = || {
@@ -1436,27 +1368,16 @@ mod tests {
                 Row(vec![Value::Int32(1), Value::Int64(45)]),
             ])) as BoxOp
         };
-        // left.b < right.b, in the concatenated layout.
-        let residual = || binary(BinOp::Lt, col(1), col(3));
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            for res in [false, true] {
-                assert_batch_size_invariant(&format!("{kind:?} residual={res}"), || {
-                    Box::new(HashJoinOp::new(
-                        left(),
-                        right(),
-                        vec![(0, 0)],
-                        res.then(residual),
-                        kind,
-                    ))
-                });
-            }
+            assert_batch_size_invariant(&format!("{kind:?}"), || {
+                Box::new(HashJoinOp::new(left(), right(), vec![(0, 0)], kind))
+            });
         }
         // Matches of one probe row come out most recently built first.
         let rows = drain(HashJoinOp::new(
             left(),
             right(),
             vec![(0, 0)],
-            None,
             JoinKind::Inner,
         ));
         let firsts: Vec<&Value> = rows.iter().map(|r| r.get(1)).collect();
@@ -1470,13 +1391,13 @@ mod tests {
     }
 
     /// A LIMIT asks the join for one row, so the join probes one row: a
-    /// residual that fails on the second probe row fails at no consumer
-    /// batch size.
+    /// filter above the join that fails on the second probe row fails at
+    /// no consumer batch size.
     #[test]
     fn limit_over_join_probes_only_the_rows_it_needs() {
         // `10 / b > 0` on the probe row's `b`: 2 for the first, a division
         // by zero for the second.
-        let residual = |b: usize| {
+        let pred = |b: usize| {
             let div = binary(BinOp::Div, BoundExpr::Lit(Value::Int64(10)), col(b));
             binary(BinOp::Gt, div, BoundExpr::Lit(Value::Int64(0)))
         };
@@ -1492,7 +1413,8 @@ mod tests {
                     JoinKind::Inner => (build, probe),
                     _ => (probe, build),
                 };
-                HashJoinOp::new(left, right, vec![(0, 0)], Some(residual(b)), kind)
+                let join = Box::new(HashJoinOp::new(left, right, vec![(0, 0)], kind));
+                FilterOp::new(join, pred(b))
             };
             let want = vec![Row(want.into_iter().map(Value::Int64).collect())];
             for max_rows in [1, 2, 1024] {
@@ -1550,6 +1472,7 @@ mod tests {
 #[cfg(test)]
 mod distinct_tests {
     use super::*;
+    use nodb_common::Row;
 
     fn distinct(rows: Vec<Row>) -> Vec<Row> {
         let mut op = DistinctOp::new(Box::new(RowsOp::new(rows)));

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nodb_cache::{CacheConfig, ColumnBuilder, RawCache};
-use nodb_common::{ByteSize, DataType, Result, Row, Value};
-use nodb_exec::{eval_predicate, fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
+use nodb_common::{Column, NoDbError, Result};
+use nodb_exec::{BatchQueue, BoxOp, FilterOp, Operator, TableProvider, ValueBatch};
 use nodb_sql::BoundExpr;
 
 use crate::reader::FitsTable;
@@ -34,27 +34,19 @@ pub struct FitsRuntime {
 pub struct FitsProvider {
     table: FitsTable,
     runtime: Arc<Mutex<FitsRuntime>>,
-    cache_enabled: bool,
 }
 
 impl FitsProvider {
-    /// Open a provider with an optional cache budget.
-    pub fn open(
-        path: &std::path::Path,
-        cache_budget: Option<ByteSize>,
-        cache_enabled: bool,
-    ) -> Result<FitsProvider> {
+    /// Open a provider. Its cache is unbudgeted: it keeps every block
+    /// column a scan reads.
+    pub fn open(path: &std::path::Path) -> Result<FitsProvider> {
         Ok(FitsProvider {
             table: FitsTable::open(path)?,
             runtime: Arc::new(Mutex::new(FitsRuntime {
-                cache: RawCache::new(CacheConfig {
-                    budget: cache_budget,
-                    ..CacheConfig::default()
-                }),
+                cache: RawCache::new(CacheConfig::default()),
                 bytes_read: 0,
                 scans: 0,
             })),
-            cache_enabled,
         })
     }
 
@@ -73,126 +65,104 @@ impl FitsProvider {
 impl TableProvider for FitsProvider {
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
         self.runtime.lock().scans += 1;
-        Ok(Box::new(FitsScanOp {
+        let scan = FitsScanOp {
             table: self.table.clone(),
             runtime: Arc::clone(&self.runtime),
             projection: projection.to_vec(),
-            filters: filters.to_vec(),
-            cache_enabled: self.cache_enabled,
             next_row: 0,
-            out: std::collections::VecDeque::new(),
-        }))
+            out: BatchQueue::default(),
+        };
+        Ok(FilterOp::conjuncts(Box::new(scan), filters))
     }
 }
 
+/// A FITS scan: one batch per cache block, one typed column per
+/// projected attribute.
 struct FitsScanOp {
     table: FitsTable,
     runtime: Arc<Mutex<FitsRuntime>>,
     projection: Vec<usize>,
-    filters: Vec<BoundExpr>,
-    cache_enabled: bool,
     next_row: u64,
-    out: std::collections::VecDeque<Row>,
+    /// The block formed but not yet handed out.
+    out: BatchQueue,
 }
 
 impl FitsScanOp {
-    fn process_block(&mut self) -> Result<()> {
+    /// Form the next block: per projected attribute, the cached column on
+    /// a hit; on a miss, the file's values through a [`ColumnBuilder`],
+    /// whose column the cache keeps.
+    fn process_block(&mut self) -> Result<ValueBatch> {
         let block = self.next_row / BLOCK_ROWS;
         let start = block * BLOCK_ROWS;
         let end = (start + BLOCK_ROWS).min(self.table.rows);
         let rows = (end - start) as usize;
         let mut rt = self.runtime.lock();
 
-        // Which projected columns are already cached for this block?
-        let mut col_values: Vec<Option<Vec<Value>>> = vec![None; self.projection.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        if self.cache_enabled {
-            for (i, &attr) in self.projection.iter().enumerate() {
-                match rt.cache.get(block, attr as u32) {
-                    Some(col) if col.is_complete() => {
-                        let vals: Vec<Value> = (0..rows)
-                            .map(|r| col.get(r).expect("complete column"))
-                            .collect();
-                        col_values[i] = Some(vals);
-                    }
-                    _ => missing.push(i),
-                }
-            }
-        } else {
-            missing = (0..self.projection.len()).collect();
-        }
+        let mut cols: Vec<Option<Column>> = self
+            .projection
+            .iter()
+            .map(|&attr| {
+                let hit = rt.cache.get(block, attr as u32)?;
+                hit.covers(rows).then(|| hit.column().slice(0, rows))
+            })
+            .collect();
 
-        // Fetch missing columns from the file (binary decode = the only
-        // conversion cost) and cache them.
+        // Fetch the missing columns from the file (binary decode is the
+        // only conversion cost) and cache them.
+        let missing: Vec<usize> = self
+            .projection
+            .iter()
+            .zip(&cols)
+            .filter(|(_, c)| c.is_none())
+            .map(|(&attr, _)| attr)
+            .collect();
         if !missing.is_empty() {
-            let cols: Vec<usize> = missing.iter().map(|&i| self.projection[i]).collect();
-            let fetched = self.table.read_rows(start, end, &cols)?;
+            let fetched = self.table.read_rows(start, end, &missing)?;
             rt.bytes_read += (end - start) * self.table.row_bytes as u64;
-            let mut builders: Vec<ColumnBuilder> = missing
+            let mut builders = missing
                 .iter()
-                .map(|&i| {
-                    let attr = self.projection[i];
-                    ColumnBuilder::new(
+                .map(|&attr| {
+                    let c = self.table.columns.get(attr).ok_or_else(|| {
+                        NoDbError::internal(format!("FITS column #{attr} out of range"))
+                    })?;
+                    Ok(ColumnBuilder::new(
                         block,
                         attr as u32,
-                        self.table.columns[attr].ftype.data_type(),
+                        c.ftype.data_type(),
                         rows,
-                    )
+                    ))
                 })
-                .collect();
-            let mut cols_out: Vec<Vec<Value>> =
-                missing.iter().map(|_| Vec::with_capacity(rows)).collect();
+                .collect::<Result<Vec<_>>>()?;
             for (r, row) in fetched.iter().enumerate() {
-                for (k, v) in row.values().iter().enumerate() {
-                    builders[k].set(r, v);
-                    cols_out[k].push(v.clone());
+                for (b, v) in builders.iter_mut().zip(row.values()) {
+                    b.set(r, v);
                 }
             }
-            if self.cache_enabled {
-                for b in builders {
-                    rt.cache.insert(b.build());
+            let mut built = builders.into_iter().map(ColumnBuilder::build);
+            for slot in cols.iter_mut().filter(|c| c.is_none()) {
+                if let Some(col) = built.next() {
+                    *slot = Some(col.column().clone());
+                    rt.cache.insert(col);
                 }
-            }
-            for (k, &i) in missing.iter().enumerate() {
-                col_values[i] = Some(std::mem::take(&mut cols_out[k]));
             }
         }
         drop(rt);
-
-        // Assemble rows and filter.
-        'rows: for r in 0..rows {
-            let mut row = Row::with_capacity(self.projection.len());
-            for vals in col_values.iter() {
-                row.push(vals.as_ref().expect("all columns resolved")[r].clone());
-            }
-            for f in &self.filters {
-                if !eval_predicate(f, &row)? {
-                    continue 'rows;
-                }
-            }
-            self.out.push_back(row);
-        }
         self.next_row = end;
-        Ok(())
+        let cols = cols
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| NoDbError::internal("FITS block column left unresolved"))?;
+        Ok(ValueBatch::from_cols(cols, rows))
     }
 }
 
 impl Operator for FitsScanOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        let types: Vec<DataType> = self
-            .projection
-            .iter()
-            .map(|&a| self.table.columns[a].ftype.data_type())
-            .collect();
-        fill_batch(&types, max_rows, || loop {
-            if let Some(r) = self.out.pop_front() {
-                return Ok(Some(r));
-            }
-            if self.next_row >= self.table.rows {
-                return Ok(None);
-            }
-            self.process_block()?;
-        })
+        while self.out.is_empty() && self.next_row < self.table.rows {
+            let block = self.process_block()?;
+            self.out.push(block);
+        }
+        Ok(self.out.pop_batch(max_rows))
     }
 }
 
@@ -202,6 +172,7 @@ mod tests {
     use crate::types::FitsType;
     use crate::writer::FitsTableWriter;
     use nodb_common::TempDir;
+    use nodb_common::{Row, Value};
     use nodb_exec::run_to_vec;
     use nodb_sql::BinOp;
 
@@ -232,7 +203,7 @@ mod tests {
     #[test]
     fn scan_projects_and_filters() {
         let (_td, p) = sample(10_000);
-        let prov = FitsProvider::open(&p, None, true).unwrap();
+        let prov = FitsProvider::open(&p).unwrap();
         let filter = BoundExpr::Binary {
             op: BinOp::Lt,
             left: Box::new(BoundExpr::Col(0)),
@@ -246,7 +217,7 @@ mod tests {
     #[test]
     fn second_scan_is_served_from_cache() {
         let (_td, p) = sample(20_000);
-        let prov = FitsProvider::open(&p, None, true).unwrap();
+        let prov = FitsProvider::open(&p).unwrap();
         run_to_vec(prov.scan(&[1], &[]).unwrap()).unwrap();
         let (bytes1, cache1, _) = prov.stats();
         assert!(bytes1 > 0);
@@ -261,21 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_rereads() {
-        let (_td, p) = sample(5000);
-        let prov = FitsProvider::open(&p, None, false).unwrap();
-        run_to_vec(prov.scan(&[1], &[]).unwrap()).unwrap();
-        let (bytes1, cache1, _) = prov.stats();
-        assert_eq!(cache1, 0);
-        run_to_vec(prov.scan(&[1], &[]).unwrap()).unwrap();
-        let (bytes2, _, _) = prov.stats();
-        assert_eq!(bytes2, bytes1 * 2);
-    }
-
-    #[test]
     fn agrees_with_procedural_baseline() {
         let (_td, p) = sample(3000);
-        let prov = FitsProvider::open(&p, None, true).unwrap();
+        let prov = FitsProvider::open(&p).unwrap();
         let rows = run_to_vec(prov.scan(&[1], &[]).unwrap()).unwrap();
         let max_scan = rows
             .iter()

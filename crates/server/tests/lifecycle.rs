@@ -9,9 +9,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nodb_common::{DataType, NoDbError, Row, Schema, Value};
+use nodb_common::column::Data;
+use nodb_common::{Column, NoDbError, Schema, Value};
 use nodb_core::{NoDb, NoDbConfig};
-use nodb_exec::{fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
+use nodb_exec::{BoxOp, Operator, TableProvider, ValueBatch};
 use nodb_server::{NodbClient, NodbServer, ServerConfig};
 use nodb_sql::BoundExpr;
 
@@ -73,13 +74,18 @@ impl Operator for GatedOp {
                 open = self.gate.cv.wait(open).unwrap();
             }
         }
-        fill_batch(&[DataType::Int32], max_rows, || {
-            if self.next >= self.rows {
-                return Ok(None);
-            }
-            self.next += 1;
-            Ok(Some(Row(vec![Value::Int32(self.next - 1)])))
-        })
+        let want = i32::try_from(max_rows.max(1)).unwrap_or(i32::MAX);
+        let end = self.rows.min(self.next.saturating_add(want));
+        if self.next >= end {
+            return Ok(None);
+        }
+        let values: Vec<i32> = (self.next..end).collect();
+        self.next = end;
+        let n = values.len();
+        Ok(Some(ValueBatch::from_cols(
+            vec![Column::from_data(Data::Int32(values))],
+            n,
+        )))
     }
 }
 

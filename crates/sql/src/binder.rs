@@ -745,7 +745,6 @@ impl Binder<'_> {
                 left: Box::new(build.plan),
                 right: Box::new(probe.plan),
                 on,
-                residual: None,
                 kind: JoinKind::Inner,
                 schema,
                 estimated_rows: est,
@@ -989,7 +988,6 @@ impl Binder<'_> {
                 left: Box::new(outer.plan),
                 right: Box::new(inner_plan),
                 on,
-                residual: None,
                 kind,
                 schema,
                 estimated_rows: est_out,

@@ -47,8 +47,6 @@ pub enum ExplainNode {
         kind: String,
         /// Equi-join column pairs (left ordinal, right ordinal).
         on: Vec<(usize, usize)>,
-        /// Non-equi residual predicate, if any.
-        residual: Option<String>,
         /// Estimated output rows.
         estimated_rows: f64,
         /// Build/probe inputs.
@@ -142,14 +140,12 @@ impl ExplainNode {
                 left,
                 right,
                 on,
-                residual,
                 kind,
                 estimated_rows,
                 ..
             } => ExplainNode::Join {
                 kind: format!("{kind:?}"),
                 on: on.clone(),
-                residual: residual.as_ref().map(|r| r.to_string()),
                 estimated_rows: *estimated_rows,
                 left: Box::new(ExplainNode::from_plan(left)),
                 right: Box::new(ExplainNode::from_plan(right)),
@@ -252,16 +248,11 @@ impl ExplainNode {
             ExplainNode::Join {
                 kind,
                 on,
-                residual,
                 estimated_rows,
                 left,
                 right,
             } => {
-                let _ = write!(out, "{pad}{kind}Join on={on:?}");
-                if let Some(r) = residual {
-                    let _ = write!(out, " residual={r}");
-                }
-                let _ = writeln!(out, " (~{estimated_rows:.0} rows)");
+                let _ = writeln!(out, "{pad}{kind}Join on={on:?} (~{estimated_rows:.0} rows)");
                 left.fmt_indent(out, depth + 1);
                 right.fmt_indent(out, depth + 1);
             }

@@ -9,7 +9,7 @@ use crate::expr::{AggExpr, BoundExpr};
 /// Join kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
-    /// Inner equi-join (plus residual filter).
+    /// Inner equi-join.
     Inner,
     /// Left semi-join (EXISTS).
     Semi,
@@ -78,8 +78,6 @@ pub enum LogicalPlan {
         right: Box<LogicalPlan>,
         /// Equi-join key pairs `(left ordinal, right ordinal)`.
         on: Vec<(usize, usize)>,
-        /// Residual predicate over the concatenated layout.
-        residual: Option<BoundExpr>,
         /// Join kind.
         kind: JoinKind,
         /// Output schema.
@@ -173,7 +171,6 @@ impl LogicalPlan {
                 left,
                 right,
                 on,
-                residual,
                 kind,
                 schema,
                 estimated_rows,
@@ -181,7 +178,6 @@ impl LogicalPlan {
                 left: Box::new(left.substitute_params(params)),
                 right: Box::new(right.substitute_params(params)),
                 on: on.clone(),
-                residual: residual.as_ref().map(sub),
                 kind: *kind,
                 schema: schema.clone(),
                 estimated_rows: *estimated_rows,
@@ -248,15 +244,7 @@ impl LogicalPlan {
                 predicate.collect_param_types(out);
                 input.collect_param_types(out);
             }
-            LogicalPlan::Join {
-                left,
-                right,
-                residual,
-                ..
-            } => {
-                if let Some(r) = residual {
-                    r.collect_param_types(out);
-                }
+            LogicalPlan::Join { left, right, .. } => {
                 left.collect_param_types(out);
                 right.collect_param_types(out);
             }

@@ -8,11 +8,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use nodb_common::{DataType, NoDbError, Result, Row, Schema, Value};
+use nodb_common::{Column, DataType, NoDbError, Result, Row, Schema, Value};
 use nodb_csv::lines::LineReader;
 use nodb_csv::tokenize;
 use nodb_csv::CsvOptions;
-use nodb_exec::{eval_predicate, fill_batch, BoxOp, Operator, TableProvider, ValueBatch};
+use nodb_exec::{BatchQueue, BoxOp, FilterOp, Operator, TableProvider, ValueBatch};
 use nodb_sql::BoundExpr;
 
 use crate::bufpool::BufferPool;
@@ -21,18 +21,19 @@ use crate::page::{self, Page};
 use crate::tuple;
 
 /// Which comparator a loaded engine emulates. The differences are
-/// mechanical design choices, not tuning constants — see DESIGN.md §3.
+/// storage mechanics, not tuning constants: every profile scans a page at
+/// a time into typed columns and hands them to the same operators as the
+/// in-situ scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineProfile {
-    /// PostgreSQL-like: 24-byte tuple headers (MVCC bookkeeping),
-    /// tuple-at-a-time evaluation.
+    /// PostgreSQL-like: 24-byte tuple headers (MVCC bookkeeping).
     PostgresLike,
     /// MySQL-like: 16-byte headers, but every tuple is copied through a
     /// storage-engine → server row-format conversion on read.
     MySqlLike,
-    /// Commercial "DBMS X"-like: compact 8-byte headers and page-at-a-time
-    /// batch decoding (fastest reads), at the price of a second
-    /// verification/metadata pass during loading (slowest load).
+    /// Commercial "DBMS X"-like: compact 8-byte headers (the smallest
+    /// pages to read), at the price of a second verification pass over
+    /// the pages during loading (slowest load).
     DbmsXLike,
 }
 
@@ -250,7 +251,7 @@ impl StorageEngine {
 
 impl TableProvider for LoadedTable {
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
-        Ok(Box::new(HeapScanOp {
+        let scan = HeapScanOp {
             table_id: self.id,
             schema: self.schema.clone(),
             file: self.heap.open_reader()?,
@@ -262,19 +263,16 @@ impl TableProvider for LoadedTable {
                 .map(|&i| self.schema.field(i).dtype)
                 .collect(),
             projection: projection.to_vec(),
-            filters: filters.to_vec(),
-            n_pages: self.heap.n_pages(),
             page_no: 0,
-            slot: 0,
-            current: None,
-            batch: Vec::new(),
-            batch_pos: 0,
+            out: BatchQueue::default(),
             scratch: Vec::new(),
-            tuple_buf: Vec::new(),
-        }))
+        };
+        Ok(FilterOp::conjuncts(Box::new(scan), filters))
     }
 }
 
+/// A heap scan: each page's tuples decoded into one typed column per
+/// projected attribute, handed out as one batch.
 struct HeapScanOp {
     table_id: u32,
     schema: Schema,
@@ -286,135 +284,91 @@ struct HeapScanOp {
     projection: Vec<usize>,
     /// The projected columns' types, which output batches take.
     types: Vec<DataType>,
-    filters: Vec<BoundExpr>,
-    n_pages: u32,
+    /// The next page to decode.
     page_no: u32,
-    slot: usize,
-    current: Option<Arc<Vec<u8>>>,
-    /// DBMS-X-style page batch.
-    batch: Vec<Row>,
-    batch_pos: usize,
+    /// The decoded page not yet handed out.
+    out: BatchQueue,
     /// MySQL-style row-format conversion buffer.
     scratch: Vec<u8>,
-    /// Per-tuple copy buffer (tuples must be owned across the overflow
-    /// read path).
-    tuple_buf: Vec<u8>,
+}
+
+/// One slot of a heap page: the tuple inline, or where the overflow file
+/// holds it.
+#[derive(Debug, PartialEq)]
+enum Slot<'a> {
+    Inline(&'a [u8]),
+    Overflow { offset: u64, len: u32 },
+}
+
+impl Slot<'_> {
+    /// Parse a slot's bytes: a tag, then the tuple or an overflow
+    /// reference. A slot too short for either is a typed error.
+    fn parse(t: &[u8]) -> Result<Slot<'_>> {
+        let bad = || NoDbError::internal("truncated heap slot");
+        match t.split_first() {
+            Some((&TAG_OVERFLOW, r)) => {
+                let offset = r.get(..8).and_then(|b| b.try_into().ok()).ok_or_else(bad)?;
+                let len = r
+                    .get(8..12)
+                    .and_then(|b| b.try_into().ok())
+                    .ok_or_else(bad)?;
+                Ok(Slot::Overflow {
+                    offset: u64::from_le_bytes(offset),
+                    len: u32::from_le_bytes(len),
+                })
+            }
+            Some((_, body)) => Ok(Slot::Inline(body)),
+            None => Err(bad()),
+        }
+    }
 }
 
 impl HeapScanOp {
-    fn decode(&mut self, t: &[u8]) -> Result<Row> {
+    /// Decode page `page_no` into a batch and move past it. Pages are
+    /// pinned once (`Arc`) and read in place; only an overflowed tuple is
+    /// read into a buffer of its own.
+    fn decode_page(&mut self) -> Result<ValueBatch> {
+        let (file, page_no) = (&mut self.file, self.page_no);
+        let bytes = self.pool.lock().get((self.table_id, page_no), || {
+            crate::heap::read_page_with(file, page_no)
+        })?;
+        self.page_no += 1;
+        let rows = page::n_slots_of(&bytes);
+        let mut cols: Vec<Column> = self
+            .types
+            .iter()
+            .map(|&t| Column::with_capacity(t, rows))
+            .collect();
         let header = self.profile.tuple_header_bytes();
-        let body: &[u8];
-        let owned;
-        if t[0] == TAG_OVERFLOW {
-            let offset = u64::from_le_bytes(
-                t[1..9]
-                    .try_into()
-                    .map_err(|_| NoDbError::internal("bad overflow ref"))?,
-            );
-            let len = u32::from_le_bytes(
-                t[9..13]
-                    .try_into()
-                    .map_err(|_| NoDbError::internal("bad overflow ref"))?,
-            );
-            owned = self.heap.read_overflow(offset, len)?;
-            body = &owned;
-        } else {
-            body = &t[1..];
-        }
-        if self.profile == EngineProfile::MySqlLike {
-            // Storage-engine → server format conversion: a real copy of
-            // the row bytes before decoding.
-            self.scratch.clear();
-            self.scratch.extend_from_slice(body);
-            return tuple::decode_projected(
-                &std::mem::take(&mut self.scratch),
-                &self.schema,
-                header,
-                &self.projection,
-            );
-        }
-        tuple::decode_projected(body, &self.schema, header, &self.projection)
-    }
-
-    fn passes(&self, row: &Row) -> Result<bool> {
-        for f in &self.filters {
-            if !eval_predicate(f, row)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The next tuple that passes the filters, or `None` past the last
-    /// page.
-    fn next_tuple(&mut self) -> Result<Option<Row>> {
-        loop {
-            // DBMS-X batch path: drain decoded page batch first.
-            if self.batch_pos < self.batch.len() {
-                let row = std::mem::take(&mut self.batch[self.batch_pos]);
-                self.batch_pos += 1;
-                if self.passes(&row)? {
-                    return Ok(Some(row));
+        for s in 0..rows {
+            let overflow;
+            let mut body = match Slot::parse(page::tuple_of(&bytes, s))? {
+                Slot::Inline(body) => body,
+                Slot::Overflow { offset, len } => {
+                    overflow = self.heap.read_overflow(offset, len)?;
+                    &overflow
                 }
-                continue;
+            };
+            if self.profile == EngineProfile::MySqlLike {
+                // Storage-engine → server format conversion: a real copy
+                // of the row bytes before decoding.
+                self.scratch.clear();
+                self.scratch.extend_from_slice(body);
+                body = &self.scratch;
             }
-            // Need (more of) a page. Pages are pinned once (Arc) and read
-            // through zero-copy views; only individual tuples are copied
-            // out (they may reference the overflow file).
-            if self.current.is_none() {
-                if self.page_no >= self.n_pages {
-                    return Ok(None);
-                }
-                let key = (self.table_id, self.page_no);
-                let file = &mut self.file;
-                let page_no = self.page_no;
-                let bytes = self
-                    .pool
-                    .lock()
-                    .get(key, || crate::heap::read_page_with(file, page_no))?;
-                self.current = Some(bytes);
-                self.slot = 0;
-                if self.profile == EngineProfile::DbmsXLike {
-                    // Decode the whole page at once.
-                    let bytes = self.current.take().expect("just set");
-                    self.batch.clear();
-                    self.batch_pos = 0;
-                    for s in 0..page::n_slots_of(&bytes) {
-                        self.tuple_buf.clear();
-                        self.tuple_buf.extend_from_slice(page::tuple_of(&bytes, s));
-                        let t = std::mem::take(&mut self.tuple_buf);
-                        let row = self.decode(&t)?;
-                        self.tuple_buf = t;
-                        self.batch.push(row);
-                    }
-                    self.page_no += 1;
-                    continue;
-                }
-            }
-            let bytes = self.current.as_ref().expect("page loaded");
-            if self.slot >= page::n_slots_of(bytes) {
-                self.current = None;
-                self.page_no += 1;
-                continue;
-            }
-            self.tuple_buf.clear();
-            self.tuple_buf
-                .extend_from_slice(page::tuple_of(bytes, self.slot));
-            self.slot += 1;
-            let t = std::mem::take(&mut self.tuple_buf);
-            let row = self.decode(&t)?;
-            self.tuple_buf = t;
-            if self.passes(&row)? {
-                return Ok(Some(row));
-            }
+            tuple::decode_projected(body, &self.schema, header, &self.projection, &mut cols)?;
         }
+        Ok(ValueBatch::from_cols(cols, rows))
     }
 }
 
 impl Operator for HeapScanOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        fill_batch(&self.types.clone(), max_rows, || self.next_tuple())
+        while self.out.is_empty() && self.page_no < self.heap.n_pages() {
+            let page = self.decode_page()?;
+            self.out.push(page);
+        }
+        Ok(self.out.pop_batch(max_rows))
     }
 }
 
@@ -515,6 +469,26 @@ mod tests {
         let rows = run_to_vec(t.scan(&[0, 149], &[]).unwrap()).unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[0].get(0).as_str().unwrap().len(), 64);
+    }
+
+    /// Every prefix of an overflow reference is a typed error; the whole
+    /// reference parses.
+    #[test]
+    fn truncated_overflow_reference_is_an_error() {
+        let mut t = vec![TAG_OVERFLOW];
+        t.extend_from_slice(&7u64.to_le_bytes());
+        t.extend_from_slice(&9u32.to_le_bytes());
+        assert_eq!(
+            Slot::parse(&t).unwrap(),
+            Slot::Overflow { offset: 7, len: 9 }
+        );
+        for cut in 0..t.len() {
+            let err = Slot::parse(&t[..cut]).unwrap_err();
+            assert!(
+                err.to_string().contains("truncated heap slot"),
+                "{cut}: {err}"
+            );
+        }
     }
 
     #[test]

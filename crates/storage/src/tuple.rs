@@ -5,7 +5,7 @@
 //! which is a real source of its larger tables), a null bitmap, then the
 //! values (fixed-width numerics, length-prefixed text).
 
-use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
+use nodb_common::{Column, DataType, Date, NoDbError, Result, Row, Schema, Value};
 
 /// Encode a row. `header_bytes` zeros are prepended (profile-dependent).
 pub fn encode(row: &Row, schema: &Schema, header_bytes: usize, out: &mut Vec<u8>) -> Result<()> {
@@ -40,68 +40,72 @@ pub fn encode(row: &Row, schema: &Schema, header_bytes: usize, out: &mut Vec<u8>
 }
 
 /// Decode the `projection` columns (ascending table ordinals) of an
-/// encoded tuple.
+/// encoded tuple, appending one value to each of `out` (one column per
+/// projected attribute, in order). Fields past the last projected one
+/// are not read. A tuple cut short before then is a typed error, never a
+/// panic.
 pub fn decode_projected(
     bytes: &[u8],
     schema: &Schema,
     header_bytes: usize,
     projection: &[usize],
-) -> Result<Row> {
+    out: &mut [Column],
+) -> Result<()> {
     let n = schema.len();
-    let bitmap = &bytes[header_bytes..header_bytes + n.div_ceil(8)];
-    let mut pos = header_bytes + n.div_ceil(8);
-    let mut out = Row::with_capacity(projection.len());
-    let mut want = projection.iter().peekable();
+    let bitmap = field(bytes, header_bytes, n.div_ceil(8))?;
+    let mut pos = header_bytes + bitmap.len();
+    let mut want = projection.iter().zip(out.iter_mut()).peekable();
     for (i, f) in schema.fields().iter().enumerate() {
-        let is_null = bitmap[i / 8] & (1 << (i % 8)) != 0;
-        let wanted = want.peek() == Some(&&i);
-        if is_null {
-            if wanted {
-                out.push(Value::Null);
-                want.next();
+        if want.peek().is_none() {
+            return Ok(());
+        }
+        let wanted = want.next_if(|(&p, _)| p == i).map(|(_, c)| c);
+        if bitmap.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0) {
+            if let Some(c) = wanted {
+                c.push_null();
             }
             continue;
         }
-        let val_len = match f.dtype {
-            DataType::Int32 | DataType::Date => 4,
-            DataType::Int64 | DataType::Float64 => 8,
-            DataType::Bool => 1,
-            DataType::Text => {
-                let len = u32::from_le_bytes(
-                    bytes[pos..pos + 4]
-                        .try_into()
-                        .map_err(|_| NoDbError::internal("truncated tuple"))?,
-                ) as usize;
-                4 + len
-            }
+        // Text carries a 4-byte length prefix before its bytes.
+        let (prefix, len) = match f.dtype {
+            DataType::Int32 | DataType::Date => (0, 4),
+            DataType::Int64 | DataType::Float64 => (0, 8),
+            DataType::Bool => (0, 1),
+            DataType::Text => (
+                4,
+                u32::from_le_bytes(array(field(bytes, pos, 4)?)?) as usize,
+            ),
         };
-        if wanted {
-            let v = &bytes[pos..pos + val_len];
-            let value = match f.dtype {
-                DataType::Int32 => Value::Int32(i32::from_le_bytes(
-                    v.try_into().map_err(|_| NoDbError::internal("bad i32"))?,
-                )),
-                DataType::Date => Value::Date(Date(i32::from_le_bytes(
-                    v.try_into().map_err(|_| NoDbError::internal("bad date"))?,
-                ))),
-                DataType::Int64 => Value::Int64(i64::from_le_bytes(
-                    v.try_into().map_err(|_| NoDbError::internal("bad i64"))?,
-                )),
-                DataType::Float64 => Value::Float64(f64::from_le_bytes(
-                    v.try_into().map_err(|_| NoDbError::internal("bad f64"))?,
-                )),
-                DataType::Bool => Value::Bool(v[0] != 0),
-                DataType::Text => Value::Text(String::from_utf8_lossy(&v[4..]).into_owned()),
-            };
-            out.push(value);
-            want.next();
-        }
-        pos += val_len;
+        let v = field(bytes, pos + prefix, len)?;
+        pos += prefix + len;
+        let Some(c) = wanted else { continue };
+        c.push_value(&match f.dtype {
+            DataType::Int32 => Value::Int32(i32::from_le_bytes(array(v)?)),
+            DataType::Date => Value::Date(Date(i32::from_le_bytes(array(v)?))),
+            DataType::Int64 => Value::Int64(i64::from_le_bytes(array(v)?)),
+            DataType::Float64 => Value::Float64(f64::from_le_bytes(array(v)?)),
+            DataType::Bool => Value::Bool(v.iter().any(|&b| b != 0)),
+            DataType::Text => Value::Text(String::from_utf8_lossy(v).into_owned()),
+        })?;
     }
-    if want.peek().is_some() {
-        return Err(NoDbError::internal("projection index beyond schema"));
+    match want.peek() {
+        Some(_) => Err(NoDbError::internal("projection index beyond schema")),
+        None => Ok(()),
     }
-    Ok(out)
+}
+
+/// The `len` bytes of `bytes` at `pos`, or the typed error for a
+/// truncated tuple.
+fn field(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8]> {
+    pos.checked_add(len)
+        .and_then(|end| bytes.get(pos..end))
+        .ok_or_else(|| NoDbError::internal("truncated tuple"))
+}
+
+/// A fixed-width value's bytes as an array.
+fn array<const N: usize>(v: &[u8]) -> Result<[u8; N]> {
+    v.try_into()
+        .map_err(|_| NoDbError::internal("truncated tuple"))
 }
 
 #[cfg(test)]
@@ -111,6 +115,16 @@ mod tests {
 
     fn schema() -> Schema {
         Schema::parse("a int, b text, c double, d date, e bool, f bigint").unwrap()
+    }
+
+    /// The `projection` columns of one encoded tuple, as a row.
+    fn decode(bytes: &[u8], s: &Schema, header: usize, projection: &[usize]) -> Result<Row> {
+        let mut cols: Vec<Column> = projection
+            .iter()
+            .map(|&i| Column::new(s.field(i).dtype))
+            .collect();
+        decode_projected(bytes, s, header, projection, &mut cols)?;
+        Ok(Row(cols.iter().map(|c| c.value(0)).collect()))
     }
 
     fn sample() -> Row {
@@ -129,7 +143,7 @@ mod tests {
         let s = schema();
         let mut buf = Vec::new();
         encode(&sample(), &s, 24, &mut buf).unwrap();
-        let row = decode_projected(&buf, &s, 24, &[0, 1, 2, 3, 4, 5]).unwrap();
+        let row = decode(&buf, &s, 24, &[0, 1, 2, 3, 4, 5]).unwrap();
         assert_eq!(row, sample());
     }
 
@@ -138,12 +152,12 @@ mod tests {
         let s = schema();
         let mut buf = Vec::new();
         encode(&sample(), &s, 8, &mut buf).unwrap();
-        let row = decode_projected(&buf, &s, 8, &[1, 4]).unwrap();
+        let row = decode(&buf, &s, 8, &[1, 4]).unwrap();
         assert_eq!(
             row,
             Row(vec![Value::Text("hello world".into()), Value::Bool(true)])
         );
-        let row = decode_projected(&buf, &s, 8, &[]).unwrap();
+        let row = decode(&buf, &s, 8, &[]).unwrap();
         assert!(row.is_empty());
     }
 
@@ -160,7 +174,7 @@ mod tests {
         ]);
         let mut buf = Vec::new();
         encode(&r, &s, 24, &mut buf).unwrap();
-        let row = decode_projected(&buf, &s, 24, &[0, 2, 5]).unwrap();
+        let row = decode(&buf, &s, 24, &[0, 2, 5]).unwrap();
         assert_eq!(
             row,
             Row(vec![Value::Null, Value::Float64(1.0), Value::Null])
@@ -176,9 +190,24 @@ mod tests {
         encode(&sample(), &s, 24, &mut big).unwrap();
         assert_eq!(big.len() - small.len(), 16);
         assert_eq!(
-            decode_projected(&small, &s, 8, &[0]).unwrap(),
-            decode_projected(&big, &s, 24, &[0]).unwrap()
+            decode(&small, &s, 8, &[0]).unwrap(),
+            decode(&big, &s, 24, &[0]).unwrap()
         );
+    }
+
+    /// A slot cut short anywhere — in the header, the null bitmap, a
+    /// text length or a value — is a typed error, never a panic.
+    #[test]
+    fn every_truncated_prefix_is_an_error() {
+        let s = schema();
+        let mut buf = Vec::new();
+        encode(&sample(), &s, 16, &mut buf).unwrap();
+        let all: Vec<usize> = (0..s.len()).collect();
+        assert!(decode(&buf, &s, 16, &all).is_ok());
+        for cut in 0..buf.len() {
+            let err = decode(&buf[..cut], &s, 16, &all).unwrap_err();
+            assert!(err.to_string().contains("truncated tuple"), "{cut}: {err}");
+        }
     }
 
     #[test]
@@ -216,7 +245,7 @@ mod tests {
             let row = Row(vals);
             let mut buf = Vec::new();
             encode(&row, &s, 16, &mut buf).unwrap();
-            let back = decode_projected(&buf, &s, 16, &[0, 1, 2, 3, 4, 5]).unwrap();
+            let back = decode(&buf, &s, 16, &[0, 1, 2, 3, 4, 5]).unwrap();
             prop_assert_eq!(back, row);
         }
     }

@@ -72,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- The NoDB way: register the FITS file, write SQL. ---------------
-    let provider = FitsProvider::open(&path, None, true)?;
+    let provider = FitsProvider::open(&path)?;
     let schema = provider.table().schema()?;
     // Keep a handle for observability; the engine owns the provider.
-    let stats_handle = FitsProvider::open(&path, None, true)?;
+    let stats_handle = FitsProvider::open(&path)?;
     let _ = stats_handle; // (fresh handle just to show the API; not used)
     let mut db = NoDb::new(NoDbConfig::postgres_raw())?;
     db.register_provider("catalog", schema, Box::new(provider))?;

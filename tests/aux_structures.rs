@@ -175,7 +175,7 @@ fn fits_provider_plugs_into_the_engine() {
     }
     w.finish().unwrap();
 
-    let provider = FitsProvider::open(&path, None, true).unwrap();
+    let provider = FitsProvider::open(&path).unwrap();
     let schema = provider.table().schema().unwrap();
     let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
     db.register_provider("sky", schema, Box::new(provider))

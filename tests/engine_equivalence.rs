@@ -11,12 +11,28 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use nodb_common::{Schema, TempDir, Value};
-use nodb_core::{AccessMode, NoDb, NoDbConfig};
-use nodb_csv::{CsvOptions, MicroGen};
+use nodb_common::{Row, Schema, TempDir, Value};
+use nodb_core::{AccessMode, EngineProfile, NoDb, NoDbConfig};
+use nodb_csv::{CsvOptions, CsvWriter, MicroGen};
+use nodb_fits::{FitsProvider, FitsTableWriter, FitsType};
 
 const COLS: usize = 20;
 const ROWS: usize = 700;
+
+/// The loaded engine's three storage profiles.
+const PROFILES: [EngineProfile; 3] = [
+    EngineProfile::PostgresLike,
+    EngineProfile::MySqlLike,
+    EngineProfile::DbmsXLike,
+];
+
+/// A configuration whose loaded tables use `profile`.
+fn loaded_config(profile: EngineProfile) -> NoDbConfig {
+    NoDbConfig {
+        loaded_profile: profile,
+        ..NoDbConfig::postgres_raw()
+    }
+}
 
 /// One shared generated file for the whole property run (generation
 /// dominates runtime otherwise).
@@ -146,11 +162,13 @@ proptest! {
     fn loaded_mode_matches_in_situ(q in query_strategy()) {
         let sql = render(&q);
         let insitu = engine(NoDbConfig::postgres_raw(), AccessMode::InSitu);
-        let mut loaded = engine(NoDbConfig::postgres_raw(), AccessMode::Loaded);
-        loaded.load_table("t").unwrap();
         let a = canon(&insitu.query(&sql).unwrap().rows);
-        let b = canon(&loaded.query(&sql).unwrap().rows);
-        prop_assert_eq!(a, b, "{}", sql);
+        for profile in PROFILES {
+            let mut loaded = engine(loaded_config(profile), AccessMode::Loaded);
+            loaded.load_table("t").unwrap();
+            let b = canon(&loaded.query(&sql).unwrap().rows);
+            prop_assert_eq!(&a, &b, "{:?}: {}", profile, sql);
+        }
     }
 }
 
@@ -308,4 +326,112 @@ fn joins_and_groups_over_many_keys_match_a_direct_computation() {
             }
         }
     }
+}
+
+/// One leaf contract: the in-situ CSV scan, the heap under each storage
+/// profile and the FITS leaf, over the same rows, apply their pushed-down
+/// conjuncts in order, each to the rows the earlier ones passed. So every
+/// leaf gives the same answer, or the same error, on conjuncts that guard
+/// one another, that fail on a surviving row, or that yield NULL.
+#[test]
+fn every_leaf_applies_the_same_conjuncts() {
+    const N: i32 = 5000;
+    // `c` cycles through -3..=3, so a seventh of the rows have c = 0.
+    let c = |id: i32| id % 7 - 3;
+    let rows: Vec<Row> = (0..N)
+        .map(|id| {
+            Row(vec![
+                Value::Int32(id),
+                Value::Int32(c(id)),
+                Value::Float64(f64::from(id) / 8.0),
+            ])
+        })
+        .collect();
+    let td = TempDir::new("nodb-one-leaf").unwrap();
+    let (csv, fits) = (td.file("t.csv"), td.file("t.fits"));
+    let mut w = CsvWriter::create(&csv, CsvOptions::default()).unwrap();
+    for r in &rows {
+        w.write_row(r).unwrap();
+    }
+    w.finish().unwrap();
+    let cols = [("id", FitsType::J), ("c", FitsType::J), ("x", FitsType::D)];
+    let mut w = FitsTableWriter::create(&fits, cols.map(|(n, t)| (n.into(), t)).to_vec()).unwrap();
+    for r in &rows {
+        w.write_row(r).unwrap();
+    }
+    w.finish().unwrap();
+
+    let schema = Schema::parse("id int, c int, x double").unwrap();
+    let csv_engine = |config: NoDbConfig, mode: AccessMode| {
+        let mut db = NoDb::new(config).unwrap();
+        db.register_csv("t", &csv, schema.clone(), CsvOptions::default(), mode)
+            .unwrap();
+        if mode == AccessMode::Loaded {
+            db.load_table("t").unwrap();
+        }
+        db
+    };
+    let mut leaves = vec![(
+        "in-situ".to_string(),
+        csv_engine(NoDbConfig::postgres_raw(), AccessMode::InSitu),
+    )];
+    for profile in PROFILES {
+        let db = csv_engine(loaded_config(profile), AccessMode::Loaded);
+        leaves.push((format!("{profile:?}"), db));
+    }
+    let provider = FitsProvider::open(&fits).unwrap();
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
+    db.register_provider("t", provider.table().schema().unwrap(), Box::new(provider))
+        .unwrap();
+    leaves.push(("fits".to_string(), db));
+
+    let guarded = (0..N).filter(|&id| c(id) != 0 && 10 / c(id) > 1).count();
+    let null_free = (0..N).filter(|&id| c(id) == 1).count();
+    let cases = [
+        // The second conjunct divides by zero on exactly the rows the
+        // first rejects: it must never see them.
+        (
+            "select count(*), sum(x) from t where c <> 0 and 10 / c > 1",
+            Some(guarded),
+        ),
+        // Rows with c = 0 pass the first conjunct and fail the second.
+        ("select count(*) from t where c <> 1 and 10 / c > 1", None),
+        // The comparison is NULL for c <= 0, and so is its negation: only
+        // the rows with c = 1 pass.
+        (
+            "select count(*) from t where not (case when c > 0 then c end > 1)",
+            Some(null_free),
+        ),
+        // NULL comparisons reach the output as NULL.
+        (
+            "select id, case when c > 0 then c end > 1 from t where id < 20 order by id",
+            None,
+        ),
+    ];
+    for pass in ["cold", "warm"] {
+        for (sql, count) in &cases {
+            let answers: Vec<(&str, Result<Vec<String>, String>)> = leaves
+                .iter()
+                .map(|(label, db)| {
+                    let got = db.query(sql).map(|r| canon(&r.rows));
+                    (label.as_str(), got.map_err(|e| e.to_string()))
+                })
+                .collect();
+            let (_, want) = &answers[0];
+            for (label, got) in &answers {
+                assert_eq!(got, want, "{label} {pass}: {sql}");
+            }
+            match (count, want) {
+                (Some(n), Ok(rows)) => {
+                    let got = rows[0].split('|').next();
+                    assert_eq!(got, Some(n.to_string().as_str()), "{pass}: {sql}");
+                }
+                (Some(_), Err(e)) => panic!("{pass}: {sql} must answer, got {e}"),
+                (None, _) => {}
+            }
+        }
+    }
+    // The unguarded division is the one typed error on every leaf.
+    let err = leaves[0].1.query(cases[1].0).unwrap_err().to_string();
+    assert!(err.contains("division by zero"), "{err}");
 }
