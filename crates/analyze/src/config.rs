@@ -76,10 +76,11 @@ impl Config {
                 // The cache's column builder: the scan kernel writes
                 // every value it converts through it.
                 "crates/cache/src/column.rs",
-                // The other leaves: the heap scan and its tuple decoder
-                // (a truncated slot or overflow record must be a typed
-                // error), and the FITS scan.
+                // The other leaves: the heap scan, its page reader and
+                // its tuple decoder (a truncated page, slot or overflow
+                // record must be a typed error), and the FITS scan.
                 "crates/storage/src/engine.rs",
+                "crates/storage/src/page.rs",
                 "crates/storage/src/tuple.rs",
                 "crates/fits/src/provider.rs",
             ]

@@ -134,16 +134,56 @@ impl Bitmap {
         self.len += 1;
     }
 
-    /// Append `k` copies of `bit`.
+    /// Append `k` copies of `bit`: the partial last word, then whole
+    /// words.
     pub fn push_n(&mut self, bit: bool, k: usize) {
-        if !bit {
-            // Bits past `len` are kept zero, so zero bits are just length.
-            self.len += k;
-            self.words.resize(self.len.div_ceil(64), 0);
-            return;
+        let len = self.len + k;
+        // Bits past `len` are kept zero, so zero bits are just length.
+        self.words.resize(len.div_ceil(64), 0);
+        if bit {
+            let mut i = self.len;
+            while i < len {
+                let take = (64 - i % 64).min(len - i);
+                if let Some(w) = self.words.get_mut(i / 64) {
+                    *w |= low_bits(take) << (i % 64);
+                }
+                i += take;
+            }
+            self.ones += k;
         }
-        for _ in 0..k {
-            self.push(true);
+        self.len = len;
+    }
+
+    /// Append bits `start..start + n` of `src` (those it has), a word at
+    /// a time: each step shifts up to 64 source bits into the rest of the
+    /// last word.
+    pub fn extend_from(&mut self, src: &Bitmap, start: usize, n: usize) {
+        let end = start.saturating_add(n).min(src.len);
+        let mut i = start.min(end);
+        while i < end {
+            let off = self.len % 64;
+            let take = (64 - off).min(end - i);
+            let bits = src.word_at(i) & low_bits(take);
+            if off == 0 {
+                self.words.push(0);
+            }
+            if let Some(w) = self.words.last_mut() {
+                *w |= bits << off;
+            }
+            self.ones += bits.count_ones() as usize;
+            self.len += take;
+            i += take;
+        }
+    }
+
+    /// The 64 bits from bit `i` on (zero past the end).
+    #[inline]
+    fn word_at(&self, i: usize) -> u64 {
+        let (w, off) = (i / 64, i % 64);
+        let lo = self.words.get(w).map_or(0, |&x| x >> off);
+        match off {
+            0 => lo,
+            _ => lo | self.words.get(w + 1).map_or(0, |&x| x << (64 - off)),
         }
     }
 
@@ -170,6 +210,15 @@ impl Bitmap {
         }
         self.len = n;
         self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+}
+
+/// A word whose low `n` bits (all 64 from `n = 64` on) are set.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    match n {
+        0..=63 => (1u64 << n) - 1,
+        _ => u64::MAX,
     }
 }
 
@@ -768,13 +817,7 @@ impl Column {
                 return Ok(());
             }
         }
-        if src.null_count() == 0 {
-            self.valid.push_n(true, end - start);
-        } else {
-            for i in start..end {
-                self.valid.push(src.is_valid(i));
-            }
-        }
+        self.valid.extend_from(&src.valid, start, end - start);
         Ok(())
     }
 
@@ -901,6 +944,8 @@ impl IntoData for bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> Column {
         Column::from_values(
@@ -1003,5 +1048,121 @@ mod tests {
         let ones = Bitmap::ones(70);
         assert!((0..70).all(|i| ones.get(i)) && !ones.get(70));
         assert_eq!((ones.count(), ones.bytes()), (70, 16));
+    }
+
+    /// `b` holds exactly the bits of `want`: its length, one count and
+    /// word count agree, and the bits past its end are zero.
+    fn assert_bits(b: &Bitmap, want: &[bool]) {
+        assert_eq!(b.len(), want.len());
+        assert_eq!(b.count(), want.iter().filter(|&&x| x).count(), "ones");
+        assert_eq!(b.words.len(), want.len().div_ceil(64), "words");
+        for (i, &bit) in want.iter().enumerate() {
+            assert_eq!(b.get(i), bit, "bit {i}");
+        }
+        if let (Some(last), tail @ 1..) = (b.words.last(), want.len() % 64) {
+            assert_eq!(last >> tail, 0, "bits past the end");
+        }
+    }
+
+    /// The bitmap of `bits`, built one `push` at a time.
+    fn pushed(bits: &[bool]) -> Bitmap {
+        let mut b = Bitmap::default();
+        bits.iter().for_each(|&x| b.push(x));
+        b
+    }
+
+    /// The lanes `start..start + n` of `src` (those it has) appended to
+    /// `head` one `push_from` at a time.
+    fn lane_by_lane(head: &Column, src: &Column, start: usize, n: usize) -> Column {
+        let mut out = head.clone();
+        for i in start..(start + n).min(src.len()) {
+            out.push_from(src, i).unwrap();
+        }
+        out
+    }
+
+    /// A column of `flags.len()` lanes, NULL where the flag is false.
+    fn lanes(flags: &[bool], text: bool) -> Column {
+        let value = |i: usize| match text {
+            true => Value::Text("x".repeat(i % 5)),
+            false => Value::Int64(i as i64),
+        };
+        let values: Vec<Value> = (flags.iter().enumerate())
+            .map(|(i, &ok)| if ok { value(i) } else { Value::Null })
+            .collect();
+        let dtype = if text {
+            DataType::Text
+        } else {
+            DataType::Int64
+        };
+        Column::from_values(dtype, &values).unwrap()
+    }
+
+    proptest! {
+        /// `push_n` from every start offset mod 64 (and across a word
+        /// boundary) sets what `k` single pushes set.
+        #[test]
+        fn push_n_matches_single_pushes(bit in any::<bool>(), k in 0..200usize, seed in any::<u64>()) {
+            for start in 0..130 {
+                let mut want: Vec<bool> = (0..start).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
+                let mut b = pushed(&want);
+                b.push_n(bit, k);
+                want.resize(start + k, bit);
+                assert_bits(&b, &want);
+            }
+        }
+
+        /// A word-wise range copy, then a truncate, hold the bits a
+        /// bit-at-a-time copy holds.
+        #[test]
+        fn bitmap_copies_match_single_pushes(
+            src in vec(any::<bool>(), 0..300),
+            head in vec(any::<bool>(), 0..130),
+            start in 0..320usize,
+            n in 0..320usize,
+            keep in 0..700usize,
+        ) {
+            let mut b = pushed(&head);
+            b.extend_from(&pushed(&src), start, n);
+            let mut want = head.clone();
+            want.extend(src.iter().skip(start).take(n));
+            assert_bits(&b, &want);
+            b.truncate(keep);
+            want.truncate(keep);
+            assert_bits(&b, &want);
+        }
+
+        /// `extend_from`, `slice`, `append` and `truncate` of a column with
+        /// and without NULLs, at unaligned starts onto unaligned heads,
+        /// equal the column `push_from` builds lane by lane.
+        #[test]
+        fn column_copies_match_lane_by_lane(
+            valid in vec(any::<bool>(), 0..300),
+            nulls in any::<bool>(),
+            text in any::<bool>(),
+            head in vec(any::<bool>(), 0..130),
+            start in 0..320usize,
+            n in 0..320usize,
+            keep in 0..700usize,
+        ) {
+            let flags: Vec<bool> = valid.iter().map(|&v| v || !nulls).collect();
+            let src = lanes(&flags, text);
+            let head = lanes(&head, text);
+            let mut got = head.clone();
+            got.extend_from(&src, start, n).unwrap();
+            let mut want = lane_by_lane(&head, &src, start, n);
+            prop_assert_eq!(&got, &want);
+            let flags_of = |c: &Column| (0..c.len()).map(|i| c.is_valid(i)).collect::<Vec<_>>();
+            assert_bits(&got.valid, &flags_of(&want));
+            let empty = Column::new(src.dtype());
+            prop_assert_eq!(src.slice(start, n), lane_by_lane(&empty, &src, start, n));
+            got.append(&src).unwrap();
+            want = lane_by_lane(&want, &src, 0, src.len());
+            prop_assert_eq!(&got, &want);
+            got.truncate(keep);
+            let want = lane_by_lane(&empty, &want, 0, keep);
+            prop_assert_eq!(&got, &want);
+            assert_bits(&got.valid, &flags_of(&want));
+        }
     }
 }

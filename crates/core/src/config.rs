@@ -13,9 +13,10 @@ use nodb_storage::EngineProfile;
 /// * `C`     — positional map disabled (end-of-line index only)
 /// * `Baseline` — register the table with [`AccessMode::ExternalFiles`]
 ///
-/// How operators run is not configured here: every query's operator tree
-/// is pulled in column-major batches of
-/// [`nodb_exec::DEFAULT_BATCH_ROWS`] rows (see [`nodb_exec::ops`]).
+/// How operators run is not configured here: a query's cursor pulls
+/// column-major batches of [`nodb_exec::DEFAULT_BATCH_ROWS`] rows, and
+/// operators that drain their input take each batch their input forms
+/// whole (see [`nodb_exec::ops`]).
 #[derive(Debug, Clone)]
 pub struct NoDbConfig {
     /// Maintain the adaptive positional map (§4.2).

@@ -52,9 +52,15 @@
 //! The table runtime is lock-split ([`RawTableRuntime`]); any number of
 //! scans may run against one table at once:
 //!
-//! * **Warm (map-covered) blocks** snapshot their temporary map and cache
-//!   columns under *shared* locks, release them, and form their runs —
-//!   the lines of at most `RANGE_READ` raw bytes each — holding nothing.
+//! * **Warm (map-covered) blocks** look up their cache columns first,
+//!   once per attribute, under shared locks. A block those columns answer
+//!   whole, and whose map chunks need no re-collecting, is served from the
+//!   cache: it takes no map snapshot, reloads no spilled chunk, copies no
+//!   line bounds and is formed as one run that reads no raw byte — it only
+//!   stamps its chunks' recency, as a snapshot would. Other warm blocks
+//!   snapshot their temporary map and line bounds, release the locks, and
+//!   form their runs — the lines of at most `RANGE_READ` raw bytes each —
+//!   holding nothing.
 //! * **Cold regions** are one sequential pass (§4.1), on the querying
 //!   thread: a persistent [`LineReader`] feeds `process_cold` the rest of
 //!   one positional-map block per pump. Besides the block's stage it
@@ -506,9 +512,11 @@ impl InSituScanOp {
         Ok(())
     }
 
-    /// Map-assisted region: the EOL index covers these rows. Everything
-    /// the block needs is snapshotted under shared locks; its runs are
-    /// then formed without holding any lock.
+    /// Map-assisted region: the EOL index covers these rows. The block's
+    /// cache columns are looked up first: a block they answer whole (and
+    /// whose map chunks need no re-collecting) is formed from them alone.
+    /// Any other block snapshots what it needs under shared locks and
+    /// forms its runs without holding any lock.
     fn process_mapped_block(&mut self) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
         let needed: Vec<u32> = self.ctx.projection.iter().map(|&a| a as u32).collect();
@@ -523,44 +531,57 @@ impl InSituScanOp {
         }
         let cov_end = covered.min(block_start + self.block_rows);
         let rows = (cov_end - block_start) as usize;
+        debug_assert!(rows > 0, "mapped block must cover at least one row");
+        // The end of the block's last line.
+        let end_bound = pm
+            .eol()
+            .start_of(cov_end)
+            .unwrap_or_else(|| pm.eol().frontier());
+        let map = self.flags.posmap && !needed.is_empty();
+        // Re-collect when the combination rule fires *or* the block grew
+        // past existing chunks (append, §4.5).
+        let collect = map
+            && (pm.should_collect(block, &needed)
+                || needed
+                    .iter()
+                    .any(|&a| (pm.covered_rows(block, a) as u64) < (cov_end - block_start)));
+        // One lookup per attribute, under the map's read lock (lock DAG:
+        // posmap before cache), so cache recency counts each once.
+        let cached: Vec<Option<Arc<CachedColumn>>> = if self.flags.cache {
+            let cache = runtime.cache.read();
+            needed.iter().map(|&a| cache.get_shared(block, a)).collect()
+        } else {
+            vec![None; needed.len()]
+        };
+        if !collect
+            && cached
+                .iter()
+                .all(|c| c.as_ref().is_some_and(|c| c.covers(rows)))
+        {
+            // The chunks it would have read stay as recent as if it had.
+            if map {
+                pm.touch_block(block, &needed);
+            }
+            drop(pm);
+            return self.form_served(block, rows, end_bound, &cached);
+        }
         // Each row's line start, then the end of the block's last line.
         let mut bounds: Vec<u64> = pm
             .eol()
             .starts(block_start, cov_end)
             .ok_or_else(|| NoDbError::internal("EOL coverage changed mid-scan"))?
             .to_vec();
-        let end_bound = pm
-            .eol()
-            .start_of(cov_end)
-            .unwrap_or_else(|| pm.eol().frontier());
         bounds.push(end_bound);
         // `entries` is `None` when a needed chunk is spilled (reloaded
         // under the write lock below).
-        let (entries, collect) = if self.flags.posmap && !needed.is_empty() {
-            // Re-collect when the combination rule fires *or* the
-            // block grew past existing chunks (append, §4.5).
-            let collect = pm.should_collect(block, &needed)
-                || needed
-                    .iter()
-                    .any(|&a| (pm.covered_rows(block, a) as u64) < (cov_end - block_start));
-            (
-                pm.fetch_block_shared(block, &needed).map(|v| v.entries),
-                collect,
-            )
-        } else {
-            (Some(vec![AttrPositions::None; needed.len()]), false)
+        let entries = match map {
+            true => pm.fetch_block_shared(block, &needed).map(|v| v.entries),
+            false => Some(vec![AttrPositions::None; needed.len()]),
         };
         drop(pm);
-        debug_assert!(rows > 0, "mapped block must cover at least one row");
         let entries = match entries {
             Some(e) => e,
             None => runtime.posmap.write().fetch_block(block, &needed).entries,
-        };
-        let cached: Vec<Option<Arc<CachedColumn>>> = if self.flags.cache {
-            let cache = runtime.cache.read();
-            needed.iter().map(|&a| cache.get_shared(block, a)).collect()
-        } else {
-            vec![None; needed.len()]
         };
 
         // Columns the cache holds complete get no builder: warm queries
@@ -590,10 +611,10 @@ impl InSituScanOp {
         };
         prof.io_ns += started.elapsed().as_nanos() as u64;
         // A block whose WHERE columns the cache holds complete, and whose
-        // SELECT columns it holds at least in part, is one run: it will
-        // most likely read nothing. Other blocks are cut into runs of
-        // the lines that fit one read of `RANGE_READ` bytes (and at
-        // least one line).
+        // SELECT columns it holds at least in part, is one run: it reads
+        // the file only for a survivor's missing SELECT value. Other
+        // blocks are cut into runs of the lines that fit one read of
+        // `RANGE_READ` bytes (and at least one line).
         let cached_whole = |l: usize| cached[l].as_ref().is_some_and(|c| c.covers(rows));
         let one_run = !collect
             && ctx.where_locals.iter().all(|&l| cached_whole(l))
@@ -626,6 +647,36 @@ impl InSituScanOp {
             r0 = r1;
         }
         prof.parse_ns += (started.elapsed().as_nanos() as u64).saturating_sub(prof.io_ns);
+        self.resume_byte = end_bound;
+        self.publish(out)
+    }
+
+    /// Form the block's first `rows` rows, every projected column of
+    /// which `cached` holds complete, as one run that reads no raw byte,
+    /// and publish it.
+    fn form_served(
+        &mut self,
+        block: u64,
+        rows: usize,
+        end_bound: u64,
+        cached: &[Option<Arc<CachedColumn>>],
+    ) -> Result<()> {
+        let started = Instant::now();
+        let mut out = ChunkScan {
+            rows,
+            ..self.stage(block, 0, rows, cached)
+        };
+        let mut kernel = Kernel {
+            ctx: &self.ctx,
+            cached,
+            builders: &mut out.builders,
+            samples: &mut out.samples,
+            metrics: &mut out.metrics,
+            scratch: Vec::new(),
+        };
+        let mut run = Run::served(rows, block * self.block_rows);
+        out.emitted.push(kernel.form(&mut run)?);
+        out.profile.parse_ns += started.elapsed().as_nanos() as u64;
         self.resume_byte = end_bound;
         self.publish(out)
     }

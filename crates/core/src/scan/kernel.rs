@@ -50,6 +50,16 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// The block's first `rows` rows, which the cache answers whole: a
+    /// run without lines, which reads nothing (a value it had to convert
+    /// would fail as a line not in its run).
+    pub(super) fn served(rows: usize, id: u64) -> Run<'a> {
+        Run {
+            fail_row: rows,
+            ..Run::new(LineRun::default(), 0, id)
+        }
+    }
+
     /// Record that row `r` failed with `err`, unless an earlier row did.
     pub(super) fn fail(&mut self, r: usize, err: NoDbError) {
         if r < self.fail_row {

@@ -959,3 +959,74 @@ fn drop_table_removes_loaded_heap_storage() {
     assert!(!overflow.exists(), "overflow file must be deleted on drop");
     assert!(db.query("select c0 from t").is_err());
 }
+
+/// Once the cache holds every projected column, a map-covered block is
+/// served from it alone: it takes no positional-map snapshot, reloads
+/// and inserts no chunk (all of them spilled here) and reads no raw byte,
+/// and it answers as the cold scan did, under every configuration.
+#[test]
+fn cache_served_blocks_skip_the_map_and_the_file() {
+    let (td, p, schema) = micro_file(300, 8);
+    let fill = "select c1, c3 from t";
+    let queries = [
+        "select c1 from t where c3 < 500000000",
+        "select c3, c1 from t where c1 > c3 order by c3 limit 7",
+        "select count(*), sum(c1), min(c3) from t",
+        "select count(*) from t",
+    ];
+    let configs = [
+        ("pm_only", NoDbConfig::pm_only()),
+        ("cache_only", NoDbConfig::cache_only()),
+        ("postgres_raw", NoDbConfig::postgres_raw()),
+    ];
+    for (label, base) in configs {
+        // 64-row blocks, and a one-byte map budget that spills every
+        // chunk the fill query collects.
+        let config = NoDbConfig {
+            posmap_block_rows: 64,
+            posmap_budget: Some(nodb_common::ByteSize(1)),
+            posmap_spill_dir: Some(td.path().join(label)),
+            ..base
+        };
+        let cached = config.enable_cache;
+        let open = || engine_with(config.clone(), &p, &schema, AccessMode::InSitu);
+        for q in queries {
+            let cold = open().query(q).unwrap().rows;
+            let db = open();
+            db.query(fill).unwrap();
+            let map_stats = |db: &NoDb| {
+                (db.entry("t").unwrap().runtime.as_ref())
+                    .unwrap()
+                    .posmap
+                    .read()
+                    .stats()
+            };
+            let (map, io, metrics) = (map_stats(&db), db.profile("t").unwrap(), db.metrics("t"));
+            assert_eq!(db.query(q).unwrap().rows, cold, "{label}: {q}");
+            if !cached {
+                continue;
+            }
+            let after = map_stats(&db);
+            assert_eq!(
+                (after.snapshots, after.reloads, after.inserts),
+                (map.snapshots, map.reloads, map.inserts),
+                "{label}: {q}"
+            );
+            assert!(
+                !config.enable_posmap || map.spills > 0,
+                "{label}: setup spills"
+            );
+            assert_eq!(
+                db.profile("t").unwrap().io_bytes,
+                io.io_bytes,
+                "{label}: {q}"
+            );
+            let (before, now) = (metrics.unwrap(), db.metrics("t").unwrap());
+            assert_eq!(now.fields_parsed, before.fields_parsed, "{label}: {q}");
+            assert_eq!(
+                now.fields_tokenized, before.fields_tokenized,
+                "{label}: {q}"
+            );
+        }
+    }
+}

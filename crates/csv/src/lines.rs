@@ -172,6 +172,14 @@ pub struct LineRun<'a> {
     pub read_bytes: u64,
 }
 
+/// No lines: what a run the cache answers whole carries, so that it
+/// neither opens nor reads the file.
+impl Default for LineRun<'_> {
+    fn default() -> Self {
+        LineRun::lent(&[], None)
+    }
+}
+
 impl<'a> LineRun<'a> {
     /// The lines bounded by `bounds`, to be read from `src` into `buf` on
     /// first use. A file now shorter than the run fails that read.

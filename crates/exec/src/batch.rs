@@ -2,8 +2,9 @@
 //!
 //! A Volcano row-at-a-time pull ("each tuple is then passed one-by-one
 //! through the operators", §3) pays a virtual call and a `Vec` allocation
-//! per tuple. A [`ValueBatch`] amortizes both: operators exchange up to
-//! [`DEFAULT_BATCH_ROWS`] rows at a time. Each column is one typed
+//! per tuple. A [`ValueBatch`] amortizes both: a cursor pulls
+//! [`DEFAULT_BATCH_ROWS`] rows at a time, and operators that drain their
+//! input take each batch a leaf forms whole. Each column is one typed
 //! [`Column`] — a vector per type, text in one arena, and a validity
 //! bitmap — so a cache-served block arrives as the cache's own typed
 //! values, and predicates, projections, keys and aggregates run typed
@@ -14,8 +15,10 @@
 
 use nodb_common::{Column, DataType, Result, Row};
 
-/// Rows per batch that a query cursor asks for, and that operators which
-/// drain their input (sorts, aggregations, a join's build side) pull.
+/// Rows per batch that a query cursor (and idle-time exploitation) asks
+/// for; streaming operators pass the request down. Operators that drain
+/// their input (sorts, aggregations, a join's build side) ask for
+/// everything instead, so a leaf's block batch reaches them unsliced.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// A column-major batch of rows.
@@ -188,8 +191,10 @@ impl ValueBatch {
 }
 
 /// Rows formed ahead of the consumer, handed out front to back: a pull
-/// that asks for everything left takes the batch whole, a smaller pull
-/// copies its typed slice out — the rows behind it are never shifted.
+/// that asks for everything left — as every draining operator's does —
+/// takes the batch whole, without a copy; a smaller pull (a cursor's, a
+/// `LIMIT`'s) copies its typed slice out, and the rows behind it are
+/// never shifted.
 #[derive(Debug, Default)]
 pub struct BatchQueue {
     batch: ValueBatch,

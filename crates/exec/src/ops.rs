@@ -9,7 +9,9 @@
 //! (filter, project, limit, distinct, the join's probe side) ask their
 //! input for no more rows than their own consumer asked for, while
 //! operators that drain their input first (sorts, aggregations, the
-//! join's build side) pull [`DEFAULT_BATCH_ROWS`] at a time.
+//! join's build side) ask for everything (`usize::MAX`), so each batch a
+//! leaf forms — a whole positional-map block, a heap page — moves up to
+//! them as it is, never sliced into copies of a cursor's batch size.
 //!
 //! Operators move typed column lanes by index — joins, sorts and
 //! DISTINCT gather them, keys are read from column slots
@@ -23,7 +25,7 @@ use nodb_common::{Column, DataType, NoDbError, Result, Value};
 use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
-use crate::batch::{BatchQueue, ValueBatch, DEFAULT_BATCH_ROWS};
+use crate::batch::{BatchQueue, ValueBatch};
 use crate::eval::{eval_batch, eval_operand, eval_predicate_batch, Operand};
 use crate::key::{hash_key, KeyIndex, KeyRef};
 
@@ -38,11 +40,15 @@ pub trait Operator {
 /// Boxed operator.
 pub type BoxOp = Box<dyn Operator>;
 
-/// Pull `input` dry in [`DEFAULT_BATCH_ROWS`]-row batches and concatenate
-/// them into one batch.
+/// What an operator that drains its input asks it for: every row it has
+/// formed, so a leaf's block batch is handed up whole.
+const DRAIN: usize = usize::MAX;
+
+/// Pull `input` dry, a whole formed batch at a time, and concatenate the
+/// batches into one.
 fn concat_input(mut input: BoxOp) -> Result<ValueBatch> {
     let mut batches = Vec::new();
-    while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+    while let Some(b) = input.next_batch(DRAIN)? {
         batches.push(b);
     }
     ValueBatch::concat(batches)
@@ -903,7 +909,7 @@ impl Operator for HashAggOp {
             let mut keys = KeySet::default();
             let mut table = AccTable::new(aggs);
             let mut input_types = Vec::new();
-            while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+            while let Some(b) = input.next_batch(DRAIN)? {
                 input_types = b.types();
                 let key_cols = columns(&b, group)?;
                 let mut slots = Vec::with_capacity(b.num_rows());
@@ -1022,7 +1028,7 @@ impl Operator for PlainAggOp {
             let mut table = AccTable::new(aggs);
             table.push_group();
             let mut input_types = Vec::new();
-            while let Some(b) = input.next_batch(DEFAULT_BATCH_ROWS)? {
+            while let Some(b) = input.next_batch(DRAIN)? {
                 input_types = b.types();
                 fold_batch(&mut table, aggs, &b, None)?;
             }
@@ -1058,6 +1064,7 @@ impl Operator for RowsOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::DEFAULT_BATCH_ROWS;
     use nodb_common::Row;
     use nodb_sql::BinOp;
 
@@ -1467,11 +1474,94 @@ mod tests {
             assert_eq!(rows[0].values().last(), Some(&want));
         }
     }
+
+    /// An input that records each pull's size and the rows it handed out.
+    struct Watched {
+        inner: BoxOp,
+        pulls: std::rc::Rc<std::cell::RefCell<Vec<(usize, usize)>>>,
+    }
+
+    impl Operator for Watched {
+        fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
+            let b = self.inner.next_batch(max_rows)?;
+            let rows = b.as_ref().map_or(0, ValueBatch::num_rows);
+            self.pulls.borrow_mut().push((max_rows, rows));
+            Ok(b)
+        }
+    }
+
+    /// Operators that drain their input take each of its batches whole;
+    /// streaming ones pass their consumer's batch size down.
+    #[test]
+    fn draining_operators_take_whole_batches() {
+        let rows: Vec<Vec<i64>> = (0..3000).map(|i| vec![i % 7, i]).collect();
+        let watched = || {
+            let pulls = std::rc::Rc::default();
+            let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+            let op = Watched {
+                inner: ints(&refs),
+                pulls: std::rc::Rc::clone(&pulls),
+            };
+            (Box::new(op) as BoxOp, pulls)
+        };
+        let sum = || vec![agg(AggFunc::Sum, Some(1))];
+        type Make = Box<dyn Fn(BoxOp) -> BoxOp>;
+        let draining: Vec<(&str, Make)> = vec![
+            (
+                "sort",
+                Box::new(|i| {
+                    Box::new(SortOp::new(
+                        i,
+                        vec![SortKey {
+                            col: 0,
+                            desc: false,
+                        }],
+                    ))
+                }),
+            ),
+            (
+                "hash agg",
+                Box::new(move |i| Box::new(HashAggOp::new(i, vec![0], sum()))),
+            ),
+            (
+                "sort agg",
+                Box::new(move |i| Box::new(SortAggOp::new(i, vec![0], sum()))),
+            ),
+            (
+                "plain agg",
+                Box::new(move |i| Box::new(PlainAggOp::new(i, sum()))),
+            ),
+            (
+                "join build",
+                Box::new(|i| {
+                    Box::new(HashJoinOp::new(
+                        i,
+                        ints(&[&[1]]),
+                        vec![(0, 0)],
+                        JoinKind::Inner,
+                    ))
+                }),
+            ),
+        ];
+        for (label, make) in draining {
+            let (input, pulls) = watched();
+            pull(make(input), DEFAULT_BATCH_ROWS).unwrap();
+            assert_eq!(pulls.borrow()[0], (DRAIN, 3000), "{label}");
+        }
+        let (input, pulls) = watched();
+        let pred = binary(BinOp::GtEq, col(1), BoundExpr::Lit(Value::Int64(0)));
+        pull(Box::new(FilterOp::new(input, pred)), 100).unwrap();
+        assert!(pulls
+            .borrow()
+            .iter()
+            .all(|&(asked, got)| asked == 100 && got <= 100));
+    }
 }
 
 #[cfg(test)]
 mod distinct_tests {
     use super::*;
+    use crate::batch::DEFAULT_BATCH_ROWS;
     use nodb_common::Row;
 
     fn distinct(rows: Vec<Row>) -> Vec<Row> {

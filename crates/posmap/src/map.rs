@@ -56,6 +56,10 @@ pub struct MapStats {
     pub spills: u64,
     /// Spilled chunks read back on access.
     pub reloads: u64,
+    /// Temporary maps built: block fetches that copied positions out
+    /// (a shared fetch that met a spilled chunk is counted once, by the
+    /// exclusive fetch that retries it).
+    pub snapshots: u64,
 }
 
 /// Positional information the map can offer for one attribute over one
@@ -80,6 +84,18 @@ pub enum AttrPositions {
 }
 
 impl AttrPositions {
+    /// The entry for `attr` from the positions `col` of attribute `held`:
+    /// exact when it is `attr` itself, an anchor otherwise.
+    fn of(attr: u32, held: u32, col: Vec<u32>) -> AttrPositions {
+        match held == attr {
+            true => AttrPositions::Exact(col),
+            false => AttrPositions::Anchor {
+                anchor_attr: held,
+                positions: col,
+            },
+        }
+    }
+
     /// True when the map offers no help.
     pub fn is_none(&self) -> bool {
         matches!(self, AttrPositions::None)
@@ -133,6 +149,8 @@ pub struct PositionalMap {
     dir: HashMap<u64, BTreeMap<u32, usize>>,
     /// LRU clock; atomic so shared-lock readers can tick it.
     clock: AtomicU64,
+    /// [`MapStats::snapshots`]; atomic so shared-lock readers count too.
+    snapshots: AtomicU64,
     bytes_in_mem: usize,
     spill_seq: u64,
     stats: MapStats,
@@ -148,6 +166,7 @@ impl PositionalMap {
             free: Vec::new(),
             dir: HashMap::new(),
             clock: AtomicU64::new(0),
+            snapshots: AtomicU64::new(0),
             bytes_in_mem: 0,
             spill_seq: 0,
             stats: MapStats::default(),
@@ -194,7 +213,10 @@ impl PositionalMap {
 
     /// Counters for tests and experiments.
     pub fn stats(&self) -> MapStats {
-        self.stats
+        MapStats {
+            snapshots: self.snapshots.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// Insert a chunk built by a scan. Newer chunks shadow older ones in
@@ -232,38 +254,20 @@ impl PositionalMap {
     /// common warm-path alternative is [`PositionalMap::fetch_block_shared`].
     pub fn fetch_block(&mut self, block: u64, attrs: &[u32]) -> BlockView {
         let clock = self.tick();
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
         let mut entries = Vec::with_capacity(attrs.len());
         let mut rows = 0u32;
         for &attr in attrs {
-            let hit = self.dir.get(&block).and_then(|bd| bd.get(&attr).copied());
-            let entry = match hit {
-                Some(slot) => match self.column_of(slot, attr, clock) {
+            let entry = match self.slot_for(block, attr) {
+                Some((held, slot)) => match self.column_of(slot, held, clock) {
                     Some(col) => {
                         // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
                         rows = rows.max(col.len() as u32);
-                        AttrPositions::Exact(col)
+                        AttrPositions::of(attr, held, col)
                     }
                     None => AttrPositions::None,
                 },
-                None => {
-                    // Nearest indexed neighbour within the block.
-                    match self.nearest_attr(block, attr) {
-                        Some((anchor_attr, slot)) => {
-                            match self.column_of(slot, anchor_attr, clock) {
-                                Some(col) => {
-                                    // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
-                                    rows = rows.max(col.len() as u32);
-                                    AttrPositions::Anchor {
-                                        anchor_attr,
-                                        positions: col,
-                                    }
-                                }
-                                None => AttrPositions::None,
-                            }
-                        }
-                        None => AttrPositions::None,
-                    }
-                }
+                None => AttrPositions::None,
             };
             entries.push(entry);
         }
@@ -284,40 +288,42 @@ impl PositionalMap {
         let mut entries = Vec::with_capacity(attrs.len());
         let mut rows = 0u32;
         for &attr in attrs {
-            let hit = self.dir.get(&block).and_then(|bd| bd.get(&attr).copied());
-            let entry = match hit {
-                Some(slot) => match self.column_of_shared(slot, attr, clock)? {
+            let entry = match self.slot_for(block, attr) {
+                Some((held, slot)) => match self.column_of_shared(slot, held, clock)? {
                     Some(col) => {
                         // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
                         rows = rows.max(col.len() as u32);
-                        AttrPositions::Exact(col)
+                        AttrPositions::of(attr, held, col)
                     }
                     None => AttrPositions::None,
                 },
-                None => match self.nearest_attr(block, attr) {
-                    Some((anchor_attr, slot)) => {
-                        match self.column_of_shared(slot, anchor_attr, clock)? {
-                            Some(col) => {
-                                // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
-                                rows = rows.max(col.len() as u32);
-                                AttrPositions::Anchor {
-                                    anchor_attr,
-                                    positions: col,
-                                }
-                            }
-                            None => AttrPositions::None,
-                        }
-                    }
-                    None => AttrPositions::None,
-                },
+                None => AttrPositions::None,
             };
             entries.push(entry);
         }
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
         Some(BlockView {
             block,
             entries,
             rows,
         })
+    }
+
+    /// Stamp the in-memory chunks a [`PositionalMap::fetch_block_shared`]
+    /// of `attrs` over `block` would read with one recency tick, copying
+    /// no position and reloading no spilled chunk: a block the cache
+    /// answers whole keeps its chunks exactly as recent as one that reads
+    /// them, so the eviction order does not depend on which it was.
+    pub fn touch_block(&self, block: u64, attrs: &[u32]) {
+        let clock = self.tick();
+        for &attr in attrs {
+            let slot = self.slot_for(block, attr).map(|(_, slot)| slot);
+            if let Some(s) = slot.and_then(|s| self.slots.get(s)) {
+                if matches!(s.state, SlotState::InMem(_)) {
+                    s.last_touch.store(clock, Ordering::Relaxed);
+                }
+            }
+        }
     }
 
     /// `column_of` without the reload path: outer `None` means "spilled,
@@ -420,6 +426,16 @@ impl PositionalMap {
                 Some(c.attr_column(pos))
             }
             _ => None,
+        }
+    }
+
+    /// The attribute whose positions answer `attr` in `block`, and its
+    /// slot: `attr`'s own chunk, else the nearest indexed neighbour's
+    /// (an anchor).
+    fn slot_for(&self, block: u64, attr: u32) -> Option<(u32, usize)> {
+        match self.dir.get(&block).and_then(|bd| bd.get(&attr)) {
+            Some(&slot) => Some((attr, slot)),
+            None => self.nearest_attr(block, attr),
         }
     }
 
@@ -643,6 +659,44 @@ mod tests {
             AttrPositions::Exact(_)
         ));
         assert!(m.fetch_block(1, &[1]).entries[0].is_none());
+    }
+
+    /// A touch keeps a block's chunks (direct and anchor) exactly as
+    /// recent as a shared fetch does, without counting a snapshot or
+    /// reloading a spilled chunk.
+    #[test]
+    fn touch_stamps_what_a_fetch_stamps() {
+        let td = TempDir::new("nodb-pm").unwrap();
+        // 200 bytes hold two chunks; 100 bytes one.
+        let cfg = |budget: u64, spill: bool| PosMapConfig {
+            budget: Some(ByteSize(budget)),
+            spill_dir: spill.then(|| td.path().to_path_buf()),
+            ..Default::default()
+        };
+        // Which of blocks 0 and 1 survives block 2's insert, after block
+        // 0's chunk is read as attribute 3's anchor.
+        let survivors = |read: &dyn Fn(&PositionalMap)| {
+            let mut m = PositionalMap::new(cfg(200, false));
+            m.insert(chunk(0, &[1], 16, 0));
+            m.insert(chunk(1, &[2], 16, 0));
+            read(&m);
+            m.insert(chunk(2, &[1], 16, 0));
+            let kept =
+                |b: u64, a: u32| !m.fetch_block_shared(b, &[a]).unwrap().entries[0].is_none();
+            (kept(0, 1), kept(1, 2))
+        };
+        let fetched = survivors(&|m| drop(m.fetch_block_shared(0, &[3])));
+        assert_eq!(fetched, (true, false));
+        assert_eq!(survivors(&|m| m.touch_block(0, &[3])), fetched);
+        let mut m = PositionalMap::new(cfg(100, true));
+        m.insert(chunk(0, &[1], 16, 0));
+        m.insert(chunk(1, &[1], 16, 0)); // spills block 0
+        assert!(m.stats().spills >= 1);
+        m.touch_block(0, &[1]);
+        m.touch_block(1, &[1]);
+        assert_eq!((m.stats().reloads, m.stats().snapshots), (0, 0));
+        let _ = m.fetch_block(0, &[1]);
+        assert_eq!((m.stats().reloads, m.stats().snapshots), (1, 1));
     }
 
     #[test]

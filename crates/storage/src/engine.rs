@@ -16,7 +16,7 @@ use nodb_exec::{BatchQueue, BoxOp, FilterOp, Operator, TableProvider, ValueBatch
 use nodb_sql::BoundExpr;
 
 use crate::bufpool::BufferPool;
-use crate::heap::{HeapFile, HeapWriter, TAG_OVERFLOW};
+use crate::heap::{HeapFile, HeapWriter, OverflowReader, TAG_OVERFLOW};
 use crate::page::{self, Page};
 use crate::tuple;
 
@@ -175,7 +175,7 @@ impl StorageEngine {
                 let bytes = heap.read_page(p)?;
                 let page = Page::from_bytes(bytes);
                 for s in 0..page.n_slots() {
-                    for &b in page.tuple(s) {
+                    for &b in page.tuple(s)? {
                         checksum = checksum.wrapping_mul(31).wrapping_add(b as u64);
                     }
                 }
@@ -255,6 +255,7 @@ impl TableProvider for LoadedTable {
             table_id: self.id,
             schema: self.schema.clone(),
             file: self.heap.open_reader()?,
+            overflow: None,
             heap: self.heap.clone(),
             profile: self.profile,
             pool: Arc::clone(&self.pool),
@@ -278,6 +279,9 @@ struct HeapScanOp {
     schema: Schema,
     /// Reused read handle (one open per scan, not per page).
     file: std::fs::File,
+    /// The overflow file's read handle, opened at the scan's first
+    /// overflowed tuple (one open per scan, not per tuple).
+    overflow: Option<OverflowReader>,
     heap: HeapFile,
     profile: EngineProfile,
     pool: Arc<Mutex<BufferPool>>,
@@ -333,7 +337,7 @@ impl HeapScanOp {
             crate::heap::read_page_with(file, page_no)
         })?;
         self.page_no += 1;
-        let rows = page::n_slots_of(&bytes);
+        let rows = page::n_slots_of(&bytes)?;
         let mut cols: Vec<Column> = self
             .types
             .iter()
@@ -341,12 +345,14 @@ impl HeapScanOp {
             .collect();
         let header = self.profile.tuple_header_bytes();
         for s in 0..rows {
-            let overflow;
-            let mut body = match Slot::parse(page::tuple_of(&bytes, s))? {
+            let mut body = match Slot::parse(page::tuple_of(&bytes, s)?)? {
                 Slot::Inline(body) => body,
                 Slot::Overflow { offset, len } => {
-                    overflow = self.heap.read_overflow(offset, len)?;
-                    &overflow
+                    let reader = match &mut self.overflow {
+                        Some(reader) => reader,
+                        none => none.insert(self.heap.open_overflow()?),
+                    };
+                    reader.read(offset, len)?
                 }
             };
             if self.profile == EngineProfile::MySqlLike {
@@ -469,6 +475,35 @@ mod tests {
         let rows = run_to_vec(t.scan(&[0, 149], &[]).unwrap()).unwrap();
         assert_eq!(rows.len(), 20);
         assert_eq!(rows[0].get(0).as_str().unwrap().len(), 64);
+    }
+
+    /// An overflow reference whose length reaches past the overflow file
+    /// fails the scan with a typed error before its length is allocated.
+    #[test]
+    fn corrupt_overflow_length_is_an_error() {
+        let td = TempDir::new("nodb-storage").unwrap();
+        let csv = td.file("wide.csv");
+        let spec = MicroGen::default().rows(2).cols(150).pad_width(64).seed(3);
+        spec.write_to(&csv).unwrap();
+        let mut eng =
+            StorageEngine::new(&td.path().join("db"), EngineProfile::PostgresLike, 64).unwrap();
+        let report = eng
+            .load_csv("wide", &csv, &spec.schema(), CsvOptions::default())
+            .unwrap();
+        assert_eq!(report.overflow_rows, 2);
+        // Slot 0's tuple: [tag][offset u64][len u32]; claim 4 GiB.
+        let heap = td.path().join("db").join("wide.heap");
+        let mut bytes = std::fs::read(&heap).unwrap();
+        let start = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
+        assert_eq!(bytes[start], TAG_OVERFLOW);
+        bytes[start + 9..start + 13].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&heap, &bytes).unwrap();
+        let t = eng.table("wide").unwrap();
+        let err = run_to_vec(t.scan(&[0], &[]).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("past the overflow file's end"),
+            "{err}"
+        );
     }
 
     /// Every prefix of an overflow reference is a typed error; the whole

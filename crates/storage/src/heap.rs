@@ -5,7 +5,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use nodb_common::Result;
+use nodb_common::{NoDbError, Result};
 
 use crate::page::{Page, PAGE_SIZE};
 
@@ -80,14 +80,47 @@ impl HeapFile {
         Ok(File::open(&self.path)?)
     }
 
-    /// Read an overflowed tuple (a seek + read per tuple — the expensive
-    /// path wide rows force onto loaded engines).
-    pub fn read_overflow(&self, offset: u64, len: u32) -> Result<Vec<u8>> {
-        let mut f = File::open(&self.overflow_path)?;
-        f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
-        Ok(buf)
+    /// Open a reusable read handle on the overflow file (one per scan,
+    /// as [`HeapFile::open_reader`] is for pages).
+    pub fn open_overflow(&self) -> Result<OverflowReader> {
+        let file = File::open(&self.overflow_path)?;
+        let len = file.metadata()?.len();
+        Ok(OverflowReader {
+            file,
+            len,
+            buf: Vec::new(),
+        })
+    }
+}
+
+/// A read handle on a heap's overflow file: each overflowed tuple costs a
+/// seek and a read (the expensive path wide rows force onto loaded
+/// engines), into one reused buffer.
+#[derive(Debug)]
+pub struct OverflowReader {
+    file: File,
+    /// The file's length when opened: no reference may reach past it.
+    len: u64,
+    buf: Vec<u8>,
+}
+
+impl OverflowReader {
+    /// The `len`-byte tuple at `offset`. A reference reaching past the
+    /// overflow file's end (a corrupt page) is a typed error, raised
+    /// before anything is allocated for it.
+    pub fn read(&mut self, offset: u64, len: u32) -> Result<&[u8]> {
+        let end = offset.checked_add(u64::from(len));
+        if end.is_none_or(|end| end > self.len) {
+            return Err(NoDbError::internal(format!(
+                "overflow tuple of {len} bytes at byte {offset} reaches past \
+                 the overflow file's end ({} bytes)",
+                self.len
+            )));
+        }
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.buf.resize(len as usize, 0);
+        self.file.read_exact(&mut self.buf)?;
+        Ok(&self.buf)
     }
 }
 
@@ -192,8 +225,8 @@ mod tests {
         assert!(heap.n_pages() >= 1);
         // First tuple of first page.
         let page = Page::from_bytes(heap.read_page(0).unwrap());
-        assert_eq!(&page.tuple(0)[1..], b"tuple-0");
-        assert_eq!(page.tuple(0)[0], TAG_INLINE);
+        assert_eq!(&page.tuple(0).unwrap()[1..], b"tuple-0");
+        assert_eq!(page.tuple(0).unwrap()[0], TAG_INLINE);
     }
 
     #[test]
@@ -207,12 +240,31 @@ mod tests {
         let heap = w.finish().unwrap();
         assert_eq!(heap.overflow_rows(), 1);
         let page = Page::from_bytes(heap.read_page(0).unwrap());
-        let t0 = page.tuple(0);
+        let t0 = page.tuple(0).unwrap();
         assert_eq!(t0[0], TAG_OVERFLOW);
         let offset = u64::from_le_bytes(t0[1..9].try_into().unwrap());
         let len = u32::from_le_bytes(t0[9..13].try_into().unwrap());
-        let back = heap.read_overflow(offset, len).unwrap();
-        assert_eq!(back, big);
+        let mut overflow = heap.open_overflow().unwrap();
+        assert_eq!(overflow.read(offset, len).unwrap(), big);
+        assert_eq!(overflow.read(offset, 7).unwrap(), &big[..7]);
+    }
+
+    #[test]
+    fn overflow_reference_past_the_file_is_an_error() {
+        let td = TempDir::new("nodb-heap").unwrap();
+        let mut w = HeapWriter::create(&td.file("t.heap")).unwrap();
+        w.append(&vec![1u8; PAGE_SIZE + 10]).unwrap();
+        let heap = w.finish().unwrap();
+        let mut overflow = heap.open_overflow().unwrap();
+        let len = PAGE_SIZE as u32 + 10;
+        for (offset, len) in [(0, len + 1), (1, len), (u64::MAX, 1), (0, u32::MAX)] {
+            let err = overflow.read(offset, len).unwrap_err();
+            assert!(
+                err.to_string().contains("past the overflow file's end"),
+                "{err}"
+            );
+        }
+        assert_eq!(overflow.read(0, len).unwrap().len(), len as usize);
     }
 
     #[test]
@@ -231,7 +283,7 @@ mod tests {
         for pg in 0..heap.n_pages() {
             let page = Page::from_bytes(heap.read_page(pg).unwrap());
             for s in 0..page.n_slots() {
-                seen.push(page.tuple(s)[1]);
+                seen.push(page.tuple(s).unwrap()[1]);
             }
         }
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);

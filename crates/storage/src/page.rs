@@ -4,6 +4,12 @@
 //! data growing backward from the page end. "Each page contains a
 //! collection of tuples as well as additional metadata information to
 //! help in-page navigation" (§3).
+//!
+//! A page image read back from disk is untrusted: every read through
+//! [`n_slots_of`] and [`tuple_of`] is bounds-checked, and a header, slot
+//! entry or tuple that reaches past the image is a typed error.
+
+use nodb_common::{NoDbError, Result};
 
 /// Page size in bytes (PostgreSQL's default).
 pub const PAGE_SIZE: usize = 8192;
@@ -50,11 +56,11 @@ impl Page {
 
     /// Number of tuples stored.
     pub fn n_slots(&self) -> usize {
-        u16::from_le_bytes([self.data[0], self.data[1]]) as usize
+        u16_at(&self.data, 0).unwrap_or(0)
     }
 
     fn free_end(&self) -> usize {
-        u16::from_le_bytes([self.data[2], self.data[3]]) as usize
+        u16_at(&self.data, 2).unwrap_or(0)
     }
 
     /// Bytes available for one more tuple (including its slot entry).
@@ -87,23 +93,43 @@ impl Page {
     }
 
     /// Tuple bytes at `slot`.
-    pub fn tuple(&self, slot: usize) -> &[u8] {
+    pub fn tuple(&self, slot: usize) -> Result<&[u8]> {
         tuple_of(&self.data, slot)
     }
 }
 
-/// Number of tuples in a raw page image (zero-copy view used by scans —
-/// a page is pinned once and never copied per tuple).
-pub fn n_slots_of(page: &[u8]) -> usize {
-    u16::from_le_bytes([page[0], page[1]]) as usize
+/// The little-endian `u16` at byte `at` of `page`, if the page holds it.
+fn u16_at(page: &[u8], at: usize) -> Option<usize> {
+    let bytes = page.get(at..at.checked_add(2)?)?;
+    bytes
+        .try_into()
+        .ok()
+        .map(|b| usize::from(u16::from_le_bytes(b)))
 }
 
-/// Tuple bytes at `slot` of a raw page image.
-pub fn tuple_of(page: &[u8], slot: usize) -> &[u8] {
-    let slot_off = HDR + slot * SLOT;
-    let start = u16::from_le_bytes([page[slot_off], page[slot_off + 1]]) as usize;
-    let len = u16::from_le_bytes([page[slot_off + 2], page[slot_off + 3]]) as usize;
-    &page[start..start + len]
+/// Number of tuples in a raw page image (zero-copy view used by scans —
+/// a page is pinned once and never copied per tuple). A page too short
+/// for its header or its slot array is an error.
+pub fn n_slots_of(page: &[u8]) -> Result<usize> {
+    let truncated = || NoDbError::internal("truncated heap page");
+    let n = u16_at(page, 0).ok_or_else(truncated)?;
+    if HDR + n * SLOT > page.len() {
+        return Err(truncated());
+    }
+    Ok(n)
+}
+
+/// Tuple bytes at `slot` of a raw page image. A slot entry or tuple that
+/// reaches past the page is an error.
+pub fn tuple_of(page: &[u8], slot: usize) -> Result<&[u8]> {
+    let truncated = || NoDbError::internal(format!("truncated heap slot {slot}"));
+    let slot_off = slot.checked_mul(SLOT).and_then(|o| o.checked_add(HDR));
+    let entry = |at: usize| slot_off.and_then(|o| u16_at(page, o.checked_add(at)?));
+    let (start, len) = (
+        entry(0).ok_or_else(truncated)?,
+        entry(2).ok_or_else(truncated)?,
+    );
+    page.get(start..start + len).ok_or_else(truncated)
 }
 
 #[cfg(test)]
@@ -117,8 +143,8 @@ mod tests {
         let a = p.insert(b"hello").unwrap();
         let b = p.insert(b"world!!").unwrap();
         assert_eq!(p.n_slots(), 2);
-        assert_eq!(p.tuple(a), b"hello");
-        assert_eq!(p.tuple(b), b"world!!");
+        assert_eq!(p.tuple(a).unwrap(), b"hello");
+        assert_eq!(p.tuple(b).unwrap(), b"world!!");
     }
 
     #[test]
@@ -146,7 +172,32 @@ mod tests {
         p.insert(b"abc").unwrap();
         let q = Page::from_bytes(p.bytes().to_vec());
         assert_eq!(q.n_slots(), 1);
-        assert_eq!(q.tuple(0), b"abc");
+        assert_eq!(q.tuple(0).unwrap(), b"abc");
+    }
+
+    #[test]
+    fn empty_page_is_an_error() {
+        let err = n_slots_of(&[]).unwrap_err();
+        assert!(err.to_string().contains("truncated heap page"), "{err}");
+        assert!(n_slots_of(&[0]).is_err());
+        assert!(tuple_of(&[], 0).is_err());
+        // A slot count whose slot array reaches past the page.
+        assert!(n_slots_of(&[3, 0, 0, 0, 0, 0]).is_err());
+        assert_eq!(n_slots_of(Page::new().bytes()).unwrap(), 0);
+    }
+
+    #[test]
+    fn slot_past_the_page_is_an_error() {
+        let mut p = Page::new();
+        p.insert(b"abc").unwrap();
+        let mut bytes = p.into_bytes();
+        // Slot 0's length, 0xffff: its tuple would reach past the page.
+        bytes[HDR + 2..HDR + 4].copy_from_slice(&0xffffu16.to_le_bytes());
+        let err = tuple_of(&bytes, 0).unwrap_err();
+        assert!(err.to_string().contains("truncated heap slot 0"), "{err}");
+        // A slot entry that is not on the page at all.
+        assert!(tuple_of(&bytes, PAGE_SIZE).is_err());
+        assert!(tuple_of(&bytes, usize::MAX).is_err());
     }
 
     proptest! {
@@ -163,7 +214,7 @@ mod tests {
                 }
             }
             for (slot, t) in stored {
-                prop_assert_eq!(p.tuple(slot), &t[..]);
+                prop_assert_eq!(p.tuple(slot).unwrap(), &t[..]);
             }
         }
     }
