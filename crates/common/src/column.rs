@@ -54,15 +54,7 @@ impl Bitmap {
 
     /// One bit per flag, set where the flag is true.
     pub fn from_bools(flags: &[bool]) -> Bitmap {
-        let words: Vec<u64> = flags
-            .chunks(64)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |w, (i, &b)| w | (u64::from(b) << i))
-            })
-            .collect();
+        let words: Vec<u64> = flags.chunks(64).map(lane_mask).collect();
         let ones = words.iter().map(|w| w.count_ones() as usize).sum();
         Bitmap {
             words,
@@ -155,25 +147,69 @@ impl Bitmap {
     }
 
     /// Append bits `start..start + n` of `src` (those it has), a word at
-    /// a time: each step shifts up to 64 source bits into the rest of the
-    /// last word.
+    /// a time.
     pub fn extend_from(&mut self, src: &Bitmap, start: usize, n: usize) {
         let end = start.saturating_add(n).min(src.len);
         let mut i = start.min(end);
         while i < end {
-            let off = self.len % 64;
-            let take = (64 - off).min(end - i);
+            let take = 64.min(end - i);
             let bits = src.word_at(i) & low_bits(take);
-            if off == 0 {
-                self.words.push(0);
-            }
-            if let Some(w) = self.words.last_mut() {
-                *w |= bits << off;
-            }
-            self.ones += bits.count_ones() as usize;
-            self.len += take;
+            self.push_word(bits, take, bits.count_ones() as usize);
             i += take;
         }
+    }
+
+    /// The bits where `keep` is true (lanes past either end dropped),
+    /// packed a word at a time.
+    fn select(&self, keep: &[bool]) -> Bitmap {
+        let keep = &keep[..keep.len().min(self.len)];
+        let mut out = Bitmap::with_words(keep.len());
+        for (&word, lanes) in self.words.iter().zip(keep.chunks(64)) {
+            let (bits, n, ones) = compress(word, lane_mask(lanes));
+            out.push_word(bits, n, ones);
+        }
+        out
+    }
+
+    /// The bits at `idx`, in that order (false past the end), packed a
+    /// word at a time.
+    fn gather(&self, idx: &[usize]) -> Bitmap {
+        // Bits past `len` are zero, so no lane needs a length check.
+        let bit = |i: usize| self.words.get(i / 64).map_or(0, |w| (w >> (i % 64)) & 1);
+        let mut out = Bitmap::with_words(idx.len());
+        for lanes in idx.chunks(64) {
+            let bits = (lanes.iter().enumerate()).fold(0u64, |w, (j, &i)| w | (bit(i) << j));
+            out.push_word(bits, lanes.len(), bits.count_ones() as usize);
+        }
+        out
+    }
+
+    /// No bits, with room for `bits` of them.
+    fn with_words(bits: usize) -> Bitmap {
+        Bitmap {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            ..Bitmap::default()
+        }
+    }
+
+    /// Append the low `n` (≤ 64) bits of `bits`, whose higher bits are
+    /// zero and `ones` of which are set.
+    #[inline]
+    fn push_word(&mut self, bits: u64, n: usize, ones: usize) {
+        let off = self.len % 64;
+        match off {
+            0 => self.words.push(bits),
+            _ => {
+                if let Some(w) = self.words.last_mut() {
+                    *w |= bits << off;
+                }
+                if off + n > 64 {
+                    self.words.push(bits >> (64 - off));
+                }
+            }
+        }
+        self.ones += ones;
+        self.len += n;
     }
 
     /// The 64 bits from bit `i` on (zero past the end).
@@ -211,6 +247,46 @@ impl Bitmap {
         self.len = n;
         self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
+}
+
+/// Bit `j` set where `lanes[j]` is true (at most 64 lanes), eight lanes
+/// per multiply: a `bool` is one byte holding 0 or 1, and the multiplier
+/// moves byte `k`'s low bit to bit `56 + k` without carries.
+#[inline]
+fn lane_mask(lanes: &[bool]) -> u64 {
+    let mut eights = lanes.chunks_exact(8);
+    let mut mask = 0u64;
+    for (k, eight) in eights.by_ref().enumerate() {
+        let bytes: [u8; 8] = std::array::from_fn(|i| u8::from(eight[i]));
+        let bits = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        mask |= bits << (8 * k);
+    }
+    let done = lanes.len() - eights.remainder().len();
+    for (j, &k) in eights.remainder().iter().enumerate() {
+        mask |= u64::from(k) << (done + j);
+    }
+    mask
+}
+
+/// The bits of `x` under `mask`, packed into the low bits in order (a
+/// software `pext`): the packed bits, their number and their ones.
+/// Starts from all of them zero, or all one, and flips the rarer kind
+/// one at a time at its rank among `mask`'s bits: a word with few NULLs
+/// (or few values) costs few steps.
+#[inline]
+fn compress(x: u64, mask: u64) -> (u64, usize, usize) {
+    let (ones, zeros) = (x & mask, !x & mask);
+    let (n1, n0) = (ones.count_ones() as usize, zeros.count_ones() as usize);
+    let (mut flip, mut out) = match n0 < n1 {
+        true => (zeros, low_bits(n1 + n0)),
+        false => (ones, 0),
+    };
+    while flip != 0 {
+        let low = flip & flip.wrapping_neg();
+        out ^= 1 << (mask & (low - 1)).count_ones();
+        flip ^= low;
+    }
+    (out, n1 + n0, n1)
 }
 
 /// A word whose low `n` bits (all 64 from `n = 64` on) are set.
@@ -718,8 +794,7 @@ impl Column {
         let valid = if self.null_count() == 0 {
             Bitmap::ones(idx.len())
         } else {
-            let flags: Vec<bool> = idx.iter().map(|&i| self.is_valid(i)).collect();
-            Bitmap::from_bools(&flags)
+            self.valid.gather(idx)
         };
         let data = match &self.data {
             Data::Int32(v) => Data::Int32(gather_vec(v, idx)),
@@ -741,14 +816,13 @@ impl Column {
     /// The lanes where `keep` is true (`kept` of them; lanes past the end
     /// of `keep` are dropped).
     pub fn filter(&self, keep: &[bool], kept: usize) -> Column {
+        // Lanes past the column's end are dropped too (a text run that
+        // crossed it would copy nothing).
+        let keep = &keep[..keep.len().min(self.len())];
         let valid = if self.null_count() == 0 {
             Bitmap::ones(kept)
         } else {
-            let flags: Vec<bool> = (0..self.len())
-                .filter(|&i| keep.get(i).copied().unwrap_or(false))
-                .map(|i| self.is_valid(i))
-                .collect();
-            Bitmap::from_bools(&flags)
+            self.valid.select(keep)
         };
         let data = each_vec!(&self.data,
             v => {
@@ -1132,9 +1206,10 @@ mod tests {
             assert_bits(&b, &want);
         }
 
-        /// `extend_from`, `slice`, `append` and `truncate` of a column with
-        /// and without NULLs, at unaligned starts onto unaligned heads,
-        /// equal the column `push_from` builds lane by lane.
+        /// `extend_from`, `slice`, `append`, `truncate`, `filter` and
+        /// `gather` of a column with and without NULLs, at unaligned starts
+        /// onto unaligned heads, equal the column `push_from` builds lane
+        /// by lane.
         #[test]
         fn column_copies_match_lane_by_lane(
             valid in vec(any::<bool>(), 0..300),
@@ -1144,7 +1219,9 @@ mod tests {
             start in 0..320usize,
             n in 0..320usize,
             keep in 0..700usize,
+            picks in (vec(any::<bool>(), 0..320), vec(0..320usize, 0..200)),
         ) {
+            let (lanes_kept, idx) = picks;
             let flags: Vec<bool> = valid.iter().map(|&v| v || !nulls).collect();
             let src = lanes(&flags, text);
             let head = lanes(&head, text);
@@ -1156,6 +1233,21 @@ mod tests {
             assert_bits(&got.valid, &flags_of(&want));
             let empty = Column::new(src.dtype());
             prop_assert_eq!(src.slice(start, n), lane_by_lane(&empty, &src, start, n));
+            let picked = |lanes: &mut dyn Iterator<Item = usize>| {
+                let mut out = empty.clone();
+                lanes.for_each(|i| out.push_from(&src, i).unwrap());
+                out
+            };
+            let kept = (0..src.len()).filter(|&i| lanes_kept.get(i) == Some(&true));
+            let want_kept = picked(&mut kept.clone());
+            let got_kept = src.filter(&lanes_kept, kept.count());
+            prop_assert_eq!(&got_kept, &want_kept);
+            assert_bits(&got_kept.valid, &flags_of(&want_kept));
+            let idx: Vec<usize> = idx.into_iter().filter(|&i| i < src.len()).collect();
+            let got_picked = src.gather(&idx).unwrap();
+            let want_picked = picked(&mut idx.iter().copied());
+            prop_assert_eq!(&got_picked, &want_picked);
+            assert_bits(&got_picked.valid, &flags_of(&want_picked));
             got.append(&src).unwrap();
             want = lane_by_lane(&want, &src, 0, src.len());
             prop_assert_eq!(&got, &want);

@@ -43,8 +43,6 @@ pub struct NoDbConfig {
     pub cache_cost_weight: u64,
     /// Tuples per positional-map block.
     pub posmap_block_rows: usize,
-    /// Spill directory for evicted positional-map chunks.
-    pub posmap_spill_dir: Option<PathBuf>,
     /// Offer every `stats_sample_stride`-th row to the statistics
     /// builders (1 = every row).
     pub stats_sample_stride: u64,
@@ -74,7 +72,6 @@ impl NoDbConfig {
             cache_budget: knob::CACHE_BUDGET.env_default(),
             cache_cost_weight: 16,
             posmap_block_rows: 4096,
-            posmap_spill_dir: None,
             stats_sample_stride: 16,
             loaded_profile: EngineProfile::PostgresLike,
             pool_pages: 4096,

@@ -147,8 +147,8 @@ impl RawTableRuntime {
             posmap: RwLock::new(PositionalMap::new(PosMapConfig {
                 block_rows: cfg.posmap_block_rows,
                 budget: cfg.posmap_budget,
-                spill_dir: cfg.posmap_spill_dir.clone(),
                 workload: Some(Arc::clone(&workload)),
+                ..PosMapConfig::default()
             })),
             cache: RwLock::new(RawCache::new(CacheConfig {
                 budget: cfg.cache_budget,

@@ -55,9 +55,9 @@
 //! * **Warm (map-covered) blocks** look up their cache columns first,
 //!   once per attribute, under shared locks. A block those columns answer
 //!   whole, and whose map chunks need no re-collecting, is served from the
-//!   cache: it takes no map snapshot, reloads no spilled chunk, copies no
-//!   line bounds and is formed as one run that reads no raw byte — it only
-//!   stamps its chunks' recency, as a snapshot would. Other warm blocks
+//!   cache: it takes no map snapshot, copies no line bounds and is
+//!   formed as one run that reads no raw byte — it only stamps its
+//!   chunks' recency, as a snapshot would. Other warm blocks
 //!   snapshot their temporary map and line bounds, release the locks, and
 //!   form their runs — the lines of at most `RANGE_READ` raw bytes each —
 //!   holding nothing.
@@ -572,17 +572,11 @@ impl InSituScanOp {
             .ok_or_else(|| NoDbError::internal("EOL coverage changed mid-scan"))?
             .to_vec();
         bounds.push(end_bound);
-        // `entries` is `None` when a needed chunk is spilled (reloaded
-        // under the write lock below).
         let entries = match map {
-            true => pm.fetch_block_shared(block, &needed).map(|v| v.entries),
-            false => Some(vec![AttrPositions::None; needed.len()]),
+            true => pm.fetch_block(block, &needed).entries,
+            false => vec![AttrPositions::None; needed.len()],
         };
         drop(pm);
-        let entries = match entries {
-            Some(e) => e,
-            None => runtime.posmap.write().fetch_block(block, &needed).entries,
-        };
 
         // Columns the cache holds complete get no builder: warm queries
         // must not pay for the cache they benefit from.

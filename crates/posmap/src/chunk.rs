@@ -1,13 +1,9 @@
 //! Positional-map chunks: one block of tuples × one set of attributes.
 //!
-//! A chunk is the unit of storage, eviction and spilling. Offsets are
+//! A chunk is the unit of storage and eviction. Offsets are
 //! relative to the tuple's line start ("holding relative positions reduces
 //! storage requirements per position", §4.2) and are narrowed to 16 bits
 //! when every line in the block is short enough.
-
-use std::io::{Read, Write};
-
-use nodb_common::{NoDbError, Result};
 
 /// Relative attribute offsets, row-major (`rows × attrs.len()`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,96 +105,6 @@ impl Chunk {
     pub fn pointer_count(&self) -> u64 {
         self.offsets.len() as u64
     }
-
-    /// Serialize for spilling. Format: `rows:u32, nattrs:u32, width:u8,
-    /// attrs…, offsets…`, all little-endian.
-    pub fn serialize(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.block.to_le_bytes());
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        // CAST: attrs are u32 file ordinals, so their count fits u32.
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
-        match &self.offsets {
-            OffsetStore::U16(_) => out.push(2),
-            OffsetStore::U32(_) => out.push(4),
-        }
-        for a in &self.attrs {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        match &self.offsets {
-            OffsetStore::U16(v) => {
-                for o in v {
-                    out.extend_from_slice(&o.to_le_bytes());
-                }
-            }
-            OffsetStore::U32(v) => {
-                for o in v {
-                    out.extend_from_slice(&o.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Chunk::serialize`].
-    pub fn deserialize(mut data: &[u8]) -> Result<Chunk> {
-        let mut u64buf = [0u8; 8];
-        let mut u32buf = [0u8; 4];
-        let mut u16buf = [0u8; 2];
-        let mut u8buf = [0u8; 1];
-        data.read_exact(&mut u64buf)?;
-        let block = u64::from_le_bytes(u64buf);
-        data.read_exact(&mut u32buf)?;
-        let rows = u32::from_le_bytes(u32buf);
-        data.read_exact(&mut u32buf)?;
-        let nattrs = u32::from_le_bytes(u32buf) as usize;
-        data.read_exact(&mut u8buf)?;
-        let width = u8buf[0];
-        let mut attrs = Vec::with_capacity(nattrs);
-        for _ in 0..nattrs {
-            data.read_exact(&mut u32buf)?;
-            attrs.push(u32::from_le_bytes(u32buf));
-        }
-        let count = rows as usize * nattrs;
-        let offsets = match width {
-            2 => {
-                let mut v = Vec::with_capacity(count);
-                for _ in 0..count {
-                    data.read_exact(&mut u16buf)?;
-                    v.push(u16::from_le_bytes(u16buf));
-                }
-                OffsetStore::U16(v)
-            }
-            4 => {
-                let mut v = Vec::with_capacity(count);
-                for _ in 0..count {
-                    data.read_exact(&mut u32buf)?;
-                    v.push(u32::from_le_bytes(u32buf));
-                }
-                OffsetStore::U32(v)
-            }
-            w => return Err(NoDbError::internal(format!("bad spilled chunk width {w}"))),
-        };
-        Ok(Chunk {
-            block,
-            rows,
-            attrs,
-            offsets,
-        })
-    }
-
-    /// Write the serialized chunk to a file.
-    pub fn spill_to(&self, path: &std::path::Path) -> Result<()> {
-        let mut buf = Vec::with_capacity(self.bytes() + 32);
-        self.serialize(&mut buf);
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&buf)?;
-        Ok(())
-    }
-
-    /// Read a spilled chunk back.
-    pub fn load_from(path: &std::path::Path) -> Result<Chunk> {
-        let data = std::fs::read(path)?;
-        Chunk::deserialize(&data)
-    }
 }
 
 /// Accumulates positions while a scan tokenizes one block, producing a
@@ -255,7 +161,6 @@ impl BlockCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nodb_common::TempDir;
     use proptest::prelude::*;
 
     fn sample_chunk() -> Chunk {
@@ -286,33 +191,9 @@ mod tests {
         assert_eq!(c.offset(0, 0), 70_000);
     }
 
-    #[test]
-    fn serialize_roundtrip() {
-        let c = sample_chunk();
-        let mut buf = Vec::new();
-        c.serialize(&mut buf);
-        assert_eq!(Chunk::deserialize(&buf).unwrap(), c);
-    }
-
-    #[test]
-    fn spill_and_reload() {
-        let td = TempDir::new("nodb-pm").unwrap();
-        let p = td.file("c0.pm");
-        let c = sample_chunk();
-        c.spill_to(&p).unwrap();
-        assert_eq!(Chunk::load_from(&p).unwrap(), c);
-    }
-
-    #[test]
-    fn deserialize_rejects_truncated_input() {
-        let c = sample_chunk();
-        let mut buf = Vec::new();
-        c.serialize(&mut buf);
-        buf.truncate(buf.len() - 1);
-        assert!(Chunk::deserialize(&buf).is_err());
-    }
-
     proptest! {
+        /// Every pushed offset reads back through `Chunk::offset`, and the
+        /// chunk is 16-bit exactly when every offset fits in 16 bits.
         #[test]
         fn roundtrip_random_chunks(
             attrs in proptest::collection::vec(0u32..200, 1..6),
@@ -320,14 +201,19 @@ mod tests {
                 proptest::collection::vec(0u32..100_000, 6), 0..20),
         ) {
             let nattrs = attrs.len();
-            let mut coll = BlockCollector::new(7, attrs);
+            let mut coll = BlockCollector::new(7, attrs.clone());
             for r in &rows {
                 coll.push_row(&r[..nattrs]);
             }
             let c = coll.build();
-            let mut buf = Vec::new();
-            c.serialize(&mut buf);
-            prop_assert_eq!(Chunk::deserialize(&buf).unwrap(), c);
+            prop_assert_eq!((c.block, c.rows as usize, &c.attrs), (7, rows.len(), &attrs));
+            for (r, row) in rows.iter().enumerate() {
+                for (a, &want) in row[..nattrs].iter().enumerate() {
+                    prop_assert_eq!(c.offset(r as u32, a), want);
+                }
+            }
+            let narrow = rows.iter().all(|r| r[..nattrs].iter().all(|&o| o <= u32::from(u16::MAX)));
+            prop_assert_eq!(matches!(c.offsets, OffsetStore::U16(_)), narrow);
         }
     }
 }

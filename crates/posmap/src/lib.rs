@@ -26,8 +26,10 @@
 //! * **Pre-fetching into a temporary map** — [`BlockView`] is exactly the
 //!   paper's per-query temporary map: all positional information a query
 //!   needs for a batch, precomputed, then dropped.
-//! * **Storage threshold + LRU** — [`PosMapConfig::budget`]; evicted
-//!   chunks can be **spilled to disk** and transparently reloaded.
+//! * **Storage threshold + LRU** — [`PosMapConfig::budget`]; an evicted
+//!   chunk is dropped, and a later query that needs it re-tokenizes the
+//!   block. The map lives in memory only: §4.2's option of writing parts
+//!   of it to disk is a measured non-goal (see the README).
 //! * **Droppable** — the map is auxiliary state; [`PositionalMap::clear`]
 //!   loses no critical information.
 

@@ -1,11 +1,10 @@
-//! The adaptive positional map proper: directory, budget, LRU, spilling.
+//! The adaptive positional map proper: directory, budget, LRU eviction.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nodb_common::{ByteSize, Result, WorkloadLog};
+use nodb_common::{ByteSize, WorkloadLog};
 
 use crate::chunk::Chunk;
 use crate::eol::EolIndex;
@@ -23,10 +22,12 @@ pub struct PosMapConfig {
     /// end-of-line index is accounted separately (it is the minimal map
     /// the cache-only variant also keeps).
     pub budget: Option<ByteSize>,
-    /// When set, evicted chunks are written here and transparently
-    /// reloaded on access instead of being re-built by re-parsing (§4.2,
-    /// "writing parts of the positional map from memory to disk").
-    pub spill_dir: Option<PathBuf>,
+    /// Always `None`: the type admits no other value, so this is no knob.
+    /// It exists only so that the benchmark's `posmap.fetch_block_ns`
+    /// probe, which still names the field, keeps compiling; the next
+    /// benchmark change (ROADMAP item 1) deletes it. Chunks are never
+    /// spilled to disk: an evicted chunk is dropped.
+    pub spill_dir: Option<std::convert::Infallible>,
     /// Per-attribute access-frequency log. When present, budget
     /// evictions pick the chunk whose hottest attribute is coldest
     /// (recency breaking ties) instead of pure LRU, so the map retains
@@ -50,15 +51,9 @@ impl Default for PosMapConfig {
 pub struct MapStats {
     /// Chunks inserted.
     pub inserts: u64,
-    /// Chunks dropped entirely (no spill configured or spill failed).
+    /// Chunks evicted by the budget (an evicted chunk is dropped).
     pub drops: u64,
-    /// Chunks written to the spill directory.
-    pub spills: u64,
-    /// Spilled chunks read back on access.
-    pub reloads: u64,
-    /// Temporary maps built: block fetches that copied positions out
-    /// (a shared fetch that met a spilled chunk is counted once, by the
-    /// exclusive fetch that retries it).
+    /// Temporary maps built: block fetches that copied positions out.
     pub snapshots: u64,
 }
 
@@ -117,19 +112,9 @@ pub struct BlockView {
 }
 
 #[derive(Debug)]
-enum SlotState {
-    InMem(Chunk),
-    Spilled {
-        path: PathBuf,
-        bytes: usize,
-        rows: u32,
-    },
-    Free,
-}
-
-#[derive(Debug)]
 struct Slot {
-    state: SlotState,
+    /// `None` once evicted (the slot is on the free list).
+    chunk: Option<Chunk>,
     /// LRU recency stamp. Atomic so that read-locked (`&self`) block
     /// fetches from concurrent warm scans still update recency.
     last_touch: AtomicU64,
@@ -138,7 +123,7 @@ struct Slot {
 /// The adaptive positional map for a single raw file.
 ///
 /// See the crate docs for the faithful-behaviour summary. All methods are
-/// infallible except those that touch the spill directory.
+/// infallible.
 #[derive(Debug)]
 pub struct PositionalMap {
     cfg: PosMapConfig,
@@ -152,7 +137,6 @@ pub struct PositionalMap {
     /// [`MapStats::snapshots`]; atomic so shared-lock readers count too.
     snapshots: AtomicU64,
     bytes_in_mem: usize,
-    spill_seq: u64,
     stats: MapStats,
 }
 
@@ -168,7 +152,6 @@ impl PositionalMap {
             clock: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             bytes_in_mem: 0,
-            spill_seq: 0,
             stats: MapStats::default(),
         }
     }
@@ -203,10 +186,8 @@ impl PositionalMap {
         let chunk_ptrs: u64 = self
             .slots
             .iter()
-            .map(|s| match &s.state {
-                SlotState::InMem(c) => c.pointer_count(),
-                _ => 0,
-            })
+            .filter_map(|s| s.chunk.as_ref())
+            .map(Chunk::pointer_count)
             .sum();
         chunk_ptrs + self.eol.pointer_count()
     }
@@ -221,7 +202,7 @@ impl PositionalMap {
 
     /// Insert a chunk built by a scan. Newer chunks shadow older ones in
     /// the directory for the attributes they cover; the budget is enforced
-    /// afterwards with LRU eviction (spilling when configured).
+    /// afterwards with LRU eviction.
     pub fn insert(&mut self, chunk: Chunk) {
         if chunk.rows == 0 || chunk.attrs.is_empty() {
             return;
@@ -231,7 +212,7 @@ impl PositionalMap {
         let block = chunk.block;
         let attrs = chunk.attrs.clone();
         let slot_id = self.alloc_slot(Slot {
-            state: SlotState::InMem(chunk),
+            chunk: Some(chunk),
             last_touch: AtomicU64::new(now),
         });
         let block_dir = self.dir.entry(block).or_default();
@@ -249,10 +230,10 @@ impl PositionalMap {
 
     /// Pre-fetch positional information for `attrs` over `block` — builds
     /// the temporary map for one batch. Access order inside the scan is
-    /// up to the caller (WHERE attributes first; see nodb-core). Spilled
-    /// chunks are reloaded from disk, which is why this needs `&mut`; the
-    /// common warm-path alternative is [`PositionalMap::fetch_block_shared`].
-    pub fn fetch_block(&mut self, block: u64, attrs: &[u32]) -> BlockView {
+    /// up to the caller (WHERE attributes first; see nodb-core). Concurrent
+    /// warm scans call this under a read lock: recency still advances (the
+    /// LRU stamps are atomic).
+    pub fn fetch_block(&self, block: u64, attrs: &[u32]) -> BlockView {
         let clock = self.tick();
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         let mut entries = Vec::with_capacity(attrs.len());
@@ -278,87 +259,47 @@ impl PositionalMap {
         }
     }
 
-    /// Shared-lock variant of [`PositionalMap::fetch_block`]: concurrent
-    /// warm scans call this under a read lock. Recency still advances
-    /// (the LRU stamps are atomic). Returns `None` when any needed chunk
-    /// is spilled to disk — reloading mutates the map, so the caller must
-    /// retry with a write lock and `fetch_block`.
+    /// [`PositionalMap::fetch_block`], always `Some`. It exists only so
+    /// that the benchmark's `posmap.fetch_block_ns` probe, which still
+    /// calls it, keeps compiling; the next benchmark change (ROADMAP
+    /// item 1) deletes it.
+    #[doc(hidden)]
     pub fn fetch_block_shared(&self, block: u64, attrs: &[u32]) -> Option<BlockView> {
-        let clock = self.tick();
-        let mut entries = Vec::with_capacity(attrs.len());
-        let mut rows = 0u32;
-        for &attr in attrs {
-            let entry = match self.slot_for(block, attr) {
-                Some((held, slot)) => match self.column_of_shared(slot, held, clock)? {
-                    Some(col) => {
-                        // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
-                        rows = rows.max(col.len() as u32);
-                        AttrPositions::of(attr, held, col)
-                    }
-                    None => AttrPositions::None,
-                },
-                None => AttrPositions::None,
-            };
-            entries.push(entry);
-        }
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        Some(BlockView {
-            block,
-            entries,
-            rows,
-        })
+        Some(self.fetch_block(block, attrs))
     }
 
-    /// Stamp the in-memory chunks a [`PositionalMap::fetch_block_shared`]
-    /// of `attrs` over `block` would read with one recency tick, copying
-    /// no position and reloading no spilled chunk: a block the cache
-    /// answers whole keeps its chunks exactly as recent as one that reads
-    /// them, so the eviction order does not depend on which it was.
+    /// Stamp the chunks a [`PositionalMap::fetch_block`] of `attrs` over
+    /// `block` would read with one recency tick, copying no position: a
+    /// block the cache answers whole keeps its chunks exactly as recent
+    /// as one that reads them, so the eviction order does not depend on
+    /// which it was.
     pub fn touch_block(&self, block: u64, attrs: &[u32]) {
         let clock = self.tick();
         for &attr in attrs {
-            let slot = self.slot_for(block, attr).map(|(_, slot)| slot);
-            if let Some(s) = slot.and_then(|s| self.slots.get(s)) {
-                if matches!(s.state, SlotState::InMem(_)) {
-                    s.last_touch.store(clock, Ordering::Relaxed);
-                }
+            if let Some((_, slot)) = self.slot_for(block, attr) {
+                self.slots[slot].last_touch.store(clock, Ordering::Relaxed);
             }
         }
     }
 
-    /// `column_of` without the reload path: outer `None` means "spilled,
-    /// needs a write lock"; inner `None` means the slot does not cover
-    /// the attribute.
-    #[allow(clippy::option_option)]
-    fn column_of_shared(&self, slot_id: usize, attr: u32, clock: u64) -> Option<Option<Vec<u32>>> {
+    /// Copy one attribute's offsets out of a slot and stamp its recency.
+    /// `None` when the slot does not cover the attribute.
+    fn column_of(&self, slot_id: usize, attr: u32, clock: u64) -> Option<Vec<u32>> {
         let slot = &self.slots[slot_id];
-        match &slot.state {
-            SlotState::Spilled { .. } => None,
-            SlotState::InMem(c) => {
-                slot.last_touch.store(clock, Ordering::Relaxed);
-                Some(
-                    c.attrs
-                        .iter()
-                        .position(|&a| a == attr)
-                        .map(|pos| c.attr_column(pos)),
-                )
-            }
-            SlotState::Free => Some(None),
-        }
+        let c = slot.chunk.as_ref()?;
+        slot.last_touch.store(clock, Ordering::Relaxed);
+        let pos = c.attrs.iter().position(|&a| a == attr)?;
+        Some(c.attr_column(pos))
     }
 
     /// Rows covered by the chunk indexing `attr` in `block` (0 when
-    /// unindexed; spilled chunks report their recorded extent). Used to
-    /// detect blocks that grew through appends (§4.5).
+    /// unindexed). Used to detect blocks that grew through appends
+    /// (§4.5).
     pub fn covered_rows(&self, block: u64, attr: u32) -> u32 {
         let Some(&slot) = self.dir.get(&block).and_then(|bd| bd.get(&attr)) else {
             return 0;
         };
-        match &self.slots[slot].state {
-            SlotState::InMem(c) => c.rows,
-            SlotState::Spilled { rows, .. } => *rows,
-            SlotState::Free => 0,
-        }
+        self.slots[slot].chunk.as_ref().map_or(0, |c| c.rows)
     }
 
     /// The paper's re-combination rule (§4.2, "Adaptive Behavior"): a new
@@ -387,12 +328,6 @@ impl PositionalMap {
     /// Drop everything (the map is auxiliary; §4.2 "may be dropped fully
     /// or partly at any time without any loss of critical information").
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            if let SlotState::Spilled { path, .. } = &slot.state {
-                let _ = std::fs::remove_file(path);
-            }
-            slot.state = SlotState::Free;
-        }
         self.slots.clear();
         self.free.clear();
         self.dir.clear();
@@ -407,25 +342,6 @@ impl PositionalMap {
         } else {
             self.slots.push(slot);
             self.slots.len() - 1
-        }
-    }
-
-    /// Copy one attribute's offsets out of a slot, reloading from spill if
-    /// needed. Returns `None` when the slot no longer covers the attr.
-    fn column_of(&mut self, slot_id: usize, attr: u32, clock: u64) -> Option<Vec<u32>> {
-        // Reload first if spilled.
-        let need_reload = matches!(self.slots[slot_id].state, SlotState::Spilled { .. });
-        if need_reload && self.reload(slot_id).is_err() {
-            return None;
-        }
-        let slot = &mut self.slots[slot_id];
-        slot.last_touch.store(clock, Ordering::Relaxed);
-        match &slot.state {
-            SlotState::InMem(c) => {
-                let pos = c.attrs.iter().position(|&a| a == attr)?;
-                Some(c.attr_column(pos))
-            }
-            _ => None,
         }
     }
 
@@ -460,22 +376,6 @@ impl PositionalMap {
         }
     }
 
-    fn reload(&mut self, slot_id: usize) -> Result<()> {
-        let (path, bytes) = match &self.slots[slot_id].state {
-            SlotState::Spilled { path, bytes, .. } => (path.clone(), *bytes),
-            _ => return Ok(()),
-        };
-        let chunk = Chunk::load_from(&path)?;
-        let _ = std::fs::remove_file(&path);
-        self.slots[slot_id].state = SlotState::InMem(chunk);
-        self.bytes_in_mem += bytes;
-        self.stats.reloads += 1;
-        // Reloading may push us over budget again; evict others (the
-        // just-reloaded slot is the most recently touched).
-        self.enforce_budget(slot_id);
-        Ok(())
-    }
-
     fn enforce_budget(&mut self, protect: usize) {
         let Some(budget) = self.cfg.budget else {
             return;
@@ -493,7 +393,7 @@ impl PositionalMap {
             let mut victim: Option<(usize, (u64, u64))> = None;
             let mut in_mem = 0usize;
             for (id, s) in self.slots.iter().enumerate() {
-                if let SlotState::InMem(c) = &s.state {
+                if let Some(c) = &s.chunk {
                     in_mem += 1;
                     if id != protect {
                         let touch = s.last_touch.load(Ordering::Relaxed);
@@ -528,29 +428,12 @@ impl PositionalMap {
         }
     }
 
+    /// Drop a chunk: its directory entries go and its slot is freed.
     fn evict(&mut self, slot_id: usize) {
-        let state = std::mem::replace(&mut self.slots[slot_id].state, SlotState::Free);
-        let SlotState::InMem(chunk) = state else {
-            self.slots[slot_id].state = state;
+        let Some(chunk) = self.slots[slot_id].chunk.take() else {
             return;
         };
-        let bytes = chunk.bytes();
-        self.bytes_in_mem -= bytes;
-        if let Some(dir) = self.cfg.spill_dir.clone() {
-            let _ = std::fs::create_dir_all(&dir);
-            self.spill_seq += 1;
-            let path = dir.join(format!("chunk-{:08}.pm", self.spill_seq));
-            if chunk.spill_to(&path).is_ok() {
-                self.stats.spills += 1;
-                self.slots[slot_id].state = SlotState::Spilled {
-                    path,
-                    bytes,
-                    rows: chunk.rows,
-                };
-                return;
-            }
-        }
-        // Dropped outright: remove directory entries pointing at this slot.
+        self.bytes_in_mem -= chunk.bytes();
         self.stats.drops += 1;
         if let Some(bd) = self.dir.get_mut(&chunk.block) {
             bd.retain(|_, &mut s| s != slot_id);
@@ -566,7 +449,6 @@ impl PositionalMap {
 mod tests {
     use super::*;
     use crate::chunk::BlockCollector;
-    use nodb_common::TempDir;
 
     fn chunk(block: u64, attrs: &[u32], rows: u32, base: u32) -> Chunk {
         let mut c = BlockCollector::new(block, attrs.to_vec());
@@ -662,41 +544,33 @@ mod tests {
     }
 
     /// A touch keeps a block's chunks (direct and anchor) exactly as
-    /// recent as a shared fetch does, without counting a snapshot or
-    /// reloading a spilled chunk.
+    /// recent as a fetch does, without counting a snapshot.
     #[test]
     fn touch_stamps_what_a_fetch_stamps() {
-        let td = TempDir::new("nodb-pm").unwrap();
-        // 200 bytes hold two chunks; 100 bytes one.
-        let cfg = |budget: u64, spill: bool| PosMapConfig {
-            budget: Some(ByteSize(budget)),
-            spill_dir: spill.then(|| td.path().to_path_buf()),
-            ..Default::default()
-        };
         // Which of blocks 0 and 1 survives block 2's insert, after block
-        // 0's chunk is read as attribute 3's anchor.
+        // 0's chunk is read as attribute 3's anchor. 200 bytes hold two
+        // chunks.
         let survivors = |read: &dyn Fn(&PositionalMap)| {
-            let mut m = PositionalMap::new(cfg(200, false));
+            let mut m = PositionalMap::new(PosMapConfig {
+                budget: Some(ByteSize(200)),
+                ..Default::default()
+            });
             m.insert(chunk(0, &[1], 16, 0));
             m.insert(chunk(1, &[2], 16, 0));
             read(&m);
             m.insert(chunk(2, &[1], 16, 0));
-            let kept =
-                |b: u64, a: u32| !m.fetch_block_shared(b, &[a]).unwrap().entries[0].is_none();
+            let kept = |b: u64, a: u32| !m.fetch_block(b, &[a]).entries[0].is_none();
             (kept(0, 1), kept(1, 2))
         };
-        let fetched = survivors(&|m| drop(m.fetch_block_shared(0, &[3])));
+        let fetched = survivors(&|m| drop(m.fetch_block(0, &[3])));
         assert_eq!(fetched, (true, false));
         assert_eq!(survivors(&|m| m.touch_block(0, &[3])), fetched);
-        let mut m = PositionalMap::new(cfg(100, true));
+        let mut m = PositionalMap::new(PosMapConfig::default());
         m.insert(chunk(0, &[1], 16, 0));
-        m.insert(chunk(1, &[1], 16, 0)); // spills block 0
-        assert!(m.stats().spills >= 1);
-        m.touch_block(0, &[1]);
-        m.touch_block(1, &[1]);
-        assert_eq!((m.stats().reloads, m.stats().snapshots), (0, 0));
+        m.touch_block(0, &[1, 3]);
+        assert_eq!(m.stats().snapshots, 0);
         let _ = m.fetch_block(0, &[1]);
-        assert_eq!((m.stats().reloads, m.stats().snapshots), (1, 1));
+        assert_eq!(m.stats().snapshots, 1);
     }
 
     #[test]
@@ -729,44 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn spill_and_reload_preserves_positions() {
-        let td = TempDir::new("nodb-pm").unwrap();
-        let cfg = PosMapConfig {
+    fn clear_removes_everything() {
+        let mut m = PositionalMap::new(PosMapConfig {
             budget: Some(ByteSize(100)),
-            spill_dir: Some(td.path().to_path_buf()),
             ..Default::default()
-        };
-        let mut m = PositionalMap::new(cfg);
-        m.insert(chunk(0, &[1], 16, 7));
-        m.insert(chunk(1, &[1], 16, 9)); // evicts block 0 to disk
-        assert!(m.stats().spills >= 1);
-        // Access block 0 again: reloaded from spill, same positions.
-        match &m.fetch_block(0, &[1]).entries[0] {
-            AttrPositions::Exact(col) => assert_eq!(col[0], 17),
-            other => panic!("expected exact after reload, got {other:?}"),
-        }
-        assert!(m.stats().reloads >= 1);
-    }
-
-    #[test]
-    fn clear_removes_everything_including_spill_files() {
-        let td = TempDir::new("nodb-pm").unwrap();
-        let cfg = PosMapConfig {
-            budget: Some(ByteSize(100)),
-            spill_dir: Some(td.path().to_path_buf()),
-            ..Default::default()
-        };
-        let mut m = PositionalMap::new(cfg);
+        });
         m.insert(chunk(0, &[1], 16, 0));
         m.insert(chunk(1, &[1], 16, 0));
-        assert!(m.stats().spills >= 1, "setup must actually spill");
+        assert!(m.stats().drops >= 1, "setup must actually evict");
         m.eol_mut().absorb_segment(0, &[0], 10);
         m.clear();
         assert_eq!(m.bytes_in_memory(), 0);
         assert_eq!(m.pointer_count(), 0);
-        assert!(m.fetch_block(0, &[1]).entries[0].is_none());
-        let leftover = std::fs::read_dir(td.path()).unwrap().count();
-        assert_eq!(leftover, 0);
+        assert!(m.fetch_block(1, &[1]).entries[0].is_none());
     }
 
     #[test]
