@@ -196,6 +196,11 @@ impl Bitmap {
     /// zero and `ones` of which are set.
     #[inline]
     fn push_word(&mut self, bits: u64, n: usize, ones: usize) {
+        // No bits, no word: an empty word at a word boundary would shift
+        // every later bit one word up.
+        if n == 0 {
+            return;
+        }
         let off = self.len % 64;
         match off {
             0 => self.words.push(bits),
@@ -1060,6 +1065,14 @@ mod tests {
         assert_eq!(got, [c.value(3), Value::Null, c.value(0), c.value(3)]);
         let f = c.filter(&[true, true, false, true], 3);
         assert_eq!((f.value(1), f.value(2)), (Value::Null, c.value(3)));
+        // A whole word of dropped lanes first, then the kept ones.
+        let mut vals = vec![Value::Int64(7); 128];
+        vals[100] = Value::Null;
+        let c128 = Column::from_values(DataType::Int64, &vals).unwrap();
+        let keep: Vec<bool> = (0..128).map(|i| i >= 64).collect();
+        let f = c128.filter(&keep, 64);
+        let want: Vec<Value> = (64..128).map(|i| c128.value(i)).collect();
+        assert_eq!((0..64).map(|i| f.value(i)).collect::<Vec<_>>(), want);
         let s = c.slice(1, 2);
         assert_eq!((s.len(), s.value(1)), (2, c.value(2)));
         let mut a = c.slice(0, 1);
@@ -1219,9 +1232,13 @@ mod tests {
             start in 0..320usize,
             n in 0..320usize,
             keep in 0..700usize,
-            picks in (vec(any::<bool>(), 0..320), vec(0..320usize, 0..200)),
+            picks in (vec((any::<bool>(), 0..130usize), 0..6), vec(0..320usize, 0..200)),
         ) {
-            let (lanes_kept, idx) = picks;
+            // `keep` comes as runs, so whole words of dropped lanes occur.
+            let (runs, idx) = picks;
+            let lanes_kept: Vec<bool> = (runs.iter())
+                .flat_map(|&(k, n)| std::iter::repeat_n(k, n))
+                .collect();
             let flags: Vec<bool> = valid.iter().map(|&v| v || !nulls).collect();
             let src = lanes(&flags, text);
             let head = lanes(&head, text);
