@@ -76,13 +76,15 @@ impl Config {
                 // The cache's column builder: the scan kernel writes
                 // every value it converts through it.
                 "crates/cache/src/column.rs",
-                // The other leaves: the heap scan, its page reader and
-                // its tuple decoder (a truncated page, slot or overflow
-                // record must be a typed error), and the FITS scan.
+                // The other leaf: the heap scan, its page reader and its
+                // tuple decoder (a truncated page, slot or overflow
+                // record must be a typed error).
                 "crates/storage/src/engine.rs",
                 "crates/storage/src/page.rs",
                 "crates/storage/src/tuple.rs",
-                "crates/fits/src/provider.rs",
+                // The FITS record format the in-situ scan decodes every
+                // FITS value through.
+                "crates/fits/src/format.rs",
             ]
             .map(String::from)
             .to_vec(),

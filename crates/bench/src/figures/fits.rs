@@ -4,9 +4,9 @@
 use std::path::Path;
 
 use nodb_common::Result;
-use nodb_core::{NoDb, NoDbConfig};
+use nodb_core::{AccessMode, NoDb, NoDbConfig};
 use nodb_fits::procedural::ProcAgg;
-use nodb_fits::{FitsProvider, ProceduralFits};
+use nodb_fits::ProceduralFits;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,10 +63,8 @@ pub fn fig11(scale: Scale, out: &Path) -> Result<()> {
 
     // PostgresRaw over FITS (cache carries the adaptation; no positional
     // map is needed for fixed-width rows).
-    let provider = FitsProvider::open(&path)?;
-    let schema = provider.table().schema()?;
     let mut db = NoDb::new(NoDbConfig::postgres_raw())?;
-    db.register_provider("sky", schema, Box::new(provider))?;
+    db.register_fits("sky", &path, AccessMode::InSitu)?;
     let mut raw_times = Vec::with_capacity(n_queries);
     for (col, agg) in &workload {
         let func = match agg {

@@ -157,11 +157,6 @@ impl RawCache {
         }
     }
 
-    /// Exclusive-access alias of [`RawCache::get_shared`].
-    pub fn get(&mut self, block: u64, attr: u32) -> Option<Arc<CachedColumn>> {
-        self.get_shared(block, attr)
-    }
-
     /// Peek without touching recency or counters (for reporting).
     pub fn peek(&self, block: u64, attr: u32) -> Option<&CachedColumn> {
         self.entries.get(&(block, attr)).map(|e| e.col.as_ref())
@@ -298,8 +293,8 @@ mod tests {
     fn get_after_insert_hits() {
         let mut c = RawCache::new(CacheConfig::default());
         c.insert(full_col(0, 5, DataType::Int32, 16));
-        assert!(c.get(0, 5).is_some());
-        assert!(c.get(0, 6).is_none());
+        assert!(c.get_shared(0, 5).is_some());
+        assert!(c.get_shared(0, 6).is_none());
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -320,7 +315,7 @@ mod tests {
         c.insert(partial1);
         c.insert(partial2);
         assert_eq!(c.stats().merges, 1);
-        let col = c.get(0, 1).unwrap();
+        let col = c.get_shared(0, 1).unwrap();
         assert_eq!(col.get(0), Some(Value::Int32(10)));
         assert_eq!(col.get(2), Some(Value::Int32(30)));
         assert_eq!(col.get(1), None);
@@ -337,7 +332,7 @@ mod tests {
         let mut c = RawCache::new(cfg);
         c.insert(full_col(0, 0, DataType::Int32, 256));
         c.insert(full_col(1, 0, DataType::Int32, 256));
-        let _ = c.get(0, 0); // make block 1 the LRU
+        let _ = c.get_shared(0, 0); // make block 1 the LRU
         c.insert(full_col(2, 0, DataType::Int32, 256));
         assert!(c.bytes() <= one * 2 + one / 2);
         assert!(c.peek(0, 0).is_some(), "recently used survives");
@@ -450,7 +445,7 @@ mod tests {
         let mut c = RawCache::new(cfg);
         c.insert(full_col(0, 0, DataType::Int32, 256)); // hot attr
         c.insert(full_col(1, 1, DataType::Int32, 256)); // cold attr
-        let _ = c.get(1, 1); // cold is now the most recently used
+        let _ = c.get_shared(1, 1); // cold is now the most recently used
         c.insert(full_col(2, 0, DataType::Int32, 256)); // forces one eviction
         assert!(c.peek(0, 0).is_some(), "hot column survives");
         assert!(
@@ -474,7 +469,7 @@ mod tests {
         let mut c = RawCache::new(cfg);
         c.insert(full_col(0, 0, DataType::Int32, 256));
         c.insert(full_col(1, 0, DataType::Int32, 256));
-        let _ = c.get(0, 0); // block 1 becomes LRU
+        let _ = c.get_shared(0, 0); // block 1 becomes LRU
         c.insert(full_col(2, 0, DataType::Int32, 256));
         assert!(c.peek(0, 0).is_some());
         assert!(c.peek(1, 0).is_none(), "LRU tie-break");

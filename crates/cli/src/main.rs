@@ -17,7 +17,6 @@ use std::path::Path;
 use nodb_common::{knob, Schema};
 use nodb_core::{AccessMode, NoDb, NoDbConfig};
 use nodb_csv::CsvOptions;
-use nodb_fits::FitsProvider;
 use nodb_server::{collect_stats, NodbClient, StatsPayload};
 
 mod commands;
@@ -171,9 +170,7 @@ fn execute(
         } => {
             let p = Path::new(&path);
             if path.ends_with(".fits") {
-                let provider = FitsProvider::open(p)?;
-                let schema = provider.table().schema()?;
-                db.register_provider(&name, schema, Box::new(provider))?;
+                db.register_fits(&name, p, AccessMode::InSitu)?;
             } else if path.ends_with(".jsonl") || path.ends_with(".ndjson") {
                 let schema = Schema::parse(&schema.ok_or("JSONL files need a schema string")?)?;
                 db.register_jsonl(&name, p, schema, AccessMode::InSitu)?;

@@ -794,8 +794,15 @@ impl Column {
         Ok(())
     }
 
-    /// The lanes at `idx`, in that order (a lane may repeat).
+    /// The lanes at `idx`, in that order (a lane may repeat). An index
+    /// past the end is an internal error.
     pub fn gather(&self, idx: &[usize]) -> Result<Column> {
+        if let Some(i) = idx.iter().copied().find(|&i| i >= self.len()) {
+            return Err(NoDbError::internal(format!(
+                "lane {i} gathered from a column of {} lanes",
+                self.len()
+            )));
+        }
         let valid = if self.null_count() == 0 {
             Bitmap::ones(idx.len())
         } else {
@@ -1081,6 +1088,19 @@ mod tests {
         let mut t = c.clone();
         t.truncate(1);
         assert_eq!(t, c.slice(0, 1));
+    }
+
+    /// A lane past the end is an error whether or not the column has a
+    /// NULL (it used to read as a default value in one case and as NULL
+    /// in the other).
+    #[test]
+    fn gather_past_the_end_is_an_error() {
+        let null_free = Column::from_values(DataType::Int32, &[Value::Int32(1)]).unwrap();
+        for c in [sample(), null_free] {
+            let err = c.gather(&[0, c.len()]).unwrap_err();
+            assert!(matches!(err, NoDbError::Internal(_)), "{err}");
+            assert_eq!(c.gather(&[0]).unwrap().value(0), c.value(0));
+        }
     }
 
     #[test]

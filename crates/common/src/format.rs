@@ -12,9 +12,11 @@
 //!    ([`LineFormat::advance`] — the paper's incremental parsing from a
 //!    positional-map anchor, §4.2).
 //!
-//! `nodb-csv` implements it for character-delimited files and `nodb-json`
-//! for JSON Lines; the scan operator in `nodb-core` is written against the
-//! trait only, so one adaptive runtime serves every line-oriented format.
+//! `nodb-csv` implements it for character-delimited files, `nodb-json`
+//! for JSON Lines and `nodb-fits` for FITS binary tables; the scan
+//! operator in `nodb-core` is written against the trait only, so one
+//! adaptive runtime serves every format. A format adds only how its
+//! records are framed ([`LineFormat::framing`]).
 //!
 //! # Null / missing-value semantics
 //!
@@ -37,8 +39,27 @@ use crate::value::Value;
 /// turns it into [`Value::Null`]; position collectors store it verbatim.
 pub const NO_POSITION: u32 = u32::MAX;
 
-/// A line-oriented raw-file format: how to locate and convert attribute
-/// values on one record (a single line, newline already stripped).
+/// How a format's records sit in the file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// Lines: a record ends at a `\n` (stripped with one `\r` before it)
+    /// or at the end of the file.
+    Newline,
+    /// Records of `width` bytes, back to back over the file bytes
+    /// `[start, end)`, stripped of nothing; a file shorter than `end` is
+    /// cut short inside its data.
+    Fixed {
+        /// Bytes per record.
+        width: usize,
+        /// Where the first record starts.
+        start: u64,
+        /// Where the last record ends.
+        end: u64,
+    },
+}
+
+/// A raw-file format: how to locate and convert attribute values on one
+/// record (a line with its newline stripped, or one fixed-width record).
 ///
 /// Implementations must be cheap to share (`Send + Sync`): one format
 /// value is consulted concurrently by every concurrent query on the
@@ -68,6 +89,11 @@ pub trait LineFormat: std::fmt::Debug + Send + Sync {
     /// jump. Ordered formats scan just the bytes between the two fields
     /// (forwards or backwards); keyed formats may re-tokenize the record.
     fn advance(&self, line: &[u8], from_start: u32, from_idx: usize, to_idx: usize) -> Result<u32>;
+
+    /// How records are framed in the file.
+    fn framing(&self) -> Framing {
+        Framing::Newline
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +146,7 @@ mod tests {
             Value::Int32(2)
         );
         assert_eq!(f.advance(b"001002003", 0, 0, 2).unwrap(), 6);
+        assert_eq!(f.framing(), Framing::Newline);
         assert_eq!(
             f.parse_at(b"", NO_POSITION, DataType::Text).unwrap(),
             Value::Null

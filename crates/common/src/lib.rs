@@ -39,7 +39,7 @@ pub use bytesize::ByteSize;
 pub use column::Column;
 pub use date::Date;
 pub use error::{NoDbError, Result};
-pub use format::{LineFormat, NO_POSITION};
+pub use format::{Framing, LineFormat, NO_POSITION};
 pub use io::{ByteSource, IoBackend};
 pub use row::Row;
 pub use schema::{Field, Schema};

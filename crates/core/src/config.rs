@@ -43,9 +43,6 @@ pub struct NoDbConfig {
     pub cache_cost_weight: u64,
     /// Tuples per positional-map block.
     pub posmap_block_rows: usize,
-    /// Offer every `stats_sample_stride`-th row to the statistics
-    /// builders (1 = every row).
-    pub stats_sample_stride: u64,
     /// Profile for tables registered in [`AccessMode::Loaded`].
     pub loaded_profile: EngineProfile,
     /// Buffer-pool capacity (pages) for loaded tables.
@@ -72,7 +69,6 @@ impl NoDbConfig {
             cache_budget: knob::CACHE_BUDGET.env_default(),
             cache_cost_weight: 16,
             posmap_block_rows: 4096,
-            stats_sample_stride: 16,
             loaded_profile: EngineProfile::PostgresLike,
             pool_pages: 4096,
             data_dir: None,

@@ -58,10 +58,11 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nodb_common::{LineFormat, NoDbError, Result, Row, Schema, TempDir, Value};
+use nodb_common::{Framing, LineFormat, NoDbError, Result, Row, Schema, TempDir, Value};
 use nodb_csv::lines::LineReader;
 use nodb_csv::{tokenize, CsvFormat, CsvOptions};
 use nodb_exec::{BoxOp, ExecCatalog, TableProvider};
+use nodb_fits::{FitsFormat, FitsTable};
 use nodb_json::JsonFormat;
 use nodb_sql::binder::{CatalogView, PlannerOptions};
 use nodb_sql::{plan_query, BoundExpr, LogicalPlan};
@@ -110,21 +111,13 @@ pub(crate) enum Provider {
     Custom(Box<dyn TableProvider>),
 }
 
-/// Which raw-file format a registered table uses (drives the Loaded-mode
-/// bulk path, which is still CSV-specific).
-pub(crate) enum RawFormat {
-    Csv(CsvOptions),
-    Jsonl,
-    /// Externally implemented provider; no raw format of ours.
-    Custom,
-}
-
 pub(crate) struct TableEntry {
     pub(crate) schema: Schema,
     pub(crate) provider: Option<Provider>,
     pub(crate) runtime: Option<Arc<RawTableRuntime>>,
     path: Option<PathBuf>,
-    raw: RawFormat,
+    /// A CSV table's options: the bulk loader reads CSV only.
+    csv: Option<CsvOptions>,
     mode: AccessMode,
     loaded_stats: Option<TableStats>,
 }
@@ -190,8 +183,7 @@ impl NoDb {
             path,
             schema,
             Arc::new(CsvFormat::new(opts)),
-            opts.has_header,
-            RawFormat::Csv(opts),
+            Some(opts),
             mode,
         )
     }
@@ -213,30 +205,48 @@ impl NoDb {
         schema: Schema,
         mode: AccessMode,
     ) -> Result<()> {
-        if mode == AccessMode::Loaded {
-            return Err(NoDbError::catalog(
-                "JSONL tables cannot be registered as Loaded; use InSitu (no loading step) \
-                 or ExternalFiles",
-            ));
-        }
         let format = Arc::new(JsonFormat::from_schema(&schema));
-        self.register_raw(name, path, schema, format, false, RawFormat::Jsonl, mode)
+        self.register_raw(name, path, schema, format, None, mode)
     }
 
-    /// Shared registration path for line-oriented raw formats.
-    #[allow(clippy::too_many_arguments)]
+    /// Register the binary table of a FITS file as a table. Its schema
+    /// comes from the file's header, which is read now; its rows are
+    /// scanned like any raw file's, framed by their fixed width from
+    /// where the header ends. Every value sits at a known offset, so no
+    /// positional map is kept and the cache carries the adaptation
+    /// (§5.3); the end-of-line index, statistics, budgets and `drop_aux`
+    /// work as for CSV.
+    ///
+    /// [`AccessMode::Loaded`] is not supported, as for JSONL.
+    pub fn register_fits(&mut self, name: &str, path: &Path, mode: AccessMode) -> Result<()> {
+        let table = FitsTable::open(path)?;
+        let format = Arc::new(FitsFormat::new(&table)?);
+        self.register_raw(name, path, table.schema()?, format, None, mode)
+    }
+
+    /// Shared registration path for raw formats; `csv` is a CSV table's
+    /// options (a header line to skip, and what [`AccessMode::Loaded`]
+    /// needs).
     fn register_raw(
         &mut self,
         name: &str,
         path: &Path,
         schema: Schema,
         format: Arc<dyn LineFormat>,
-        has_header: bool,
-        raw: RawFormat,
+        csv: Option<CsvOptions>,
         mode: AccessMode,
     ) -> Result<()> {
         let name = name.to_ascii_lowercase();
         self.ensure_table_absent(&name)?;
+        if mode == AccessMode::Loaded && csv.is_none() {
+            return Err(NoDbError::catalog(
+                "only CSV tables can be registered as Loaded; use InSitu (no loading step) \
+                 or ExternalFiles",
+            ));
+        }
+        // Fixed-width records have computed positions: no map to keep.
+        let posmap = self.config.enable_posmap && format.framing() == Framing::Newline;
+        let has_header = csv.is_some_and(|o| o.has_header);
         let entry = match mode {
             AccessMode::InSitu => {
                 let runtime = Arc::new(RawTableRuntime::new(&self.config));
@@ -247,19 +257,18 @@ impl NoDb {
                     format,
                     has_header,
                     flags: AuxFlags {
-                        posmap: self.config.enable_posmap,
+                        posmap,
                         cache: self.config.enable_cache,
                         eol: self.config.enable_posmap || self.config.enable_cache,
                         stats: self.config.enable_stats,
                     },
-                    stride: self.config.stats_sample_stride,
                 };
                 TableEntry {
                     schema,
                     provider: Some(Provider::InSitu(provider)),
                     runtime: Some(runtime),
                     path: Some(path.to_path_buf()),
-                    raw,
+                    csv,
                     mode,
                     loaded_stats: None,
                 }
@@ -274,7 +283,7 @@ impl NoDb {
                 })),
                 runtime: None,
                 path: Some(path.to_path_buf()),
-                raw,
+                csv,
                 mode,
                 loaded_stats: None,
             },
@@ -283,7 +292,7 @@ impl NoDb {
                 provider: None,
                 runtime: None,
                 path: Some(path.to_path_buf()),
-                raw,
+                csv,
                 mode,
                 loaded_stats: None,
             },
@@ -330,8 +339,7 @@ impl NoDb {
         Ok(())
     }
 
-    /// Register an externally implemented table provider (format
-    /// plugins — e.g. the FITS provider from `nodb-fits`).
+    /// Register an externally implemented table provider.
     pub fn register_provider(
         &mut self,
         name: &str,
@@ -347,7 +355,7 @@ impl NoDb {
                 provider: Some(Provider::Custom(provider)),
                 runtime: None,
                 path: None,
-                raw: RawFormat::Custom,
+                csv: None,
                 mode: AccessMode::InSitu,
                 loaded_stats: None,
             },
@@ -374,7 +382,7 @@ impl NoDb {
             .clone()
             .ok_or_else(|| NoDbError::internal("loaded table without a path"))?;
         let schema = entry.schema.clone();
-        let RawFormat::Csv(opts) = entry.raw else {
+        let Some(opts) = entry.csv else {
             return Err(NoDbError::catalog(format!(
                 "table `{name}` is not a CSV table; only CSV supports bulk loading"
             )));
@@ -392,7 +400,7 @@ impl NoDb {
         // Post-load ANALYZE (conventional engines collect statistics after
         // loading; giving the baseline good plans keeps the comparison
         // honest).
-        let stats = analyze_csv(&path, &schema, opts, self.config.stats_sample_stride)?;
+        let stats = analyze_csv(&path, &schema, opts)?;
         let entry = self.tables.get_mut(&name).expect("checked above");
         entry.provider = Some(Provider::Loaded(loaded));
         entry.loaded_stats = Some(stats);
@@ -579,7 +587,6 @@ pub(crate) struct InSituProvider {
     format: Arc<dyn LineFormat>,
     has_header: bool,
     flags: AuxFlags,
-    stride: u64,
 }
 
 impl InSituProvider {
@@ -593,7 +600,6 @@ impl InSituProvider {
             projection,
             filters,
             self.flags,
-            self.stride,
         ))
     }
 
@@ -640,15 +646,13 @@ impl TableProvider for ExternalProvider {
                 eol: false,
                 stats: false,
             },
-            u64::MAX,
         )))
     }
 }
 
-/// Post-load statistics pass (ANALYZE): parse every `stride`-th row and
-/// build per-column statistics.
-fn analyze_csv(path: &Path, schema: &Schema, opts: CsvOptions, stride: u64) -> Result<TableStats> {
-    let stride = stride.max(1);
+/// Post-load statistics pass (ANALYZE): parse every
+/// [`scan::STATS_SAMPLE_STRIDE`]-th row and build per-column statistics.
+fn analyze_csv(path: &Path, schema: &Schema, opts: CsvOptions) -> Result<TableStats> {
     let mut reader = LineReader::open(path)?;
     let mut line = Vec::new();
     let mut starts: Vec<u32> = Vec::new();
@@ -664,7 +668,7 @@ fn analyze_csv(path: &Path, schema: &Schema, opts: CsvOptions, stride: u64) -> R
             skipped_header = true;
             continue;
         }
-        if row_id.is_multiple_of(stride) {
+        if row_id.is_multiple_of(scan::STATS_SAMPLE_STRIDE) {
             starts.clear();
             tokenize::tokenize_all(&line, opts.delimiter, &mut starts);
             for (i, f) in schema.fields().iter().enumerate() {

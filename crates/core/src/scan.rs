@@ -32,6 +32,10 @@
 //! sampler; on a collecting block its position goes to the map chunk. A
 //! run the cache answers in full reads no raw byte (§4.3).
 //!
+//! A "line" is a record as the format frames it ([`Framing`]): up to a
+//! newline (CSV, JSON Lines) or a fixed-width row (FITS, whose computed
+//! positions need no positional map).
+//!
 //! * **Errors keep file order.** When several rows of a run fail, the
 //!   error names the earliest, as forming the rows one at a time would:
 //!   each phase visits only the rows before the earliest failure found so
@@ -82,7 +86,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nodb_cache::{CachedColumn, ColumnBuilder};
-use nodb_common::{ByteSource, DataType, IoBackend, LineFormat, NoDbError, Result, Schema, Value};
+use nodb_common::{
+    ByteSource, DataType, Framing, IoBackend, LineFormat, NoDbError, Result, Schema, Value,
+};
 use nodb_csv::lines::{LineReader, LineRun};
 use nodb_exec::{BatchQueue, Operator, ValueBatch};
 use nodb_posmap::{AttrPositions, BlockCollector};
@@ -116,7 +122,7 @@ struct Ctx {
     /// The raw file being scanned (also names error locations).
     path: PathBuf,
     /// The record tokenizer: how attribute values are located and
-    /// converted on one line (CSV, JSON Lines, ...).
+    /// converted on one record (CSV, JSON Lines, FITS, ...).
     format: Arc<dyn LineFormat>,
     /// Projected table attributes, ascending.
     projection: Vec<usize>,
@@ -131,8 +137,11 @@ struct Ctx {
     where_locals: Vec<usize>,
     /// The other projected columns.
     select_locals: Vec<usize>,
-    sample_stride: u64,
 }
+
+/// Every how many rows a scan offers one row's values to the statistics
+/// builders.
+pub(crate) const STATS_SAMPLE_STRIDE: u64 = 16;
 
 /// Most raw bytes a map-covered run reads at once, so that the rows they
 /// hold are still in the core's cache when they are formed. On
@@ -194,7 +203,6 @@ impl InSituScanOp {
         projection: Vec<usize>,
         filters: Vec<BoundExpr>,
         flags: AuxFlags,
-        sample_stride: u64,
     ) -> InSituScanOp {
         let types = projection.iter().map(|&a| schema.field(a).dtype).collect();
         let mut where_set = std::collections::BTreeSet::new();
@@ -227,7 +235,6 @@ impl InSituScanOp {
                 has_header,
                 where_locals,
                 select_locals,
-                sample_stride: sample_stride.max(1),
             },
             query_profile: profile::current_query(),
             prepared: false,
@@ -296,18 +303,23 @@ impl InSituScanOp {
         }
     }
 
-    /// Skip the header line when `reader` stands at the start of a file
-    /// that has one, anchoring the EOL base past it so that data row 0
-    /// starts after the header.
-    fn skip_header(&self, reader: &mut LineReader) -> Result<()> {
-        if self.ctx.has_header && reader.offset() == 0 {
-            let mut hdr = Vec::new();
-            if reader.next_line(&mut hdr)?.is_some() && self.flags.eol {
+    /// A reader of the file's records from byte `at`. Opened at the start
+    /// of the file, it skips what precedes the data — a header line, or
+    /// the bytes before a fixed-width region, which the reader starts
+    /// at — and anchors the EOL base past it, so that data row 0 starts
+    /// after it.
+    fn open_reader(&self, at: u64) -> Result<LineReader> {
+        let mut reader = LineReader::open_at(&self.ctx.path, at, self.ctx.format.framing())?;
+        if at == 0 {
+            if self.ctx.has_header {
+                reader.next_line(&mut Vec::new())?;
+            }
+            if self.flags.eol && reader.offset() > 0 {
                 let mut pm = self.runtime.posmap.write();
                 pm.eol_mut().set_base(reader.offset());
             }
         }
-        Ok(())
+        Ok(reader)
     }
 
     /// Cold region (§4.1): rows past the end-of-line frontier (`indexed`
@@ -335,9 +347,7 @@ impl InSituScanOp {
             } else {
                 frontier
             };
-            let mut reader = LineReader::open_at(&self.ctx.path, start)?;
-            self.skip_header(&mut reader)?;
-            self.reader = Some(reader);
+            self.reader = Some(self.open_reader(start)?);
         }
         let block = first_row / self.block_rows;
         let first = (first_row % self.block_rows) as usize;
@@ -366,6 +376,8 @@ impl InSituScanOp {
             metrics: &mut out.metrics,
             scratch: Vec::new(),
         };
+        // Bytes a record spans beyond the line the format reads.
+        let newline = u64::from(ctx.format.framing() == Framing::Newline);
         let mut line_starts = Vec::new();
         let mut bounds: Vec<u64> = Vec::new();
         // Per run, each row's projected attributes' positions.
@@ -373,7 +385,9 @@ impl InSituScanOp {
         let mut r = first;
         while r < block_rows {
             let started = Instant::now();
-            let lines = reader.next_lines((block_rows - r).min(RUN_LINES), &mut bounds)?;
+            let (id, at) = (block * self.block_rows + r as u64, reader.offset());
+            let lines = (reader.next_lines((block_rows - r).min(RUN_LINES), &mut bounds))
+                .map_err(|e| e.at_raw_location(&ctx.path, id, Some(at)))?;
             out.profile.io_ns += started.elapsed().as_nanos() as u64;
             if lines.is_empty() {
                 break;
@@ -381,11 +395,11 @@ impl InSituScanOp {
             line_starts.extend_from_slice(lines.starts());
             let started = Instant::now();
             let n = lines.len();
-            let mut run = Run::new(lines, r, block * self.block_rows + r as u64);
+            let mut run = Run::new(lines, r, id);
             starts.clear();
             let collector = &mut out.collector;
             let tokenize = |k: &mut Kernel, line: &[u8], _| {
-                k.metrics.bytes_tokenized += line.len() as u64 + 1;
+                k.metrics.bytes_tokenized += line.len() as u64 + newline;
                 // Pure row counting (e.g. COUNT(*)) tokenizes nothing.
                 if stride > 0 {
                     k.scratch.clear();
@@ -619,7 +633,8 @@ impl InSituScanOp {
             while r1 < rows && bounds[r1 + 1] - bounds[r0] <= RANGE_READ {
                 r1 += 1;
             }
-            let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf);
+            let framing = ctx.format.framing();
+            let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf, framing);
             let mut run = Run::new(lines, r0, block_start + r0 as u64);
             run.positions = Positions::Map(&entries);
             if let Some(c) = out.collector.as_mut() {

@@ -11,7 +11,7 @@ use nodb_csv::lines::LineRun;
 use nodb_exec::{eval_predicate_batch, ValueBatch};
 use nodb_posmap::AttrPositions;
 
-use super::Ctx;
+use super::{Ctx, STATS_SAMPLE_STRIDE};
 use crate::runtime::ScanMetrics;
 
 /// Where a run's values start on their lines.
@@ -199,7 +199,7 @@ impl Kernel<'_> {
                 b.set(first + r, &v);
             }
             let tick = run.id + r as u64;
-            if let Some(i) = sampled.filter(|_| tick.is_multiple_of(ctx.sample_stride)) {
+            if let Some(i) = sampled.filter(|_| tick.is_multiple_of(STATS_SAMPLE_STRIDE)) {
                 self.samples[i].1.push(v);
             }
         }

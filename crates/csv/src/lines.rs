@@ -14,12 +14,14 @@
 //!   ([`LineRun::unread`]), only when a value must come from the file.
 //!
 //! Both hand the scan a [`LineRun`]: whole lines in one buffer, and where
-//! each starts.
+//! each starts. A line is a record as the format frames it
+//! ([`Framing`]): up to a newline, or a fixed number of bytes within the
+//! file's data region, found by stride with no newline search.
 
 use std::path::Path;
 use std::time::Instant;
 
-use nodb_common::{swar, ByteSource, IoBackend, NoDbError, Result};
+use nodb_common::{swar, ByteSource, Framing, IoBackend, NoDbError, Result};
 
 /// Default I/O buffer: large enough to make syscall overhead irrelevant,
 /// small enough to stay cache-friendly.
@@ -32,6 +34,7 @@ pub const DEFAULT_BUF: usize = 1 << 20;
 /// buffer grow.
 pub struct LineReader {
     src: ByteSource,
+    framing: Framing,
     /// Byte offset of the *next* line to be returned: the file offset of
     /// `buf[pos]`.
     offset: u64,
@@ -49,14 +52,21 @@ pub struct LineReader {
 impl LineReader {
     /// Open a file for sequential line reading.
     pub fn open(path: &Path) -> Result<LineReader> {
-        Self::open_at(path, 0)
+        Self::open_at(path, 0, Framing::Newline)
     }
 
     /// Open and skip to `offset` (e.g. resume after a header or an append
-    /// high-water mark). `offset` must be a line start.
-    pub fn open_at(path: &Path, offset: u64) -> Result<LineReader> {
+    /// high-water mark), reading records framed by `framing`. `offset`
+    /// must be a record start; for fixed-width records, an offset before
+    /// their region means its start.
+    pub fn open_at(path: &Path, offset: u64, framing: Framing) -> Result<LineReader> {
+        let offset = match framing {
+            Framing::Fixed { start, .. } => offset.max(start),
+            Framing::Newline => offset,
+        };
         Ok(LineReader {
             src: ByteSource::open(path, IoBackend::Read)?,
+            framing,
             offset,
             buf: Vec::new(),
             pos: 0,
@@ -76,13 +86,18 @@ impl LineReader {
     /// until the next call, with `bounds` (cleared first) as the run's
     /// bounds. Only lines already buffered are lent, and the file is read
     /// only when none is; the run is empty at the end of the file, and a
-    /// final line without a newline is lent whole.
+    /// final line without a newline is lent whole. Fixed-width records
+    /// are lent the same way up to the end of their region; a file that
+    /// ends inside it fails with a parse error.
     pub fn next_lines<'a>(
         &'a mut self,
         max: usize,
         bounds: &'a mut Vec<u64>,
     ) -> Result<LineRun<'a>> {
         bounds.clear();
+        if let Framing::Fixed { width, end, .. } = self.framing {
+            return self.next_records(max, width, end, bounds);
+        }
         // Buffer index of the next line, and bytes of it already searched
         // for a newline.
         let mut at = self.pos;
@@ -115,7 +130,35 @@ impl LineReader {
         if !bounds.is_empty() {
             bounds.push(self.offset);
         }
-        Ok(LineRun::lent(bounds, self.buf.get(first..at)))
+        Ok(LineRun::lent(bounds, self.buf.get(first..at), true))
+    }
+
+    /// [`LineReader::next_lines`] over records of `width` bytes whose
+    /// region ends at byte `end`.
+    fn next_records<'a>(
+        &'a mut self,
+        max: usize,
+        width: usize,
+        end: u64,
+        bounds: &'a mut Vec<u64>,
+    ) -> Result<LineRun<'a>> {
+        let left = end.saturating_sub(self.offset).checked_div(width as u64);
+        // CAST: at most `max`.
+        let want = left.map_or(0, |left| left.min(max as u64) as usize);
+        while want > 0 && self.filled - self.pos < width {
+            if !self.fill()? {
+                return Err(NoDbError::parse(format!(
+                    "the file ends at byte {}, inside its data, which ends at byte {end}",
+                    self.src.len()
+                )));
+            }
+        }
+        let n = want.min((self.filled - self.pos).checked_div(width).unwrap_or(0));
+        bounds.extend((0..=n).map(|i| self.offset + (i * width) as u64));
+        let first = self.pos;
+        self.pos += n * width;
+        self.offset += (n * width) as u64;
+        Ok(LineRun::lent(bounds, self.buf.get(first..self.pos), false))
     }
 
     /// The next line, copied into `buf` (cleared first) without its
@@ -165,6 +208,8 @@ pub struct LineRun<'a> {
     bytes: Option<&'a [u8]>,
     /// The source and buffer to read the bytes with while they are unread.
     unread: Option<(&'a ByteSource, &'a mut Vec<u8>)>,
+    /// Whether lines end with a newline, which [`LineRun::line`] strips.
+    newline: bool,
     /// Nanoseconds spent reading the run, and bytes read (both zero for a
     /// lent run or one never read).
     pub read_ns: u64,
@@ -176,25 +221,32 @@ pub struct LineRun<'a> {
 /// neither opens nor reads the file.
 impl Default for LineRun<'_> {
     fn default() -> Self {
-        LineRun::lent(&[], None)
+        LineRun::lent(&[], None, true)
     }
 }
 
 impl<'a> LineRun<'a> {
-    /// The lines bounded by `bounds`, to be read from `src` into `buf` on
-    /// first use. A file now shorter than the run fails that read.
-    pub fn unread(bounds: &'a [u64], src: &'a ByteSource, buf: &'a mut Vec<u8>) -> LineRun<'a> {
+    /// The records bounded by `bounds` and framed by `framing`, to be read
+    /// from `src` into `buf` on first use. A file now shorter than the run
+    /// fails that read.
+    pub fn unread(
+        bounds: &'a [u64],
+        src: &'a ByteSource,
+        buf: &'a mut Vec<u8>,
+        framing: Framing,
+    ) -> LineRun<'a> {
         LineRun {
             unread: Some((src, buf)),
-            ..LineRun::lent(bounds, None)
+            ..LineRun::lent(bounds, None, framing == Framing::Newline)
         }
     }
 
-    fn lent(bounds: &'a [u64], bytes: Option<&'a [u8]>) -> LineRun<'a> {
+    fn lent(bounds: &'a [u64], bytes: Option<&'a [u8]>, newline: bool) -> LineRun<'a> {
         LineRun {
             bounds,
             bytes,
             unread: None,
+            newline,
             read_ns: 0,
             read_bytes: 0,
         }
@@ -221,7 +273,8 @@ impl<'a> LineRun<'a> {
     }
 
     /// Line `r` without its newline and one `\r` before it (a last line
-    /// without a newline is whole), reading the run first if it is unread.
+    /// without a newline, and a fixed-width record, is whole), reading the
+    /// run first if it is unread.
     #[inline]
     pub fn line(&mut self, r: usize) -> Result<&'a [u8]> {
         let missing = || NoDbError::internal(format!("line {r} is not in its run"));
@@ -237,7 +290,8 @@ impl<'a> LineRun<'a> {
         }
         let span = (start - base) as usize..(next - base) as usize;
         match self.bytes.and_then(|b| b.get(span)) {
-            Some([line @ .., b'\r', b'\n'] | [line @ .., b'\n']) | Some(line) => Ok(line),
+            Some([line @ .., b'\r', b'\n'] | [line @ .., b'\n']) if self.newline => Ok(line),
+            Some(line) => Ok(line),
             None => Err(missing()),
         }
     }
@@ -335,7 +389,7 @@ mod tests {
         let body: String = (0..200).map(|i| format!("{i},{}\n", i * 3)).collect();
         let (_td, p) = write_bytes(body.as_bytes());
         let start = split_by_hand(body.as_bytes(), 0, body.len())[20].0;
-        let got = read_all(&mut LineReader::open_at(&p, start).unwrap());
+        let got = read_all(&mut LineReader::open_at(&p, start, Framing::Newline).unwrap());
         assert_eq!(
             got,
             split_by_hand(body.as_bytes(), start as usize, body.len())
@@ -370,7 +424,7 @@ mod tests {
         assert_eq!(buf, b"tail");
         assert_eq!(r.next_line(&mut buf).unwrap(), None);
 
-        let mut r = LineReader::open_at(&p, 5002).unwrap();
+        let mut r = LineReader::open_at(&p, 5002, Framing::Newline).unwrap();
         assert_eq!(r.next_line(&mut buf).unwrap(), Some(5002));
         assert_eq!(buf, b"tail");
     }
@@ -378,7 +432,7 @@ mod tests {
     #[test]
     fn open_at_resumes_mid_file() {
         let (_td, p) = write_file(&["abc", "de"]);
-        let mut r = LineReader::open_at(&p, 4).unwrap();
+        let mut r = LineReader::open_at(&p, 4, Framing::Newline).unwrap();
         let mut buf = Vec::new();
         assert_eq!(r.next_line(&mut buf).unwrap(), Some(4));
         assert_eq!(buf, b"de");
@@ -437,14 +491,55 @@ mod tests {
         let src = ByteSource::open(&p, IoBackend::Read).unwrap();
         let mut buf = Vec::new();
         let bounds = [0, 4, 7, 9];
-        let mut run = LineRun::unread(&bounds, &src, &mut buf);
+        let mut run = LineRun::unread(&bounds, &src, &mut buf, Framing::Newline);
         assert_eq!((run.len(), run.start(1), run.read_bytes), (3, Some(4), 0));
         assert_eq!(run.line(1).unwrap(), b"cd");
         assert_eq!(run.line(0).unwrap(), b"ab");
         assert_eq!(run.line(2).unwrap(), b"ef");
         assert_eq!(run.read_bytes, 9);
         assert!(run.line(3).is_err());
-        assert!(LineRun::unread(&[0, 99], &src, &mut buf).line(0).is_err());
+        assert!(LineRun::unread(&[0, 99], &src, &mut buf, Framing::Newline)
+            .line(0)
+            .is_err());
+    }
+
+    /// Fixed-width records come by stride from the start of their region
+    /// to its end, whatever bytes they hold and whatever follows, through
+    /// buffers small enough to cut records; a file that ends inside the
+    /// region fails with a parse error after its whole records.
+    #[test]
+    fn fixed_width_records_frame_by_stride() {
+        let records: [&[u8]; 4] = [b"a\r\n", b"\n\nb", b"xyz", b"\r\r\r"];
+        let bytes = [b"HEAD".as_slice(), &records.concat(), b"\npad\n"].concat();
+        let (_td, p) = write_bytes(&bytes);
+        let framing = Framing::Fixed {
+            width: 3,
+            start: 4,
+            end: 16,
+        };
+        let want: Vec<(u64, Vec<u8>)> = (records.iter().enumerate())
+            .map(|(i, r)| (4 + 3 * i as u64, r.to_vec()))
+            .collect();
+        for (min_buf, max) in [(DEFAULT_BUF, 3), (1, 1), (4, 2), (5, 3)] {
+            let mut r = LineReader::open_at(&p, 0, framing).unwrap();
+            r.min_buf = min_buf;
+            assert_eq!(read_lines(&mut r, max), want, "buffer {min_buf}, run {max}");
+        }
+        let mut r = LineReader::open_at(&p, 10, framing).unwrap();
+        assert_eq!(read_all(&mut r), want[2..]);
+
+        let cut = Framing::Fixed {
+            width: 3,
+            start: 4,
+            end: 25,
+        };
+        let mut r = LineReader::open_at(&p, 0, cut).unwrap();
+        let mut bounds = Vec::new();
+        assert_eq!(r.next_lines(10, &mut bounds).unwrap().len(), 5);
+        match r.next_lines(10, &mut bounds) {
+            Err(NoDbError::Parse(m)) => assert!(m.contains("ends at byte 21"), "{m}"),
+            other => panic!("expected a parse error, got {:?}", other.map(|r| r.len())),
+        }
     }
 
     mod chunking_props {

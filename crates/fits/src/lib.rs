@@ -12,26 +12,27 @@
 //!
 //! * [`writer::FitsTableWriter`] / [`reader::FitsTable`] — produce and
 //!   read files.
+//! * [`format::FitsFormat`] — the table's rows as a
+//!   [`nodb_common::LineFormat`], which `nodb_core::NoDb::register_fits`
+//!   hands to the engine's one in-situ scan. Binary rows sit at known
+//!   offsets, so no positional map is kept ("each tuple and attribute is
+//!   usually located in a well-known location"); instead **caching**
+//!   carries the adaptation, exactly as §5.3 observes.
 //! * [`procedural`] — the CFITSIO stand-in: a direct, loop-based API that
 //!   re-scans the file for every aggregate (what an astronomer's custom C
 //!   program does).
-//! * [`provider::FitsProvider`] — the in-situ table provider for
-//!   `nodb_core`'s engine. Binary rows sit at known offsets, so no
-//!   positional map is needed ("each tuple and attribute is usually
-//!   located in a well-known location"); instead **caching** carries the
-//!   adaptation, exactly as §5.3 observes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod format;
 pub mod procedural;
-pub mod provider;
 pub mod reader;
 pub mod types;
 pub mod writer;
 
+pub use format::FitsFormat;
 pub use procedural::ProceduralFits;
-pub use provider::FitsProvider;
 pub use reader::FitsTable;
 pub use types::FitsType;
 pub use writer::FitsTableWriter;

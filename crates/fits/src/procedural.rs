@@ -41,11 +41,6 @@ impl ProceduralFits {
         })
     }
 
-    /// The parsed table.
-    pub fn table(&self) -> &FitsTable {
-        &self.table
-    }
-
     /// Compute one aggregate over one column by scanning the whole table
     /// (every call pays the full pass, like a loop in a C program).
     pub fn aggregate(&mut self, column: &str, agg: ProcAgg) -> Result<f64> {

@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use nodb_common::{Field, NoDbError, Result, Row, Schema, Value};
+use nodb_common::{Field, NoDbError, Result, Row, Schema};
 
 use crate::types::FitsType;
 use crate::{BLOCK, CARD};
@@ -34,19 +34,17 @@ pub struct FitsTable {
     pub data_start: u64,
 }
 
+/// A header card's keyword (bytes 0–8) and, when bytes 8–10 are `= `,
+/// its value up to any `/` comment. Split as bytes, so any byte anywhere
+/// is safe; each part is then read lossily.
 fn parse_card(card: &[u8]) -> (String, String) {
-    let text = String::from_utf8_lossy(card);
-    let key = text[..8.min(text.len())].trim().to_string();
-    let rest = if text.len() > 10 && &text[8..10] == "= " {
-        let v = &text[10..];
-        match v.find('/') {
-            Some(i) => v[..i].trim().to_string(),
-            None => v.trim().to_string(),
-        }
-    } else {
-        String::new()
+    let text = |b: &[u8]| String::from_utf8_lossy(b).trim().to_string();
+    let key = text(card.get(..8).unwrap_or(card));
+    let value = match card.get(8..) {
+        Some([b'=', b' ', rest @ ..]) => text(rest.split(|&b| b == b'/').next().unwrap_or(rest)),
+        _ => String::new(),
     };
-    (key, rest)
+    (key, value)
 }
 
 impl FitsTable {
@@ -74,6 +72,9 @@ impl FitsTable {
         let row_bytes: usize = header_value(&ext_cards, "NAXIS1")?
             .parse()
             .map_err(|_| NoDbError::parse("bad NAXIS1"))?;
+        if row_bytes == 0 {
+            return Err(NoDbError::parse("NAXIS1 is 0: rows must have bytes"));
+        }
         let rows: u64 = header_value(&ext_cards, "NAXIS2")?
             .parse()
             .map_err(|_| NoDbError::parse("bad NAXIS2"))?;
@@ -88,6 +89,9 @@ impl FitsTable {
                 .trim()
                 .to_string();
             let ftype = FitsType::parse_tform(&header_value(&ext_cards, &format!("TFORM{i}"))?)?;
+            if ftype.width() == 0 {
+                return Err(NoDbError::parse(format!("column `{name}` has no bytes")));
+            }
             columns.push(FitsColumn {
                 name,
                 ftype,
@@ -100,13 +104,27 @@ impl FitsTable {
                 "row width mismatch: TFORMs sum to {offset}, NAXIS1 is {row_bytes}"
             )));
         }
-        let data_start = f.stream_position()?;
-        Ok(FitsTable {
+        let table = FitsTable {
             path: path.to_path_buf(),
             columns,
             row_bytes,
             rows,
-            data_start,
+            data_start: f.stream_position()?,
+        };
+        table.data_end()?;
+        Ok(table)
+    }
+
+    /// Byte offset one past the last row: an error when NAXIS2 × NAXIS1
+    /// rows reach past the largest file offset.
+    pub fn data_end(&self) -> Result<u64> {
+        let bytes = self.rows.checked_mul(self.row_bytes as u64);
+        let end = bytes.and_then(|b| b.checked_add(self.data_start));
+        end.ok_or_else(|| {
+            NoDbError::parse(format!(
+                "NAXIS2 = {} rows of NAXIS1 = {} bytes overflow a file offset",
+                self.rows, self.row_bytes
+            ))
         })
     }
 
@@ -118,40 +136,6 @@ impl FitsTable {
                 .map(|c| Field::new(c.name.clone(), c.ftype.data_type()))
                 .collect(),
         )
-    }
-
-    /// Decode one value from a raw row image.
-    pub fn decode(&self, row_image: &[u8], col: usize) -> Result<Value> {
-        let c = &self.columns[col];
-        let at = c.offset;
-        let v = match c.ftype {
-            FitsType::J => Value::Int32(i32::from_be_bytes(
-                row_image[at..at + 4]
-                    .try_into()
-                    .map_err(|_| NoDbError::parse("short row"))?,
-            )),
-            FitsType::K => Value::Int64(i64::from_be_bytes(
-                row_image[at..at + 8]
-                    .try_into()
-                    .map_err(|_| NoDbError::parse("short row"))?,
-            )),
-            FitsType::E => Value::Float64(f32::from_be_bytes(
-                row_image[at..at + 4]
-                    .try_into()
-                    .map_err(|_| NoDbError::parse("short row"))?,
-            ) as f64),
-            FitsType::D => Value::Float64(f64::from_be_bytes(
-                row_image[at..at + 8]
-                    .try_into()
-                    .map_err(|_| NoDbError::parse("short row"))?,
-            )),
-            FitsType::A(n) => Value::Text(
-                String::from_utf8_lossy(&row_image[at..at + n])
-                    .trim_end()
-                    .to_string(),
-            ),
-        };
-        Ok(v)
     }
 
     /// Sequentially read rows `[from, to)`, decoding only `cols` (file
@@ -168,12 +152,16 @@ impl FitsTable {
         let n = (to - from) as usize;
         let mut buf = vec![0u8; n * self.row_bytes];
         f.read_exact(&mut buf)?;
+        let columns = (cols.iter())
+            .map(|&c| {
+                (self.columns.get(c)).ok_or_else(|| NoDbError::plan(format!("no column #{c}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let mut out = Vec::with_capacity(n);
-        for r in 0..n {
-            let image = &buf[r * self.row_bytes..(r + 1) * self.row_bytes];
+        for image in buf.chunks_exact(self.row_bytes) {
             let mut row = Row::with_capacity(cols.len());
-            for &c in cols {
-                row.push(self.decode(image, c)?);
+            for c in &columns {
+                row.push(c.ftype.decode(image.get(c.offset..).unwrap_or_default())?);
             }
             out.push(row);
         }
@@ -185,11 +173,6 @@ impl FitsTable {
         self.columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
-    }
-
-    /// The file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -223,7 +206,7 @@ fn header_value(cards: &[(String, String)], key: &str) -> Result<String> {
 mod tests {
     use super::*;
     use crate::writer::FitsTableWriter;
-    use nodb_common::{DataType, TempDir};
+    use nodb_common::{DataType, TempDir, Value};
     use proptest::prelude::*;
 
     fn write_sample(rows: i32) -> (TempDir, std::path::PathBuf) {
@@ -290,6 +273,60 @@ mod tests {
         // Clamped at table end.
         assert_eq!(t.read_rows(28, 99, &[0]).unwrap().len(), 2);
         assert!(t.read_rows(5, 5, &[0]).unwrap().is_empty());
+    }
+
+    /// Rewrite the first header card keyed `key` with `f`.
+    fn patch_card(p: &Path, key: &str, f: impl FnOnce(&mut [u8])) {
+        let mut bytes = std::fs::read(p).unwrap();
+        let prefix = format!("{key:<8}=");
+        let mut cards = (0..bytes.len()).step_by(CARD);
+        let at = cards.find(|&i| bytes[i..].starts_with(prefix.as_bytes()));
+        let at = at.unwrap();
+        f(&mut bytes[at..at + CARD]);
+        std::fs::write(p, bytes).unwrap();
+    }
+
+    fn open_err(p: &Path) -> String {
+        match FitsTable::open(p) {
+            Err(NoDbError::Parse(m)) => m,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// A non-ASCII byte at card offset 6 once made the header parser
+    /// slice through a character and panic.
+    #[test]
+    fn non_ascii_header_byte_is_a_typed_error() {
+        for (key, at, want) in [
+            ("NAXIS1", 6, "missing header card `NAXIS1`"),
+            ("NAXIS2", 9, "bad NAXIS2"),
+        ] {
+            let (_td, p) = write_sample(3);
+            patch_card(&p, key, |c| c[at] = 0xC3);
+            assert!(open_err(&p).contains(want), "{key}");
+        }
+    }
+
+    /// Rows of no bytes would frame records by a stride of 0.
+    #[test]
+    fn zero_width_rows_and_columns_are_rejected() {
+        let td = TempDir::new("fits").unwrap();
+        let p = td.file("t.fits");
+        let w = FitsTableWriter::create(&p, vec![("s".into(), FitsType::A(0))]).unwrap();
+        w.finish().unwrap();
+        assert!(open_err(&p).contains("NAXIS1 is 0"));
+        let cols = vec![("id".into(), FitsType::J), ("s".into(), FitsType::A(0))];
+        let w = FitsTableWriter::create(&p, cols).unwrap();
+        w.finish().unwrap();
+        assert!(open_err(&p).contains("`s` has no bytes"));
+    }
+
+    #[test]
+    fn rows_past_the_largest_offset_are_rejected() {
+        let (_td, p) = write_sample(3);
+        let rows = format!("{:>20}", u64::MAX / 8);
+        patch_card(&p, "NAXIS2", |c| c[10..30].copy_from_slice(rows.as_bytes()));
+        assert!(open_err(&p).contains("overflow"));
     }
 
     proptest! {

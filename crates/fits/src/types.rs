@@ -1,6 +1,6 @@
 //! FITS binary-table column types (TFORM codes).
 
-use nodb_common::{DataType, NoDbError, Result};
+use nodb_common::{DataType, NoDbError, Result, Value};
 
 /// Supported BINTABLE column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +62,19 @@ impl FitsType {
         }
     }
 
+    /// Decode one big-endian value of this type from the start of
+    /// `bytes`; text is read lossily, without its trailing spaces.
+    pub fn decode(self, bytes: &[u8]) -> Result<Value> {
+        let b = (bytes.get(..self.width())).ok_or_else(|| NoDbError::parse("short row"))?;
+        Ok(match self {
+            FitsType::J => Value::Int32(i32::from_be_bytes(array(b)?)),
+            FitsType::K => Value::Int64(i64::from_be_bytes(array(b)?)),
+            FitsType::E => Value::Float64(f32::from_be_bytes(array(b)?) as f64),
+            FitsType::D => Value::Float64(f64::from_be_bytes(array(b)?)),
+            FitsType::A(_) => Value::Text(String::from_utf8_lossy(b).trim_end().to_string()),
+        })
+    }
+
     /// The engine-side logical type (`E` widens to `Float64`).
     pub fn data_type(self) -> DataType {
         match self {
@@ -71,19 +84,12 @@ impl FitsType {
             FitsType::A(_) => DataType::Text,
         }
     }
+}
 
-    /// The natural FITS type for an engine type.
-    pub fn from_data_type(dt: DataType, text_width: usize) -> Result<FitsType> {
-        match dt {
-            DataType::Int32 => Ok(FitsType::J),
-            DataType::Int64 => Ok(FitsType::K),
-            DataType::Float64 => Ok(FitsType::D),
-            DataType::Text => Ok(FitsType::A(text_width)),
-            other => Err(NoDbError::catalog(format!(
-                "no FITS column type for `{other}`"
-            ))),
-        }
-    }
+/// `b`, a value's bytes, as the array its type decodes.
+fn array<const N: usize>(b: &[u8]) -> Result<[u8; N]> {
+    b.try_into()
+        .map_err(|_| NoDbError::internal("FITS value of the wrong width"))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! side-by-side with the procedural CFITSIO-style alternative.
 //!
 //! ```text
-//! cargo run --release -p nodb-core --example astronomy_fits
+//! cargo run --release --example astronomy_fits
 //! ```
 //!
 //! The paper's Figure 11 point: a procedural program re-scans the file
@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use nodb_common::{Row, TempDir, Value};
-use nodb_core::{NoDb, NoDbConfig};
+use nodb_core::{AccessMode, NoDb, NoDbConfig};
 use nodb_fits::procedural::ProcAgg;
-use nodb_fits::{FitsProvider, FitsTableWriter, FitsType, ProceduralFits};
+use nodb_fits::{FitsTableWriter, FitsType, ProceduralFits};
 
 const ROWS: usize = 400_000;
 
@@ -72,13 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- The NoDB way: register the FITS file, write SQL. ---------------
-    let provider = FitsProvider::open(&path)?;
-    let schema = provider.table().schema()?;
-    // Keep a handle for observability; the engine owns the provider.
-    let stats_handle = FitsProvider::open(&path)?;
-    let _ = stats_handle; // (fresh handle just to show the API; not used)
     let mut db = NoDb::new(NoDbConfig::postgres_raw())?;
-    db.register_provider("catalog", schema, Box::new(provider))?;
+    db.register_fits("catalog", &path, AccessMode::InSitu)?;
 
     let queries = [
         "select min(mag_g), max(mag_g), avg(mag_g) from catalog",
@@ -102,6 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nrepeat of query #1: {:.1} ms (cache-resident)",
         t.elapsed().as_secs_f64() * 1e3
+    );
+    let m = db.metrics("catalog")?;
+    println!(
+        "engine work over {} scans: {} values decoded from the file, {} served from the cache",
+        m.scans, m.fields_parsed, m.fields_from_cache
     );
     Ok(())
 }

@@ -173,7 +173,7 @@ fn shrunken_file_invalidates_and_recovers() {
 
 #[test]
 fn fits_provider_plugs_into_the_engine() {
-    use nodb_fits::{FitsProvider, FitsTableWriter, FitsType};
+    use nodb_fits::{FitsTableWriter, FitsType};
 
     let td = TempDir::new("nodb-fits-it").unwrap();
     let path = td.file("sky.fits");
@@ -198,11 +198,8 @@ fn fits_provider_plugs_into_the_engine() {
     }
     w.finish().unwrap();
 
-    let provider = FitsProvider::open(&path).unwrap();
-    let schema = provider.table().schema().unwrap();
     let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
-    db.register_provider("sky", schema, Box::new(provider))
-        .unwrap();
+    db.register_fits("sky", &path, AccessMode::InSitu).unwrap();
 
     let r = db
         .query("select min(mag), max(mag), avg(mag) from sky where dec > 0")

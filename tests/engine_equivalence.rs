@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use nodb_common::{Row, Schema, TempDir, Value};
 use nodb_core::{AccessMode, EngineProfile, NoDb, NoDbConfig};
 use nodb_csv::{CsvOptions, CsvWriter, MicroGen};
-use nodb_fits::{FitsProvider, FitsTableWriter, FitsType};
+use nodb_fits::{FitsTableWriter, FitsType};
 
 const COLS: usize = 20;
 const ROWS: usize = 700;
@@ -379,10 +379,8 @@ fn every_leaf_applies_the_same_conjuncts() {
         let db = csv_engine(loaded_config(profile), AccessMode::Loaded);
         leaves.push((format!("{profile:?}"), db));
     }
-    let provider = FitsProvider::open(&fits).unwrap();
     let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
-    db.register_provider("t", provider.table().schema().unwrap(), Box::new(provider))
-        .unwrap();
+    db.register_fits("t", &fits, AccessMode::InSitu).unwrap();
     leaves.push(("fits".to_string(), db));
 
     let guarded = (0..N).filter(|&id| c(id) != 0 && 10 / c(id) > 1).count();
