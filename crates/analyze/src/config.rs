@@ -33,21 +33,14 @@ pub struct Config {
     /// Lock acquisition DAG, outermost first: a lock may only be
     /// acquired while holding locks that appear *earlier* in this list.
     pub lock_dag: Vec<String>,
-    /// The set of valid `NODB_*` environment variables (the live knob
-    /// registry for the real tree).
-    pub knob_envs: Vec<String>,
-    /// `(env, flag)` pairs the README must mention.
-    pub knob_docs: Vec<(String, String)>,
     /// README path relative to `root`, checked by the knob arm when the
-    /// file exists (a missing one is a finding only when `knob_docs` is
-    /// non-empty).
+    /// file exists.
     pub readme: PathBuf,
 }
 
 impl Config {
     /// The committed policy for the NoDB workspace rooted at `root`.
     pub fn for_workspace(root: &Path) -> Config {
-        let knobs = nodb_common::knob::all();
         Config {
             root: root.to_path_buf(),
             subdirs: ["crates", "src", "shims", "tests", "examples"]
@@ -134,17 +127,11 @@ impl Config {
             lock_dag: ["file_len_seen", "posmap", "cache", "stats"]
                 .map(String::from)
                 .to_vec(),
-            knob_envs: knobs.iter().map(|k| k.env.to_string()).collect(),
-            knob_docs: knobs
-                .iter()
-                .map(|k| (k.env.to_string(), k.flag.to_string()))
-                .collect(),
             readme: PathBuf::from("README.md"),
         }
     }
 
-    /// A bare-bones policy for a fixture tree: no designated files, no
-    /// required README mentions, a caller-supplied knob registry, and
+    /// A bare-bones policy for a fixture tree: no designated files, and
     /// every lint arm pointed at the fixture's own files.
     pub fn for_fixture(root: &Path) -> Config {
         Config {
@@ -159,8 +146,6 @@ impl Config {
             lock_dag: ["file_len_seen", "posmap", "cache", "stats"]
                 .map(String::from)
                 .to_vec(),
-            knob_envs: Vec::new(),
-            knob_docs: Vec::new(),
             readme: PathBuf::from("README.md"),
         }
     }

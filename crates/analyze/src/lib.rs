@@ -3,8 +3,8 @@
 //! NoDB's adaptive auxiliary structures are only correct if a web of
 //! cross-crate invariants holds — audited `unsafe` in the mmap byte
 //! source, the `RawTableRuntime` lock-acquisition DAG, justified
-//! `Relaxed` atomics, panic-free hot paths, checked offset casts, and a
-//! single knob registry behind every `NODB_*` env var. This crate is a
+//! `Relaxed` atomics, panic-free hot paths, checked offset casts, and no
+//! configuration through `NODB_*` env vars. This crate is a
 //! hand-rolled, dependency-free static-analysis pass that enforces those
 //! invariants as a CI gate, with committed allowlists
 //! (`analyze/unsafe_audit.toml`, `analyze/waivers.toml`) so every
@@ -23,8 +23,9 @@
 //!   indexing in hot-path modules outside `#[cfg(test)]`.
 //! - **cast** — no unexplained narrowing `as` casts in wire-protocol and
 //!   positional-map offset arithmetic.
-//! - **knob** — every `NODB_*` string literal is a registered knob env
-//!   var, and every knob's env var and flag is documented in the README.
+//! - **knob** — no `NODB_*` string literal outside tests and no `NODB_*`
+//!   name in the README, unless waived: `NoDbConfig` is the engine's only
+//!   configuration.
 //!
 //! A waiver, hot-path, cast or designated-counter entry that matches no
 //! walked file is itself a finding, so the policy cannot silently cover

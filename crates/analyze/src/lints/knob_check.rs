@@ -1,13 +1,8 @@
-//! Knob cross-check: every `NODB_*` string literal in the tree must be a
-//! registered knob environment variable (`nodb_common::knob::all()`), so
-//! an env var cannot be read (or documented, or set in CI) that the
-//! registry — and therefore `validate_env` and `--help` — doesn't know
-//! about. The README is held to both directions: every registered
-//! knob's env var and CLI flag must be mentioned in it, and every
-//! `NODB_…` token it mentions must be a registered knob env var, so it
-//! cannot document a knob that no longer exists.
-
-use std::collections::BTreeSet;
+//! Environment-variable ban: the engine is configured through
+//! `NoDbConfig` only, so no `NODB_*` string literal may appear in
+//! non-test source, and the README may document none. A literal that
+//! configures something other than the engine (a harness's data
+//! directory, say) needs a waiver with a written justification.
 
 use crate::config::Config;
 use crate::lexer::{in_spans, test_spans};
@@ -41,7 +36,6 @@ fn nodb_vars(s: &str) -> Vec<String> {
 /// Run the knob arm over the whole tree.
 pub fn run(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let valid: BTreeSet<&str> = cfg.knob_envs.iter().map(|s| s.as_str()).collect();
     for sf in files {
         let rel = sf.rel_str();
         if rel.starts_with("tests/") || rel.contains("/tests/") {
@@ -53,67 +47,32 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
                 continue; // unit tests may fabricate var names
             }
             for var in nodb_vars(&lit.content) {
-                if !valid.contains(var.as_str()) {
-                    findings.push(Finding {
-                        lint: "knob",
-                        file: sf.rel.clone(),
-                        line: lit.line,
-                        message: format!(
-                            "`{var}` is not a registered knob env var \
-                             (nodb_common::knob::all()) — register it or waive it \
-                             with a justification"
-                        ),
-                        waiver_key: Some(var),
-                    });
-                }
+                findings.push(banned(sf.rel.clone(), lit.line, var));
             }
         }
     }
-    match std::fs::read_to_string(cfg.root.join(&cfg.readme)) {
-        Ok(readme) => check_readme(&readme, &valid, cfg, &mut findings),
-        Err(e) if !cfg.knob_docs.is_empty() => findings.push(Finding {
-            lint: "knob",
-            file: cfg.readme.clone(),
-            line: 0,
-            message: format!("README unreadable for the knob doc check: {e}"),
-            waiver_key: None,
-        }),
-        Err(_) => {}
+    // A tree without a README has nothing to document.
+    if let Ok(readme) = std::fs::read_to_string(cfg.root.join(&cfg.readme)) {
+        for (i, line) in readme.lines().enumerate() {
+            for var in nodb_vars(line) {
+                findings.push(banned(cfg.readme.clone(), i + 1, var));
+            }
+        }
     }
     findings
 }
 
-/// The README against the registry, in both directions.
-fn check_readme(readme: &str, valid: &BTreeSet<&str>, cfg: &Config, out: &mut Vec<Finding>) {
-    for (env, flag) in &cfg.knob_docs {
-        for (what, needle) in [("env var", env), ("flag", flag)] {
-            if !readme.contains(needle.as_str()) {
-                out.push(Finding {
-                    lint: "knob",
-                    file: cfg.readme.clone(),
-                    line: 0,
-                    message: format!("knob {what} `{needle}` is not mentioned in the README"),
-                    waiver_key: Some(needle.clone()),
-                });
-            }
-        }
-    }
-    for (i, line) in readme.lines().enumerate() {
-        for var in nodb_vars(line) {
-            if !valid.contains(var.as_str()) {
-                out.push(Finding {
-                    lint: "knob",
-                    file: cfg.readme.clone(),
-                    line: i + 1,
-                    message: format!(
-                        "the README documents `{var}`, which is not a registered knob \
-                         env var (nodb_common::knob::all()) — drop it or waive it with \
-                         a justification"
-                    ),
-                    waiver_key: Some(var),
-                });
-            }
-        }
+fn banned(file: std::path::PathBuf, line: usize, var: String) -> Finding {
+    Finding {
+        lint: "knob",
+        file,
+        line,
+        message: format!(
+            "`{var}`: nothing may be configured through a `NODB_*` environment \
+             variable (the engine takes `NoDbConfig` only) — drop it or waive it \
+             with a justification"
+        ),
+        waiver_key: Some(var),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Clean fixture: exercises every lint arm's *happy* path — justified
 //! unsafe, DAG-ordered locks, commented Relaxed, panic-free hot code,
-//! commented narrowing cast, registered knob — and must produce zero
+//! commented narrowing cast, no `NODB_*` env var — and must produce zero
 //! findings when every arm is pointed at this file.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,10 +37,6 @@ pub fn first_byte(buf: &[u8]) -> Option<u8> {
 pub fn narrow(x: usize) -> u16 {
     // CAST: callers pass block-local row ordinals < 4096, which fit u16.
     x as u16
-}
-
-pub fn knob() -> Option<String> {
-    std::env::var("NODB_FIX").ok()
 }
 
 #[cfg(test)]

@@ -1,10 +1,6 @@
 //! Seeded violation for the `knob` arm: an env var with the engine's
-//! `NODB_` prefix that is not in the (injected) knob registry.
+//! `NODB_` prefix, which nothing may read.
 
 pub fn rogue() -> Option<String> {
     std::env::var("NODB_NOT_REGISTERED").ok()
-}
-
-pub fn registered() -> Option<String> {
-    std::env::var("NODB_FIX").ok()
 }

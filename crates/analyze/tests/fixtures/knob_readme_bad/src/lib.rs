@@ -1,5 +1,5 @@
 //! Clean source: the seeded violation for this fixture is in its README.
 
-pub fn registered() -> Option<String> {
-    std::env::var("NODB_FIX").ok()
+pub fn configured(budget: Option<u64>) -> u64 {
+    budget.unwrap_or(0)
 }

@@ -29,7 +29,6 @@ fn clean_fixture_passes_every_arm() {
     let report = run("clean", |cfg| {
         cfg.hot_files = vec!["src/lib.rs".into()];
         cfg.cast_files = vec!["src/lib.rs".into()];
-        cfg.knob_envs = vec!["NODB_FIX".into()];
     });
     assert!(
         report.is_clean(),
@@ -120,11 +119,10 @@ fn unexplained_narrowing_cast_is_caught() {
     assert_eq!(report.findings[0].line, 5, "{:#?}", report.findings);
 }
 
+/// The engine reads no `NODB_*` variable, so any such literal fires.
 #[test]
 fn unregistered_knob_env_var_is_caught() {
-    let report = run("knob_bad", |cfg| {
-        cfg.knob_envs = vec!["NODB_FIX".into()];
-    });
+    let report = run("knob_bad", |_| {});
     assert_eq!(lints_of(&report), vec!["knob"], "{:#?}", report.findings);
     assert!(
         report.findings[0].message.contains("NODB_NOT_REGISTERED"),
@@ -135,10 +133,7 @@ fn unregistered_knob_env_var_is_caught() {
 
 #[test]
 fn readme_documenting_an_unregistered_env_var_is_caught() {
-    let report = run("knob_readme_bad", |cfg| {
-        cfg.knob_envs = vec!["NODB_FIX".into()];
-        cfg.knob_docs = vec![("NODB_FIX".into(), "--fix".into())];
-    });
+    let report = run("knob_readme_bad", |_| {});
     assert_eq!(lints_of(&report), vec!["knob"], "{:#?}", report.findings);
     let f = &report.findings[0];
     assert_eq!(f.file, Path::new("README.md"), "{f:#?}");
@@ -170,7 +165,6 @@ fn waivers_suppress_justified_findings_and_stale_waivers_fire() {
 fn stale_policy_path_is_caught() {
     let report = run("clean", |cfg| {
         cfg.hot_files = vec!["src/missing.rs".into()];
-        cfg.knob_envs = vec!["NODB_FIX".into()];
     });
     assert_eq!(lints_of(&report), vec!["policy"], "{:#?}", report.findings);
     assert!(

@@ -52,9 +52,10 @@ pub fn abl_block_size(scale: Scale, out: &Path) -> Result<()> {
 }
 
 /// Ablation 2: conversion-cost-aware cache eviction (§4.3: "the cache
-/// always gives priority to attributes more costly to convert") vs plain
-/// LRU. Workload: touch expensive numeric columns, flood the cache with
-/// cheap text columns, then re-touch the numerics and count re-parses.
+/// always gives priority to attributes more costly to convert") vs
+/// eviction by workload heat alone. Workload: touch expensive numeric
+/// columns, flood the cache with cheap text columns, then re-touch the
+/// numerics and count re-parses.
 pub fn abl_eviction(scale: Scale, out: &Path) -> Result<()> {
     let dir = tpch_dir(scale.tpch_sf())?;
     let mut report = Report::new(
@@ -65,17 +66,13 @@ pub fn abl_eviction(scale: Scale, out: &Path) -> Result<()> {
     );
     // Budget sized to hold the three numeric columns (~8 MB at SF 0.05)
     // plus part of one text column, so the text flood *must* evict
-    // something; the weight makes cost protection span several queries'
-    // worth of cache operations.
-    for (policy, cost_weight) in [("plain_lru", 0u64), ("cost_aware", 5000)] {
+    // something. The engine ranks victims by workload heat; a cost
+    // weight of 0 leaves conversion cost out, and any other value ranks
+    // by heat × conversion cost (recency breaks ties either way).
+    for (policy, cost_weight) in [("heat_only", 0u64), ("heat_x_cost", 16)] {
         let mut cfg = NoDbConfig::postgres_raw();
         cfg.enable_stats = false;
         cfg.cache_budget = Some(ByteSize::mb(12));
-        // The knob under test:
-        // (cost_weight is applied inside nodb-cache; NoDbConfig carries
-        // the default, so construct the runtime through the config's
-        // budget and vary the weight via environment of the cache —
-        // exposed through NoDbConfig in lib.rs.)
         cfg.cache_cost_weight = cost_weight;
         let mut db = NoDb::new(cfg).expect("engine");
         db.register_csv(

@@ -17,10 +17,10 @@
 //!   one block of tuples × one attribute, "following the format of the
 //!   positional map such that it is easy to integrate it in the …
 //!   query flow".
-//! * **LRU with conversion-cost priority** — "the PostgresRaw cache always
+//! * **Conversion-cost priority** — "the PostgresRaw cache always
 //!   gives priority to attributes more costly to convert" (ASCII→numeric
 //!   conversion dominates; strings are cheap to re-materialize). Eviction
-//!   minimizes `last_touch + conversion_cost × cost_weight`.
+//!   minimizes `workload_heat × conversion_cost`, recency breaking ties.
 //! * **Byte budget** — "the size of the cache is a parameter", driving the
 //!   Figure 6 cache-utilization experiment.
 

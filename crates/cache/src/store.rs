@@ -1,4 +1,4 @@
-//! Cache directory, budget, and cost-aware LRU eviction.
+//! Cache directory, budget, and heat × cost eviction.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,14 +14,13 @@ pub struct CacheConfig {
     /// Byte budget; `None` = unlimited ("the size of the cache is a
     /// parameter that can be tuned depending on the resources", §4.3).
     pub budget: Option<ByteSize>,
-    /// How strongly conversion cost protects an entry from eviction.
-    /// Without a workload log: LRU clock ticks per cost unit (0 = plain
-    /// LRU). With one: 0 drops conversion cost from the heat priority.
+    /// Whether conversion cost weighs in eviction: 0 ranks victims by
+    /// workload heat alone, any other value by heat × conversion cost.
     pub cost_weight: u64,
-    /// Per-attribute access-frequency log. When present, budget
-    /// evictions pick the victim by workload-heat × conversion-cost
-    /// (coldest, cheapest-to-rebuild column first; recency breaks
-    /// ties) instead of pure recency.
+    /// Per-attribute access-frequency log. Budget evictions pick the
+    /// victim by workload-heat × conversion-cost (coldest,
+    /// cheapest-to-rebuild column first; recency breaks ties). `None`
+    /// reads as a log with every attribute cold.
     pub workload: Option<Arc<WorkloadLog>>,
 }
 
@@ -197,27 +196,19 @@ impl RawCache {
         self.bytes = 0;
     }
 
-    /// Eviction priority of one entry: the *minimum* goes first. Without
-    /// a workload log: recency plus a conversion-cost bonus (the
-    /// original cost-aware LRU). With one: workload-heat ×
-    /// conversion-cost, recency only breaking ties — a column the
-    /// workload hammers survives a burst of one-off touches to cold
-    /// columns.
+    /// Eviction priority of one entry: the *minimum* goes first.
+    /// Workload-heat × conversion-cost (heat alone when `cost_weight` is
+    /// 0), recency only breaking ties — a column the workload hammers
+    /// survives a burst of one-off touches to cold columns. No workload
+    /// log reads as an all-cold one: cost, then recency.
     fn eviction_priority(&self, e: &Entry) -> (u64, u64) {
-        let cost = e.col.dtype.conversion_cost() as u64;
-        let touch = e.last_touch.load(Ordering::Relaxed);
-        match &self.cfg.workload {
-            Some(w) => {
-                let heat = w.heat(e.col.attr) + 1;
-                let primary = if self.cfg.cost_weight > 0 {
-                    heat.saturating_mul(cost)
-                } else {
-                    heat
-                };
-                (primary, touch)
-            }
-            None => (touch + cost * self.cfg.cost_weight, 0),
-        }
+        let heat = self.cfg.workload.as_ref().map_or(0, |w| w.heat(e.col.attr)) + 1;
+        let primary = if self.cfg.cost_weight > 0 {
+            heat.saturating_mul(e.col.dtype.conversion_cost() as u64)
+        } else {
+            heat
+        };
+        (primary, e.last_touch.load(Ordering::Relaxed))
     }
 
     fn remove_entry(&mut self, key: (u64, u32)) {

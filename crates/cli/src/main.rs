@@ -14,7 +14,7 @@
 use std::io::{BufRead, Write};
 use std::path::Path;
 
-use nodb_common::{knob, Schema};
+use nodb_common::{ByteSize, Schema};
 use nodb_core::{AccessMode, NoDb, NoDbConfig};
 use nodb_csv::CsvOptions;
 use nodb_server::{collect_stats, NodbClient, StatsPayload};
@@ -25,10 +25,6 @@ use commands::{parse_line, Command};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Engine knobs: every flag below comes from the shared registry
-    // (`nodb_common::knob`) — environment variables seed the config
-    // defaults, an explicit flag wins, and both surfaces share one
-    // parser, so a typo'd value or flag name fails loudly here.
     let mut config = NoDbConfig::postgres_raw();
     let mut i = 0;
     while i < args.len() {
@@ -37,20 +33,15 @@ fn main() {
                 print_help();
                 return;
             }
-            flag => match knob::find_flag(flag) {
-                Some(k) => {
-                    i += 1;
-                    let raw = args.get(i).cloned().unwrap_or_default();
-                    if let Err(e) = config.set_knob(k.name, &raw) {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-                None => {
-                    eprintln!("{} (see --help)", knob::unknown_flag_error(flag));
-                    std::process::exit(2);
-                }
-            },
+            "--posmap-budget" => {
+                i += 1;
+                config.posmap_budget = Some(size_arg(&args, i, "--posmap-budget"));
+            }
+            "--cache-budget" => {
+                i += 1;
+                config.cache_budget = Some(size_arg(&args, i, "--cache-budget"));
+            }
+            flag => die(&format!("unknown argument `{flag}` (see --help)")),
         }
         i += 1;
     }
@@ -291,14 +282,26 @@ fn print_profile(p: &StatsPayload) {
     }
 }
 
+/// The byte size given as `flag`'s value (`args[i]`); exits 2 naming
+/// the flag when it is missing or malformed.
+fn size_arg(args: &[String], i: usize, flag: &str) -> ByteSize {
+    let raw = args.get(i).map_or("", String::as_str);
+    ByteSize::parse(raw).unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn print_help() {
-    let flags: Vec<String> = knob::all()
-        .into_iter()
-        .map(|k| format!("[{} {}]", k.flag, k.value_hint))
-        .collect();
-    println!("usage: nodb {}\n", flags.join(" "));
-    println!("engine knobs (flag wins over its environment variable):");
-    print!("{}", NoDbConfig::knob_help());
+    println!(
+        "usage: nodb [--posmap-budget SIZE] [--cache-budget SIZE]
+
+options:
+  --posmap-budget SIZE   positional-map memory cap per table, e.g. 64MB (default unbounded)
+  --cache-budget SIZE    parsed-value cache cap per table, e.g. 256MB (default unbounded)"
+    );
     println!(
         "\n\
          \\register NAME PATH \"col type, ...\"   register a CSV file (in situ)\n\

@@ -26,8 +26,7 @@ pub enum NoDbError {
     Execution(String),
     /// Schema registration or catalog misuse.
     Catalog(String),
-    /// Invalid engine configuration (bad knob value, malformed `NODB_*`
-    /// environment override).
+    /// Invalid engine configuration (a malformed option value).
     Config(String),
     /// Admission control rejected the request: the serving layer is at
     /// its configured in-flight capacity (or connection limit) and the

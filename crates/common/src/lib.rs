@@ -25,7 +25,6 @@ pub mod date;
 pub mod error;
 pub mod format;
 pub mod io;
-pub mod knob;
 pub mod like;
 pub mod row;
 pub mod schema;

@@ -58,9 +58,8 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nodb_common::{Framing, LineFormat, NoDbError, Result, Row, Schema, TempDir, Value};
-use nodb_csv::lines::LineReader;
-use nodb_csv::{tokenize, CsvFormat, CsvOptions};
+use nodb_common::{Framing, LineFormat, NoDbError, Result, Row, Schema, TempDir};
+use nodb_csv::{CsvFormat, CsvOptions};
 use nodb_exec::{BoxOp, ExecCatalog, TableProvider};
 use nodb_fits::{FitsFormat, FitsTable};
 use nodb_json::JsonFormat;
@@ -68,6 +67,10 @@ use nodb_sql::binder::{CatalogView, PlannerOptions};
 use nodb_sql::{plan_query, BoundExpr, LogicalPlan};
 use nodb_stats::{StatsBuilder, TableStats};
 use nodb_storage::{LoadReport, LoadedTable, StorageEngine};
+
+/// Buffer-pool capacity (pages) of the storage engine behind
+/// [`AccessMode::Loaded`] tables.
+const POOL_PAGES: usize = 4096;
 
 /// A query result: column names plus rows.
 #[derive(Debug, Clone)]
@@ -132,16 +135,9 @@ pub struct NoDb {
 }
 
 impl NoDb {
-    /// Create an engine.
-    ///
-    /// Rejects a malformed value in any registered knob's environment
-    /// variable (`NODB_POSMAP_BUDGET`, `NODB_CACHE_BUDGET` — see
-    /// [`nodb_common::knob`]) with [`NoDbError::Config`]: config
-    /// construction silently falls back to its defaults (it must stay
-    /// infallible), so the typo is surfaced here, on the normal error
-    /// path, before any query can run under the wrong budget.
+    /// Create an engine. Fails only if the data directory cannot be
+    /// created.
     pub fn new(config: NoDbConfig) -> Result<NoDb> {
-        nodb_common::knob::validate_env()?;
         let (tmp, data_dir) = match &config.data_dir {
             Some(d) => {
                 std::fs::create_dir_all(d)?;
@@ -391,16 +387,36 @@ impl NoDb {
             self.storage = Some(StorageEngine::new(
                 &self.data_dir.join("heap"),
                 self.config.loaded_profile,
-                self.config.pool_pages,
+                POOL_PAGES,
             )?);
         }
         let storage = self.storage.as_mut().expect("created above");
-        let report = storage.load_csv(&name, &path, &schema, opts)?;
+        // ANALYZE in the loader's one pass (conventional engines collect
+        // statistics after loading; giving the baseline good plans keeps
+        // the comparison honest): every `STATS_SAMPLE_STRIDE`-th row's
+        // values, as an in-situ scan samples them.
+        let mut builders: Vec<StatsBuilder> = schema
+            .fields()
+            .iter()
+            .map(|f| StatsBuilder::new(f.dtype))
+            .collect();
+        let mut rows: u64 = 0;
+        let report = storage.load_csv(&name, &path, &schema, opts, |row| {
+            if rows.is_multiple_of(scan::STATS_SAMPLE_STRIDE) {
+                for (b, v) in builders.iter_mut().zip(row.values()) {
+                    b.offer(v);
+                }
+            }
+            rows += 1;
+        })?;
         let loaded = storage.table(&name)?;
-        // Post-load ANALYZE (conventional engines collect statistics after
-        // loading; giving the baseline good plans keeps the comparison
-        // honest).
-        let stats = analyze_csv(&path, &schema, opts)?;
+        let mut stats = TableStats::new();
+        stats.set_row_count(rows);
+        for (i, b) in builders.into_iter().enumerate() {
+            if b.offered() > 0 {
+                stats.set_column(i as u32, b.finalize(Some(rows as f64)));
+            }
+        }
         let entry = self.tables.get_mut(&name).expect("checked above");
         entry.provider = Some(Provider::Loaded(loaded));
         entry.loaded_stats = Some(stats);
@@ -648,48 +664,6 @@ impl TableProvider for ExternalProvider {
             },
         )))
     }
-}
-
-/// Post-load statistics pass (ANALYZE): parse every
-/// [`scan::STATS_SAMPLE_STRIDE`]-th row and build per-column statistics.
-fn analyze_csv(path: &Path, schema: &Schema, opts: CsvOptions) -> Result<TableStats> {
-    let mut reader = LineReader::open(path)?;
-    let mut line = Vec::new();
-    let mut starts: Vec<u32> = Vec::new();
-    let mut builders: Vec<StatsBuilder> = schema
-        .fields()
-        .iter()
-        .map(|f| StatsBuilder::new(f.dtype))
-        .collect();
-    let mut row_id: u64 = 0;
-    let mut skipped_header = !opts.has_header;
-    while reader.next_line(&mut line)?.is_some() {
-        if !skipped_header {
-            skipped_header = true;
-            continue;
-        }
-        if row_id.is_multiple_of(scan::STATS_SAMPLE_STRIDE) {
-            starts.clear();
-            tokenize::tokenize_all(&line, opts.delimiter, &mut starts);
-            for (i, f) in schema.fields().iter().enumerate() {
-                if let Some(&s) = starts.get(i) {
-                    let bytes = tokenize::field_at(&line, opts.delimiter, s);
-                    if let Ok(v) = Value::parse_field(bytes, f.dtype) {
-                        builders[i].offer(&v);
-                    }
-                }
-            }
-        }
-        row_id += 1;
-    }
-    let mut stats = TableStats::new();
-    stats.set_row_count(row_id);
-    for (i, b) in builders.into_iter().enumerate() {
-        if b.offered() > 0 {
-            stats.set_column(i as u32, b.finalize(Some(row_id as f64)));
-        }
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]

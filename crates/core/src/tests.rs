@@ -960,6 +960,56 @@ fn drop_table_removes_loaded_heap_storage() {
     assert!(db.query("select c0 from t").is_err());
 }
 
+/// A `Loaded` table's ANALYZE, taken in the loader's one pass, samples
+/// the rows an in-situ scan samples (`id % 16 == 0`): after `select *`,
+/// both registrations of one file hold the same statistics.
+#[test]
+fn loaded_analyze_matches_in_situ_statistics() {
+    use nodb_sql::binder::CatalogView;
+    let td = TempDir::new("nodb-core-analyze").unwrap();
+    let p = td.file("t.csv");
+    let mut csv = String::new();
+    for i in 0..1000 {
+        let name = if i % 11 == 0 {
+            String::new()
+        } else {
+            format!("n{}", i % 37)
+        };
+        let score = if i % 7 == 0 {
+            String::new()
+        } else {
+            format!("{}", i as f64 * 0.5)
+        };
+        csv += &format!("{i},{name},{score},1995-0{}-1{}\n", 1 + i % 9, i % 10);
+    }
+    std::fs::write(&p, csv).unwrap();
+    let schema = Schema::parse("id int, name text, score double, day date").unwrap();
+    let mut loaded = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::Loaded);
+    loaded.load_table("t").unwrap();
+    let insitu = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
+    insitu.query("select * from t").unwrap();
+    let (l, i) = (loaded.stats_of("t").unwrap(), insitu.stats_of("t").unwrap());
+    assert_eq!(l.row_count(), Some(1000));
+    assert_eq!(i.row_count(), l.row_count());
+    for attr in 0..schema.len() as u32 {
+        let (a, b) = (l.column(attr).unwrap(), i.column(attr).unwrap());
+        assert_eq!(a.rows_sampled, 63, "attr {attr}");
+        assert_eq!(a.rows_sampled, b.rows_sampled, "attr {attr}");
+        assert_eq!(a.ndv, b.ndv, "attr {attr}");
+        assert_eq!(a.null_fraction(), b.null_fraction(), "attr {attr}");
+        assert_eq!(a.min, b.min, "attr {attr}");
+        assert_eq!(a.max, b.max, "attr {attr}");
+    }
+    assert!(
+        l.column(1).unwrap().null_count > 0,
+        "the sample holds a NULL name"
+    );
+    assert!(
+        l.column(2).unwrap().null_count > 0,
+        "the sample holds a NULL score"
+    );
+}
+
 /// Once the cache holds every projected column, a map-covered block is
 /// served from it alone: it takes no positional-map snapshot, inserts
 /// no chunk and reads no raw byte, and it answers as the cold scan did,

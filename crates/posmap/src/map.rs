@@ -28,10 +28,10 @@ pub struct PosMapConfig {
     /// benchmark change (ROADMAP item 1) deletes it. Chunks are never
     /// spilled to disk: an evicted chunk is dropped.
     pub spill_dir: Option<std::convert::Infallible>,
-    /// Per-attribute access-frequency log. When present, budget
-    /// evictions pick the chunk whose hottest attribute is coldest
-    /// (recency breaking ties) instead of pure LRU, so the map retains
-    /// what the workload actually navigates by.
+    /// Per-attribute access-frequency log. Budget evictions pick the
+    /// chunk whose hottest attribute is coldest (recency breaking ties),
+    /// so the map retains what the workload actually navigates by.
+    /// `None` reads as a log with every attribute cold: plain LRU.
     pub workload: Option<Arc<WorkloadLog>>,
 }
 
@@ -382,33 +382,30 @@ impl PositionalMap {
         };
         let budget = budget.bytes() as usize;
         // One heat snapshot per enforcement pass (the log is shared and
-        // briefly locked per call).
-        let heats: Option<Vec<u64>> = self.cfg.workload.as_ref().map(|w| w.heats());
+        // briefly locked per call). No log reads as all-cold: plain LRU.
+        let heats: Vec<u64> = self
+            .cfg
+            .workload
+            .as_ref()
+            .map(|w| w.heats())
+            .unwrap_or_default();
         while self.bytes_in_mem > budget {
             // Find the next victim among in-memory chunks, excluding
-            // `protect` unless it is the only one left. Without a
-            // workload log the victim is the LRU chunk; with one it is
-            // the chunk whose hottest attribute is coldest (recency
-            // breaking ties).
+            // `protect` unless it is the only one left: the chunk whose
+            // hottest attribute is coldest, recency breaking ties.
             let mut victim: Option<(usize, (u64, u64))> = None;
             let mut in_mem = 0usize;
             for (id, s) in self.slots.iter().enumerate() {
                 if let Some(c) = &s.chunk {
                     in_mem += 1;
                     if id != protect {
-                        let touch = s.last_touch.load(Ordering::Relaxed);
-                        let key = match &heats {
-                            Some(h) => {
-                                let heat = c
-                                    .attrs
-                                    .iter()
-                                    .map(|&a| h.get(a as usize).copied().unwrap_or(0))
-                                    .max()
-                                    .unwrap_or(0);
-                                (heat + 1, touch)
-                            }
-                            None => (touch, 0),
-                        };
+                        let heat = c
+                            .attrs
+                            .iter()
+                            .map(|&a| heats.get(a as usize).copied().unwrap_or(0))
+                            .max()
+                            .unwrap_or(0);
+                        let key = (heat, s.last_touch.load(Ordering::Relaxed));
                         match victim {
                             Some((_, k)) if k <= key => {}
                             _ => victim = Some((id, key)),

@@ -15,7 +15,7 @@ use std::io::BufRead;
 use std::path::Path;
 use std::sync::Arc;
 
-use nodb_common::{knob, Schema};
+use nodb_common::{ByteSize, Schema};
 use nodb_core::{AccessMode, NoDb, NoDbConfig};
 use nodb_csv::CsvOptions;
 use nodb_server::{NodbServer, ServerConfig};
@@ -64,22 +64,15 @@ fn main() {
                 tables.push((name, path, schema));
                 i += 3;
             }
-            // Engine knobs come from the shared registry
-            // (`nodb_common::knob`): one parser for the flag and its
-            // environment variable, loud errors for typos in either.
-            flag => match knob::find_flag(flag) {
-                Some(k) => {
-                    i += 1;
-                    let raw = require(&args, i, "flag needs a value");
-                    if let Err(e) = config.set_knob(k.name, &raw) {
-                        die(&e.to_string());
-                    }
-                }
-                None => {
-                    eprintln!("{} (see --help)", knob::unknown_flag_error(flag));
-                    std::process::exit(2);
-                }
-            },
+            "--posmap-budget" => {
+                i += 1;
+                config.posmap_budget = Some(size_arg(&args, i, "--posmap-budget"));
+            }
+            "--cache-budget" => {
+                i += 1;
+                config.cache_budget = Some(size_arg(&args, i, "--cache-budget"));
+            }
+            flag => die(&format!("unknown argument `{flag}` (see --help)")),
         }
         i += 1;
     }
@@ -193,6 +186,13 @@ fn require(args: &[String], i: usize, msg: &str) -> String {
     args.get(i).cloned().unwrap_or_else(|| die(msg))
 }
 
+/// The byte size given as `flag`'s value (`args[i]`); exits 2 naming
+/// the flag when it is missing or malformed.
+fn size_arg(args: &[String], i: usize, flag: &str) -> ByteSize {
+    let raw = require(args, i, &format!("{flag} needs a size"));
+    ByteSize::parse(&raw).unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
@@ -212,10 +212,9 @@ options:
                             format by extension: .jsonl/.ndjson, else CSV
   --max-inflight N          queries running concurrently before Busy (default 8)
   --max-connections N       open connections before Busy-at-accept (default 64)
+  --posmap-budget SIZE      positional-map memory cap per table, e.g. 64MB (default unbounded)
+  --cache-budget SIZE       parsed-value cache cap per table, e.g. 256MB (default unbounded)
 
-engine knobs (flag wins over its environment variable):
-{}
-stdin commands while serving: stats, shutdown (EOF also shuts down)",
-        NoDbConfig::knob_help()
+stdin commands while serving: stats, shutdown (EOF also shuts down)"
     );
 }

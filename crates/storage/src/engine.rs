@@ -125,12 +125,15 @@ impl StorageEngine {
     /// Bulk-load a raw file into a heap table — the up-front cost the
     /// NoDB philosophy eliminates. Parses and converts *every* field of
     /// *every* tuple, encodes binary tuples and writes slotted pages.
+    /// `on_row` sees each converted row, in file order, so a caller can
+    /// collect statistics without a second pass.
     pub fn load_csv(
         &mut self,
         name: &str,
         csv_path: &Path,
         schema: &Schema,
         opts: CsvOptions,
+        mut on_row: impl FnMut(&Row),
     ) -> Result<LoadReport> {
         let start = Instant::now();
         let heap_path = self.dir.join(format!("{name}.heap"));
@@ -163,6 +166,7 @@ impl StorageEngine {
             }
             tuple::encode(&row, schema, header_bytes, &mut encoded)?;
             writer.append(&encoded)?;
+            on_row(&row);
         }
         let heap = writer.finish()?;
 
@@ -394,7 +398,7 @@ mod tests {
         let schema = spec.schema();
         let mut eng = StorageEngine::new(&td.path().join("db"), profile, 256).unwrap();
         let report = eng
-            .load_csv("micro", &csv, &schema, CsvOptions::default())
+            .load_csv("micro", &csv, &schema, CsvOptions::default(), |_| {})
             .unwrap();
         assert_eq!(report.rows, 500);
         (td, eng, schema)
@@ -468,7 +472,7 @@ mod tests {
         let mut eng =
             StorageEngine::new(&td.path().join("db"), EngineProfile::PostgresLike, 64).unwrap();
         let report = eng
-            .load_csv("wide", &csv, &schema, CsvOptions::default())
+            .load_csv("wide", &csv, &schema, CsvOptions::default(), |_| {})
             .unwrap();
         assert_eq!(report.overflow_rows, 20, "every row must overflow");
         let t = eng.table("wide").unwrap();
@@ -488,7 +492,7 @@ mod tests {
         let mut eng =
             StorageEngine::new(&td.path().join("db"), EngineProfile::PostgresLike, 64).unwrap();
         let report = eng
-            .load_csv("wide", &csv, &spec.schema(), CsvOptions::default())
+            .load_csv("wide", &csv, &spec.schema(), CsvOptions::default(), |_| {})
             .unwrap();
         assert_eq!(report.overflow_rows, 2);
         // Slot 0's tuple: [tag][offset u64][len u32]; claim 4 GiB.
