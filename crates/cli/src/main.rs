@@ -286,7 +286,7 @@ fn print_profile(p: &StatsPayload) {
 /// the flag when it is missing or malformed.
 fn size_arg(args: &[String], i: usize, flag: &str) -> ByteSize {
     let raw = args.get(i).map_or("", String::as_str);
-    ByteSize::parse(raw).unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
+    ByteSize::parse_flag(flag, raw).unwrap_or_else(|e| die(&e.to_string()))
 }
 
 fn die(msg: &str) -> ! {

@@ -53,6 +53,15 @@ impl ByteSize {
         };
         Ok(ByteSize((num * mult) as u64))
     }
+
+    /// [`parse`](Self::parse) the value `raw` given to the command-line
+    /// budget flag `flag` (`--posmap-budget`, `--cache-budget`). A
+    /// malformed value is a [`NoDbError::Config`] naming the flag, so
+    /// `nodb` and `nodb-server` refuse it before building an engine.
+    pub fn parse_flag(flag: &str, raw: &str) -> Result<ByteSize> {
+        ByteSize::parse(raw)
+            .map_err(|e| NoDbError::config(format!("invalid {flag} value `{raw}`: {e}")))
+    }
 }
 
 impl fmt::Display for ByteSize {

@@ -190,7 +190,7 @@ fn require(args: &[String], i: usize, msg: &str) -> String {
 /// the flag when it is missing or malformed.
 fn size_arg(args: &[String], i: usize, flag: &str) -> ByteSize {
     let raw = require(args, i, &format!("{flag} needs a size"));
-    ByteSize::parse(&raw).unwrap_or_else(|e| die(&format!("invalid {flag} value `{raw}`: {e}")))
+    ByteSize::parse_flag(flag, &raw).unwrap_or_else(|e| die(&e.to_string()))
 }
 
 fn die(msg: &str) -> ! {

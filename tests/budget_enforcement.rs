@@ -19,7 +19,8 @@
 //!    one-off column gets evicted (paper §4.3: the cache holds "the
 //!    most frequently accessed" data).
 //!
-//! Plus the config-hygiene gate: the environment configures nothing;
+//! Plus the config-hygiene gates: a malformed budget fails loudly
+//! before an engine is built, and the environment configures nothing;
 //! budgets come from `NoDbConfig` only.
 
 use std::path::PathBuf;
@@ -258,6 +259,41 @@ fn hot_columns_outlive_cold_ones_under_cache_pressure() {
     assert!(
         hot_from_cache > 0,
         "hot column fell out of cache under a half-working-set budget"
+    );
+}
+
+/// A malformed positional-map budget fails loudly before an engine is
+/// constructed — a broken deployment cannot silently run unbounded.
+/// (The name dates from when the budget came from an environment
+/// variable that `NoDb::new` rejected; it now comes only from the
+/// `--posmap-budget` flag, which both binaries parse through
+/// `ByteSize::parse_flag` before `NoDb::new`.)
+#[test]
+fn malformed_posmap_budget_env_fails_at_construction() {
+    let err = ByteSize::parse_flag("--posmap-budget", "lots").unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("invalid --posmap-budget value `lots`"),
+        "expected a loud config error, got: {err}"
+    );
+    assert_eq!(
+        ByteSize::parse_flag("--posmap-budget", "64MB").unwrap(),
+        ByteSize::mb(64)
+    );
+}
+
+/// Same for the cache budget and `--cache-budget`.
+#[test]
+fn malformed_cache_budget_env_fails_at_construction() {
+    let err = ByteSize::parse_flag("--cache-budget", "12qb").unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("invalid --cache-budget value `12qb`"),
+        "expected a loud config error, got: {err}"
+    );
+    assert_eq!(
+        ByteSize::parse_flag("--cache-budget", "1.5GB").unwrap(),
+        ByteSize(1_500_000_000)
     );
 }
 
