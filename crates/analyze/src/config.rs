@@ -78,6 +78,11 @@ impl Config {
                 // The FITS record format the in-situ scan decodes every
                 // FITS value through.
                 "crates/fits/src/format.rs",
+                // The binder and the parse tree it walks: client SQL
+                // reaches them on every prepare, so a statement they
+                // cannot plan must be a typed error.
+                "crates/sql/src/ast.rs",
+                "crates/sql/src/binder.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -193,7 +193,7 @@ fn execute(
                 .into());
         }
         Command::Explain { sql } => {
-            print!("{}", db.explain_plan(&sql)?.render());
+            print!("{}", db.explain(&sql)?);
         }
         Command::Sql { sql } => {
             // Stream from the cursor: rows print as the scan produces

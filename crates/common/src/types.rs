@@ -64,18 +64,6 @@ impl DataType {
         }
     }
 
-    /// Estimated in-memory width of one binary value, used by the cache for
-    /// byte accounting. Text uses an average estimate; exact sizes are
-    /// accounted when the value is stored.
-    pub fn approx_binary_width(self) -> usize {
-        match self {
-            DataType::Int32 | DataType::Date => 4,
-            DataType::Int64 | DataType::Float64 => 8,
-            DataType::Bool => 1,
-            DataType::Text => 16,
-        }
-    }
-
     /// Relative CPU cost of converting one ASCII field of this type to its
     /// binary form. The PostgresRaw cache prioritizes keeping values that
     /// are expensive to re-convert (§4.3: "numerical attributes are

@@ -109,7 +109,9 @@ pub enum AccessMode {
     InSitu,
     /// Straw-man external files: every query re-tokenizes the whole raw
     /// file; nothing is remembered between queries (MySQL CSV engine /
-    /// "DBMS X with external files").
+    /// "DBMS X with external files"). It is an in-situ table with every
+    /// auxiliary structure off, so [`crate::NoDb::metrics`] still counts
+    /// its work.
     ExternalFiles,
     /// Conventional loaded table: must be loaded before querying
     /// ([`crate::NoDb::load_table`]); queries then read binary heap

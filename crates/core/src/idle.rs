@@ -53,7 +53,7 @@ pub(crate) fn run_idle(
     let before = db.aux_info(table)?;
     let entry = db.entry(table)?;
     let provider = match entry.provider.as_ref() {
-        Some(crate::Provider::InSitu(p)) => p,
+        Some(crate::Provider::InSitu(p)) if entry.mode == crate::AccessMode::InSitu => p,
         _ => {
             return Err(nodb_common::NoDbError::catalog(format!(
                 "idle-time exploitation needs an in-situ raw table, `{table}` is not one"

@@ -47,7 +47,6 @@ pub mod session;
 
 pub use config::{AccessMode, NoDbConfig};
 pub use idle::{IdleFocus, IdleReport};
-pub use nodb_sql::explain::{ExplainNode, ExplainPlan};
 pub use nodb_storage::EngineProfile;
 pub use profile::{PhaseProfile, PhaseProfileAtomic, QueryProfile};
 pub use runtime::{RawTableRuntime, ScanMetrics, ScanMetricsAtomic};
@@ -109,7 +108,6 @@ pub struct AuxInfo {
 
 pub(crate) enum Provider {
     InSitu(InSituProvider),
-    External(ExternalProvider),
     Loaded(Arc<LoadedTable>),
     Custom(Box<dyn TableProvider>),
 }
@@ -240,24 +238,31 @@ impl NoDb {
                  or ExternalFiles",
             ));
         }
-        // Fixed-width records have computed positions: no map to keep.
-        let posmap = self.config.enable_posmap && format.framing() == Framing::Newline;
         let has_header = csv.is_some_and(|o| o.has_header);
         let entry = match mode {
-            AccessMode::InSitu => {
-                let runtime = Arc::new(RawTableRuntime::new(&self.config));
+            AccessMode::InSitu | AccessMode::ExternalFiles => {
+                // External files are an in-situ table that keeps nothing:
+                // every structure is off, so each scan reads the raw file
+                // from scratch (§3.1), and its counters still add up.
+                let config = match mode {
+                    AccessMode::InSitu => &self.config,
+                    _ => &NoDbConfig::baseline(),
+                };
+                let runtime = Arc::new(RawTableRuntime::new(config));
                 let provider = InSituProvider {
                     runtime: Arc::clone(&runtime),
                     path: path.to_path_buf(),
                     schema: schema.clone(),
-                    format,
                     has_header,
                     flags: AuxFlags {
-                        posmap,
-                        cache: self.config.enable_cache,
-                        eol: self.config.enable_posmap || self.config.enable_cache,
-                        stats: self.config.enable_stats,
+                        // Fixed-width records have computed positions: no
+                        // map to keep.
+                        posmap: config.enable_posmap && format.framing() == Framing::Newline,
+                        cache: config.enable_cache,
+                        eol: config.enable_posmap || config.enable_cache,
+                        stats: config.enable_stats,
                     },
+                    format,
                 };
                 TableEntry {
                     schema,
@@ -269,20 +274,6 @@ impl NoDb {
                     loaded_stats: None,
                 }
             }
-            AccessMode::ExternalFiles => TableEntry {
-                schema: schema.clone(),
-                provider: Some(Provider::External(ExternalProvider {
-                    path: path.to_path_buf(),
-                    schema,
-                    format,
-                    has_header,
-                })),
-                runtime: None,
-                path: Some(path.to_path_buf()),
-                csv,
-                mode,
-                loaded_stats: None,
-            },
             AccessMode::Loaded => TableEntry {
                 schema,
                 provider: None,
@@ -443,16 +434,8 @@ impl NoDb {
         plan_query(sql, self, &options)
     }
 
-    /// EXPLAIN as a typed plan tree ([`ExplainPlan`]): structured nodes
-    /// carrying the scan projections, pushed-down filters and estimated
-    /// cardinalities. `render()` on the result reproduces
-    /// [`NoDb::explain`]'s text exactly.
-    pub fn explain_plan(&self, sql: &str) -> Result<ExplainPlan> {
-        Ok(ExplainPlan::from_plan(&self.plan(sql)?))
-    }
-
-    /// EXPLAIN-style plan rendering (use [`NoDb::explain_plan`] for the
-    /// structured form).
+    /// EXPLAIN text of [`NoDb::plan`]: one line per operator with its
+    /// projection, pushed-down filters and estimated rows.
     pub fn explain(&self, sql: &str) -> Result<String> {
         Ok(self.plan(sql)?.explain())
     }
@@ -585,7 +568,6 @@ impl ExecCatalog for NoDb {
         let entry = self.entry(table)?;
         match &entry.provider {
             Some(Provider::InSitu(p)) => Ok(p),
-            Some(Provider::External(p)) => Ok(p),
             Some(Provider::Loaded(p)) => Ok(p.as_ref()),
             Some(Provider::Custom(p)) => Ok(p.as_ref()),
             None => Err(NoDbError::catalog(format!(
@@ -632,37 +614,6 @@ impl InSituProvider {
 impl TableProvider for InSituProvider {
     fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
         Ok(self.make_scan(projection.to_vec(), filters.to_vec()))
-    }
-}
-
-/// Straw-man external files: a fresh scan with no auxiliary structures;
-/// nothing learned, nothing remembered ("every query needs to perform
-/// loading from scratch", §3.1).
-struct ExternalProvider {
-    path: PathBuf,
-    schema: Schema,
-    format: Arc<dyn LineFormat>,
-    has_header: bool,
-}
-
-impl TableProvider for ExternalProvider {
-    fn scan(&self, projection: &[usize], filters: &[BoundExpr]) -> Result<BoxOp> {
-        let throwaway = Arc::new(RawTableRuntime::new(&NoDbConfig::baseline()));
-        Ok(Box::new(InSituScanOp::new(
-            throwaway,
-            self.path.clone(),
-            self.schema.clone(),
-            Arc::clone(&self.format),
-            self.has_header,
-            projection.to_vec(),
-            filters.to_vec(),
-            AuxFlags {
-                posmap: false,
-                cache: false,
-                eol: false,
-                stats: false,
-            },
-        )))
     }
 }
 

@@ -52,7 +52,6 @@ use std::time::Instant;
 use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
 use nodb_exec::{build_plan, BoxOp, DEFAULT_BATCH_ROWS};
 use nodb_sql::binder::PlannerOptions;
-use nodb_sql::explain::ExplainPlan;
 use nodb_sql::{parser, refresh_stats, LogicalPlan};
 
 use crate::profile::{self, PhaseProfileAtomic, QueryProfile};
@@ -177,7 +176,7 @@ impl NoDb {
         let options = PlannerOptions {
             use_stats: self.config.enable_stats,
         };
-        let plan = nodb_sql::binder::bind(&stmt, self, &options)?;
+        let mut plan = nodb_sql::binder::bind(&stmt, self, &options)?;
         let param_types = plan.param_types(param_count);
         Ok(Statement {
             db: self,
@@ -251,10 +250,10 @@ impl Statement<'_> {
 
     /// EXPLAIN this statement as it would run *now*: parameters
     /// substituted and estimates/strategies refreshed from current
-    /// statistics, without executing anything. Returns the typed
-    /// [`ExplainPlan`] tree — `render()` it for the classic text form.
-    pub fn explain(&self, params: &Params) -> Result<ExplainPlan> {
-        Ok(ExplainPlan::from_plan(&self.current_plan(params)?))
+    /// statistics, without executing anything. Returns the plan that
+    /// would run; its `Display` is the EXPLAIN text.
+    pub fn explain(&self, params: &Params) -> Result<LogicalPlan> {
+        self.current_plan(params)
     }
 
     /// The plan one execution runs: the cached plan with `params`
@@ -263,7 +262,8 @@ impl Statement<'_> {
     /// current statistics (a no-op in the "w/o statistics" regime).
     fn current_plan(&self, params: &Params) -> Result<LogicalPlan> {
         let values = self.bind_values(params)?;
-        let mut plan = self.plan.substitute_params(&values);
+        let mut plan = self.plan.clone();
+        plan.substitute_params(&values);
         refresh_stats(&mut plan, self.db, self.db.config.enable_stats);
         Ok(plan)
     }

@@ -173,10 +173,22 @@ fn baseline_mode_never_learns() {
         AccessMode::ExternalFiles,
     );
     let a = db.query("select c2 from t").unwrap();
+    let first = db.metrics("t").unwrap();
     let b = db.query("select c2 from t").unwrap();
+    let both = db.metrics("t").unwrap();
     assert_eq!(a.rows, b.rows);
-    // External tables expose no runtime to inspect.
-    assert!(db.metrics("t").is_err());
+    // Nothing was kept: the second scan tokenizes exactly what the
+    // first did, and no value comes from a map, an anchor or the cache.
+    assert!(first.fields_tokenized > 0);
+    assert_eq!(both.fields_tokenized, 2 * first.fields_tokenized);
+    assert_eq!(
+        (
+            both.fields_via_map,
+            both.fields_via_anchor,
+            both.fields_from_cache
+        ),
+        (0, 0, 0)
+    );
 }
 
 #[test]
@@ -900,13 +912,13 @@ fn statement_explain_reflects_current_stats() {
     let db = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
     let stmt = db.prepare("select c0 from t where c1 < ?").unwrap();
     let params = crate::Params::new().bind(500_000_000i64);
-    let cold = stmt.explain(&params).unwrap().render();
+    let cold = stmt.explain(&params).unwrap().to_string();
     // No statistics yet: the default 1000-row table guess times the
     // default inequality selectivity.
     assert!(cold.contains("~333 rows"), "default estimate: {cold}");
     // Execute once: the scan collects statistics on the fly.
     stmt.query(&params).unwrap();
-    let warm = stmt.explain(&params).unwrap().render();
+    let warm = stmt.explain(&params).unwrap().to_string();
     assert!(
         !warm.contains("~333 rows") && warm.contains("Scan t"),
         "estimates must pick up adaptive stats: {warm}"

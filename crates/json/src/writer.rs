@@ -81,11 +81,6 @@ impl JsonlWriter {
         Ok(())
     }
 
-    /// Rows written so far.
-    pub fn rows_written(&self) -> u64 {
-        self.rows
-    }
-
     /// Flush buffered output.
     pub fn finish(mut self) -> Result<u64> {
         self.out.flush()?;

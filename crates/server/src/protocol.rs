@@ -606,53 +606,27 @@ impl Frame {
     }
 }
 
-/// Read exactly one frame from `r`. Returns `Ok(None)` on a clean EOF
-/// at a frame boundary (the peer closed); mid-frame EOF, an oversized
-/// announced length, or a malformed body are typed errors.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
-    let mut len = [0u8; 4];
-    // A clean close at a frame boundary is `Ok(None)`.
-    match r.read(&mut len) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r
-            .read_exact(&mut len[n..])
-            .map_err(|e| eof_err(e, "length prefix"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            return read_frame(r);
-        }
-        Err(e) => return Err(NoDbError::Io(e)),
-    }
-    let len = u32::from_le_bytes(len);
-    if len == 0 {
-        return Err(wire_err("zero-length frame"));
-    }
-    if len > MAX_FRAME_BYTES {
-        return Err(wire_err(format!(
-            "announced frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)
-        .map_err(|e| eof_err(e, "frame body"))?;
-    Frame::decode(&body).map(Some)
-}
-
-/// How many consecutive read-timeout ticks [`read_frame_timeout`]
+/// How many consecutive read-timeout ticks [`read_frame`]
 /// tolerates *mid-frame* before declaring the peer stalled. With the
-/// server's default 50 ms poll interval this is ~10 s of patience —
+/// server's 50 ms idle poll this is ~10 s of patience —
 /// enough for any real network hiccup, small enough that a stalled
 /// client cannot hold graceful shutdown hostage. The mid-stream `Cancel`
 /// poll reads with a 1 ms timeout, so a stalled `Cancel` costs ~0.2 s.
 const MAX_MIDFRAME_TIMEOUTS: u32 = 200;
 
-/// Like [`read_frame`], but built for a stream with a read timeout set
-/// (the server's idle-poll mechanism). A timeout that fires *before any
-/// byte of a frame arrived* surfaces as a `WouldBlock`/`TimedOut`
-/// [`NoDbError::Io`] — the caller treats it as an idle tick, checks for
-/// shutdown, and polls again. A timeout *mid-frame* retries internally
-/// (the peer has committed a length prefix; the rest is in flight),
-/// giving up with a typed error after a bounded number of ticks.
-pub fn read_frame_timeout(r: &mut impl Read) -> Result<Option<Frame>> {
+/// Read exactly one frame from `r`. Returns `Ok(None)` on a clean EOF
+/// at a frame boundary (the peer closed); mid-frame EOF, an oversized
+/// announced length, or a malformed body are typed errors.
+///
+/// On a stream with a read timeout set (the server's idle poll), a
+/// timeout that fires *before any byte of a frame arrived* surfaces as a
+/// `WouldBlock`/`TimedOut` [`NoDbError::Io`]: the caller treats it as an
+/// idle tick, checks for shutdown, and polls again. A timeout
+/// *mid-frame* retries internally (the peer has committed a length
+/// prefix; the rest is in flight), giving up with a typed error after a
+/// bounded number of ticks. A blocking stream or a slice never times
+/// out.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     fn fill(r: &mut impl Read, buf: &mut [u8], mut filled: usize, what: &str) -> Result<usize> {
         let mut stalled: u32 = 0;
         while filled < buf.len() {
@@ -707,14 +681,6 @@ pub fn read_frame_timeout(r: &mut impl Read) -> Result<Option<Frame>> {
     match fill(r, &mut body, 0, "frame body")? {
         0 if !body.is_empty() => Err(wire_err("connection closed mid-frame body")),
         _ => Frame::decode(&body).map(Some),
-    }
-}
-
-fn eof_err(e: std::io::Error, what: &str) -> NoDbError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        wire_err(format!("connection closed mid-{what}"))
-    } else {
-        NoDbError::Io(e)
     }
 }
 

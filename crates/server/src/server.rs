@@ -39,7 +39,7 @@ use nodb_core::{NoDb, Params, Statement};
 
 use crate::conn::Conn;
 use crate::protocol::{
-    read_frame_timeout, schema_frame, write_frame, ErrorKind, Frame, StatsPayload, PROTOCOL_VERSION,
+    read_frame, schema_frame, write_frame, ErrorKind, Frame, StatsPayload, PROTOCOL_VERSION,
 };
 
 /// Build the observability view of one in-situ table that a
@@ -93,21 +93,21 @@ pub struct ServerConfig {
     /// Maximum concurrently-open client connections; excess dials are
     /// greeted with `Busy` and closed.
     pub max_connections: usize,
-    /// How often idle handler threads wake up to check for shutdown.
-    /// Bounds shutdown latency for connections that are sitting idle
-    /// between statements.
-    pub poll_interval: Duration,
-    /// Name reported in the `Hello` greeting.
-    pub server_name: String,
 }
+
+/// How often idle handler threads wake up to check for shutdown. Bounds
+/// shutdown latency for connections that are sitting idle between
+/// statements.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Name reported in the `Hello` greeting.
+const SERVER_NAME: &str = concat!("nodb-server ", env!("CARGO_PKG_VERSION"));
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_inflight: 8,
             max_connections: 64,
-            poll_interval: Duration::from_millis(50),
-            server_name: format!("nodb-server {}", env!("CARGO_PKG_VERSION")),
         }
     }
 }
@@ -334,7 +334,6 @@ impl NodbServer {
             state,
             ..
         } = self;
-        let config = Arc::new(config);
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
         loop {
@@ -390,9 +389,8 @@ impl NodbServer {
             state.connections_served.fetch_add(1, Ordering::Relaxed);
             let db = Arc::clone(&db);
             let state_for_thread = Arc::clone(&state);
-            let config_for_thread = Arc::clone(&config);
             handlers.push(std::thread::spawn(move || {
-                let _ = handle_connection(&db, &state_for_thread, &config_for_thread, &mut conn);
+                let _ = handle_connection(&db, &state_for_thread, &mut conn);
                 state_for_thread.open_conns.fetch_sub(1, Ordering::AcqRel);
             }));
         }
@@ -427,7 +425,7 @@ enum Inbound {
 
 fn read_request(conn: &mut Conn, state: &State) -> Result<Inbound> {
     loop {
-        match read_frame_timeout(conn) {
+        match read_frame(conn) {
             Ok(Some(f)) => return Ok(Inbound::Frame(f)),
             Ok(None) => return Ok(Inbound::Eof),
             Err(NoDbError::Io(e))
@@ -435,7 +433,7 @@ fn read_request(conn: &mut Conn, state: &State) -> Result<Inbound> {
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 // Idle poll tick: nothing arrived within the read
-                // timeout. `read_frame_timeout` only surfaces this when
+                // timeout. `read_frame` only surfaces this when
                 // no bytes of a frame were consumed, so it is safe to
                 // spin.
                 if state.is_shutdown() {
@@ -447,18 +445,13 @@ fn read_request(conn: &mut Conn, state: &State) -> Result<Inbound> {
     }
 }
 
-fn handle_connection(
-    db: &NoDb,
-    state: &State,
-    config: &ServerConfig,
-    conn: &mut Conn,
-) -> Result<()> {
-    conn.set_read_timeout(Some(config.poll_interval))?;
+fn handle_connection(db: &NoDb, state: &State, conn: &mut Conn) -> Result<()> {
+    conn.set_read_timeout(Some(POLL_INTERVAL))?;
     write_frame(
         conn,
         &Frame::Hello {
             version: PROTOCOL_VERSION,
-            server: config.server_name.clone(),
+            server: SERVER_NAME.to_string(),
         },
     )?;
 
@@ -489,7 +482,7 @@ fn handle_connection(
                     )?;
                     continue;
                 }
-                let outcome = run_statement(db, state, config, &mut statements, conn, sql, params);
+                let outcome = run_statement(db, state, &mut statements, conn, sql, params);
                 state.release();
                 outcome?;
             }
@@ -538,7 +531,7 @@ fn handle_connection(
 const FLUSH_BYTES: usize = 32 * 1024;
 
 /// How long [`poll_cancel`] waits for each further byte of a frame whose
-/// first byte has arrived; `read_frame_timeout` bounds how many such
+/// first byte has arrived; `read_frame` bounds how many such
 /// waits one frame may take.
 const MIDFRAME_WAIT: Duration = Duration::from_millis(1);
 
@@ -549,7 +542,7 @@ const MIDFRAME_WAIT: Duration = Duration::from_millis(1);
 /// `true` when the client sent [`Frame::Cancel`]; anything else inbound
 /// mid-stream is a protocol violation (requests are not pipelined) and
 /// surfaces as an error, which closes the connection.
-fn poll_cancel(conn: &mut Conn, config: &ServerConfig) -> Result<bool> {
+fn poll_cancel(conn: &mut Conn) -> Result<bool> {
     let mut first = [0u8; 1];
     conn.set_nonblocking(true)?;
     let peeked = conn.read(&mut first);
@@ -566,23 +559,20 @@ fn poll_cancel(conn: &mut Conn, config: &ServerConfig) -> Result<bool> {
         Err(e) => return Err(NoDbError::Io(e)),
     }
     conn.set_read_timeout(Some(MIDFRAME_WAIT))?;
-    let polled =
-        read_frame_timeout(&mut (&first[..]).chain(&mut *conn)).and_then(|frame| match frame {
-            Some(Frame::Cancel) => Ok(true),
-            Some(other) => Err(NoDbError::parse(format!(
-                "unexpected frame mid-stream: {other:?}"
-            ))),
-            None => Err(NoDbError::parse("connection closed mid-stream".to_string())),
-        });
-    conn.set_read_timeout(Some(config.poll_interval))?;
+    let polled = read_frame(&mut (&first[..]).chain(&mut *conn)).and_then(|frame| match frame {
+        Some(Frame::Cancel) => Ok(true),
+        Some(other) => Err(NoDbError::parse(format!(
+            "unexpected frame mid-stream: {other:?}"
+        ))),
+        None => Err(NoDbError::parse("connection closed mid-stream".to_string())),
+    });
+    conn.set_read_timeout(Some(POLL_INTERVAL))?;
     polled
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_statement<'db>(
     db: &'db NoDb,
     state: &State,
-    config: &ServerConfig,
     statements: &mut HashMap<String, Statement<'db>>,
     conn: &mut Conn,
     sql: String,
@@ -640,7 +630,7 @@ fn run_statement<'db>(
                 if buf.len() >= FLUSH_BYTES {
                     conn.write_all(&buf)?;
                     buf.clear();
-                    if poll_cancel(conn, config)? {
+                    if poll_cancel(conn)? {
                         state.queries_cancelled.fetch_add(1, Ordering::Relaxed);
                         write_frame(conn, &Frame::Cancelled { rows })?;
                         return Ok(());
@@ -683,10 +673,9 @@ mod tests {
     #[test]
     fn poll_cancel_returns_at_once_when_nothing_is_inbound() {
         let (mut conn, _client) = pair();
-        let config = ServerConfig::default();
         let started = Instant::now();
         for _ in 0..100 {
-            assert!(!poll_cancel(&mut conn, &config).unwrap());
+            assert!(!poll_cancel(&mut conn).unwrap());
         }
         let spent = started.elapsed();
         assert!(
@@ -706,11 +695,10 @@ mod tests {
             client.write_all(&rest).unwrap();
             client
         });
-        let config = ServerConfig::default();
-        assert!(poll_cancel(&mut conn, &config).unwrap());
+        assert!(poll_cancel(&mut conn).unwrap());
         let _client = writer.join().unwrap();
         // The whole frame was consumed: the next poll sees nothing.
-        assert!(!poll_cancel(&mut conn, &config).unwrap());
+        assert!(!poll_cancel(&mut conn).unwrap());
     }
 
     /// End to end through the connection handler: a non-`Cancel` frame
@@ -732,13 +720,12 @@ mod tests {
         )
         .unwrap();
         let state = State::new(8);
-        let config = ServerConfig::default();
         let (mut conn, mut client) = pair();
 
         let (served, frames) = std::thread::scope(|s| {
-            let (db, state, config) = (&db, &state, &config);
+            let (db, state) = (&db, &state);
             // The handler owns `conn`, so the socket closes when it returns.
-            let server = s.spawn(move || handle_connection(db, state, config, &mut conn));
+            let server = s.spawn(move || handle_connection(db, state, &mut conn));
             assert!(matches!(
                 read_frame(&mut client).unwrap(),
                 Some(Frame::Hello { .. })

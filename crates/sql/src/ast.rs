@@ -1,5 +1,8 @@
 //! Abstract syntax tree produced by the parser.
 
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+
 use nodb_common::Value;
 
 /// Units for SQL `INTERVAL` literals.
@@ -207,26 +210,26 @@ pub struct SelectStmt {
 }
 
 impl SelectStmt {
+    /// This statement's clause expressions, in order: the SELECT list,
+    /// WHERE, GROUP BY, HAVING and ORDER BY (EXISTS subqueries are not
+    /// entered).
+    pub fn exprs(&self) -> impl Iterator<Item = &AstExpr> {
+        let items = self.projections.iter().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard => None,
+        });
+        items
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
+            .chain(&self.having)
+            .chain(self.order_by.iter().map(|ob| &ob.expr))
+    }
+
     /// Collect the 0-based parameter indices used anywhere in this
-    /// statement (projections, WHERE, GROUP BY, HAVING, ORDER BY and
-    /// EXISTS subqueries).
-    pub fn collect_params(&self, out: &mut std::collections::BTreeSet<usize>) {
-        for item in &self.projections {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr.collect_params(out);
-            }
-        }
-        if let Some(w) = &self.where_clause {
-            w.collect_params(out);
-        }
-        for g in &self.group_by {
-            g.collect_params(out);
-        }
-        if let Some(h) = &self.having {
-            h.collect_params(out);
-        }
-        for ob in &self.order_by {
-            ob.expr.collect_params(out);
+    /// statement, EXISTS subqueries included.
+    pub fn collect_params(&self, out: &mut BTreeSet<usize>) {
+        for e in self.exprs() {
+            e.collect_params(out);
         }
     }
 
@@ -235,14 +238,18 @@ impl SelectStmt {
     /// every slot in `1..=N` must be referenced so positional values
     /// line up.
     pub fn param_count(&self) -> nodb_common::Result<usize> {
-        let mut used = std::collections::BTreeSet::new();
+        let mut used = BTreeSet::new();
         self.collect_params(&mut used);
         let count = used.iter().next_back().map_or(0, |&m| m + 1);
         // Gap detection must stay O(|used|): `$4000000000` in one short
         // statement makes `count` huge, and scanning (or allocating)
         // `0..count` anywhere before this check would be a DoS vector.
         if used.len() != count {
-            let first_gap = (0..).find(|i| !used.contains(i)).expect("gap exists");
+            // `used` ascends, so the first slot it skips is the first
+            // index that differs from its rank.
+            let first_gap = (used.iter().zip(0..))
+                .find(|&(&u, i)| u != i)
+                .map_or(used.len(), |(_, i)| i);
             return Err(nodb_common::NoDbError::sql(format!(
                 "parameter ${} is never referenced (numbering must be contiguous from $1)",
                 first_gap + 1
@@ -265,86 +272,75 @@ impl AstExpr {
         }
     }
 
-    /// Collect the 0-based parameter indices used in this expression
-    /// (including inside EXISTS subqueries).
-    pub fn collect_params(&self, out: &mut std::collections::BTreeSet<usize>) {
+    /// Call `f` on each direct child of this expression, left to
+    /// right, stopping at the first error. An EXISTS subquery is not
+    /// entered; a caller that needs it matches `Exists` itself.
+    pub fn try_for_each_child<E>(
+        &self,
+        mut f: impl FnMut(&AstExpr) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         match self {
-            AstExpr::Param(i) => {
-                out.insert(*i);
-            }
-            AstExpr::Column { .. } | AstExpr::Literal(_) | AstExpr::Interval { .. } => {}
+            AstExpr::Column { .. }
+            | AstExpr::Literal(_)
+            | AstExpr::Param(_)
+            | AstExpr::Interval { .. }
+            | AstExpr::Exists { .. } => Ok(()),
+            AstExpr::Not(e) | AstExpr::Neg(e) | AstExpr::IsNull { expr: e, .. } => f(e),
             AstExpr::Binary { left, right, .. } => {
-                left.collect_params(out);
-                right.collect_params(out);
+                f(left)?;
+                f(right)
             }
-            AstExpr::Not(e) | AstExpr::Neg(e) => e.collect_params(out),
             AstExpr::Like { expr, pattern, .. } => {
-                expr.collect_params(out);
-                pattern.collect_params(out);
+                f(expr)?;
+                f(pattern)
             }
             AstExpr::Between {
                 expr, low, high, ..
             } => {
-                expr.collect_params(out);
-                low.collect_params(out);
-                high.collect_params(out);
+                f(expr)?;
+                f(low)?;
+                f(high)
             }
             AstExpr::InList { expr, list, .. } => {
-                expr.collect_params(out);
-                for i in list {
-                    i.collect_params(out);
-                }
+                f(expr)?;
+                list.iter().try_for_each(f)
             }
             AstExpr::Case {
                 branches,
                 else_expr,
             } => {
                 for (c, r) in branches {
-                    c.collect_params(out);
-                    r.collect_params(out);
+                    f(c)?;
+                    f(r)?;
                 }
-                if let Some(e) = else_expr {
-                    e.collect_params(out);
-                }
+                else_expr.as_deref().map_or(Ok(()), f)
             }
-            AstExpr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.collect_params(out);
-                }
-            }
-            AstExpr::Exists { subquery, .. } => subquery.collect_params(out),
-            AstExpr::IsNull { expr, .. } => expr.collect_params(out),
+            AstExpr::Agg { arg, .. } => arg.as_deref().map_or(Ok(()), f),
         }
     }
 
-    /// Does this expression (sub)tree contain an aggregate call?
-    pub fn contains_agg(&self) -> bool {
+    /// Collect the 0-based parameter indices used in this expression
+    /// (including inside EXISTS subqueries).
+    pub fn collect_params(&self, out: &mut BTreeSet<usize>) {
         match self {
-            AstExpr::Agg { .. } => true,
-            AstExpr::Column { .. }
-            | AstExpr::Literal(_)
-            | AstExpr::Param(_)
-            | AstExpr::Interval { .. } => false,
-            AstExpr::Binary { left, right, .. } => left.contains_agg() || right.contains_agg(),
-            AstExpr::Not(e) | AstExpr::Neg(e) => e.contains_agg(),
-            AstExpr::Like { expr, pattern, .. } => expr.contains_agg() || pattern.contains_agg(),
-            AstExpr::Between {
-                expr, low, high, ..
-            } => expr.contains_agg() || low.contains_agg() || high.contains_agg(),
-            AstExpr::InList { expr, list, .. } => {
-                expr.contains_agg() || list.iter().any(AstExpr::contains_agg)
+            AstExpr::Param(i) => {
+                out.insert(*i);
             }
-            AstExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, r)| c.contains_agg() || r.contains_agg())
-                    || else_expr.as_ref().is_some_and(|e| e.contains_agg())
-            }
-            AstExpr::Exists { .. } => false,
-            AstExpr::IsNull { expr, .. } => expr.contains_agg(),
+            AstExpr::Exists { subquery, .. } => subquery.collect_params(out),
+            _ => {}
         }
+        let _ = self.try_for_each_child(|c| {
+            c.collect_params(out);
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Does this expression (sub)tree contain an aggregate call? EXISTS
+    /// subqueries are not searched.
+    pub fn contains_agg(&self) -> bool {
+        matches!(self, AstExpr::Agg { .. })
+            || self
+                .try_for_each_child(|c| if c.contains_agg() { Err(()) } else { Ok(()) })
+                .is_err()
     }
 }

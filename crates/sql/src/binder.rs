@@ -14,6 +14,11 @@
 //! afterwards; only
 //! [`crate::optimizer::refresh_stats`] re-derives its statistics-driven
 //! choices at execute time.
+//!
+//! One scalar binder serves every context. Over an aggregate's output
+//! (the grouped SELECT list and HAVING) it runs with a hook that reads a
+//! GROUP BY column from its key slot and an aggregate call from its
+//! result slot, so every operator WHERE accepts binds there too.
 
 use std::collections::BTreeSet;
 
@@ -195,24 +200,24 @@ impl Binder<'_> {
             }
             let mut tset = BTreeSet::new();
             self.tables_of(&c, &mut tset)?;
-            match tset.len() {
-                1 => {
-                    let t = *tset.iter().next().expect("len 1");
-                    scan_filters[t].push(c);
-                }
-                2 => {
+            match (tset.first(), tset.len()) {
+                (Some(&t), 1) => scan_filters[t].push(c),
+                (_, 2) => {
                     if let Some(edge) = self.as_equi_edge(&c)? {
                         edges.push(edge);
                     } else {
                         residuals.push(c);
                     }
                 }
-                0 => constants.push(c),
+                (_, 0) => constants.push(c),
                 // >2 tables: residual, bound once enough tables are joined.
                 _ => residuals.push(c),
             }
         }
-        scan_filters[0].extend(constants);
+        scan_filters
+            .first_mut()
+            .ok_or_else(|| NoDbError::internal("no FROM table"))?
+            .extend(constants);
 
         // 6. Columns each table produces for the rest of the plan; scan
         //    filters add theirs in step 7.
@@ -248,7 +253,7 @@ impl Binder<'_> {
             };
             let filters = scan_filters[t]
                 .iter()
-                .map(|f| self.bind_scalar(f, &resolver))
+                .map(|f| self.bind_scalar(f, &resolver, &mut no_hook))
                 .collect::<Result<_>>()?;
             let used = std::mem::take(&mut used[t]);
             let (plan, projection, est) =
@@ -284,7 +289,7 @@ impl Binder<'_> {
             let resolver = self.layout_resolver(&layout);
             let mut exprs = Vec::with_capacity(projections.len());
             for (e, _) in &projections {
-                exprs.push(self.bind_scalar(e, &resolver)?);
+                exprs.push(self.bind_scalar(e, &resolver, &mut no_hook)?);
             }
             let input_types = tree.plan.schema().types();
             let names = self.output_names(&projections);
@@ -349,34 +354,11 @@ impl Binder<'_> {
             return Ok(());
         }
         let mut types = vec![None; n];
-        self.walk_stmt_params(stmt, None, &mut types);
+        for e in stmt.exprs() {
+            self.assign_param_types(e, None, None, &mut types);
+        }
         self.param_types = types;
         Ok(())
-    }
-
-    fn walk_stmt_params(
-        &self,
-        stmt: &SelectStmt,
-        inner: Option<&Schema>,
-        out: &mut [Option<DataType>],
-    ) {
-        for item in &stmt.projections {
-            if let SelectItem::Expr { expr, .. } = item {
-                self.assign_param_types(expr, None, inner, out);
-            }
-        }
-        if let Some(w) = &stmt.where_clause {
-            self.assign_param_types(w, None, inner, out);
-        }
-        for g in &stmt.group_by {
-            self.assign_param_types(g, None, inner, out);
-        }
-        if let Some(h) = &stmt.having {
-            self.assign_param_types(h, None, inner, out);
-        }
-        for ob in &stmt.order_by {
-            self.assign_param_types(&ob.expr, None, inner, out);
-        }
     }
 
     /// Shallow type probe: columns and literals have a known type,
@@ -476,7 +458,9 @@ impl Binder<'_> {
                     .from
                     .first()
                     .and_then(|tr| self.catalog.schema_of(&tr.name).ok());
-                self.walk_stmt_params(subquery, inner_schema.as_ref().or(inner), out);
+                for e in subquery.exprs() {
+                    self.assign_param_types(e, None, inner_schema.as_ref().or(inner), out);
+                }
             }
             AstExpr::IsNull { expr, .. } => self.assign_param_types(expr, None, inner, out),
         }
@@ -531,59 +515,15 @@ impl Binder<'_> {
         }
     }
 
-    /// Record which base-table columns an expression touches.
+    /// Record which base-table columns an expression touches (EXISTS
+    /// subqueries are not entered).
     fn collect_usage(&self, e: &AstExpr, used: &mut [BTreeSet<usize>]) -> Result<()> {
-        match e {
-            AstExpr::Column { table, name } => {
-                if let Some((t, c)) = self.try_resolve(table.as_deref(), name)? {
-                    used[t].insert(c);
-                }
-                Ok(())
+        if let AstExpr::Column { table, name } = e {
+            if let Some((t, c)) = self.try_resolve(table.as_deref(), name)? {
+                used[t].insert(c);
             }
-            AstExpr::Literal(_) | AstExpr::Param(_) | AstExpr::Interval { .. } => Ok(()),
-            AstExpr::Binary { left, right, .. } => {
-                self.collect_usage(left, used)?;
-                self.collect_usage(right, used)
-            }
-            AstExpr::Not(x) | AstExpr::Neg(x) => self.collect_usage(x, used),
-            AstExpr::Like { expr, pattern, .. } => {
-                self.collect_usage(expr, used)?;
-                self.collect_usage(pattern, used)
-            }
-            AstExpr::Between {
-                expr, low, high, ..
-            } => {
-                self.collect_usage(expr, used)?;
-                self.collect_usage(low, used)?;
-                self.collect_usage(high, used)
-            }
-            AstExpr::InList { expr, list, .. } => {
-                self.collect_usage(expr, used)?;
-                for i in list {
-                    self.collect_usage(i, used)?;
-                }
-                Ok(())
-            }
-            AstExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, r) in branches {
-                    self.collect_usage(c, used)?;
-                    self.collect_usage(r, used)?;
-                }
-                if let Some(x) = else_expr {
-                    self.collect_usage(x, used)?;
-                }
-                Ok(())
-            }
-            AstExpr::Agg { arg, .. } => match arg {
-                Some(a) => self.collect_usage(a, used),
-                None => Ok(()),
-            },
-            AstExpr::Exists { .. } => Ok(()),
-            AstExpr::IsNull { expr, .. } => self.collect_usage(expr, used),
         }
+        e.try_for_each_child(|c| self.collect_usage(c, used))
     }
 
     /// The set of FROM tables an expression references.
@@ -635,17 +575,15 @@ impl Binder<'_> {
         edges: &[EquiEdge],
         residuals: &mut Vec<AstExpr>,
     ) -> Result<Rel> {
-        if rels.len() == 1 {
-            let only = rels.pop().expect("len 1");
-            return self.attach_residuals(only, residuals);
+        if rels.is_empty() {
+            return Err(NoDbError::internal("a join tree of no relations"));
         }
         // Pick starting relation.
         let start = if self.options.use_stats {
             rels.iter()
                 .enumerate()
                 .min_by(|a, b| a.1.est.total_cmp(&b.1.est))
-                .map(|(i, _)| i)
-                .expect("non-empty")
+                .map_or(0, |(i, _)| i)
         } else {
             0
         };
@@ -675,7 +613,7 @@ impl Binder<'_> {
                         let cb = self.join_est(&current, &rels[b], edges);
                         ca.total_cmp(&cb)
                     })
-                    .expect("non-empty pool")
+                    .unwrap_or(0)
             } else if let Some(&first) = connected.first() {
                 first
             } else {
@@ -762,7 +700,8 @@ impl Binder<'_> {
             let mut tset = BTreeSet::new();
             self.tables_of(&r, &mut tset)?;
             if tset.is_subset(&rel.tables) {
-                let predicate = self.bind_scalar(&r, &self.layout_resolver(&rel.layout))?;
+                let resolver = self.layout_resolver(&rel.layout);
+                let predicate = self.bind_scalar(&r, &resolver, &mut no_hook)?;
                 rel.plan = LogicalPlan::Filter {
                     input: Box::new(rel.plan),
                     predicate,
@@ -820,12 +759,12 @@ impl Binder<'_> {
     // ----- EXISTS -------------------------------------------------------
 
     fn exists_spec(&self, sub: &SelectStmt, negated: bool) -> Result<ExistsSpec> {
-        if sub.from.len() != 1 {
+        let [inner] = sub.from.as_slice() else {
             return Err(NoDbError::plan(
                 "EXISTS subqueries must reference exactly one table",
             ));
-        }
-        let inner_name = sub.from[0].name.clone();
+        };
+        let inner_name = inner.name.clone();
         let inner_schema = self.catalog.schema_of(&inner_name)?;
         let inner_stats = if self.options.use_stats {
             self.catalog.stats_of(&inner_name)
@@ -861,7 +800,7 @@ impl Binder<'_> {
                 }
             }
             // Otherwise the conjunct must be inner-only.
-            if self.is_inner_only(&c, &inner_schema)? {
+            if is_inner_only(&c, &inner_schema) {
                 inner_filters.push(c);
             } else {
                 return Err(NoDbError::plan(
@@ -902,61 +841,13 @@ impl Binder<'_> {
         Ok(SubCol::Neither)
     }
 
-    fn is_inner_only(&self, e: &AstExpr, inner: &Schema) -> Result<bool> {
-        match e {
-            AstExpr::Column { table, name } => {
-                Ok(table.is_none() && inner.index_of(name).is_some())
-            }
-            AstExpr::Literal(_) | AstExpr::Param(_) | AstExpr::Interval { .. } => Ok(true),
-            AstExpr::Binary { left, right, .. } => {
-                Ok(self.is_inner_only(left, inner)? && self.is_inner_only(right, inner)?)
-            }
-            AstExpr::Not(x) | AstExpr::Neg(x) => self.is_inner_only(x, inner),
-            AstExpr::Like { expr, pattern, .. } => {
-                Ok(self.is_inner_only(expr, inner)? && self.is_inner_only(pattern, inner)?)
-            }
-            AstExpr::Between {
-                expr, low, high, ..
-            } => Ok(self.is_inner_only(expr, inner)?
-                && self.is_inner_only(low, inner)?
-                && self.is_inner_only(high, inner)?),
-            AstExpr::InList { expr, list, .. } => {
-                if !self.is_inner_only(expr, inner)? {
-                    return Ok(false);
-                }
-                for i in list {
-                    if !self.is_inner_only(i, inner)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            AstExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, r) in branches {
-                    if !self.is_inner_only(c, inner)? || !self.is_inner_only(r, inner)? {
-                        return Ok(false);
-                    }
-                }
-                match else_expr {
-                    Some(x) => self.is_inner_only(x, inner),
-                    None => Ok(true),
-                }
-            }
-            AstExpr::IsNull { expr, .. } => self.is_inner_only(expr, inner),
-            AstExpr::Agg { .. } | AstExpr::Exists { .. } => Ok(false),
-        }
-    }
-
     fn apply_exists(&self, outer: Rel, spec: ExistsSpec) -> Result<Rel> {
         // Inner scan: correlation columns plus what the filters test.
         let resolver = |_table: Option<&str>, name: &str| spec.inner_schema.resolve(name);
         let filters = spec
             .inner_filters
             .iter()
-            .map(|f| self.bind_scalar(f, &resolver))
+            .map(|f| self.bind_scalar(f, &resolver, &mut no_hook))
             .collect::<Result<_>>()?;
         let used = spec.on.iter().map(|&(_, ic)| ic).collect();
         let (inner_plan, projection, _) = self.scan_leaf(
@@ -1025,22 +916,52 @@ impl Binder<'_> {
             }
         }
         let n_group = group.len();
-        // Collect aggregate calls (dedup structurally) and rewrite the
-        // select expressions over [group keys ++ agg results].
-        let mut agg_asts: Vec<AstExpr> = Vec::new();
+        // Over the aggregate's output, a GROUP BY expression reads its key
+        // slot and an aggregate call its result slot: calls are shared
+        // when they are structurally equal, and their arguments bind over
+        // the input. Any other column reference is an error. HAVING may
+        // add calls the SELECT list does not make.
+        let mut calls: Vec<AstExpr> = Vec::new();
         let mut aggs: Vec<AggExpr> = Vec::new();
-        let mut out_exprs = Vec::with_capacity(projections.len());
-        for (e, _) in projections {
-            let e = self.rewrite_agg_expr(
-                e,
-                &stmt.group_by,
-                n_group,
-                &mut agg_asts,
-                &mut aggs,
-                &resolver,
-            )?;
-            out_exprs.push(e);
-        }
+        let mut over_groups = |e: &AstExpr| -> Result<Option<BoundExpr>> {
+            if let Some(key) = stmt.group_by.iter().position(|g| g == e) {
+                return Ok(Some(BoundExpr::Col(key)));
+            }
+            match e {
+                AstExpr::Agg { func, arg } => {
+                    let slot = match calls.iter().position(|c| c == e) {
+                        Some(slot) => slot,
+                        None => {
+                            let arg = match arg {
+                                Some(a) => Some(self.bind_scalar(a, &resolver, &mut no_hook)?),
+                                None => None,
+                            };
+                            aggs.push(AggExpr {
+                                func: agg_func(*func),
+                                arg,
+                            });
+                            calls.push(e.clone());
+                            calls.len() - 1
+                        }
+                    };
+                    Ok(Some(BoundExpr::Col(n_group + slot)))
+                }
+                AstExpr::Column { table, name } => Err(NoDbError::plan(format!(
+                    "column `{}{name}` must appear in GROUP BY or inside an aggregate",
+                    table
+                        .as_deref()
+                        .map(|t| format!("{t}."))
+                        .unwrap_or_default()
+                ))),
+                _ => Ok(None),
+            }
+        };
+        let mut bind = |e: &AstExpr| self.bind_scalar(e, &resolver, &mut over_groups);
+        let out_exprs = projections
+            .iter()
+            .map(|(e, _)| bind(e))
+            .collect::<Result<Vec<_>>>()?;
+        let having = stmt.having.as_ref().map(bind).transpose()?;
 
         let input_types = tree.plan.schema().types();
         // Aggregate output schema.
@@ -1072,42 +993,13 @@ impl Binder<'_> {
         let mut agg_plan = LogicalPlan::Aggregate {
             input: Box::new(tree.plan),
             group,
-            aggs: aggs.clone(),
+            aggs,
             strategy,
-            schema: agg_schema.clone(),
+            schema: agg_schema,
         };
-        // HAVING filters groups: it binds exactly like a select
-        // expression (group keys + aggregate slots) and sits between the
-        // aggregation and the projection.
-        if let Some(h) = &stmt.having {
-            let predicate = self.rewrite_agg_expr(
-                h,
-                &stmt.group_by,
-                n_group,
-                &mut agg_asts,
-                &mut aggs,
-                &resolver,
-            )?;
-            // HAVING may introduce aggregates not in the SELECT list;
-            // rebuild the aggregate node if so.
-            if let LogicalPlan::Aggregate {
-                aggs: plan_aggs,
-                schema,
-                ..
-            } = &mut agg_plan
-            {
-                if aggs.len() > plan_aggs.len() {
-                    let mut fields = schema.fields().to_vec();
-                    for a in aggs.iter().skip(plan_aggs.len()) {
-                        fields.push(Field::new(
-                            format!("agg{}", fields.len()),
-                            a.output_type(&input_types),
-                        ));
-                    }
-                    *schema = Schema::new(fields)?;
-                    *plan_aggs = aggs.clone();
-                }
-            }
+        // HAVING filters groups, between the aggregation and the
+        // projection.
+        if let Some(predicate) = having {
             agg_plan = LogicalPlan::Filter {
                 input: Box::new(agg_plan),
                 predicate,
@@ -1129,160 +1021,21 @@ impl Binder<'_> {
         ))
     }
 
-    /// Rewrite a select expression over the aggregate's output layout.
-    #[allow(clippy::too_many_arguments)]
-    fn rewrite_agg_expr(
-        &self,
-        e: &AstExpr,
-        group_asts: &[AstExpr],
-        n_group: usize,
-        agg_asts: &mut Vec<AstExpr>,
-        aggs: &mut Vec<AggExpr>,
-        input_resolver: &dyn Fn(Option<&str>, &str) -> Result<usize>,
-    ) -> Result<BoundExpr> {
-        // A group-by expression evaluates to its key slot.
-        if let Some(pos) = group_asts.iter().position(|g| g == e) {
-            return Ok(BoundExpr::Col(pos));
-        }
-        match e {
-            AstExpr::Agg { func, arg } => {
-                let key = e.clone();
-                let idx = match agg_asts.iter().position(|a| a == &key) {
-                    Some(i) => i,
-                    None => {
-                        let bound_arg = match arg {
-                            Some(a) => Some(self.bind_scalar(a, input_resolver)?),
-                            None => None,
-                        };
-                        let func = match func {
-                            AggFuncAst::Count => AggFunc::Count,
-                            AggFuncAst::Sum => AggFunc::Sum,
-                            AggFuncAst::Avg => AggFunc::Avg,
-                            AggFuncAst::Min => AggFunc::Min,
-                            AggFuncAst::Max => AggFunc::Max,
-                        };
-                        agg_asts.push(key);
-                        aggs.push(AggExpr {
-                            func,
-                            arg: bound_arg,
-                        });
-                        agg_asts.len() - 1
-                    }
-                };
-                Ok(BoundExpr::Col(n_group + idx))
-            }
-            AstExpr::Column { table, name } => Err(NoDbError::plan(format!(
-                "column `{}{name}` must appear in GROUP BY or inside an aggregate",
-                table
-                    .as_deref()
-                    .map(|t| format!("{t}."))
-                    .unwrap_or_default()
-            ))),
-            AstExpr::Literal(v) => Ok(BoundExpr::Lit(v.clone())),
-            AstExpr::Param(i) => Ok(BoundExpr::Param {
-                idx: *i,
-                dtype: self.param_types.get(*i).copied().flatten(),
-            }),
-            AstExpr::Interval { .. } => Err(NoDbError::plan("INTERVAL outside date arithmetic")),
-            AstExpr::Binary { op, left, right } => {
-                let l = self.rewrite_agg_expr(
-                    left,
-                    group_asts,
-                    n_group,
-                    agg_asts,
-                    aggs,
-                    input_resolver,
-                )?;
-                let r = self.rewrite_agg_expr(
-                    right,
-                    group_asts,
-                    n_group,
-                    agg_asts,
-                    aggs,
-                    input_resolver,
-                )?;
-                Ok(BoundExpr::Binary {
-                    op: convert_op(*op),
-                    left: Box::new(l),
-                    right: Box::new(r),
-                })
-            }
-            AstExpr::Not(x) => Ok(BoundExpr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(self.rewrite_agg_expr(
-                    x,
-                    group_asts,
-                    n_group,
-                    agg_asts,
-                    aggs,
-                    input_resolver,
-                )?),
-            }),
-            AstExpr::Neg(x) => Ok(BoundExpr::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(self.rewrite_agg_expr(
-                    x,
-                    group_asts,
-                    n_group,
-                    agg_asts,
-                    aggs,
-                    input_resolver,
-                )?),
-            }),
-            AstExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                let mut bs = Vec::with_capacity(branches.len());
-                for (c, r) in branches {
-                    bs.push((
-                        self.rewrite_agg_expr(
-                            c,
-                            group_asts,
-                            n_group,
-                            agg_asts,
-                            aggs,
-                            input_resolver,
-                        )?,
-                        self.rewrite_agg_expr(
-                            r,
-                            group_asts,
-                            n_group,
-                            agg_asts,
-                            aggs,
-                            input_resolver,
-                        )?,
-                    ));
-                }
-                let else_expr = match else_expr {
-                    Some(x) => Some(Box::new(self.rewrite_agg_expr(
-                        x,
-                        group_asts,
-                        n_group,
-                        agg_asts,
-                        aggs,
-                        input_resolver,
-                    )?)),
-                    None => None,
-                };
-                Ok(BoundExpr::Case {
-                    branches: bs,
-                    else_expr,
-                })
-            }
-            other => Err(NoDbError::plan(format!(
-                "unsupported expression over aggregate output: {other:?}"
-            ))),
-        }
-    }
-
     // ----- scalar binding -------------------------------------------------
 
+    /// Bind `e`: `resolve` places a column reference in the input, and
+    /// `hook` sees every node first. In aggregate context the hook binds
+    /// group keys and aggregate calls over the aggregate's output;
+    /// elsewhere it is [`no_hook`].
     fn bind_scalar(
         &self,
         e: &AstExpr,
         resolve: &dyn Fn(Option<&str>, &str) -> Result<usize>,
+        hook: &mut Hook<'_>,
     ) -> Result<BoundExpr> {
+        if let Some(bound) = hook(e)? {
+            return Ok(bound);
+        }
         match e {
             AstExpr::Column { table, name } => Ok(BoundExpr::Col(resolve(table.as_deref(), name)?)),
             AstExpr::Literal(v) => Ok(BoundExpr::Lit(v.clone())),
@@ -1296,7 +1049,7 @@ impl Binder<'_> {
             AstExpr::Binary { op, left, right } => {
                 // Fold `date ± interval` eagerly.
                 if let AstExpr::Interval { n, unit } = right.as_ref() {
-                    let base = self.bind_scalar(left, resolve)?;
+                    let base = self.bind_scalar(left, resolve, hook)?;
                     if let BoundExpr::Lit(Value::Date(d)) = base {
                         let n = match op {
                             AstBinOp::Add => *n,
@@ -1314,8 +1067,8 @@ impl Binder<'_> {
                         "interval arithmetic requires a literal date",
                     ));
                 }
-                let l = self.bind_scalar(left, resolve)?;
-                let r = self.bind_scalar(right, resolve)?;
+                let l = self.bind_scalar(left, resolve, hook)?;
+                let r = self.bind_scalar(right, resolve, hook)?;
                 Ok(BoundExpr::Binary {
                     op: convert_op(*op),
                     left: Box::new(l),
@@ -1324,23 +1077,23 @@ impl Binder<'_> {
             }
             AstExpr::Not(x) => Ok(BoundExpr::Unary {
                 op: UnOp::Not,
-                expr: Box::new(self.bind_scalar(x, resolve)?),
+                expr: Box::new(self.bind_scalar(x, resolve, hook)?),
             }),
             AstExpr::Neg(x) => Ok(BoundExpr::Unary {
                 op: UnOp::Neg,
-                expr: Box::new(self.bind_scalar(x, resolve)?),
+                expr: Box::new(self.bind_scalar(x, resolve, hook)?),
             }),
             AstExpr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let bound = self.bind_scalar(expr, resolve)?;
+                let bound = self.bind_scalar(expr, resolve, hook)?;
                 // The pattern is any text expression: a literal, a
                 // parameter (`name LIKE ?`, typed Text by the inference
                 // pre-pass) or a computed value. Non-text literals are
                 // rejected here; non-text runtime values fail in eval.
-                let pattern = self.bind_scalar(pattern, resolve)?;
+                let pattern = self.bind_scalar(pattern, resolve, hook)?;
                 if let BoundExpr::Lit(v) = &pattern {
                     if !matches!(v, Value::Text(_) | Value::Null) {
                         return Err(NoDbError::plan(format!(
@@ -1360,9 +1113,9 @@ impl Binder<'_> {
                 high,
                 negated,
             } => Ok(BoundExpr::Between {
-                expr: Box::new(self.bind_scalar(expr, resolve)?),
-                low: Box::new(self.bind_scalar(low, resolve)?),
-                high: Box::new(self.bind_scalar(high, resolve)?),
+                expr: Box::new(self.bind_scalar(expr, resolve, hook)?),
+                low: Box::new(self.bind_scalar(low, resolve, hook)?),
+                high: Box::new(self.bind_scalar(high, resolve, hook)?),
                 negated: *negated,
             }),
             AstExpr::InList {
@@ -1370,19 +1123,19 @@ impl Binder<'_> {
                 list,
                 negated,
             } => {
-                let bound = self.bind_scalar(expr, resolve)?;
+                let bound = self.bind_scalar(expr, resolve, hook)?;
                 let items = list
                     .iter()
-                    .map(|item| self.bind_scalar(item, resolve))
+                    .map(|item| self.bind_scalar(item, resolve, hook))
                     .collect::<Result<Vec<_>>>()?;
                 if items.iter().all(|i| matches!(i, BoundExpr::Lit(_))) {
                     // All-literal lists keep the dedicated InList form
                     // (single membership probe, stats-aware selectivity).
                     let values = items
                         .into_iter()
-                        .map(|i| match i {
-                            BoundExpr::Lit(v) => v,
-                            _ => unreachable!("checked above"),
+                        .filter_map(|i| match i {
+                            BoundExpr::Lit(v) => Some(v),
+                            _ => None,
                         })
                         .collect();
                     return Ok(BoundExpr::InList {
@@ -1425,10 +1178,13 @@ impl Binder<'_> {
             } => {
                 let mut bs = Vec::with_capacity(branches.len());
                 for (c, r) in branches {
-                    bs.push((self.bind_scalar(c, resolve)?, self.bind_scalar(r, resolve)?));
+                    bs.push((
+                        self.bind_scalar(c, resolve, hook)?,
+                        self.bind_scalar(r, resolve, hook)?,
+                    ));
                 }
                 let else_expr = match else_expr {
-                    Some(x) => Some(Box::new(self.bind_scalar(x, resolve)?)),
+                    Some(x) => Some(Box::new(self.bind_scalar(x, resolve, hook)?)),
                     None => None,
                 };
                 Ok(BoundExpr::Case {
@@ -1437,7 +1193,7 @@ impl Binder<'_> {
                 })
             }
             AstExpr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-                expr: Box::new(self.bind_scalar(expr, resolve)?),
+                expr: Box::new(self.bind_scalar(expr, resolve, hook)?),
                 negated: *negated,
             }),
             AstExpr::Agg { .. } => Err(NoDbError::plan(
@@ -1495,6 +1251,43 @@ enum SubCol {
     Inner(usize),
     Outer((usize, usize)),
     Neither,
+}
+
+/// Binds what a scope gives its own meaning to, or `None` to bind the
+/// node as usual (see [`Binder::bind_scalar`]).
+type Hook<'h> = dyn FnMut(&AstExpr) -> Result<Option<BoundExpr>> + 'h;
+
+/// The hook outside aggregate context: every node binds as usual.
+fn no_hook(_: &AstExpr) -> Result<Option<BoundExpr>> {
+    Ok(None)
+}
+
+/// Does `e` read only columns of an EXISTS subquery's own table
+/// (unqualified names of `inner`), with no aggregate or subquery?
+fn is_inner_only(e: &AstExpr, inner: &Schema) -> bool {
+    match e {
+        AstExpr::Column { table, name } => table.is_none() && inner.index_of(name).is_some(),
+        AstExpr::Agg { .. } | AstExpr::Exists { .. } => false,
+        _ => e
+            .try_for_each_child(|c| {
+                if is_inner_only(c, inner) {
+                    Ok(())
+                } else {
+                    Err(())
+                }
+            })
+            .is_ok(),
+    }
+}
+
+fn agg_func(func: AggFuncAst) -> AggFunc {
+    match func {
+        AggFuncAst::Count => AggFunc::Count,
+        AggFuncAst::Sum => AggFunc::Sum,
+        AggFuncAst::Avg => AggFunc::Avg,
+        AggFuncAst::Min => AggFunc::Min,
+        AggFuncAst::Max => AggFunc::Max,
+    }
 }
 
 fn convert_op(op: AstBinOp) -> BinOp {
@@ -1829,9 +1622,32 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn ungrouped_columns_are_named() {
+        let c = catalog();
+        let opts = PlannerOptions::default();
+        for (sql, col) in [
+            ("select a, count(*) from t1", "a"),
+            (
+                "select b, sum(a) from t1 group by b having t1.a > 1",
+                "t1.a",
+            ),
+            ("select b from t1 group by b having c like 'x%'", "c"),
+        ] {
+            let err = bind(&parse(sql).unwrap(), &c, &opts).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "plan error: column `{col}` must appear in GROUP BY or inside an aggregate"
+                ),
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
     fn binds_parameters_with_inferred_types() {
         let stmt = parse("select a from t1 where b < $1 and d >= $2").unwrap();
-        let p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
+        let mut p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
         // Types flow from the compared columns: b int, d date.
         assert_eq!(
             p.param_types(2),
@@ -1847,32 +1663,32 @@ pub(crate) mod tests {
             other => panic!("{other:?}"),
         }
         // Substitution produces a parameter-free plan.
-        let sub = p.substitute_params(&[
+        p.substitute_params(&[
             Value::Int64(3),
             Value::Date(nodb_common::Date::parse("1994-01-01").unwrap()),
         ]);
-        assert!(!sub.explain().contains('$'), "{}", sub.explain());
+        assert!(!p.explain().contains('$'), "{p}");
         // Parameters in aggregate context (HAVING) bind too.
         let stmt = parse("select b, count(*) from t1 group by b having count(*) > ?").unwrap();
-        let p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
+        let mut p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
         assert_eq!(p.param_types(1).len(), 1);
         // LIKE patterns may be parameters; the slot is typed Text by
         // the inference pre-pass and substitutes like any other.
         let stmt = parse("select a from t1 where c like $1").unwrap();
-        let p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
+        let mut p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
         assert_eq!(p.param_types(1), vec![Some(DataType::Text)]);
-        let sub = p.substitute_params(&[Value::Text("al%".into())]);
-        assert!(sub.explain().contains("LIKE 'al%'"), "{}", sub.explain());
+        p.substitute_params(&[Value::Text("al%".into())]);
+        assert!(p.explain().contains("LIKE 'al%'"), "{p}");
         // ... but a non-text literal pattern is still a bind-time error.
         let stmt = parse("select a from t1 where c like 42").unwrap();
         assert!(bind(&stmt, &catalog(), &PlannerOptions::default()).is_err());
         // Parameters inside IN lists bind (desugared to an OR-chain of
         // equalities), typed from the tested column.
         let stmt = parse("select a from t1 where b in (1, $1, 3)").unwrap();
-        let p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
+        let mut p = bind(&stmt, &catalog(), &PlannerOptions::default()).unwrap();
         assert_eq!(p.param_types(1), vec![Some(DataType::Int32)]);
-        let sub = p.substitute_params(&[Value::Int32(2)]);
-        let shown = sub.explain();
+        p.substitute_params(&[Value::Int32(2)]);
+        let shown = p.explain();
         assert!(!shown.contains('$'), "{shown}");
         assert!(shown.contains("OR"), "{shown}");
     }
@@ -1979,6 +1795,13 @@ pub(crate) mod tests {
             (
                 "select grp, count(*) from t group by grp having grp = 'a'",
                 "Project [#0, #1]\n  Filter (#0 = a)\n    HashAggregate group=[0] aggs=1\n      \
+                 Scan t proj=[1] (~1000 rows)\n",
+            ),
+            // Over the aggregate's output every operator binds as in
+            // WHERE, the aggregate call read from its slot.
+            (
+                "select grp, count(*) from t group by grp having count(*) between 2 and 3",
+                "Project [#0, #1]\n  Filter #1 BETWEEN 2 AND 3\n    HashAggregate group=[0] aggs=1\n      \
                  Scan t proj=[1] (~1000 rows)\n",
             ),
             // A constant conjunct filters the first FROM table's scan,

@@ -199,140 +199,29 @@ impl BoundExpr {
         });
     }
 
-    /// Rewrite column ordinals through `f`.
+    /// A copy with column ordinals rewritten through `f`.
     pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> BoundExpr {
-        match self {
-            BoundExpr::Col(i) => BoundExpr::Col(f(*i)),
-            BoundExpr::Lit(v) => BoundExpr::Lit(v.clone()),
-            BoundExpr::Param { idx, dtype } => BoundExpr::Param {
-                idx: *idx,
-                dtype: *dtype,
-            },
-            BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-                op: *op,
-                left: Box::new(left.map_columns(f)),
-                right: Box::new(right.map_columns(f)),
-            },
-            BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-                op: *op,
-                expr: Box::new(expr.map_columns(f)),
-            },
-            BoundExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(expr.map_columns(f)),
-                pattern: Box::new(pattern.map_columns(f)),
-                negated: *negated,
-            },
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(expr.map_columns(f)),
-                low: Box::new(low.map_columns(f)),
-                high: Box::new(high.map_columns(f)),
-                negated: *negated,
-            },
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(expr.map_columns(f)),
-                list: list.clone(),
-                negated: *negated,
-            },
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => BoundExpr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, r)| (c.map_columns(f), r.map_columns(f)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.map_columns(f))),
-            },
-            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(expr.map_columns(f)),
-                negated: *negated,
-            },
-        }
+        let mut out = self.clone();
+        out.visit_mut(&mut |e| {
+            if let BoundExpr::Col(i) = e {
+                *i = f(*i);
+            }
+        });
+        out
     }
 
     /// Replace every [`BoundExpr::Param`] with the corresponding
     /// constant from `params`. An index past the end of `params`
     /// survives as a `Param` (callers validate counts before
     /// substituting; the evaluator rejects leftovers loudly).
-    pub fn substitute_params(&self, params: &[Value]) -> BoundExpr {
-        match self {
-            BoundExpr::Param { idx, dtype } => match params.get(*idx) {
-                Some(v) => BoundExpr::Lit(v.clone()),
-                None => BoundExpr::Param {
-                    idx: *idx,
-                    dtype: *dtype,
-                },
-            },
-            BoundExpr::Col(i) => BoundExpr::Col(*i),
-            BoundExpr::Lit(v) => BoundExpr::Lit(v.clone()),
-            BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-                op: *op,
-                left: Box::new(left.substitute_params(params)),
-                right: Box::new(right.substitute_params(params)),
-            },
-            BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-                op: *op,
-                expr: Box::new(expr.substitute_params(params)),
-            },
-            BoundExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(expr.substitute_params(params)),
-                pattern: Box::new(pattern.substitute_params(params)),
-                negated: *negated,
-            },
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(expr.substitute_params(params)),
-                low: Box::new(low.substitute_params(params)),
-                high: Box::new(high.substitute_params(params)),
-                negated: *negated,
-            },
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(expr.substitute_params(params)),
-                list: list.clone(),
-                negated: *negated,
-            },
-            BoundExpr::Case {
-                branches,
-                else_expr,
-            } => BoundExpr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, r)| (c.substitute_params(params), r.substitute_params(params)))
-                    .collect(),
-                else_expr: else_expr
-                    .as_ref()
-                    .map(|e| Box::new(e.substitute_params(params))),
-            },
-            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(expr.substitute_params(params)),
-                negated: *negated,
-            },
-        }
+    pub fn substitute_params(&mut self, params: &[Value]) {
+        self.visit_mut(&mut |e| {
+            if let BoundExpr::Param { idx, .. } = *e {
+                if let Some(v) = params.get(idx) {
+                    *e = BoundExpr::Lit(v.clone());
+                }
+            }
+        });
     }
 
     /// Record the bind-time type of every parameter in this expression
@@ -451,6 +340,44 @@ impl BoundExpr {
                 }
                 if let Some(e) = else_expr {
                     e.visit(f);
+                }
+            }
+        }
+    }
+    /// Call `f` on this expression, then on every subexpression of what
+    /// `f` left in its place.
+    fn visit_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
+        f(self);
+        match self {
+            BoundExpr::Col(_) | BoundExpr::Lit(_) | BoundExpr::Param { .. } => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.visit_mut(f);
+                right.visit_mut(f);
+            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::InList { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => expr.visit_mut(f),
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit_mut(f);
+                pattern.visit_mut(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.visit_mut(f);
+                low.visit_mut(f);
+                high.visit_mut(f);
+            }
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (c, r) in branches {
+                    c.visit_mut(f);
+                    r.visit_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.visit_mut(f);
                 }
             }
         }
@@ -727,7 +654,8 @@ mod tests {
         let mut types = vec![None; 2];
         e.collect_param_types(&mut types);
         assert_eq!(types, vec![Some(DataType::Int64), Some(DataType::Float64)]);
-        let s = e.substitute_params(&[Value::Int64(7), Value::Float64(1.5)]);
+        let mut s = e.clone();
+        s.substitute_params(&[Value::Int64(7), Value::Float64(1.5)]);
         assert_eq!(s.to_string(), "((#0 < 7) AND #1 BETWEEN 1.5 AND 9.0)");
         // Params never count as column references.
         let mut cols = BTreeSet::new();

@@ -23,13 +23,21 @@
 //! [`refresh_stats`] re-derives the statistics-driven choices of a bound
 //! plan at every execution of a prepared statement; it is the only pass
 //! over a plan after binding.
+//!
+//! Each tree has one generic walk, and only the passes that give a node
+//! its own meaning match on every variant: binding, display, typing and
+//! evaluation. [`ast::AstExpr::try_for_each_child`] visits a parse
+//! tree's children, [`ast::SelectStmt::exprs`] a statement's clauses,
+//! `BoundExpr`'s `visit`/`visit_mut` a bound expression, and
+//! [`LogicalPlan::for_each_expr_mut`] the expressions a plan holds. The
+//! EXPLAIN text is `LogicalPlan`'s `Display`: there is no second plan
+//! tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod binder;
-pub mod explain;
 pub mod expr;
 pub mod lexer;
 pub mod optimizer;
@@ -37,7 +45,6 @@ pub mod parser;
 pub mod plan;
 
 pub use binder::{CatalogView, PlannerOptions};
-pub use explain::{ExplainNode, ExplainPlan};
 pub use expr::{AggFunc, BinOp, BoundExpr, UnOp};
 pub use optimizer::refresh_stats;
 pub use plan::{AggStrategy, JoinKind, LogicalPlan, SortKey};

@@ -143,144 +143,133 @@ impl LogicalPlan {
         }
     }
 
-    /// Deep-copy this plan with every [`BoundExpr::Param`] replaced by
-    /// the corresponding constant from `params` — the execute-time half
-    /// of a prepared statement. Structure, join order and schemas are
-    /// untouched; only expressions change.
-    pub fn substitute_params(&self, params: &[Value]) -> LogicalPlan {
-        let sub = |e: &BoundExpr| e.substitute_params(params);
+    /// Call `f` on every expression this plan holds: scan filters,
+    /// filter predicates, aggregate arguments and projections. The order
+    /// is unspecified.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
+        match self {
+            LogicalPlan::Scan { filters, .. } => filters.iter_mut().for_each(f),
+            LogicalPlan::Filter { input, predicate } => {
+                f(predicate);
+                input.for_each_expr_mut(f);
+            }
+            LogicalPlan::Join { left, right, .. } => {
+                left.for_each_expr_mut(f);
+                right.for_each_expr_mut(f);
+            }
+            LogicalPlan::Aggregate { input, aggs, .. } => {
+                aggs.iter_mut()
+                    .filter_map(|a| a.arg.as_mut())
+                    .for_each(&mut *f);
+                input.for_each_expr_mut(f);
+            }
+            LogicalPlan::Project { input, exprs, .. } => {
+                exprs.iter_mut().for_each(&mut *f);
+                input.for_each_expr_mut(f);
+            }
+            LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => input.for_each_expr_mut(f),
+        }
+    }
+
+    /// Replace every [`BoundExpr::Param`] with the corresponding
+    /// constant from `params`: the execute-time half of a prepared
+    /// statement. Structure, join order and schemas are untouched.
+    pub fn substitute_params(&mut self, params: &[Value]) {
+        self.for_each_expr_mut(&mut |e| e.substitute_params(params));
+    }
+
+    /// Bind-time inferred types of the plan's parameters, indexed by
+    /// parameter slot (`None` = no context hint; execute-time values
+    /// pass through unchecked). Every occurrence of a slot carries the
+    /// binder's one type for it.
+    pub fn param_types(&mut self, count: usize) -> Vec<Option<DataType>> {
+        let mut out = vec![None; count];
+        self.for_each_expr_mut(&mut |e| e.collect_param_types(&mut out));
+        out
+    }
+
+    /// Multi-line indented EXPLAIN rendering: one line per operator,
+    /// children indented two spaces under their parent. Same as
+    /// `to_string()`.
+    pub fn explain(&self) -> String {
+        self.to_string()
+    }
+
+    fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        write!(f, "{:1$}", "", 2 * depth)?;
         match self {
             LogicalPlan::Scan {
                 table,
                 projection,
                 filters,
-                schema,
                 estimated_rows,
-            } => LogicalPlan::Scan {
-                table: table.clone(),
-                projection: projection.clone(),
-                filters: filters.iter().map(sub).collect(),
-                schema: schema.clone(),
-                estimated_rows: *estimated_rows,
-            },
-            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-                input: Box::new(input.substitute_params(params)),
-                predicate: sub(predicate),
-            },
+                ..
+            } => {
+                write!(f, "Scan {table} proj={projection:?}")?;
+                if !filters.is_empty() {
+                    write!(f, " filters=[{}]", comma_separated(filters))?;
+                }
+                writeln!(f, " (~{estimated_rows:.0} rows)")
+            }
+            LogicalPlan::Filter { predicate, .. } => writeln!(f, "Filter {predicate}"),
             LogicalPlan::Join {
-                left,
-                right,
                 on,
                 kind,
-                schema,
                 estimated_rows,
-            } => LogicalPlan::Join {
-                left: Box::new(left.substitute_params(params)),
-                right: Box::new(right.substitute_params(params)),
-                on: on.clone(),
-                kind: *kind,
-                schema: schema.clone(),
-                estimated_rows: *estimated_rows,
-            },
+                ..
+            } => writeln!(f, "{kind:?}Join on={on:?} (~{estimated_rows:.0} rows)"),
             LogicalPlan::Aggregate {
-                input,
                 group,
                 aggs,
                 strategy,
-                schema,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(input.substitute_params(params)),
-                group: group.clone(),
-                aggs: aggs
-                    .iter()
-                    .map(|a| AggExpr {
-                        func: a.func,
-                        arg: a.arg.as_ref().map(sub),
-                    })
-                    .collect(),
-                strategy: *strategy,
-                schema: schema.clone(),
-            },
-            LogicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => LogicalPlan::Project {
-                input: Box::new(input.substitute_params(params)),
-                exprs: exprs.iter().map(sub).collect(),
-                schema: schema.clone(),
-            },
-            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-                input: Box::new(input.substitute_params(params)),
-                keys: keys.clone(),
-            },
-            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(input.substitute_params(params)),
-                n: *n,
-            },
-            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-                input: Box::new(input.substitute_params(params)),
-            },
-        }
-    }
-
-    /// Bind-time inferred types of the statement's parameters, indexed
-    /// by parameter slot (`None` = no context hint; execute-time values
-    /// pass through unchecked).
-    pub fn param_types(&self, count: usize) -> Vec<Option<DataType>> {
-        let mut out = vec![None; count];
-        self.collect_param_types(&mut out);
-        out
-    }
-
-    fn collect_param_types(&self, out: &mut [Option<DataType>]) {
+                ..
+            } => writeln!(
+                f,
+                "{strategy:?}Aggregate group={group:?} aggs={}",
+                aggs.len()
+            ),
+            LogicalPlan::Project { exprs, .. } => {
+                writeln!(f, "Project [{}]", comma_separated(exprs))
+            }
+            LogicalPlan::Sort { keys, .. } => {
+                let keys = keys.iter().map(|k| {
+                    let desc = if k.desc { " desc" } else { "" };
+                    format!("#{}{desc}", k.col)
+                });
+                writeln!(f, "Sort [{}]", comma_separated(keys))
+            }
+            LogicalPlan::Limit { n, .. } => writeln!(f, "Limit {n}"),
+            LogicalPlan::Distinct { .. } => writeln!(f, "Distinct"),
+        }?;
         match self {
-            LogicalPlan::Scan { filters, .. } => {
-                for f in filters {
-                    f.collect_param_types(out);
-                }
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                predicate.collect_param_types(out);
-                input.collect_param_types(out);
-            }
+            LogicalPlan::Scan { .. } => Ok(()),
             LogicalPlan::Join { left, right, .. } => {
-                left.collect_param_types(out);
-                right.collect_param_types(out);
+                left.fmt_indented(f, depth + 1)?;
+                right.fmt_indented(f, depth + 1)
             }
-            LogicalPlan::Aggregate { input, aggs, .. } => {
-                for a in aggs {
-                    if let Some(arg) = &a.arg {
-                        arg.collect_param_types(out);
-                    }
-                }
-                input.collect_param_types(out);
-            }
-            LogicalPlan::Project { input, exprs, .. } => {
-                for e in exprs {
-                    e.collect_param_types(out);
-                }
-                input.collect_param_types(out);
-            }
-            LogicalPlan::Sort { input, .. }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input } => input.collect_param_types(out),
+            | LogicalPlan::Distinct { input } => input.fmt_indented(f, depth + 1),
         }
     }
+}
 
-    /// Multi-line indented EXPLAIN-style rendering
-    /// ([`ExplainPlan::render`](crate::ExplainPlan::render)).
-    pub fn explain(&self) -> String {
-        crate::explain::ExplainPlan::from_plan(self).render()
-    }
+fn comma_separated<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+    items.join(", ")
 }
 
 impl fmt::Display for LogicalPlan {
+    /// The EXPLAIN text of [`LogicalPlan::explain`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.explain())
+        self.fmt_indented(f, 0)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

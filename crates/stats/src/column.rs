@@ -4,7 +4,7 @@ use nodb_common::like::{like_match, literal_prefix};
 use nodb_common::{DataType, Value};
 
 use crate::histogram::Histogram;
-use crate::{DEFAULT_EQ_SEL, DEFAULT_INEQ_SEL, DEFAULT_LIKE_SEL};
+use crate::{DEFAULT_INEQ_SEL, DEFAULT_LIKE_SEL};
 
 /// Statistics for one attribute, built from a sample by
 /// [`crate::StatsBuilder`].
@@ -123,11 +123,6 @@ impl ColumnStats {
     pub fn distinct(&self) -> f64 {
         self.ndv.max(1.0)
     }
-}
-
-/// Default equality selectivity re-exported for callers without stats.
-pub fn default_eq() -> f64 {
-    DEFAULT_EQ_SEL
 }
 
 #[cfg(test)]

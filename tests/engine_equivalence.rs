@@ -433,3 +433,76 @@ fn every_leaf_applies_the_same_conjuncts() {
     let err = leaves[0].1.query(cases[1].0).unwrap_err().to_string();
     assert!(err.contains("division by zero"), "{err}");
 }
+
+/// Over an aggregate's output (HAVING and a grouped SELECT list), every
+/// operator binds as it does in WHERE: BETWEEN, LIKE, IN and IS NULL over
+/// group keys and aggregate results answer exactly like their spelled-out
+/// twins, in situ, loaded and as external files.
+#[test]
+fn aggregate_outputs_bind_like_any_expression() {
+    // Group `k` holds `count` rows, so the group sizes run 1 to 5.
+    let groups = [
+        ("xa", 1),
+        ("xb", 2),
+        ("xc", 3),
+        ("ya", 4),
+        ("yb", 5),
+        ("za", 2),
+    ];
+    let td = TempDir::new("nodb-agg-outputs").unwrap();
+    let csv = td.file("t.csv");
+    let mut w = CsvWriter::create(&csv, CsvOptions::default()).unwrap();
+    let mut v = 0;
+    for (k, count) in groups {
+        for _ in 0..count {
+            v += 7;
+            w.write_row(&Row(vec![Value::Text(k.into()), Value::Int32(v)]))
+                .unwrap();
+        }
+    }
+    w.finish().unwrap();
+    let schema = Schema::parse("k text, v int").unwrap();
+    let twins = [
+        (
+            "select k, count(*) from t group by k having count(*) between 2 and 3",
+            "select k, count(*) from t group by k having count(*) >= 2 and count(*) <= 3",
+        ),
+        (
+            "select k, sum(v) from t group by k having k like 'x%'",
+            "select k, sum(v) from t where k like 'x%' group by k",
+        ),
+        (
+            "select k, count(*) from t group by k having k in ('xb', 'yb', 'none')",
+            "select k, count(*) from t where k in ('xb', 'yb', 'none') group by k",
+        ),
+        (
+            "select k, sum(v) from t group by k having sum(v) is not null",
+            "select k, sum(v) from t group by k",
+        ),
+        (
+            "select k, count(*) in (1, 2) from t group by k",
+            "select k, count(*) = 1 or count(*) = 2 from t group by k",
+        ),
+    ];
+    for (config, mode) in [
+        (NoDbConfig::postgres_raw(), AccessMode::InSitu),
+        (NoDbConfig::postgres_raw(), AccessMode::Loaded),
+        (NoDbConfig::baseline(), AccessMode::ExternalFiles),
+    ] {
+        let mut db = NoDb::new(config).unwrap();
+        db.register_csv("t", &csv, schema.clone(), CsvOptions::default(), mode)
+            .unwrap();
+        if mode == AccessMode::Loaded {
+            db.load_table("t").unwrap();
+        }
+        for (sql, twin) in twins {
+            let got = canon(&db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows);
+            let want = canon(&db.query(twin).unwrap().rows);
+            assert_eq!(got, want, "{mode:?}: {sql}");
+            assert!(!got.is_empty(), "{mode:?}: {sql}");
+        }
+        // The filters keep some groups and drop others.
+        let kept = db.query(twins[0].0).unwrap().rows.len();
+        assert_eq!(kept, 3, "{mode:?}");
+    }
+}

@@ -133,7 +133,30 @@ fn fits_and_csv_answer_alike_in_every_mode() {
             }
         }
         if mode == AccessMode::ExternalFiles {
-            assert!(fits.metrics("t").is_err(), "external files keep no runtime");
+            // Nothing is kept: a second scan tokenizes exactly what the
+            // first did, and no value comes from a map, an anchor or the
+            // cache.
+            for db in [&csv, &fits] {
+                let before = db.metrics("t").unwrap();
+                answer(db, QUERIES[0]);
+                let once = db.metrics("t").unwrap();
+                answer(db, QUERIES[0]);
+                let twice = db.metrics("t").unwrap();
+                assert_eq!(
+                    twice.fields_tokenized - once.fields_tokenized,
+                    once.fields_tokenized - before.fields_tokenized,
+                    "{label}"
+                );
+                assert_eq!(
+                    (
+                        twice.fields_via_map,
+                        twice.fields_via_anchor,
+                        twice.fields_from_cache
+                    ),
+                    (0, 0, 0),
+                    "{label}"
+                );
+            }
             continue;
         }
         // Values come from the file or the cache alike; positions come

@@ -365,7 +365,6 @@ fn soak_many_clients_share_one_engine() {
             // Soak runs Busy-free: every client must get real answers.
             max_inflight: CLIENTS,
             max_connections: CLIENTS + 4,
-            ..ServerConfig::default()
         },
     )
     .unwrap();

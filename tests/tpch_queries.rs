@@ -240,3 +240,140 @@ fn statement_schema_types_match_returned_values() {
         .to_string();
     assert!(err.contains("`size`") && err.contains("CASE"), "{err}");
 }
+
+/// The exact EXPLAIN text of every TPC-H query, cold (no statistics yet)
+/// and after one execution (statistics collected on the fly). A planner
+/// refactor must leave every line as it is.
+#[test]
+fn plans_are_pinned() {
+    let td = TempDir::new("tpch-it").unwrap();
+    generate(td.path());
+    let db = engine(td.path(), NoDbConfig::postgres_raw(), AccessMode::InSitu);
+    let mut got = String::new();
+    for (id, sql) in queries::all() {
+        let cold = db.explain(sql).unwrap();
+        db.query(sql).unwrap();
+        let warm = db.explain(sql).unwrap();
+        got.push_str(&format!("-- {id} cold\n{cold}-- {id} warm\n{warm}"));
+    }
+    assert_eq!(got, PINNED_PLANS);
+}
+
+const PINNED_PLANS: &str = "\
+-- Q1 cold
+Sort [#0, #1]
+  Project [#0, #1, #2, #3, #4, #5, #6, #7, #8, #9]
+    HashAggregate group=[4, 5] aggs=8
+      Scan lineitem proj=[4, 5, 6, 7, 8, 9, 10] filters=[(#6 <= 1998-09-02)] (~333 rows)
+-- Q1 warm
+Sort [#0, #1]
+  Project [#0, #1, #2, #3, #4, #5, #6, #7, #8, #9]
+    HashAggregate group=[4, 5] aggs=8
+      Scan lineitem proj=[4, 5, 6, 7, 8, 9, 10] filters=[(#6 <= 1998-09-02)] (~11900 rows)
+-- Q3 cold
+Limit 10
+  Sort [#1 desc, #2]
+    Project [#0, #3, #1, #2]
+      HashAggregate group=[6, 4, 5] aggs=1
+        InnerJoin on=[(2, 0)] (~248 rows)
+          InnerJoin on=[(0, 1)] (~8 rows)
+            Scan customer proj=[0, 6] filters=[(#1 = BUILDING)] (~5 rows)
+            Scan orders proj=[0, 1, 4, 7] filters=[(#2 < 1995-03-15)] (~333 rows)
+          Scan lineitem proj=[0, 5, 6, 10] filters=[(#3 > 1995-03-15)] (~5957 rows)
+-- Q3 warm
+Limit 10
+  Sort [#1 desc, #2]
+    Project [#0, #3, #1, #2]
+      HashAggregate group=[6, 4, 5] aggs=1
+        InnerJoin on=[(2, 0)] (~10381 rows)
+          InnerJoin on=[(0, 1)] (~349 rows)
+            Scan customer proj=[0, 6] filters=[(#1 = BUILDING)] (~47 rows)
+            Scan orders proj=[0, 1, 4, 7] filters=[(#2 < 1995-03-15)] (~1472 rows)
+          Scan lineitem proj=[0, 5, 6, 10] filters=[(#3 > 1995-03-15)] (~5957 rows)
+-- Q4 cold
+Sort [#0]
+  Project [#0, #1]
+    HashAggregate group=[2] aggs=1
+      SemiJoin on=[(0, 0)] (~308 rows)
+        Scan orders proj=[0, 4, 5] filters=[(#1 >= 1993-07-01), (#1 < 1993-10-01)] (~617 rows)
+        Scan lineitem proj=[0, 11, 12] filters=[(#1 < #2)] (~3967 rows)
+-- Q4 warm
+Sort [#0]
+  Project [#0, #1]
+    HashAggregate group=[2] aggs=1
+      SemiJoin on=[(0, 0)] (~308 rows)
+        Scan orders proj=[0, 4, 5] filters=[(#1 >= 1993-07-01), (#1 < 1993-10-01)] (~617 rows)
+        Scan lineitem proj=[0, 11, 12] filters=[(#1 < #2)] (~3967 rows)
+-- Q6 cold
+Project [#0]
+  PlainAggregate group=[] aggs=1
+    Scan lineitem proj=[4, 5, 6, 10] filters=[(#3 >= 1994-01-01), (#3 < 1995-01-01), #2 BETWEEN 0.05 AND 0.07, (#0 < 24)] (~138 rows)
+-- Q6 warm
+Project [#0]
+  PlainAggregate group=[] aggs=1
+    Scan lineitem proj=[4, 5, 6, 10] filters=[(#3 >= 1994-01-01), (#3 < 1995-01-01), #2 BETWEEN 0.05 AND 0.07, (#0 < 24)] (~138 rows)
+-- Q10 cold
+Limit 20
+  Sort [#2 desc]
+    Project [#0, #1, #7, #2, #4, #5, #3, #6]
+      HashAggregate group=[7, 8, 12, 11, 15, 9, 13] aggs=1
+        InnerJoin on=[(10, 0)] (~1519 rows)
+          InnerJoin on=[(5, 0)] (~304 rows)
+            InnerJoin on=[(0, 0)] (~203 rows)
+              Scan lineitem proj=[0, 5, 6, 8] filters=[(#3 = R)] (~60 rows)
+              Scan orders proj=[0, 1, 4] filters=[(#2 >= 1993-10-01), (#2 < 1994-01-01)] (~681 rows)
+            Scan customer proj=[0, 1, 2, 3, 4, 5, 7] (~300 rows)
+          Scan nation proj=[0, 1] (~1000 rows)
+-- Q10 warm
+Limit 20
+  Sort [#2 desc]
+    Project [#0, #1, #7, #2, #4, #5, #3, #6]
+      HashAggregate group=[6, 7, 11, 10, 5, 8, 12] aggs=1
+        InnerJoin on=[(0, 9)] (~108 rows)
+          Scan lineitem proj=[0, 5, 6, 8] filters=[(#3 = R)] (~60 rows)
+          InnerJoin on=[(2, 1)] (~364 rows)
+            InnerJoin on=[(0, 3)] (~161 rows)
+              Scan nation proj=[0, 1] (~25 rows)
+              Scan customer proj=[0, 1, 2, 3, 4, 5, 7] (~300 rows)
+            Scan orders proj=[0, 1, 4] filters=[(#2 >= 1993-10-01), (#2 < 1994-01-01)] (~681 rows)
+-- Q12 cold
+Sort [#0]
+  Project [#0, #1, #2]
+    HashAggregate group=[4] aggs=2
+      InnerJoin on=[(0, 0)] (~61 rows)
+        Scan lineitem proj=[0, 10, 11, 12, 14] filters=[#4 IN (MAIL, SHIP), (#2 < #3), (#1 < #2), (#3 >= 1994-01-01), (#3 < 1995-01-01)] (~4 rows)
+        Scan orders proj=[0, 5] (~3000 rows)
+-- Q12 warm
+Sort [#0]
+  Project [#0, #1, #2]
+    HashAggregate group=[4] aggs=2
+      InnerJoin on=[(0, 0)] (~112 rows)
+        Scan lineitem proj=[0, 10, 11, 12, 14] filters=[#4 IN (MAIL, SHIP), (#2 < #3), (#1 < #2), (#3 >= 1994-01-01), (#3 < 1995-01-01)] (~112 rows)
+        Scan orders proj=[0, 5] (~3000 rows)
+-- Q14 cold
+Project [((100.0 * #0) / #1)]
+  PlainAggregate group=[] aggs=2
+    InnerJoin on=[(0, 0)] (~14886 rows)
+      Scan part proj=[0, 4] (~1000 rows)
+      Scan lineitem proj=[1, 5, 6, 10] filters=[(#3 >= 1995-09-01), (#3 < 1995-10-01)] (~2977 rows)
+-- Q14 warm
+Project [((100.0 * #0) / #1)]
+  PlainAggregate group=[] aggs=2
+    InnerJoin on=[(0, 0)] (~2977 rows)
+      Scan part proj=[0, 4] (~400 rows)
+      Scan lineitem proj=[1, 5, 6, 10] filters=[(#3 >= 1995-09-01), (#3 < 1995-10-01)] (~2977 rows)
+-- Q19 cold
+Project [#0]
+  PlainAggregate group=[] aggs=1
+    Filter (((#1 <= 20) AND ((#1 >= 10) AND (#9 IN (MED BAG, MED BOX, MED PKG, MED PACK) AND ((#7 = Brand#23) AND #8 BETWEEN 1 AND 10)))) OR (((#1 <= 11) AND ((#1 >= 1) AND (#9 IN (SM CASE, SM BOX, SM PACK, SM PKG) AND ((#7 = Brand#12) AND #8 BETWEEN 1 AND 5)))) OR ((#1 <= 30) AND ((#1 >= 20) AND (#9 IN (LG CASE, LG BOX, LG PACK, LG PKG) AND ((#7 = Brand#34) AND #8 BETWEEN 1 AND 15))))))
+      InnerJoin on=[(0, 0)] (~8 rows)
+        Scan lineitem proj=[1, 4, 5, 6, 13, 14] filters=[#5 IN (AIR, AIR REG), (#4 = DELIVER IN PERSON)] (~8 rows)
+        Scan part proj=[0, 3, 5, 6] (~400 rows)
+-- Q19 warm
+Project [#0]
+  PlainAggregate group=[] aggs=1
+    Filter (((#5 <= 20) AND ((#5 >= 10) AND (#3 IN (MED BAG, MED BOX, MED PKG, MED PACK) AND ((#1 = Brand#23) AND #2 BETWEEN 1 AND 10)))) OR (((#5 <= 11) AND ((#5 >= 1) AND (#3 IN (SM CASE, SM BOX, SM PACK, SM PKG) AND ((#1 = Brand#12) AND #2 BETWEEN 1 AND 5)))) OR ((#5 <= 30) AND ((#5 >= 20) AND (#3 IN (LG CASE, LG BOX, LG PACK, LG PKG) AND ((#1 = Brand#34) AND #2 BETWEEN 1 AND 15))))))
+      InnerJoin on=[(0, 0)] (~416 rows)
+        Scan part proj=[0, 3, 5, 6] (~400 rows)
+        Scan lineitem proj=[1, 4, 5, 6, 13, 14] filters=[#5 IN (AIR, AIR REG), (#4 = DELIVER IN PERSON)] (~416 rows)
+";
