@@ -10,10 +10,7 @@
 //!   the original. Lints search the mask and can never match text inside
 //!   a comment or a string.
 //! - `comments`: every comment with its starting line and full text —
-//!   this is how adjacency rules (`// SAFETY:`, `// ORDERING:`,
-//!   `// CAST:`) are checked.
-//! - `strings`: every string literal's content with its line — this is
-//!   how `NODB_*` environment-variable literals are found.
+//!   this is how the `// ORDERING:` adjacency rule is checked.
 //!
 //! Handled: `//` line comments (incl. doc comments), nested `/* */`
 //! block comments, `"…"` strings with escapes, raw strings `r"…"` /
@@ -30,15 +27,6 @@ pub struct Comment {
     pub text: String,
 }
 
-/// One string literal (normal, raw, or byte) in the scanned file.
-#[derive(Debug, Clone)]
-pub struct StrLit {
-    /// 1-based line of the opening quote.
-    pub line: usize,
-    /// Literal content, un-escaped exactly as written in the source.
-    pub content: String,
-}
-
 /// The lexed view of one source file. See the [module docs](self).
 #[derive(Debug)]
 pub struct Lexed {
@@ -47,8 +35,6 @@ pub struct Lexed {
     pub mask: String,
     /// All comments, in file order.
     pub comments: Vec<Comment>,
-    /// All string literals, in file order.
-    pub strings: Vec<StrLit>,
 }
 
 impl Lexed {
@@ -65,11 +51,6 @@ impl Lexed {
         }
         out
     }
-
-    /// The mask split into lines (index 0 is line 1).
-    pub fn mask_lines(&self) -> Vec<&str> {
-        self.mask.lines().collect()
-    }
 }
 
 fn is_ident(b: u8) -> bool {
@@ -83,7 +64,6 @@ pub fn lex(src: &str) -> Lexed {
     let b = src.as_bytes();
     let mut mask = Vec::with_capacity(b.len());
     let mut comments = Vec::new();
-    let mut strings = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -157,7 +137,6 @@ pub fn lex(src: &str) -> Lexed {
                     // Prefix bytes (r / br + hashes) stay visible.
                     mask.extend_from_slice(&b[i..=k]);
                     let content_start = k + 1;
-                    let start_line = line;
                     let mut e = content_start;
                     'raw: while e < b.len() {
                         if b[e] == b'"' {
@@ -171,11 +150,6 @@ pub fn lex(src: &str) -> Lexed {
                         }
                         e += 1;
                     }
-                    strings.push(StrLit {
-                        line: start_line,
-                        content: String::from_utf8_lossy(&b[content_start..e.min(b.len())])
-                            .into_owned(),
-                    });
                     blank(&mut mask, &mut line, &b[content_start..e.min(b.len())]);
                     // Closing quote + hashes.
                     let close_end = (e + 1 + hashes).min(b.len());
@@ -192,7 +166,6 @@ pub fn lex(src: &str) -> Lexed {
         if c == b'"' || (c == b'b' && !prev_ident && i + 1 < b.len() && b[i + 1] == b'"') {
             let q = if c == b'b' { i + 1 } else { i };
             mask.extend_from_slice(&b[i..=q]);
-            let start_line = line;
             let mut e = q + 1;
             while e < b.len() {
                 if b[e] == b'\\' {
@@ -204,10 +177,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 e += 1;
             }
-            strings.push(StrLit {
-                line: start_line,
-                content: String::from_utf8_lossy(&b[q + 1..e.min(b.len())]).into_owned(),
-            });
             blank(&mut mask, &mut line, &b[q + 1..e.min(b.len())]);
             if e < b.len() {
                 mask.push(b'"');
@@ -265,7 +234,6 @@ pub fn lex(src: &str) -> Lexed {
     Lexed {
         mask: String::from_utf8_lossy(&mask).into_owned(),
         comments,
-        strings,
     }
 }
 
@@ -339,9 +307,7 @@ let r = r#"Ordering::Relaxed"#;
         assert!(!lx.mask.contains("unsafe"));
         assert!(!lx.mask.contains("Relaxed"));
         assert_eq!(lx.mask.len(), src.len());
-        assert_eq!(lx.strings.len(), 2);
-        assert_eq!(lx.strings[0].content, "unsafe { }");
-        assert_eq!(lx.strings[1].content, "Ordering::Relaxed");
+        assert!(lx.mask.starts_with("let x = \"          \";"));
         assert_eq!(lx.comments.len(), 2);
         assert_eq!(lx.comments[1].line, 3);
     }
@@ -352,16 +318,14 @@ let r = r#"Ordering::Relaxed"#;
         let lx = lex(src);
         // Nothing blanked: no literals at all.
         assert_eq!(lx.mask, src);
-        assert!(lx.strings.is_empty());
     }
 
     #[test]
     fn escaped_quotes_and_byte_strings() {
         let src = r#"let a = "he said \"hi\""; let b = b"\x00"; let c = '\'';"#;
         let lx = lex(src);
-        assert_eq!(lx.strings.len(), 2);
-        assert_eq!(lx.strings[0].content, r#"he said \"hi\""#);
         assert!(!lx.mask.contains("hi"));
+        assert!(!lx.mask.contains("x00"));
         assert!(lx.mask.ends_with("let c = '  ';"));
     }
 
@@ -378,8 +342,7 @@ let r = r#"Ordering::Relaxed"#;
     fn raw_string_with_hashes_and_quotes_inside() {
         let src = r###"let s = r#"contains "quotes" and # signs"#; tail"###;
         let lx = lex(src);
-        assert_eq!(lx.strings.len(), 1);
-        assert!(lx.strings[0].content.contains("quotes"));
+        assert!(!lx.mask.contains("quotes"));
         assert!(lx.mask.ends_with("tail"));
     }
 

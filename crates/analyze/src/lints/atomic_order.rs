@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use crate::lexer::{in_spans, test_spans};
 use crate::report::Finding;
-use crate::scan_util::{enclosing_fn, fn_spans, line_of, line_text, tokens};
+use crate::scan_util::{enclosing_fn, fn_spans, line_of, tokens};
 use crate::SourceFile;
 
 /// Run the atomic-ordering arm over one non-designated file.
@@ -45,7 +45,6 @@ pub fn run(sf: &SourceFile) -> Vec<Finding> {
                 message: "`Ordering::Relaxed` outside a designated counter module \
                           without an `// ORDERING:` justification"
                     .into(),
-                waiver_key: Some(line_text(&sf.src, line)),
             });
         }
     }

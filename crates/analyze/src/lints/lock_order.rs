@@ -13,7 +13,7 @@
 //! believed held at that point.
 
 use crate::report::Finding;
-use crate::scan_util::{line_text, tokens, Tok};
+use crate::scan_util::{tokens, Tok};
 use crate::SourceFile;
 
 #[derive(Debug)]
@@ -175,6 +175,5 @@ fn finding(sf: &SourceFile, line: usize, message: String) -> Finding {
         file: sf.rel.clone(),
         line,
         message,
-        waiver_key: Some(line_text(&sf.src, line)),
     }
 }

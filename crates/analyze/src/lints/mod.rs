@@ -1,10 +1,7 @@
 //! The lint arms. Each arm is a pure function from lexed sources (plus
 //! policy) to [`Finding`](crate::report::Finding)s; the orchestration in
-//! [`crate::run`] decides which files each arm sees and applies waivers.
+//! [`crate::run`] decides which files each arm sees.
 
 pub mod atomic_order;
-pub mod cast_check;
-pub mod knob_check;
 pub mod lock_order;
-pub mod panic_path;
 pub mod unsafe_audit;

@@ -1,8 +1,9 @@
-//! Unsafe audit: every `unsafe` keyword in the tree needs an adjacent
-//! `// SAFETY:` comment *and* a committed entry in
-//! `analyze/unsafe_audit.toml` keyed by file + content hash of the
-//! unsafe item. New or modified unsafe cannot land without a reviewable
-//! allowlist diff; deleting an entry makes the run fail.
+//! Unsafe audit: every `unsafe` keyword in the tree needs a committed
+//! entry in `analyze/unsafe_audit.toml` keyed by file + content hash of
+//! the unsafe item. New or modified unsafe cannot land without a
+//! reviewable ledger diff; deleting an entry makes the run fail. (The
+//! adjacent `// SAFETY:` comment is clippy's
+//! `undocumented_unsafe_blocks`, denied workspace-wide.)
 
 use std::collections::BTreeSet;
 
@@ -106,26 +107,7 @@ pub fn run(files: &[SourceFile], entries: &[AuditEntry], audit_path: &str) -> Ve
     let mut findings = Vec::new();
     let mut used: BTreeSet<usize> = BTreeSet::new();
     for sf in files {
-        let safety_lines: BTreeSet<usize> =
-            sf.lexed.comment_lines_with("SAFETY:").into_iter().collect();
         for site in sites(sf) {
-            // Adjacency: a SAFETY: comment on the keyword's line or
-            // within the 5 lines above it.
-            let has_comment =
-                (site.line.saturating_sub(5)..=site.line).any(|l| safety_lines.contains(&l));
-            if !has_comment {
-                findings.push(Finding {
-                    lint: "unsafe",
-                    file: sf.rel.clone(),
-                    line: site.line,
-                    message: format!(
-                        "`unsafe` without an adjacent `// SAFETY:` comment \
-                         (within 5 lines above): {}",
-                        site.snippet
-                    ),
-                    waiver_key: None,
-                });
-            }
             match entries
                 .iter()
                 .position(|e| e.file == site.file && e.hash == site.hash)
@@ -143,7 +125,6 @@ pub fn run(files: &[SourceFile], entries: &[AuditEntry], audit_path: &str) -> Ve
                          --print-unsafe-entries for a template)",
                         site.hash, site.snippet
                     ),
-                    waiver_key: None,
                 }),
             }
         }
@@ -158,7 +139,6 @@ pub fn run(files: &[SourceFile], entries: &[AuditEntry], audit_path: &str) -> Ve
                     "audit entry for {} ({}) has an empty justification",
                     e.file, e.hash
                 ),
-                waiver_key: None,
             });
         }
         if !used.contains(&idx) {
@@ -171,7 +151,6 @@ pub fn run(files: &[SourceFile], entries: &[AuditEntry], audit_path: &str) -> Ve
                      was removed or modified; re-audit and update the entry",
                     e.file, e.hash
                 ),
-                waiver_key: None,
             });
         }
     }

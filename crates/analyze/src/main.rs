@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p nodb-analyze                 # lint the workspace
-//! cargo run -p nodb-analyze -- --lint knob  # one arm only
+//! cargo run -p nodb-analyze -- --lint unsafe  # one arm only
 //! cargo run -p nodb-analyze -- --print-unsafe-entries
 //! ```
 //!
@@ -17,7 +17,7 @@ use nodb_analyze::LINT_NAMES;
 
 fn usage() -> String {
     format!(
-        "usage: nodb-analyze [--root PATH] [--lint NAME]... [--verbose] \
+        "usage: nodb-analyze [--root PATH] [--lint NAME]... \
          [--print-unsafe-entries] [--list]\n       lints: {}",
         LINT_NAMES.join(", ")
     )
@@ -45,7 +45,6 @@ fn find_workspace_root(start: PathBuf) -> Option<PathBuf> {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut only: Vec<String> = Vec::new();
-    let mut verbose = false;
     let mut print_templates = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -68,7 +67,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--verbose" => verbose = true,
             "--print-unsafe-entries" => print_templates = true,
             "--list" => {
                 println!("{}", LINT_NAMES.join("\n"));
@@ -115,19 +113,13 @@ fn main() -> ExitCode {
 
     match nodb_analyze::run(&cfg, &only) {
         Ok(report) => {
-            if verbose {
-                for (f, why) in &report.waived {
-                    println!("waived  {f}\n        waiver: {why}");
-                }
-            }
             for f in &report.findings {
                 println!("{f}");
             }
             println!(
-                "nodb-analyze: {} file(s), {} finding(s), {} waived",
+                "nodb-analyze: {} file(s), {} finding(s)",
                 report.files_scanned,
-                report.findings.len(),
-                report.waived.len()
+                report.findings.len()
             );
             if report.is_clean() {
                 ExitCode::SUCCESS

@@ -3,23 +3,18 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// One lint violation (or allowlist-hygiene problem).
+/// One lint violation (or ledger/policy-hygiene problem).
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Lint arm that produced this finding (`unsafe`, `lock-order`,
-    /// `atomic-ordering`, `panic-path`, `cast`, `knob`, `waiver`,
-    /// `policy`).
+    /// `atomic-ordering`, `policy`).
     pub lint: &'static str,
     /// File the finding is in, relative to the tree root.
     pub file: PathBuf,
     /// 1-based line (0 for whole-file findings).
     pub line: usize,
-    /// Human-readable description with the fix/waive instructions.
+    /// Human-readable description with the fix instructions.
     pub message: String,
-    /// Key a waiver entry must carry to suppress this finding (the
-    /// trimmed source line for most arms; `None` for findings that can
-    /// never be waived, e.g. unsafe-audit and waiver-hygiene problems).
-    pub waiver_key: Option<String>,
 }
 
 impl fmt::Display for Finding {
@@ -38,16 +33,14 @@ impl fmt::Display for Finding {
 /// Outcome of a full lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unwaived findings — any entry here fails the run.
+    /// Findings — any entry here fails the run.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by a justified waiver, kept for `--verbose`.
-    pub waived: Vec<(Finding, String)>,
     /// Files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when the tree passes (no unwaived findings).
+    /// True when the tree passes (no findings).
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }

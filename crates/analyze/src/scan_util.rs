@@ -153,16 +153,6 @@ pub fn line_of(src: &str, offset: usize) -> usize {
         .count()
 }
 
-/// The trimmed text of 1-based `line` in `src` (empty if out of range) —
-/// the content-addressed waiver key for a finding on that line.
-pub fn line_text(src: &str, line: usize) -> String {
-    src.lines()
-        .nth(line.saturating_sub(1))
-        .unwrap_or("")
-        .trim()
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,7 @@
-//! Seeded violation for the `cast` arm (this file is configured as an
-//! offset-arithmetic module): an unexplained narrowing `as` cast.
+//! Seeded violation for a cast module: an unexplained narrowing `as`
+//! cast — one finding. The widening cast and the `#[expect]`ed one stay
+//! quiet.
+#![deny(clippy::cast_possible_truncation)]
 
 pub fn narrow(x: usize) -> u16 {
     x as u16
@@ -9,7 +11,10 @@ pub fn widen(x: u16) -> u64 {
     x as u64
 }
 
-pub fn explained(x: usize) -> u32 {
-    // CAST: x is a block-local offset < 2^16 by construction.
-    x as u32
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "x is a block-local offset < 2^16 by construction"
+)]
+pub fn explained(x: usize) -> u16 {
+    x as u16
 }

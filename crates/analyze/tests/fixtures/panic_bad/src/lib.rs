@@ -1,10 +1,18 @@
-//! Seeded violations for the `panic-path` arm (this file is configured
-//! as a hot-path module): `unwrap`, `expect`, a panicking macro, and a
-//! fixed-offset slice index — four findings. The `#[cfg(test)]` module
-//! must stay exempt.
+//! Seeded violations for the panic-path lints a hot module denies: a
+//! computed index, `panic!`, `unwrap` and `expect` — one finding each.
+//! The `#[cfg(test)]` module stays exempt through `crates/clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
-pub fn four_panics(buf: &[u8], opt: Option<u32>) -> u32 {
-    let first = buf[0];
+pub fn four_panics(buf: &[u8], at: usize, opt: Option<u32>) -> u32 {
+    let first = buf[at];
     if first == 0 {
         panic!("zero");
     }
@@ -17,7 +25,8 @@ pub fn four_panics(buf: &[u8], opt: Option<u32>) -> u32 {
 mod tests {
     #[test]
     fn test_code_may_unwrap() {
-        let v: Option<u8> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+        let v: Vec<u8> = "1".bytes().collect();
+        assert_eq!(v[0], b'1');
+        assert_eq!(v.first().copied().unwrap(), b'1');
     }
 }

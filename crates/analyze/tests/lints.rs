@@ -1,9 +1,11 @@
-//! Fixture-corpus tests: every lint arm must catch its seeded
-//! violation, the clean tree must pass with zero findings, and the
-//! waiver machinery must suppress justified exceptions while flagging
-//! stale ones.
+//! Fixture-corpus tests. Every `nodb-analyze` arm must catch its seeded
+//! violation and the clean tree must pass with zero findings. The
+//! invariants that moved onto clippy lints are held to the same
+//! standard: `cargo clippy -- -D warnings` must fail on each seeded
+//! fixture crate with exactly the lint it seeds.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use nodb_analyze::config::Config;
 use nodb_analyze::report::Report;
@@ -24,12 +26,41 @@ fn lints_of(report: &Report) -> Vec<&'static str> {
     report.findings.iter().map(|f| f.lint).collect()
 }
 
+/// Run `cargo clippy -- -D warnings` on the standalone fixture crate
+/// `name` and check how often each lint fires. `--tests` compiles the
+/// crate's `#[cfg(test)]` code too, so the `allow-*-in-tests` keys of
+/// `crates/clippy.toml` (which clippy finds above the fixture) are held
+/// as well.
+fn assert_clippy_fires(name: &str, want: &[(&str, usize)]) {
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--quiet", "--tests"])
+        .args(["--message-format=json", "--manifest-path"])
+        .arg(fixture(name).join("Cargo.toml"))
+        .arg("--target-dir")
+        .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy-fixtures"))
+        .args(["--", "-D", "warnings"])
+        .output()
+        .expect("run cargo clippy");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "clippy passed on the seeded fixture `{name}`:\n{stderr}"
+    );
+    for &(lint, n) in want {
+        let fired = stdout
+            .matches(&format!(r#""code":{{"code":"{lint}""#))
+            .count();
+        assert_eq!(
+            fired, n,
+            "`{lint}` fired {fired} time(s) on fixture `{name}`, want {n}:\n{stderr}"
+        );
+    }
+}
+
 #[test]
 fn clean_fixture_passes_every_arm() {
-    let report = run("clean", |cfg| {
-        cfg.hot_files = vec!["src/lib.rs".into()];
-        cfg.cast_files = vec!["src/lib.rs".into()];
-    });
+    let report = run("clean", |_| {});
     assert!(
         report.is_clean(),
         "expected a clean run, got: {:#?}",
@@ -40,23 +71,16 @@ fn clean_fixture_passes_every_arm() {
 
 #[test]
 fn unsafe_without_safety_comment_or_audit_entry_is_caught() {
+    // The ledger half: no entry in the (absent) audit file.
     let report = run("unsafe_bad", |_| {});
-    let unsafe_findings: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.lint == "unsafe")
-        .collect();
-    assert_eq!(unsafe_findings.len(), 2, "{:#?}", report.findings);
+    assert_eq!(lints_of(&report), vec!["unsafe"], "{:#?}", report.findings);
     assert!(
-        unsafe_findings.iter().any(|f| f.message.contains("SAFETY")),
-        "missing-SAFETY finding: {unsafe_findings:#?}"
+        report.findings[0].message.contains("unaudited"),
+        "{:#?}",
+        report.findings
     );
-    assert!(
-        unsafe_findings
-            .iter()
-            .any(|f| f.message.contains("unaudited")),
-        "unaudited finding: {unsafe_findings:#?}"
-    );
+    // The comment half: no `// SAFETY:` on the block.
+    assert_clippy_fires("unsafe_bad", &[("clippy::undocumented_unsafe_blocks", 1)]);
 }
 
 #[test]
@@ -93,82 +117,56 @@ fn unjustified_relaxed_ordering_is_caught() {
     assert_eq!(report.findings[0].line, 7, "{:#?}", report.findings);
 }
 
+/// A computed index, `panic!`, `unwrap` and `expect` fire once each; the
+/// `unwrap` and index in the `#[cfg(test)]` module stay exempt.
 #[test]
 fn hot_path_panics_are_caught() {
-    let report = run("panic_bad", |cfg| {
-        cfg.hot_files = vec!["src/lib.rs".into()];
-    });
-    let panics: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.lint == "panic-path")
-        .collect();
-    // unwrap, expect, panic! and the buf[0] literal index; the unwrap
-    // inside #[cfg(test)] stays exempt.
-    assert_eq!(panics.len(), 4, "{:#?}", report.findings);
+    assert_clippy_fires(
+        "panic_bad",
+        &[
+            ("clippy::indexing_slicing", 1),
+            ("clippy::panic", 1),
+            ("clippy::unwrap_used", 1),
+            ("clippy::expect_used", 1),
+        ],
+    );
 }
 
+/// Only the bare `x as u16`; the widening cast and the `#[expect]`ed one
+/// stay quiet.
 #[test]
 fn unexplained_narrowing_cast_is_caught() {
-    let report = run("cast_bad", |cfg| {
-        cfg.cast_files = vec!["src/lib.rs".into()];
-    });
-    assert_eq!(lints_of(&report), vec!["cast"], "{:#?}", report.findings);
-    // Only the bare `x as u16`; the widening cast and the CAST:-
-    // commented one stay quiet.
-    assert_eq!(report.findings[0].line, 5, "{:#?}", report.findings);
+    assert_clippy_fires("cast_bad", &[("clippy::cast_possible_truncation", 1)]);
 }
 
-/// The engine reads no `NODB_*` variable, so any such literal fires.
+/// No crate reads an environment variable: `NoDbConfig` is the engine's
+/// only configuration.
 #[test]
 fn unregistered_knob_env_var_is_caught() {
-    let report = run("knob_bad", |_| {});
-    assert_eq!(lints_of(&report), vec!["knob"], "{:#?}", report.findings);
-    assert!(
-        report.findings[0].message.contains("NODB_NOT_REGISTERED"),
-        "{:#?}",
-        report.findings
-    );
+    assert_clippy_fires("knob_bad", &[("clippy::disallowed_methods", 1)]);
 }
 
+/// An `#[expect]` whose lint no longer fires fails the build, so a stale
+/// exception cannot outlive the code it excused; a live one stays quiet.
 #[test]
-fn readme_documenting_an_unregistered_env_var_is_caught() {
-    let report = run("knob_readme_bad", |_| {});
-    assert_eq!(lints_of(&report), vec!["knob"], "{:#?}", report.findings);
-    let f = &report.findings[0];
-    assert_eq!(f.file, Path::new("README.md"), "{f:#?}");
-    assert_eq!(f.line, 8, "{f:#?}");
-    assert!(f.message.contains("NODB_RETIRED"), "{f:#?}");
-}
-
-#[test]
-fn waivers_suppress_justified_findings_and_stale_waivers_fire() {
-    let report = run("waivers", |cfg| {
-        cfg.cast_files = vec!["src/lib.rs".into()];
-    });
-    assert_eq!(report.waived.len(), 1, "{:#?}", report.waived);
-    assert!(
-        report.findings.iter().all(|f| f.lint != "cast"),
-        "the waived cast finding resurfaced: {:#?}",
-        report.findings
+fn stale_expect_is_caught() {
+    assert_clippy_fires(
+        "stale_expect",
+        &[
+            ("unfulfilled_lint_expectations", 1),
+            ("clippy::indexing_slicing", 0),
+        ],
     );
-    let stale: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.lint == "waiver")
-        .collect();
-    assert_eq!(stale.len(), 1, "{:#?}", report.findings);
-    assert!(stale[0].message.contains("stale"), "{stale:#?}");
 }
 
 #[test]
 fn stale_policy_path_is_caught() {
     let report = run("clean", |cfg| {
-        cfg.hot_files = vec!["src/missing.rs".into()];
+        cfg.atomic_designated = vec![("src/missing.rs".into(), "moved".into())];
     });
     assert_eq!(lints_of(&report), vec!["policy"], "{:#?}", report.findings);
     assert!(
-        report.findings[0].message.contains("hot_files"),
+        report.findings[0].message.contains("atomic_designated"),
         "{:#?}",
         report.findings
     );
@@ -176,12 +174,8 @@ fn stale_policy_path_is_caught() {
 
 #[test]
 fn lint_filter_restricts_the_run() {
-    let cfg = {
-        let mut c = Config::for_fixture(&fixture("panic_bad"));
-        c.hot_files = vec!["src/lib.rs".into()];
-        c
-    };
-    let only = vec!["cast".to_string()];
+    let cfg = Config::for_fixture(&fixture("atomic_bad"));
+    let only = vec!["lock-order".to_string()];
     let report = nodb_analyze::run(&cfg, &only).expect("lint run");
     assert!(report.is_clean(), "{:#?}", report.findings);
 }

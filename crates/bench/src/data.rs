@@ -12,6 +12,12 @@ use rand::{Rng, SeedableRng};
 
 /// Where generated inputs live (removed by `cargo clean` via target/, or
 /// manually).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "points the figure runners at a pre-generated data directory: it \
+              configures the figures process, not the engine, which takes \
+              NoDbConfig only"
+)]
 pub fn data_dir() -> PathBuf {
     let base = std::env::var_os("NODB_BENCH_DATA")
         .map(PathBuf::from)

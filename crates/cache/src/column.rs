@@ -6,6 +6,15 @@
 //! qualifying rows, so a column may have holes, and a hole is not a NULL.
 //! Cache-served scans hand the typed values to the executor as they are
 //! (`CachedColumn::column`); no value is re-boxed on the way.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::column::Bitmap;
 use nodb_common::{Column, DataType, Value};
@@ -127,9 +136,9 @@ impl CachedColumn {
         let mut col = Column::with_capacity(self.dtype, rows);
         let mut present = Bitmap::new(rows);
         let mut i = 0;
-        while i < rows {
-            let run = source[i..].iter().take_while(|&&s| s == source[i]).count();
-            match source[i].and_then(|k| sources.get(k)) {
+        for same in source.chunk_by(|a, b| a == b) {
+            let run = same.len();
+            match same.first().copied().flatten().and_then(|k| sources.get(k)) {
                 Some(c) if col.extend_from(&c.col, i, run).is_ok() => {
                     (i..i + run).for_each(|j| present.set(j));
                 }

@@ -10,6 +10,16 @@
 //!
 //! A NULL slot holds the type's default (0, `false`, the empty string);
 //! the validity bit is authoritative.
+#![deny(clippy::cast_possible_truncation)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::cmp::Ordering;
 
@@ -162,7 +172,7 @@ impl Bitmap {
     /// The bits where `keep` is true (lanes past either end dropped),
     /// packed a word at a time.
     fn select(&self, keep: &[bool]) -> Bitmap {
-        let keep = &keep[..keep.len().min(self.len)];
+        let keep = keep.get(..self.len).unwrap_or(keep);
         let mut out = Bitmap::with_words(keep.len());
         for (&word, lanes) in self.words.iter().zip(keep.chunks(64)) {
             let (bits, n, ones) = compress(word, lane_mask(lanes));
@@ -262,6 +272,10 @@ fn lane_mask(lanes: &[bool]) -> u64 {
     let mut eights = lanes.chunks_exact(8);
     let mut mask = 0u64;
     for (k, eight) in eights.by_ref().enumerate() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chunks_exact(8) yields eight lanes"
+        )]
         let bytes: [u8; 8] = std::array::from_fn(|i| u8::from(eight[i]));
         let bits = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
         mask |= bits << (8 * k);
@@ -383,8 +397,11 @@ impl TextArena {
         let (Some(&a), Some(&b)) = (src.offsets.get(start), src.offsets.get(end)) else {
             return;
         };
-        // CAST: only used while copying a subset of a column whose own
-        // offsets are u32, so the total stays within u32.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "only used while copying a subset of a column whose own \
+                      offsets are u32, so the total stays within u32"
+        )]
         let base = self.bytes.len() as u32;
         self.bytes
             .push_str(src.bytes.get(a as usize..b as usize).unwrap_or_default());
@@ -830,7 +847,7 @@ impl Column {
     pub fn filter(&self, keep: &[bool], kept: usize) -> Column {
         // Lanes past the column's end are dropped too (a text run that
         // crossed it would copy nothing).
-        let keep = &keep[..keep.len().min(self.len())];
+        let keep = keep.get(..self.len()).unwrap_or(keep);
         let valid = if self.null_count() == 0 {
             Bitmap::ones(kept)
         } else {
@@ -847,8 +864,9 @@ impl Column {
                 let mut out = TextArena::with_capacity(kept);
                 let mut i = 0;
                 while i < keep.len() {
-                    let run = keep[i..].iter().take_while(|&&k| k == keep[i]).count();
-                    if keep[i] {
+                    #[expect(clippy::indexing_slicing, reason = "the loop runs while i < keep.len()")]
+                    let (kept, run) = (keep[i], keep[i..].iter().take_while(|&&k| k == keep[i]).count());
+                    if kept {
                         out.extend_within(t, i, i + run);
                     }
                     i += run;

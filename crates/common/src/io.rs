@@ -227,10 +227,12 @@ mod sys {
         len: usize,
     }
 
-    // SAFETY: the region is read-only memory owned by this value for its
-    // whole lifetime; concurrent `&self` reads from any thread are plain
-    // loads from immutable pages.
+    // SAFETY: the region is memory owned by this value for its whole
+    // lifetime, so moving the value moves sole ownership of the mapping;
+    // no thread-local state is tied to it.
     unsafe impl Send for MmapRegion {}
+    // SAFETY: the mapping is read-only; concurrent `&self` reads from any
+    // thread are plain loads from immutable pages.
     unsafe impl Sync for MmapRegion {}
 
     impl MmapRegion {

@@ -80,6 +80,15 @@
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -278,6 +287,7 @@ impl InSituScanOp {
                 self.ctx.where_locals.clone()
             };
             let stats = self.runtime.stats.lock();
+            #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
             for local in candidates {
                 let attr = self.ctx.projection[local] as u32;
                 if !stats.has_column(attr) {
@@ -364,8 +374,8 @@ impl InSituScanOp {
             ..self.stage(block, first, block_rows, &[])
         };
         let ctx = &self.ctx;
-        // Opened above; hot-path modules are panic-free (enforced by
-        // `nodb-analyze`'s panic-path arm).
+        // Opened above; hot-path modules are panic-free (this module
+        // denies clippy's panic lints).
         let reader =
             (self.reader.as_mut()).ok_or_else(|| NoDbError::internal("scan reader not opened"))?;
         let mut kernel = Kernel {
@@ -408,8 +418,16 @@ impl InSituScanOp {
                         .positions_upto(line, stride - 1, &mut k.scratch)?;
                     k.metrics.fields_tokenized += require_fields(found, stride)? as u64;
                     if let Some(c) = collector.as_mut() {
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "scratch holds stride positions"
+                        )]
                         c.push_row(&k.scratch[..stride]);
                     }
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "scratch holds stride positions, and every attr is below stride"
+                    )]
                     starts.extend(ctx.projection.iter().map(|&a| k.scratch[a]));
                 }
                 Ok(())
@@ -443,6 +461,7 @@ impl InSituScanOp {
         cached: &[Option<Arc<CachedColumn>>],
     ) -> ChunkScan {
         let ctx = &self.ctx;
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
         let builder = |local: usize| {
             let complete = cached.get(local).and_then(Option::as_ref);
             (self.flags.cache && !complete.is_some_and(|c| c.is_complete())).then(|| {
@@ -623,17 +642,22 @@ impl InSituScanOp {
         // the file only for a survivor's missing SELECT value. Other
         // blocks are cut into runs of the lines that fit one read of
         // `RANGE_READ` bytes (and at least one line).
-        let cached_whole = |l: usize| cached[l].as_ref().is_some_and(|c| c.covers(rows));
+        let cached_at = |l: usize| cached.get(l).and_then(Option::as_ref);
         let one_run = !collect
-            && ctx.where_locals.iter().all(|&l| cached_whole(l))
-            && ctx.select_locals.iter().all(|&l| cached[l].is_some());
+            && ctx
+                .where_locals
+                .iter()
+                .all(|&l| cached_at(l).is_some_and(|c| c.covers(rows)))
+            && ctx.select_locals.iter().all(|&l| cached_at(l).is_some());
         let mut r0 = 0;
         while r0 < rows {
             let mut r1 = if one_run { rows } else { r0 + 1 };
+            #[expect(clippy::indexing_slicing, reason = "bounds holds rows + 1 entries")]
             while r1 < rows && bounds[r1 + 1] - bounds[r0] <= RANGE_READ {
                 r1 += 1;
             }
             let framing = ctx.format.framing();
+            #[expect(clippy::indexing_slicing, reason = "bounds holds rows + 1 entries")]
             let lines = LineRun::unread(&bounds[r0..=r1], src, &mut self.run_buf, framing);
             let mut run = Run::new(lines, r0, block_start + r0 as u64);
             run.positions = Positions::Map(&entries);
@@ -644,6 +668,7 @@ impl InSituScanOp {
                     for (entry, &attr) in entries.iter().zip(&ctx.projection) {
                         positions.push(k.position(line, attr, entry, r)?);
                     }
+                    #[expect(clippy::indexing_slicing, reason = "row was positions.len()")]
                     c.push_row(&positions[row..]);
                     Ok(())
                 };
@@ -701,6 +726,7 @@ impl InSituScanOp {
         }
         let hint = row_count.map(|n| n as f64);
         for (local, b) in self.stat_builders.drain(..) {
+            #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
             let attr = self.ctx.projection[local] as u32;
             if !stats.has_column(attr) && b.offered() > 0 {
                 stats.set_column(attr, b.finalize(hint));

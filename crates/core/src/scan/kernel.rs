@@ -2,6 +2,15 @@
 //! run at a time (see the `scan` module docs). Runs come from a cold
 //! pass over a block and from map-covered blocks alike; what differs is
 //! only where their lines and positions come from.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::sync::Arc;
 
@@ -140,9 +149,11 @@ impl Kernel<'_> {
             }
         }
         let mut cols: Vec<Option<Column>> = vec![None; ctx.projection.len()];
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
         for (&local, c) in ctx.where_locals.iter().zip(batch.into_cols()) {
             cols[local] = Some(c);
         }
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
         for &local in &ctx.select_locals {
             cols[local] = Some(self.fill(run, local, &sel)?);
         }
@@ -161,6 +172,10 @@ impl Kernel<'_> {
     /// convert becomes the earliest failure and ends the column.
     fn fill(&mut self, run: &mut Run, local: usize, rows: &[usize]) -> Result<Column> {
         let ctx = self.ctx;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a partition point is at most the length"
+        )]
         let rows = &rows[..rows.partition_point(|&r| r < run.fail_row)];
         let first = run.first;
         let cached = self.cached.get(local).and_then(Option::as_deref);
@@ -177,6 +192,7 @@ impl Kernel<'_> {
                     .gather(&rows.iter().map(|&r| first + r).collect::<Vec<_>>()),
             };
         }
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
         let mut col = Column::with_capacity(ctx.types[local], rows.len());
         // This column's statistics builder, if it has one.
         let sampled = self.samples.iter().position(|(l, _)| *l == local);
@@ -200,6 +216,7 @@ impl Kernel<'_> {
             }
             let tick = run.id + r as u64;
             if let Some(i) = sampled.filter(|_| tick.is_multiple_of(STATS_SAMPLE_STRIDE)) {
+                #[expect(clippy::indexing_slicing, reason = "i is a position in samples")]
                 self.samples[i].1.push(v);
             }
         }
@@ -209,6 +226,11 @@ impl Kernel<'_> {
     /// Convert column `local` of run row `r` from its `line`, at the
     /// position the run's positions give. Errors are located.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a local indexes the projection, and a position table holds one \
+                  projection-wide row per run row"
+    )]
     fn convert(&mut self, run: &Run, local: usize, r: usize, line: &[u8]) -> Result<Value> {
         let ctx = self.ctx;
         let start = match &run.positions {
@@ -306,7 +328,11 @@ impl Kernel<'_> {
             let max_attr = self.ctx.projection.last().map_or(attr, |&a| a.max(attr));
             require_fields(found, max_attr + 1)?;
         }
-        Ok(self.scratch[attr])
+        self.scratch.get(attr).copied().ok_or_else(|| {
+            NoDbError::internal(format!(
+                "{found} fields found, but no position for field {attr}"
+            ))
+        })
     }
 }
 

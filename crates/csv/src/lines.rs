@@ -143,7 +143,7 @@ impl LineReader {
         bounds: &'a mut Vec<u64>,
     ) -> Result<LineRun<'a>> {
         let left = end.saturating_sub(self.offset).checked_div(width as u64);
-        // CAST: at most `max`.
+        // At most `max`, so the cast keeps every bit.
         let want = left.map_or(0, |left| left.min(max as u64) as usize);
         while want > 0 && self.filled - self.pos < width {
             if !self.fill()? {

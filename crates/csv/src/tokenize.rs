@@ -9,6 +9,15 @@
 //! Delimiter searches go through the word-at-a-time scanners in
 //! [`nodb_common::swar`] rather than byte-at-a-time loops; proptests below
 //! pin them to scalar reference behavior.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::swar;
 
@@ -50,16 +59,19 @@ pub fn count_fields(line: &[u8], delim: u8) -> usize {
 /// to the next delimiter or end of line.
 pub fn field_end(line: &[u8], delim: u8, start: u32) -> u32 {
     let s = start as usize;
-    match swar::find_byte(&line[s.min(line.len())..], delim) {
+    #[expect(clippy::indexing_slicing, reason = "clamped to line.len()")]
+    let rest = &line[s.min(line.len())..];
+    match swar::find_byte(rest, delim) {
         Some(off) => (s + off) as u32,
         None => line.len() as u32,
     }
 }
 
-/// The bytes of the field starting at `start`.
+/// The bytes of the field starting at `start` (none when `start` lies
+/// past the end of the line).
 pub fn field_at(line: &[u8], delim: u8, start: u32) -> &[u8] {
     let end = field_end(line, delim, start);
-    &line[start as usize..end as usize]
+    line.get(start as usize..end as usize).unwrap_or_default()
 }
 
 /// Incremental *forward* parsing (§4.2): given the known start of field
@@ -78,7 +90,9 @@ pub fn advance_forward(
         return Some(from_start);
     }
     let from = (from_start as usize).min(line.len());
-    swar::ByteFinder::new(&line[from..], delim)
+    #[expect(clippy::indexing_slicing, reason = "clamped to line.len()")]
+    let rest = &line[from..];
+    swar::ByteFinder::new(rest, delim)
         .nth(remaining - 1)
         .map(|i| (from + i) as u32 + 1)
 }
@@ -103,7 +117,7 @@ pub fn advance_backward(
     // after the (remaining+1)-th delimiter counted from here.
     let mut seen = 0usize;
     let mut end = from_start as usize;
-    while let Some(i) = swar::rfind_byte(&line[..end], delim) {
+    while let Some(i) = line.get(..end).and_then(|l| swar::rfind_byte(l, delim)) {
         seen += 1;
         if seen == remaining + 1 {
             return Some(i as u32 + 1);
@@ -154,6 +168,15 @@ mod tests {
         assert_eq!(field_at(LINE, b',', 5), b"");
         assert_eq!(field_at(LINE, b',', 6), b"dddd");
         assert_eq!(field_at(LINE, b',', 11), b"e");
+    }
+
+    #[test]
+    fn starts_past_the_line_end_find_nothing() {
+        // A stale position (the line got shorter) must not panic.
+        let end = LINE.len() as u32;
+        assert_eq!(field_at(LINE, b',', end + 5), b"");
+        assert_eq!(advance_forward(LINE, b',', end + 5, 1, 3), None);
+        assert_eq!(advance_backward(LINE, b',', end + 5, 3, 1), None);
     }
 
     #[test]

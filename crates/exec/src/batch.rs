@@ -12,6 +12,15 @@
 //! [`Value`](nodb_common::Value) is built only where a field enters the
 //! engine (a leaf converts it into its typed column) or a row leaves it
 //! ([`ValueBatch::into_rows`] at the cursor).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{Column, DataType, Result, Row};
 

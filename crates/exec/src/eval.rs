@@ -11,6 +11,15 @@
 //! [`BinOp::arith_type`]): integers of either width add to `Int64`, any
 //! float or `/` gives `Float64`, `Date ± integer` gives `Date`, and a CASE
 //! widens its branches to their widest numeric type.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::borrow::Cow;
 
@@ -172,6 +181,7 @@ pub(crate) fn eval_operand<'a>(
                 let is_and = *op == BinOp::And;
                 let (lt, lf) = truth(&eval_operand(left, batch, mask)?, n);
                 let decided = if is_and { &lf } else { &lt };
+                #[expect(clippy::indexing_slicing, reason = "truth() yields n lanes")]
                 let need: Vec<bool> = (0..n).map(|r| active(mask, r) && !decided[r]).collect();
                 let (rt, rf) = if need.contains(&true) {
                     truth(&eval_operand(right, batch, Some(&need))?, n)
@@ -180,6 +190,7 @@ pub(crate) fn eval_operand<'a>(
                 };
                 // Undecided rows take the right side's word where it
                 // decides, else TRUE AND TRUE / FALSE OR FALSE.
+                #[expect(clippy::indexing_slicing, reason = "every vector here has n lanes")]
                 let (t, f): (Vec<bool>, Vec<bool>) = (0..n)
                     .map(|r| match (need[r], is_and) {
                         (false, true) => (false, true),
@@ -316,10 +327,12 @@ pub(crate) fn eval_operand<'a>(
                     break;
                 }
                 let (taken, _) = truth(&eval_operand(cond, batch, Some(&remaining))?, n);
+                #[expect(clippy::indexing_slicing, reason = "both masks have n lanes")]
                 let taken: Vec<bool> = (0..n).map(|r| remaining[r] && taken[r]).collect();
                 if taken.contains(&true) {
                     let k = results.len();
                     results.push(eval_operand(res, batch, Some(&taken))?);
+                    #[expect(clippy::indexing_slicing, reason = "every mask has n lanes")]
                     for r in (0..n).filter(|&r| taken[r]) {
                         choice[r] = k;
                         remaining[r] = false;
@@ -330,6 +343,7 @@ pub(crate) fn eval_operand<'a>(
                 if remaining.contains(&true) {
                     let k = results.len();
                     results.push(eval_operand(e, batch, Some(&remaining))?);
+                    #[expect(clippy::indexing_slicing, reason = "both have n lanes")]
                     for r in (0..n).filter(|&r| remaining[r]) {
                         choice[r] = k;
                     }
@@ -764,6 +778,7 @@ fn typed_in_list(c: &Column, list: &[Value], negated: bool) -> Option<Column> {
     let n = c.len();
     // A miss is FALSE (NOT IN: TRUE), or NULL when a candidate is NULL.
     let lanes = hit.iter().map(|&h| h != negated).collect();
+    #[expect(clippy::indexing_slicing, reason = "hit has a lane per row of c")]
     let valid: Vec<bool> = (0..n)
         .map(|r| c.is_valid(r) && (hit[r] || !saw_null))
         .collect();

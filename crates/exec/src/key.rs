@@ -18,6 +18,15 @@
 //! hash starts from a per-process random seed: which keys share a bucket
 //! cannot be worked out from the keys alone. Slots are numbered in
 //! insertion order, so no result depends on the seed.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -136,6 +145,10 @@ impl Hasher for FxHasher {
         let rest = words.remainder();
         if !rest.is_empty() {
             let mut buf = [0u8; 8];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a chunks_exact(8) remainder is < 8 bytes"
+            )]
             buf[..rest.len()].copy_from_slice(rest);
             self.add(u64::from_le_bytes(buf));
         }
@@ -212,6 +225,10 @@ impl KeyIndex {
     /// The slot whose key has hash `hash` and satisfies `is_key`, which
     /// compares the caller's stored key for a slot with the probe.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "b is masked to the power-of-two bucket count; a bucket holds a slot of hashes"
+    )]
     pub fn find(&self, hash: u64, mut is_key: impl FnMut(usize) -> bool) -> Option<usize> {
         let mask = self.buckets.len() - 1;
         let mut b = (hash >> self.shift) as usize;
@@ -237,6 +254,10 @@ impl KeyIndex {
         slot
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "b is masked to the power-of-two bucket count"
+    )]
     fn place(&mut self, hash: u64, slot: usize) {
         let mask = self.buckets.len() - 1;
         let mut b = (hash >> self.shift) as usize;
@@ -250,6 +271,7 @@ impl KeyIndex {
         self.buckets = vec![0; self.buckets.len() * 2];
         self.shift -= 1;
         for slot in 0..self.hashes.len() {
+            #[expect(clippy::indexing_slicing, reason = "slot < hashes.len()")]
             self.place(self.hashes[slot], slot);
         }
     }
@@ -391,7 +413,10 @@ mod tests {
         let h = |k: &[Value]| hash_key(k.iter().map(KeyRef::of));
         let mut idx = KeyIndex::new();
         let stored = [k1.to_vec()];
-        assert_eq!(idx.find(h(&k1), |_| unreachable!()), None);
+        assert_eq!(
+            idx.find(h(&k1), |_| panic!("an empty index compared a key")),
+            None
+        );
         assert_eq!(idx.insert(h(&k1)), 0);
         assert_eq!(idx.find(h(&k2), |s| same_key(&stored[s], &k2)), Some(0));
         assert_eq!(idx.find(h(&k3), |s| same_key(&stored[s], &k3)), None);

@@ -17,6 +17,15 @@
 //! DISTINCT gather them, keys are read from column slots
 //! ([`KeyRef::at`]), and COUNT/SUM/AVG fold typed slices — so no
 //! operator builds a [`Value`] per cell on the way.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::cmp::Ordering;
 
@@ -429,10 +438,12 @@ impl JoinTable {
                 let hash = hash_key(cols.iter().map(|c| KeyRef::at(c, r)));
                 let first = &t.first;
                 let found = t.index.find(hash, |s| {
+                    #[expect(clippy::indexing_slicing, reason = "a slot has a first row")]
                     let f = first[s] as usize;
                     cols.iter().all(|c| KeyRef::at(c, f) == KeyRef::at(c, r))
                 });
                 match found {
+                    #[expect(clippy::indexing_slicing, reason = "a slot has a last row")]
                     Some(s) => {
                         t.prev.push(t.last[s]);
                         t.last[s] = i;
@@ -459,6 +470,7 @@ impl JoinTable {
         }
         let hash = hash_key(probe.iter().map(|c| KeyRef::at(c, r)));
         self.index.find(hash, |s| {
+            #[expect(clippy::indexing_slicing, reason = "a slot has a first row")]
             let f = self.first[s] as usize;
             self.keys.iter().zip(probe).all(|(&bc, pc)| {
                 self.rows

@@ -8,6 +8,15 @@
 //! records by stride ([`Framing::Fixed`]): positions are the column
 //! offsets, a value is decoded from its big-endian bytes, and the cache
 //! carries the adaptation.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{DataType, Framing, LineFormat, NoDbError, Result, Value, NO_POSITION};
 

@@ -24,6 +24,15 @@
 //!
 //! Tokenization is *selective* in the paper's sense: the walk stops as
 //! soon as every requested attribute has been located.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::HashMap;
 
@@ -89,6 +98,7 @@ impl JsonFormat {
                 )));
             }
             let (key_end, key_escaped) = scan_string(line, i)?;
+            #[expect(clippy::indexing_slicing, reason = "scan_string found both quotes")]
             let key_bytes = &line[i + 1..key_end - 1];
             let ord = if key_escaped {
                 self.by_key.get(&unescape(key_bytes)?).copied()
@@ -126,9 +136,10 @@ impl LineFormat for JsonFormat {
         out.resize(base + upto + 1, NO_POSITION);
         let mut found = 0usize;
         self.walk_object(line, |ord, value_start| {
-            if let Some(o) = ord {
-                if o <= upto && out[base + o] == NO_POSITION {
-                    out[base + o] = value_start;
+            // Ordinals past `upto` fall off the end of `out`.
+            if let Some(slot) = ord.and_then(|o| out.get_mut(base + o)) {
+                if *slot == NO_POSITION {
+                    *slot = value_start;
                     found += 1;
                     // Selective tokenizing: stop once every requested
                     // attribute is located.
@@ -148,6 +159,7 @@ impl LineFormat for JsonFormat {
         match line.get(i) {
             Some(b'"') => {
                 let (end, escaped) = scan_string(line, i)?;
+                #[expect(clippy::indexing_slicing, reason = "scan_string found both quotes")]
                 let inner = &line[i + 1..end - 1];
                 if escaped {
                     Value::parse_field(&unescape(inner)?, dtype)
@@ -167,6 +179,10 @@ impl LineFormat for JsonFormat {
                 expect_literal(line, i, b"false")?;
                 Value::parse_field(b"false", dtype)
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "number_end scans from i to at most the end"
+            )]
             Some(b'-') | Some(b'0'..=b'9') => {
                 Value::parse_field(&line[i..number_end(line, i)], dtype)
             }
@@ -228,6 +244,10 @@ fn expect_end(line: &[u8], i: usize) -> Result<()> {
 
 /// `i` points at an opening quote; returns (index just past the closing
 /// quote, whether any escape was seen).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i is clamped to the line, and j = i + off lies inside the searched rest"
+)]
 fn scan_string(line: &[u8], start: usize) -> Result<(usize, bool)> {
     debug_assert_eq!(line.get(start), Some(&b'"'));
     // SWAR jump to the next structural byte: everything between a `"` and
@@ -274,8 +294,8 @@ fn skip_value(line: &[u8], i: usize) -> Result<usize> {
 fn skip_composite(line: &[u8], start: usize) -> Result<usize> {
     let mut depth = 0usize;
     let mut i = start;
-    while i < line.len() {
-        match line[i] {
+    while let Some(&b) = line.get(i) {
+        match b {
             b'"' => {
                 i = scan_string(line, i)?.0;
                 continue;
@@ -297,7 +317,7 @@ fn skip_composite(line: &[u8], start: usize) -> Result<usize> {
 }
 
 fn expect_literal(line: &[u8], i: usize, lit: &[u8]) -> Result<()> {
-    if line.len() >= i + lit.len() && &line[i..i + lit.len()] == lit {
+    if line.get(i..i + lit.len()) == Some(lit) {
         Ok(())
     } else {
         Err(NoDbError::parse(format!(
@@ -324,8 +344,7 @@ fn number_end(line: &[u8], mut i: usize) -> usize {
 pub fn unescape(bytes: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
+    while let Some(&b) = bytes.get(i) {
         if b != b'\\' {
             out.push(b);
             i += 1;
@@ -379,11 +398,11 @@ pub fn unescape(bytes: &[u8]) -> Result<Vec<u8>> {
 }
 
 fn hex4(bytes: &[u8], i: usize) -> Result<u32> {
-    if bytes.len() < i + 4 {
+    let Some(digits) = bytes.get(i..i + 4) else {
         return Err(NoDbError::parse("truncated \\u escape"));
-    }
+    };
     let mut v = 0u32;
-    for &b in &bytes[i..i + 4] {
+    for &b in digits {
         let d = (b as char)
             .to_digit(16)
             .ok_or_else(|| NoDbError::parse("non-hex digit in \\u escape"))?;

@@ -4,6 +4,7 @@
 //! relative to the tuple's line start ("holding relative positions reduces
 //! storage requirements per position", §4.2) and are narrowed to 16 bits
 //! when every line in the block is short enough.
+#![deny(clippy::cast_possible_truncation)]
 
 /// Relative attribute offsets, row-major (`rows × attrs.len()`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,8 +32,7 @@ impl OffsetStore {
     /// Offset at flat index `i`.
     pub fn get(&self, i: usize) -> u32 {
         match self {
-            // CAST: u16 → u32 widens; no truncation possible.
-            OffsetStore::U16(v) => v[i] as u32,
+            OffsetStore::U16(v) => u32::from(v[i]),
             OffsetStore::U32(v) => v[i],
         }
     }
@@ -51,11 +51,14 @@ impl OffsetStore {
         // exactly when the OR has none, and only then is the narrowed
         // copy kept.
         let mut high_bits = 0u32;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the narrowed copy is discarded below unless lossless"
+        )]
         let narrowed: Vec<u16> = offsets
             .iter()
             .map(|&o| {
                 high_bits |= o;
-                // CAST: truncation is discarded below unless lossless.
                 o as u16
             })
             .collect();
@@ -209,7 +212,7 @@ mod tests {
             prop_assert_eq!((c.block, c.rows as usize, &c.attrs), (7, rows.len(), &attrs));
             for (r, row) in rows.iter().enumerate() {
                 for (a, &want) in row[..nattrs].iter().enumerate() {
-                    prop_assert_eq!(c.offset(r as u32, a), want);
+                    prop_assert_eq!(c.offset(u32::try_from(r).unwrap(), a), want);
                 }
             }
             let narrow = rows.iter().all(|r| r[..nattrs].iter().all(|&o| o <= u32::from(u16::MAX)));

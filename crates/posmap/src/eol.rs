@@ -5,6 +5,7 @@
 //! paper's cache-only variant ("PostgresRaw C") keeps exactly this — "an
 //! additional minimal map maintaining positional information only for the
 //! end of lines" (§5.1.2). The full positional map builds on top of it.
+#![deny(clippy::cast_possible_truncation)]
 
 /// Index of line-start byte offsets, built incrementally in row order.
 #[derive(Debug, Default)]
@@ -55,11 +56,14 @@ impl EolIndex {
         if base_row > have {
             return;
         }
-        let skip = (have - base_row) as usize;
-        if skip >= line_starts.len() {
+        let Some(new) = usize::try_from(have - base_row)
+            .ok()
+            .and_then(|skip| line_starts.get(skip..))
+            .filter(|new| !new.is_empty())
+        else {
             return;
-        }
-        self.starts.extend_from_slice(&line_starts[skip..]);
+        };
+        self.starts.extend_from_slice(new);
         self.frontier = end;
     }
 
@@ -84,17 +88,13 @@ impl EolIndex {
 
     /// Start offset of `row`, if indexed.
     pub fn start_of(&self, row: u64) -> Option<u64> {
-        self.starts.get(row as usize).copied()
+        self.starts.get(usize::try_from(row).ok()?).copied()
     }
 
     /// Start offsets for rows `[from, to)` as a slice, if fully indexed.
     pub fn starts(&self, from: u64, to: u64) -> Option<&[u64]> {
-        let (from, to) = (from as usize, to as usize);
-        if to <= self.starts.len() && from <= to {
-            Some(&self.starts[from..to])
-        } else {
-            None
-        }
+        self.starts
+            .get(usize::try_from(from).ok()?..usize::try_from(to).ok()?)
     }
 
     /// Approximate memory footprint in bytes.

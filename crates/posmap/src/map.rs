@@ -1,4 +1,5 @@
 //! The adaptive positional map proper: directory, budget, LRU eviction.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,8 +243,12 @@ impl PositionalMap {
             let entry = match self.slot_for(block, attr) {
                 Some((held, slot)) => match self.column_of(slot, held, clock) {
                     Some(col) => {
-                        // CAST: columns hold ≤ block_rows (u32) positions; len fits u32.
-                        rows = rows.max(col.len() as u32);
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "columns hold ≤ block_rows (u32) positions"
+                        )]
+                        let len = col.len() as u32;
+                        rows = rows.max(len);
                         AttrPositions::of(attr, held, col)
                     }
                     None => AttrPositions::None,
@@ -380,7 +385,8 @@ impl PositionalMap {
         let Some(budget) = self.cfg.budget else {
             return;
         };
-        let budget = budget.bytes() as usize;
+        // A budget beyond the address space bounds nothing.
+        let budget = usize::try_from(budget.bytes()).unwrap_or(usize::MAX);
         // One heat snapshot per enforcement pass (the log is shared and
         // briefly locked per call). No log reads as all-cold: plain LRU.
         let heats: Vec<u64> = self

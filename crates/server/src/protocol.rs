@@ -50,6 +50,16 @@
 //!
 //! Every decoder returns a typed [`NoDbError`] on truncated input,
 //! unknown tags, bad lengths or invalid UTF-8 — never a panic.
+#![deny(clippy::cast_possible_truncation)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::io::{Read, Write};
 
@@ -399,6 +409,10 @@ impl Frame {
         let body_len = out.len() - len_at - 4;
         match u32::try_from(body_len) {
             Ok(n) if n <= MAX_FRAME_BYTES => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "put_u32 wrote these four bytes at len_at above"
+                )]
                 out[len_at..len_at + 4].copy_from_slice(&n.to_le_bytes());
                 Ok(())
             }
@@ -449,8 +463,8 @@ impl Frame {
             }
             Frame::Error { kind, message } => {
                 out.push(TAG_ERROR);
-                // CAST: ErrorKind is #[repr(u8)] with explicit
-                // discriminants 0..=8 — the discriminant is the wire byte.
+                // ErrorKind is #[repr(u8)] with explicit discriminants
+                // 0..=8 — the discriminant is the wire byte.
                 out.push(*kind as u8);
                 put_str(out, message)?;
             }
@@ -627,6 +641,10 @@ const MAX_MIDFRAME_TIMEOUTS: u32 = 200;
 /// bounded number of ticks. A blocking stream or a slice never times
 /// out.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop runs while filled < buf.len()"
+    )]
     fn fill(r: &mut impl Read, buf: &mut [u8], mut filled: usize, what: &str) -> Result<usize> {
         let mut stalled: u32 = 0;
         while filled < buf.len() {
@@ -729,39 +747,50 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(wire_err(format!(
-                "truncated frame: wanted {n} byte(s), {} left",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.at..self.at + n];
+        let s = self
+            .at
+            .checked_add(n)
+            .and_then(|end| self.buf.get(self.at..end))
+            .ok_or_else(|| {
+                wire_err(format!(
+                    "truncated frame: wanted {n} byte(s), {} left",
+                    self.remaining()
+                ))
+            })?;
         self.at += n;
         Ok(s)
     }
 
+    /// The next `N` bytes as an array, for the fixed-width integers.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let s = self.take(N)?;
+        s.try_into()
+            .map_err(|_| wire_err(format!("truncated frame: wanted {N} byte(s)")))
+    }
+
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     fn i32(&mut self) -> Result<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        Ok(i32::from_le_bytes(self.take_array()?))
     }
 
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     fn string(&mut self) -> Result<String> {

@@ -1,4 +1,13 @@
 //! Abstract syntax tree produced by the parser.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeSet;
 use std::convert::Infallible;

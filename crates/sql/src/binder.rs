@@ -19,6 +19,15 @@
 //! (the grouped SELECT list and HAVING) it runs with a hook that reads a
 //! GROUP BY column from its key slot and an aggregate call from its
 //! result slot, so every operator WHERE accepts binds there too.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeSet;
 
@@ -141,11 +150,11 @@ impl Binder<'_> {
         for item in &stmt.projections {
             match item {
                 SelectItem::Wildcard => {
-                    for (ti, t) in self.tables.iter().enumerate() {
+                    for t in &self.tables {
                         for f in t.schema.fields() {
                             projections.push((
                                 AstExpr::Column {
-                                    table: Some(self.tables[ti].alias.clone()),
+                                    table: Some(t.alias.clone()),
                                     name: f.name.to_ascii_lowercase(),
                                 },
                                 Some(f.name.clone()),
@@ -201,7 +210,7 @@ impl Binder<'_> {
             let mut tset = BTreeSet::new();
             self.tables_of(&c, &mut tset)?;
             match (tset.first(), tset.len()) {
-                (Some(&t), 1) => scan_filters[t].push(c),
+                (Some(&t), 1) => per_table(&mut scan_filters, t)?.push(c),
                 (_, 2) => {
                     if let Some(edge) = self.as_equi_edge(&c)? {
                         edges.push(edge);
@@ -238,12 +247,13 @@ impl Binder<'_> {
             .iter()
             .flat_map(|s| s.on.iter().map(|&(o, _)| o));
         for (t, c) in join_keys.chain(exists_keys) {
-            used[t].insert(c);
+            per_table(&mut used, t)?.insert(c);
         }
 
         // 7. Build scans, binding each table's filters to its attributes.
         let mut rels: Vec<Rel> = Vec::new();
-        for (t, bt) in self.tables.iter().enumerate() {
+        let per_scan = scan_filters.iter().zip(used);
+        for ((t, bt), (filters, used)) in self.tables.iter().enumerate().zip(per_scan) {
             let resolver = |table: Option<&str>, name: &str| -> Result<usize> {
                 let (rt, rc) = self.resolve_required(table, name)?;
                 if rt != t {
@@ -251,11 +261,10 @@ impl Binder<'_> {
                 }
                 Ok(rc)
             };
-            let filters = scan_filters[t]
+            let filters = filters
                 .iter()
                 .map(|f| self.bind_scalar(f, &resolver, &mut no_hook))
                 .collect::<Result<_>>()?;
-            let used = std::mem::take(&mut used[t]);
             let (plan, projection, est) =
                 self.scan_leaf(&bt.name, &bt.schema, bt.stats.as_ref(), used, filters)?;
             rels.push(Rel {
@@ -375,7 +384,7 @@ impl Binder<'_> {
                     }
                 }
                 match self.try_resolve(table.as_deref(), name) {
-                    Ok(Some((t, c))) => Some(self.tables[t].schema.field(c).dtype),
+                    Ok(Some((t, c))) => self.tables.get(t).map(|bt| bt.schema.field(c).dtype),
                     _ => None,
                 }
             }
@@ -473,10 +482,11 @@ impl Binder<'_> {
     fn try_resolve(&self, table: Option<&str>, name: &str) -> Result<Option<(usize, usize)>> {
         match table {
             Some(q) => {
-                let Some(t) = self.tables.iter().position(|bt| bt.alias == q) else {
+                let Some((t, bt)) = self.tables.iter().enumerate().find(|(_, bt)| bt.alias == q)
+                else {
                     return Ok(None);
                 };
-                Ok(self.tables[t].schema.index_of(name).map(|c| (t, c)))
+                Ok(bt.schema.index_of(name).map(|c| (t, c)))
             }
             None => {
                 let mut found = None;
@@ -520,7 +530,7 @@ impl Binder<'_> {
     fn collect_usage(&self, e: &AstExpr, used: &mut [BTreeSet<usize>]) -> Result<()> {
         if let AstExpr::Column { table, name } = e {
             if let Some((t, c)) = self.try_resolve(table.as_deref(), name)? {
-                used[t].insert(c);
+                per_table(used, t)?.insert(c);
             }
         }
         e.try_for_each_child(|c| self.collect_usage(c, used))
@@ -608,12 +618,9 @@ impl Binder<'_> {
                     connected
                 };
                 pool.into_iter()
-                    .min_by(|&a, &b| {
-                        let ca = self.join_est(&current, &rels[a], edges);
-                        let cb = self.join_est(&current, &rels[b], edges);
-                        ca.total_cmp(&cb)
-                    })
-                    .unwrap_or(0)
+                    .filter_map(|i| Some((i, self.join_est(&current, rels.get(i)?, edges))))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .map_or(0, |(i, _)| i)
             } else if let Some(&first) = connected.first() {
                 first
             } else {
@@ -626,9 +633,9 @@ impl Binder<'_> {
     }
 
     fn key_ndv(&self, (t, c): (usize, usize)) -> f64 {
-        self.tables[t]
-            .stats
-            .as_ref()
+        self.tables
+            .get(t)
+            .and_then(|bt| bt.stats.as_ref())
             .and_then(|s| s.column(c as u32).map(|cs| cs.distinct()))
             .unwrap_or(DEFAULT_NDV)
     }
@@ -749,10 +756,11 @@ impl Binder<'_> {
         let fields = layout
             .iter()
             .map(|&(t, c)| {
-                let f = self.tables[t].schema.field(c);
-                Field::new(format!("{}.{}", self.tables[t].alias, f.name), f.dtype)
+                let bt = self.tables.get(t).ok_or_else(|| bad_table(t))?;
+                let f = bt.schema.field(c);
+                Ok(Field::new(format!("{}.{}", bt.alias, f.name), f.dtype))
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Schema::new(fields)
     }
 
@@ -982,7 +990,10 @@ impl Binder<'_> {
         let strategy = if group.is_empty() {
             AggStrategy::Plain
         } else if self.options.use_stats {
-            agg_strategy(group.iter().map(|&g| self.key_ndv(layout[g])), tree.est).0
+            let ndvs = group
+                .iter()
+                .map(|&g| layout.get(g).map_or(DEFAULT_NDV, |&k| self.key_ndv(k)));
+            agg_strategy(ndvs, tree.est).0
         } else {
             // Without statistics the group count is unknown; fall back to
             // sort aggregation (safe for any cardinality, slower for few
@@ -1340,6 +1351,16 @@ fn check_case_types(e: &BoundExpr, input: &[DataType], place: &str) -> Result<()
         ))),
         None => Ok(()),
     }
+}
+
+/// A table index the binder resolved itself that names no FROM table.
+fn bad_table(t: usize) -> NoDbError {
+    NoDbError::internal(format!("table index {t} is past the FROM list"))
+}
+
+/// The per-FROM-table slot for table `t`.
+fn per_table<T>(slots: &mut [T], t: usize) -> Result<&mut T> {
+    slots.get_mut(t).ok_or_else(|| bad_table(t))
 }
 
 fn layout_pos(layout: &[(usize, usize)], key: (usize, usize)) -> Result<usize> {

@@ -1,4 +1,13 @@
 //! SQL tokenizer.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{NoDbError, Result};
 
@@ -59,16 +68,24 @@ impl Token {
 }
 
 /// Tokenize SQL text. Comments (`-- …`) are skipped.
+///
+/// The scan walks bytes, but every token boundary it cuts at follows an
+/// ASCII byte, so each cut falls on a character boundary and a string
+/// literal's non-ASCII text is copied through as the UTF-8 it was.
 pub fn lex(sql: &str) -> Result<Vec<Token>> {
     let b = sql.as_bytes();
+    let at = |k: usize| b.get(k).copied();
+    let text = |start: usize, end: usize| {
+        sql.get(start..end)
+            .ok_or_else(|| NoDbError::sql(format!("token at byte {start} splits a character")))
+    };
     let mut i = 0;
     let mut out = Vec::new();
-    while i < b.len() {
-        let c = b[i];
+    while let Some(c) = at(i) {
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if i + 1 < b.len() && b[i + 1] == b'-' => {
-                while i < b.len() && b[i] != b'\n' {
+            b'-' if at(i + 1) == Some(b'-') => {
+                while at(i).is_some_and(|c| c != b'\n') {
                     i += 1;
                 }
             }
@@ -108,24 +125,26 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                 out.push(Token::Eq);
                 i += 1;
             }
-            b'!' if i + 1 < b.len() && b[i + 1] == b'=' => {
+            b'!' if at(i + 1) == Some(b'=') => {
                 out.push(Token::NotEq);
                 i += 2;
             }
-            b'<' => {
-                if i + 1 < b.len() && b[i + 1] == b'=' {
+            b'<' => match at(i + 1) {
+                Some(b'=') => {
                     out.push(Token::LtEq);
                     i += 2;
-                } else if i + 1 < b.len() && b[i + 1] == b'>' {
+                }
+                Some(b'>') => {
                     out.push(Token::NotEq);
                     i += 2;
-                } else {
+                }
+                _ => {
                     out.push(Token::Lt);
                     i += 1;
                 }
-            }
+            },
             b'>' => {
-                if i + 1 < b.len() && b[i + 1] == b'=' {
+                if at(i + 1) == Some(b'=') {
                     out.push(Token::GtEq);
                     i += 2;
                 } else {
@@ -140,7 +159,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
             b'$' => {
                 let start = i + 1;
                 let mut j = start;
-                while j < b.len() && b[j].is_ascii_digit() {
+                while at(j).is_some_and(|c| c.is_ascii_digit()) {
                     j += 1;
                 }
                 if j == start {
@@ -148,7 +167,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                         "expected a parameter number after `$` (e.g. `$1`)",
                     ));
                 }
-                let text = std::str::from_utf8(&b[start..j]).unwrap();
+                let text = text(start, j)?;
                 let n: u32 = text
                     .parse()
                     .map_err(|_| NoDbError::sql(format!("bad parameter number `${text}`")))?;
@@ -159,35 +178,37 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                 i = j;
             }
             b'\'' => {
+                // Copy each run between quotes as a whole UTF-8 slice.
                 let mut s = String::new();
                 i += 1;
+                let mut run = i;
                 loop {
-                    if i >= b.len() {
-                        return Err(NoDbError::sql("unterminated string literal"));
-                    }
-                    if b[i] == b'\'' {
-                        if i + 1 < b.len() && b[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
+                    match at(i) {
+                        None => return Err(NoDbError::sql("unterminated string literal")),
+                        Some(b'\'') => {
+                            s.push_str(text(run, i)?);
+                            if at(i + 1) == Some(b'\'') {
+                                s.push('\'');
+                                i += 2;
+                                run = i;
+                            } else {
+                                i += 1;
+                                break;
+                            }
                         }
-                    } else {
-                        s.push(b[i] as char);
-                        i += 1;
+                        Some(_) => i += 1,
                     }
                 }
                 out.push(Token::Str(s));
             }
-            b'.' if i + 1 < b.len() && b[i + 1].is_ascii_digit() => {
+            b'.' if at(i + 1).is_some_and(|c| c.is_ascii_digit()) => {
                 // .5 style float
                 let start = i;
                 i += 1;
-                while i < b.len() && b[i].is_ascii_digit() {
+                while at(i).is_some_and(|c| c.is_ascii_digit()) {
                     i += 1;
                 }
-                let text = std::str::from_utf8(&b[start..i]).unwrap();
+                let text = text(start, i)?;
                 let v: f64 = text
                     .parse()
                     .map_err(|_| NoDbError::sql(format!("bad number `{text}`")))?;
@@ -200,31 +221,27 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
             b'0'..=b'9' => {
                 let start = i;
                 let mut is_float = false;
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
-                if i < b.len() && b[i] == b'.' && i + 1 < b.len() && b[i + 1].is_ascii_digit() {
+                let digits = |i: &mut usize| {
+                    while at(*i).is_some_and(|c| c.is_ascii_digit()) {
+                        *i += 1;
+                    }
+                };
+                digits(&mut i);
+                if at(i) == Some(b'.') {
+                    // `1.5`, or `1.` style
                     is_float = true;
                     i += 1;
-                    while i < b.len() && b[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                } else if i < b.len() && b[i] == b'.' {
-                    // `1.` style
+                    digits(&mut i);
+                }
+                if matches!(at(i), Some(b'e' | b'E')) {
                     is_float = true;
                     i += 1;
-                }
-                if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
-                    is_float = true;
-                    i += 1;
-                    if i < b.len() && (b[i] == b'+' || b[i] == b'-') {
+                    if matches!(at(i), Some(b'+' | b'-')) {
                         i += 1;
                     }
-                    while i < b.len() && b[i].is_ascii_digit() {
-                        i += 1;
-                    }
+                    digits(&mut i);
                 }
-                let text = std::str::from_utf8(&b[start..i]).unwrap();
+                let text = text(start, i)?;
                 if is_float {
                     let v: f64 = text
                         .parse()
@@ -244,17 +261,17 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                while at(i).is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
                     i += 1;
                 }
-                let text = std::str::from_utf8(&b[start..i]).unwrap();
-                out.push(Token::Ident(text.to_ascii_lowercase()));
+                out.push(Token::Ident(text(start, i)?.to_ascii_lowercase()));
             }
-            other => {
-                return Err(NoDbError::sql(format!(
-                    "unexpected character `{}`",
-                    other as char
-                )));
+            _ => {
+                let other = sql
+                    .get(i..)
+                    .and_then(|r| r.chars().next())
+                    .unwrap_or('\u{FFFD}');
+                return Err(NoDbError::sql(format!("unexpected character `{other}`")));
             }
         }
     }
@@ -319,6 +336,16 @@ mod tests {
     fn rejects_bad_input() {
         assert!(lex("select 'unterminated").is_err());
         assert!(lex("select @").is_err());
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8() {
+        let toks = lex("name = 'café' or s = 'x''€''𝄞'").unwrap();
+        assert!(toks.contains(&Token::Str("café".into())));
+        assert!(toks.contains(&Token::Str("x'€'𝄞".into())));
+        // An unquoted non-ASCII character is named as itself.
+        let err = lex("select café").unwrap_err().to_string();
+        assert!(err.contains("`é`"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,13 @@
 //! Recursive-descent parser for the supported SQL subset.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{Date, NoDbError, Result, Value};
 
@@ -830,6 +839,28 @@ mod fuzz {
         ) {
             let _ = super::parse(&format!("select {ident} {kw} {num} {tail}"));
             let _ = super::parse(&format!("{kw} {ident} {num}"));
+        }
+
+        /// Multi-byte UTF-8 anywhere never panics the lexer or parser,
+        /// and inside quotes it comes back as the literal's exact text.
+        #[test]
+        fn non_ascii_never_panics_and_literals_keep_it(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    Just("é"), Just("€"), Just("𝄞"), Just("ß"), Just("'"),
+                    Just("a"), Just(" "), Just("--"), Just("="), Just("%"),
+                ],
+                0..24,
+            ),
+        ) {
+            let text: String = pieces.concat();
+            let _ = super::parse(&text);
+            let _ = super::parse(&format!("select {text} from t"));
+            let literal = text.replace('\'', "");
+            let sql = format!("select c from t where c = '{literal}'");
+            let toks = crate::lexer::lex(&sql).unwrap();
+            prop_assert!(toks.contains(&crate::lexer::Token::Str(literal.clone())), "{}", sql);
+            prop_assert!(super::parse(&sql).is_ok(), "{}", sql);
         }
     }
 }

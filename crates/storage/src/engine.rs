@@ -1,5 +1,14 @@
 //! The loaded-table engine: bulk loader + heap scans behind
 //! [`TableProvider`], with profiles emulating the paper's comparators.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -160,8 +169,8 @@ impl StorageEngine {
                 )));
             }
             row.0.clear();
-            for (i, f) in schema.fields().iter().enumerate() {
-                let bytes = tokenize::field_at(&line, opts.delimiter, starts[i]);
+            for (f, &start) in schema.fields().iter().zip(&starts) {
+                let bytes = tokenize::field_at(&line, opts.delimiter, start);
                 row.0.push(Value::parse_field(bytes, f.dtype)?);
             }
             tuple::encode(&row, schema, header_bytes, &mut encoded)?;

@@ -8,6 +8,15 @@
 //! A page image read back from disk is untrusted: every read through
 //! [`n_slots_of`] and [`tuple_of`] is bounds-checked, and a header, slot
 //! entry or tuple that reaches past the image is a typed error.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{NoDbError, Result};
 
@@ -34,6 +43,7 @@ impl Page {
     pub fn new() -> Page {
         let mut data = vec![0u8; PAGE_SIZE];
         // free_end starts at PAGE_SIZE.
+        #[expect(clippy::indexing_slicing, reason = "a fresh page is PAGE_SIZE bytes")]
         data[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
         Page { data }
     }
@@ -75,20 +85,25 @@ impl Page {
     }
 
     /// Insert a tuple; returns its slot index, or `None` if it does not
-    /// fit.
+    /// fit (or the page's header points off the page).
     pub fn insert(&mut self, tuple: &[u8]) -> Option<usize> {
         if tuple.len() + SLOT > self.free_space() || tuple.len() > u16::MAX as usize {
             return None;
         }
         let n = self.n_slots();
-        let end = self.free_end();
-        let start = end - tuple.len();
-        self.data[start..end].copy_from_slice(tuple);
+        let start = self.free_end() - tuple.len();
         let slot_off = HDR + n * SLOT;
-        self.data[slot_off..slot_off + 2].copy_from_slice(&(start as u16).to_le_bytes());
-        self.data[slot_off + 2..slot_off + 4].copy_from_slice(&(tuple.len() as u16).to_le_bytes());
-        self.data[0..2].copy_from_slice(&((n + 1) as u16).to_le_bytes());
-        self.data[2..4].copy_from_slice(&(start as u16).to_le_bytes());
+        // The header is written last: after a failed write the page
+        // still holds exactly the tuples it held.
+        put(&mut self.data, start, tuple)?;
+        put(&mut self.data, slot_off, &(start as u16).to_le_bytes())?;
+        put(
+            &mut self.data,
+            slot_off + 2,
+            &(tuple.len() as u16).to_le_bytes(),
+        )?;
+        put(&mut self.data, 0, &((n + 1) as u16).to_le_bytes())?;
+        put(&mut self.data, 2, &(start as u16).to_le_bytes())?;
         Some(n)
     }
 
@@ -96,6 +111,13 @@ impl Page {
     pub fn tuple(&self, slot: usize) -> Result<&[u8]> {
         tuple_of(&self.data, slot)
     }
+}
+
+/// Copy `bytes` into `page` at byte `at`, if the page holds the range.
+fn put(page: &mut [u8], at: usize, bytes: &[u8]) -> Option<()> {
+    page.get_mut(at..at.checked_add(bytes.len())?)?
+        .copy_from_slice(bytes);
+    Some(())
 }
 
 /// The little-endian `u16` at byte `at` of `page`, if the page holds it.

@@ -4,6 +4,15 @@
 //! per-tuple bookkeeping — PostgreSQL's HeapTupleHeader is 23+ bytes,
 //! which is a real source of its larger tables), a null bitmap, then the
 //! values (fixed-width numerics, length-prefixed text).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use nodb_common::{Column, DataType, Date, NoDbError, Result, Row, Schema, Value};
 
@@ -16,7 +25,9 @@ pub fn encode(row: &Row, schema: &Schema, header_bytes: usize, out: &mut Vec<u8>
     out.resize(bitmap_at + n.div_ceil(8), 0);
     for (i, (v, f)) in row.values().iter().zip(schema.fields()).enumerate() {
         if v.is_null() {
-            out[bitmap_at + i / 8] |= 1 << (i % 8);
+            if let Some(byte) = out.get_mut(bitmap_at + i / 8) {
+                *byte |= 1 << (i % 8);
+            }
             continue;
         }
         match (f.dtype, v) {

@@ -506,3 +506,52 @@ fn aggregate_outputs_bind_like_any_expression() {
         assert_eq!(kept, 3, "{mode:?}");
     }
 }
+
+/// SQL string literals keep their UTF-8: `=`, LIKE and IN over a text
+/// column match literals holding two-, three- and four-byte characters
+/// (`é`, `€`, `𝄞`), and a selected literal comes back as written, in
+/// situ, loaded and as external files.
+#[test]
+fn non_ascii_literals_match_utf8_text() {
+    let names = ["café", "cafe", "€uro", "€", "clef 𝄞", "plain"];
+    let td = TempDir::new("nodb-utf8").unwrap();
+    let csv = td.file("t.csv");
+    let mut w = CsvWriter::create(&csv, CsvOptions::default()).unwrap();
+    for (n, name) in (0..).zip(names) {
+        w.write_row(&Row(vec![Value::Text(name.into()), Value::Int32(n)]))
+            .unwrap();
+    }
+    w.finish().unwrap();
+    let schema = Schema::parse("name text, n int").unwrap();
+    let cases: [(&str, &[&str]); 7] = [
+        ("select name from t where name = 'café'", &["café"]),
+        ("select count(*) from t where name = 'café'", &["1"]),
+        ("select name from t where name = '€'", &["€"]),
+        ("select name from t where name like '%𝄞'", &["clef 𝄞"]),
+        (
+            "select name from t where name like 'caf%'",
+            &["cafe", "café"],
+        ),
+        (
+            "select name from t where name in ('€uro', 'clef 𝄞', 'none')",
+            &["clef 𝄞", "€uro"],
+        ),
+        ("select name, 'é€𝄞' from t where n = 0", &["café|é€𝄞"]),
+    ];
+    for (config, mode) in [
+        (NoDbConfig::postgres_raw(), AccessMode::InSitu),
+        (NoDbConfig::postgres_raw(), AccessMode::Loaded),
+        (NoDbConfig::baseline(), AccessMode::ExternalFiles),
+    ] {
+        let mut db = NoDb::new(config).unwrap();
+        db.register_csv("t", &csv, schema.clone(), CsvOptions::default(), mode)
+            .unwrap();
+        if mode == AccessMode::Loaded {
+            db.load_table("t").unwrap();
+        }
+        for (sql, want) in cases {
+            let got = canon(&db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows);
+            assert_eq!(got, want, "{mode:?}: {sql}");
+        }
+    }
+}
