@@ -169,14 +169,18 @@ impl Bitmap {
         }
     }
 
-    /// The bits where `keep` is true (lanes past either end dropped),
-    /// packed a word at a time.
-    fn select(&self, keep: &[bool]) -> Bitmap {
-        let keep = keep.get(..self.len).unwrap_or(keep);
-        let mut out = Bitmap::with_words(keep.len());
-        for (&word, lanes) in self.words.iter().zip(keep.chunks(64)) {
-            let (bits, n, ones) = compress(word, lane_mask(lanes));
+    /// The bits at `idx`, strictly ascending (false past the end): the
+    /// indices in one source word become one mask, packed at once.
+    fn select(&self, idx: &[usize]) -> Bitmap {
+        let mut out = Bitmap::with_words(idx.len());
+        let mut rest = idx;
+        while let Some(&first) = rest.first() {
+            let (lanes, tail) = rest.split_at(rest.partition_point(|&i| i / 64 == first / 64));
+            let mask = lanes.iter().fold(0u64, |m, &i| m | (1 << (i % 64)));
+            let word = self.words.get(first / 64).copied().unwrap_or(0);
+            let (bits, n, ones) = compress(word, mask);
             out.push_word(bits, n, ones);
+            rest = tail;
         }
         out
     }
@@ -384,30 +388,15 @@ impl TextArena {
         let (Some(&a), Some(&b)) = (src.offsets.get(start), src.offsets.get(end)) else {
             return Ok(());
         };
-        u32::try_from(self.bytes.len() + (b - a) as usize)
-            .map_err(|_| NoDbError::execution("text column exceeds 4 GiB"))?;
-        self.extend_within(src, start, end);
-        Ok(())
-    }
-
-    /// [`TextArena::extend_range`] for a copy that cannot overflow the
-    /// offsets: values taken from a column no larger than this one will
-    /// be.
-    fn extend_within(&mut self, src: &TextArena, start: usize, end: usize) {
-        let (Some(&a), Some(&b)) = (src.offsets.get(start), src.offsets.get(end)) else {
-            return;
-        };
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "only used while copying a subset of a column whose own \
-                      offsets are u32, so the total stays within u32"
-        )]
-        let base = self.bytes.len() as u32;
+        let base = u32::try_from(self.bytes.len() + (b - a) as usize)
+            .map_err(|_| NoDbError::execution("text column exceeds 4 GiB"))?
+            - (b - a);
         self.bytes
             .push_str(src.bytes.get(a as usize..b as usize).unwrap_or_default());
         if let Some(ends) = src.offsets.get(start + 1..=end) {
             self.offsets.extend(ends.iter().map(|&o| o - a + base));
         }
+        Ok(())
     }
 
     fn truncate(&mut self, n: usize) {
@@ -812,18 +801,29 @@ impl Column {
     }
 
     /// The lanes at `idx`, in that order (a lane may repeat). An index
-    /// past the end is an internal error.
+    /// past the end is an internal error. Strictly ascending indices (a
+    /// selection) copy validity a word at a time, and one run of
+    /// consecutive indices copies as a slice.
     pub fn gather(&self, idx: &[usize]) -> Result<Column> {
-        if let Some(i) = idx.iter().copied().find(|&i| i >= self.len()) {
+        let sorted = idx.is_sorted_by(|a, b| a < b);
+        // Ascending lanes are in range if the last one is.
+        let lanes = idx.iter().rev().take(if sorted { 1 } else { idx.len() });
+        if let Some(i) = lanes.copied().find(|&i| i >= self.len()) {
             return Err(NoDbError::internal(format!(
                 "lane {i} gathered from a column of {} lanes",
                 self.len()
             )));
         }
-        let valid = if self.null_count() == 0 {
-            Bitmap::ones(idx.len())
-        } else {
-            self.valid.gather(idx)
+        // One ascending run: the lanes `first..=last`.
+        if let (true, Some(&a), Some(&b)) = (sorted, idx.first(), idx.last()) {
+            if b - a + 1 == idx.len() {
+                return Ok(self.slice(a, idx.len()));
+            }
+        }
+        let valid = match (self.null_count(), sorted) {
+            (0, _) => Bitmap::ones(idx.len()),
+            (_, true) => self.valid.select(idx),
+            (_, false) => self.valid.gather(idx),
         };
         let data = match &self.data {
             Data::Int32(v) => Data::Int32(gather_vec(v, idx)),
@@ -832,49 +832,17 @@ impl Column {
             Data::Date(v) => Data::Date(gather_vec(v, idx)),
             Data::Bool(v) => Data::Bool(gather_vec(v, idx)),
             Data::Text(t) => {
+                // Each run of consecutive lanes in one copy.
                 let mut out = TextArena::with_capacity(idx.len());
-                for &i in idx {
-                    out.push(t.get(i))?;
+                for run in idx.chunk_by(|a, b| a + 1 == *b) {
+                    if let (Some(&a), Some(&b)) = (run.first(), run.last()) {
+                        out.extend_range(t, a, b + 1)?;
+                    }
                 }
                 Data::Text(out)
             }
         };
         Ok(Column { data, valid })
-    }
-
-    /// The lanes where `keep` is true (`kept` of them; lanes past the end
-    /// of `keep` are dropped).
-    pub fn filter(&self, keep: &[bool], kept: usize) -> Column {
-        // Lanes past the column's end are dropped too (a text run that
-        // crossed it would copy nothing).
-        let keep = keep.get(..self.len()).unwrap_or(keep);
-        let valid = if self.null_count() == 0 {
-            Bitmap::ones(kept)
-        } else {
-            self.valid.select(keep)
-        };
-        let data = each_vec!(&self.data,
-            v => {
-                let mut out = Vec::with_capacity(kept);
-                out.extend(v.iter().zip(keep).filter(|(_, &k)| k).map(|(&x, _)| x));
-                rewrap(&self.data, out)
-            },
-            t => {
-                // Copy each run of kept lanes at once.
-                let mut out = TextArena::with_capacity(kept);
-                let mut i = 0;
-                while i < keep.len() {
-                    #[expect(clippy::indexing_slicing, reason = "the loop runs while i < keep.len()")]
-                    let (kept, run) = (keep[i], keep[i..].iter().take_while(|&&k| k == keep[i]).count());
-                    if kept {
-                        out.extend_within(t, i, i + run);
-                    }
-                    i += run;
-                }
-                Data::Text(out)
-            }
-        );
-        Column { data, valid }
     }
 
     /// Lanes `start..start + n`, copied.
@@ -1007,44 +975,6 @@ fn gather_vec<T: Copy + Default>(v: &[T], idx: &[usize]) -> Vec<T> {
         .collect()
 }
 
-/// Wrap `out` in the variant `like` has (for code generic over the
-/// element type of [`each_vec!`]).
-fn rewrap<T: IntoData>(like: &Data, out: Vec<T>) -> Data {
-    T::into_data(like, out)
-}
-
-/// Element types that a [`Data`] vector holds.
-trait IntoData: Sized {
-    fn into_data(like: &Data, v: Vec<Self>) -> Data;
-}
-
-impl IntoData for i32 {
-    fn into_data(like: &Data, v: Vec<i32>) -> Data {
-        match like {
-            Data::Date(_) => Data::Date(v),
-            _ => Data::Int32(v),
-        }
-    }
-}
-
-impl IntoData for i64 {
-    fn into_data(_: &Data, v: Vec<i64>) -> Data {
-        Data::Int64(v)
-    }
-}
-
-impl IntoData for f64 {
-    fn into_data(_: &Data, v: Vec<f64>) -> Data {
-        Data::Float64(v)
-    }
-}
-
-impl IntoData for bool {
-    fn into_data(_: &Data, v: Vec<bool>) -> Data {
-        Data::Bool(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,14 +1018,14 @@ mod tests {
         let g = c.gather(&[3, 1, 0, 3]).unwrap();
         let got: Vec<Value> = (0..4).map(|i| g.value(i)).collect();
         assert_eq!(got, [c.value(3), Value::Null, c.value(0), c.value(3)]);
-        let f = c.filter(&[true, true, false, true], 3);
+        let f = c.gather(&[0, 1, 3]).unwrap();
         assert_eq!((f.value(1), f.value(2)), (Value::Null, c.value(3)));
         // A whole word of dropped lanes first, then the kept ones.
         let mut vals = vec![Value::Int64(7); 128];
         vals[100] = Value::Null;
         let c128 = Column::from_values(DataType::Int64, &vals).unwrap();
-        let keep: Vec<bool> = (0..128).map(|i| i >= 64).collect();
-        let f = c128.filter(&keep, 64);
+        let keep: Vec<usize> = (64..128).collect();
+        let f = c128.gather(&keep).unwrap();
         let want: Vec<Value> = (64..128).map(|i| c128.value(i)).collect();
         assert_eq!((0..64).map(|i| f.value(i)).collect::<Vec<_>>(), want);
         let s = c.slice(1, 2);
@@ -1106,6 +1036,31 @@ mod tests {
         let mut t = c.clone();
         t.truncate(1);
         assert_eq!(t, c.slice(0, 1));
+    }
+
+    /// A selection whose lanes and NULLs straddle 64-lane words gathers
+    /// what `push_from` copies lane by lane, for fixed-width and text
+    /// columns, and so does the same list out of order.
+    #[test]
+    fn sorted_gather_across_words_matches_push_from() {
+        let flags: Vec<bool> = (0..200)
+            .map(|i| i % 7 != 3 && !(60..70).contains(&i))
+            .collect();
+        let sel = [
+            0, 1, 2, 62, 63, 64, 65, 66, 127, 128, 129, 130, 140, 191, 192, 199,
+        ];
+        for text in [false, true] {
+            let src = lanes(&flags, text);
+            let mut want = Column::new(src.dtype());
+            sel.iter().for_each(|&i| want.push_from(&src, i).unwrap());
+            let got = src.gather(&sel).unwrap();
+            assert_eq!(got, want);
+            assert_bits(&got.valid, &sel.map(|i| src.is_valid(i)));
+            let rev: Vec<usize> = sel.iter().rev().copied().collect();
+            let mut want = Column::new(src.dtype());
+            rev.iter().for_each(|&i| want.push_from(&src, i).unwrap());
+            assert_eq!(src.gather(&rev).unwrap(), want);
+        }
     }
 
     /// A lane past the end is an error whether or not the column has a
@@ -1257,10 +1212,10 @@ mod tests {
             assert_bits(&b, &want);
         }
 
-        /// `extend_from`, `slice`, `append`, `truncate`, `filter` and
-        /// `gather` of a column with and without NULLs, at unaligned starts
-        /// onto unaligned heads, equal the column `push_from` builds lane
-        /// by lane.
+        /// `extend_from`, `slice`, `append`, `truncate`, and `gather` of a
+        /// selection (ascending) and of any index list, of a column with
+        /// and without NULLs, at unaligned starts onto unaligned heads,
+        /// equal the column `push_from` builds lane by lane.
         #[test]
         fn column_copies_match_lane_by_lane(
             valid in vec(any::<bool>(), 0..300),
@@ -1293,9 +1248,9 @@ mod tests {
                 lanes.for_each(|i| out.push_from(&src, i).unwrap());
                 out
             };
-            let kept = (0..src.len()).filter(|&i| lanes_kept.get(i) == Some(&true));
-            let want_kept = picked(&mut kept.clone());
-            let got_kept = src.filter(&lanes_kept, kept.count());
+            let kept: Vec<usize> = (0..src.len()).filter(|&i| lanes_kept.get(i) == Some(&true)).collect();
+            let want_kept = picked(&mut kept.iter().copied());
+            let got_kept = src.gather(&kept).unwrap();
             prop_assert_eq!(&got_kept, &want_kept);
             assert_bits(&got_kept.valid, &flags_of(&want_kept));
             let idx: Vec<usize> = idx.into_iter().filter(|&i| i < src.len()).collect();

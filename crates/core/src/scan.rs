@@ -24,10 +24,11 @@
 //! whose raw lines sit in one buffer. A value comes from one of four
 //! sources, best first: the cache, the exact positional map, an indexed
 //! anchor, or tokenizing the line. The kernel fills a typed column per
-//! WHERE attribute over the run, runs each conjunct through the batch
-//! evaluator over the rows the earlier ones passed (selective parsing as
-//! a selection vector), and only then fills the SELECT attributes of the
-//! survivors. Each value converted from the file is written once into
+//! WHERE attribute over the run (an attribute the cache holds is read in
+//! place, not copied), runs each conjunct through the batch evaluator
+//! over the rows the earlier ones passed (selective parsing as a
+//! selection vector), only then fills the SELECT attributes of the
+//! survivors, and gathers every column once, at the final selection. Each value converted from the file is written once into
 //! its column's typed cache builder, and also goes to the statistics
 //! sampler; on a collecting block its position goes to the map chunk. A
 //! run the cache answers in full reads no raw byte (§4.3).

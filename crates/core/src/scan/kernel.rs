@@ -12,12 +12,13 @@
     clippy::indexing_slicing
 )]
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use nodb_cache::{CachedColumn, ColumnBuilder};
 use nodb_common::{Column, NoDbError, Result, Value};
 use nodb_csv::lines::LineRun;
-use nodb_exec::{eval_predicate_batch, ValueBatch};
+use nodb_exec::{eval_predicate_batch, BatchView, ValueBatch};
 use nodb_posmap::AttrPositions;
 
 use super::{Ctx, STATS_SAMPLE_STRIDE};
@@ -103,11 +104,12 @@ pub(super) struct Kernel<'a> {
     pub(super) scratch: Vec<u32>,
 }
 
-impl Kernel<'_> {
-    /// Form `run`: fill the WHERE columns, run the conjuncts in order over
-    /// the rows the earlier ones passed, then fill the SELECT columns of
-    /// the survivors. Returns the qualifying rows, or the error of the
-    /// earliest failing row.
+impl<'a> Kernel<'a> {
+    /// Form `run`: fill the WHERE columns (reading a cached one in place),
+    /// run the conjuncts in order, each over the rows the earlier ones
+    /// passed (a selection), then fill the SELECT columns of the survivors,
+    /// gathering every column once. Returns the qualifying rows, or the
+    /// error of the earliest failing row.
     pub(super) fn form(&mut self, run: &mut Run) -> Result<ValueBatch> {
         let ctx = self.ctx;
         // Run rows still qualifying, ascending.
@@ -117,48 +119,60 @@ impl Kernel<'_> {
             where_cols.push(self.fill(run, local, &sel)?);
         }
         sel.truncate(run.fail_row);
-        for c in &mut where_cols {
-            c.truncate(sel.len());
-        }
-        let mut batch = ValueBatch::from_cols(where_cols, sel.len());
+        // A cached column's run row `r` is its lane `first + r`.
+        let first = run.first;
+        let at = |c: &Cow<Column>| if let Cow::Borrowed(_) = c { first } else { 0 };
+        let (cols, rows) = (
+            where_cols.iter().map(|c| (&**c, at(c))).collect(),
+            sel.len(),
+        );
+        let view = BatchView { cols, rows };
         for f in &ctx.where_filters {
-            if batch.is_empty() {
+            if sel.is_empty() {
                 break;
             }
-            let passed = match eval_predicate_batch(f, &batch) {
+            sel = match eval_predicate_batch(f, &view, &sel) {
                 Ok(passed) => passed,
                 Err(e) => {
                     // The earliest row the conjunct fails on: the rows
                     // before it are still filtered and converted.
-                    let one = |i| {
-                        let e = eval_predicate_batch(f, &batch.slice(i, 1)).err();
-                        e.map(|e| (i, e))
-                    };
-                    let (i, e) = (0..batch.num_rows()).find_map(one).unwrap_or((0, e));
-                    run.fail(sel.get(i).copied().unwrap_or(0), e);
-                    batch.truncate(i);
-                    sel.truncate(i);
-                    eval_predicate_batch(f, &batch)?
+                    let one = |&r: &usize| Some((r, eval_predicate_batch(f, &view, &[r]).err()?));
+                    let (r, e) = sel.iter().find_map(one).unwrap_or((0, e));
+                    run.fail(r, e);
+                    sel.truncate(sel.partition_point(|&s| s < r));
+                    eval_predicate_batch(f, &view, &sel)?
                 }
             };
-            let kept = passed.iter().filter(|&&k| k).count();
-            if kept < batch.num_rows() {
-                batch = batch.retain_rows(&passed, kept);
-                let mut k = passed.iter();
-                sel.retain(|_| k.next().is_some_and(|&k| k));
-            }
         }
-        let mut cols: Vec<Option<Column>> = vec![None; ctx.projection.len()];
-        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
-        for (&local, c) in ctx.where_locals.iter().zip(batch.into_cols()) {
-            cols[local] = Some(c);
-        }
-        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
-        for &local in &ctx.select_locals {
-            cols[local] = Some(self.fill(run, local, &sel)?);
-        }
+        drop(view);
+        let selected = (ctx.select_locals.iter())
+            .map(|&local| self.fill(run, local, &sel))
+            .collect::<Result<Vec<_>>>()?;
         if let Some(e) = run.err.take() {
             return Err(e);
+        }
+        // Every output column at the final selection (of the first rows: a
+        // slice): a cached one at block rows, a converted WHERE one at run
+        // rows; a SELECT one is already.
+        let prefix = sel.last().is_none_or(|&l| l + 1 == sel.len());
+        let gather = |c: Cow<Column>, survivors: bool| match c {
+            Cow::Borrowed(c) if prefix => Ok(c.slice(first, sel.len())),
+            Cow::Borrowed(c) if first == 0 => c.gather(&sel),
+            Cow::Borrowed(c) => c.gather(&sel.iter().map(|&r| first + r).collect::<Vec<_>>()),
+            Cow::Owned(mut c) if survivors || prefix => {
+                c.truncate(sel.len());
+                Ok(c)
+            }
+            Cow::Owned(c) => c.gather(&sel),
+        };
+        let mut cols: Vec<Option<Column>> = vec![None; ctx.projection.len()];
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
+        for (&local, c) in ctx.where_locals.iter().zip(where_cols) {
+            cols[local] = Some(gather(c, false)?);
+        }
+        #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
+        for (&local, c) in ctx.select_locals.iter().zip(selected) {
+            cols[local] = Some(gather(c, true)?);
         }
         self.metrics.rows_emitted += sel.len() as u64;
         let cols = cols.into_iter().flatten().collect();
@@ -166,11 +180,12 @@ impl Kernel<'_> {
     }
 
     /// Column `local` on those of the run's `rows` (ascending) before its
-    /// earliest failure: each value from the cache when it holds it, else
-    /// converted from the file, set in the column's cache builder and, on
-    /// a sampled row, kept for the statistics. A row that fails to
-    /// convert becomes the earliest failure and ends the column.
-    fn fill(&mut self, run: &mut Run, local: usize, rows: &[usize]) -> Result<Column> {
+    /// earliest failure: the cache's own column when it holds them all (run
+    /// row `r` at lane `first + r`), else one lane per row, from the cache
+    /// where it holds the value, else converted from the file, set in the
+    /// column's cache builder and, on a sampled row, kept for the
+    /// statistics. A row failing to convert is the earliest failure.
+    fn fill(&mut self, run: &mut Run, local: usize, rows: &[usize]) -> Result<Cow<'a, Column>> {
         let ctx = self.ctx;
         #[expect(
             clippy::indexing_slicing,
@@ -178,19 +193,15 @@ impl Kernel<'_> {
         )]
         let rows = &rows[..rows.partition_point(|&r| r < run.fail_row)];
         let first = run.first;
-        let cached = self.cached.get(local).and_then(Option::as_deref);
-        // Rows `0..rows.len()`, as a WHERE column asks for?
-        let all = rows.last().is_none_or(|&last| last + 1 == rows.len());
-        let whole = |c: &CachedColumn| all && c.covers(first + rows.len());
-        if let Some(c) = cached.filter(|c| whole(c) || rows.iter().all(|&r| c.has(first + r))) {
-            // Every value is cached: copy the typed lanes at once.
+        let cached: Option<&'a CachedColumn> = self.cached.get(local).and_then(Option::as_deref);
+        // A complete column reaching past the last row holds them all.
+        let holds = |c: &CachedColumn| {
+            rows.last().is_none_or(|&l| c.covers(first + l + 1))
+                || rows.iter().all(|&r| c.has(first + r))
+        };
+        if let Some(c) = cached.filter(|c| holds(c)) {
             self.metrics.fields_from_cache += rows.len() as u64;
-            return match all {
-                true => Ok(c.column().slice(first, rows.len())),
-                false => c
-                    .column()
-                    .gather(&rows.iter().map(|&r| first + r).collect::<Vec<_>>()),
-            };
+            return Ok(Cow::Borrowed(c.column()));
         }
         #[expect(clippy::indexing_slicing, reason = "a local indexes the projection")]
         let mut col = Column::with_capacity(ctx.types[local], rows.len());
@@ -220,7 +231,7 @@ impl Kernel<'_> {
                 self.samples[i].1.push(v);
             }
         }
-        Ok(col)
+        Ok(Cow::Owned(col))
     }
 
     /// Convert column `local` of run row `r` from its `line`, at the

@@ -155,6 +155,12 @@ impl ValueBatch {
         self.cols.iter().map(|c| c.value(r)).collect()
     }
 
+    /// The batch as the evaluator reads it.
+    pub fn view(&self) -> BatchView<'_> {
+        let (cols, rows) = (self.cols.iter().map(|c| (c, 0)).collect(), self.rows);
+        BatchView { cols, rows }
+    }
+
     /// The columns, moved out.
     pub fn into_cols(self) -> Vec<Column> {
         self.cols
@@ -169,14 +175,6 @@ impl ValueBatch {
             c.push_into_rows(&mut rows);
         }
         rows
-    }
-
-    /// Keep only the rows where `keep` is true (`kept` = number of
-    /// trues, precounted by the caller to size the output exactly).
-    pub fn retain_rows(self, keep: &[bool], kept: usize) -> ValueBatch {
-        debug_assert_eq!(keep.len(), self.rows);
-        let cols = self.cols.iter().map(|c| c.filter(keep, kept)).collect();
-        ValueBatch { cols, rows: kept }
     }
 
     /// Rows `start..start + n`, copied.
@@ -196,6 +194,24 @@ impl ValueBatch {
             }
             self.rows = n;
         }
+    }
+}
+
+/// Columns borrowed for evaluation, each read from a lane on: lane `i` of
+/// column `(c, at)` is lane `at + i` of `c`. A leaf evaluates its
+/// conjuncts over the cache's own columns this way, without a copy.
+#[derive(Debug)]
+pub struct BatchView<'a> {
+    /// Each column and the lane row 0 is at.
+    pub cols: Vec<(&'a Column, usize)>,
+    /// Number of rows.
+    pub rows: usize,
+}
+
+impl BatchView<'_> {
+    /// Each column's type.
+    pub(crate) fn types(&self) -> Vec<DataType> {
+        self.cols.iter().map(|(c, _)| c.dtype()).collect()
     }
 }
 
@@ -307,7 +323,7 @@ mod tests {
 
     #[test]
     fn retain_and_truncate() {
-        let b = batch().retain_rows(&[true, false, true], 2);
+        let b = batch().take_rows(&[0, 2]).unwrap();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(col0(&b), [Value::Int64(1), Value::Int64(3)]);
         let mut b = batch();

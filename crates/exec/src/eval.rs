@@ -3,11 +3,14 @@
 //! every leaf's filters, every `WHERE`, projection and aggregate argument
 //! runs through.
 //!
-//! The evaluator dispatches on column type once per expression node
-//! per batch. Typed kernels cover comparisons, arithmetic, AND/OR/NOT,
-//! BETWEEN, IN, LIKE, IS NULL and CASE over the typed vectors and the text
-//! arena; every other combination of operator and operand types runs one
-//! generic per-row kernel through [`Value`]. Both follow one typing rule ([`BoundExpr::infer_type`],
+//! Every evaluation runs over a *selection*: the batch lanes it is asked
+//! about, strictly ascending (MonetDB/X100's selection vectors). A
+//! predicate returns the lanes that pass, a boolean its TRUE and FALSE
+//! lanes, a value a column whose other lanes nobody reads. Typed kernels,
+//! dispatched once per node per batch, cover comparisons, arithmetic,
+//! AND/OR/NOT, BETWEEN, IN, LIKE, IS NULL and CASE; any other combination
+//! runs a generic per-row kernel through [`Value`] on the selected lanes.
+//! Both follow one typing rule ([`BoundExpr::infer_type`],
 //! [`BinOp::arith_type`]): integers of either width add to `Int64`, any
 //! float or `/` gives `Float64`, `Date ± integer` gives `Date`, and a CASE
 //! widens its branches to their widest numeric type.
@@ -22,22 +25,14 @@
 )]
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use nodb_common::column::Data;
 use nodb_common::like::like_match;
 use nodb_common::{Column, DataType, Date, NoDbError, Result, Value};
 use nodb_sql::{BinOp, BoundExpr, UnOp};
 
-use crate::batch::ValueBatch;
-
-/// A comparison's three-valued result: NULL when the operands are
-/// incomparable (either is NULL, or the types do not compare).
-#[inline]
-fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
-    l.sql_cmp(r)
-        .and_then(|ord| op.holds(ord))
-        .map_or(Value::Null, Value::Bool)
-}
+use crate::batch::{BatchView, ValueBatch};
 
 fn negate(v: &Value) -> Result<Value> {
     Ok(match v {
@@ -60,21 +55,21 @@ fn overflow() -> NoDbError {
 /// one scalar standing for every row — so only computed nodes allocate.
 #[derive(Debug)]
 pub(crate) enum Operand<'a> {
-    /// A batch column.
-    Col(&'a Column),
+    /// A batch column: batch lane `i` is lane `at + i` of the column.
+    Col(&'a Column, usize),
     /// One value for every row (a literal).
     Scalar(&'a Value),
-    /// A column computed for this batch.
+    /// A column computed for this batch, one lane per batch lane.
     Owned(Column),
 }
 
 impl Operand<'_> {
-    /// The typed column, unless this is a scalar.
+    /// The column and its lane that is batch lane 0 (none for a scalar).
     #[inline]
-    pub(crate) fn column(&self) -> Option<&Column> {
+    fn col_at(&self) -> Option<(&Column, usize)> {
         match self {
-            Operand::Col(c) => Some(c),
-            Operand::Owned(c) => Some(c),
+            Operand::Col(c, at) => Some((c, *at)),
+            Operand::Owned(c) => Some((c, 0)),
             Operand::Scalar(_) => None,
         }
     }
@@ -83,16 +78,33 @@ impl Operand<'_> {
     fn dtype(&self) -> Option<DataType> {
         match self {
             Operand::Scalar(v) => v.data_type(),
-            _ => self.column().map(Column::dtype),
+            _ => self.col_at().map(|(c, _)| c.dtype()),
         }
     }
 
-    /// The value of lane `r` (built for a column lane).
+    /// Is batch lane `i` a value (not NULL)?
     #[inline]
-    pub(crate) fn value(&self, r: usize) -> Cow<'_, Value> {
+    fn valid(&self, i: usize) -> bool {
+        match self {
+            Operand::Scalar(v) => !v.is_null(),
+            _ => self.col_at().is_some_and(|(c, at)| c.is_valid(at + i)),
+        }
+    }
+
+    /// May a lane be NULL?
+    fn nullable(&self) -> bool {
+        match self {
+            Operand::Scalar(v) => v.is_null(),
+            _ => self.col_at().is_some_and(|(c, _)| c.null_count() > 0),
+        }
+    }
+
+    /// The value of batch lane `r` (built for a column lane).
+    #[inline]
+    fn value(&self, r: usize) -> Cow<'_, Value> {
         match self {
             Operand::Scalar(v) => Cow::Borrowed(*v),
-            _ => Cow::Owned(self.column().map_or(Value::Null, |c| c.value(r))),
+            _ => Cow::Owned(self.col_at().map_or(Value::Null, |(c, at)| c.value(at + r))),
         }
     }
 
@@ -100,72 +112,107 @@ impl Operand<'_> {
     /// scalar).
     fn into_column(self, n: usize, dtype: DataType) -> Result<Column> {
         match self {
-            Operand::Col(c) => Ok(c.clone()),
+            Operand::Col(c, at) => Ok(c.slice(at, n)),
             Operand::Scalar(v) => Column::splat(v, dtype, n),
             Operand::Owned(c) => Ok(c),
         }
     }
 }
 
+/// A boolean over a selection: its TRUE and its FALSE lanes, ascending
+/// (the FALSE ones only when asked for); any other selected lane is NULL.
+type Truth = (Vec<usize>, Vec<usize>);
+
 /// Evaluate an expression over every row of a batch, one typed loop per
 /// operator node instead of one tree walk per row.
 ///
 /// Produces exactly the values a row-at-a-time evaluator would (the
-/// tests hold it to one). The short-circuit rules are preserved *per row* via selection masks: the
-/// right side of an `AND` is only evaluated for rows whose left side is
-/// not FALSE (so `x <> 0 AND 10 / x > 1` never divides by zero), and
-/// `CASE` branch results are only evaluated for rows their condition
-/// selected. A kernel may compute a deselected lane but never fails on
-/// one, so a query errors under batch evaluation iff it errors row at a
-/// time; when several rows would error, which error surfaces first
-/// may differ.
+/// tests hold it to one). Short-circuits hold *per row*: an `AND`'s right
+/// side runs only where its left is not FALSE (so `x <> 0 AND 10 / x > 1`
+/// never divides by zero), an `OR`'s where it is not TRUE, a `CASE`
+/// result where its condition took the row; so a query errors iff it
+/// errors row at a time (when several rows would, perhaps another one).
 pub fn eval_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Column> {
-    let n = batch.num_rows();
-    let dtype = expr.infer_type(&batch.types());
-    eval_operand(expr, batch, None)?.into_column(n, dtype)
+    let (view, n) = (batch.view(), batch.num_rows());
+    let dtype = expr.infer_type(&view.types());
+    eval_operand(expr, &view, &(0..n).collect::<Vec<_>>())?.into_column(n, dtype)
 }
 
-/// Evaluate as a WHERE predicate over a whole batch: per row, TRUE passes.
-pub fn eval_predicate_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Vec<bool>> {
-    let v = eval_operand(expr, batch, None)?;
-    Ok(truth(&v, batch.num_rows()).0)
+/// Evaluate a WHERE predicate over the lanes `sel` (strictly ascending):
+/// the lanes where it is TRUE. An `AND` narrows the selection: its right
+/// side runs only on the lanes its left side passed, as a next conjunct
+/// would.
+pub fn eval_predicate_batch(e: &BoundExpr, batch: &BatchView, sel: &[usize]) -> Result<Vec<usize>> {
+    match e {
+        BoundExpr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => eval_predicate_batch(right, batch, &eval_predicate_batch(left, batch, sel)?),
+        _ => Ok(eval_truth(e, batch, sel, false)?.0),
+    }
 }
 
-/// Is row `r` selected by the (optional) mask?
-#[inline]
-fn active(mask: Option<&[bool]>, r: usize) -> bool {
-    mask.is_none_or(|m| m.get(r).copied().unwrap_or(false))
+/// The lanes of `sel` where `keep` holds, without a branch per lane.
+fn select(sel: &[usize], keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let (mut out, mut k) = (vec![0; sel.len()], 0);
+    for &i in sel {
+        if let Some(o) = out.get_mut(k) {
+            *o = i;
+        }
+        k += usize::from(keep(i));
+    }
+    out.truncate(k);
+    out
 }
 
-/// Masked batch evaluation: rows deselected by `mask` are not evaluated
-/// where evaluating could fail — the mechanism behind per-row
-/// short-circuiting. Their lanes are NULL or whatever the kernel
-/// computed; callers never read deselected lanes. Unmasked, this is
-/// [`eval_batch`] without materializing leaves (aggregate arguments read a
-/// bare column in place).
+/// The lanes of the ascending `a` and `b` that `keep(in a, in b)` keeps,
+/// ascending.
+fn merge(a: &[usize], b: &[usize], keep: impl Fn(bool, bool) -> bool) -> Vec<usize> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let Some(&lane) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
+    } {
+        if keep(a.next_if_eq(&lane).is_some(), b.next_if_eq(&lane).is_some()) {
+            out.push(*lane);
+        }
+    }
+    out
+}
+
+/// The selected lanes `f` calls TRUE, and FALSE if `want_f` (`None` is
+/// NULL).
+fn decide(sel: &[usize], want_f: bool, f: impl Fn(usize) -> Option<bool>) -> Truth {
+    if !want_f {
+        return (select(sel, |i| f(i) == Some(true)), Vec::new());
+    }
+    let mut out = Truth::default();
+    for &i in sel {
+        match f(i) {
+            Some(true) => out.0.push(i),
+            Some(false) => out.1.push(i),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Evaluate a value over the lanes `sel` of a batch. The other lanes are
+/// never evaluated where that could fail (per-row short-circuiting); they
+/// hold NULL or whatever the kernel computed, and nobody reads them.
 pub(crate) fn eval_operand<'a>(
     expr: &'a BoundExpr,
-    batch: &'a ValueBatch,
-    mask: Option<&[bool]>,
+    batch: &BatchView<'a>,
+    sel: &[usize],
 ) -> Result<Operand<'a>> {
-    let n = batch.num_rows();
-    // The generic kernel: one output value per active row, `f(r)`, into
-    // a column of the expression's type; NULL on deselected rows.
-    let per_row = |f: &mut dyn FnMut(usize) -> Result<Value>| -> Result<Operand<'a>> {
-        let mut out = Column::with_capacity(expr.infer_type(&batch.types()), n);
-        for r in 0..n {
-            if active(mask, r) {
-                out.push_value(&f(r)?)?;
-            } else {
-                out.push_null();
-            }
-        }
-        Ok(Operand::Owned(out))
-    };
+    let n = batch.rows;
     match expr {
         BoundExpr::Col(i) => batch
-            .col(*i)
-            .map(Operand::Col)
+            .cols
+            .get(*i)
+            .map(|&(c, at)| Operand::Col(c, at))
             .ok_or_else(|| NoDbError::internal(format!("column #{i} out of range"))),
         BoundExpr::Lit(v) => Ok(Operand::Scalar(v)),
         BoundExpr::Param { idx, .. } => Err(NoDbError::internal(format!(
@@ -173,105 +220,150 @@ pub(crate) fn eval_operand<'a>(
              substitute parameters before building the operator tree)",
             idx + 1
         ))),
-        BoundExpr::Binary { op, left, right } => match op {
-            BinOp::And | BinOp::Or => {
-                // FALSE decides an AND, TRUE an OR: rows whose left side
-                // already decided short-circuit, and the right side must
-                // not run for them (it may error).
-                let is_and = *op == BinOp::And;
-                let (lt, lf) = truth(&eval_operand(left, batch, mask)?, n);
-                let decided = if is_and { &lf } else { &lt };
-                #[expect(clippy::indexing_slicing, reason = "truth() yields n lanes")]
-                let need: Vec<bool> = (0..n).map(|r| active(mask, r) && !decided[r]).collect();
-                let (rt, rf) = if need.contains(&true) {
-                    truth(&eval_operand(right, batch, Some(&need))?, n)
-                } else {
-                    (vec![false; n], vec![false; n])
-                };
-                // Undecided rows take the right side's word where it
-                // decides, else TRUE AND TRUE / FALSE OR FALSE.
-                #[expect(clippy::indexing_slicing, reason = "every vector here has n lanes")]
-                let (t, f): (Vec<bool>, Vec<bool>) = (0..n)
-                    .map(|r| match (need[r], is_and) {
-                        (false, true) => (false, true),
-                        (false, false) => (true, false),
-                        (true, true) => (lt[r] && rt[r], rf[r]),
-                        (true, false) => (rt[r], lf[r] && rf[r]),
-                    })
-                    .unzip();
-                Ok(Operand::Owned(from_truth(t, &f)))
+        BoundExpr::Binary {
+            op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
+            left,
+            right,
+        } => {
+            let l = eval_operand(left, batch, sel)?;
+            let r = eval_operand(right, batch, sel)?;
+            if let Some(c) = typed_arith(*op, &l, &r, n, sel)? {
+                return Ok(Operand::Owned(c));
             }
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let l = eval_operand(left, batch, mask)?;
-                let r = eval_operand(right, batch, mask)?;
-                Ok(Operand::Owned(compare_operands(*op, &l, &r, n, mask)?))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = eval_operand(left, batch, mask)?;
-                let r = eval_operand(right, batch, mask)?;
-                if let Some(c) = typed_arith(*op, &l, &r, n, mask)? {
-                    return Ok(Operand::Owned(c));
-                }
-                per_row(&mut |i| arith(*op, &l.value(i), &r.value(i)))
-            }
-        },
-        BoundExpr::Unary { op, expr } => {
-            let vals = eval_operand(expr, batch, mask)?;
-            match op {
-                UnOp::Not => {
-                    let (t, f) = truth(&vals, n);
-                    Ok(Operand::Owned(from_truth(f, &t)))
-                }
-                UnOp::Neg => {
-                    if let Some(c) = vals
-                        .column()
-                        .and_then(|c| typed_negate(c, mask).transpose())
-                    {
-                        return Ok(Operand::Owned(c?));
-                    }
-                    per_row(&mut |r| negate(&vals.value(r)))
-                }
-            }
+            per_row(expr, batch, sel, &mut |i| {
+                arith(*op, &l.value(i), &r.value(i))
+            })
         }
+        BoundExpr::Unary {
+            op: UnOp::Neg,
+            expr: e,
+        } => {
+            let vals = eval_operand(e, batch, sel)?;
+            if let Some(c) = typed_negate(&vals, n, sel)? {
+                return Ok(Operand::Owned(c));
+            }
+            per_row(expr, batch, sel, &mut |r| negate(&vals.value(r)))
+        }
+        BoundExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            // Each branch's condition runs only on the lanes no earlier
+            // branch took; its result runs only on the lanes it took.
+            let mut remaining = sel.to_vec();
+            // Per lane, the index of the result it takes (none: NULL).
+            let mut choice = vec![usize::MAX; n];
+            let mut results: Vec<Operand<'a>> = Vec::new();
+            let branches = branches.iter().map(|(c, r)| (Some(c), r));
+            for (cond, res) in branches.chain(else_expr.iter().map(|e| (None, &**e))) {
+                let taken = match cond {
+                    _ if remaining.is_empty() => break,
+                    Some(cond) => eval_truth(cond, batch, &remaining, false)?.0,
+                    None => std::mem::take(&mut remaining),
+                };
+                for &r in &taken {
+                    if let Some(c) = choice.get_mut(r) {
+                        *c = results.len();
+                    }
+                }
+                results.push(eval_operand(res, batch, &taken)?);
+                remaining = merge(&remaining, &taken, |r, t| r && !t);
+            }
+            // Gather each row's result into the CASE's one type.
+            let mut out = Column::with_capacity(expr.infer_type(&batch.types()), n);
+            for (r, &k) in choice.iter().enumerate() {
+                match results.get(k).map(|res| (res, res.col_at())) {
+                    Some((Operand::Scalar(v), _)) => out.push_value(v)?,
+                    Some((_, Some((c, at)))) => out.push_from(c, at + r)?,
+                    _ => out.push_null(),
+                }
+            }
+            Ok(Operand::Owned(out))
+        }
+        BoundExpr::Binary { .. }
+        | BoundExpr::Unary { .. }
+        | BoundExpr::Like { .. }
+        | BoundExpr::Between { .. }
+        | BoundExpr::InList { .. }
+        | BoundExpr::IsNull { .. } => {
+            let (t, f) = eval_truth(expr, batch, sel, true)?;
+            let known = merge(&t, &f, |t, f| t || f);
+            per_row(expr, batch, &known, &mut |i| {
+                Ok(Value::Bool(t.binary_search(&i).is_ok()))
+            })
+        }
+    }
+}
+
+/// Evaluate a boolean over the lanes `sel` of a batch: its TRUE lanes,
+/// and its FALSE lanes if `want_f`.
+fn eval_truth<'a>(
+    expr: &'a BoundExpr,
+    batch: &BatchView<'a>,
+    sel: &[usize],
+    want_f: bool,
+) -> Result<Truth> {
+    let n = batch.rows;
+    let (both, either) = (|a, b| a && b, |a, b| a || b);
+    match expr {
+        BoundExpr::Binary {
+            op: op @ (BinOp::And | BinOp::Or),
+            left,
+            right,
+        } => {
+            // FALSE decides an AND, TRUE an OR: the right side runs only
+            // on the lanes the left side left undecided (it may fail on
+            // the others).
+            let is_and = *op == BinOp::And;
+            let (lt, lf) = eval_truth(left, batch, sel, is_and || want_f)?;
+            let need = merge(sel, if is_and { &lf } else { &lt }, |s, d| s && !d);
+            let (rt, rf) = eval_truth(right, batch, &need, want_f)?;
+            Ok(match is_and {
+                true => (merge(&lt, &rt, both), merge(&lf, &rf, either)),
+                false => (merge(&lt, &rt, either), merge(&lf, &rf, both)),
+            })
+        }
+        BoundExpr::Binary { op, left, right } if op.holds(Ordering::Equal).is_some() => {
+            let l = eval_operand(left, batch, sel)?;
+            let r = eval_operand(right, batch, sel)?;
+            Ok(compare_operands(*op, &l, &r, sel, n, want_f))
+        }
+        BoundExpr::Unary {
+            op: UnOp::Not,
+            expr,
+        } => eval_truth(expr, batch, sel, true).map(|(t, f)| (f, t)),
         BoundExpr::Like {
             expr,
             pattern,
             negated,
         } => {
-            let vals = eval_operand(expr, batch, mask)?;
-            let pats = eval_operand(pattern, batch, mask)?;
+            let vals = eval_operand(expr, batch, sel)?;
+            let pats = eval_operand(pattern, batch, sel)?;
             // A constant pattern over a text column (the common case)
             // matches arena slices in place; a computed pattern, or a
             // non-text operand, is checked per row like the scalar path.
-            if let (Some(Data::Text(t)), Operand::Scalar(Value::Text(p))) =
-                (vals.column().map(Column::data), &pats)
-            {
-                let col = vals.column();
-                let lanes = (0..n)
-                    .map(|r| like_match(t.get(r), p) != *negated)
-                    .collect();
-                let valid: Vec<bool> = (0..n).map(|r| col.is_some_and(|c| c.is_valid(r))).collect();
-                return Ok(Operand::Owned(Column::from_parts(
-                    Data::Bool(lanes),
-                    &valid,
-                )));
+            if let (Some(_), Operand::Scalar(Value::Text(p))) = (text_at(&vals, 0), &pats) {
+                let hit = |i| Some(like_match(text_at(&vals, i)?, p) != *negated);
+                return Ok(decide(sel, want_f, |i| hit(i).filter(|_| vals.valid(i))));
             }
-            per_row(&mut |r| {
-                let pat = match pats.value(r).into_owned() {
-                    Value::Null => return Ok(Value::Null),
-                    Value::Text(s) => s,
-                    other => {
-                        return Err(NoDbError::execution(format!(
-                            "LIKE pattern is non-text {other}"
-                        )))
+            let v = per_row(
+                expr,
+                batch,
+                sel,
+                &mut |r| match (&*vals.value(r), &*pats.value(r)) {
+                    (_, Value::Null) | (Value::Null, Value::Text(_)) => Ok(Value::Null),
+                    (Value::Text(s), Value::Text(p)) => {
+                        Ok(Value::Bool(like_match(s, p) != *negated))
                     }
-                };
-                match vals.value(r).as_ref() {
-                    Value::Null => Ok(Value::Null),
-                    Value::Text(s) => Ok(Value::Bool(like_match(s, &pat) != *negated)),
-                    other => Err(NoDbError::execution(format!("LIKE on non-text {other}"))),
-                }
-            })
+                    (v, Value::Text(_)) => {
+                        Err(NoDbError::execution(format!("LIKE on non-text {v}")))
+                    }
+                    (_, p) => Err(NoDbError::execution(format!(
+                        "LIKE pattern is non-text {p}"
+                    ))),
+                },
+            )?;
+            Ok(truth_of(&v, sel, want_f))
         }
         BoundExpr::Between {
             expr,
@@ -279,175 +371,91 @@ pub(crate) fn eval_operand<'a>(
             high,
             negated,
         } => {
-            let vals = eval_operand(expr, batch, mask)?;
-            let lo = eval_operand(low, batch, mask)?;
-            let hi = eval_operand(high, batch, mask)?;
-            let ge = compare_operands(BinOp::GtEq, &vals, &lo, n, mask)?;
-            let le = compare_operands(BinOp::LtEq, &vals, &hi, n, mask)?;
-            let (Data::Bool(a), Data::Bool(b)) = (ge.data(), le.data()) else {
-                return Err(NoDbError::internal(
-                    "comparison produced a non-boolean column",
-                ));
-            };
-            let lanes = a
-                .iter()
-                .zip(b)
-                .map(|(&a, &b)| (a && b) != *negated)
-                .collect();
-            let valid: Vec<bool> = (0..n).map(|r| ge.is_valid(r) && le.is_valid(r)).collect();
-            Ok(Operand::Owned(Column::from_parts(
-                Data::Bool(lanes),
-                &valid,
-            )))
+            let vals = eval_operand(expr, batch, sel)?;
+            let lo = eval_operand(low, batch, sel)?;
+            let hi = eval_operand(high, batch, sel)?;
+            let cmp = |op, bound, sel: &[usize], f| compare_operands(op, &vals, bound, sel, n, f);
+            if !want_f && !negated {
+                // TRUE only where both bounds hold.
+                let ge = cmp(BinOp::GtEq, &lo, sel, false).0;
+                return Ok(cmp(BinOp::LtEq, &hi, &ge, false));
+            }
+            // NULL where either comparison is, TRUE where both hold.
+            let ge = cmp(BinOp::GtEq, &lo, sel, true);
+            let le = cmp(BinOp::LtEq, &hi, sel, true);
+            let (t, known) = (merge(&ge.0, &le.0, both), |c: &Truth| {
+                merge(&c.0, &c.1, either)
+            });
+            let f = merge(&merge(&known(&ge), &known(&le), both), &t, |k, t| k && !t);
+            Ok(if *negated { (f, t) } else { (t, f) })
         }
         BoundExpr::InList {
             expr,
             list,
             negated,
         } => {
-            let vals = eval_operand(expr, batch, mask)?;
-            if let Some(c) = vals.column().and_then(|c| typed_in_list(c, list, *negated)) {
-                return Ok(Operand::Owned(c));
+            let vals = eval_operand(expr, batch, sel)?;
+            if let Some(t) = typed_in_list(&vals, list, *negated, sel, n, want_f) {
+                return Ok(t);
             }
-            per_row(&mut |r| Ok(in_list(&vals.value(r), list, *negated)))
-        }
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            // Mask cascade: each branch's condition runs only for rows no
-            // earlier branch took; its result runs only for rows it took.
-            let mut remaining: Vec<bool> = (0..n).map(|r| active(mask, r)).collect();
-            // Per row, the index of the result it takes (`results.len()`
-            // for none: NULL).
-            let mut choice = vec![usize::MAX; n];
-            let mut results: Vec<Operand<'a>> = Vec::new();
-            for (cond, res) in branches {
-                if !remaining.contains(&true) {
-                    break;
-                }
-                let (taken, _) = truth(&eval_operand(cond, batch, Some(&remaining))?, n);
-                #[expect(clippy::indexing_slicing, reason = "both masks have n lanes")]
-                let taken: Vec<bool> = (0..n).map(|r| remaining[r] && taken[r]).collect();
-                if taken.contains(&true) {
-                    let k = results.len();
-                    results.push(eval_operand(res, batch, Some(&taken))?);
-                    #[expect(clippy::indexing_slicing, reason = "every mask has n lanes")]
-                    for r in (0..n).filter(|&r| taken[r]) {
-                        choice[r] = k;
-                        remaining[r] = false;
-                    }
-                }
-            }
-            if let Some(e) = else_expr {
-                if remaining.contains(&true) {
-                    let k = results.len();
-                    results.push(eval_operand(e, batch, Some(&remaining))?);
-                    #[expect(clippy::indexing_slicing, reason = "both have n lanes")]
-                    for r in (0..n).filter(|&r| remaining[r]) {
-                        choice[r] = k;
-                    }
-                }
-            }
-            // Gather each row's result into the CASE's one type.
-            let mut out = Column::with_capacity(expr.infer_type(&batch.types()), n);
-            for (r, &k) in choice.iter().enumerate() {
-                match results.get(k) {
-                    Some(Operand::Scalar(v)) => out.push_value(v)?,
-                    Some(res) => match res.column() {
-                        Some(c) => out.push_from(c, r)?,
-                        None => out.push_null(),
-                    },
-                    None => out.push_null(),
-                }
-            }
-            Ok(Operand::Owned(out))
+            let hit = |i| in_list(&vals.value(i), list, *negated);
+            Ok(decide(sel, want_f, hit))
         }
         BoundExpr::IsNull { expr, negated } => {
-            let vals = eval_operand(expr, batch, mask)?;
-            let lanes = valid_lanes(&vals, n, None)
-                .into_iter()
-                .map(|ok| ok == *negated)
-                .collect();
-            Ok(Operand::Owned(Column::from_data(Data::Bool(lanes))))
+            let vals = eval_operand(expr, batch, sel)?;
+            Ok(decide(sel, want_f, |i| Some(vals.valid(i) == *negated)))
+        }
+        _ => Ok(truth_of(&eval_operand(expr, batch, sel)?, sel, want_f)),
+    }
+}
+
+/// The TRUE and FALSE lanes of a boolean value among `sel`.
+fn truth_of(v: &Operand<'_>, sel: &[usize], want_f: bool) -> Truth {
+    match lanes_bool(v, usize::MAX) {
+        Some(b) => decide(sel, want_f, |i| v.valid(i).then(|| b.at(i))),
+        None => Truth::default(),
+    }
+}
+
+/// The generic kernel: `f(r)` for each selected lane `r`, into a column of
+/// `expr`'s type; NULL on the other lanes.
+fn per_row<'a>(
+    expr: &BoundExpr,
+    batch: &BatchView<'_>,
+    sel: &[usize],
+    f: &mut dyn FnMut(usize) -> Result<Value>,
+) -> Result<Operand<'a>> {
+    let mut out = Column::with_capacity(expr.infer_type(&batch.types()), batch.rows);
+    for &r in sel {
+        out.push_nulls(r.saturating_sub(out.len()));
+        out.push_value(&f(r)?)?;
+    }
+    out.push_nulls(batch.rows.saturating_sub(out.len()));
+    Ok(Operand::Owned(out))
+}
+
+/// Per batch lane: selected, and a value (not NULL) in both `l` and `r`.
+fn both_valid(l: &Operand<'_>, r: &Operand<'_>, n: usize, sel: &[usize]) -> Vec<bool> {
+    // A selection of `n` lanes selects every lane.
+    let mut out = vec![sel.len() == n; n];
+    let nullable = l.nullable() || r.nullable();
+    for &i in sel.iter().filter(|_| sel.len() < n || nullable) {
+        if let Some(o) = out.get_mut(i) {
+            *o = !nullable || (l.valid(i) && r.valid(i));
         }
     }
-}
-
-/// Per lane, is the operand TRUE, and is it FALSE? (Neither: NULL, or not
-/// a boolean — which a predicate treats as not TRUE.)
-fn truth(v: &Operand<'_>, n: usize) -> (Vec<bool>, Vec<bool>) {
-    match v {
-        Operand::Scalar(Value::Bool(b)) => (vec![*b; n], vec![!*b; n]),
-        Operand::Scalar(_) => (vec![false; n], vec![false; n]),
-        _ => match v.column() {
-            Some(c) => match c.data() {
-                Data::Bool(b) if c.null_count() == 0 => {
-                    let t: Vec<bool> = b.iter().take(n).copied().collect();
-                    let f = t.iter().map(|&x| !x).collect();
-                    (t, f)
-                }
-                Data::Bool(b) => (0..n)
-                    .map(|r| {
-                        let (ok, x) = (c.is_valid(r), b.get(r).copied().unwrap_or(false));
-                        (ok && x, ok && !x)
-                    })
-                    .unzip(),
-                _ => (vec![false; n], vec![false; n]),
-            },
-            None => (vec![false; n], vec![false; n]),
-        },
-    }
-}
-
-/// A boolean column TRUE where `t`, FALSE where `f`, NULL elsewhere.
-fn from_truth(t: Vec<bool>, f: &[bool]) -> Column {
-    let valid: Vec<bool> = t.iter().zip(f).map(|(&t, &f)| t || f).collect();
-    Column::from_parts(Data::Bool(t), &valid)
-}
-
-/// The validity of `l op r` per lane: both operands valid, and the lane
-/// active (a deselected lane reads as NULL).
-fn both_valid(l: &Operand<'_>, r: &Operand<'_>, n: usize, mask: Option<&[bool]>) -> Vec<bool> {
-    let mut out = valid_lanes(l, n, mask);
-    and_valid(&mut out, r);
     out
 }
 
-/// Per lane: active, and a value (not NULL) in `v`.
-fn valid_lanes(v: &Operand<'_>, n: usize, mask: Option<&[bool]>) -> Vec<bool> {
-    let mut out = match mask {
-        Some(m) => (0..n).map(|r| m.get(r).copied().unwrap_or(false)).collect(),
-        None => vec![true; n],
-    };
-    and_valid(&mut out, v);
-    out
-}
-
-/// Clear the lanes of `out` where `v` is NULL.
-fn and_valid(out: &mut [bool], v: &Operand<'_>) {
-    match v {
-        Operand::Scalar(s) if s.is_null() => out.fill(false),
-        Operand::Scalar(_) => {}
-        _ => {
-            if let Some(c) = v.column().filter(|c| c.null_count() > 0) {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o &= c.is_valid(i);
-                }
-            }
-        }
-    }
-}
-
-/// One operand's lanes as values of one primitive type: a column's own
-/// slice, a converted copy, or one scalar for every lane.
+/// One operand's lanes as one primitive type, by batch lane: a column's
+/// own slice, a converted copy, or one scalar for every lane.
 enum Lanes<'a, T> {
     Slice(&'a [T]),
     Owned(Vec<T>),
     Splat(T),
 }
 
-impl<T: Copy> Lanes<'_, T> {
+impl<T: Copy + Default> Lanes<'_, T> {
     fn slice(&self) -> Option<&[T]> {
         match self {
             Lanes::Slice(s) => Some(s),
@@ -455,12 +463,27 @@ impl<T: Copy> Lanes<'_, T> {
             Lanes::Splat(_) => None,
         }
     }
+
+    /// Lane `i` (the default past the end).
+    fn at(&self, i: usize) -> T {
+        match (self, self.slice()) {
+            (Lanes::Splat(x), _) => *x,
+            (_, s) => s.and_then(|s| s.get(i)).copied().unwrap_or_default(),
+        }
+    }
+}
+
+/// The data of `v`'s column (`None` for a scalar), and the range of its
+/// lanes that are batch lanes `0..n`.
+fn window<'a>(v: &'a Operand<'_>, n: usize) -> Option<(&'a Data, std::ops::Range<usize>)> {
+    let (c, at) = v.col_at()?;
+    Some((c.data(), at..at.saturating_add(n).min(c.len())))
 }
 
 /// `f` over the lanes of `l` and `r` pairwise: the one loop every typed
-/// binary kernel runs, monomorphized per lane type and operator.
+/// arithmetic kernel runs, monomorphized per lane type and operator.
 #[inline]
-fn zip_lanes<T: Copy, U: Clone>(
+fn zip_lanes<T: Copy + Default, U: Clone>(
     l: &Lanes<'_, T>,
     r: &Lanes<'_, T>,
     n: usize,
@@ -475,155 +498,185 @@ fn zip_lanes<T: Copy, U: Clone>(
     }
 }
 
+/// The selected lanes where `f` holds over the lanes of `l` and `r`: the
+/// one loop every typed comparison runs, monomorphized per type and op.
+fn select_lanes<T: Copy + Default>(
+    l: &Lanes<'_, T>,
+    r: &Lanes<'_, T>,
+    sel: &[usize],
+    f: impl Fn(T, T) -> bool,
+) -> Vec<usize> {
+    match (l.slice(), r) {
+        // A column against a scalar, the common case, reads one slice.
+        (Some(a), Lanes::Splat(y)) => select(sel, |i| a.get(i).is_some_and(|&x| f(x, *y))),
+        _ => select(sel, |i| f(l.at(i), r.at(i))),
+    }
+}
+
 /// Integer lanes (`Int32`, `Int64`, and a date's day number) as `i64`.
-fn lanes_i64<'a>(v: &'a Operand<'_>) -> Option<Lanes<'a, i64>> {
-    Some(match v {
-        Operand::Scalar(s) => Lanes::Splat(s.as_i64()?),
-        _ => match v.column()?.data() {
-            Data::Int64(x) => Lanes::Slice(x),
-            Data::Int32(x) | Data::Date(x) => {
-                Lanes::Owned(x.iter().map(|&x| i64::from(x)).collect())
-            }
-            _ => return None,
-        },
+fn lanes_i64<'a>(v: &'a Operand<'_>, n: usize) -> Option<Lanes<'a, i64>> {
+    Some(match (v, window(v, n)) {
+        (Operand::Scalar(s), _) => Lanes::Splat(s.as_i64()?),
+        (_, Some((Data::Int64(x), w))) => Lanes::Slice(x.get(w)?),
+        (_, Some((Data::Int32(x) | Data::Date(x), w))) => {
+            Lanes::Owned(x.get(w)?.iter().map(|&x| i64::from(x)).collect())
+        }
+        _ => return None,
     })
 }
 
 /// 32-bit lanes (`Int32`, or a date's day number).
-fn lanes_i32<'a>(v: &'a Operand<'_>) -> Option<Lanes<'a, i32>> {
-    Some(match v {
-        Operand::Scalar(Value::Int32(x)) => Lanes::Splat(*x),
-        Operand::Scalar(Value::Date(d)) => Lanes::Splat(d.days()),
-        Operand::Scalar(_) => return None,
-        _ => match v.column()?.data() {
-            Data::Int32(x) | Data::Date(x) => Lanes::Slice(x),
-            _ => return None,
-        },
+fn lanes_i32<'a>(v: &'a Operand<'_>, n: usize) -> Option<Lanes<'a, i32>> {
+    Some(match (v, window(v, n)) {
+        (Operand::Scalar(Value::Int32(x)), _) => Lanes::Splat(*x),
+        (Operand::Scalar(Value::Date(d)), _) => Lanes::Splat(d.days()),
+        (_, Some((Data::Int32(x) | Data::Date(x), w))) => Lanes::Slice(x.get(w)?),
+        _ => return None,
     })
 }
 
-/// Numeric lanes as `f64`.
-fn lanes_f64<'a>(v: &'a Operand<'_>) -> Option<Lanes<'a, f64>> {
-    Some(match v {
-        Operand::Scalar(s) => Lanes::Splat(s.as_f64()?),
-        _ => match v.column()?.data() {
-            Data::Float64(x) => Lanes::Slice(x),
-            Data::Int64(x) => Lanes::Owned(x.iter().map(|&x| x as f64).collect()),
-            Data::Int32(x) => Lanes::Owned(x.iter().map(|&x| f64::from(x)).collect()),
-            _ => return None,
-        },
-    })
-}
-
-fn lanes_bool<'a>(v: &'a Operand<'_>) -> Option<Lanes<'a, bool>> {
-    Some(match v {
-        Operand::Scalar(s) => Lanes::Splat(s.as_bool()?),
-        _ => match v.column()?.data() {
-            Data::Bool(x) => Lanes::Slice(x),
-            _ => return None,
-        },
-    })
-}
-
-/// `l op r` for one comparison operator over lanes of one type.
-fn compare_lanes<T: Copy + PartialOrd>(
-    op: BinOp,
-    l: &Lanes<'_, T>,
-    r: &Lanes<'_, T>,
+/// An `Int32` operand's lanes, with an integer scalar as an `i32` — or,
+/// for a scalar past the `i32` range, its order against every `i32`.
+fn narrow<'a>(
+    v: &'a Operand<'_>,
     n: usize,
-) -> Vec<bool> {
-    match op {
-        BinOp::Eq => zip_lanes(l, r, n, |a, b| a == b),
-        BinOp::NotEq => zip_lanes(l, r, n, |a, b| a != b),
-        BinOp::Lt => zip_lanes(l, r, n, |a, b| a < b),
-        BinOp::LtEq => zip_lanes(l, r, n, |a, b| a <= b),
-        BinOp::Gt => zip_lanes(l, r, n, |a, b| a > b),
-        _ => zip_lanes(l, r, n, |a, b| a >= b),
+) -> Option<std::result::Result<Lanes<'a, i32>, Ordering>> {
+    match v {
+        Operand::Scalar(s) => {
+            let x = s.as_i64()?;
+            Some(i32::try_from(x).map(Lanes::Splat).map_err(|_| x.cmp(&0)))
+        }
+        _ if v.dtype() == Some(DataType::Int32) => lanes_i32(v, n).map(Ok),
+        _ => None,
     }
 }
 
-/// A comparison over a batch, as a boolean column: typed for numbers of
-/// any width, dates, booleans and text, through [`Value::sql_cmp`] per
-/// row for any other pair of types.
+/// Numeric lanes as `f64`.
+fn lanes_f64<'a>(v: &'a Operand<'_>, n: usize) -> Option<Lanes<'a, f64>> {
+    Some(match (v, window(v, n)) {
+        (Operand::Scalar(s), _) => Lanes::Splat(s.as_f64()?),
+        (_, Some((Data::Float64(x), w))) => Lanes::Slice(x.get(w)?),
+        (_, Some((Data::Int64(x), w))) => {
+            Lanes::Owned(x.get(w)?.iter().map(|&x| x as f64).collect())
+        }
+        (_, Some((Data::Int32(x), w))) => {
+            Lanes::Owned(x.get(w)?.iter().map(|&x| f64::from(x)).collect())
+        }
+        _ => return None,
+    })
+}
+
+fn lanes_bool<'a>(v: &'a Operand<'_>, n: usize) -> Option<Lanes<'a, bool>> {
+    Some(match (v, window(v, n)) {
+        (Operand::Scalar(s), _) => Lanes::Splat(s.as_bool()?),
+        (_, Some((Data::Bool(x), w))) => Lanes::Slice(x.get(w)?),
+        _ => return None,
+    })
+}
+
+/// `l op r` for one comparison operator over the selected lanes of one
+/// type, as TRUE lanes and (if `want_f`) FALSE ones; a NaN is neither.
+fn cmp_lanes<T: Copy + Default + PartialOrd>(
+    op: BinOp,
+    lanes: Option<(Lanes<'_, T>, Lanes<'_, T>)>,
+    sel: &[usize],
+    want_f: bool,
+) -> Option<Truth> {
+    let (l, r) = lanes?;
+    let t = match op {
+        BinOp::Eq => select_lanes(&l, &r, sel, |a, b| a == b),
+        BinOp::NotEq => select_lanes(&l, &r, sel, |a, b| {
+            a.partial_cmp(&b).is_some_and(Ordering::is_ne)
+        }),
+        BinOp::Lt => select_lanes(&l, &r, sel, |a, b| a < b),
+        BinOp::LtEq => select_lanes(&l, &r, sel, |a, b| a <= b),
+        BinOp::Gt => select_lanes(&l, &r, sel, |a, b| a > b),
+        _ => select_lanes(&l, &r, sel, |a, b| a >= b),
+    };
+    // FALSE: every other selected lane whose operands are ordered.
+    let ordered = |&i: &usize| l.at(i).partial_cmp(&r.at(i)).is_some();
+    let f = want_f.then(|| merge(sel, &t, |s, t| s && !t));
+    Some((
+        t,
+        f.unwrap_or_default().into_iter().filter(ordered).collect(),
+    ))
+}
+
+/// A comparison over the selected lanes: typed for numbers of any width,
+/// dates, booleans and text, through [`Value::sql_cmp`] per lane for any
+/// other pair of types. An `Int32` column meets an integer scalar on its
+/// own lanes. A lane is NULL where either side is NULL or NaN.
 fn compare_operands(
     op: BinOp,
     l: &Operand<'_>,
     r: &Operand<'_>,
+    sel: &[usize],
     n: usize,
-    mask: Option<&[bool]>,
-) -> Result<Column> {
+    want_f: bool,
+) -> Truth {
     use DataType::{Bool, Date, Float64, Int32, Int64, Text};
     let (Some(lt), Some(rt)) = (l.dtype(), r.dtype()) else {
-        return Ok(Column::nulls(DataType::Bool, n));
+        return Truth::default();
     };
-    let mut valid = both_valid(l, r, n, mask);
-    let lanes = match (lt, rt) {
-        (Int32 | Date, Int32) | (Date, Date) if lt == rt => lanes_i32(l)
-            .zip(lanes_i32(r))
-            .map(|(a, b)| compare_lanes(op, &a, &b, n)),
-        (Int32 | Int64, Int32 | Int64) => lanes_i64(l)
-            .zip(lanes_i64(r))
-            .map(|(a, b)| compare_lanes(op, &a, &b, n)),
+    macro_rules! both {
+        ($lanes:ident) => {
+            $lanes(l, n).zip($lanes(r, n))
+        };
+    }
+    let typed = match (lt, rt) {
+        (Int32, Int32) | (Date, Date) => cmp_lanes(op, both!(lanes_i32), sel, want_f),
+        (Int32 | Int64, Int32 | Int64) => match narrow(l, n).zip(narrow(r, n)) {
+            Some((Ok(a), Ok(b))) => cmp_lanes(op, Some((a, b)), sel, want_f),
+            // A scalar past the `i32` range decides every lane alike.
+            Some((Err(o), _)) => Some(decide(sel, want_f, |_| op.holds(o))),
+            Some((_, Err(o))) => Some(decide(sel, want_f, |_| op.holds(o.reverse()))),
+            None => cmp_lanes(op, both!(lanes_i64), sel, want_f),
+        },
         (Int32 | Int64 | Float64, Int32 | Int64 | Float64) => {
-            lanes_f64(l).zip(lanes_f64(r)).map(|(a, b)| {
-                // NaN compares as NULL, as `sql_cmp` has it.
-                let nan = zip_lanes(&a, &b, n, |x: f64, y: f64| x.is_nan() || y.is_nan());
-                for (v, nan) in valid.iter_mut().zip(nan) {
-                    *v &= !nan;
-                }
-                compare_lanes(op, &a, &b, n)
-            })
+            cmp_lanes(op, both!(lanes_f64), sel, want_f)
         }
-        (Bool, Bool) => lanes_bool(l)
-            .zip(lanes_bool(r))
-            .map(|(a, b)| compare_lanes(op, &a, &b, n)),
-        (Text, Text) => compare_text(op, l, r, n),
+        (Bool, Bool) => cmp_lanes(op, both!(lanes_bool), sel, want_f),
+        // Text compares bytes (byte order is code point order), a column
+        // against a scalar straight from the arena.
+        (Text, Text) => Some(match (window(l, n), r) {
+            (Some((Data::Text(t), w)), Operand::Scalar(Value::Text(s))) => {
+                let lane = |i| t.get_bytes(w.start + i).cmp(s.as_bytes());
+                decide(sel, want_f, |i| op.holds(lane(i)))
+            }
+            _ => decide(sel, want_f, |i| {
+                op.holds(text_at(l, i)?.cmp(text_at(r, i)?))
+            }),
+        }),
         _ => None,
     };
-    match lanes {
-        Some(lanes) => Ok(Column::from_parts(Data::Bool(lanes), &valid)),
-        None => {
-            let mut out = Column::with_capacity(DataType::Bool, n);
-            for i in 0..n {
-                if active(mask, i) {
-                    out.push_value(&compare(op, &l.value(i), &r.value(i)))?;
-                } else {
-                    out.push_null();
-                }
-            }
-            Ok(out)
-        }
+    // Any other pair through `sql_cmp`: NULL where they do not compare.
+    let cmp = |i| l.value(i).sql_cmp(&r.value(i)).and_then(|o| op.holds(o));
+    let (mut t, mut f) = typed.unwrap_or_else(|| decide(sel, want_f, cmp));
+    if l.nullable() || r.nullable() {
+        t.retain(|&i| l.valid(i) && r.valid(i));
+        f.retain(|&i| l.valid(i) && r.valid(i));
     }
+    (t, f)
 }
 
-/// Text comparison over arena slices (byte order is code point order).
-fn compare_text(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Vec<bool>> {
-    (0..n)
-        .map(|i| op.holds(text_at(l, i)?.cmp(text_at(r, i)?)))
-        .collect()
-}
-
-/// The text of lane `i` (`None` for a non-text operand).
+/// The text of batch lane `i` (`None` for a non-text operand).
 fn text_at<'a>(v: &'a Operand<'_>, i: usize) -> Option<&'a str> {
-    match v {
-        Operand::Scalar(s) => s.as_str(),
-        _ => match v.column()?.data() {
-            Data::Text(t) => Some(t.get(i)),
-            _ => None,
-        },
+    match (v, v.col_at().map(|(c, at)| (c.data(), at))) {
+        (Operand::Scalar(s), _) => s.as_str(),
+        (_, Some((Data::Text(t), at))) => Some(t.get(at + i)),
+        _ => None,
     }
 }
 
 /// Typed arithmetic for numbers of any width and for dates, following
-/// [`BinOp::arith_type`]; `None` for operand types it does not cover.
-/// Integer overflow, a date past the calendar, and division by zero are
-/// errors on active, valid lanes only.
+/// [`BinOp::arith_type`] (`None` for other types). Overflow, a date past
+/// the calendar and division by zero fail on selected, valid lanes only.
 fn typed_arith(
     op: BinOp,
     l: &Operand<'_>,
     r: &Operand<'_>,
     n: usize,
-    mask: Option<&[bool]>,
+    sel: &[usize],
 ) -> Result<Option<Column>> {
     let (Some(lt), Some(rt)) = (l.dtype(), r.dtype()) else {
         return Ok(None);
@@ -634,7 +687,7 @@ fn typed_arith(
     if !numeric && !dated {
         return Ok(None);
     }
-    let valid = both_valid(l, r, n, mask);
+    let valid = both_valid(l, r, n, sel);
     let fails = |bad: Vec<bool>, err: fn() -> NoDbError| -> Result<()> {
         match bad.iter().zip(&valid).any(|(&b, &v)| b && v) {
             true => Err(err()),
@@ -643,7 +696,7 @@ fn typed_arith(
     };
     let data = match op.arith_type(lt, rt) {
         DataType::Float64 => {
-            let (Some(a), Some(b)) = (lanes_f64(l), lanes_f64(r)) else {
+            let (Some(a), Some(b)) = (lanes_f64(l, n), lanes_f64(r, n)) else {
                 return Ok(None);
             };
             match op {
@@ -659,7 +712,7 @@ fn typed_arith(
             }
         }
         DataType::Int64 => {
-            let (Some(a), Some(b)) = (lanes_i64(l), lanes_i64(r)) else {
+            let (Some(a), Some(b)) = (lanes_i64(l, n), lanes_i64(r, n)) else {
                 return Ok(None);
             };
             // Overflow flags first, then the wrapped results: two loops
@@ -683,7 +736,7 @@ fn typed_arith(
             Data::Int64(vals)
         }
         DataType::Date => {
-            let (Some(a), Some(b)) = (lanes_i64(l), lanes_i64(r)) else {
+            let (Some(a), Some(b)) = (lanes_i64(l, n), lanes_i64(r, n)) else {
                 return Ok(None);
             };
             let sign = if op == BinOp::Sub { -1 } else { 1 };
@@ -699,90 +752,78 @@ fn typed_arith(
     Ok(Some(Column::from_parts(data, &valid)))
 }
 
-/// Typed `-x` for a numeric column; `None` for any other type.
-fn typed_negate(c: &Column, mask: Option<&[bool]>) -> Result<Option<Column>> {
-    let valid = valid_lanes(&Operand::Col(c), c.len(), mask);
-    let bad = |over: Vec<bool>| over.iter().zip(&valid).any(|(&o, &v)| o && v);
-    let data = match c.data() {
-        Data::Int32(x) => {
-            if bad(x.iter().map(|v| v.checked_neg().is_none()).collect()) {
-                return Err(overflow());
-            }
-            Data::Int32(x.iter().map(|v| v.wrapping_neg()).collect())
+/// Typed `-x` for a numeric column; `None` for any other operand.
+fn typed_negate(v: &Operand<'_>, n: usize, sel: &[usize]) -> Result<Option<Column>> {
+    let valid = both_valid(v, v, n, sel);
+    // Negated lanes; overflow is an error on a valid lane only.
+    fn neg<T: Copy + Default>(x: &[T], valid: &[bool], f: fn(T) -> Option<T>) -> Result<Vec<T>> {
+        let lane = |(&x, &ok): (&T, &bool)| f(x).or((!ok).then(T::default)).ok_or_else(overflow);
+        x.iter().zip(valid).map(lane).collect()
+    }
+    Ok(Some(match window(v, n) {
+        Some((Data::Int32(x), w)) => {
+            Data::Int32(neg(x.get(w).unwrap_or_default(), &valid, i32::checked_neg)?)
         }
-        Data::Int64(x) => {
-            if bad(x.iter().map(|v| v.checked_neg().is_none()).collect()) {
-                return Err(overflow());
-            }
-            Data::Int64(x.iter().map(|v| v.wrapping_neg()).collect())
+        Some((Data::Int64(x), w)) => {
+            Data::Int64(neg(x.get(w).unwrap_or_default(), &valid, i64::checked_neg)?)
         }
-        Data::Float64(x) => Data::Float64(x.iter().map(|v| -v).collect()),
+        Some((Data::Float64(x), w)) => {
+            Data::Float64(x.get(w).unwrap_or_default().iter().map(|v| -v).collect())
+        }
         _ => return Ok(None),
-    };
-    Ok(Some(Column::from_parts(data, &valid)))
+    })
+    .map(|data| Column::from_parts(data, &valid)))
 }
 
-/// `v IN (list)` with SQL NULL rules, for one value.
-fn in_list(v: &Value, list: &[Value], negated: bool) -> Value {
+/// `v IN (list)` with SQL NULL rules, for one value (`None`: NULL).
+fn in_list(v: &Value, list: &[Value], negated: bool) -> Option<bool> {
     if v.is_null() {
-        return Value::Null;
+        return None;
     }
     let mut saw_null = false;
     for cand in list {
         match v.sql_cmp(cand) {
-            Some(std::cmp::Ordering::Equal) => return Value::Bool(!negated),
+            Some(Ordering::Equal) => return Some(!negated),
             None if cand.is_null() => saw_null = true,
             _ => {}
         }
     }
-    if saw_null {
-        Value::Null
-    } else {
-        Value::Bool(negated)
-    }
+    (!saw_null).then_some(negated)
 }
 
 /// Typed IN over an integer, date or text column whose candidates are all
-/// of the same kind (or NULL); `None` otherwise.
-fn typed_in_list(c: &Column, list: &[Value], negated: bool) -> Option<Column> {
+/// of its kind (or NULL); `None` otherwise.
+fn typed_in_list(
+    v: &Operand<'_>,
+    list: &[Value],
+    negated: bool,
+    sel: &[usize],
+    n: usize,
+    want_f: bool,
+) -> Option<Truth> {
     let saw_null = list.iter().any(Value::is_null);
     let cands = list.iter().filter(|v| !v.is_null());
-    let hit: Vec<bool> = match c.data() {
-        Data::Int32(_) | Data::Int64(_) => {
-            let want: Vec<i64> = cands
-                .map(|v| match v {
-                    Value::Int32(_) | Value::Int64(_) => v.as_i64(),
-                    _ => None,
-                })
-                .collect::<Option<_>>()?;
-            let op = Operand::Col(c);
-            let lanes = lanes_i64(&op)?;
-            let s = lanes.slice()?;
-            s.iter().map(|x| want.contains(x)).collect()
+    // A miss is FALSE (NOT IN: TRUE), or NULL when a candidate is NULL.
+    let answer = |i, hit: bool| (v.valid(i) && (hit || !saw_null)).then_some(hit != negated);
+    let int = |t| matches!(t, Some(DataType::Int32 | DataType::Int64));
+    let alike = |c: &Value| c.data_type() == v.dtype() || int(c.data_type()) && int(v.dtype());
+    if v.col_at().is_none() || !cands.clone().all(alike) {
+        return None;
+    }
+    Some(match v.dtype()? {
+        DataType::Int32 | DataType::Int64 | DataType::Date => {
+            let (x, want): (_, Vec<i64>) =
+                (lanes_i64(v, n)?, cands.filter_map(Value::as_i64).collect());
+            decide(sel, want_f, |i| answer(i, want.contains(&x.at(i))))
         }
-        Data::Date(x) => {
-            let want: Vec<i32> = cands
-                .map(|v| match v {
-                    Value::Date(d) => Some(d.days()),
-                    _ => None,
-                })
-                .collect::<Option<_>>()?;
-            x.iter().map(|d| want.contains(d)).collect()
-        }
-        Data::Text(t) => {
-            let want: Vec<&str> = cands.map(Value::as_str).collect::<Option<_>>()?;
-            (0..c.len()).map(|i| want.contains(&t.get(i))).collect()
+        DataType::Text => {
+            let want: Vec<&str> = cands.filter_map(Value::as_str).collect();
+            decide(sel, want_f, |i| {
+                answer(i, text_at(v, i).is_some_and(|s| want.contains(&s)))
+            })
         }
         _ => return None,
-    };
-    let n = c.len();
-    // A miss is FALSE (NOT IN: TRUE), or NULL when a candidate is NULL.
-    let lanes = hit.iter().map(|&h| h != negated).collect();
-    #[expect(clippy::indexing_slicing, reason = "hit has a lane per row of c")]
-    let valid: Vec<bool> = (0..n)
-        .map(|r| c.is_valid(r) && (hit[r] || !saw_null))
-        .collect();
-    Some(Column::from_parts(Data::Bool(lanes), &valid))
+    })
 }
 
 /// Row-at-a-time arithmetic under [`BinOp::arith_type`].
@@ -890,7 +931,8 @@ mod row_eval {
                 BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
                     let l = eval(left, row)?;
                     let r = eval(right, row)?;
-                    Ok(compare(*op, &l, &r))
+                    let holds = l.sql_cmp(&r).and_then(|o| op.holds(o));
+                    Ok(holds.map_or(Value::Null, Value::Bool))
                 }
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
                     let l = eval(left, row)?;
@@ -959,7 +1001,7 @@ mod row_eval {
                 expr,
                 list,
                 negated,
-            } => Ok(in_list(&eval(expr, row)?, list, *negated)),
+            } => Ok(in_list(&eval(expr, row)?, list, *negated).map_or(Value::Null, Value::Bool)),
             BoundExpr::Case {
                 branches,
                 else_expr,
@@ -1080,8 +1122,8 @@ mod tests {
     fn null_propagates_through_arith_and_cmp() {
         assert_eq!(eval(&bin(BinOp::Add, col(3), col(0))).unwrap(), Value::Null);
         assert_eq!(eval(&bin(BinOp::Eq, col(3), col(0))).unwrap(), Value::Null);
-        let pass = eval_predicate_batch(&bin(BinOp::Eq, col(3), col(0)), &batch()).unwrap();
-        assert_eq!(pass, vec![false]);
+        let pass = eval_predicate_batch(&bin(BinOp::Eq, col(3), col(0)), &batch().view(), &[0]);
+        assert_eq!(pass.unwrap(), Vec::<usize>::new());
     }
 
     #[test]
@@ -1229,8 +1271,8 @@ mod batch_tests {
     }
 
     /// Columns: 0 `Int64`, 1 `Text`, 2 `Int32`, 3 `Float64`, 4 `Date`,
-    /// 5 `Bool`, 6 `Int64` near the top of its range; each has a NULL
-    /// lane.
+    /// 5 `Bool`, 6 `Int64` near the top of its range, 7 `Int32` at both
+    /// ends of its range; each has a NULL lane.
     fn sample_batch() -> ValueBatch {
         let t = |s: &str| Value::Text(s.into());
         let rows = vec![
@@ -1242,6 +1284,7 @@ mod batch_tests {
                 day("1994-01-01"),
                 Value::Bool(true),
                 Value::Int64(i64::MAX),
+                Value::Int32(i32::MIN),
             ],
             vec![
                 Value::Int64(4),
@@ -1251,11 +1294,13 @@ mod batch_tests {
                 day("1969-12-25"),
                 Value::Bool(false),
                 Value::Int64(1),
+                Value::Int32(i32::MAX),
             ],
             vec![
                 Value::Null,
                 t("ECONOMY"),
                 Value::Int32(7),
+                Value::Null,
                 Value::Null,
                 Value::Null,
                 Value::Null,
@@ -1269,6 +1314,7 @@ mod batch_tests {
                 day("1995-06-30"),
                 Value::Bool(true),
                 Value::Int64(-5),
+                Value::Int32(0),
             ],
             vec![
                 Value::Int64(7),
@@ -1278,30 +1324,81 @@ mod batch_tests {
                 day("1994-01-01"),
                 Value::Bool(false),
                 Value::Int64(2),
+                Value::Int32(-1),
             ],
         ];
         ValueBatch::from_rows(rows.into_iter().map(Row).collect()).unwrap()
     }
 
-    /// Batch evaluation must equal row-at-a-time evaluation value for
-    /// value (and type for type), or fail with the same error.
-    fn assert_matches_row_eval(e: &BoundExpr) {
-        let b = sample_batch();
-        let rows: Vec<Result<Value>> = (0..b.num_rows())
-            .map(|r| eval(e, &Row(b.row_values(r))))
-            .collect();
-        match eval_batch(e, &b) {
+    /// The predicate the batch evaluator implements: TRUE passes, and an
+    /// AND runs its right side only where its left side passed.
+    fn predicate(e: &BoundExpr, row: &Row) -> Result<bool> {
+        match e {
+            BoundExpr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => Ok(predicate(left, row)? && predicate(right, row)?),
+            _ => eval_predicate(e, row),
+        }
+    }
+
+    /// `got` holds `want` on every row that has no error, or `got` failed
+    /// with the error of a row.
+    fn assert_agrees<T: PartialEq + std::fmt::Debug>(
+        e: &BoundExpr,
+        got: Result<Vec<T>>,
+        want: Vec<Result<T>>,
+    ) {
+        match got {
             Ok(got) => {
-                for (r, want) in rows.into_iter().enumerate() {
-                    let want = want.unwrap_or_else(|err| panic!("row {r} of {e:?}: {err}"));
-                    assert_eq!(got.value(r), want, "row {r} of {e:?}");
-                }
+                let want: Vec<T> = want
+                    .into_iter()
+                    .map(|w| w.unwrap_or_else(|err| panic!("{e:?}: {err}")))
+                    .collect();
+                assert_eq!(got, want, "{e:?}");
             }
             Err(err) => assert!(
-                rows.iter()
+                want.iter()
                     .any(|w| w.as_ref().is_err_and(|w| w.to_string() == err.to_string())),
-                "{e:?}: batch failed with {err}, rows gave {rows:?}"
+                "{e:?}: batch failed with {err}, rows gave {want:?}"
             ),
+        }
+    }
+
+    /// Batch evaluation must equal row-at-a-time evaluation value for
+    /// value (and type for type), or fail with the same error, on exactly
+    /// the rows of every selection, and so must the predicate's passing
+    /// rows. Each selection runs over the batch as it is and over its
+    /// columns borrowed from a lane past the start.
+    fn assert_matches_row_eval(e: &BoundExpr) {
+        let b = sample_batch();
+        let rows: Vec<Row> = (0..b.num_rows()).map(|r| Row(b.row_values(r))).collect();
+        let padded = ValueBatch::concat(vec![b.take_rows(&[4, 3, 2]).unwrap(), b.clone()]).unwrap();
+        let views = [
+            b.view(),
+            BatchView {
+                cols: padded.cols().iter().map(|c| (c, 3)).collect(),
+                rows: 5,
+            },
+        ];
+        // Every subset of the five rows, ascending.
+        for (mask, view) in (0..32u32).flat_map(|m| views.iter().map(move |v| (m, v))) {
+            let sel: Vec<usize> = (0..5).filter(|r| mask & (1 << r) != 0).collect();
+            let values = eval_operand(e, view, &sel)
+                .and_then(|v| v.into_column(5, e.infer_type(&b.types())))
+                .map(|c| sel.iter().map(|&r| c.value(r)).collect());
+            assert_agrees(e, values, sel.iter().map(|&r| eval(e, &rows[r])).collect());
+            let want = sel
+                .iter()
+                .map(|&r| predicate(e, &rows[r]).map(|p| p.then_some(r)));
+            let passed = eval_predicate_batch(e, view, &sel);
+            let got = passed.map(|p| {
+                let within = p.is_sorted_by(|a, b| a < b) && p.iter().all(|r| sel.contains(r));
+                assert!(within, "{e:?} passed {p:?} of {sel:?}");
+                sel.iter().map(|r| p.contains(r).then_some(*r)).collect()
+            });
+            assert_agrees(e, got, want.collect());
         }
     }
 
@@ -1453,6 +1550,10 @@ mod batch_tests {
             lit(Value::Float64(1.5)),
             lit(Value::Null),
         ];
+        // An `Int32` column against integer scalars at and past the ends
+        // of its range, on either side.
+        let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let edges = [min - 1, min, min + 1, max - 1, max, max + 1];
         for op in [
             BinOp::Eq,
             BinOp::NotEq,
@@ -1466,6 +1567,12 @@ mod batch_tests {
                     shapes.push(bin(op, l.clone(), r.clone()));
                 }
             }
+            for x in edges {
+                shapes.push(bin(op, col(7), lit(Value::Int64(x))));
+                shapes.push(bin(op, lit(Value::Int64(x)), col(7)));
+            }
+            shapes.push(bin(op, col(7), col(2)));
+            shapes.push(bin(op, col(7), col(0)));
         }
         for e in &shapes {
             assert_matches_row_eval(e);
@@ -1530,10 +1637,10 @@ mod batch_tests {
     fn predicate_batch_matches_row_predicate() {
         let b = sample_batch();
         let e = bin(BinOp::Gt, col(0), lit(Value::Int64(0)));
-        let got = eval_predicate_batch(&e, &b).unwrap();
+        let got = eval_predicate_batch(&e, &b.view(), &[0, 1, 2, 3, 4]).unwrap();
         for r in 0..b.num_rows() {
             let row = Row(b.row_values(r));
-            assert_eq!(got[r], eval_predicate(&e, &row).unwrap());
+            assert_eq!(got.contains(&r), eval_predicate(&e, &row).unwrap());
         }
     }
 

@@ -133,15 +133,15 @@ impl Operator for FilterOp {
             let Some(batch) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
-            let keep = eval_predicate_batch(&self.predicate, &batch)?;
-            let kept = keep.iter().filter(|&&k| k).count();
-            if kept == 0 {
+            let all: Vec<usize> = (0..batch.num_rows()).collect();
+            let keep = eval_predicate_batch(&self.predicate, &batch.view(), &all)?;
+            if keep.is_empty() {
                 continue; // fully filtered batch: pull the next one
             }
-            if kept == batch.num_rows() {
+            if keep.len() == batch.num_rows() {
                 return Ok(Some(batch));
             }
-            return Ok(Some(batch.retain_rows(&keep, kept)));
+            return Ok(Some(batch.take_rows(&keep)?));
         }
     }
 }
@@ -323,17 +323,16 @@ impl HashJoinOp {
         if rows.is_empty() {
             return Ok(());
         }
-        let keep: Vec<bool> = {
+        let keep: Vec<usize> = {
             let keys = columns(&rows, &self.build_keys)?;
             (0..rows.num_rows())
-                .map(|r| keys.iter().all(|c| c.is_valid(r)))
+                .filter(|&r| keys.iter().all(|c| c.is_valid(r)))
                 .collect()
         };
-        let kept = keep.iter().filter(|&&k| k).count();
-        let rows = if kept == rows.num_rows() {
+        let rows = if keep.len() == rows.num_rows() {
             rows
         } else {
-            rows.retain_rows(&keep, kept)
+            rows.take_rows(&keep)?
         };
         self.table = JoinTable::index(rows, &self.build_keys)?;
         Ok(())
@@ -378,14 +377,13 @@ impl HashJoinOp {
         let anti = self.kind == JoinKind::Anti;
         let n = probe.num_rows();
         let probe_keys = columns(&probe, &self.probe_keys)?;
-        let keep: Vec<bool> = (0..n)
-            .map(|r| self.table.find(&probe_keys, r).is_some() != anti)
+        let keep: Vec<usize> = (0..n)
+            .filter(|&r| self.table.find(&probe_keys, r).is_some() != anti)
             .collect();
-        let kept = keep.iter().filter(|&&k| k).count();
-        Ok(if kept == n {
+        Ok(if keep.len() == n {
             probe
         } else {
-            probe.retain_rows(&keep, kept)
+            probe.take_rows(&keep)?
         })
     }
 }
@@ -550,15 +548,17 @@ impl Operator for DistinctOp {
         while let Some(batch) = self.input.next_batch(max_rows)? {
             let n = batch.num_rows();
             let cols: Vec<&Column> = batch.cols().iter().collect();
-            let keep = (0..n)
-                .map(|r| Ok(self.seen.slot(&cols, r)?.1))
-                .collect::<Result<Vec<bool>>>()?;
-            let kept = keep.iter().filter(|&&k| k).count();
-            if kept == n {
+            let mut keep = Vec::new();
+            for r in 0..n {
+                if self.seen.slot(&cols, r)?.1 {
+                    keep.push(r);
+                }
+            }
+            if keep.len() == n {
                 return Ok(Some(batch));
             }
-            if kept > 0 {
-                return Ok(Some(batch.retain_rows(&keep, kept)));
+            if !keep.is_empty() {
+                return Ok(Some(batch.take_rows(&keep)?));
             }
         }
         Ok(None)
@@ -814,9 +814,10 @@ impl AccTable {
                 }
                 return Ok(());
             }
-            Some(op) => op
-                .column()
-                .ok_or_else(|| NoDbError::internal("aggregate argument has no column"))?,
+            // An aggregate's input batch is read from its first lane on.
+            Some(Operand::Owned(c)) => c,
+            Some(Operand::Col(c, 0)) => c,
+            Some(_) => return Err(NoDbError::internal("aggregate argument has no column")),
         };
         let all_valid = col.null_count() == 0;
         match col.data() {
@@ -884,11 +885,18 @@ fn fold_batch(
     batch: &ValueBatch,
     slots: Option<&[usize]>,
 ) -> Result<()> {
+    let view = batch.view();
+    // Every row is selected; COUNT(*) alone builds no selection.
+    let all = std::cell::OnceCell::new();
+    let all = || {
+        all.get_or_init(|| (0..batch.num_rows()).collect::<Vec<_>>())
+            .as_slice()
+    };
     for (k, a) in aggs.iter().enumerate() {
         let arg = a
             .arg
             .as_ref()
-            .map(|e| eval_operand(e, batch, None))
+            .map(|e| eval_operand(e, &view, all()))
             .transpose()?;
         table.fold(k, arg.as_ref(), batch.num_rows(), slots)?;
     }

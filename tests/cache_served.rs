@@ -480,3 +480,149 @@ fn short_record_fails_alike_under_every_config() {
         }
     }
 }
+
+/// `_` is one character, not one byte: the fixture's notes hold `café`,
+/// whose `é` is two bytes, and `like 'caf_'` must find every one of them
+/// (and `like 'caf__'` none), on the baseline and on a full engine, cold
+/// and warm.
+#[test]
+fn like_underscore_takes_one_utf8_character() {
+    let f = fixture();
+    let cafe = t_rows(ROWS)
+        .iter()
+        .filter(|r| r.get(4) == &Value::Text("caf\u{e9}".into()))
+        .count();
+    assert!(cafe > 0);
+    let count = |db: &NoDb, q: &str| db.query(q).unwrap().rows[0].get(0).clone();
+    for (name, cfg) in [
+        ("baseline", NoDbConfig::baseline()),
+        ("postgres_raw", config()),
+    ] {
+        let db = engine(&f, cfg, false);
+        for pass in ["cold", "warm"] {
+            let one = count(&db, "select count(*) from t where note like 'caf_'");
+            assert_eq!(one, Value::Int64(cafe as i64), "{name} {pass}");
+            let two = count(&db, "select count(*) from t where note like 'caf__'");
+            assert_eq!(two, Value::Int64(0), "{name} {pass}");
+        }
+    }
+}
+
+/// Rows of the selection table: two full 4096-row blocks and a ragged
+/// third. `keep` is 0 on every row of each third 64-row word, NULL on
+/// every eleventh row and otherwise 1 but on every seventh row, so that
+/// `keep = 1` drops whole words and keeps ragged runs; `c` is the row
+/// number, NULL on every thirteenth row; `b` is small, but for one row
+/// where doubling it overflows.
+const SEL_ROWS: usize = 2 * 4096 + 808;
+const SEL_SCHEMA: &str = "id int, keep int, c int, b bigint";
+const OVERFLOW_ROW: usize = 4600;
+
+fn sel_row(i: usize) -> Row {
+    let keep = match i {
+        _ if (i / 64) % 3 == 1 => Value::Int32(0),
+        _ if i % 11 == 3 => Value::Null,
+        _ => Value::Int32(i32::from(!i.is_multiple_of(7))),
+    };
+    let c = if i % 13 == 6 {
+        Value::Null
+    } else {
+        Value::Int32(i as i32)
+    };
+    let b = if i == OVERFLOW_ROW {
+        i64::MAX / 2 + 1
+    } else {
+        i as i64
+    };
+    Row(vec![Value::Int32(i as i32), keep, c, Value::Int64(b)])
+}
+
+/// Does conjunct 1 (`keep = 1`) keep row `i`, and is its `c` a value?
+fn kept(i: usize) -> bool {
+    let r = sel_row(i);
+    r.get(1) == &Value::Int32(1) && !r.get(2).is_null()
+}
+
+/// A conjunct runs only on the rows the conjuncts before it kept, over
+/// cache-served blocks too, where the selection reads the cache's own
+/// columns: a division by zero on a row `keep = 1` drops never raises,
+/// and one on a kept row raises the error of the earliest failing kept
+/// row (a division by zero before the overflowing row, the overflow
+/// after it). Every answer and error is the aux-free baseline's, over CSV
+/// and JSON Lines, cold, warm and after `drop_aux`.
+#[test]
+fn conjuncts_run_on_the_rows_earlier_ones_kept() {
+    let td = TempDir::new("nodb-selection").unwrap();
+    let schema = Schema::parse(SEL_SCHEMA).unwrap();
+    let rows: Vec<Row> = (0..SEL_ROWS).map(sel_row).collect();
+    let (csv, jsonl) = (td.file("s.csv"), td.file("s.jsonl"));
+    let mut w = CsvWriter::create(&csv, CsvOptions::default()).unwrap();
+    rows.iter().for_each(|r| w.write_row(r).unwrap());
+    w.finish().unwrap();
+    let mut w = JsonlWriter::create(&jsonl, &schema, JsonlOptions::default()).unwrap();
+    rows.iter().for_each(|r| w.write_row(r).unwrap());
+    w.finish().unwrap();
+
+    // A dropped row in a dropped word of the ragged third block, and the
+    // kept rows on either side of the overflowing one.
+    let dropped = 2 * 4096 + 2 * 64 + 10;
+    assert!(!kept(dropped) && !sel_row(dropped).get(2).is_null());
+    let before = (0..OVERFLOW_ROW).rev().find(|&i| kept(i)).unwrap();
+    let after = (OVERFLOW_ROW + 1..).find(|&i| kept(i)).unwrap();
+    assert!(kept(OVERFLOW_ROW) && before / 128 == after / 128);
+    let passing = (0..SEL_ROWS).filter(|&i| kept(i) && i > dropped).count();
+    let division =
+        |k| format!("select count(*), sum(c) from t where keep = 1 and 100 / (c - {k}) > 0");
+    let both = |k| format!("select count(*) from t where keep = 1 and 100 / (c - {k}) + b * 2 > 0");
+    let cases = [
+        (division(dropped), Ok(passing)),
+        (both(before), Err("division by zero")),
+        (both(after), Err("integer overflow")),
+    ];
+
+    for path in [&csv, &jsonl] {
+        let engine = |cfg: NoDbConfig| {
+            let mut db = NoDb::new(cfg).unwrap();
+            match path == &jsonl {
+                true => db.register_jsonl("t", path, schema.clone(), AccessMode::InSitu),
+                false => {
+                    let opts = CsvOptions::default();
+                    db.register_csv("t", path, schema.clone(), opts, AccessMode::InSitu)
+                }
+            }
+            .unwrap();
+            db
+        };
+        let (db, reference) = (
+            engine(NoDbConfig::postgres_raw()),
+            engine(NoDbConfig::baseline()),
+        );
+        for pass in ["cold", "warm", "after drop_aux"] {
+            if pass == "after drop_aux" {
+                db.drop_aux("t").unwrap();
+            }
+            for (q, want) in &cases {
+                let ctx = format!("{} {pass}: `{q}`", path.display());
+                let got = db.query(q).map(|r| r.rows).map_err(|e| e.to_string());
+                let base = reference
+                    .query(q)
+                    .map(|r| r.rows)
+                    .map_err(|e| e.to_string());
+                assert_eq!(got, base, "{ctx}");
+                match (want, &got) {
+                    (Ok(n), Ok(rows)) => {
+                        assert_eq!(rows[0].get(0), &Value::Int64(*n as i64), "{ctx}")
+                    }
+                    (Err(kind), Err(e)) => assert!(e.contains(kind), "{ctx}: {e}"),
+                    _ => panic!("{ctx}: {got:?}"),
+                }
+            }
+        }
+        let cached = db.metrics("t").unwrap();
+        assert!(
+            cached.fields_from_cache > 0,
+            "{}: nothing served",
+            path.display()
+        );
+    }
+}
