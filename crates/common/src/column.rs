@@ -169,22 +169,6 @@ impl Bitmap {
         }
     }
 
-    /// The bits at `idx`, strictly ascending (false past the end): the
-    /// indices in one source word become one mask, packed at once.
-    fn select(&self, idx: &[usize]) -> Bitmap {
-        let mut out = Bitmap::with_words(idx.len());
-        let mut rest = idx;
-        while let Some(&first) = rest.first() {
-            let (lanes, tail) = rest.split_at(rest.partition_point(|&i| i / 64 == first / 64));
-            let mask = lanes.iter().fold(0u64, |m, &i| m | (1 << (i % 64)));
-            let word = self.words.get(first / 64).copied().unwrap_or(0);
-            let (bits, n, ones) = compress(word, mask);
-            out.push_word(bits, n, ones);
-            rest = tail;
-        }
-        out
-    }
-
     /// The bits at `idx`, in that order (false past the end), packed a
     /// word at a time.
     fn gather(&self, idx: &[usize]) -> Bitmap {
@@ -289,27 +273,6 @@ fn lane_mask(lanes: &[bool]) -> u64 {
         mask |= u64::from(k) << (done + j);
     }
     mask
-}
-
-/// The bits of `x` under `mask`, packed into the low bits in order (a
-/// software `pext`): the packed bits, their number and their ones.
-/// Starts from all of them zero, or all one, and flips the rarer kind
-/// one at a time at its rank among `mask`'s bits: a word with few NULLs
-/// (or few values) costs few steps.
-#[inline]
-fn compress(x: u64, mask: u64) -> (u64, usize, usize) {
-    let (ones, zeros) = (x & mask, !x & mask);
-    let (n1, n0) = (ones.count_ones() as usize, zeros.count_ones() as usize);
-    let (mut flip, mut out) = match n0 < n1 {
-        true => (zeros, low_bits(n1 + n0)),
-        false => (ones, 0),
-    };
-    while flip != 0 {
-        let low = flip & flip.wrapping_neg();
-        out ^= 1 << (mask & (low - 1)).count_ones();
-        flip ^= low;
-    }
-    (out, n1 + n0, n1)
 }
 
 /// A word whose low `n` bits (all 64 from `n = 64` on) are set.
@@ -801,9 +764,9 @@ impl Column {
     }
 
     /// The lanes at `idx`, in that order (a lane may repeat). An index
-    /// past the end is an internal error. Strictly ascending indices (a
-    /// selection) copy validity a word at a time, and one run of
-    /// consecutive indices copies as a slice.
+    /// past the end is an internal error. Validity is packed a word at a
+    /// time, and one ascending run of consecutive indices (a selection)
+    /// copies as a slice.
     pub fn gather(&self, idx: &[usize]) -> Result<Column> {
         let sorted = idx.is_sorted_by(|a, b| a < b);
         // Ascending lanes are in range if the last one is.
@@ -820,10 +783,9 @@ impl Column {
                 return Ok(self.slice(a, idx.len()));
             }
         }
-        let valid = match (self.null_count(), sorted) {
-            (0, _) => Bitmap::ones(idx.len()),
-            (_, true) => self.valid.select(idx),
-            (_, false) => self.valid.gather(idx),
+        let valid = match self.null_count() {
+            0 => Bitmap::ones(idx.len()),
+            _ => self.valid.gather(idx),
         };
         let data = match &self.data {
             Data::Int32(v) => Data::Int32(gather_vec(v, idx)),

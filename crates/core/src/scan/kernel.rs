@@ -18,7 +18,7 @@ use std::sync::Arc;
 use nodb_cache::{CachedColumn, ColumnBuilder};
 use nodb_common::{Column, NoDbError, Result, Value};
 use nodb_csv::lines::LineRun;
-use nodb_exec::{eval_predicate_batch, BatchView, ValueBatch};
+use nodb_exec::{all_lanes, eval_predicate_batch, BatchView, ValueBatch};
 use nodb_posmap::AttrPositions;
 
 use super::{Ctx, STATS_SAMPLE_STRIDE};
@@ -112,13 +112,13 @@ impl<'a> Kernel<'a> {
     /// error of the earliest failing row.
     pub(super) fn form(&mut self, run: &mut Run) -> Result<ValueBatch> {
         let ctx = self.ctx;
-        // Run rows still qualifying, ascending.
-        let mut sel: Vec<usize> = (0..run.fail_row).collect();
+        let all = all_lanes(run.fail_row);
         let mut where_cols = Vec::with_capacity(ctx.where_locals.len());
         for &local in &ctx.where_locals {
-            where_cols.push(self.fill(run, local, &sel)?);
+            where_cols.push(self.fill(run, local, &all)?);
         }
-        sel.truncate(run.fail_row);
+        // Run rows still qualifying, ascending.
+        let mut sel = Cow::Borrowed(all.get(..run.fail_row).unwrap_or(&all));
         // A cached column's run row `r` is its lane `first + r`.
         let first = run.first;
         let at = |c: &Cow<Column>| if let Cow::Borrowed(_) = c { first } else { 0 };
@@ -131,7 +131,7 @@ impl<'a> Kernel<'a> {
             if sel.is_empty() {
                 break;
             }
-            sel = match eval_predicate_batch(f, &view, &sel) {
+            sel = Cow::Owned(match eval_predicate_batch(f, &view, &sel) {
                 Ok(passed) => passed,
                 Err(e) => {
                     // The earliest row the conjunct fails on: the rows
@@ -139,10 +139,10 @@ impl<'a> Kernel<'a> {
                     let one = |&r: &usize| Some((r, eval_predicate_batch(f, &view, &[r]).err()?));
                     let (r, e) = sel.iter().find_map(one).unwrap_or((0, e));
                     run.fail(r, e);
-                    sel.truncate(sel.partition_point(|&s| s < r));
-                    eval_predicate_batch(f, &view, &sel)?
+                    let before = sel.get(..sel.partition_point(|&s| s < r));
+                    eval_predicate_batch(f, &view, before.unwrap_or_default())?
                 }
-            };
+            });
         }
         drop(view);
         let selected = (ctx.select_locals.iter())

@@ -26,6 +26,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use nodb_common::column::Data;
 use nodb_common::like::like_match;
@@ -135,7 +136,18 @@ type Truth = (Vec<usize>, Vec<usize>);
 pub fn eval_batch(expr: &BoundExpr, batch: &ValueBatch) -> Result<Column> {
     let (view, n) = (batch.view(), batch.num_rows());
     let dtype = expr.infer_type(&view.types());
-    eval_operand(expr, &view, &(0..n).collect::<Vec<_>>())?.into_column(n, dtype)
+    eval_operand(expr, &view, &all_lanes(n))?.into_column(n, dtype)
+}
+
+/// Every lane of an `n`-lane batch, `0..n`, as a selection: a prefix of
+/// one shared table up to a default block (4,096 lanes), so selecting a
+/// whole batch builds nothing.
+pub fn all_lanes(n: usize) -> Cow<'static, [usize]> {
+    static ALL: OnceLock<Vec<usize>> = OnceLock::new();
+    match ALL.get_or_init(|| (0..4096).collect()).get(..n) {
+        Some(all) => Cow::Borrowed(all),
+        None => Cow::Owned((0..n).collect()),
+    }
 }
 
 /// Evaluate a WHERE predicate over the lanes `sel` (strictly ascending):
@@ -627,10 +639,11 @@ fn compare_operands(
         (Int32, Int32) | (Date, Date) => cmp_lanes(op, both!(lanes_i32), sel, want_f),
         (Int32 | Int64, Int32 | Int64) => match narrow(l, n).zip(narrow(r, n)) {
             Some((Ok(a), Ok(b))) => cmp_lanes(op, Some((a, b)), sel, want_f),
-            // A scalar past the `i32` range decides every lane alike.
-            Some((Err(o), _)) => Some(decide(sel, want_f, |_| op.holds(o))),
-            Some((_, Err(o))) => Some(decide(sel, want_f, |_| op.holds(o.reverse()))),
-            None => cmp_lanes(op, both!(lanes_i64), sel, want_f),
+            // A scalar past the `i32` range against `i32` lanes decides
+            // every lane alike; two such scalars compare as `i64`s.
+            Some((Err(o), Ok(_))) => Some(decide(sel, want_f, |_| op.holds(o))),
+            Some((Ok(_), Err(o))) => Some(decide(sel, want_f, |_| op.holds(o.reverse()))),
+            _ => cmp_lanes(op, both!(lanes_i64), sel, want_f),
         },
         (Int32 | Int64 | Float64, Int32 | Int64 | Float64) => {
             cmp_lanes(op, both!(lanes_f64), sel, want_f)
@@ -1551,7 +1564,8 @@ mod batch_tests {
             lit(Value::Null),
         ];
         // An `Int32` column against integer scalars at and past the ends
-        // of its range, on either side.
+        // of its range, on either side, and those scalars against each
+        // other (two past the range compare as `i64`s).
         let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
         let edges = [min - 1, min, min + 1, max - 1, max, max + 1];
         for op in [
@@ -1570,6 +1584,13 @@ mod batch_tests {
             for x in edges {
                 shapes.push(bin(op, col(7), lit(Value::Int64(x))));
                 shapes.push(bin(op, lit(Value::Int64(x)), col(7)));
+                for y in edges.into_iter().chain([3_000_000_000, -3_000_000_000]) {
+                    shapes.push(bin(op, lit(Value::Int64(x)), lit(Value::Int64(y))));
+                }
+                if let Ok(y) = i32::try_from(x) {
+                    shapes.push(bin(op, lit(Value::Int32(y)), lit(Value::Int64(x + 1))));
+                    shapes.push(bin(op, lit(Value::Int64(x - 1)), lit(Value::Int32(y))));
+                }
             }
             shapes.push(bin(op, col(7), col(2)));
             shapes.push(bin(op, col(7), col(0)));
@@ -1577,8 +1598,15 @@ mod batch_tests {
         for e in &shapes {
             assert_matches_row_eval(e);
         }
-        // The overflow shapes fail, on both paths, with the typed error.
+        // Two equal scalars past the `i32` range pass every selected row.
         let b = sample_batch();
+        let big = lit(Value::Int64(3_000_000_000));
+        let e = bin(BinOp::Eq, big.clone(), big);
+        assert_eq!(
+            eval_predicate_batch(&e, &b.view(), &[0, 2, 4]).unwrap(),
+            [0, 2, 4]
+        );
+        // The overflow shapes fail, on both paths, with the typed error.
         let e = bin(BinOp::Add, col(6), col(6));
         let err = eval_batch(&e, &b).unwrap_err().to_string();
         assert!(err.contains("integer overflow"), "{err}");

@@ -28,7 +28,7 @@ pub mod ops;
 
 pub use batch::{BatchQueue, BatchView, ValueBatch, DEFAULT_BATCH_ROWS};
 pub use build::{build_plan, ExecCatalog, TableProvider};
-pub use eval::{eval_batch, eval_predicate_batch};
+pub use eval::{all_lanes, eval_batch, eval_predicate_batch};
 pub use ops::{BoxOp, DistinctOp, FilterOp, Operator};
 
 use nodb_common::{Result, Row};

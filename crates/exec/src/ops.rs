@@ -35,7 +35,7 @@ use nodb_sql::expr::AggExpr;
 use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
 use crate::batch::{BatchQueue, ValueBatch};
-use crate::eval::{eval_batch, eval_operand, eval_predicate_batch, Operand};
+use crate::eval::{all_lanes, eval_batch, eval_operand, eval_predicate_batch, Operand};
 use crate::key::{hash_key, KeyIndex, KeyRef};
 
 /// The operator interface: a stream of rows, pulled one column-major
@@ -133,7 +133,7 @@ impl Operator for FilterOp {
             let Some(batch) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
-            let all: Vec<usize> = (0..batch.num_rows()).collect();
+            let all = all_lanes(batch.num_rows());
             let keep = eval_predicate_batch(&self.predicate, &batch.view(), &all)?;
             if keep.is_empty() {
                 continue; // fully filtered batch: pull the next one
@@ -888,10 +888,7 @@ fn fold_batch(
     let view = batch.view();
     // Every row is selected; COUNT(*) alone builds no selection.
     let all = std::cell::OnceCell::new();
-    let all = || {
-        all.get_or_init(|| (0..batch.num_rows()).collect::<Vec<_>>())
-            .as_slice()
-    };
+    let all = || &**all.get_or_init(|| all_lanes(batch.num_rows()));
     for (k, a) in aggs.iter().enumerate() {
         let arg = a
             .arg
