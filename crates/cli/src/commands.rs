@@ -13,6 +13,8 @@ pub enum Command {
         schema: Option<String>,
         /// Field delimiter.
         delimiter: u8,
+        /// Does the CSV file's first line name its columns (skipped)?
+        has_header: bool,
     },
     /// Show work counters.
     Metrics {
@@ -82,18 +84,25 @@ pub fn parse_line(input: &str) -> Result<Command, String> {
         let toks = tokens(rest);
         match toks.first().map(|s| s.as_str()) {
             Some("register") => {
+                let usage = "usage: \\register NAME PATH [\"col type, ...\" [header]]";
                 if toks.len() < 3 {
-                    return Err("usage: \\register NAME PATH [\"col type, ...\"]".into());
+                    return Err(usage.into());
                 }
                 let schema = toks.get(3).cloned();
                 if !toks[2].ends_with(".fits") && schema.is_none() {
                     return Err("CSV registration needs a schema string".into());
                 }
+                let has_header = match toks.get(4).map(String::as_str) {
+                    None => false,
+                    Some("header") if toks.len() == 5 => true,
+                    Some(_) => return Err(usage.into()),
+                };
                 Ok(Command::Register {
                     name: toks[1].clone(),
                     path: toks[2].clone(),
                     schema,
                     delimiter: b',',
+                    has_header,
                 })
             }
             Some("sep") => {
@@ -111,6 +120,7 @@ pub fn parse_line(input: &str) -> Result<Command, String> {
                     path: toks[2].clone(),
                     schema: Some(toks[4].clone()),
                     delimiter: d.as_bytes()[0],
+                    has_header: false,
                 })
             }
             Some("metrics") => match toks.get(1) {
@@ -170,8 +180,24 @@ mod tests {
                 path: "data.csv".into(),
                 schema: Some("a int, b text".into()),
                 delimiter: b',',
+                has_header: false,
             }
         );
+    }
+
+    #[test]
+    fn parses_register_with_header() {
+        let c = parse_line("\\register t t.csv \"a int, b int\" header").unwrap();
+        assert!(matches!(
+            c,
+            Command::Register {
+                has_header: true,
+                ..
+            }
+        ));
+        // Only the word `header`, and only last.
+        assert!(parse_line("\\register t t.csv \"a int\" headers").is_err());
+        assert!(parse_line("\\register t t.csv \"a int\" header extra").is_err());
     }
 
     #[test]

@@ -158,6 +158,7 @@ fn execute(
             path,
             schema,
             delimiter,
+            has_header,
         } => {
             let p = Path::new(&path);
             if path.ends_with(".fits") {
@@ -169,7 +170,7 @@ fn execute(
                 let schema = Schema::parse(&schema.ok_or("CSV files need a schema string")?)?;
                 let opts = CsvOptions {
                     delimiter,
-                    has_header: false,
+                    has_header,
                 };
                 db.register_csv(&name, p, schema, opts, AccessMode::InSitu)?;
             }
@@ -305,6 +306,7 @@ options:
     println!(
         "\n\
          \\register NAME PATH \"col type, ...\"   register a CSV file (in situ)\n\
+         \\register NAME PATH \"col type, ...\" header  ... whose first line names its columns\n\
          \\register NAME PATH.jsonl \"col type, ...\"  register a JSON Lines file (keys = column names)\n\
          \\register NAME PATH.fits              register a FITS binary table\n\
          \\sep NAME PATH '|' \"col type, ...\"    register with a delimiter\n\

@@ -335,6 +335,16 @@ impl TextArena {
         }
     }
 
+    /// The UTF-8 bytes of every value, in order.
+    #[inline]
+    pub fn iter_bytes(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let bytes = self.bytes.as_bytes();
+        self.offsets.windows(2).map(move |w| match w {
+            [a, b] => bytes.get(*a as usize..*b as usize).unwrap_or_default(),
+            _ => &[],
+        })
+    }
+
     /// Append one value; fails once the column would pass 4 GiB.
     #[inline]
     pub fn push(&mut self, s: &str) -> Result<()> {

@@ -88,9 +88,15 @@ pub fn build_plan(plan: &LogicalPlan, catalog: &dyn ExecCatalog) -> Result<BoxOp
             build_plan(input, catalog)?,
             keys.clone(),
         ))),
-        LogicalPlan::Limit { input, n } => {
-            Ok(Box::new(LimitOp::new(build_plan(input, catalog)?, *n)))
-        }
+        // A limit directly over a sort: one sort that keeps its first n.
+        LogicalPlan::Limit { input, n } => match input.as_ref() {
+            LogicalPlan::Sort { input, keys } if *n > 0 => Ok(Box::new(SortOp::top(
+                build_plan(input, catalog)?,
+                keys.clone(),
+                *n,
+            ))),
+            _ => Ok(Box::new(LimitOp::new(build_plan(input, catalog)?, *n))),
+        },
         LogicalPlan::Distinct { input } => {
             Ok(Box::new(DistinctOp::new(build_plan(input, catalog)?)))
         }

@@ -34,6 +34,7 @@ use nodb_common::{Column, DataType, Date, NoDbError, Result, Value};
 use nodb_sql::{BinOp, BoundExpr, UnOp};
 
 use crate::batch::{BatchView, ValueBatch};
+use crate::key::pack;
 
 fn negate(v: &Value) -> Result<Value> {
     Ok(match v {
@@ -653,8 +654,14 @@ fn compare_operands(
         // against a scalar straight from the arena.
         (Text, Text) => Some(match (window(l, n), r) {
             (Some((Data::Text(t), w)), Operand::Scalar(Value::Text(s))) => {
-                let lane = |i| t.get_bytes(w.start + i).cmp(s.as_bytes());
-                decide(sel, want_f, |i| op.holds(lane(i)))
+                let lane = |i| t.get_bytes(w.start + i);
+                match op {
+                    BinOp::Eq | BinOp::NotEq => {
+                        let (s, eq) = (TextEq::new(s), op == BinOp::Eq);
+                        decide(sel, want_f, |i| Some(s.matches(lane(i)) == eq))
+                    }
+                    _ => decide(sel, want_f, |i| op.holds(lane(i).cmp(s.as_bytes()))),
+                }
             }
             _ => decide(sel, want_f, |i| {
                 op.holds(text_at(l, i)?.cmp(text_at(r, i)?))
@@ -804,6 +811,33 @@ fn in_list(v: &Value, list: &[Value], negated: bool) -> Option<bool> {
     (!saw_null).then_some(negated)
 }
 
+/// A text scalar that `=`, `<>` and `IN` match lanes against without a
+/// library call per lane: lengths first, then a value of at most 8 bytes
+/// as one word, loaded a byte at a time.
+struct TextEq<'a> {
+    bytes: &'a [u8],
+    word: u64,
+}
+
+impl<'a> TextEq<'a> {
+    fn new(s: &'a str) -> TextEq<'a> {
+        TextEq {
+            bytes: s.as_bytes(),
+            word: pack(s.as_bytes()),
+        }
+    }
+
+    /// Does `lane` hold exactly this text?
+    #[inline]
+    fn matches(&self, lane: &[u8]) -> bool {
+        lane.len() == self.bytes.len()
+            && match lane.len() {
+                0..=8 => pack(lane) == self.word,
+                _ => lane == self.bytes,
+            }
+    }
+}
+
 /// Typed IN over an integer, date or text column whose candidates are all
 /// of its kind (or NULL); `None` otherwise.
 fn typed_in_list(
@@ -830,10 +864,12 @@ fn typed_in_list(
             decide(sel, want_f, |i| answer(i, want.contains(&x.at(i))))
         }
         DataType::Text => {
-            let want: Vec<&str> = cands.filter_map(Value::as_str).collect();
-            decide(sel, want_f, |i| {
-                answer(i, text_at(v, i).is_some_and(|s| want.contains(&s)))
-            })
+            let want: Vec<TextEq<'_>> = cands.filter_map(Value::as_str).map(TextEq::new).collect();
+            let Some((Data::Text(t), w)) = window(v, n) else {
+                return None;
+            };
+            let hit = |i: usize| want.iter().any(|s| s.matches(t.get_bytes(w.start + i)));
+            decide(sel, want_f, |i| answer(i, hit(i)))
         }
         _ => return None,
     })
@@ -1285,7 +1321,8 @@ mod batch_tests {
 
     /// Columns: 0 `Int64`, 1 `Text`, 2 `Int32`, 3 `Float64`, 4 `Date`,
     /// 5 `Bool`, 6 `Int64` near the top of its range, 7 `Int32` at both
-    /// ends of its range; each has a NULL lane.
+    /// ends of its range, 8 `Text` of 0, 9, 8 and 16 bytes (multi-byte
+    /// characters in two); each has a NULL lane.
     fn sample_batch() -> ValueBatch {
         let t = |s: &str| Value::Text(s.into());
         let rows = vec![
@@ -1298,6 +1335,7 @@ mod batch_tests {
                 Value::Bool(true),
                 Value::Int64(i64::MAX),
                 Value::Int32(i32::MIN),
+                t(""),
             ],
             vec![
                 Value::Int64(4),
@@ -1308,11 +1346,13 @@ mod batch_tests {
                 Value::Bool(false),
                 Value::Int64(1),
                 Value::Int32(i32::MAX),
+                t("ab€cdé"),
             ],
             vec![
                 Value::Null,
                 t("ECONOMY"),
                 Value::Int32(7),
+                Value::Null,
                 Value::Null,
                 Value::Null,
                 Value::Null,
@@ -1328,6 +1368,7 @@ mod batch_tests {
                 Value::Bool(true),
                 Value::Int64(-5),
                 Value::Int32(0),
+                t("12345678"),
             ],
             vec![
                 Value::Int64(7),
@@ -1338,6 +1379,7 @@ mod batch_tests {
                 Value::Bool(false),
                 Value::Int64(2),
                 Value::Int32(-1),
+                t("é€𝄞1234567"),
             ],
         ];
         ValueBatch::from_rows(rows.into_iter().map(Row).collect()).unwrap()
@@ -1553,7 +1595,46 @@ mod batch_tests {
             bin(BinOp::LtEq, col(4), lit(day("1994-01-01"))),
             bin(BinOp::Eq, col(4), col(2)),
             bin(BinOp::Eq, col(1), col(0)),
+            bin(BinOp::Eq, col(8), col(1)),
+            bin(BinOp::NotEq, col(8), col(8)),
         ];
+        // Text against literals of 0, 1, 8, 9, 16 and 17 bytes, equal to a
+        // lane or one byte off, multi-byte ones included, under `=`, `<>`,
+        // an ordering, and IN.
+        let texts = [
+            "",
+            "x",
+            "é",
+            "12345678",
+            "12345679",
+            "ab€cdé",
+            "ab€cdè",
+            "é€𝄞1234567",
+            "é€𝄞1234568",
+            "é€𝄞12345678",
+        ];
+        for s in texts {
+            let s = lit(Value::Text(s.into()));
+            for op in [BinOp::Eq, BinOp::NotEq, BinOp::Lt] {
+                shapes.push(bin(op, col(8), s.clone()));
+                shapes.push(bin(op, s.clone(), col(8)));
+            }
+        }
+        for negated in [false, true] {
+            let list = |ss: &[&str]| ss.iter().map(|&s| Value::Text(s.into())).collect();
+            let lists: [Vec<Value>; 3] = [
+                list(&texts),
+                list(&["", "12345679", "é€𝄞1234567"]),
+                [list(&["ab€cdé"]), vec![Value::Null]].concat(),
+            ];
+            for list in lists {
+                shapes.push(BoundExpr::InList {
+                    expr: Box::new(col(8)),
+                    list,
+                    negated,
+                });
+            }
+        }
         let numeric = [
             col(0),
             col(2),

@@ -14,9 +14,11 @@
 //! them as it is, never sliced into copies of a cursor's batch size.
 //!
 //! Operators move typed column lanes by index — joins, sorts and
-//! DISTINCT gather them, keys are read from column slots
-//! ([`KeyRef::at`]), and COUNT/SUM/AVG fold typed slices — so no
-//! operator builds a [`Value`] per cell on the way.
+//! DISTINCT gather them, and COUNT/SUM/AVG fold typed slices — so no
+//! operator builds a [`Value`] per cell on the way. Every operator that
+//! keys rows (aggregation, DISTINCT, the join's build and probe)
+//! normalises and hashes a batch's key columns at once ([`Keys`]), one
+//! typed loop per column, and then matches rows on the normalised lanes.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -36,7 +38,7 @@ use nodb_sql::{AggFunc, BoundExpr, JoinKind, SortKey};
 
 use crate::batch::{BatchQueue, ValueBatch};
 use crate::eval::{all_lanes, eval_batch, eval_operand, eval_predicate_batch, Operand};
-use crate::key::{hash_key, KeyIndex, KeyRef};
+use crate::key::{KeyIndex, Keys};
 
 /// The operator interface: a stream of rows, pulled one column-major
 /// batch at a time.
@@ -214,33 +216,88 @@ impl Operator for LimitOp {
 
 /// Drain `input` into one batch and order its rows by `keys` (NULLs
 /// first; stable, so rows with equal keys keep their input order).
-/// Returns the batch and its row numbers in sorted order.
-fn sort_input(input: BoxOp, keys: &[SortKey]) -> Result<(ValueBatch, Vec<usize>)> {
+/// Returns the batch and its row numbers in sorted order, only the first
+/// `limit` of them when there is a limit.
+fn sort_input(
+    input: BoxOp,
+    keys: &[SortKey],
+    limit: Option<usize>,
+) -> Result<(ValueBatch, Vec<usize>)> {
     let batch = concat_input(input)?;
-    let mut order: Vec<usize> = (0..batch.num_rows()).collect();
-    if !batch.is_empty() {
-        let cols = keys
-            .iter()
-            .map(|k| Ok((column(&batch, k.col)?, k.desc)))
-            .collect::<Result<Vec<_>>>()?;
-        order.sort_by(|&a, &b| {
-            for (col, desc) in &cols {
-                let ord = col.cmp_lanes(a, b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
+    let n = batch.num_rows();
+    if batch.is_empty() {
+        return Ok((batch, Vec::new()));
     }
+    let cols = keys
+        .iter()
+        .map(|k| Ok((column(&batch, k.col)?, k.desc)))
+        .collect::<Result<Vec<_>>>()?;
+    // Rows by key, then by input position: a total order, so the first
+    // `limit` rows under it are the stable sort's.
+    let cmp = |a: usize, b: usize| {
+        cols.iter()
+            .map(|(col, desc)| match desc {
+                true => col.cmp_lanes(b, a),
+                false => col.cmp_lanes(a, b),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.cmp(&b))
+    };
+    let order = match limit {
+        Some(k) if k < n => smallest(n, k, cmp),
+        _ => {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_unstable_by(|&a, &b| cmp(a, b));
+            order
+        }
+    };
     Ok((batch, order))
 }
 
-/// Sort: fully materializes, then emits in key order (NULLs first).
+/// The `k` smallest of `0..n` under the total order `cmp`, in order: a
+/// max-heap of at most `k` rows, whose largest each smaller row replaces.
+fn smallest(n: usize, k: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
+    let less = |heap: &[usize], i: usize, j: usize| match (heap.get(i), heap.get(j)) {
+        (Some(&a), Some(&b)) => cmp(a, b).is_lt(),
+        _ => false,
+    };
+    let mut heap: Vec<usize> = Vec::with_capacity(k);
+    for r in 0..n {
+        let mut i = heap.len();
+        if i < k {
+            heap.push(r);
+            // Sift up past every smaller parent.
+            while i > 0 && less(&heap, (i - 1) / 2, i) {
+                heap.swap(i, (i - 1) / 2);
+                i = (i - 1) / 2;
+            }
+        } else if heap.first().is_some_and(|&top| cmp(r, top).is_lt()) {
+            heap.push(r);
+            heap.swap_remove(0);
+            // Sift down below every larger child.
+            let mut i = 0;
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let big = if less(&heap, l, r) { r } else { l };
+                if !less(&heap, i, big) {
+                    break;
+                }
+                heap.swap(i, big);
+                i = big;
+            }
+        }
+    }
+    heap.sort_unstable_by(|&a, &b| cmp(a, b));
+    heap
+}
+
+/// Sort: fully materializes, then emits in key order (NULLs first). With
+/// a limit `n` (a `LIMIT n` directly above the sort), it keeps only the
+/// first `n` rows, found through a bounded heap instead of a full sort.
 pub struct SortOp {
     state: Drained,
     keys: Vec<SortKey>,
+    limit: Option<usize>,
 }
 
 impl SortOp {
@@ -249,15 +306,24 @@ impl SortOp {
         SortOp {
             state: Drained::new(input),
             keys,
+            limit: None,
+        }
+    }
+
+    /// Create a sort that emits only its first `n` rows.
+    pub fn top(input: BoxOp, keys: Vec<SortKey>, n: u64) -> SortOp {
+        SortOp {
+            limit: Some(usize::try_from(n).unwrap_or(usize::MAX)),
+            ..SortOp::new(input, keys)
         }
     }
 }
 
 impl Operator for SortOp {
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<ValueBatch>> {
-        let keys = &self.keys;
+        let (keys, limit) = (&self.keys, self.limit);
         self.state.next_batch(max_rows, |input| {
-            let (batch, order) = sort_input(input, keys)?;
+            let (batch, order) = sort_input(input, keys, limit)?;
             batch.take_rows(&order)
         })
     }
@@ -315,27 +381,22 @@ impl HashJoinOp {
         }
     }
 
-    /// Drain the build side into the table (rows with a NULL key part
-    /// never match and are dropped) and index it. An empty build side
-    /// leaves the table empty: its batch has no columns to key on.
+    /// Drain the build side into the table and index it. An empty build
+    /// side leaves the table empty: its batch has no columns to key on.
     fn build_table(&mut self, src: BoxOp) -> Result<()> {
         let rows = concat_input(src)?;
-        if rows.is_empty() {
-            return Ok(());
+        if !rows.is_empty() {
+            self.table = JoinTable::index(rows, &self.build_keys)?;
         }
-        let keep: Vec<usize> = {
-            let keys = columns(&rows, &self.build_keys)?;
-            (0..rows.num_rows())
-                .filter(|&r| keys.iter().all(|c| c.is_valid(r)))
-                .collect()
-        };
-        let rows = if keep.len() == rows.num_rows() {
-            rows
-        } else {
-            rows.take_rows(&keep)?
-        };
-        self.table = JoinTable::index(rows, &self.build_keys)?;
         Ok(())
+    }
+
+    /// The normalised key columns of a probe batch.
+    fn probe_keys(&self, probe: &ValueBatch) -> Result<Keys> {
+        Ok(Keys::new(
+            &columns(probe, &self.probe_keys)?,
+            probe.num_rows(),
+        ))
     }
 
     /// Pull the next probe batch — at most `want` rows — and queue its
@@ -359,9 +420,10 @@ impl HashJoinOp {
 
     fn join_inner(&self, probe: &ValueBatch) -> Result<ValueBatch> {
         let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-        let probe_keys = columns(probe, &self.probe_keys)?;
+        let probe_keys = self.probe_keys(probe)?;
+        let find = self.table.finder(&probe_keys);
         for r in 0..probe.num_rows() {
-            if let Some(slot) = self.table.find(&probe_keys, r) {
+            if let Some(slot) = find(r) {
                 for b in self.table.chain(slot) {
                     build_rows.push(b);
                     probe_rows.push(r);
@@ -376,10 +438,9 @@ impl HashJoinOp {
     fn join_semi(&self, probe: ValueBatch) -> Result<ValueBatch> {
         let anti = self.kind == JoinKind::Anti;
         let n = probe.num_rows();
-        let probe_keys = columns(&probe, &self.probe_keys)?;
-        let keep: Vec<usize> = (0..n)
-            .filter(|&r| self.table.find(&probe_keys, r).is_some() != anti)
-            .collect();
+        let probe_keys = self.probe_keys(&probe)?;
+        let find = self.table.finder(&probe_keys);
+        let keep: Vec<usize> = (0..n).filter(|&r| find(r).is_some() != anti).collect();
         Ok(if keep.len() == n {
             probe
         } else {
@@ -404,13 +465,14 @@ impl Operator for HashJoinOp {
 /// End of a [`JoinTable`] chain.
 const NO_ROW: u32 = u32::MAX;
 
-/// A hash join's build side: the rows in one typed batch, an index from
-/// key hash to key slot, and per slot a chain of the rows with that key.
+/// A hash join's build side: the rows in one typed batch, their keys
+/// normalised, an index from key hash to key slot, and per slot a chain of
+/// the rows with that key. Rows with a NULL key part never match and are
+/// in no chain.
 #[derive(Debug, Default)]
 struct JoinTable {
     rows: ValueBatch,
-    /// The build side's key columns, by position in `rows`.
-    keys: Vec<usize>,
+    keys: Keys,
     index: KeyIndex,
     /// Per slot: the first row built with the key (where its values are
     /// compared) and the last (the head of its chain).
@@ -425,57 +487,55 @@ impl JoinTable {
     fn index(rows: ValueBatch, keys: &[usize]) -> Result<JoinTable> {
         let n = u32::try_from(rows.num_rows())
             .map_err(|_| NoDbError::execution("join build side exceeds 2^32 rows"))?;
-        let mut t = JoinTable {
-            keys: keys.to_vec(),
-            ..JoinTable::default()
-        };
-        {
-            let cols = columns(&rows, keys)?;
-            for i in 0..n {
-                let r = i as usize;
-                let hash = hash_key(cols.iter().map(|c| KeyRef::at(c, r)));
-                let first = &t.first;
-                let found = t.index.find(hash, |s| {
-                    #[expect(clippy::indexing_slicing, reason = "a slot has a first row")]
-                    let f = first[s] as usize;
-                    cols.iter().all(|c| KeyRef::at(c, f) == KeyRef::at(c, r))
-                });
-                match found {
-                    #[expect(clippy::indexing_slicing, reason = "a slot has a last row")]
-                    Some(s) => {
-                        t.prev.push(t.last[s]);
-                        t.last[s] = i;
-                    }
-                    None => {
-                        t.index.insert(hash);
-                        t.first.push(i);
-                        t.last.push(i);
-                        t.prev.push(NO_ROW);
-                    }
+        let keys = Keys::new(&columns(&rows, keys)?, rows.num_rows());
+        let view = keys.view();
+        let mut t = JoinTable::default();
+        for (i, &hash) in (0..n).zip(keys.hashes()) {
+            let r = i as usize;
+            if keys.has_null(r) {
+                t.prev.push(NO_ROW);
+                continue;
+            }
+            let first = &t.first;
+            let found = t.index.find(hash, |s| {
+                first
+                    .get(s)
+                    .is_some_and(|&f| view.same(f as usize, &view, r))
+            });
+            match found {
+                #[expect(clippy::indexing_slicing, reason = "a slot has a last row")]
+                Some(s) => {
+                    t.prev.push(t.last[s]);
+                    t.last[s] = i;
+                }
+                None => {
+                    t.index.insert(hash);
+                    t.first.push(i);
+                    t.last.push(i);
+                    t.prev.push(NO_ROW);
                 }
             }
         }
-        t.rows = rows;
+        (t.rows, t.keys) = (rows, keys);
         Ok(t)
     }
 
-    /// The slot whose key equals row `r` of the probe key columns
-    /// `probe` (pairwise with the build side's keys); `None` when there
-    /// is none or a key part is NULL.
-    fn find(&self, probe: &[&Column], r: usize) -> Option<usize> {
-        if probe.iter().any(|c| !c.is_valid(r)) {
-            return None;
-        }
-        let hash = hash_key(probe.iter().map(|c| KeyRef::at(c, r)));
-        self.index.find(hash, |s| {
-            #[expect(clippy::indexing_slicing, reason = "a slot has a first row")]
-            let f = self.first[s] as usize;
-            self.keys.iter().zip(probe).all(|(&bc, pc)| {
-                self.rows
-                    .col(bc)
-                    .is_some_and(|b| KeyRef::at(b, f) == KeyRef::at(pc, r))
+    /// A lookup of the lanes of the probe keys `probe` (pairwise with the
+    /// build side's keys): lane `r`'s slot, `None` when there is none or
+    /// a key part is NULL.
+    fn finder<'a>(&'a self, probe: &'a Keys) -> impl Fn(usize) -> Option<usize> + 'a {
+        let (build, lanes) = (self.keys.view(), probe.view());
+        move |r| {
+            let hash = *probe.hashes().get(r)?;
+            if probe.has_null(r) {
+                return None;
+            }
+            self.index.find(hash, |s| {
+                self.first
+                    .get(s)
+                    .is_some_and(|&f| build.same(f as usize, &lanes, r))
             })
-        })
+        }
     }
 
     /// The rows with the key of `slot`, most recently built first.
@@ -487,42 +547,44 @@ impl JoinTable {
     }
 }
 
-/// Distinct key values in first-seen order: one typed column per key
-/// part, lane `s` holding slot `s`'s key, looked up through a
-/// [`KeyIndex`].
+/// Distinct key values in first-seen order, looked up through a
+/// [`KeyIndex`]: slot `s`'s key normalised, and as first seen (lane `s`
+/// of one typed column per key part).
 #[derive(Default)]
 struct KeySet {
     index: KeyIndex,
-    keys: Vec<Column>,
+    keys: Keys,
+    cols: Vec<Column>,
 }
 
 impl KeySet {
-    /// Number of distinct keys.
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The slot of the key `cols` hold at lane `r`, and whether it is new
-    /// (copied in).
-    #[inline]
-    fn slot(&mut self, cols: &[&Column], r: usize) -> Result<(usize, bool)> {
-        if self.keys.len() != cols.len() {
-            self.keys = cols.iter().map(|c| Column::new(c.dtype())).collect();
+    /// The slot of every lane's key in the first `n` lanes of `cols`,
+    /// adding the keys not seen before, and the lanes that added one.
+    fn insert(&mut self, cols: &[&Column], n: usize) -> Result<(Vec<usize>, Vec<usize>)> {
+        if self.cols.len() != cols.len() {
+            self.cols = cols.iter().map(|c| Column::new(c.dtype())).collect();
         }
-        let hash = hash_key(cols.iter().map(|c| KeyRef::at(c, r)));
-        let keys = &self.keys;
-        let found = self.index.find(hash, |s| {
-            keys.iter()
-                .zip(cols)
-                .all(|(k, c)| KeyRef::at(k, s) == KeyRef::at(c, r))
-        });
-        if let Some(s) = found {
-            return Ok((s, false));
+        let batch = Keys::new(cols, n);
+        // Slots from `old` on were added by this batch's lanes `new`.
+        let old = self.index.len();
+        let index = &mut self.index;
+        let (stored, lanes) = (self.keys.view(), batch.view());
+        let (mut slots, mut new) = (Vec::with_capacity(n), Vec::new());
+        for (r, &hash) in batch.hashes().iter().enumerate() {
+            let found = index.find(hash, |s| match s.checked_sub(old) {
+                None => stored.same(s, &lanes, r),
+                Some(k) => new.get(k).is_some_and(|&f| lanes.same(f, &lanes, r)),
+            });
+            slots.push(found.unwrap_or_else(|| {
+                new.push(r);
+                index.insert(hash)
+            }));
         }
-        for (k, c) in self.keys.iter_mut().zip(cols) {
-            k.push_from(c, r)?;
+        for (k, c) in self.cols.iter_mut().zip(cols) {
+            k.append(&c.gather(&new)?)?;
         }
-        Ok((self.index.insert(hash), true))
+        self.keys.extend(&batch, &new);
+        Ok((slots, new))
     }
 }
 
@@ -548,12 +610,7 @@ impl Operator for DistinctOp {
         while let Some(batch) = self.input.next_batch(max_rows)? {
             let n = batch.num_rows();
             let cols: Vec<&Column> = batch.cols().iter().collect();
-            let mut keep = Vec::new();
-            for r in 0..n {
-                if self.seen.slot(&cols, r)?.1 {
-                    keep.push(r);
-                }
-            }
+            let (_, keep) = self.seen.insert(&cols, n)?;
             if keep.len() == n {
                 return Ok(Some(batch));
             }
@@ -772,9 +829,11 @@ impl AccTable {
         }
     }
 
-    /// Start one more group.
-    fn push_group(&mut self) {
-        self.accs.extend_from_slice(&self.fresh);
+    /// Start `k` more groups.
+    fn push_groups(&mut self, k: usize) {
+        for _ in 0..k {
+            self.accs.extend_from_slice(&self.fresh);
+        }
     }
 
     /// Fold aggregate `k`'s argument over a batch of `n` rows, row `r`
@@ -798,13 +857,21 @@ impl AccTable {
         let idx = |r: usize| slots.map_or(0, |s| s.get(r).copied().unwrap_or(0)) * w + k;
         let col = match arg {
             None => {
-                if let (None, Acc::Count(c)) = (slots, acc_at(accs, k)?) {
+                match (slots, acc_at(accs, k)?) {
                     // COUNT(*) of one group: the batch's row count.
-                    *c += n as i64;
-                    return Ok(());
-                }
-                for r in 0..n {
-                    acc_at(accs, idx(r))?.update(None)?;
+                    (None, Acc::Count(c)) => *c += n as i64,
+                    (Some(slots), Acc::Count(_)) => {
+                        for &s in slots.iter().take(n) {
+                            if let Some(Acc::Count(c)) = accs.get_mut(s * w + k) {
+                                *c += 1;
+                            }
+                        }
+                    }
+                    _ => {
+                        for r in 0..n {
+                            acc_at(accs, idx(r))?.update(None)?;
+                        }
+                    }
                 }
                 return Ok(());
             }
@@ -928,19 +995,12 @@ impl Operator for HashAggOp {
             let mut input_types = Vec::new();
             while let Some(b) = input.next_batch(DRAIN)? {
                 input_types = b.types();
-                let key_cols = columns(&b, group)?;
-                let mut slots = Vec::with_capacity(b.num_rows());
-                for r in 0..b.num_rows() {
-                    let (s, new) = keys.slot(&key_cols, r)?;
-                    if new {
-                        table.push_group();
-                    }
-                    slots.push(s);
-                }
+                let (slots, new) = keys.insert(&columns(&b, group)?, b.num_rows())?;
+                table.push_groups(new.len());
                 fold_batch(&mut table, aggs, &b, Some(&slots))?;
             }
-            let n = keys.len();
-            let mut cols = keys.keys;
+            let n = keys.index.len();
+            let mut cols = keys.cols;
             if cols.len() != group.len() {
                 // No input: no groups, and no key types seen.
                 cols = group.iter().map(|_| Column::new(DataType::Int64)).collect();
@@ -983,25 +1043,22 @@ impl Operator for SortAggOp {
                 .iter()
                 .map(|&col| SortKey { col, desc: false })
                 .collect();
-            let (batch, order) = sort_input(input, &keys)?;
+            let (batch, order) = sort_input(input, &keys, None)?;
             if batch.is_empty() {
                 return Ok(batch);
             }
             let key_cols = columns(&batch, group)?;
+            let keys = Keys::new(&key_cols, batch.num_rows());
+            let keys = keys.view();
             // Walk the sorted rows: a run is the rows whose key equals
             // its first row's. Each row's group is its run.
-            let same = |a: usize, b: usize| {
-                key_cols
-                    .iter()
-                    .all(|c| KeyRef::at(c, a) == KeyRef::at(c, b))
-            };
             let mut firsts: Vec<usize> = Vec::new();
             let mut slots = vec![0; batch.num_rows()];
             let mut table = AccTable::new(aggs);
             for &r in &order {
-                if !firsts.last().is_some_and(|&f| same(f, r)) {
+                if !firsts.last().is_some_and(|&f| keys.same(f, &keys, r)) {
                     firsts.push(r);
-                    table.push_group();
+                    table.push_groups(1);
                 }
                 if let Some(s) = slots.get_mut(r) {
                     *s = firsts.len() - 1;
@@ -1043,7 +1100,7 @@ impl Operator for PlainAggOp {
         let aggs = &self.aggs;
         self.state.next_batch(max_rows, |mut input| {
             let mut table = AccTable::new(aggs);
-            table.push_group();
+            table.push_groups(1);
             let mut input_types = Vec::new();
             while let Some(b) = input.next_batch(DRAIN)? {
                 input_types = b.types();
@@ -1164,6 +1221,38 @@ mod tests {
         ]));
         let rows = drain(SortOp::new(input, vec![SortKey { col: 0, desc: true }]));
         assert_eq!(rows[0], Row(vec![Value::Int64(2)]));
+    }
+
+    /// A sort with a limit emits exactly the first rows of the full sort
+    /// followed by a limit: ties in input order, NULLs first, `desc`.
+    #[test]
+    fn top_k_equals_sort_then_limit() {
+        let rows = || {
+            let vals = [3, 1, -1, 3, 0, 1, -1, 3, 2, 0, 1];
+            Box::new(RowsOp::new(
+                vals.iter()
+                    .enumerate()
+                    .map(|(i, &v)| {
+                        let k = if v < 0 { Value::Null } else { Value::Int64(v) };
+                        Row(vec![k, Value::Int64(i as i64)])
+                    })
+                    .collect(),
+            )) as BoxOp
+        };
+        for desc in [false, true] {
+            let keys = || vec![SortKey { col: 0, desc }];
+            for n in [0, 1, 3, 5, 11, 20] {
+                let want = pull(
+                    Box::new(LimitOp::new(Box::new(SortOp::new(rows(), keys())), n)),
+                    DEFAULT_BATCH_ROWS,
+                )
+                .unwrap();
+                for max_rows in [1, 3, 1024] {
+                    let got = pull(Box::new(SortOp::top(rows(), keys(), n)), max_rows).unwrap();
+                    assert_eq!(got, want, "desc={desc} n={n} max_rows={max_rows}");
+                }
+            }
+        }
     }
 
     #[test]
